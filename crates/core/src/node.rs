@@ -33,10 +33,11 @@
 //! the churn-free bootstrap phase, and token pools are small bounded FIFOs
 //! instead of being cleared every round.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round};
@@ -59,6 +60,88 @@ pub(crate) fn ring_distance(a: f64, b: f64) -> f64 {
     } else {
         1.0 - d
     }
+}
+
+// ----------------------------------------------------------------------
+// Per-worker scratch
+// ----------------------------------------------------------------------
+
+/// Identity of one logical message within an activation: `(kind, node or
+/// owner, target epoch or Δ, step)`. Copies with equal keys are handled once.
+type SeenKey = (u8, NodeId, u64, u32);
+const SEEN_JOIN: u8 = 0;
+const SEEN_TOKEN: u8 = 1;
+/// A `Create`/`AnnounceJoin` claim about a node (epoch and step unused).
+const SEEN_CLAIM: u8 = 2;
+
+/// One multiply per key word. [`SeenKey`]s are a few machine words compared
+/// exactly on collision, and the set lives for one activation of a simulated
+/// node, so SipHash's protection against chosen keys buys nothing here while
+/// costing more than the rest of a routed copy's handling.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(word as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the best-mixed bits on top; the table indexes
+        // with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type SeenSet = HashSet<SeenKey, BuildHasherDefault<WordHasher>>;
+
+/// Buffers an activation needs only while it runs. One instance per worker
+/// thread, shared by every node that thread activates: per-node copies would
+/// multiply the footprint by `n` for buffers that are empty between
+/// activations. Nothing in here carries information from one activation to
+/// the next — every user clears what it reads.
+#[derive(Default)]
+struct Scratch {
+    /// Logical messages already handled by the running activation.
+    seen: SeenSet,
+    /// Members near the point of the current routing decision;
+    /// [`choose_up_to`] permutes it in place.
+    members: Vec<NodeId>,
+    /// Small identifier lists: this round's joiners, the distinct tokens of
+    /// the pool.
+    ids: Vec<NodeId>,
+    /// Join requests that reached their target swarm this round; announced
+    /// after every forward has been sent.
+    announces: Vec<(NodeId, u64, f64)>,
+    /// `(receiver, owner)` token deliveries, sent after the announcements.
+    token_deliveries: Vec<(NodeId, NodeId)>,
+    /// [`delta_select`]'s clockwise offsets.
+    clockwise: Vec<(f64, NodeId)>,
+    /// Bootstrap only: the initial members' positions in the next epoch,
+    /// evaluated once per activation.
+    genesis_next: Vec<Neighbor>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// The node state machine of the maintenance protocol.
@@ -177,28 +260,24 @@ impl ProtocolNode {
     // Neighbourhood helpers
     // ------------------------------------------------------------------
 
-    /// The node's own position in overlay epoch `epoch`.
-    fn own_position(&self, ctx: &Ctx<'_, ProtocolMsg>, epoch: u64) -> f64 {
-        ctx.position_hash(ctx.id(), epoch)
-    }
-
     /// `true` if the bootstrap substitute applies to `epoch` for this node.
     fn genesis_applies(&self, epoch: u64) -> bool {
         self.genesis.is_some() && epoch < self.params.genesis_epochs
     }
 
-    /// Computes the Definition-5 neighbour set of this node for a genesis
-    /// epoch directly from the initial member set.
-    fn genesis_neighbors(&self, ctx: &Ctx<'_, ProtocolMsg>, epoch: u64) -> Vec<Neighbor> {
+    /// Replaces `d_neighbors` with the Definition-5 neighbour set of this
+    /// node for a genesis epoch, computed directly from the initial member
+    /// set.
+    fn fill_genesis_neighbors(&mut self, ctx: &Ctx<'_, ProtocolMsg>, epoch: u64) {
+        self.d_neighbors.clear();
         let Some(genesis) = &self.genesis else {
-            return Vec::new();
+            return;
         };
-        let own = self.own_position(ctx, epoch);
+        let own = ctx.position_hash(ctx.id(), epoch);
         let list_r = self.params.overlay.list_radius();
         let db_r = self.params.overlay.debruijn_radius();
         let own_half = own / 2.0;
         let own_half_plus = (own + 1.0) / 2.0;
-        let mut out = Vec::new();
         for &v in genesis.iter() {
             if v == ctx.id() {
                 continue;
@@ -210,56 +289,35 @@ impl ProtocolNode {
                 || ring_distance(own, p / 2.0) <= db_r
                 || ring_distance(own, (p + 1.0) / 2.0) <= db_r
             {
-                out.push((v, p));
+                self.d_neighbors.push((v, p));
             }
         }
-        out
     }
 
-    /// Members of the *current* overlay within `radius` of `point`, according
-    /// to this node's neighbour knowledge (plus itself if close enough).
-    fn current_members_near(
-        &self,
-        ctx: &Ctx<'_, ProtocolMsg>,
-        epoch: u64,
-        point: f64,
-        radius: f64,
-    ) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .d_neighbors
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius)
-            .map(|(id, _)| *id)
-            .collect();
-        let own = self.own_position(ctx, epoch);
-        if ring_distance(own, point) <= radius {
-            out.push(ctx.id());
+    /// Appends to `out` the members of the *current* overlay within `radius`
+    /// of `point`, according to this node's neighbour knowledge — plus the
+    /// node itself (`me`: its identifier and current position) if close
+    /// enough.
+    fn current_members_near(&self, me: Neighbor, point: f64, radius: f64, out: &mut Vec<NodeId>) {
+        members_near(&self.d_neighbors, point, radius, out);
+        if ring_distance(me.1, point) <= radius {
+            out.push(me.0);
         }
-        out
     }
 
-    /// Members of the *next* overlay within `radius` of `point`: from the
-    /// collected announcements, or from genesis knowledge during bootstrap.
-    fn next_members_near(
+    /// Up to `replication` uniformly chosen current members of the swarm
+    /// around `point` (the receivers of one forwarding step). `members` is
+    /// the buffer the result lives in.
+    fn choose_forwarders<'m, R: Rng + ?Sized>(
         &self,
-        ctx: &Ctx<'_, ProtocolMsg>,
-        next_epoch: u64,
+        me: Neighbor,
         point: f64,
-        radius: f64,
-    ) -> Vec<NodeId> {
-        if self.genesis_applies(next_epoch) {
-            let genesis = self.genesis.as_ref().expect("genesis_applies checked");
-            return genesis
-                .iter()
-                .filter(|&&v| ring_distance(ctx.position_hash(v, next_epoch), point) <= radius)
-                .copied()
-                .collect();
-        }
-        self.h_entries
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius)
-            .map(|(id, _)| *id)
-            .collect()
+        members: &'m mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> &'m [NodeId] {
+        members.clear();
+        self.current_members_near(me, point, self.params.swarm_radius(), members);
+        choose_up_to(members, self.params.replication, rng)
     }
 
     /// The three responsibility intervals of a position `p` in the next
@@ -293,9 +351,22 @@ impl ProtocolNode {
         ((bits >> (lambda - i)) & 1) as u8
     }
 
+    /// The trajectory point after forwarding step `step` towards `target`
+    /// from `point`.
+    fn next_point(&self, target: f64, step: u32, point: f64) -> f64 {
+        (point + self.target_bit(target, step) as f64) / 2.0
+    }
+
     // ------------------------------------------------------------------
     // Even round: forwarding, delivery, join/token emission (Listing 3 even
     // block + Listing 4).
+    //
+    // Messages go out through `ctx.send` in one fixed order — forwards in
+    // inbox order, then announcements, then token deliveries, then this
+    // node's own join requests and tokens. The order of a node's outbox is
+    // the order of every inbox it feeds, and inbox order decides which
+    // duplicate wins and which RNG draw serves which copy: send order is the
+    // determinism contract.
     // ------------------------------------------------------------------
 
     fn even_round(
@@ -303,31 +374,38 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        scratch: &mut Scratch,
     ) {
+        let Scratch {
+            seen,
+            members,
+            ids,
+            announces,
+            token_deliveries,
+            clockwise,
+            ..
+        } = scratch;
         let lambda = self.params.lambda();
         let swarm_r = self.params.swarm_radius();
-        let replication = self.params.replication;
+        let me: Neighbor = (ctx.id(), ctx.position_hash(ctx.id(), epoch));
 
         // (1) Assemble this epoch's neighbour set from the CREATE messages
         //     (or from genesis knowledge during the bootstrap phase).
-        let mut creates: Vec<Neighbor> = inbox
-            .iter()
-            .filter_map(|env| match env.payload {
+        dedup_claims(
+            inbox.iter().filter_map(|env| match env.payload {
                 ProtocolMsg::Create {
                     node,
                     epoch: e,
                     position,
-                } if e == epoch && node != ctx.id() => Some((node, position)),
+                } if e == epoch && node != me.0 => Some((node, position)),
                 _ => None,
-            })
-            .collect();
-        creates.sort_by_key(|a| a.0);
-        creates.dedup_by(|a, b| a.0 == b.0);
-        self.stats.creates_received += creates.len();
+            }),
+            seen,
+            &mut self.d_neighbors,
+        );
+        self.stats.creates_received += self.d_neighbors.len();
         if self.genesis_applies(epoch) {
-            self.d_neighbors = self.genesis_neighbors(ctx, epoch);
-        } else {
-            self.d_neighbors = creates;
+            self.fill_genesis_neighbors(ctx, epoch);
         }
         self.d_epoch = epoch;
         let participating = !self.d_neighbors.is_empty();
@@ -337,11 +415,9 @@ impl ProtocolNode {
 
         // (2) Advance in-flight route messages (forwarding step) and deliver
         //     completed ones. Deduplicate copies of the same logical message.
-        let mut seen: HashSet<(u8, NodeId, u64, u32)> = HashSet::new();
-        let mut announce_out: Vec<(NodeId, u64, f64)> = Vec::new();
-        let mut forward_out: Vec<(NodeId, ProtocolMsg)> = Vec::new();
-        let mut token_deliveries: Vec<(NodeId, NodeId)> = Vec::new();
-
+        seen.clear();
+        announces.clear();
+        token_deliveries.clear();
         for env in inbox {
             match env.payload {
                 ProtocolMsg::RouteJoin {
@@ -351,20 +427,17 @@ impl ProtocolNode {
                     point,
                 } => {
                     self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((0, node, target_epoch, step)) {
+                    if !participating || !seen.insert((SEEN_JOIN, node, target_epoch, step)) {
                         continue;
                     }
                     let target = ctx.position_hash(node, target_epoch);
                     if step >= lambda {
                         // Delivered: spread the announcement (Listing 3 line 10).
-                        announce_out.push((node, target_epoch, target));
+                        announces.push((node, target_epoch, target));
                     } else {
-                        let bit = self.target_bit(target, step + 1);
-                        let next_point = (point + bit as f64) / 2.0;
-                        let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                        let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                        for to in chosen {
-                            forward_out.push((
+                        let next_point = self.next_point(target, step + 1, point);
+                        for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
+                            ctx.send(
                                 to,
                                 ProtocolMsg::RouteJoin {
                                     node,
@@ -372,7 +445,7 @@ impl ProtocolNode {
                                     step: step + 1,
                                     point: next_point,
                                 },
-                            ));
+                            );
                         }
                     }
                 }
@@ -384,26 +457,24 @@ impl ProtocolNode {
                     point,
                 } => {
                     self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((1, owner, delta as u64, step)) {
+                    if !participating || !seen.insert((SEEN_TOKEN, owner, delta as u64, step)) {
                         continue;
                     }
                     if step >= lambda {
                         // Sampling delivery rule (Listing 2): pick the swarm
                         // member with exactly `delta` members clockwise
                         // between the target point and itself.
-                        let members = self.current_members_near(ctx, epoch, target, swarm_r);
+                        members.clear();
+                        self.current_members_near(me, target, swarm_r, members);
                         if let Some(receiver) =
-                            delta_select(ctx, epoch, &members, target, delta as usize)
+                            delta_select(ctx, epoch, members, target, delta as usize, clockwise)
                         {
                             token_deliveries.push((receiver, owner));
                         }
                     } else {
-                        let bit = self.target_bit(target, step + 1);
-                        let next_point = (point + bit as f64) / 2.0;
-                        let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                        let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                        for to in chosen {
-                            forward_out.push((
+                        let next_point = self.next_point(target, step + 1, point);
+                        for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
+                            ctx.send(
                                 to,
                                 ProtocolMsg::RouteToken {
                                     owner,
@@ -412,7 +483,7 @@ impl ProtocolNode {
                                     step: step + 1,
                                     point: next_point,
                                 },
-                            ));
+                            );
                         }
                     }
                 }
@@ -422,50 +493,45 @@ impl ProtocolNode {
 
         // Spread announcements to every current member responsible for the
         // announced position (Listing 3 line 10).
-        for (node, target_epoch, position) in &announce_out {
+        for &(node, target_epoch, position) in announces.iter() {
             self.stats.joins_delivered += 1;
-            let mut receivers: Vec<NodeId> = Vec::new();
-            for (center, radius) in self.responsibility(*position) {
-                receivers.extend(self.current_members_near(ctx, epoch, center, radius));
+            members.clear();
+            for (center, radius) in self.responsibility(position) {
+                self.current_members_near(me, center, radius, members);
             }
-            receivers.sort();
-            receivers.dedup();
-            for to in receivers {
-                forward_out.push((
+            members.sort_unstable();
+            members.dedup();
+            for &to in members.iter() {
+                ctx.send(
                     to,
                     ProtocolMsg::AnnounceJoin {
-                        node: *node,
-                        epoch: *target_epoch,
-                        position: *position,
+                        node,
+                        epoch: target_epoch,
+                        position,
                     },
-                ));
+                );
             }
         }
-        for (to, owner) in token_deliveries {
-            forward_out.push((to, ProtocolMsg::Token { owner }));
-        }
-        for (to, msg) in forward_out {
-            ctx.send(to, msg);
+        for &(to, owner) in token_deliveries.iter() {
+            ctx.send(to, ProtocolMsg::Token { owner });
         }
 
         // (3) Start new join requests for this node and every fresh node it
         //     currently sponsors (Listing 3 lines 14-17), plus the per-round
         //     token emission of A_RANDOM (Listing 4).
         if participating && self.is_mature(ctx.round()) {
-            let own = self.own_position(ctx, epoch);
             let target_epoch = epoch + lambda as u64 + 1;
-            let mut joiners: Vec<NodeId> = vec![ctx.id()];
-            joiners.extend(self.slots.iter().flatten().copied());
-            joiners.sort();
-            joiners.dedup();
-            for node in joiners {
+            ids.clear();
+            ids.push(me.0);
+            ids.extend(self.slots.iter().flatten());
+            ids.sort_unstable();
+            ids.dedup();
+            for &node in ids.iter() {
                 let target = ctx.position_hash(node, target_epoch);
-                let bit = self.target_bit(target, 1);
-                let next_point = (own + bit as f64) / 2.0;
-                let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
+                let next_point = self.next_point(target, 1, me.1);
+                let chosen = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                 self.stats.joins_started += 1;
-                for to in chosen {
+                for &to in chosen {
                     ctx.send(
                         to,
                         ProtocolMsg::RouteJoin {
@@ -484,15 +550,12 @@ impl ProtocolNode {
             for _ in 0..self.params.tau {
                 let target: f64 = ctx.rng.gen();
                 let delta: u32 = ctx.rng.gen_range(0..=max_delta);
-                let bit = self.target_bit(target, 1);
-                let next_point = (own + bit as f64) / 2.0;
-                let candidates = self.current_members_near(ctx, epoch, next_point, swarm_r);
-                let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-                for to in chosen {
+                let next_point = self.next_point(target, 1, me.1);
+                for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
                     ctx.send(
                         to,
                         ProtocolMsg::RouteToken {
-                            owner: ctx.id(),
+                            owner: me.0,
                             delta,
                             target,
                             step: 1,
@@ -505,7 +568,8 @@ impl ProtocolNode {
     }
 
     // ------------------------------------------------------------------
-    // Odd round: handover and introductions (Listing 3 odd block).
+    // Odd round: handover and introductions (Listing 3 odd block). Send
+    // order: handovers in inbox order, then introductions.
     // ------------------------------------------------------------------
 
     fn odd_round(
@@ -513,89 +577,106 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        scratch: &mut Scratch,
     ) {
+        let Scratch {
+            seen,
+            members,
+            genesis_next,
+            ..
+        } = scratch;
         let swarm_r = self.params.swarm_radius();
         let replication = self.params.replication;
         let next_epoch = epoch + 1;
 
         // (1) Collect announcements into H_t.
-        self.h_entries.clear();
-        for env in inbox {
-            if let ProtocolMsg::AnnounceJoin {
-                node,
-                epoch: e,
-                position,
-            } = env.payload
-            {
-                if e == next_epoch {
-                    self.stats.announces_received += 1;
-                    self.h_entries.push((node, position));
+        let mut announces_received = 0;
+        dedup_claims(
+            inbox.iter().filter_map(|env| match env.payload {
+                ProtocolMsg::AnnounceJoin {
+                    node,
+                    epoch: e,
+                    position,
+                } if e == next_epoch => {
+                    announces_received += 1;
+                    Some((node, position))
                 }
-            }
-        }
-        self.h_entries.sort_by_key(|a| a.0);
-        self.h_entries.dedup_by(|a, b| a.0 == b.0);
+                _ => None,
+            }),
+            seen,
+            &mut self.h_entries,
+        );
+        self.stats.announces_received += announces_received;
 
         // (2) Handover step: every route copy received this round moves to the
-        //     next overlay's swarm at its current trajectory point.
-        let mut seen: HashSet<(u8, NodeId, u64, u32)> = HashSet::new();
-        let mut out: Vec<(NodeId, ProtocolMsg)> = Vec::new();
+        //     next overlay's swarm at its current trajectory point. The next
+        //     overlay's members are the collected announcements, or the
+        //     initial member set during bootstrap.
+        let next_members: &[Neighbor] = if self.genesis_applies(next_epoch) {
+            let genesis = self.genesis.as_ref().expect("genesis_applies checked");
+            genesis_next.clear();
+            genesis_next.extend(
+                genesis
+                    .iter()
+                    .map(|&v| (v, ctx.position_hash(v, next_epoch))),
+            );
+            genesis_next
+        } else {
+            &self.h_entries
+        };
+        seen.clear();
         for env in inbox {
-            let (key, point, msg) = match env.payload {
+            let (key, point) = match env.payload {
                 ProtocolMsg::RouteJoin {
                     node,
                     target_epoch,
                     step,
                     point,
-                } => ((0u8, node, target_epoch, step), point, env.payload),
+                } => ((SEEN_JOIN, node, target_epoch, step), point),
                 ProtocolMsg::RouteToken {
                     owner,
                     delta,
                     step,
                     point,
                     ..
-                } => ((1u8, owner, delta as u64, step), point, env.payload),
+                } => ((SEEN_TOKEN, owner, delta as u64, step), point),
                 _ => continue,
             };
             self.stats.route_copies_received += 1;
             if !seen.insert(key) {
                 continue;
             }
-            let candidates = self.next_members_near(ctx, next_epoch, point, swarm_r);
-            let chosen = choose_up_to(&candidates, replication, &mut ctx.rng);
-            for to in chosen {
-                out.push((to, msg));
+            members.clear();
+            members_near(next_members, point, swarm_r, members);
+            for &to in choose_up_to(members, replication, &mut ctx.rng) {
+                ctx.send(to, env.payload);
             }
         }
 
         // (3) Introductions: for every pair of announced nodes that will be
         //     neighbours in D_{next_epoch}, send each of them the other's
         //     identifier and position (Listing 3 lines 25-26).
-        let entries = self.h_entries.clone();
-        for (i, &(v, pv)) in entries.iter().enumerate() {
-            for &(w, pw) in entries.iter().skip(i + 1) {
+        for (i, &(v, pv)) in self.h_entries.iter().enumerate() {
+            for &(w, pw) in &self.h_entries[i + 1..] {
                 if self.are_neighbors(pv, pw) {
-                    out.push((
+                    ctx.send(
                         w,
                         ProtocolMsg::Create {
                             node: v,
                             epoch: next_epoch,
                             position: pv,
                         },
-                    ));
-                    out.push((
+                    );
+                    ctx.send(
                         v,
                         ProtocolMsg::Create {
                             node: w,
                             epoch: next_epoch,
                             position: pw,
                         },
-                    ));
+                    );
                 }
             }
-        }
-        for (to, msg) in out {
-            ctx.send(to, msg);
         }
         self.h_entries.clear();
     }
@@ -608,7 +689,9 @@ impl ProtocolNode {
         &mut self,
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
+        scratch: &mut Scratch,
     ) {
+        let distinct = &mut scratch.ids;
         let now = ctx.round();
         let delta = self.params.delta;
         self.stats.connects_received_last_round = 0;
@@ -626,15 +709,12 @@ impl ProtocolNode {
                 ProtocolMsg::Connect { node } => {
                     self.stats.connects_received += 1;
                     self.stats.connects_received_last_round += 1;
-                    let free: Vec<usize> = self
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_none())
-                        .map(|(i, _)| i)
-                        .collect();
-                    if let Some(&slot) = free.as_slice().choose(&mut ctx.rng) {
-                        self.slots[slot] = Some(node);
+                    // A uniformly chosen free slot, if any is left.
+                    let free = self.slots.iter().filter(|s| s.is_none()).count();
+                    if free > 0 {
+                        let pick = ctx.rng.gen_range(0..free);
+                        let slot = self.slots.iter_mut().filter(|s| s.is_none()).nth(pick);
+                        *slot.expect("pick < free") = Some(node);
                     }
                 }
                 ProtocolMsg::Token { owner } => {
@@ -668,14 +748,11 @@ impl ProtocolNode {
 
         // Handle nodes that joined via this node this round: send CONNECTs on
         // their behalf and supply them with tokens (Listing 4 "Upon v joining").
-        let sponsored: Vec<NodeId> = ctx.sponsored().to_vec();
-        for new_node in sponsored {
-            let picked = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in &picked {
-                ctx.send(*owner, ProtocolMsg::Connect { node: new_node });
+        for &new_node in ctx.sponsored() {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, distinct) {
+                ctx.send(owner, ProtocolMsg::Connect { node: new_node });
             }
-            let supply = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in supply {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, distinct) {
                 ctx.send(new_node, ProtocolMsg::Token { owner });
             }
             // Make sure the newcomer is sponsored into the overlay even before
@@ -689,8 +766,7 @@ impl ProtocolNode {
         // tokens to stay known by Θ(δ) mature nodes.
         let integrated = self.participates(now / 2);
         if !self.is_mature(now) || !integrated {
-            let picked = pick_tokens(&self.tokens, delta, &mut ctx.rng);
-            for owner in picked {
+            for &owner in pick_tokens(&self.tokens, delta, &mut ctx.rng, distinct) {
                 self.repair_sampled.push(owner);
                 ctx.send(owner, ProtocolMsg::Connect { node: ctx.id() });
             }
@@ -708,13 +784,14 @@ impl ProtocolNode {
         ctx: &mut Ctx<'_, ProtocolMsg>,
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
+        scratch: &mut Scratch,
     ) {
         if ctx.round() % 2 == 0 {
-            self.even_round(ctx, inbox, epoch);
+            self.even_round(ctx, inbox, epoch, scratch);
         } else {
-            self.odd_round(ctx, inbox, epoch);
+            self.odd_round(ctx, inbox, epoch, scratch);
         }
-        self.random_overlay_round(ctx, inbox);
+        self.random_overlay_round(ctx, inbox, scratch);
     }
 
     /// One byzantine activation: the honest machinery still runs — the node
@@ -728,6 +805,7 @@ impl ProtocolNode {
         inbox: &[Envelope<ProtocolMsg>],
         epoch: u64,
         kind: MisbehaviorKind,
+        scratch: &mut Scratch,
     ) {
         let censored: Vec<Envelope<ProtocolMsg>>;
         let inbox = if kind == MisbehaviorKind::SelectiveForward {
@@ -745,7 +823,7 @@ impl ProtocolNode {
         } else {
             inbox
         };
-        self.honest_round(ctx, inbox, epoch);
+        self.honest_round(ctx, inbox, epoch, scratch);
 
         let me = ctx.id();
         let mut sent = std::mem::take(ctx.queued_mut());
@@ -805,10 +883,13 @@ impl Process for ProtocolNode {
             self.joined_at = Some(ctx.round());
         }
         let epoch = ctx.round() / 2;
-        match self.byzantine {
-            None => self.honest_round(ctx, inbox, epoch),
-            Some(kind) => self.byzantine_round(ctx, inbox, epoch, kind),
-        }
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            match self.byzantine {
+                None => self.honest_round(ctx, inbox, epoch, scratch),
+                Some(kind) => self.byzantine_round(ctx, inbox, epoch, kind, scratch),
+            }
+        });
         self.stats.last_round = ctx.round();
         self.stats.messages_sent += ctx.queued();
     }
@@ -820,55 +901,102 @@ impl Process for ProtocolNode {
     }
 }
 
-/// Chooses up to `count` distinct elements of `candidates` uniformly at random.
-fn choose_up_to<R: Rng + ?Sized>(candidates: &[NodeId], count: usize, rng: &mut R) -> Vec<NodeId> {
-    if candidates.len() <= count {
-        return candidates.to_vec();
+/// Appends to `out` the identifiers of the `known` entries within `radius`
+/// of `point`, in `known`'s order.
+#[inline]
+fn members_near(known: &[Neighbor], point: f64, radius: f64, out: &mut Vec<NodeId>) {
+    out.extend(
+        known
+            .iter()
+            .filter(|(_, p)| ring_distance(*p, point) <= radius)
+            .map(|(id, _)| *id),
+    );
+}
+
+/// Replaces `out` with the first claim about each node, in `claims` order,
+/// sorted by node: what a stable sort by node followed by keeping the first
+/// of every run yields, without sorting the duplicates — an inbox holds on
+/// the order of a hundred copies of every claim.
+fn dedup_claims(
+    claims: impl Iterator<Item = Neighbor>,
+    seen: &mut SeenSet,
+    out: &mut Vec<Neighbor>,
+) {
+    seen.clear();
+    out.clear();
+    out.extend(claims.filter(|&(node, _)| seen.insert((SEEN_CLAIM, node, 0, 0))));
+    out.sort_unstable_by_key(|&(node, _)| node);
+}
+
+/// Chooses up to `count` distinct elements of `candidates` uniformly at
+/// random and returns them as a prefix of the (permuted) buffer: a partial
+/// Fisher–Yates shuffle, draw for draw what `SliceRandom::choose_multiple`
+/// does on an index vector. With `count` or fewer candidates it returns them
+/// all, in order, without touching `rng`.
+fn choose_up_to<'c, R: Rng + ?Sized>(
+    candidates: &'c mut [NodeId],
+    count: usize,
+    rng: &mut R,
+) -> &'c [NodeId] {
+    let len = candidates.len();
+    if len <= count {
+        return candidates;
     }
-    candidates.choose_multiple(rng, count).copied().collect()
+    for i in 0..count {
+        let j = rng.gen_range(i..len);
+        candidates.swap(i, j);
+    }
+    &candidates[..count]
 }
 
 /// Picks `count` tokens uniformly at random (with replacement across calls but
-/// without replacement within one call) from the pool.
-fn pick_tokens<R: Rng + ?Sized>(pool: &[NodeId], count: usize, rng: &mut R) -> Vec<NodeId> {
-    if pool.is_empty() {
-        return Vec::new();
-    }
-    let mut distinct: Vec<NodeId> = pool.to_vec();
-    distinct.sort();
+/// without replacement within one call) from the pool. `distinct` is the
+/// buffer the result lives in.
+fn pick_tokens<'d, R: Rng + ?Sized>(
+    pool: &[NodeId],
+    count: usize,
+    rng: &mut R,
+    distinct: &'d mut Vec<NodeId>,
+) -> &'d [NodeId] {
+    distinct.clear();
+    distinct.extend_from_slice(pool);
+    distinct.sort_unstable();
     distinct.dedup();
-    if distinct.len() <= count {
-        return distinct;
-    }
-    distinct.choose_multiple(rng, count).copied().collect()
+    choose_up_to(distinct, count, rng)
 }
 
 /// The `A_SAMPLING` delivery rule: among `members` (the known swarm of
 /// `target`), select the node with exactly `delta` members clockwise between
-/// `target` and itself.
+/// `target` and itself. `clockwise` is scratch.
 fn delta_select(
     ctx: &Ctx<'_, ProtocolMsg>,
     epoch: u64,
     members: &[NodeId],
     target: f64,
     delta: usize,
+    clockwise: &mut Vec<(f64, NodeId)>,
 ) -> Option<NodeId> {
-    let mut right: Vec<(f64, NodeId)> = members
-        .iter()
-        .map(|&id| {
-            let p = ctx.position_hash(id, epoch);
-            (((p - target).rem_euclid(1.0)), id)
-        })
-        .filter(|(off, _)| *off <= 0.5)
-        .collect();
-    right.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    right.get(delta).map(|(_, id)| *id)
+    clockwise.clear();
+    clockwise.extend(
+        members
+            .iter()
+            .map(|&id| {
+                let p = ctx.position_hash(id, epoch);
+                (((p - target).rem_euclid(1.0)), id)
+            })
+            .filter(|(off, _)| *off <= 0.5),
+    );
+    // Identifiers are distinct, so the order is total and an unstable sort
+    // cannot reorder anything.
+    clockwise.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    clockwise.get(delta).map(|(_, id)| *id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn params() -> MaintenanceParams {
@@ -890,19 +1018,74 @@ mod tests {
     fn choose_up_to_caps_at_candidates() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let c: Vec<NodeId> = (0..3).map(NodeId).collect();
-        assert_eq!(choose_up_to(&c, 5, &mut rng).len(), 3);
-        assert_eq!(choose_up_to(&c, 2, &mut rng).len(), 2);
-        let picked = choose_up_to(&c, 2, &mut rng);
+        assert_eq!(choose_up_to(&mut c.clone(), 5, &mut rng), c.as_slice());
+        assert_eq!(choose_up_to(&mut c.clone(), 2, &mut rng).len(), 2);
+        let mut buf = c.clone();
+        let picked = choose_up_to(&mut buf, 2, &mut rng);
         assert!(picked.iter().all(|id| c.contains(id)));
+    }
+
+    #[test]
+    fn choose_up_to_makes_exactly_choose_multiples_draws() {
+        // Same picks in the same order and the same RNG state afterwards,
+        // with fewer, exactly as many and more candidates than picks.
+        for seed in 0..50u64 {
+            for (len, count) in [(0usize, 2usize), (1, 2), (2, 2), (3, 2), (9, 2), (40, 5)] {
+                let c: Vec<NodeId> = (0..len as u64).map(|i| NodeId(i * 7 + seed)).collect();
+                let mut reference_rng = ChaCha8Rng::seed_from_u64(seed);
+                let reference: Vec<NodeId> = if c.len() <= count {
+                    c.clone()
+                } else {
+                    c.choose_multiple(&mut reference_rng, count)
+                        .copied()
+                        .collect()
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut buf = c.clone();
+                assert_eq!(
+                    choose_up_to(&mut buf, count, &mut rng),
+                    reference.as_slice(),
+                    "seed {seed}, {count} of {len}"
+                );
+                assert_eq!(
+                    rng.next_u64(),
+                    reference_rng.next_u64(),
+                    "seed {seed}, {count} of {len}: RNG streams diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_claims_keeps_the_first_claim_in_inbox_order() {
+        // Duplicate claims about one node may carry conflicting positions
+        // (mutated or forged): the first in inbox order must win, as with
+        // the stable sort + dedup this replaces.
+        let mut seen = SeenSet::default();
+        let mut out = vec![(NodeId(999), 0.0)];
+        for seed in 0..50u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let claims: Vec<Neighbor> = (0..rng.gen_range(0..400usize))
+                .map(|_| (NodeId(rng.gen_range(0..40u64)), rng.gen::<f64>()))
+                .collect();
+            let mut reference = claims.clone();
+            reference.sort_by_key(|a| a.0);
+            reference.dedup_by(|a, b| a.0 == b.0);
+            // A stale entry from another kind of key must not leak in.
+            seen.insert((SEEN_JOIN, NodeId(3), 0, 0));
+            dedup_claims(claims.iter().copied(), &mut seen, &mut out);
+            assert_eq!(out, reference, "seed {seed}");
+        }
     }
 
     #[test]
     fn pick_tokens_deduplicates() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut buf = Vec::new();
         let pool = vec![NodeId(1), NodeId(1), NodeId(2)];
-        let picked = pick_tokens(&pool, 5, &mut rng);
-        assert_eq!(picked, vec![NodeId(1), NodeId(2)]);
-        assert!(pick_tokens(&[], 3, &mut rng).is_empty());
+        let picked = pick_tokens(&pool, 5, &mut rng, &mut buf);
+        assert_eq!(picked, [NodeId(1), NodeId(2)]);
+        assert!(pick_tokens(&[], 3, &mut rng, &mut buf).is_empty());
     }
 
     #[test]
@@ -922,12 +1105,14 @@ mod tests {
     fn genesis_neighbors_match_definition_5() {
         let p = params();
         let g = genesis(64);
-        let node = ProtocolNode::new(p, Some(g.clone()));
+        let mut node = ProtocolNode::new(p, Some(g.clone()));
         let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 7, 7);
-        let neighbors = node.genesis_neighbors(&ctx, 0);
+        node.d_neighbors = vec![(NodeId(63), 0.5)];
+        node.fill_genesis_neighbors(&ctx, 0);
+        let neighbors = &node.d_neighbors;
         assert!(!neighbors.is_empty(), "a genesis node must have neighbours");
         let own = ctx.position_hash(NodeId(0), 0);
-        for (id, pos) in &neighbors {
+        for (id, pos) in neighbors {
             assert_ne!(*id, NodeId(0));
             assert!(
                 node.are_neighbors(own, *pos),
@@ -973,8 +1158,9 @@ mod tests {
         // is well-defined.
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
         let target = 0.0;
-        let first = delta_select(&ctx, 0, &members, target, 0);
-        let second = delta_select(&ctx, 0, &members, target, 1);
+        let mut scratch = Vec::new();
+        let first = delta_select(&ctx, 0, &members, target, 0, &mut scratch);
+        let second = delta_select(&ctx, 0, &members, target, 1, &mut scratch);
         assert!(first.is_some());
         if let (Some(a), Some(b)) = (first, second) {
             assert_ne!(a, b);

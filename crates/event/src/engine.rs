@@ -44,7 +44,7 @@ use tsa_sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
 use tsa_sim::{
     apply_churn_plan, record_round_obs, run_activation, Adversary, ChurnBudget, ChurnOutcome,
     CommGraph, Envelope, MetricsHistory, MetricsMode, MetricsSummary, NodeFactory, NodeId,
-    PlanScratch, ProtocolStep, Round, RoundMetrics, RoundMetricsBuilder, SimConfig,
+    PlanScratch, ProtocolStep, Round, RoundMetrics, RoundMetricsBuilder, SimConfig, SlotIndex,
     StreamingMetrics,
 };
 
@@ -135,6 +135,9 @@ pub struct EventSimulator<P: ProtocolStep, A: Adversary> {
     factory: NodeFactory<P>,
     /// Node slots, sorted by identifier.
     slots: Vec<EvSlot<P>>,
+    /// `id → slot` table over `slots` (delivery lookup and distinct-receiver
+    /// stamps), kept current wherever `slots` changes.
+    index: SlotIndex,
     members: BTreeMap<NodeId, MemberInfo>,
     /// The event queue: pending deliveries, earliest `(arrival, seq)` first.
     queue: CalendarQueue<P::Msg>,
@@ -156,8 +159,6 @@ pub struct EventSimulator<P: ProtocolStep, A: Adversary> {
     sponsored_pairs: Vec<(NodeId, NodeId)>,
     /// Scratch: joiner ids grouped contiguously per bootstrap node.
     sponsored_ids: Vec<NodeId>,
-    /// Scratch for per-node distinct-receiver computation.
-    dedup_scratch: Vec<NodeId>,
     /// Scratch for churn-plan validation.
     plan_scratch: PlanScratch,
     /// Buffers donated by departed nodes, reused by joining nodes.
@@ -204,6 +205,7 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
             adversary,
             factory,
             slots: Vec::new(),
+            index: SlotIndex::new(),
             members: BTreeMap::new(),
             queue,
             seq: 0,
@@ -213,7 +215,6 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
             deliverable: Vec::new(),
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
-            dedup_scratch: Vec::new(),
             plan_scratch: PlanScratch::default(),
             spare_outboxes: Vec::new(),
             spare_inboxes: Vec::new(),
@@ -259,6 +260,7 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
         let process = (self.factory)(id, round);
         let out = self.spare_outboxes.pop().unwrap_or_default();
         let inbox = self.spare_inboxes.pop().unwrap_or_default();
+        self.index.insert(id, self.slots.len());
         self.slots.push(EvSlot {
             id,
             joined_at: round,
@@ -427,7 +429,7 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
     }
 
     fn slot_index(&self, id: NodeId) -> Option<usize> {
-        self.slots.binary_search_by_key(&id, |s| s.id).ok()
+        self.index.slot(id)
     }
 
     /// Executes `rounds` round boundaries.
@@ -492,6 +494,8 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
             for &id in outcome.departed.iter() {
                 let idx = self.slot_index(id).expect("departed node has a slot");
                 let slot = self.slots.remove(idx);
+                self.index
+                    .remove(id, self.slots[idx..].iter().map(|s| s.id));
                 let mut out = slot.out;
                 out.clear();
                 self.spare_outboxes.push(out);
@@ -527,9 +531,9 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
         self.queue.drain_at_or_before(now, &mut self.deliverable);
         self.deliverable.sort_unstable_by_key(|p| p.seq);
         for pending in self.deliverable.drain(..) {
-            match self.slots.binary_search_by_key(&pending.env.to, |s| s.id) {
-                Ok(idx) => self.slots[idx].inbox.push(pending.env),
-                Err(_) => {
+            match self.index.slot(pending.env.to) {
+                Some(idx) => self.slots[idx].inbox.push(pending.env),
+                None => {
                     dropped += 1;
                     self.stats.dropped_departed += 1;
                 }
@@ -598,7 +602,7 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
             let queue = &mut self.queue;
             let seq = &mut self.seq;
             let stats = &mut self.stats;
-            let scratch = &mut self.dedup_scratch;
+            let index = &mut self.index;
             let replay = self.replay.as_ref();
             let trace = &mut self.trace;
             let faults = self.faults.as_ref();
@@ -628,14 +632,10 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
                 );
                 slot.out = out;
                 slot.inbox.clear();
-                scratch.clear();
-                scratch.extend(slot.out.iter().map(|(to, _)| *to));
-                scratch.sort_unstable();
-                scratch.dedup();
-                mb.record_sent(slot.id, slot.out.len(), scratch.len());
-                for &to in scratch.iter() {
-                    rec.graph.edges.push((slot.id, to));
-                }
+                // Id-ordered slots each appending their distinct receivers
+                // in id order leave the edge list sorted and duplicate-free.
+                let distinct = index.push_distinct_edges(slot.id, &slot.out, &mut rec.graph.edges);
+                mb.record_sent(slot.id, slot.out.len(), distinct);
                 if record_digests {
                     rec.digests.push((slot.id, digest));
                 }
@@ -788,8 +788,6 @@ impl<P: ProtocolStep, A: Adversary> EventSimulator<P, A> {
         // Receiver-departed drops are charged to the delivery round, loss
         // drops to the sending round (the network never carried them).
         mb.record_dropped(dropped + lost);
-        rec.graph.edges.sort_unstable();
-        rec.graph.edges.dedup();
 
         self.records.push(rec);
         if let Some(window) = self.config.sim.history_window {

@@ -44,6 +44,11 @@ use tsa_sim::{Envelope, NodeId};
 /// covers 64 rounds of look-ahead before events spill to overflow.
 const WHEEL_SLOTS: u64 = 64;
 
+/// Drained bucket allocations kept for reuse. Round-shaped traffic keeps one
+/// or two buckets live at a time, so a handful of spares is all the wheel
+/// ever needs; anything beyond is freed.
+const MAX_SPARE_BUCKETS: usize = 4;
+
 /// One message in flight: its arrival tick, global send sequence number and
 /// envelope. The queue orders by `(arrival, seq, receiver)`; `seq` is unique
 /// in a live engine, so the order is total and delivery is deterministic.
@@ -83,9 +88,11 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// One wheel slot: its events plus a lazily-maintained sort flag. A drained
-/// bucket keeps its allocation — the ring recycles it for the round window
-/// that wraps onto the same slot.
+/// One wheel slot: its events plus a lazily-maintained sort flag. A bucket
+/// the wheel has moved past gives its allocation to the queue's spare list,
+/// where the next bucket to fill takes it — were every slot to keep its own,
+/// the ring would pin `WHEEL_SLOTS` round-sized buffers to serve one or two
+/// live windows.
 struct Bucket<M> {
     /// The slot's events; sorted *descending* by key when `sorted` is set,
     /// so the minimum pops from the tail in O(1).
@@ -115,6 +122,10 @@ pub struct CalendarQueue<M> {
     cur: u64,
     /// Events currently in the ring.
     ring_len: usize,
+    /// Empty allocations of drained buckets (at most
+    /// [`MAX_SPARE_BUCKETS`]), handed to the next empty bucket on its first
+    /// push.
+    spare: Vec<Vec<Pending<M>>>,
     /// Far-future events (arrival beyond the ring horizon), unordered.
     overflow: Vec<Pending<M>>,
     /// Smallest absolute bucket index present in `overflow`, `None` when
@@ -134,6 +145,7 @@ impl<M> CalendarQueue<M> {
             ring: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
             cur: 0,
             ring_len: 0,
+            spare: Vec::new(),
             overflow: Vec::new(),
             overflow_min: None,
         }
@@ -166,14 +178,24 @@ impl<M> CalendarQueue<M> {
         b.saturating_sub(self.cur) < WHEEL_SLOTS
     }
 
+    /// Puts an event into in-ring bucket `b`.
+    fn push_into_ring(&mut self, b: u64, p: Pending<M>) {
+        let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
+        if slot.items.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                slot.items = spare;
+            }
+        }
+        slot.items.push(p);
+        slot.sorted = false;
+        self.ring_len += 1;
+    }
+
     /// Queues an event.
     pub fn push(&mut self, p: Pending<M>) {
         let b = self.bucket_of(p.arrival);
         if self.in_ring(b) {
-            let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
-            slot.items.push(p);
-            slot.sorted = false;
-            self.ring_len += 1;
+            self.push_into_ring(b, p);
         } else {
             self.overflow_min = Some(self.overflow_min.map_or(b, |m| m.min(b)));
             self.overflow.push(p);
@@ -189,10 +211,7 @@ impl<M> CalendarQueue<M> {
             let b = self.bucket_of(self.overflow[i].arrival);
             if self.in_ring(b) {
                 let p = self.overflow.swap_remove(i);
-                let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
-                slot.items.push(p);
-                slot.sorted = false;
-                self.ring_len += 1;
+                self.push_into_ring(b, p);
             } else {
                 min = Some(min.map_or(b, |m| m.min(b)));
                 i += 1;
@@ -222,11 +241,16 @@ impl<M> CalendarQueue<M> {
                 self.cur = self.cur.max(min);
                 continue;
             }
-            if !self.ring[(self.cur % WHEEL_SLOTS) as usize]
-                .items
-                .is_empty()
-            {
+            let items = &mut self.ring[(self.cur % WHEEL_SLOTS) as usize].items;
+            if !items.is_empty() {
                 return true;
+            }
+            // Moving past a drained bucket: recycle its allocation.
+            if items.capacity() > 0 {
+                let drained = std::mem::take(items);
+                if self.spare.len() < MAX_SPARE_BUCKETS {
+                    self.spare.push(drained);
+                }
             }
             self.cur += 1;
         }
@@ -314,6 +338,44 @@ mod tests {
             seq,
             env: Envelope::new(NodeId(0), NodeId(to), 0, 0),
         }
+    }
+
+    /// Event slots the queue holds on to, in use or not: ring buckets plus
+    /// spares.
+    fn retained_capacity(q: &CalendarQueue<u64>) -> usize {
+        let ring: usize = q.ring.iter().map(|b| b.items.capacity()).sum();
+        let spare: usize = q.spare.iter().map(Vec::capacity).sum();
+        ring + spare
+    }
+
+    #[test]
+    fn drained_buckets_do_not_pin_a_round_of_memory_each() {
+        // Regression: every wheel slot kept the allocation of the round that
+        // filled it, so 64 slots pinned 64 rounds' worth of buffers while one
+        // or two were live. Sub-round traffic: round t's sends arrive before
+        // boundary t + 1 and are drained there.
+        let width = 1000u64;
+        let mut q = CalendarQueue::new(width);
+        let mut out = Vec::new();
+        let mut seq = 0u64;
+        let mut peak_depth = 0usize;
+        for t in 0..200u64 {
+            let sends = 400 + (t * 37) % 200;
+            for k in 0..sends {
+                q.push(pending(t * width + 100 + (k * 13) % 800, seq, k));
+                seq += 1;
+            }
+            peak_depth = peak_depth.max(q.len());
+            out.clear();
+            q.drain_at_or_before((t + 1) * width, &mut out);
+            assert_eq!(out.len() as u64, sends);
+            assert!(q.is_empty());
+        }
+        let retained = retained_capacity(&q);
+        assert!(
+            retained <= 4 * peak_depth,
+            "queue retains {retained} event slots for a peak depth of {peak_depth}"
+        );
     }
 
     fn drain_keys(q: &mut CalendarQueue<u64>, now: u64) -> Vec<(u64, u64, NodeId)> {

@@ -50,7 +50,7 @@ use tsa_sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
 use tsa_sim::{
     apply_churn_plan, record_round_obs, run_activation, Adversary, ChurnBudget, ChurnOutcome,
     Envelope, MetricsHistory, MetricsMode, MetricsSummary, NodeFactory, NodeId, PlanScratch,
-    ProtocolStep, Round, RoundMetrics, RoundMetricsBuilder, SimConfig, StreamingMetrics,
+    ProtocolStep, Round, RoundMetrics, RoundMetricsBuilder, SimConfig, SlotIndex, StreamingMetrics,
 };
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -284,6 +284,9 @@ where
     factory: NodeFactory<P>,
     /// Node slots, sorted by identifier.
     slots: Vec<NetSlot<P>>,
+    /// `id → slot` table over `slots` (slot lookup and distinct-receiver
+    /// stamps), kept current wherever `slots` changes.
+    index: SlotIndex,
     members: BTreeMap<NodeId, MemberInfo>,
     /// Listener addresses of live nodes, for the sender side.
     addrs: BTreeMap<NodeId, SocketAddr>,
@@ -301,7 +304,6 @@ where
     inbox_scratch: Vec<Envelope<P::Msg>>,
     sponsored_pairs: Vec<(NodeId, NodeId)>,
     sponsored_ids: Vec<NodeId>,
-    dedup_scratch: Vec<NodeId>,
     plan_scratch: PlanScratch,
     encode_scratch: Vec<u8>,
     records: Vec<RoundRecord>,
@@ -361,6 +363,7 @@ where
             adversary,
             factory,
             slots: Vec::new(),
+            index: SlotIndex::new(),
             members: BTreeMap::new(),
             addrs: BTreeMap::new(),
             conns: BTreeMap::new(),
@@ -372,7 +375,6 @@ where
             inbox_scratch: Vec::new(),
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
-            dedup_scratch: Vec::new(),
             plan_scratch: PlanScratch::default(),
             encode_scratch: Vec::new(),
             records: Vec::new(),
@@ -429,6 +431,7 @@ where
         self.ctl
             .send(Ctl::Register(id, listener))
             .expect("poller alive");
+        self.index.insert(id, self.slots.len());
         self.slots.push(NetSlot {
             id,
             joined_at: round,
@@ -443,11 +446,10 @@ where
     /// streams; frames it never read become receiver-departed drops at
     /// round `t` (exactly when the twin engines would drop them).
     fn retire_slot(&mut self, id: NodeId, t: Round, dropped: &mut usize) {
-        let idx = self
-            .slots
-            .binary_search_by_key(&id, |s| s.id)
-            .expect("departed node has a slot");
+        let idx = self.index.slot(id).expect("departed node has a slot");
         self.slots.remove(idx);
+        self.index
+            .remove(id, self.slots[idx..].iter().map(|s| s.id));
         self.addrs.remove(&id);
         self.conns.retain(|(from, to), _| *from != id && *to != id);
         self.ctl.send(Ctl::Unregister(id)).expect("poller alive");
@@ -493,10 +495,7 @@ where
 
     /// Immutable access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.slots
-            .binary_search_by_key(&id, |s| s.id)
-            .ok()
-            .map(|i| &self.slots[i].process)
+        self.index.slot(id).map(|i| &self.slots[i].process)
     }
 
     /// Iterates over `(id, protocol state)` pairs of all current members.
@@ -811,15 +810,12 @@ where
                 record_digests,
             );
             slot.out = out;
-            self.dedup_scratch.clear();
-            self.dedup_scratch
-                .extend(slot.out.iter().map(|(to, _)| *to));
-            self.dedup_scratch.sort_unstable();
-            self.dedup_scratch.dedup();
-            mb.record_sent(slot.id, slot.out.len(), self.dedup_scratch.len());
-            for &to in self.dedup_scratch.iter() {
-                rec.graph.edges.push((slot.id, to));
-            }
+            // Id-ordered slots each appending their distinct receivers in
+            // id order leave the edge list sorted and duplicate-free.
+            let distinct = self
+                .index
+                .push_distinct_edges(slot.id, &slot.out, &mut rec.graph.edges);
+            mb.record_sent(slot.id, slot.out.len(), distinct);
             if record_digests {
                 rec.digests.push((slot.id, digest));
             }
@@ -901,8 +897,6 @@ where
         drop(batches);
         self.obs.span_end("net.encode", span);
         mb.record_dropped(dropped + lost);
-        rec.graph.edges.sort_unstable();
-        rec.graph.edges.dedup();
 
         self.records.push(rec);
         if let Some(window) = self.config.sim.history_window {

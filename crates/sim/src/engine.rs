@@ -20,10 +20,20 @@
 //!
 //! * node slots live in a `Vec` sorted by identifier (identifiers are
 //!   assigned monotonically, so joins append in order and the sort is free);
+//!   a [`SlotIndex`] — a dense table over every identifier ever assigned —
+//!   answers "which slot owns this receiver" and "has this sender already
+//!   messaged this receiver" in O(1) per message, where a sorted `Vec`
+//!   alone costs a binary search per envelope and a sort of every node's
+//!   destinations per round;
 //! * message delivery groups the in-flight buffer by receiver with a stable
 //!   counting scatter (count → prefix-sum → move into the second buffer) and
 //!   hands every node a contiguous *slice* of it — no per-node inbox vectors
-//!   and no sort scratch;
+//!   and no sort scratch. *Stable* is load-bearing: every inbox lists its
+//!   messages in sender-id order and, per sender, in send order, so the
+//!   order in which a protocol calls [`Ctx::send`](crate::Ctx::send) is part
+//!   of its observable behaviour (which duplicate a receiver sees first,
+//!   which RNG draw serves which copy) — send order is the determinism
+//!   contract between protocol and engine;
 //! * every node owns a reusable outbox buffer that is re-wrapped via
 //!   [`Outbox::from_vec`](crate::Outbox::from_vec) each round; departing
 //!   nodes donate their buffers to a spare pool that joining nodes draw from;
@@ -36,7 +46,12 @@
 //!   `TSA_THREADS` / [`rayon::with_thread_cap`] budget, so sweep workers and
 //!   the simulator never multiply into `workers × cores` threads. Per-node
 //!   RNG streams depend only on `(seed, node, round)`, which makes parallel
-//!   and sequential execution bit-for-bit identical.
+//!   and sequential execution bit-for-bit identical. Protocols keep
+//!   per-activation scratch per *worker* (a `thread_local!`, as
+//!   `tsa-core`'s node does), not per node: it carries nothing from one
+//!   activation to the next, so the worker a node lands on cannot matter,
+//!   and `n` copies of buffers that are empty between activations would
+//!   only cost memory.
 
 use std::collections::BTreeMap;
 
@@ -53,6 +68,7 @@ use crate::metrics::{
     RoundMetricsBuilder, StreamingMetrics,
 };
 use crate::node::{run_activation, ProtocolStep};
+use crate::slot_index::SlotIndex;
 
 /// A node in the engine: its protocol state plus per-round scratch that is
 /// reused across rounds (outbox buffer, inbox/sponsorship ranges, digest).
@@ -93,6 +109,9 @@ pub struct Simulator<P: ProtocolStep, A: Adversary> {
     /// Node slots, sorted by identifier (the append-only id sequence keeps
     /// joins in order; departures preserve order).
     slots: Vec<NodeSlot<P>>,
+    /// `id → slot` table over `slots`, kept current by `spawn_slot` and
+    /// `apply_plan`; also stamps distinct receivers in the scatter phase.
+    index: SlotIndex,
     members: BTreeMap<NodeId, MemberInfo>,
     /// Messages sent last round, not yet delivered (sorted by receiver during
     /// the delivery phase of the next step).
@@ -113,8 +132,6 @@ pub struct Simulator<P: ProtocolStep, A: Adversary> {
     route_slots: Vec<usize>,
     /// Scratch: per-slot write cursors of the delivery scatter.
     route_cursors: Vec<usize>,
-    /// Scratch for per-node distinct-receiver computation.
-    dedup_scratch: Vec<NodeId>,
     /// Scratch for churn-plan validation (departure dedup, join fan-in).
     plan_scratch: PlanScratch,
     /// Round records trimmed out of the history window, recycled as scratch.
@@ -142,6 +159,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             adversary,
             factory,
             slots: Vec::new(),
+            index: SlotIndex::new(),
             members: BTreeMap::new(),
             in_flight: Vec::new(),
             next_in_flight: Vec::new(),
@@ -150,7 +168,6 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             spare_outboxes: Vec::new(),
             route_slots: Vec::new(),
             route_cursors: Vec::new(),
-            dedup_scratch: Vec::new(),
             plan_scratch: PlanScratch::default(),
             spare_records: Vec::new(),
             records: Vec::new(),
@@ -189,6 +206,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
     fn spawn_slot(&mut self, id: NodeId, round: Round) {
         let process = (self.factory)(id, round);
         let out = self.spare_outboxes.pop().unwrap_or_default();
+        self.index.insert(id, self.slots.len());
         self.slots.push(NodeSlot {
             id,
             joined_at: round,
@@ -204,7 +222,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
 
     /// The slot index of `id`, if it is a current member.
     fn slot_index(&self, id: NodeId) -> Option<usize> {
-        self.slots.binary_search_by_key(&id, |s| s.id).ok()
+        self.index.slot(id)
     }
 
     /// The current round (the next round to be executed).
@@ -365,9 +383,9 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
 
         // Phase 2: deliver messages sent in round t-1 to surviving receivers,
         // as a stable counting scatter: locate each envelope's receiver slot
-        // (binary search), prefix-sum the counts into per-slot ranges, then
-        // move every delivered envelope into its range in the second buffer
-        // and swap. Each node's inbox is then one contiguous slice, grouped
+        // (one `SlotIndex` lookup), prefix-sum the counts into per-slot
+        // ranges, then move every delivered envelope into its range in the
+        // second buffer and swap. Each node's inbox is then one contiguous slice, grouped
         // in slot (= id) order with sender order preserved within each group
         // — exactly what a stable sort by receiver would produce, but with
         // no sort scratch: a `sort_by_key` here would heap-allocate its
@@ -383,12 +401,12 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         const DROP: usize = usize::MAX;
         self.route_slots.clear();
         for env in self.in_flight.iter() {
-            match self.slots.binary_search_by_key(&env.to, |s| s.id) {
-                Ok(idx) => {
+            match self.index.slot(env.to) {
+                Some(idx) => {
                     self.slots[idx].inbox_len += 1;
                     self.route_slots.push(idx);
                 }
-                Err(_) => {
+                None => {
                     dropped += 1;
                     self.route_slots.push(DROP);
                 }
@@ -509,8 +527,10 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
 
         // Phase 4: drain outboxes into the next round's in-flight buffer,
         // record the communication graph and per-node metrics. All buffers
-        // (double-buffered queue, dedup scratch, recycled round records) are
-        // reused, so the steady state allocates nothing.
+        // (double-buffered queue, recycled round records) are reused, so the
+        // steady state allocates nothing. Slots are visited in id order and
+        // each contributes its distinct receivers in id order, so the edge
+        // list comes out sorted and duplicate-free without a global sort.
         let span = self.obs.span_start();
         let mut rec = self.spare_records.pop().unwrap_or_default();
         rec.graph.round = t;
@@ -520,7 +540,7 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
         self.next_in_flight.clear();
         {
             let next_in_flight = &mut self.next_in_flight;
-            let scratch = &mut self.dedup_scratch;
+            let index = &mut self.index;
             let obs = &self.obs;
             let obs_on = obs.is_on();
             for slot in self.slots.iter_mut() {
@@ -530,14 +550,8 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
                     // protocol (delivery is exhaustive in rounds mode).
                     obs.observe("proto.inbox_len", slot.inbox_len as u64);
                 }
-                scratch.clear();
-                scratch.extend(slot.out.iter().map(|(to, _)| *to));
-                scratch.sort_unstable();
-                scratch.dedup();
-                mb.record_sent(slot.id, slot.out.len(), scratch.len());
-                for &to in scratch.iter() {
-                    rec.graph.edges.push((slot.id, to));
-                }
+                let distinct = index.push_distinct_edges(slot.id, &slot.out, &mut rec.graph.edges);
+                mb.record_sent(slot.id, slot.out.len(), distinct);
                 if record_digests {
                     rec.digests.push((slot.id, slot.digest));
                 }
@@ -548,8 +562,6 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             }
         }
         std::mem::swap(&mut self.in_flight, &mut self.next_in_flight);
-        rec.graph.edges.sort_unstable();
-        rec.graph.edges.dedup();
 
         self.records.push(rec);
         if let Some(window) = self.config.history_window {
@@ -594,11 +606,10 @@ impl<P: ProtocolStep, A: Adversary> Simulator<P, A> {
             outcome,
         );
         for &id in outcome.departed.iter() {
-            let slot_idx = self
-                .slots
-                .binary_search_by_key(&id, |s| s.id)
-                .expect("departed node has a slot");
+            let slot_idx = self.index.slot(id).expect("departed node has a slot");
             let slot = self.slots.remove(slot_idx);
+            self.index
+                .remove(id, self.slots[slot_idx..].iter().map(|s| s.id));
             let mut out = slot.out;
             out.clear();
             self.spare_outboxes.push(out);
@@ -723,7 +734,6 @@ mod tests {
             (
                 s.in_flight.capacity(),
                 s.next_in_flight.capacity(),
-                s.dedup_scratch.capacity(),
                 s.slots
                     .iter()
                     .map(|slot| slot.out.capacity())

@@ -53,6 +53,7 @@ pub mod message;
 pub mod metrics;
 pub mod node;
 pub mod rng;
+pub mod slot_index;
 
 pub use adversary::{Adversary, NullAdversary};
 pub use churn::{
@@ -68,6 +69,7 @@ pub use metrics::{
     RoundMetricsBuilder, StreamingMetrics, RESERVOIR_CAPACITY,
 };
 pub use node::{run_activation, Ctx, Process, ProtocolStep};
+pub use slot_index::SlotIndex;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

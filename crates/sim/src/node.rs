@@ -110,7 +110,7 @@ impl<'a, M> Ctx<'a, M> {
     /// Per the model, the bootstrap node "receives a reference" to each joiner;
     /// the joiner itself learns nothing until somebody messages it.
     #[inline]
-    pub fn sponsored(&self) -> &[NodeId] {
+    pub fn sponsored(&self) -> &'a [NodeId] {
         self.sponsored
     }
 

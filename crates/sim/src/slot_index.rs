@@ -1,0 +1,219 @@
+//! `id → slot` lookup and distinct-receiver counting in O(1) per message.
+//!
+//! All three schedulers keep their node slots in a `Vec` sorted by
+//! identifier and ask two questions once per message: *which slot owns this
+//! receiver* (delivery) and *has this sender already messaged this receiver
+//! this round* (the communication graph and the distinct-receiver metric).
+//! Identifiers are handed out densely from 0 and never reused, so both are a
+//! table lookup: [`SlotIndex`] keeps one `u32` slot and one `u64` stamp per
+//! identifier ever assigned.
+//!
+//! Identifiers outside the table — a protocol may address any `u64`, e.g. an
+//! identifier that was never assigned or `NodeId(u64::MAX)` — are never
+//! members; for distinct counting they fall back to a checked linear list.
+
+use crate::ids::NodeId;
+
+/// Table entry of an identifier that currently owns no slot.
+const ABSENT: u32 = u32::MAX;
+
+/// Dense `id → slot` table plus per-id pass stamps. See the module docs.
+#[derive(Debug, Default)]
+pub struct SlotIndex {
+    /// `slot_of[id]` is the slot of member `id`, or [`ABSENT`].
+    slot_of: Vec<u32>,
+    /// `stamp[id] == pass` iff `id` was already seen in the current pass.
+    stamp: Vec<u64>,
+    /// The current distinct-counting pass; 0 is never a live pass, so fresh
+    /// (zeroed) stamps are unseen.
+    pass: u64,
+    /// Identifiers beyond the table seen in the current pass.
+    beyond: Vec<NodeId>,
+}
+
+impl SlotIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records that member `id` lives in `slot`, growing the table to cover
+    /// `id`. Call it for a new member and again whenever its slot moves.
+    pub fn insert(&mut self, id: NodeId, slot: usize) {
+        let i = usize::try_from(id.raw()).expect("assigned identifiers are dense from 0");
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, ABSENT);
+            self.stamp.resize(i + 1, 0);
+        }
+        assert!(slot < ABSENT as usize, "slot {slot} does not fit the table");
+        self.slot_of[i] = slot as u32;
+    }
+
+    /// Records that member `id` left the network and that the members behind
+    /// it — `shifted`, in slot order — each moved down one slot, as
+    /// `Vec::remove` on the slot vector leaves them. An `id` that is not a
+    /// member is ignored.
+    pub fn remove(&mut self, id: NodeId, shifted: impl IntoIterator<Item = NodeId>) {
+        let Some(vacated) = self.slot(id) else {
+            return;
+        };
+        self.slot_of[id.raw() as usize] = ABSENT;
+        for (offset, later) in shifted.into_iter().enumerate() {
+            self.insert(later, vacated + offset);
+        }
+    }
+
+    /// The slot of `id`, or `None` if it is not a current member (departed,
+    /// never assigned, or outside the table altogether).
+    #[inline]
+    pub fn slot(&self, id: NodeId) -> Option<usize> {
+        let i = usize::try_from(id.raw()).ok()?;
+        match self.slot_of.get(i) {
+            Some(&s) if s != ABSENT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Appends one `(from, to)` edge per *distinct* receiver in `out` to
+    /// `edges`, in ascending receiver order, and returns how many there are
+    /// — what sorting and deduplicating all of `out`'s destinations yields,
+    /// but only the distinct ones are ever sorted.
+    pub fn push_distinct_edges<M>(
+        &mut self,
+        from: NodeId,
+        out: &[(NodeId, M)],
+        edges: &mut Vec<(NodeId, NodeId)>,
+    ) -> usize {
+        self.pass += 1;
+        self.beyond.clear();
+        let start = edges.len();
+        for &(to, _) in out {
+            let first = match usize::try_from(to.raw())
+                .ok()
+                .and_then(|i| self.stamp.get_mut(i))
+            {
+                Some(stamp) => std::mem::replace(stamp, self.pass) != self.pass,
+                None => {
+                    let first = !self.beyond.contains(&to);
+                    if first {
+                        self.beyond.push(to);
+                    }
+                    first
+                }
+            };
+            if first {
+                edges.push((from, to));
+            }
+        }
+        edges[start..].sort_unstable();
+        edges.len() - start
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The sorted-`Vec` bookkeeping the index replaces: members in ascending
+    /// id order, departures by `remove`, joins by `push` of the next id.
+    struct Reference {
+        members: Vec<NodeId>,
+        next_id: u64,
+    }
+
+    impl Reference {
+        fn slot(&self, id: NodeId) -> Option<usize> {
+            self.members.binary_search_by_key(&id, |&m| m).ok()
+        }
+    }
+
+    fn churned(seed: u64, rounds: usize) -> (SlotIndex, Reference, ChaCha8Rng) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut index = SlotIndex::new();
+        let mut reference = Reference {
+            members: Vec::new(),
+            next_id: 0,
+        };
+        for _ in 0..24 {
+            index.insert(NodeId(reference.next_id), reference.members.len());
+            reference.members.push(NodeId(reference.next_id));
+            reference.next_id += 1;
+        }
+        for _ in 0..rounds {
+            if reference.members.len() > 4 && rng.gen::<bool>() {
+                let at = rng.gen_range(0..reference.members.len());
+                let gone = reference.members.remove(at);
+                index.remove(gone, reference.members[at..].iter().copied());
+            }
+            if rng.gen::<bool>() {
+                index.insert(NodeId(reference.next_id), reference.members.len());
+                reference.members.push(NodeId(reference.next_id));
+                reference.next_id += 1;
+            }
+        }
+        (index, reference, rng)
+    }
+
+    #[test]
+    fn slot_lookup_matches_binary_search_under_churn() {
+        for seed in 0..20 {
+            let (index, reference, _) = churned(seed, 200);
+            // Every id ever assigned (members and departed), ids that never
+            // existed, and the far end of the id space.
+            let probes = (0..reference.next_id + 8).chain([u64::MAX - 1, u64::MAX]);
+            for raw in probes {
+                assert_eq!(
+                    index.slot(NodeId(raw)),
+                    reference.slot(NodeId(raw)),
+                    "seed {seed}, id {raw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_edges_match_sort_and_dedup() {
+        for seed in 0..20 {
+            let (mut index, reference, mut rng) = churned(seed, 120);
+            let from = reference.members[0];
+            let mut edges = vec![(NodeId(7), NodeId(7))];
+            for pass in 0..6 {
+                // Destinations among members, departed ids, ids >= next_id
+                // and u64::MAX, with many repeats.
+                let out: Vec<(NodeId, u8)> = (0..rng.gen_range(0..300usize))
+                    .map(|_| {
+                        let to = match rng.gen_range(0..10u32) {
+                            0 => u64::MAX,
+                            1 => reference.next_id + rng.gen_range(0..3u64),
+                            _ => rng.gen_range(0..reference.next_id),
+                        };
+                        (NodeId(to), 0)
+                    })
+                    .collect();
+                let mut expected: Vec<NodeId> = out.iter().map(|&(to, _)| to).collect();
+                expected.sort_unstable();
+                expected.dedup();
+                let before = edges.len();
+                let distinct = index.push_distinct_edges(from, &out, &mut edges);
+                assert_eq!(distinct, expected.len(), "seed {seed}, pass {pass}");
+                let got: Vec<NodeId> = edges[before..].iter().map(|&(_, to)| to).collect();
+                assert_eq!(got, expected, "seed {seed}, pass {pass}");
+                assert!(edges[before..].iter().all(|&(f, _)| f == from));
+            }
+            assert_eq!(edges[0], (NodeId(7), NodeId(7)), "earlier edges untouched");
+        }
+    }
+
+    #[test]
+    fn removing_unknown_ids_is_a_no_op() {
+        let mut index = SlotIndex::new();
+        index.insert(NodeId(0), 0);
+        index.remove(NodeId(5), []);
+        index.remove(NodeId(u64::MAX), [NodeId(0)]);
+        assert_eq!(index.slot(NodeId(0)), Some(0));
+        index.remove(NodeId(0), []);
+        assert_eq!(index.slot(NodeId(0)), None);
+    }
+}
