@@ -1,17 +1,41 @@
-//! A convenience harness wiring the maintenance protocol, an adversary and the
-//! simulator together, plus the routability / health reporting used by the
-//! experiments.
+//! The maintenance protocol wired to an adversary and a scheduler, plus the
+//! routability / health reporting used by the experiments.
+//!
+//! There is one harness, [`Maintained`], generic over the [`Delivery`] its
+//! [`World`] runs on; [`MaintenanceHarness`], [`AsyncMaintenanceHarness`] and
+//! [`NetMaintenanceHarness`] name its three instantiations. The *same*
+//! [`ProtocolNode`] state machine, genesis configuration, churn arbiter and
+//! health reporting run under all of them:
+//!
+//! * on the lockstep simulator every message takes exactly one round;
+//! * on `tsa-event`'s engine every message individually samples a latency
+//!   (plus jitter) and may be lost — a run whose delays never exceed one
+//!   round is bit-identical to the lockstep run at the same seed, everything
+//!   beyond that measures how much asynchrony the two-steps-ahead
+//!   maintenance actually tolerates;
+//! * on `tsa-net`'s transport the messages are real length-prefixed frames
+//!   over loopback TCP, scheduled by the wall clock. The harness records
+//!   every message's fate; replaying the recorded [`MessageTrace`] through
+//!   [`AsyncMaintenanceHarness::assemble_replay`] re-executes the run
+//!   deterministically, which is how the twin tests pin the transport to the
+//!   model.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
+use tsa_event::{
+    EventConfig, FaultPlan, LatencyModel, MessageTrace, NetModel, Topology, VirtualTime,
+};
+use tsa_net::{Loopback, NetConfig, NetRunner};
 use tsa_obs::ObsHandle;
 use tsa_overlay::{Lds, OverlayGraph, Position};
 use tsa_sim::{
-    Adversary, ChurnRules, Lateness, MetricsHistory, MetricsMode, MetricsSummary, NodeId, Round,
-    RoundMetrics, SimConfig, Simulator,
+    Adversary, ChurnRules, Delivery, Lateness, Lockstep, MetricsMode, NodeId, Round, SimConfig,
+    World,
 };
 
+use crate::messages::ProtocolMsg;
 use crate::node::ProtocolNode;
 use crate::params::MaintenanceParams;
 use crate::snapshot::NodeSnapshot;
@@ -53,24 +77,43 @@ impl MaintenanceReport {
     }
 }
 
-/// The maintenance protocol running inside the simulator against an adversary.
-pub struct MaintenanceHarness<A: Adversary> {
-    sim: Simulator<ProtocolNode, A>,
+/// The maintenance protocol running in a [`World`] over the delivery `D`
+/// against the adversary `A`.
+pub struct Maintained<A: Adversary, D: Delivery<ProtocolMsg>> {
+    sim: World<ProtocolNode, A, D>,
     params: MaintenanceParams,
-    /// The harness's own grip on the observability sink (the engine holds a
+    /// The harness's own grip on the observability sink (the world holds a
     /// clone): the protocol-level probes — sampling ages — live here, above
-    /// the engine.
+    /// the scheduler.
     obs: ObsHandle,
 }
 
-/// The genesis [`SimConfig`] shared by the round harness and the async
-/// harness: same seed/hash-seed derivation, same history window — so the two
-/// scheduler policies start from bit-identical worlds.
-pub(crate) fn harness_sim_config(
-    seed: u64,
-    churn_rules: ChurnRules,
-    lateness: Lateness,
-) -> SimConfig {
+/// Everything read-only the world and its delivery offer — `round`,
+/// `node_count`, `metrics`, `metrics_summary`, `last_metrics`, and the
+/// scheduler's own `net_stats`, `fault_stats`, `wire_stats`, `trace`,
+/// `peak_queue_depth`, … — is reached through the harness. Stepping is not:
+/// the harness's own `run` / `step` carry the protocol-level probes.
+impl<A: Adversary, D: Delivery<ProtocolMsg>> std::ops::Deref for Maintained<A, D> {
+    type Target = World<ProtocolNode, A, D>;
+    fn deref(&self) -> &Self::Target {
+        &self.sim
+    }
+}
+
+/// The maintenance protocol on the round-synchronous simulator.
+pub type MaintenanceHarness<A> = Maintained<A, Lockstep<ProtocolMsg>>;
+
+/// The maintenance protocol on the virtual-time event engine, under a
+/// network model.
+pub type AsyncMaintenanceHarness<A> = Maintained<A, VirtualTime<ProtocolMsg>>;
+
+/// The maintenance protocol over loopback TCP.
+pub type NetMaintenanceHarness<A> = Maintained<A, Loopback<ProtocolMsg>>;
+
+/// The genesis [`SimConfig`] shared by every scheduler: same seed/hash-seed
+/// derivation, same history window — so the three delivery policies start
+/// from bit-identical worlds.
+fn harness_sim_config(seed: u64, churn_rules: ChurnRules, lateness: Lateness) -> SimConfig {
     SimConfig::default()
         .with_seed(seed)
         .with_churn_rules(churn_rules)
@@ -79,9 +122,9 @@ pub(crate) fn harness_sim_config(
         .with_history_window(64)
 }
 
-/// The node factory shared by both harnesses: genesis nodes (round 0) know
+/// The node factory shared by every scheduler: genesis nodes (round 0) know
 /// the initial member set, later joiners know nothing.
-pub(crate) fn harness_factory(params: MaintenanceParams) -> tsa_sim::NodeFactory<ProtocolNode> {
+fn harness_factory(params: MaintenanceParams) -> tsa_sim::NodeFactory<ProtocolNode> {
     let n = params.overlay.n;
     let genesis: Arc<Vec<NodeId>> = Arc::new((0..n as u64).map(NodeId).collect());
     Box::new(move |id, round| {
@@ -103,9 +146,8 @@ pub(crate) fn harness_factory(params: MaintenanceParams) -> tsa_sim::NodeFactory
 }
 
 /// Builds the [`MaintenanceReport`] for one instant of a maintained overlay —
-/// shared by the round harness and the async harness, so "healthy" means the
-/// same thing under every execution engine.
-pub(crate) fn build_report(
+/// so "healthy" means the same thing under every scheduler.
+fn build_report(
     params: &MaintenanceParams,
     hash_seed: u64,
     round: Round,
@@ -185,48 +227,30 @@ pub(crate) fn build_report(
     }
 }
 
-impl<A: Adversary> MaintenanceHarness<A> {
-    /// Wires the protocol, an adversary and the simulator together from fully
-    /// explicit parts. This is the low-level entry point the `tsa-scenario`
-    /// builder sits on; experiments should prefer `tsa_scenario::Scenario`.
-    pub fn assemble(
-        params: MaintenanceParams,
-        adversary: A,
-        seed: u64,
-        churn_rules: ChurnRules,
-        lateness: Lateness,
-    ) -> Self {
-        let config = harness_sim_config(seed, churn_rules, lateness);
-        let mut sim = Simulator::new(config, adversary, harness_factory(params));
+impl<A: Adversary, D: Delivery<ProtocolMsg>> Maintained<A, D> {
+    /// Builds the world from a scheduler configuration and seeds the genesis
+    /// node set.
+    fn over(params: MaintenanceParams, adversary: A, config: D::Config) -> Self {
+        let mut sim: World<_, _, D> = World::new(config, adversary, harness_factory(params));
         sim.seed_nodes(params.overlay.n);
-        MaintenanceHarness {
+        Maintained {
             sim,
             params,
             obs: ObsHandle::off(),
         }
     }
 
-    /// Attaches an observability sink to the engine and the harness-level
+    /// Attaches an observability sink to the world and the harness-level
     /// probes (pass [`ObsHandle::off`] to detach).
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.sim.set_obs(obs.clone());
         self.obs = obs;
     }
 
-    /// Selects how the engine retains per-round metrics. Call before
+    /// Selects how the world retains per-round metrics. Call before
     /// running.
     pub fn set_metrics_mode(&mut self, mode: MetricsMode) {
         self.sim.set_metrics_mode(mode);
-    }
-
-    /// The whole-run metrics digest, identical under both metrics modes.
-    pub fn metrics_summary(&self) -> MetricsSummary {
-        self.sim.metrics_summary()
-    }
-
-    /// The most recent round's metrics, under either metrics mode.
-    pub fn last_metrics(&self) -> Option<&RoundMetrics> {
-        self.sim.last_metrics()
     }
 
     /// The protocol parameters.
@@ -234,25 +258,15 @@ impl<A: Adversary> MaintenanceHarness<A> {
         &self.params
     }
 
-    /// The current round.
-    pub fn round(&self) -> Round {
-        self.sim.round()
-    }
-
     /// The current overlay epoch.
     pub fn epoch(&self) -> u64 {
         self.sim.round() / 2
     }
 
-    /// Number of nodes currently in the network.
-    pub fn node_count(&self) -> usize {
-        self.sim.node_count()
-    }
-
     /// Runs `rounds` rounds.
     pub fn run(&mut self, rounds: u64) {
         if self.obs.is_on() {
-            // The engine's own `run` bypasses the harness-level probes.
+            // The world's own `run` bypasses the harness-level probes.
             for _ in 0..rounds {
                 self.step();
             }
@@ -275,8 +289,9 @@ impl<A: Adversary> MaintenanceHarness<A> {
     }
 
     /// Records the age — in maturity ages — of every sample surfaced by
-    /// neighbour repair this round. The round harness has no network
-    /// topology, so everything lands in region 0.
+    /// neighbour repair this round, keyed by the sampled node's region under
+    /// the delivery's topology (region 0 wherever there is none, which keeps
+    /// the probe bit-identical across schedulers for non-regional runs).
     fn probe_repair_sample_ages(&self) {
         let t = self.sim.round().saturating_sub(1);
         let maturity = self.params.maturity_age().max(1);
@@ -284,20 +299,17 @@ impl<A: Adversary> MaintenanceHarness<A> {
             for &owner in node.repair_samples() {
                 if let Some(joined) = self.sim.joined_at(owner) {
                     let age = t.saturating_sub(joined) / maturity;
-                    self.obs.observe_region("proto.repair_sample_age", 0, age);
+                    let region = self.sim.region_of(owner);
+                    self.obs
+                        .observe_region("proto.repair_sample_age", region, age);
                 }
             }
         }
     }
 
-    /// Direct access to the underlying simulator.
-    pub fn simulator(&self) -> &Simulator<ProtocolNode, A> {
+    /// Direct access to the underlying world.
+    pub fn simulator(&self) -> &World<ProtocolNode, A, D> {
         &self.sim
-    }
-
-    /// The per-round message metrics (congestion, Lemma 24).
-    pub fn metrics(&self) -> &MetricsHistory {
-        self.sim.metrics()
     }
 
     /// Snapshots of every node's observable state.
@@ -349,6 +361,144 @@ impl<A: Adversary> MaintenanceHarness<A> {
                 )
             })
             .collect()
+    }
+}
+
+impl<A: Adversary> MaintenanceHarness<A> {
+    /// Wires the protocol, an adversary and the simulator together from fully
+    /// explicit parts. This is the low-level entry point the `tsa-scenario`
+    /// builder sits on; experiments should prefer `tsa_scenario::Scenario`.
+    pub fn assemble(
+        params: MaintenanceParams,
+        adversary: A,
+        seed: u64,
+        churn_rules: ChurnRules,
+        lateness: Lateness,
+    ) -> Self {
+        let config = harness_sim_config(seed, churn_rules, lateness);
+        Self::over(params, adversary, config)
+    }
+}
+
+impl<A: Adversary> AsyncMaintenanceHarness<A> {
+    /// Wires the protocol, an adversary, the event engine and a network
+    /// model together from fully explicit parts — the async counterpart of
+    /// [`MaintenanceHarness::assemble`], sharing its genesis configuration
+    /// bit for bit.
+    pub fn assemble(
+        params: MaintenanceParams,
+        adversary: A,
+        seed: u64,
+        churn_rules: ChurnRules,
+        lateness: Lateness,
+        net: NetModel,
+    ) -> Self {
+        Self::assemble_with_topology(
+            params,
+            adversary,
+            seed,
+            churn_rules,
+            lateness,
+            Topology::Global(net),
+        )
+    }
+
+    /// [`AsyncMaintenanceHarness::assemble`] over an explicit link
+    /// [`Topology`] instead of a link-uniform model — regional partitions,
+    /// scheduled bridges, per-link overrides. A [`Topology::Global`]
+    /// topology is `assemble` bit for bit.
+    pub fn assemble_with_topology(
+        params: MaintenanceParams,
+        adversary: A,
+        seed: u64,
+        churn_rules: ChurnRules,
+        lateness: Lateness,
+        topology: Topology,
+    ) -> Self {
+        let config =
+            EventConfig::with_topology(harness_sim_config(seed, churn_rules, lateness), topology);
+        Self::over(params, adversary, config)
+    }
+
+    /// Assembles the deterministic twin of a recorded transport run: the
+    /// same genesis as [`assemble`](AsyncMaintenanceHarness::assemble), but
+    /// every message's fate — lost, or delivered at which round boundary —
+    /// comes verbatim from `trace` instead of a sampled network model. Used
+    /// to replay a `tsa-net` loopback run inside the event engine and prove
+    /// the two executions coincide.
+    pub fn assemble_replay(
+        params: MaintenanceParams,
+        adversary: A,
+        seed: u64,
+        churn_rules: ChurnRules,
+        lateness: Lateness,
+        trace: MessageTrace,
+    ) -> Self {
+        // The model itself is never consulted under replay; zero latency is
+        // just the canonical placeholder.
+        let mut harness = Self::assemble(
+            params,
+            adversary,
+            seed,
+            churn_rules,
+            lateness,
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        harness.sim.set_replay(trace);
+        harness
+    }
+
+    /// Installs a fault-injection plan (wired to the protocol's message
+    /// adapter). Call before the first round. Composes with
+    /// [`assemble_replay`](AsyncMaintenanceHarness::assemble_replay): under
+    /// replay, drop/delay fates come from the trace while mutations and
+    /// duplicates are re-applied, keeping the twin byte-aligned.
+    pub fn set_faults(&mut self, plan: FaultPlan) {
+        self.sim.set_faults(plan, ProtocolMsg::fault_adapter());
+    }
+
+    /// Distinct directed communication edges of the last round that crossed
+    /// a region boundary of the configured topology (0 for non-regional
+    /// topologies, and before anything is archived).
+    pub fn cross_region_edges(&self) -> usize {
+        self.sim
+            .records()
+            .last()
+            .map_or(0, |rec| self.sim.cross_region_edges(&rec.graph))
+    }
+}
+
+impl<A: Adversary> NetMaintenanceHarness<A> {
+    /// Wires the protocol, an adversary and the loopback transport together
+    /// — the transport counterpart of [`MaintenanceHarness::assemble`],
+    /// sharing its genesis configuration bit for bit. `round_duration` is
+    /// the wall-clock length of one protocol round; on loopback a few
+    /// milliseconds comfortably deliver each round's sends by the next
+    /// boundary.
+    pub fn assemble(
+        params: MaintenanceParams,
+        adversary: A,
+        seed: u64,
+        churn_rules: ChurnRules,
+        lateness: Lateness,
+        round_duration: Duration,
+    ) -> Self {
+        let config = NetConfig::new(harness_sim_config(seed, churn_rules, lateness))
+            .with_round_duration(round_duration);
+        Self::over(params, adversary, config)
+    }
+
+    /// Installs a fault-injection plan (wired to the protocol's message
+    /// adapter). Call before the first round. The same plan installed on an
+    /// [`AsyncMaintenanceHarness`] takes byte-identical decisions, because
+    /// both schedulers assign the same sequence numbers.
+    pub fn set_faults(&mut self, plan: FaultPlan) {
+        self.sim.set_faults(plan, ProtocolMsg::fault_adapter());
+    }
+
+    /// Direct access to the underlying transport runtime.
+    pub fn runner(&self) -> &NetRunner<ProtocolNode, A> {
+        &self.sim
     }
 }
 
@@ -428,5 +578,88 @@ mod tests {
         assert_eq!(report.node_count, 48);
         // Nothing has run yet, so nobody participates.
         assert!(!report.is_routable() || report.participating > 0);
+    }
+
+    #[test]
+    fn zero_latency_async_report_matches_the_round_harness() {
+        let params = small_params();
+        let mut sync = without_churn(params, 17);
+        sync.run_bootstrap();
+        sync.run(6);
+
+        let mut asynch = AsyncMaintenanceHarness::assemble(
+            params,
+            NullAdversary,
+            17,
+            params.paper_churn_rules(),
+            params.paper_lateness(),
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        asynch.run_bootstrap();
+        asynch.run(6);
+
+        assert_eq!(
+            serde_json::to_string(&sync.report()).unwrap(),
+            serde_json::to_string(&asynch.report()).unwrap(),
+            "a zero-delay event run is the round model"
+        );
+        assert_eq!(sync.metrics().summary(), asynch.metrics().summary());
+    }
+
+    #[test]
+    fn bounded_asynchrony_keeps_the_overlay_routable() {
+        // Uniform delays up to a round and a half: messages straddle at
+        // most one extra boundary. The maintenance protocol holds two steps
+        // ahead, so the overlay must stay routable.
+        let params = small_params();
+        let mut h = AsyncMaintenanceHarness::assemble(
+            params,
+            NullAdversary,
+            3,
+            params.paper_churn_rules(),
+            params.paper_lateness(),
+            NetModel::new(LatencyModel::uniform(0, 1500)),
+        );
+        h.run_bootstrap();
+        h.run(8);
+        let report = h.report();
+        assert_eq!(report.node_count, 48);
+        assert!(
+            report.is_routable(),
+            "sub-round asynchrony must not break the overlay: {report:?}"
+        );
+    }
+
+    #[test]
+    fn the_overlay_survives_a_real_transport() {
+        // A small overlay, bootstrap plus a few maintained rounds, entirely
+        // over loopback sockets: the protocol must come out routable, and
+        // real frames must have moved. The round is long on purpose: the
+        // test checks frames and the trace, not wall time, and the poller
+        // shares two cores with the rest of this binary's tests — at 15 ms
+        // a debug build starved it into late frames in one run of three.
+        let params = MaintenanceParams::new(16)
+            .with_c(1.5)
+            .with_tau(4)
+            .with_replication(2);
+        let mut h = NetMaintenanceHarness::assemble(
+            params,
+            NullAdversary,
+            17,
+            params.paper_churn_rules(),
+            params.paper_lateness(),
+            Duration::from_millis(100),
+        );
+        h.run_bootstrap();
+        h.run(4);
+        let report = h.report();
+        assert_eq!(report.node_count, 16);
+        assert!(
+            report.is_routable(),
+            "the loopback transport must sustain the overlay: {report:?}"
+        );
+        let wire = h.wire_stats();
+        assert!(wire.frames_sent > 0 && wire.frames_received > 0);
+        assert_eq!(h.trace().len() as u64, h.net_stats().sent);
     }
 }

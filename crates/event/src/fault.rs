@@ -501,6 +501,109 @@ impl FaultStats {
     }
 }
 
+/// What an injected fault does to one message on its way out. Mutation has
+/// already happened to the payload when a caller sees this.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultEffect {
+    /// The message never reaches the network.
+    pub drop: bool,
+    /// The message is held back by this many extra ticks.
+    pub delay_ticks: Option<u64>,
+    /// A second copy is sent, consuming the next sequence number.
+    pub duplicate: bool,
+}
+
+/// The fault state a delivery boundary carries: the installed plan and
+/// message adapter, the coin cache, and the whole-run counters. The event
+/// engine and the loopback transport each own one and call
+/// [`apply`](FaultInjector::apply) on every outgoing message, which is what
+/// makes one plan inject the same faults into the same messages on both.
+pub struct FaultInjector<M> {
+    installed: Option<(FaultPlan, FaultAdapter<M>)>,
+    seed: u64,
+    /// One ChaCha8 key schedule per rule and 64 consecutive sequence numbers.
+    coins: FaultCoins,
+    stats: FaultStats,
+    /// `stats` as of the end of the previous round.
+    reported: FaultStats,
+}
+
+impl<M> FaultInjector<M> {
+    /// An injector with no plan installed, over the run's master seed.
+    pub fn new(seed: u64) -> Self {
+        FaultInjector {
+            installed: None,
+            seed,
+            coins: FaultCoins::new(seed),
+            stats: FaultStats::default(),
+            reported: FaultStats::default(),
+        }
+    }
+
+    /// Installs a plan and the protocol's message adapter.
+    pub fn install(&mut self, plan: FaultPlan, adapter: FaultAdapter<M>) {
+        self.installed = Some((plan, adapter));
+    }
+
+    /// Whole-run counters of injected faults.
+    pub fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    /// Decides the fault of the message about to take sequence number `seq`
+    /// — a pure function of `(seed, seq)` and the plan — counts it, and
+    /// applies a mutation to `payload` in place.
+    pub fn apply(
+        &mut self,
+        seq: u64,
+        round: Round,
+        from: NodeId,
+        to: NodeId,
+        payload: &mut M,
+    ) -> FaultEffect {
+        let Some((plan, adapter)) = &self.installed else {
+            return FaultEffect::default();
+        };
+        let kind = (adapter.kind_of)(payload);
+        let mut effect = FaultEffect::default();
+        match plan.decide_with(&mut self.coins, seq, round, from, to, kind) {
+            FaultDecision::Pass => {}
+            FaultDecision::Drop => {
+                self.stats.dropped += 1;
+                effect.drop = true;
+            }
+            FaultDecision::Delay(ticks) => {
+                self.stats.delayed += 1;
+                effect.delay_ticks = Some(ticks);
+            }
+            FaultDecision::Duplicate => {
+                self.stats.duplicated += 1;
+                effect.duplicate = true;
+            }
+            FaultDecision::Mutate => {
+                if (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq)) {
+                    self.stats.mutated += 1;
+                }
+            }
+        }
+        effect
+    }
+
+    /// Closes a round: reports what was injected since the previous call as
+    /// the `proto.fault_*` counters. They only exist when a plan is
+    /// installed, so fault-free runs keep their exact obs output.
+    pub fn end_round(&mut self, obs: &tsa_obs::ObsHandle) {
+        let before = std::mem::replace(&mut self.reported, self.stats);
+        if obs.is_on() && self.installed.is_some() {
+            let now = &self.stats;
+            obs.add("proto.fault_dropped", now.dropped - before.dropped);
+            obs.add("proto.fault_delayed", now.delayed - before.delayed);
+            obs.add("proto.fault_duplicated", now.duplicated - before.duplicated);
+            obs.add("proto.fault_mutated", now.mutated - before.mutated);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

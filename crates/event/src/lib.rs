@@ -70,10 +70,10 @@ pub mod model;
 pub mod queue;
 pub mod trace;
 
-pub use engine::{EventConfig, EventSimulator, NetStats};
+pub use engine::{EventConfig, EventSimulator, NetStats, VirtualTime};
 pub use fault::{
-    FaultAction, FaultAdapter, FaultCoins, FaultDecision, FaultPlan, FaultRule, FaultStats,
-    NodeSelector, RoundWindow,
+    FaultAction, FaultAdapter, FaultCoins, FaultDecision, FaultEffect, FaultInjector, FaultPlan,
+    FaultRule, FaultStats, NodeSelector, RoundWindow,
 };
 pub use model::{
     ExecutionModel, FateBlock, LatencyModel, LinkOverride, NetModel, PartitionSchedule,
@@ -125,41 +125,36 @@ mod tests {
         EventSimulator::new(config, NullAdversary, Box::new(|_, _| Ping::default()))
     }
 
+    type PingWorld<D> = tsa_sim::World<Ping, NullAdversary, D>;
+
     /// The trace fingerprint two engines must agree on: per-node heard
-    /// sequences, the latest comm graph, and the whole metrics history.
-    fn fingerprint(
-        heard: Vec<(NodeId, Vec<u64>)>,
-        edges: Vec<(NodeId, NodeId)>,
-        metrics: &tsa_sim::MetricsHistory,
+    /// sequences (order included), every archived comm graph, and the whole
+    /// metrics history.
+    fn fingerprint<D: tsa_sim::Delivery<u64>>(sim: &PingWorld<D>) -> String {
+        let heard: Vec<(NodeId, &Vec<u64>)> = sim.nodes().map(|(id, p)| (id, &p.heard)).collect();
+        let edges: Vec<_> = sim.records().iter().map(|r| &r.graph.edges).collect();
+        format!("{heard:?}|{edges:?}|{:?}", sim.metrics().rounds())
+    }
+
+    /// Seeds `n` nodes, runs `rounds` rounds and fingerprints the result.
+    fn run_fingerprint<D: tsa_sim::Delivery<u64>>(
+        mut sim: PingWorld<D>,
+        n: usize,
+        rounds: u64,
     ) -> String {
-        format!("{heard:?}|{edges:?}|{:?}", metrics.rounds())
+        sim.seed_nodes(n);
+        sim.run(rounds);
+        fingerprint(&sim)
     }
 
     fn round_engine_fingerprint(seed: u64, n: usize, rounds: u64) -> String {
         let config = SimConfig::default().with_seed(seed).with_parallel(false);
-        let mut sim = Simulator::new(config, NullAdversary, Box::new(|_, _| Ping::default()));
-        sim.seed_nodes(n);
-        sim.run(rounds);
-        let heard = sim
-            .member_ids()
-            .iter()
-            .map(|&id| (id, sim.node(id).unwrap().heard.clone()))
-            .collect();
-        let edges = sim.records().last().unwrap().graph.edges.clone();
-        fingerprint(heard, edges, sim.metrics())
+        let sim = Simulator::new(config, NullAdversary, Box::new(|_, _| Ping::default()));
+        run_fingerprint(sim, n, rounds)
     }
 
     fn event_engine_fingerprint(net: NetModel, seed: u64, n: usize, rounds: u64) -> String {
-        let mut sim = event_sim(net, seed);
-        sim.seed_nodes(n);
-        sim.run(rounds);
-        let heard = sim
-            .member_ids()
-            .iter()
-            .map(|&id| (id, sim.node(id).unwrap().heard.clone()))
-            .collect();
-        let edges = sim.records().last().unwrap().graph.edges.clone();
-        fingerprint(heard, edges, sim.metrics())
+        run_fingerprint(event_sim(net, seed), n, rounds)
     }
 
     #[test]
@@ -223,33 +218,78 @@ mod tests {
         rep.seed_nodes(16);
         rep.run(8);
 
-        let fp = |sim: &EventSimulator<Ping, NullAdversary>| {
-            let heard = sim
-                .member_ids()
-                .iter()
-                .map(|&id| (id, sim.node(id).unwrap().heard.clone()))
-                .collect();
-            let edges = sim.records().last().unwrap().graph.edges.clone();
-            fingerprint(heard, edges, sim.metrics())
-        };
-        assert_eq!(fp(&rep), fp(&rec), "replay must reproduce the recording");
+        assert_eq!(
+            fingerprint(&rep),
+            fingerprint(&rec),
+            "replay must reproduce the recording"
+        );
         assert_eq!(rep.net_stats().sent, rec.net_stats().sent);
         assert_eq!(rep.net_stats().lost, rec.net_stats().lost);
     }
 
-    #[test]
-    fn traces_ignore_the_ambient_thread_budget() {
-        // The event loop is sequential; a thread cap (as imposed on sweep
-        // workers) must not perturb a single bit.
+    /// Enough nodes that a round's message volume crosses the parallel work
+    /// threshold, so capped workers really run.
+    const PARALLEL_NODES: usize = 1200;
+
+    fn parallel_config() -> SimConfig {
+        SimConfig::default().with_seed(9).with_parallel(true)
+    }
+
+    /// The event half: the recorded [`MessageTrace`] is part of the print.
+    fn parallel_event_fingerprint() -> String {
         let net = NetModel {
             latency: LatencyModel::pareto(100, 800, 1, 20_000),
             jitter: 100,
             loss: 0.02,
         };
-        let baseline = event_engine_fingerprint(net, 9, 16, 8);
+        let mut sim = EventSimulator::new(
+            EventConfig::new(parallel_config(), net),
+            NullAdversary,
+            Box::new(|_, _| Ping::default()),
+        );
+        sim.record_trace();
+        sim.seed_nodes(PARALLEL_NODES);
+        sim.run(6);
+        format!("{}|{:?}", fingerprint(&sim), sim.take_trace())
+    }
+
+    #[test]
+    fn parallel_runs_are_identical_across_thread_budgets() {
+        // The determinism contract of the shared compute phase, on both
+        // deterministic deliveries: with the thread budget pinned at 1, 2
+        // and 4 workers, a fixed-seed run is bit-for-bit identical.
+        let lockstep = || {
+            let sim = Simulator::new(
+                parallel_config(),
+                NullAdversary,
+                Box::new(|_, _| Ping::default()),
+            );
+            run_fingerprint(sim, PARALLEL_NODES, 6)
+        };
+        let lockstep_serial = rayon::with_thread_cap(1, lockstep);
+        let event_serial = rayon::with_thread_cap(1, parallel_event_fingerprint);
+        for cap in [2usize, 4] {
+            assert_eq!(
+                rayon::with_thread_cap(cap, lockstep),
+                lockstep_serial,
+                "lockstep diverges at {cap} threads"
+            );
+            assert_eq!(
+                rayon::with_thread_cap(cap, parallel_event_fingerprint),
+                event_serial,
+                "event diverges at {cap} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn traces_ignore_the_ambient_thread_budget() {
+        // Whatever budget the host or a sweep worker imposes — none at all
+        // included — must not perturb a single bit of an event run.
+        let ambient = parallel_event_fingerprint();
         for cap in [1usize, 2, 4] {
-            let capped = rayon::with_thread_cap(cap, || event_engine_fingerprint(net, 9, 16, 8));
-            assert_eq!(capped, baseline, "divergence under thread cap {cap}");
+            let capped = rayon::with_thread_cap(cap, parallel_event_fingerprint);
+            assert_eq!(capped, ambient, "divergence under thread cap {cap}");
         }
     }
 
@@ -259,16 +299,7 @@ mod tests {
     }
 
     fn topo_fingerprint(topology: Topology, seed: u64, n: usize, rounds: u64) -> String {
-        let mut sim = event_sim_topo(topology, seed);
-        sim.seed_nodes(n);
-        sim.run(rounds);
-        let heard = sim
-            .member_ids()
-            .iter()
-            .map(|&id| (id, sim.node(id).unwrap().heard.clone()))
-            .collect();
-        let edges = sim.records().last().unwrap().graph.edges.clone();
-        fingerprint(heard, edges, sim.metrics())
+        run_fingerprint(event_sim_topo(topology, seed), n, rounds)
     }
 
     #[test]
@@ -327,7 +358,8 @@ mod tests {
         // The comm graph still records the *attempted* cross edges — the
         // halves still try to talk, which is what cross_region_edges
         // measures (2 directed edges: 1→2 and 2→1).
-        assert_eq!(sim.cross_region_edges(), 2);
+        let last = &sim.records().last().unwrap().graph;
+        assert_eq!(sim.cross_region_edges(last), 2);
     }
 
     #[test]
@@ -460,18 +492,5 @@ mod tests {
         // Messages addressed to node 0 before its departure are dropped.
         sim.step();
         assert!(sim.net_stats().dropped_departed > 0);
-    }
-
-    #[test]
-    fn history_window_trims_records() {
-        let sim_config = SimConfig::default().with_history_window(3);
-        let config = EventConfig::new(sim_config, NetModel::new(LatencyModel::constant(0)));
-        let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Ping::default()));
-        sim.seed_nodes(2);
-        sim.run(10);
-        assert_eq!(sim.records().len(), 3);
-        assert_eq!(sim.records()[0].graph.round, 7);
-        assert!(sim.comm_graph_at(9).is_some());
-        assert!(sim.comm_graph_at(5).is_none());
     }
 }

@@ -7,14 +7,14 @@ use tsa_adversary::{DegreeAttackAdversary, RandomChurnAdversary, TargetedSwarmAd
 use tsa_analysis::uniformity;
 use tsa_baselines::{attack_trial, AttackMode, ChordSwarm, HdGraph, SpartanOverlay};
 use tsa_core::{
-    AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams,
-    MaintenanceReport,
+    AsyncMaintenanceHarness, ByzantineSpec, Maintained, MaintenanceHarness, ProtocolMsg,
 };
-use tsa_event::{ExecutionModel, FaultPlan, LatencyModel, NetModel, Topology};
-use tsa_obs::ObsHandle;
-use tsa_overlay::{Lds, OverlayGraph, Position};
+use tsa_event::{
+    ExecutionModel, FaultPlan, FaultStats, LatencyModel, NetModel, NetStats, Topology,
+};
+use tsa_overlay::{Lds, OverlayGraph};
 use tsa_routing::{sample_many, uniform_workload, RoutableSeries, RoutingConfig, RoutingSim};
-use tsa_sim::{Adversary, Lateness, MetricsHistory, MetricsMode, NodeId, NullAdversary};
+use tsa_sim::{Adversary, Delivery, Lateness, MetricsMode, NodeId, NullAdversary};
 
 use crate::outcome::{
     BaselineOutcome, MaintenanceOutcome, RoutingOutcome, SamplingOutcome, ScenarioOutcome,
@@ -160,7 +160,7 @@ impl Scenario {
     }
 
     /// Assigns a byzantine role to the id slice `spec` selects (maintained
-    /// scenarios only). Flows through [`MaintenanceParams::with_byzantine`],
+    /// scenarios only). Flows through [`tsa_core::MaintenanceParams::with_byzantine`],
     /// so every engine resolves it identically.
     pub fn byzantine(mut self, spec: ByzantineSpec) -> Self {
         self.spec.byzantine = Some(spec);
@@ -317,14 +317,35 @@ fn run_async_maintained(spec: ScenarioSpec, topology: Topology, rounds: u64) -> 
         harness.run_bootstrap();
     }
     harness.run(rounds);
-    let report = harness.report();
+    let bootstrap_ran = spec.bootstrap;
+    let net_stats = Some(harness.net_stats());
     let fault_stats = spec.faults.is_some().then(|| harness.fault_stats());
-    let max_connect_load = harness.connect_load().values().copied().max().unwrap_or(0);
-    let spec_metrics = spec.metrics;
-    let bootstrap_rounds = if spec.bootstrap {
-        params.bootstrap_rounds()
+    maintained_outcome(spec, &harness, bootstrap_ran, net_stats, fault_stats)
+}
+
+/// Finalizes a maintained run on any scheduler into its serializable
+/// outcome. Measured rounds exclude the bootstrap phase when it actually
+/// ran, so replaying `Scenario::from_spec(spec).run(rounds)` reproduces the
+/// outcome exactly; the spec's bootstrap flag is corrected to what happened,
+/// for runs driven manually through `build()`. The network and fault
+/// counters are `None` where the scheduler has no network model or no
+/// delivery boundary to count at.
+fn maintained_outcome<A: Adversary, D: Delivery<ProtocolMsg>>(
+    mut spec: ScenarioSpec,
+    harness: &Maintained<A, D>,
+    bootstrap_ran: bool,
+    net_stats: Option<NetStats>,
+    fault_stats: Option<FaultStats>,
+) -> ScenarioOutcome {
+    spec.bootstrap = bootstrap_ran;
+    let bootstrap_rounds = if bootstrap_ran {
+        harness.params().bootstrap_rounds()
     } else {
         0
+    };
+    let metrics = match spec.metrics {
+        MetricsMode::Full => Some(harness.metrics().clone()),
+        MetricsMode::Streaming => None,
     };
     ScenarioOutcome {
         label: format!(
@@ -335,14 +356,11 @@ fn run_async_maintained(spec: ScenarioSpec, topology: Topology, rounds: u64) -> 
         spec,
         rounds: harness.round().saturating_sub(bootstrap_rounds),
         maintenance: Some(MaintenanceOutcome {
-            report,
+            report: harness.report(),
             metrics_summary: harness.metrics_summary(),
-            metrics: match spec_metrics {
-                MetricsMode::Full => Some(harness.metrics().clone()),
-                MetricsMode::Streaming => None,
-            },
-            max_connect_load,
-            net_stats: Some(harness.net_stats()),
+            metrics,
+            max_connect_load: harness.connect_load().values().copied().max().unwrap_or(0),
+            net_stats,
             fault_stats,
         }),
         baseline: None,
@@ -351,12 +369,27 @@ fn run_async_maintained(spec: ScenarioSpec, topology: Topology, rounds: u64) -> 
     }
 }
 
-/// A live maintained-LDS scenario: the protocol running inside the simulator,
-/// with the full observation surface of the underlying harness.
+/// A live maintained-LDS scenario: the protocol running inside the simulator.
+/// The full observation and stepping surface of the underlying harness
+/// (`run`, `step`, `set_obs`, `report`, `snapshots`, `metrics`, …) is reached
+/// through `Deref`.
 pub struct ScenarioRun {
     spec: ScenarioSpec,
     harness: MaintenanceHarness<Box<dyn Adversary>>,
     bootstrap_ran: bool,
+}
+
+impl std::ops::Deref for ScenarioRun {
+    type Target = MaintenanceHarness<Box<dyn Adversary>>;
+    fn deref(&self) -> &Self::Target {
+        &self.harness
+    }
+}
+
+impl std::ops::DerefMut for ScenarioRun {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.harness
+    }
 }
 
 impl ScenarioRun {
@@ -365,71 +398,11 @@ impl ScenarioRun {
         &self.spec
     }
 
-    /// The resolved maintenance parameters.
-    pub fn params(&self) -> &MaintenanceParams {
-        self.harness.params()
-    }
-
-    /// The current round.
-    pub fn round(&self) -> u64 {
-        self.harness.round()
-    }
-
-    /// The current overlay epoch.
-    pub fn epoch(&self) -> u64 {
-        self.harness.epoch()
-    }
-
-    /// Number of nodes currently in the network.
-    pub fn node_count(&self) -> usize {
-        self.harness.node_count()
-    }
-
-    /// Runs `rounds` rounds.
-    pub fn run(&mut self, rounds: u64) {
-        self.harness.run(rounds);
-    }
-
-    /// Runs the full churn-free bootstrap phase.
+    /// Runs the full churn-free bootstrap phase, and remembers that it ran
+    /// (the outcome's measured rounds exclude it).
     pub fn run_bootstrap(&mut self) {
         self.harness.run_bootstrap();
         self.bootstrap_ran = true;
-    }
-
-    /// Executes a single round.
-    pub fn step(&mut self) {
-        self.harness.step();
-    }
-
-    /// Attaches an observability sink to the underlying harness and engine
-    /// (pass [`ObsHandle::off`] to detach).
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.harness.set_obs(obs);
-    }
-
-    /// The health report for the most recently completed round.
-    pub fn report(&self) -> MaintenanceReport {
-        self.harness.report()
-    }
-
-    /// The per-round message metrics.
-    pub fn metrics(&self) -> &MetricsHistory {
-        self.harness.metrics()
-    }
-
-    /// Snapshots of every node's observable state.
-    pub fn snapshots(&self) -> Vec<(NodeId, tsa_core::NodeSnapshot)> {
-        self.harness.snapshots()
-    }
-
-    /// Per-node connect counts of the last round (the Lemma 22 quantity).
-    pub fn connect_load(&self) -> std::collections::HashMap<NodeId, usize> {
-        self.harness.connect_load()
-    }
-
-    /// The ideal-overlay positions of all participating mature nodes.
-    pub fn ideal_positions(&self) -> Vec<(NodeId, Position)> {
-        self.harness.ideal_positions()
     }
 
     /// Direct access to the underlying harness.
@@ -439,52 +412,7 @@ impl ScenarioRun {
 
     /// Finalizes the run into a serializable outcome.
     pub fn into_outcome(self) -> ScenarioOutcome {
-        let report = self.harness.report();
-        let max_connect_load = self
-            .harness
-            .connect_load()
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        // Measured rounds exclude the bootstrap phase when it actually ran,
-        // so replaying `Scenario::from_spec(spec).run(rounds)` reproduces
-        // this outcome exactly. The spec's bootstrap flag is corrected to
-        // what happened, for runs driven manually through `build()`.
-        let bootstrap_rounds = if self.bootstrap_ran {
-            self.harness.params().bootstrap_rounds()
-        } else {
-            0
-        };
-        let mut spec = self.spec;
-        spec.bootstrap = self.bootstrap_ran;
-        let spec_metrics = spec.metrics;
-        ScenarioOutcome {
-            label: format!(
-                "maintained LDS, n = {}, adversary = {}",
-                spec.n,
-                spec.adversary.label()
-            ),
-            spec,
-            rounds: self.harness.round().saturating_sub(bootstrap_rounds),
-            maintenance: Some(MaintenanceOutcome {
-                report,
-                metrics_summary: self.harness.metrics_summary(),
-                metrics: match spec_metrics {
-                    MetricsMode::Full => Some(self.harness.metrics().clone()),
-                    MetricsMode::Streaming => None,
-                },
-                max_connect_load,
-                // The round engine has no network model, so there are no
-                // loss/delay/bridge counters to report — and no delivery
-                // boundary, so no fault counters either.
-                net_stats: None,
-                fault_stats: None,
-            }),
-            baseline: None,
-            routing: None,
-            sampling: None,
-        }
+        maintained_outcome(self.spec, &self.harness, self.bootstrap_ran, None, None)
     }
 }
 

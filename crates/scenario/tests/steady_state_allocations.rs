@@ -1,27 +1,30 @@
-//! Pins the round engine's "no steady-state heap allocation" claim with a
+//! Pins the round loop's "no steady-state heap allocation" claim with a
 //! counting allocator instead of buffer-capacity checks.
 //!
 //! A maintained overlay is run past its bootstrap phase; over the following
-//! rounds the protocol activations (the engine's compute phase: every
+//! rounds the protocol activations (the world's compute phase: every
 //! `ProtocolNode::on_round` plus the `Ctx::send`s it makes) must not touch
-//! the allocator at all, and the rest of the round loop only to grow its
-//! reused buffers, a bounded number of times.
+//! the allocator at all — on the lockstep and on the event scheduler — and
+//! the rest of the lockstep round loop only to grow its reused buffers, a
+//! bounded number of times.
 //!
 //! The compute phase is located from outside, through the observability
-//! sink: the engine closes its `sim.deliver` span immediately before the
-//! phase and its `sim.compute` span immediately after.
+//! sink: the world closes its deliver span (`sim.deliver`, `event.pop`)
+//! immediately before the phase and its `sim.compute` span immediately
+//! after.
 //!
-//! This file holds exactly one test: the allocator counts per thread, and
-//! the thread cap of 1 keeps the whole run on the test's own thread.
+//! The allocator counts per thread, and the thread cap of 1 keeps each
+//! test's whole run on its own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tsa_core::{AsyncMaintenanceHarness, MaintenanceParams};
 use tsa_obs::{ObsHandle, Recorder};
-use tsa_scenario::{ChurnSpec, Scenario};
-use tsa_sim::MetricsMode;
+use tsa_scenario::{ChurnSpec, LatencyModel, NetModel, Scenario};
+use tsa_sim::{MetricsMode, NullAdversary};
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) made by this
@@ -84,7 +87,9 @@ impl Recorder for ComputePhaseAllocations {
 
     fn span_ns(&self, name: &'static str, _nanos: u64) {
         match name {
-            "sim.deliver" => self.at_phase_start.store(allocations(), Ordering::Relaxed),
+            "sim.deliver" | "event.pop" => {
+                self.at_phase_start.store(allocations(), Ordering::Relaxed)
+            }
             "sim.compute" => {
                 let during = allocations() - self.at_phase_start.load(Ordering::Relaxed);
                 self.in_compute.fetch_add(during, Ordering::Relaxed);
@@ -94,18 +99,32 @@ impl Recorder for ComputePhaseAllocations {
     }
 }
 
+/// Past the harness's 64-round record window (from then on every round's
+/// communication-graph record is a recycled one) and long enough for the
+/// per-node buffers — outboxes, neighbour sets, token pools — to have met
+/// their high-water marks: for this seed one still grew after a 96-round
+/// warm-up, none after 128. Raise it if a protocol change moves that; an
+/// allocation count that grows with the message volume is the regression
+/// these tests exist for.
+const WARM_UP_ROUNDS: u64 = 160;
+const MEASURED_ROUNDS: u64 = 8;
+
+/// Runs `world` past its bootstrap and warm-up, then counts the allocator
+/// calls of [`MEASURED_ROUNDS`] more rounds: `(inside the compute phases,
+/// in total)`.
+fn measure<W>(world: &mut W, run: fn(&mut W, u64), set_obs: fn(&mut W, ObsHandle)) -> (u64, u64) {
+    run(world, WARM_UP_ROUNDS);
+    let sink = Arc::new(ComputePhaseAllocations::default());
+    set_obs(world, ObsHandle::new(sink.clone()));
+    let before = allocations();
+    run(world, MEASURED_ROUNDS);
+    let total = allocations() - before;
+    set_obs(world, ObsHandle::off());
+    (sink.in_compute.load(Ordering::Relaxed), total)
+}
+
 #[test]
 fn protocol_activations_do_not_allocate_in_steady_state() {
-    /// Past the harness's 64-round record window (from then on every round's
-    /// communication-graph record is a recycled one) and long enough for
-    /// the per-node buffers — outboxes, neighbour sets, token pools — to
-    /// have met their high-water marks: for this seed one still grew after a
-    /// 96-round warm-up, none after 128. Raise it if a protocol change moves
-    /// that;
-    /// an allocation count that grows with the message volume is the
-    /// regression this test exists for.
-    const WARM_UP_ROUNDS: u64 = 160;
-    const MEASURED_ROUNDS: u64 = 8;
     /// Allocator calls the round loop may make *outside* the compute phase
     /// over the measured rounds: one growth of a reused buffer (in-flight
     /// double buffer, round record) per round when traffic sets a new high.
@@ -122,16 +141,12 @@ fn protocol_activations_do_not_allocate_in_steady_state() {
             .seed(29)
             .build();
         run.run_bootstrap();
-        run.run(WARM_UP_ROUNDS);
+        let (in_compute, total) = measure(
+            &mut run,
+            |run, rounds| run.run(rounds),
+            |run, obs| run.set_obs(obs),
+        );
 
-        let sink = Arc::new(ComputePhaseAllocations::default());
-        run.set_obs(ObsHandle::new(sink.clone()));
-        let before = allocations();
-        run.run(MEASURED_ROUNDS);
-        let total = allocations() - before;
-        run.set_obs(ObsHandle::off());
-
-        let in_compute = sink.in_compute.load(Ordering::Relaxed);
         assert!(
             run.report().is_routable(),
             "the measured overlay is healthy"
@@ -146,6 +161,50 @@ fn protocol_activations_do_not_allocate_in_steady_state() {
             engine_side <= ENGINE_GROWTH_BOUND,
             "{engine_side} allocator calls in the round loop outside the compute phase \
              over {MEASURED_ROUNDS} steady-state rounds (bound {ENGINE_GROWTH_BOUND})"
+        );
+    });
+}
+
+#[test]
+fn protocol_activations_do_not_allocate_on_the_event_scheduler() {
+    // The same overlay through the event engine's calendar queue under
+    // sub-round latency and jitter: the compute phase is the shared one, so
+    // it must be as silent. (The queue's buckets and the per-node inboxes
+    // grow with the traffic's arrival pattern, so the scheduler's own side
+    // is not bounded here.)
+    rayon::with_thread_cap(1, || {
+        let params = MaintenanceParams::new(32)
+            .with_c(1.5)
+            .with_tau(4)
+            .with_replication(2);
+        let mut harness = AsyncMaintenanceHarness::assemble(
+            params,
+            NullAdversary,
+            29,
+            ChurnSpec::none().rules_for(&params),
+            params.paper_lateness(),
+            NetModel {
+                latency: LatencyModel::uniform(100, 900),
+                jitter: 50,
+                loss: 0.0,
+            },
+        );
+        harness.set_metrics_mode(MetricsMode::Streaming);
+        harness.run_bootstrap();
+        let (in_compute, _) = measure(
+            &mut harness,
+            |harness, rounds| harness.run(rounds),
+            |harness, obs| harness.set_obs(obs),
+        );
+
+        assert!(
+            harness.report().is_routable(),
+            "the measured overlay is healthy"
+        );
+        assert_eq!(
+            in_compute, 0,
+            "{in_compute} allocator calls inside protocol activations over \
+             {MEASURED_ROUNDS} steady-state event rounds"
         );
     });
 }

@@ -15,8 +15,10 @@
 //! * per-round message, congestion and degree metrics.
 //!
 //! Protocols implement [`Process`]; adversary strategies implement
-//! [`Adversary`]. The engine ([`Simulator`]) wires them together and enforces
-//! both the adversary's knowledge limits and its churn budget.
+//! [`Adversary`]. One round loop ([`World`]) wires them together and enforces
+//! both the adversary's knowledge limits and its churn budget; how messages
+//! travel between rounds is its [`Delivery`] policy, and [`Simulator`] is the
+//! world under the paper's own one-round delay ([`Lockstep`]).
 //!
 //! ```
 //! use tsa_sim::prelude::*;
@@ -54,13 +56,14 @@ pub mod metrics;
 pub mod node;
 pub mod rng;
 pub mod slot_index;
+pub mod world;
 
 pub use adversary::{Adversary, NullAdversary};
 pub use churn::{
     apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, ChurnRules, JoinPlan, PlanScratch,
 };
 pub use config::SimConfig;
-pub use engine::{NodeFactory, Simulator};
+pub use engine::{Lockstep, Simulator};
 pub use ids::{parity, NodeId, Round, RoundParity};
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::{Envelope, Outbox};
@@ -70,6 +73,7 @@ pub use metrics::{
 };
 pub use node::{run_activation, Ctx, Process, ProtocolStep};
 pub use slot_index::SlotIndex;
+pub use world::{Delivery, NodeFactory, PhaseSpans, World};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

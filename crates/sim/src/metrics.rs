@@ -266,22 +266,23 @@ pub fn record_round_obs(obs: &tsa_obs::ObsHandle, row: &RoundMetrics) {
     obs.round_mark(row.round);
 }
 
-/// How an engine retains the metrics it collects.
+/// Whether a world keeps its per-round rows.
 ///
-/// `Full` keeps every per-round [`RoundMetrics`] row in a
-/// [`MetricsHistory`] — O(rounds) memory, required for `--full` artifacts
-/// and per-round plots. `Streaming` replaces the history with O(1) running
-/// accumulators plus a small reservoir-sampled congestion distribution
-/// ([`StreamingMetrics`]), pinned by test to fold to the byte-identical
-/// [`MetricsSummary`] digest. Streaming is what makes observability stop
-/// costing O(messages) on very large grids.
+/// Every finished round folds into O(1) running accumulators plus a small
+/// reservoir-sampled congestion distribution ([`StreamingMetrics`]) — that
+/// is what every summary reads, in either mode. `Full` additionally keeps
+/// each [`RoundMetrics`] row in a [`MetricsHistory`] — O(rounds) memory,
+/// required for `--full` artifacts and per-round plots; `Streaming` does
+/// not, which is what makes observability stop costing O(rounds) on very
+/// large grids. The accumulator fold is pinned by test to the byte-identical
+/// [`MetricsSummary`] digest the rows fold to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum MetricsMode {
     /// Keep the full per-round history (the default, and the only mode that
     /// can serve `--full` artifacts).
     #[default]
     Full,
-    /// Keep O(1) running accumulators and a sampled distribution only.
+    /// Keep the O(1) running accumulators and the sampled distribution only.
     Streaming,
 }
 
@@ -347,7 +348,7 @@ impl Reservoir {
     }
 }
 
-/// O(1) streaming replacement for a [`MetricsHistory`]: the running
+/// O(1) streaming counterpart of a [`MetricsHistory`]: the running
 /// accumulators needed to reproduce the exact [`MetricsSummary`] digest,
 /// the most recent round's row (harness reports read `last()`), and a
 /// reservoir-sampled distribution of per-round congestion.

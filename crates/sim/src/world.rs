@@ -1,0 +1,596 @@
+//! The one round loop every scheduler runs, and the [`Delivery`] policy that
+//! is the only thing the schedulers differ in.
+//!
+//! The paper has one algorithm: at the beginning of round `t` the adversary
+//! removes `O_t ⊂ V_{t-1}` and proposes joins `J_t` (each via a bootstrap
+//! node at least `min_bootstrap_age` rounds old), every surviving node then
+//! activates exactly once with the messages that reached it, and the
+//! communication graph `G_t` is archived and shown to the adversary with
+//! lateness `a`, node-state digests with lateness `b`. [`World`] is that
+//! algorithm — membership, churn through [`apply_churn_plan`], the compute
+//! phase, metrics, records and observability — with *how a sent message
+//! becomes a delivered one* injected as a [`Delivery`]:
+//!
+//! * [`Lockstep`](crate::Lockstep) — a double buffer; round `t`'s sends are
+//!   round `t + 1`'s inboxes (the paper's synchronous model);
+//! * `tsa-event`'s `VirtualTime` — a calendar queue under per-message
+//!   latency, jitter, loss and fault plans;
+//! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
+//!
+//! # Phases of a round
+//!
+//! [`World::step`] is the same five phases on every scheduler (costs,
+//! allocation lifecycle and the determinism argument: DESIGN.md, "Execution
+//! models" and "Performance model"):
+//!
+//! 1. **churn** — the adversary plans against its lateness-filtered
+//!    [`KnowledgeView`], the shared arbiter validates and applies the plan,
+//!    slots are retired and spawned ([`Delivery::on_depart`] /
+//!    [`Delivery::on_join`]);
+//! 2. **deliver** — [`Delivery::deliver`] makes every slot's inbox one
+//!    contiguous slice; sponsored joiners are grouped per bootstrap node;
+//! 3. **compute** — every node activates once through [`run_activation`] on
+//!    [`rayon::for_each_index_mut`], whose worker count follows the
+//!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. An activation reads
+//!    its own inbox slice, writes its own slot and draws from an RNG stream
+//!    that depends only on `(seed, node, round)`, so where and in which order
+//!    activations run cannot change an output bit;
+//! 4. **collect and send** — in id order: metrics, the communication graph,
+//!    digests, then [`Delivery::send`] for the node's outbox. Everything
+//!    order-sensitive (sequence numbers, fates, the edge list, every
+//!    deterministic observation) happens here and in the other sequential
+//!    phases;
+//! 5. **finish** — trim the record window, fold the metrics row, emit the
+//!    `proto.*` observations, [`Delivery::end_round`].
+//!
+//! Every inbox lists its messages in global send order — sender-id order and,
+//! per sender, the order of its [`Ctx::send`](crate::Ctx::send) calls — on
+//! every delivery. That makes the order in which a protocol sends part of
+//! its observable behaviour (which duplicate a receiver sees first, which RNG
+//! draw serves which copy): send order is the determinism contract between
+//! protocol and scheduler.
+
+use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut, Range};
+
+use tsa_obs::ObsHandle;
+
+use crate::adversary::Adversary;
+use crate::churn::{apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, PlanScratch};
+use crate::config::SimConfig;
+use crate::ids::{NodeId, Round};
+use crate::knowledge::{CommGraph, KnowledgeView, MemberInfo, RoundRecord};
+use crate::message::Envelope;
+use crate::metrics::{
+    record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics,
+    RoundMetricsBuilder, StreamingMetrics,
+};
+use crate::node::{run_activation, ProtocolStep};
+use crate::slot_index::SlotIndex;
+
+/// Creates the protocol state for a node that joins the network.
+///
+/// The factory receives the new node's identifier and the round it joins in.
+/// It must not embed any knowledge of other nodes (a joining node knows
+/// nothing until somebody messages it); protocol-level configuration is fine.
+pub type NodeFactory<P> = Box<dyn Fn(NodeId, Round) -> P + Send>;
+
+/// The span names a delivery's churn, deliver and send phases are timed
+/// under. The compute phase is `sim.compute` on every scheduler.
+pub struct PhaseSpans {
+    /// Phase 1, adversarial churn.
+    pub churn: &'static str,
+    /// Phase 2, [`Delivery::deliver`] plus the sponsor grouping.
+    pub deliver: &'static str,
+    /// Phase 4, the id-order collect loop around [`Delivery::send`].
+    pub send: &'static str,
+}
+
+/// How messages travel between two rounds of a [`World`] — the one thing the
+/// three schedulers differ in.
+///
+/// A delivery keeps its own per-slot state (inboxes, sockets) in the world's
+/// slot order: [`on_join`](Delivery::on_join) always appends a slot,
+/// [`on_depart`](Delivery::on_depart) names the slot that closes up. It is
+/// `Sync` because the parallel compute phase reads
+/// [`inbox`](Delivery::inbox) from every worker.
+pub trait Delivery<M>: Sync {
+    /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
+    /// the policy adds (a topology, a round duration).
+    type Config;
+
+    /// The names this delivery's phases are timed under.
+    const SPANS: PhaseSpans;
+
+    /// Splits a configuration into the knobs the world keeps and the policy.
+    fn new(config: Self::Config) -> (SimConfig, Self)
+    where
+        Self: Sized;
+
+    /// A node joined: the next slot belongs to `id`.
+    fn on_join(&mut self, id: NodeId);
+
+    /// The node `id` in slot `slot` departed at round `t`; the slots behind
+    /// it each move down one.
+    fn on_depart(&mut self, id: NodeId, slot: usize, t: Round);
+
+    /// Makes every slot's inbox for round `t` a slice in global send order;
+    /// `index` maps a receiver to its slot. Returns how many messages were
+    /// delivered and how many were dropped undelivered.
+    fn deliver(&mut self, t: Round, index: &SlotIndex) -> (usize, usize);
+
+    /// The inbox [`deliver`](Delivery::deliver) made for `slot`.
+    fn inbox(&self, slot: usize) -> &[Envelope<M>];
+
+    /// Hands the sends `from` made in round `t` to the network, in send
+    /// order, leaving `out` empty. Called in id order, once per node.
+    /// Returns how many of them are already known to be lost.
+    fn send(
+        &mut self,
+        from: NodeId,
+        t: Round,
+        out: &mut Vec<(NodeId, M)>,
+        obs: &ObsHandle,
+    ) -> usize;
+
+    /// Closes round `t`: the delivery's own per-round observations, and
+    /// whatever must happen before the next boundary.
+    fn end_round(&mut self, t: Round, obs: &ObsHandle);
+
+    /// The network region `id` lives in, for per-region probes (0 unless
+    /// the delivery has a regional topology).
+    fn region_of(&self, _id: NodeId) -> u32 {
+        0
+    }
+}
+
+/// A node in the world: its protocol state plus per-round scratch that is
+/// reused across rounds.
+struct Slot<P: ProtocolStep> {
+    id: NodeId,
+    joined_at: Round,
+    process: P,
+    /// Reusable outbox buffer; handed to the delivery each round.
+    out: Vec<(NodeId, P::Msg)>,
+    /// State digest captured at the end of the last compute phase.
+    digest: u64,
+    /// This round's sponsorships: a range of `sponsored_ids`.
+    sponsored: Range<usize>,
+}
+
+/// Below this many nodes-or-messages a round's compute phase runs serially
+/// whatever the thread budget: the scoped workers cost tens of microseconds
+/// to spawn and join, which would dominate a round with little to do. The
+/// budget can change wall-clock only, never an output bit, so this gate is
+/// free to be a heuristic.
+const PARALLEL_WORK_THRESHOLD: usize = 2048;
+
+/// The protocol `P` run against the adversary `A` over the delivery `D`: one
+/// membership, one churn arbiter, one round loop. See the module docs.
+///
+/// Methods a delivery adds on top (network counters, traces, fault plans)
+/// are reached through `Deref`.
+pub struct World<P: ProtocolStep, A, D> {
+    config: SimConfig,
+    adversary: A,
+    factory: NodeFactory<P>,
+    delivery: D,
+    /// Node slots, sorted by identifier.
+    slots: Vec<Slot<P>>,
+    /// `id → slot` table over `slots`, kept current wherever `slots`
+    /// changes; also stamps distinct receivers in the collect phase.
+    index: SlotIndex,
+    members: BTreeMap<NodeId, MemberInfo>,
+    /// Scratch: `(bootstrap, joiner)` pairs of the current round, sorted by
+    /// bootstrap node.
+    sponsored_pairs: Vec<(NodeId, NodeId)>,
+    /// Scratch: joiner ids grouped contiguously per bootstrap node; slots
+    /// reference ranges of this vector.
+    sponsored_ids: Vec<NodeId>,
+    /// Outbox buffers donated by departed nodes, reused by joining nodes.
+    spare_outboxes: Vec<Vec<(NodeId, P::Msg)>>,
+    /// Scratch for churn-plan validation (departure dedup, join fan-in).
+    plan_scratch: PlanScratch,
+    /// Round records trimmed out of the history window, recycled as scratch.
+    spare_records: Vec<RoundRecord>,
+    records: Vec<RoundRecord>,
+    /// Every finished row folds into these O(1) accumulators.
+    streaming: StreamingMetrics,
+    /// Under [`MetricsMode::Full`] every row is also kept here.
+    history: MetricsHistory,
+    keep_history: bool,
+    /// Observability sink; [`ObsHandle::off`] by default, so the round loop
+    /// pays one branch per probe and nothing else.
+    obs: ObsHandle,
+    budget: ChurnBudget,
+    round: Round,
+    next_id: u64,
+    last_outcome: ChurnOutcome,
+}
+
+impl<P: ProtocolStep, A, D> Deref for World<P, A, D> {
+    type Target = D;
+    fn deref(&self) -> &D {
+        &self.delivery
+    }
+}
+
+impl<P: ProtocolStep, A, D> DerefMut for World<P, A, D> {
+    fn deref_mut(&mut self) -> &mut D {
+        &mut self.delivery
+    }
+}
+
+impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
+    /// Creates an empty world. Populate the initial node set `V_0` with
+    /// [`seed_nodes`](World::seed_nodes) before stepping.
+    pub fn new(config: D::Config, adversary: A, factory: NodeFactory<P>) -> Self {
+        let (config, delivery) = D::new(config);
+        World {
+            config,
+            adversary,
+            factory,
+            delivery,
+            slots: Vec::new(),
+            index: SlotIndex::new(),
+            members: BTreeMap::new(),
+            sponsored_pairs: Vec::new(),
+            sponsored_ids: Vec::new(),
+            spare_outboxes: Vec::new(),
+            plan_scratch: PlanScratch::default(),
+            spare_records: Vec::new(),
+            records: Vec::new(),
+            streaming: StreamingMetrics::new(),
+            history: MetricsHistory::new(),
+            keep_history: true,
+            obs: ObsHandle::off(),
+            budget: ChurnBudget::new(),
+            round: 0,
+            next_id: 0,
+            last_outcome: ChurnOutcome::default(),
+        }
+    }
+
+    /// Creates `count` initial nodes (the churn-free initial set `V_0`).
+    /// Returns their identifiers.
+    pub fn seed_nodes(&mut self, count: usize) -> Vec<NodeId> {
+        let joined_at = self.round;
+        let mut ids = Vec::with_capacity(count);
+        self.slots.reserve(count);
+        for _ in 0..count {
+            let id = NodeId(self.next_id);
+            self.next_id += 1;
+            self.members.insert(id, MemberInfo { joined_at });
+            self.spawn_slot(id, joined_at);
+            ids.push(id);
+        }
+        ids
+    }
+
+    /// Materializes the slot (process + scratch, and the delivery's side)
+    /// for a node that is already a member.
+    fn spawn_slot(&mut self, id: NodeId, round: Round) {
+        let process = (self.factory)(id, round);
+        let out = self.spare_outboxes.pop().unwrap_or_default();
+        self.index.insert(id, self.slots.len());
+        self.slots.push(Slot {
+            id,
+            joined_at: round,
+            process,
+            out,
+            digest: 0,
+            sponsored: 0..0,
+        });
+        self.delivery.on_join(id);
+    }
+
+    /// The current round (the next round to be executed).
+    pub fn round(&self) -> Round {
+        self.round
+    }
+
+    /// The shared simulation configuration.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Number of nodes currently in the network.
+    pub fn node_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Identifiers of all current members, in ascending order.
+    pub fn member_ids(&self) -> Vec<NodeId> {
+        self.slots.iter().map(|s| s.id).collect()
+    }
+
+    /// The round a current member joined, if it exists.
+    pub fn joined_at(&self, id: NodeId) -> Option<Round> {
+        self.members.get(&id).map(|m| m.joined_at)
+    }
+
+    /// Immutable access to a node's protocol state.
+    pub fn node(&self, id: NodeId) -> Option<&P> {
+        self.index.slot(id).map(|i| &self.slots[i].process)
+    }
+
+    /// Mutable access to a node's protocol state (tests and harnesses only).
+    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
+        self.index.slot(id).map(|i| &mut self.slots[i].process)
+    }
+
+    /// Iterates over `(id, protocol state)` pairs of all current members.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        self.slots.iter().map(|s| (s.id, &s.process))
+    }
+
+    /// The per-round metrics rows. Empty under [`MetricsMode::Streaming`] —
+    /// [`metrics_summary`](Self::metrics_summary) and
+    /// [`last_metrics`](Self::last_metrics) serve both modes.
+    pub fn metrics(&self) -> &MetricsHistory {
+        &self.history
+    }
+
+    /// Attaches an observability sink (or detaches it with
+    /// [`ObsHandle::off`]). Safe to call at any point; recording starts with
+    /// the next round.
+    pub fn set_obs(&mut self, obs: ObsHandle) {
+        self.obs = obs;
+    }
+
+    /// Selects whether finished rounds are also kept row by row. Call before
+    /// running.
+    pub fn set_metrics_mode(&mut self, mode: MetricsMode) {
+        self.keep_history = mode.is_full();
+    }
+
+    /// The whole-run metrics digest.
+    pub fn metrics_summary(&self) -> MetricsSummary {
+        self.streaming.summary()
+    }
+
+    /// The most recent round's metrics.
+    pub fn last_metrics(&self) -> Option<&RoundMetrics> {
+        self.streaming.last()
+    }
+
+    /// The running accumulators every finished round folds into.
+    pub fn streaming_metrics(&self) -> &StreamingMetrics {
+        &self.streaming
+    }
+
+    /// Archived round records (communication graphs and digests).
+    pub fn records(&self) -> &[RoundRecord] {
+        &self.records
+    }
+
+    /// The communication graph of `round`, if still archived.
+    pub fn comm_graph_at(&self, round: Round) -> Option<&CommGraph> {
+        self.records
+            .iter()
+            .find(|r| r.graph.round == round)
+            .map(|r| &r.graph)
+    }
+
+    /// The churn outcome of the most recently executed round.
+    pub fn last_churn_outcome(&self) -> &ChurnOutcome {
+        &self.last_outcome
+    }
+
+    /// The adversary, for post-run inspection.
+    pub fn adversary(&self) -> &A {
+        &self.adversary
+    }
+
+    /// Total capacity of the slots' reusable outbox buffers.
+    #[cfg(test)]
+    pub(crate) fn outbox_capacity(&self) -> usize {
+        self.slots.iter().map(|slot| slot.out.capacity()).sum()
+    }
+
+    /// Executes `rounds` rounds.
+    pub fn run(&mut self, rounds: u64) {
+        if self.keep_history {
+            self.history.reserve(rounds as usize);
+        }
+        for _ in 0..rounds {
+            self.step();
+        }
+    }
+
+    /// Executes a single round. See the module docs for the phases.
+    pub fn step(&mut self) {
+        let t = self.round;
+        let mut mb = RoundMetricsBuilder::new(t);
+
+        // Phase 1: adversarial churn (suppressed during the bootstrap phase).
+        // The previous round's outcome buffers are recycled.
+        let span = self.obs.span_start();
+        let mut outcome = std::mem::take(&mut self.last_outcome);
+        outcome.departed.clear();
+        outcome.joined.clear();
+        outcome.rejected_departures.clear();
+        outcome.rejected_joins.clear();
+        if t >= self.config.churn_rules.bootstrap_rounds {
+            let remaining = self.budget.remaining(t, &self.config.churn_rules);
+            let plan = {
+                let view = KnowledgeView::new(
+                    t,
+                    self.config.lateness,
+                    &self.records,
+                    &self.members,
+                    remaining,
+                    self.config.churn_rules.min_bootstrap_age,
+                );
+                self.adversary.plan(t, &view)
+            };
+            self.apply_plan(t, plan, &mut outcome);
+        }
+        mb.record_churn(outcome.departed.len(), outcome.joined.len());
+        self.obs.span_end(D::SPANS.churn, span);
+
+        // Phase 2: every slot's inbox becomes a slice, and this round's
+        // joiners are grouped per bootstrap node.
+        let span = self.obs.span_start();
+        let (delivered, dropped) = self.delivery.deliver(t, &self.index);
+        self.group_sponsored(&outcome);
+        mb.record_node_count(self.slots.len());
+        self.obs.span_end(D::SPANS.deliver, span);
+
+        // Phase 3: compute. Every node steps exactly once; nothing it reads
+        // or draws depends on which worker runs it or when.
+        let seed = self.config.seed;
+        let hash_seed = self.config.hash_seed;
+        let record_digests = self.config.record_digests;
+        let work_items = self.slots.len().max(delivered);
+        let threads = if self.config.parallel && work_items >= PARALLEL_WORK_THRESHOLD {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        let span = self.obs.span_start();
+        {
+            let delivery = &self.delivery;
+            let sponsored_ids = &self.sponsored_ids;
+            rayon::for_each_index_mut(&mut self.slots, threads, |i, slot| {
+                let (out, digest) = run_activation(
+                    &mut slot.process,
+                    slot.id,
+                    t,
+                    slot.joined_at,
+                    &sponsored_ids[slot.sponsored.clone()],
+                    seed,
+                    hash_seed,
+                    delivery.inbox(i),
+                    std::mem::take(&mut slot.out),
+                    record_digests,
+                );
+                slot.out = out;
+                slot.digest = digest;
+            });
+        }
+        self.obs.span_end("sim.compute", span);
+
+        // Phase 4: collect and send, in id order. Each slot contributes its
+        // distinct receivers in id order, so the edge list comes out sorted
+        // and duplicate-free without a global sort; the delivery numbers and
+        // routes the sends in the same order on every scheduler.
+        let span = self.obs.span_start();
+        let mut rec = self.spare_records.pop().unwrap_or_default();
+        rec.graph.round = t;
+        let obs_on = self.obs.is_on();
+        let mut lost = 0usize;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let received = self.delivery.inbox(i).len();
+            mb.record_received(slot.id, received);
+            if obs_on {
+                // The messages this activation read: a deterministic
+                // function of the protocol wherever delivery is.
+                self.obs.observe("proto.inbox_len", received as u64);
+            }
+            let distinct = self
+                .index
+                .push_distinct_edges(slot.id, &slot.out, &mut rec.graph.edges);
+            mb.record_sent(slot.id, slot.out.len(), distinct);
+            if record_digests {
+                rec.digests.push((slot.id, slot.digest));
+            }
+            lost += self.delivery.send(slot.id, t, &mut slot.out, &self.obs);
+            rec.graph.members.push(slot.id);
+        }
+        // Receiver-departed drops are charged to the delivery round, losses
+        // to the sending round (the network never carried them).
+        mb.record_dropped(dropped + lost);
+
+        // Phase 5: archive the round, recycle what leaves the window, fold
+        // the metrics row.
+        self.records.push(rec);
+        if let Some(window) = self.config.history_window {
+            while self.records.len() > window {
+                let mut old = self.records.remove(0);
+                old.graph.edges.clear();
+                old.graph.members.clear();
+                old.digests.clear();
+                self.spare_records.push(old);
+            }
+        }
+        self.obs.span_end(D::SPANS.send, span);
+
+        let row = mb.finish();
+        if obs_on {
+            record_round_obs(&self.obs, &row);
+        }
+        if self.keep_history {
+            self.history.push(row.clone());
+        }
+        self.streaming.push(row);
+        self.last_outcome = outcome;
+        self.round += 1;
+        self.delivery.end_round(t, &self.obs);
+    }
+
+    /// Applies a churn plan through the shared arbiter
+    /// ([`apply_churn_plan`] validates it against budget and join rules and
+    /// updates the membership), then materializes the slot half: departed
+    /// slots are removed (donating their outbox buffers to the spare pool)
+    /// and accepted joiners get fresh slots. Results are accumulated into
+    /// `outcome` (a recycled buffer).
+    fn apply_plan(&mut self, t: Round, plan: ChurnPlan, outcome: &mut ChurnOutcome) {
+        let rules = self.config.churn_rules;
+        apply_churn_plan(
+            t,
+            plan,
+            &rules,
+            &mut self.budget,
+            &mut self.members,
+            &mut self.next_id,
+            &mut self.plan_scratch,
+            outcome,
+        );
+        for &id in outcome.departed.iter() {
+            let idx = self.index.slot(id).expect("departed node has a slot");
+            let slot = self.slots.remove(idx);
+            self.index
+                .remove(id, self.slots[idx..].iter().map(|s| s.id));
+            let mut out = slot.out;
+            out.clear();
+            self.spare_outboxes.push(out);
+            self.delivery.on_depart(id, idx, t);
+        }
+        for &(id, _bootstrap) in outcome.joined.iter() {
+            self.spawn_slot(id, t);
+        }
+    }
+
+    /// Groups this round's joiners contiguously by bootstrap node (the
+    /// stable sort keeps joiners in join order within each bootstrap) and
+    /// points every bootstrap's slot at its range.
+    fn group_sponsored(&mut self, outcome: &ChurnOutcome) {
+        // Last round's bootstraps (those still here) sponsor nobody now.
+        for &(bootstrap, _) in self.sponsored_pairs.iter() {
+            if let Some(s) = self.index.slot(bootstrap) {
+                self.slots[s].sponsored = 0..0;
+            }
+        }
+        self.sponsored_pairs.clear();
+        self.sponsored_pairs.extend(
+            outcome
+                .joined
+                .iter()
+                .map(|&(joiner, bootstrap)| (bootstrap, joiner)),
+        );
+        self.sponsored_pairs
+            .sort_by_key(|&(bootstrap, _)| bootstrap);
+        self.sponsored_ids.clear();
+        self.sponsored_ids
+            .extend(self.sponsored_pairs.iter().map(|&(_, joiner)| joiner));
+        let mut start = 0usize;
+        for run in self.sponsored_pairs.chunk_by(|a, b| a.0 == b.0) {
+            // The arbiter only accepts joins via current members.
+            if let Some(s) = self.index.slot(run[0].0) {
+                self.slots[s].sponsored = start..start + run.len();
+            }
+            start += run.len();
+        }
+    }
+}

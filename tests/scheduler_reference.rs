@@ -1,0 +1,284 @@
+//! The schedulers against a reference simple enough to be obviously right.
+//!
+//! [`Reference`] is the paper's round model written down naively: a
+//! `HashMap` of inboxes per round, nodes in a `BTreeMap`, everything
+//! sequential, nothing pooled or recycled. It shares only the rules
+//! themselves with the optimized world — the churn arbiter
+//! (`apply_churn_plan`), the activation (`run_activation`) and the metric
+//! definitions — and none of its bookkeeping. The lockstep [`Simulator`] and
+//! a zero-latency [`EventSimulator`] must match it row for row, at every
+//! thread cap.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+use rand::Rng;
+use two_steps_ahead::event::{EventConfig, EventSimulator, LatencyModel, NetModel};
+use two_steps_ahead::sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
+use two_steps_ahead::sim::{
+    apply_churn_plan, run_activation, Adversary, ChurnBudget, ChurnOutcome, ChurnPlan, ChurnRules,
+    Ctx, Delivery, Envelope, JoinPlan, Lateness, NodeFactory, NodeId, PlanScratch, Process, Round,
+    RoundMetricsBuilder, SimConfig, Simulator, World,
+};
+
+/// The naive scheduler. Test code only: it is the reference, not an engine.
+struct Reference<P: Process, A: Adversary> {
+    config: SimConfig,
+    adversary: A,
+    factory: NodeFactory<P>,
+    /// `id → (joined_at, state)`; iteration order is activation order.
+    nodes: BTreeMap<NodeId, (Round, P)>,
+    members: BTreeMap<NodeId, MemberInfo>,
+    /// Messages sent last round, per receiver, in send order.
+    in_flight: HashMap<NodeId, Vec<Envelope<P::Msg>>>,
+    records: Vec<RoundRecord>,
+    rows: Vec<String>,
+    budget: ChurnBudget,
+    next_id: u64,
+    round: Round,
+}
+
+impl<P: Process, A: Adversary> Reference<P, A> {
+    fn new(config: SimConfig, adversary: A, factory: NodeFactory<P>, n: u64) -> Self {
+        let nodes = (0..n).map(|i| (NodeId(i), (0, factory(NodeId(i), 0))));
+        Reference {
+            nodes: nodes.collect(),
+            members: (0..n)
+                .map(|i| (NodeId(i), MemberInfo { joined_at: 0 }))
+                .collect(),
+            in_flight: HashMap::new(),
+            records: Vec::new(),
+            rows: Vec::new(),
+            budget: ChurnBudget::new(),
+            next_id: n,
+            round: 0,
+            config,
+            adversary,
+            factory,
+        }
+    }
+
+    fn step(&mut self) {
+        let t = self.round;
+        let rules = self.config.churn_rules;
+        let mut mb = RoundMetricsBuilder::new(t);
+
+        // Churn: O_t leaves, J_t joins, before anything is delivered.
+        let mut outcome = ChurnOutcome::default();
+        if t >= rules.bootstrap_rounds {
+            let view = KnowledgeView::new(
+                t,
+                self.config.lateness,
+                &self.records,
+                &self.members,
+                self.budget.remaining(t, &rules),
+                rules.min_bootstrap_age,
+            );
+            let plan = self.adversary.plan(t, &view);
+            apply_churn_plan(
+                t,
+                plan,
+                &rules,
+                &mut self.budget,
+                &mut self.members,
+                &mut self.next_id,
+                &mut PlanScratch::default(),
+                &mut outcome,
+            );
+        }
+        for id in &outcome.departed {
+            self.nodes.remove(id);
+        }
+        for &(id, _) in &outcome.joined {
+            self.nodes.insert(id, (t, (self.factory)(id, t)));
+        }
+        mb.record_churn(outcome.departed.len(), outcome.joined.len());
+        mb.record_node_count(self.nodes.len());
+
+        // Deliver: last round's messages reach the survivors, the rest drop.
+        let mut inboxes = std::mem::take(&mut self.in_flight);
+        let mut rec = RoundRecord::default();
+        rec.graph.round = t;
+        for (&id, (joined_at, process)) in self.nodes.iter_mut() {
+            let inbox = inboxes.remove(&id).unwrap_or_default();
+            let sponsored: Vec<NodeId> = outcome
+                .joined
+                .iter()
+                .filter(|&&(_, bootstrap)| bootstrap == id)
+                .map(|&(joiner, _)| joiner)
+                .collect();
+            let (out, digest) = run_activation(
+                process,
+                id,
+                t,
+                *joined_at,
+                &sponsored,
+                self.config.seed,
+                self.config.hash_seed,
+                &inbox,
+                Vec::new(),
+                true,
+            );
+            let receivers: BTreeSet<NodeId> = out.iter().map(|&(to, _)| to).collect();
+            mb.record_received(id, inbox.len());
+            mb.record_sent(id, out.len(), receivers.len());
+            rec.graph.edges.extend(receivers.iter().map(|&to| (id, to)));
+            rec.graph.members.push(id);
+            rec.digests.push((id, digest));
+            for (to, payload) in out {
+                let env = Envelope::new(id, to, t, payload);
+                self.in_flight.entry(to).or_default().push(env);
+            }
+        }
+        mb.record_dropped(inboxes.values().map(Vec::len).sum());
+        self.rows.push(row(&format!("{:?}", mb.finish()), &rec));
+        self.records.push(rec);
+        self.round += 1;
+    }
+}
+
+/// One round as the comparison sees it: the metrics row, the state digests
+/// and the sorted edge list.
+fn row(metrics: &str, rec: &RoundRecord) -> String {
+    format!("{metrics}|{:?}|{:?}", rec.digests, rec.graph.edges)
+}
+
+/// A flood with everything a scheduler can get wrong in it: sends to ids that
+/// never existed and to departed peers, duplicate receivers, per-node RNG
+/// draws, sponsored joiners, and a digest that folds the inbox in order.
+#[derive(Default)]
+struct Flood {
+    known: Vec<NodeId>,
+    heard: u64,
+}
+
+impl Process for Flood {
+    type Msg = u64;
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+        for env in inbox {
+            self.heard = self.heard.rotate_left(5) ^ env.payload ^ env.from.raw();
+            if !self.known.contains(&env.from) {
+                self.known.push(env.from);
+            }
+        }
+        self.known.extend_from_slice(ctx.sponsored());
+        let me = ctx.id().raw();
+        ctx.send(NodeId(me + 1), self.heard);
+        ctx.send(NodeId(me.wrapping_sub(1)), self.heard);
+        if !self.known.is_empty() {
+            let peer = self.known[ctx.rng.gen_range(0..self.known.len())];
+            ctx.send(peer, self.heard);
+            ctx.send(peer, me);
+        }
+    }
+    fn state_digest(&self) -> u64 {
+        self.heard
+    }
+}
+
+/// Churns by what the late archives show — the most-messaged node of the
+/// newest visible graph and the node with the largest visible digest — so a
+/// scheduler that archives anything differently runs a different adversary.
+struct LateChurn;
+
+impl Adversary for LateChurn {
+    fn plan(&mut self, t: Round, view: &KnowledgeView<'_>) -> ChurnPlan {
+        let mut departures = Vec::new();
+        if let Some(graph) = view.latest_topology() {
+            departures.extend(
+                graph
+                    .members
+                    .iter()
+                    .copied()
+                    .max_by_key(|&v| graph.in_degree(v)),
+            );
+            let states = t.saturating_sub(view.lateness().state);
+            departures.extend(
+                graph
+                    .members
+                    .iter()
+                    .copied()
+                    .max_by_key(|&v| view.state_digest_at(states, v)),
+            );
+        }
+        let bootstrap = view.eligible_bootstraps().into_iter().next();
+        let joins = bootstrap
+            .into_iter()
+            .flat_map(|b| [JoinPlan { bootstrap: b }; 2]);
+        ChurnPlan {
+            departures,
+            joins: joins.collect(),
+        }
+    }
+}
+
+const NODES: usize = 700; // ~4 messages each: past the parallel threshold
+const ROUNDS: u64 = 10;
+
+fn config(seed: u64) -> SimConfig {
+    let mut config = SimConfig::default()
+        .with_seed(seed)
+        .with_parallel(true)
+        .with_lateness(Lateness {
+            topology: 2,
+            state: 3,
+        })
+        .with_churn_rules(ChurnRules {
+            max_events: Some(6),
+            window: 2,
+            bootstrap_rounds: 2,
+            ..ChurnRules::default()
+        });
+    config.record_digests = true;
+    config
+}
+
+fn factory() -> NodeFactory<Flood> {
+    Box::new(|_, _| Flood::default())
+}
+
+/// Runs a world and prints it the way the reference prints itself.
+fn rows_of<D: Delivery<u64>>(mut world: World<Flood, LateChurn, D>) -> Vec<String> {
+    world.seed_nodes(NODES);
+    world.run(ROUNDS);
+    let rows = world.metrics().rounds().iter().zip(world.records());
+    rows.map(|(m, rec)| row(&format!("{m:?}"), rec)).collect()
+}
+
+#[test]
+fn both_deterministic_schedulers_match_the_naive_reference() {
+    for seed in [3, 29, 1729] {
+        let mut reference = Reference::new(config(seed), LateChurn, factory(), NODES as u64);
+        for _ in 0..ROUNDS {
+            reference.step();
+        }
+        let churned: usize = reference
+            .records
+            .iter()
+            .map(|r| r.graph.members.len())
+            .sum();
+        assert_ne!(churned, NODES * ROUNDS as usize, "the adversary churned");
+        for cap in [1usize, 2, 4] {
+            let (lockstep, event) = rayon::with_thread_cap(cap, || {
+                let instant = NetModel::new(LatencyModel::constant(0));
+                (
+                    rows_of(Simulator::new(config(seed), LateChurn, factory())),
+                    rows_of(EventSimulator::new(
+                        EventConfig::new(config(seed), instant),
+                        LateChurn,
+                        factory(),
+                    )),
+                )
+            });
+            for (t, expected) in reference.rows.iter().enumerate() {
+                assert_eq!(
+                    &lockstep[t], expected,
+                    "lockstep, seed {seed}, cap {cap}, round {t}"
+                );
+                assert_eq!(
+                    &event[t], expected,
+                    "event, seed {seed}, cap {cap}, round {t}"
+                );
+            }
+        }
+    }
+}
