@@ -300,6 +300,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         from: NodeId,
         t: Round,
         out: &mut Vec<(NodeId, M)>,
+        _to_slots: &[u32],
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();

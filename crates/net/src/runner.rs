@@ -569,6 +569,7 @@ where
         from: NodeId,
         t: Round,
         out: &mut Vec<(NodeId, M)>,
+        _to_slots: &[u32],
         _obs: &ObsHandle,
     ) -> usize {
         let mut lost = 0usize;

@@ -5,19 +5,48 @@
 //! otherwise. [`Lockstep`] is the [`Delivery`] that does exactly that for a
 //! [`World`], and [`Simulator`] is the world it drives.
 //!
-//! # What `deliver`, `send` and `end_round` do, and what they cost
+//! # One envelope buffer, scattered at send time
 //!
-//! The in-flight queue is double-buffered. `send` appends a node's outbox to
-//! the *next* buffer; `end_round` swaps the two. `deliver` groups the
-//! in-flight buffer by receiver with a stable counting scatter (count →
-//! prefix-sum → move into the second buffer) and hands every node a
-//! contiguous *slice* of it — no per-node inbox vectors and no sort scratch:
-//! a `sort_by_key` here would heap-allocate its merge buffer every round.
-//! *Stable* is load-bearing: slots are visited in id order when they send,
-//! so the in-flight buffer is in global send order and every inbox keeps it.
-//! One envelope is read and written twice per round (once into the next
-//! buffer, once by the scatter); nothing is allocated once the two buffers
-//! have met the traffic's high-water mark.
+//! Round `t`'s inboxes are fully consumed by round `t`'s compute phase, so
+//! the buffer that held them is free when round `t`'s sends are collected:
+//! the sends are grouped by receiver *as they are sent* and written straight
+//! into it, as round `t + 1`'s inboxes. Every message is moved exactly once,
+//! from its sender's outbox into its receiver's range.
+//!
+//! * `send` (once per node, id order) moves nothing. The world has already
+//!   resolved each receiver's slot in the pass that stamps the distinct
+//!   edges; `send` counts the messages per slot and keeps the slots (4 B a
+//!   message), and leaves the outbox as it is.
+//! * `flush_sends` (once per round) prefix-sums the counts into per-slot
+//!   ranges and drains every outbox, in id order, through per-slot write
+//!   cursors: a stable counting scatter. *Stable* is load-bearing: slots are
+//!   visited in id order, so every inbox lists its messages in global send
+//!   order — exactly what a stable sort by receiver would produce, without a
+//!   sort's merge scratch.
+//! * `deliver` moves no message and is O(slots): the ranges already are the
+//!   inboxes. A node that departs at `t + 1` had its range removed by
+//!   `on_depart` (the envelopes stay behind in the buffer, unread, until the
+//!   next scatter overwrites it) and its length is charged to round
+//!   `t + 1`'s `dropped`; a node that joins gets an empty range.
+//!
+//! **Not a member at send time.** A receiver with no slot when the message
+//! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
+//! the adversary will only hand out next round — has no range to be counted
+//! into. Those messages wait in a side list (`late`), in send order;
+//! `deliver` resolves it against round `t + 1`'s membership, appends the
+//! arrivals behind the main buffer (such a receiver joined after the sends,
+//! so its range is still empty) and drops the rest. Delivered and dropped
+//! counts, the round they are charged to and every inbox's order are the
+//! naive model's (`tests/scheduler_reference.rs`).
+//!
+//! **Cost per message** (64 B envelope, 48 B outbox entry): the count pass
+//! rides on the edge-stamping read of the outbox and writes 4 B; the scatter
+//! reads 48 B + 4 B and writes 64 B — about 170 B of memory traffic with the
+//! write-allocate, where copying into a second buffer and scattering at
+//! delivery cost about 370 B. Nothing is allocated once the buffer has met
+//! the traffic's high-water mark.
+
+use std::ops::Range;
 
 use tsa_obs::ObsHandle;
 
@@ -25,7 +54,7 @@ use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
 use crate::message::Envelope;
 use crate::node::ProtocolStep;
-use crate::slot_index::SlotIndex;
+use crate::slot_index::{SlotIndex, NO_SLOT};
 use crate::world::{Delivery, PhaseSpans, World};
 
 /// The round-synchronous simulator: a [`World`] whose messages take exactly
@@ -34,27 +63,61 @@ pub type Simulator<P, A> = World<P, A, Lockstep<<P as ProtocolStep>::Msg>>;
 
 /// The lockstep delivery policy. See the module docs.
 pub struct Lockstep<M> {
-    /// Between rounds: the messages sent last round, in send order. During a
-    /// round, after `deliver`: the same messages grouped by receiver slot.
-    in_flight: Vec<Envelope<M>>,
-    /// Double buffer: the scatter target of `deliver`, then the collector of
-    /// this round's sends; swapped with `in_flight` by both.
-    next_in_flight: Vec<Envelope<M>>,
-    /// Slot `i`'s inbox is `in_flight[starts[i]..starts[i + 1]]`; one entry
-    /// per slot plus the end.
-    starts: Vec<usize>,
-    /// Scratch: each in-flight envelope's receiver slot (or the drop
-    /// sentinel), computed during the delivery scatter.
-    route_slots: Vec<usize>,
-    /// Scratch: per-slot write cursors of the delivery scatter.
-    route_cursors: Vec<usize>,
+    /// The one envelope buffer: the messages sent last round, grouped by the
+    /// slot their receiver owned when they were sent, send order kept within
+    /// each group.
+    inboxes: Vec<Envelope<M>>,
+    /// Slot `i`'s inbox is `inboxes[ranges[i]]`. Envelopes outside every
+    /// range were addressed to a node that has since departed.
+    ranges: Vec<Range<usize>>,
+    /// Per slot: while a round's sends are announced, how many are addressed
+    /// to it; during the scatter, its write cursor. Zero in between.
+    cursors: Vec<usize>,
+    /// The receiver slot (or [`NO_SLOT`]) of every message announced this
+    /// round, in send order.
+    route: Vec<u32>,
+    /// Last round's messages whose receiver had no slot at send time, each
+    /// with its position in the list (send order).
+    late: Vec<(usize, Envelope<M>)>,
+    /// Envelopes of `inboxes` whose range `on_depart` removed since the last
+    /// `deliver`.
+    stranded: usize,
 }
 
 impl<M> Lockstep<M> {
     /// Number of messages currently in flight (sent last round, not yet
     /// delivered).
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
+        self.inboxes.len() + self.late.len()
+    }
+
+    /// Resolves the side list against the current membership: arrivals are
+    /// appended behind the main buffer, grouped per receiver in send order;
+    /// the rest are dropped. Returns how many arrived.
+    fn deliver_late(&mut self, index: &SlotIndex) -> usize {
+        let slot_of = |env: &Envelope<M>| index.slot(env.to).unwrap_or(usize::MAX);
+        // The key is unique, so the in-place unstable sort is a stable
+        // grouping.
+        self.late
+            .sort_unstable_by_key(|(seq, env)| (slot_of(env), *seq));
+        let arrived = self
+            .late
+            .partition_point(|(_, env)| slot_of(env) != usize::MAX);
+        let mut end = self.inboxes.len();
+        for run in self.late[..arrived].chunk_by(|a, b| a.1.to == b.1.to) {
+            let range = &mut self.ranges[slot_of(&run[0].1)];
+            debug_assert!(
+                Range::is_empty(range),
+                "a late receiver joined after the sends"
+            );
+            *range = end..end + run.len();
+            end += run.len();
+        }
+        // Within the capacity `flush_sends` reserved.
+        self.inboxes
+            .extend(self.late.drain(..arrived).map(|(_, env)| env));
+        self.late.clear();
+        arrived
     }
 }
 
@@ -69,105 +132,121 @@ impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
 
     fn new(config: SimConfig) -> (SimConfig, Self) {
         let lockstep = Lockstep {
-            in_flight: Vec::new(),
-            next_in_flight: Vec::new(),
-            starts: vec![0],
-            route_slots: Vec::new(),
-            route_cursors: Vec::new(),
+            inboxes: Vec::new(),
+            ranges: Vec::new(),
+            cursors: Vec::new(),
+            route: Vec::new(),
+            late: Vec::new(),
+            stranded: 0,
         };
         (config, lockstep)
     }
 
     fn on_join(&mut self, _id: NodeId) {
-        self.starts.push(0);
+        self.ranges.push(0..0);
+        self.cursors.push(0);
     }
 
-    fn on_depart(&mut self, _id: NodeId, _slot: usize, _t: Round) {
-        self.starts.pop();
+    fn on_depart(&mut self, _id: NodeId, slot: usize, _t: Round) {
+        self.stranded += self.ranges.remove(slot).len();
+        self.cursors.remove(slot);
     }
 
-    /// A stable counting scatter: locate each envelope's receiver slot (one
-    /// `SlotIndex` lookup), prefix-sum the counts into per-slot ranges, then
-    /// move every delivered envelope into its range in the second buffer and
-    /// swap. Each inbox is then one contiguous slice, grouped in slot (= id)
-    /// order with send order preserved within each group — exactly what a
-    /// stable sort by receiver would produce.
+    /// The ranges `flush_sends` laid out already are the inboxes; what is
+    /// left to do is to charge the departed receivers' envelopes to this
+    /// round and to resolve the (normally empty) side list.
     fn deliver(&mut self, _t: Round, index: &SlotIndex) -> (usize, usize) {
-        const DROP: usize = usize::MAX;
-        let slots = self.starts.len() - 1;
-        let mut dropped = 0usize;
-        self.route_cursors.clear();
-        self.route_cursors.resize(slots, 0);
-        self.route_slots.clear();
-        for env in self.in_flight.iter() {
-            match index.slot(env.to) {
-                Some(idx) => {
-                    self.route_cursors[idx] += 1;
-                    self.route_slots.push(idx);
-                }
-                None => {
-                    dropped += 1;
-                    self.route_slots.push(DROP);
-                }
-            }
-        }
-        let mut delivered = 0usize;
-        for (start, cursor) in self.starts.iter_mut().zip(self.route_cursors.iter_mut()) {
-            *start = delivered;
-            delivered += std::mem::replace(cursor, delivered);
-        }
-        self.starts[slots] = delivered;
-        self.next_in_flight.clear();
-        self.next_in_flight.reserve(delivered);
-        {
-            let spare = self.next_in_flight.spare_capacity_mut();
-            for (env, &slot_idx) in self.in_flight.drain(..).zip(self.route_slots.iter()) {
-                if slot_idx == DROP {
-                    continue; // receiver departed before delivery
-                }
-                let cursor = &mut self.route_cursors[slot_idx];
-                spare[*cursor].write(env);
-                *cursor += 1;
-            }
-        }
-        // SAFETY: the prefix sums partition 0..delivered into disjoint
-        // per-slot ranges; every non-dropped envelope was written through
-        // exactly one cursor, and each cursor advanced exactly its slot's
-        // count within its slot's range — so all `delivered` spare elements
-        // are initialized.
-        unsafe {
-            self.next_in_flight.set_len(delivered);
-        }
-        // `in_flight` now holds the inboxes; the drained buffer collects
-        // this round's sends.
-        std::mem::swap(&mut self.in_flight, &mut self.next_in_flight);
-        (delivered, dropped)
+        let stranded = std::mem::take(&mut self.stranded);
+        let late = self.late.len();
+        let arrived = self.deliver_late(index);
+        (self.inboxes.len() - stranded, stranded + late - arrived)
     }
 
     fn inbox(&self, slot: usize) -> &[Envelope<M>] {
-        &self.in_flight[self.starts[slot]..self.starts[slot + 1]]
+        &self.inboxes[self.ranges[slot].clone()]
     }
 
+    /// Counts the sends per receiver slot and keeps the slots; the messages
+    /// stay in `out` until [`flush_sends`](Delivery::flush_sends).
     fn send(
         &mut self,
-        from: NodeId,
-        t: Round,
+        _from: NodeId,
+        _t: Round,
         out: &mut Vec<(NodeId, M)>,
+        to_slots: &[u32],
         _obs: &ObsHandle,
     ) -> usize {
-        // A push loop, not `extend`: the buffer then grows by doubling alone,
-        // which settles at a smaller capacity than `extend`'s exact first
-        // reservations do (measured: 6.7 % of a small sweep cell's peak RSS).
-        for (to, payload) in out.drain(..) {
-            self.next_in_flight
-                .push(Envelope::new(from, to, t, payload));
+        debug_assert_eq!(out.len(), to_slots.len());
+        for &slot in to_slots {
+            if slot != NO_SLOT {
+                self.cursors[slot as usize] += 1;
+            }
         }
+        self.route.extend_from_slice(to_slots);
         0
     }
 
-    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {
-        std::mem::swap(&mut self.in_flight, &mut self.next_in_flight);
+    /// The stable counting scatter: prefix-sum the per-slot counts into
+    /// ranges, then move every message from its sender's outbox to its
+    /// receiver's write cursor, overwriting the inboxes the compute phase
+    /// has consumed.
+    fn flush_sends<'a>(
+        &mut self,
+        t: Round,
+        outboxes: impl Iterator<Item = (NodeId, &'a mut Vec<(NodeId, M)>)>,
+    ) where
+        M: 'a,
+    {
+        let mut resolved = 0usize;
+        for (range, cursor) in self.ranges.iter_mut().zip(self.cursors.iter_mut()) {
+            let count = std::mem::replace(cursor, resolved);
+            *range = resolved..resolved + count;
+            resolved += count;
+        }
+        let unresolved = self.route.len() - resolved;
+        self.inboxes.clear();
+        // Room for the late arrivals too, so `deliver` never reallocates.
+        self.inboxes.reserve(resolved + unresolved);
+        let spare = self.inboxes.spare_capacity_mut();
+        let mut route = self.route.iter();
+        let mut sent = 0usize;
+        for (from, out) in outboxes {
+            sent += out.len();
+            for ((to, payload), &slot) in out.drain(..).zip(route.by_ref()) {
+                let env = Envelope::new(from, to, t, payload);
+                if slot == NO_SLOT {
+                    self.late.push((self.late.len(), env));
+                } else {
+                    let cursor = &mut self.cursors[slot as usize];
+                    spare[*cursor].write(env);
+                    *cursor += 1;
+                }
+            }
+        }
+        debug_assert_eq!(sent, resolved + unresolved, "every announced send");
+        debug_assert_eq!(self.late.len(), unresolved);
+        // Checked in release builds too: it is what `set_len` rests on, it
+        // spans two trait calls, and it costs O(slots) a round.
+        assert!(
+            self.ranges
+                .iter()
+                .zip(self.cursors.iter())
+                .all(|(range, &cursor)| cursor == range.end),
+            "the outboxes are not the sends that were announced"
+        );
+        // SAFETY: the prefix sums partition 0..resolved into disjoint
+        // per-slot ranges. Each cursor started at its range's start, moved
+        // one element per write and — asserted above — stopped at its
+        // range's end, so every element of 0..resolved was written exactly
+        // once and all `resolved` spare elements are initialized.
+        unsafe {
+            self.inboxes.set_len(resolved);
+        }
+        self.cursors.fill(0);
+        self.route.clear();
     }
+
+    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
 }
 
 #[cfg(test)]
@@ -224,9 +303,9 @@ mod tests {
 
     #[test]
     fn steady_state_rounds_do_not_grow_scratch_buffers() {
-        // After a warm-up round at a fixed node count, the reusable buffers
-        // must have reached their steady-state capacities: further rounds
-        // reuse them instead of growing them.
+        // After a warm-up at a fixed node count, the reusable buffers must
+        // have reached their steady-state capacities: further rounds reuse
+        // them instead of growing them.
         let config = SimConfig::default()
             .with_seed(3)
             .with_history_window(4)
@@ -236,8 +315,10 @@ mod tests {
         s.run(3);
         let caps = |s: &Simulator<Ping, NullAdversary>| {
             (
-                s.in_flight.capacity(),
-                s.next_in_flight.capacity(),
+                s.inboxes.capacity(),
+                s.late.capacity(),
+                s.route.capacity(),
+                (s.ranges.capacity(), s.cursors.capacity()),
                 s.outbox_capacity(),
             )
         };
@@ -245,6 +326,31 @@ mod tests {
         s.run(20);
         assert_eq!(caps(&s), warm, "steady-state rounds must not reallocate");
         assert_eq!(s.records().len(), 4, "window bounds the archive");
+        // One envelope-sized buffer holds the round's traffic; the only
+        // other envelope storage is the side list, which holds the one
+        // message a round that the last node addresses past the end.
+        assert_eq!(s.in_flight_count(), 2 * 32 - 1);
+        assert_eq!(s.inboxes.len(), 2 * 32 - 2);
+        assert_eq!(s.late.len(), 1);
+        assert!(s.late.capacity() <= 4, "{}", s.late.capacity());
+    }
+
+    #[test]
+    #[should_panic(expected = "stopped from inside")]
+    fn run_until_stopped_starts_running() {
+        // `run(u64::MAX)` means "until something stops it": the history must
+        // not be reserved for all of it up front (a capacity overflow before
+        // the first round).
+        struct Fuse;
+        impl Process for Fuse {
+            type Msg = ();
+            fn on_round(&mut self, ctx: &mut Ctx<'_, ()>, _inbox: &[Envelope<()>]) {
+                assert!(ctx.round() < 3, "stopped from inside");
+            }
+        }
+        let mut s = Simulator::new(SimConfig::default(), NullAdversary, Box::new(|_, _| Fuse));
+        s.seed_nodes(1);
+        s.run(u64::MAX);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use metrics::{
     RoundMetricsBuilder, StreamingMetrics, RESERVOIR_CAPACITY,
 };
 pub use node::{run_activation, Ctx, Process, ProtocolStep};
-pub use slot_index::SlotIndex;
+pub use slot_index::{SlotIndex, NO_SLOT};
 pub use world::{Delivery, NodeFactory, PhaseSpans, World};
 
 /// Commonly used items, re-exported for convenience.

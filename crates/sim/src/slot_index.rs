@@ -4,9 +4,11 @@
 //! identifier and ask two questions once per message: *which slot owns this
 //! receiver* (delivery) and *has this sender already messaged this receiver
 //! this round* (the communication graph and the distinct-receiver metric).
-//! Identifiers are handed out densely from 0 and never reused, so both are a
-//! table lookup: [`SlotIndex`] keeps one `u32` slot and one `u64` stamp per
-//! identifier ever assigned.
+//! Identifiers are handed out densely from 0 and never reused, so both are
+//! one table lookup: [`SlotIndex`] keeps one entry — a `u32` slot and a `u64`
+//! stamp, side by side — per identifier ever assigned, and the collect phase
+//! answers both questions from the same entry
+//! ([`push_distinct_edges`](SlotIndex::push_distinct_edges)).
 //!
 //! Identifiers outside the table — a protocol may address any `u64`, e.g. an
 //! identifier that was never assigned or `NodeId(u64::MAX)` — are never
@@ -14,18 +16,32 @@
 
 use crate::ids::NodeId;
 
-/// Table entry of an identifier that currently owns no slot.
-const ABSENT: u32 = u32::MAX;
+/// What [`SlotIndex::push_distinct_edges`] reports for a receiver that owns
+/// no slot: departed, never assigned, or outside the table altogether.
+pub const NO_SLOT: u32 = u32::MAX;
 
-/// Dense `id → slot` table plus per-id pass stamps. See the module docs.
+/// What the table knows about one identifier.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// `stamp == pass` iff the identifier was already seen in the current
+    /// distinct-counting pass; 0 is never a live pass, so fresh entries are
+    /// unseen.
+    stamp: u64,
+    /// The member's slot, or [`NO_SLOT`].
+    slot: u32,
+}
+
+const VACANT: Entry = Entry {
+    stamp: 0,
+    slot: NO_SLOT,
+};
+
+/// Dense `id → (slot, stamp)` table. See the module docs.
 #[derive(Debug, Default)]
 pub struct SlotIndex {
-    /// `slot_of[id]` is the slot of member `id`, or [`ABSENT`].
-    slot_of: Vec<u32>,
-    /// `stamp[id] == pass` iff `id` was already seen in the current pass.
-    stamp: Vec<u64>,
-    /// The current distinct-counting pass; 0 is never a live pass, so fresh
-    /// (zeroed) stamps are unseen.
+    /// One entry per identifier ever assigned, indexed by the raw id.
+    entries: Vec<Entry>,
+    /// The current distinct-counting pass.
     pass: u64,
     /// Identifiers beyond the table seen in the current pass.
     beyond: Vec<NodeId>,
@@ -41,12 +57,14 @@ impl SlotIndex {
     /// `id`. Call it for a new member and again whenever its slot moves.
     pub fn insert(&mut self, id: NodeId, slot: usize) {
         let i = usize::try_from(id.raw()).expect("assigned identifiers are dense from 0");
-        if i >= self.slot_of.len() {
-            self.slot_of.resize(i + 1, ABSENT);
-            self.stamp.resize(i + 1, 0);
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, VACANT);
         }
-        assert!(slot < ABSENT as usize, "slot {slot} does not fit the table");
-        self.slot_of[i] = slot as u32;
+        assert!(
+            slot < NO_SLOT as usize,
+            "slot {slot} does not fit the table"
+        );
+        self.entries[i].slot = slot as u32;
     }
 
     /// Records that member `id` left the network and that the members behind
@@ -57,7 +75,7 @@ impl SlotIndex {
         let Some(vacated) = self.slot(id) else {
             return;
         };
-        self.slot_of[id.raw() as usize] = ABSENT;
+        self.entries[id.raw() as usize].slot = NO_SLOT;
         for (offset, later) in shifted.into_iter().enumerate() {
             self.insert(later, vacated + offset);
         }
@@ -68,39 +86,50 @@ impl SlotIndex {
     #[inline]
     pub fn slot(&self, id: NodeId) -> Option<usize> {
         let i = usize::try_from(id.raw()).ok()?;
-        match self.slot_of.get(i) {
-            Some(&s) if s != ABSENT => Some(s as usize),
+        match self.entries.get(i) {
+            Some(entry) if entry.slot != NO_SLOT => Some(entry.slot as usize),
             _ => None,
         }
     }
 
+    /// One pass over a sender's outbox that answers both per-message
+    /// questions from the same table entry.
+    ///
     /// Appends one `(from, to)` edge per *distinct* receiver in `out` to
     /// `edges`, in ascending receiver order, and returns how many there are
     /// — what sorting and deduplicating all of `out`'s destinations yields,
-    /// but only the distinct ones are ever sorted.
+    /// but only the distinct ones are ever sorted. Appends to `slots`, per
+    /// message of `out` in order, the receiver's current slot or
+    /// [`NO_SLOT`].
     pub fn push_distinct_edges<M>(
         &mut self,
         from: NodeId,
         out: &[(NodeId, M)],
         edges: &mut Vec<(NodeId, NodeId)>,
+        slots: &mut Vec<u32>,
     ) -> usize {
         self.pass += 1;
         self.beyond.clear();
         let start = edges.len();
+        slots.reserve(out.len());
         for &(to, _) in out {
-            let first = match usize::try_from(to.raw())
+            let entry = usize::try_from(to.raw())
                 .ok()
-                .and_then(|i| self.stamp.get_mut(i))
-            {
-                Some(stamp) => std::mem::replace(stamp, self.pass) != self.pass,
+                .and_then(|i| self.entries.get_mut(i));
+            let (first, slot) = match entry {
+                Some(entry) => (
+                    std::mem::replace(&mut entry.stamp, self.pass) != self.pass,
+                    entry.slot,
+                ),
                 None => {
                     let first = !self.beyond.contains(&to);
                     if first {
                         self.beyond.push(to);
                     }
-                    first
+                    (first, NO_SLOT)
                 }
             };
+            slots.push(slot);
             if first {
                 edges.push((from, to));
             }
@@ -174,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_edges_match_sort_and_dedup() {
+    fn distinct_edges_and_slots_match_the_sorted_reference() {
         for seed in 0..20 {
             let (mut index, reference, mut rng) = churned(seed, 120);
             let from = reference.members[0];
@@ -196,8 +225,15 @@ mod tests {
                 expected.sort_unstable();
                 expected.dedup();
                 let before = edges.len();
-                let distinct = index.push_distinct_edges(from, &out, &mut edges);
+                let mut slots = vec![7];
+                let distinct = index.push_distinct_edges(from, &out, &mut edges, &mut slots);
                 assert_eq!(distinct, expected.len(), "seed {seed}, pass {pass}");
+                let resolved = out.iter().map(|&(to, _)| match reference.slot(to) {
+                    Some(slot) => slot as u32,
+                    None => NO_SLOT,
+                });
+                let expected_slots: Vec<u32> = std::iter::once(7).chain(resolved).collect();
+                assert_eq!(slots, expected_slots, "seed {seed}, pass {pass}");
                 let got: Vec<NodeId> = edges[before..].iter().map(|&(_, to)| to).collect();
                 assert_eq!(got, expected, "seed {seed}, pass {pass}");
                 assert!(edges[before..].iter().all(|&(f, _)| f == from));

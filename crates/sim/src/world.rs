@@ -11,8 +11,9 @@
 //! phase, metrics, records and observability — with *how a sent message
 //! becomes a delivered one* injected as a [`Delivery`]:
 //!
-//! * [`Lockstep`](crate::Lockstep) — a double buffer; round `t`'s sends are
-//!   round `t + 1`'s inboxes (the paper's synchronous model);
+//! * [`Lockstep`](crate::Lockstep) — one envelope buffer; round `t`'s sends
+//!   are scattered straight into round `t + 1`'s inboxes (the paper's
+//!   synchronous model);
 //! * `tsa-event`'s `VirtualTime` — a calendar queue under per-message
 //!   latency, jitter, loss and fault plans;
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
@@ -36,10 +37,11 @@
 //!    that depends only on `(seed, node, round)`, so where and in which order
 //!    activations run cannot change an output bit;
 //! 4. **collect and send** — in id order: metrics, the communication graph,
-//!    digests, then [`Delivery::send`] for the node's outbox. Everything
-//!    order-sensitive (sequence numbers, fates, the edge list, every
-//!    deterministic observation) happens here and in the other sequential
-//!    phases;
+//!    digests, then [`Delivery::send`] for the node's outbox; once every
+//!    node has sent, [`Delivery::flush_sends`] takes whatever the sends left
+//!    in the outboxes. Everything order-sensitive (sequence numbers, fates,
+//!    the edge list, every deterministic observation) happens here and in
+//!    the other sequential phases;
 //! 5. **finish** — trim the record window, fold the metrics row, emit the
 //!    `proto.*` observations, [`Delivery::end_round`].
 //!
@@ -122,16 +124,38 @@ pub trait Delivery<M>: Sync {
     /// The inbox [`deliver`](Delivery::deliver) made for `slot`.
     fn inbox(&self, slot: usize) -> &[Envelope<M>];
 
-    /// Hands the sends `from` made in round `t` to the network, in send
-    /// order, leaving `out` empty. Called in id order, once per node.
-    /// Returns how many of them are already known to be lost.
+    /// Announces the sends `from` made in round `t`, in send order. Called in
+    /// id order, once per node. `to_slots[k]` is the slot the receiver of
+    /// `out[k]` owns right now, or [`NO_SLOT`](crate::NO_SLOT) if it is not
+    /// a member at send time (it may still join before delivery).
+    ///
+    /// A delivery that routes message by message takes the sends here and
+    /// leaves `out` empty. One that needs the whole round's sends before it
+    /// can place any (the lockstep scatter) only takes notes, leaves `out`
+    /// as it is and empties it in [`flush_sends`](Delivery::flush_sends).
+    /// Returns how many of the sends are already known to be lost.
     fn send(
         &mut self,
         from: NodeId,
         t: Round,
         out: &mut Vec<(NodeId, M)>,
+        to_slots: &[u32],
         obs: &ObsHandle,
     ) -> usize;
+
+    /// Every node of round `t` has sent: `outboxes` is each slot's sender
+    /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
+    /// left it. Whoever left messages there takes them now — every outbox
+    /// must be empty on return, its capacity kept for the next round. Still
+    /// inside the send phase's span.
+    fn flush_sends<'a>(
+        &mut self,
+        _t: Round,
+        _outboxes: impl Iterator<Item = (NodeId, &'a mut Vec<(NodeId, M)>)>,
+    ) where
+        M: 'a,
+    {
+    }
 
     /// Closes round `t`: the delivery's own per-round observations, and
     /// whatever must happen before the next boundary.
@@ -165,6 +189,9 @@ struct Slot<P: ProtocolStep> {
 /// free to be a heuristic.
 const PARALLEL_WORK_THRESHOLD: usize = 2048;
 
+/// The most metrics rows [`World::run`] reserves up front.
+const HISTORY_RESERVE_CAP: u64 = 4096;
+
 /// The protocol `P` run against the adversary `A` over the delivery `D`: one
 /// membership, one churn arbiter, one round loop. See the module docs.
 ///
@@ -180,6 +207,9 @@ pub struct World<P: ProtocolStep, A, D> {
     /// `id → slot` table over `slots`, kept current wherever `slots`
     /// changes; also stamps distinct receivers in the collect phase.
     index: SlotIndex,
+    /// Scratch: the receiver slot of each message in the outbox the collect
+    /// phase is looking at.
+    to_slots: Vec<u32>,
     members: BTreeMap<NodeId, MemberInfo>,
     /// Scratch: `(bootstrap, joiner)` pairs of the current round, sorted by
     /// bootstrap node.
@@ -233,6 +263,7 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             delivery,
             slots: Vec::new(),
             index: SlotIndex::new(),
+            to_slots: Vec::new(),
             members: BTreeMap::new(),
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
@@ -391,7 +422,11 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
     /// Executes `rounds` rounds.
     pub fn run(&mut self, rounds: u64) {
         if self.keep_history {
-            self.history.reserve(rounds as usize);
+            // Up-front room for a run of ordinary length only: `rounds` may
+            // be "until I stop it" (`u64::MAX`), and past the cap the
+            // history grows by doubling like any `Vec`.
+            self.history
+                .reserve(rounds.min(HISTORY_RESERVE_CAP) as usize);
         }
         for _ in 0..rounds {
             self.step();
@@ -473,8 +508,10 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
 
         // Phase 4: collect and send, in id order. Each slot contributes its
         // distinct receivers in id order, so the edge list comes out sorted
-        // and duplicate-free without a global sort; the delivery numbers and
-        // routes the sends in the same order on every scheduler.
+        // and duplicate-free without a global sort, and the same table
+        // lookup resolves each receiver's slot for the delivery; the
+        // delivery numbers and routes the sends in the same order on every
+        // scheduler.
         let span = self.obs.span_start();
         let mut rec = self.spare_records.pop().unwrap_or_default();
         rec.graph.round = t;
@@ -488,16 +525,28 @@ impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                 // function of the protocol wherever delivery is.
                 self.obs.observe("proto.inbox_len", received as u64);
             }
-            let distinct = self
-                .index
-                .push_distinct_edges(slot.id, &slot.out, &mut rec.graph.edges);
+            self.to_slots.clear();
+            let distinct = self.index.push_distinct_edges(
+                slot.id,
+                &slot.out,
+                &mut rec.graph.edges,
+                &mut self.to_slots,
+            );
             mb.record_sent(slot.id, slot.out.len(), distinct);
             if record_digests {
                 rec.digests.push((slot.id, slot.digest));
             }
-            lost += self.delivery.send(slot.id, t, &mut slot.out, &self.obs);
+            lost += self
+                .delivery
+                .send(slot.id, t, &mut slot.out, &self.to_slots, &self.obs);
             rec.graph.members.push(slot.id);
         }
+        let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
+        self.delivery.flush_sends(t, outboxes);
+        debug_assert!(
+            self.slots.iter().all(|slot| slot.out.is_empty()),
+            "the delivery left sends in an outbox"
+        );
         // Receiver-departed drops are charged to the delivery round, losses
         // to the sending round (the network never carried them).
         mb.record_dropped(dropped + lost);

@@ -7,7 +7,9 @@
 //! (`apply_churn_plan`), the activation (`run_activation`) and the metric
 //! definitions — and none of its bookkeeping. The lockstep [`Simulator`] and
 //! a zero-latency [`EventSimulator`] must match it row for row, at every
-//! thread cap.
+//! thread cap — under a flood that churns by what the archives show, and
+//! under a protocol that addresses nodes that are not members (yet, any
+//! more, or ever).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -19,6 +21,13 @@ use two_steps_ahead::sim::{
     Ctx, Delivery, Envelope, JoinPlan, Lateness, NodeFactory, NodeId, PlanScratch, Process, Round,
     RoundMetricsBuilder, SimConfig, Simulator, World,
 };
+
+#[derive(Default, Debug)]
+struct Fates {
+    to_joiners: usize,
+    to_departed: usize,
+    to_nobody: usize,
+}
 
 /// The naive scheduler. Test code only: it is the reference, not an engine.
 struct Reference<P: Process, A: Adversary> {
@@ -32,6 +41,10 @@ struct Reference<P: Process, A: Adversary> {
     in_flight: HashMap<NodeId, Vec<Envelope<P::Msg>>>,
     records: Vec<RoundRecord>,
     rows: Vec<String>,
+    /// How many of the messages due so far went to a receiver that joined
+    /// in the very round they arrived, had departed by then, or was not a
+    /// member at all.
+    fates: Fates,
     budget: ChurnBudget,
     next_id: u64,
     round: Round,
@@ -48,6 +61,7 @@ impl<P: Process, A: Adversary> Reference<P, A> {
             in_flight: HashMap::new(),
             records: Vec::new(),
             rows: Vec::new(),
+            fates: Fates::default(),
             budget: ChurnBudget::new(),
             next_id: n,
             round: 0,
@@ -55,6 +69,11 @@ impl<P: Process, A: Adversary> Reference<P, A> {
             adversary,
             factory,
         }
+    }
+
+    /// Messages sent last round and not yet delivered or dropped.
+    fn queued(&self) -> usize {
+        self.in_flight.values().map(Vec::len).sum()
     }
 
     fn step(&mut self) {
@@ -100,6 +119,9 @@ impl<P: Process, A: Adversary> Reference<P, A> {
         rec.graph.round = t;
         for (&id, (joined_at, process)) in self.nodes.iter_mut() {
             let inbox = inboxes.remove(&id).unwrap_or_default();
+            if *joined_at == t && t > 0 {
+                self.fates.to_joiners += inbox.len();
+            }
             let sponsored: Vec<NodeId> = outcome
                 .joined
                 .iter()
@@ -130,6 +152,13 @@ impl<P: Process, A: Adversary> Reference<P, A> {
             }
         }
         mb.record_dropped(inboxes.values().map(Vec::len).sum());
+        for (id, unread) in &inboxes {
+            if outcome.departed.contains(id) {
+                self.fates.to_departed += unread.len();
+            } else {
+                self.fates.to_nobody += unread.len();
+            }
+        }
         self.rows.push(row(&format!("{:?}", mb.finish()), &rec));
         self.records.push(rec);
         self.round += 1;
@@ -236,12 +265,25 @@ fn factory() -> NodeFactory<Flood> {
     Box::new(|_, _| Flood::default())
 }
 
-/// Runs a world and prints it the way the reference prints itself.
-fn rows_of<D: Delivery<u64>>(mut world: World<Flood, LateChurn, D>) -> Vec<String> {
-    world.seed_nodes(NODES);
-    world.run(ROUNDS);
-    let rows = world.metrics().rounds().iter().zip(world.records());
-    rows.map(|(m, rec)| row(&format!("{m:?}"), rec)).collect()
+/// One round of a world, printed the way the reference prints itself.
+fn last_row<P: Process, A: Adversary, D: Delivery<P::Msg>>(world: &World<P, A, D>) -> String {
+    let metrics = world.metrics().rounds().last().expect("a round ran");
+    let rec = world.records().last().expect("a round ran");
+    row(&format!("{metrics:?}"), rec)
+}
+
+/// Runs a world and prints every round of it.
+fn rows_of<P: Process, A: Adversary, D: Delivery<P::Msg>>(
+    mut world: World<P, A, D>,
+    nodes: usize,
+    rounds: u64,
+) -> Vec<String> {
+    world.seed_nodes(nodes);
+    let steps = (0..rounds).map(|_| {
+        world.step();
+        last_row(&world)
+    });
+    steps.collect()
 }
 
 #[test]
@@ -261,12 +303,20 @@ fn both_deterministic_schedulers_match_the_naive_reference() {
             let (lockstep, event) = rayon::with_thread_cap(cap, || {
                 let instant = NetModel::new(LatencyModel::constant(0));
                 (
-                    rows_of(Simulator::new(config(seed), LateChurn, factory())),
-                    rows_of(EventSimulator::new(
-                        EventConfig::new(config(seed), instant),
-                        LateChurn,
-                        factory(),
-                    )),
+                    rows_of(
+                        Simulator::new(config(seed), LateChurn, factory()),
+                        NODES,
+                        ROUNDS,
+                    ),
+                    rows_of(
+                        EventSimulator::new(
+                            EventConfig::new(config(seed), instant),
+                            LateChurn,
+                            factory(),
+                        ),
+                        NODES,
+                        ROUNDS,
+                    ),
                 )
             });
             for (t, expected) in reference.rows.iter().enumerate() {
@@ -280,5 +330,106 @@ fn both_deterministic_schedulers_match_the_naive_reference() {
                 );
             }
         }
+    }
+}
+
+/// Addresses, every round, its `REACH` neighbours by identifier on either
+/// side (the nearest one twice) and an identifier nobody will ever own. The
+/// youngest nodes thereby write to the identifiers the adversary hands out
+/// next round and the round after, node 0 to the far end of the id space
+/// (`u64::MAX` and below), and everybody to whoever is removed next. The
+/// digest folds the inbox in order.
+#[derive(Default)]
+struct Probe {
+    heard: u64,
+}
+
+const REACH: u64 = 4;
+const NEVER_ASSIGNED: NodeId = NodeId(1 << 40);
+
+impl Process for Probe {
+    type Msg = u64;
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+        for env in inbox {
+            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw();
+        }
+        let me = ctx.id().raw();
+        for d in 1..=REACH {
+            ctx.send(NodeId(me + d), self.heard ^ d);
+            ctx.send(NodeId(me.wrapping_sub(d)), self.heard);
+        }
+        ctx.send(NodeId(me + 1), ctx.round());
+        ctx.send(NEVER_ASSIGNED, me);
+    }
+    fn state_digest(&self) -> u64 {
+        self.heard
+    }
+}
+
+/// Every round: the oldest member and one from the middle leave, two join.
+struct SteadyChurn;
+
+impl Adversary for SteadyChurn {
+    fn plan(&mut self, _t: Round, view: &KnowledgeView<'_>) -> ChurnPlan {
+        let members: Vec<NodeId> = view.members().map(|(id, _)| id).collect();
+        let bootstrap = view.eligible_bootstraps()[1];
+        ChurnPlan {
+            departures: vec![members[0], members[members.len() / 2]],
+            joins: vec![JoinPlan { bootstrap }; 2],
+        }
+    }
+}
+
+#[test]
+fn lockstep_matches_the_reference_on_sends_to_non_members() {
+    const NODES: usize = 256; // 11 messages each: past the parallel threshold
+    const ROUNDS: u64 = 8;
+    let config = || {
+        let mut config = SimConfig::default()
+            .with_seed(29)
+            .with_parallel(true)
+            .with_churn_rules(ChurnRules {
+                max_events: Some(8),
+                window: 2,
+                bootstrap_rounds: 2,
+                ..ChurnRules::default()
+            });
+        config.record_digests = true;
+        config
+    };
+    let factory = || -> NodeFactory<Probe> { Box::new(|_, _| Probe::default()) };
+
+    let mut reference = Reference::new(config(), SteadyChurn, factory(), NODES as u64);
+    let mut queued = Vec::new();
+    for _ in 0..ROUNDS {
+        reference.step();
+        queued.push(reference.queued());
+    }
+    // The case list of the test, as the reference saw it: every kind of
+    // non-member got mail in the run.
+    let fates = &reference.fates;
+    assert!(fates.to_joiners > 0, "{fates:?}");
+    assert!(fates.to_departed > 0, "{fates:?}");
+    assert!(fates.to_nobody > 0, "{fates:?}");
+
+    for cap in [1usize, 2, 4] {
+        rayon::with_thread_cap(cap, || {
+            let mut lockstep = Simulator::new(config(), SteadyChurn, factory());
+            lockstep.seed_nodes(NODES);
+            for (t, expected) in reference.rows.iter().enumerate() {
+                lockstep.step();
+                assert_eq!(&last_row(&lockstep), expected, "cap {cap}, round {t}");
+                assert_eq!(
+                    lockstep.in_flight_count(),
+                    queued[t],
+                    "in flight after round {t}, cap {cap}"
+                );
+            }
+            let instant = NetModel::new(LatencyModel::constant(0));
+            let event =
+                EventSimulator::new(EventConfig::new(config(), instant), SteadyChurn, factory());
+            let event = rows_of(event, NODES, ROUNDS);
+            assert_eq!(event, reference.rows, "event, cap {cap}");
+        });
     }
 }
