@@ -9,16 +9,20 @@
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use tsa_bench::{finish, run_sweeps, workload_spec, ExpArgs};
-use tsa_scenario::ScenarioKind;
+use tsa_bench::{finish, run_sweeps, ExpArgs};
+use tsa_scenario::{ScenarioKind, ScenarioSpec};
 use tsa_sweep::SweepSpec;
 
 fn main() {
     let exp = "exp_ablation";
-    let args = ExpArgs::parse(exp, "ablation: swarm-radius c and replication r sweeps");
+    let args = ExpArgs::parse(
+        exp,
+        "ablation: swarm-radius c and replication r sweeps",
+        &[],
+    );
     let n = 256usize;
 
-    let mut base = workload_spec(ScenarioKind::Routing, n);
+    let mut base = ScenarioSpec::new(ScenarioKind::Routing, n);
     base.holder_failure = 0.25;
 
     let mut c_base = base.clone();

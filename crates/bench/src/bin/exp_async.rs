@@ -31,7 +31,7 @@
 
 use serde::Serialize;
 use tsa_analysis::{fmt_bool, fmt_f, Table};
-use tsa_bench::{experiment_spec, finish, run_sweeps, usage, ExpArgs};
+use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs, Extra};
 use tsa_scenario::{AdversarySpec, ChurnSpec, ExecutionModel, LatencyModel};
 use tsa_sweep::{RoundsSpec, SweepSpec};
 
@@ -77,43 +77,19 @@ fn regimes() -> Vec<ExecutionModel> {
 
 fn main() {
     let exp = "exp_async";
-    // `--smoke` is this binary's own flag; everything else is the shared
-    // experiment CLI.
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| {
-            if arg == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let about = "maintained-overlay survival and congestion across asynchronous \
-                 latency/jitter/loss regimes vs the synchronous baseline";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n  --smoke        CI-sized grid (a few seconds end to end)",
-                usage(exp, about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("{exp}: {message}\n\n{}", usage(exp, about));
-            std::process::exit(2);
-        }
-    };
+    let args = ExpArgs::parse(
+        exp,
+        "maintained-overlay survival and congestion across asynchronous \
+         latency/jitter/loss regimes vs the synchronous baseline",
+        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+    );
 
-    let (ns, survival_rounds, congestion_rounds, seeds): (&[usize], RoundsSpec, u64, u64) = if smoke
-    {
-        (&[48], RoundsSpec::MaturityAges(1), 4, 1)
-    } else {
-        (&[48, 96], RoundsSpec::MaturityAges(3), 6, 2)
-    };
+    let (ns, survival_rounds, congestion_rounds, seeds): (&[usize], RoundsSpec, u64, u64) =
+        if args.smoke {
+            (&[48], RoundsSpec::MaturityAges(1), 4, 1)
+        } else {
+            (&[48, 96], RoundsSpec::MaturityAges(3), 6, 2)
+        };
 
     let survival = SweepSpec::new("survival", experiment_spec(48))
         .over_n(ns.iter().copied())

@@ -35,12 +35,12 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use tsa_analysis::{fmt_bool, fmt_f, Table};
-use tsa_bench::{experiment_params, usage, write_bench_json_at, ExpArgs};
+use tsa_bench::{experiment_params, list_grid, publish, Compared, ExpArgs, Extra};
 use tsa_core::{
     AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams, MisbehaviorKind,
     NetMaintenanceHarness,
 };
-use tsa_scenario::{FaultAction, FaultPlan, FaultRule, LatencyModel, NetModel, RoundWindow};
+use tsa_scenario::{FaultPlan, LatencyModel, NetModel};
 use tsa_sim::NullAdversary;
 
 /// The milliseconds of wall clock one protocol round occupies on the
@@ -148,21 +148,6 @@ fn breaking_n(smoke: bool) -> usize {
     }
 }
 
-/// The mixed fault plan the twin cells run under: every action kind fires,
-/// so the cross-engine pin covers drop, delay, duplicate *and* mutate in one
-/// trace.
-fn twin_plan() -> FaultPlan {
-    FaultPlan::new()
-        .with_rule(
-            FaultRule::every(FaultAction::Drop)
-                .with_prob(0.04)
-                .in_window(RoundWindow::starting_at(2)),
-        )
-        .with_rule(FaultRule::every(FaultAction::Delay { ticks: 1500 }).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Mutate).with_prob(0.05))
-}
-
 /// Runs a round-engine maintained scenario and returns the harness.
 fn run_rounds(
     params: MaintenanceParams,
@@ -181,22 +166,12 @@ fn run_rounds(
     h
 }
 
-/// The byte-identity fingerprint of a run: final report plus every node
-/// snapshot.
-fn fingerprint(report: &impl Serialize, snapshots: &impl Serialize) -> String {
-    format!(
-        "{}|{}",
-        serde_json::to_string(report).expect("report serializes"),
-        serde_json::to_string(snapshots).expect("snapshots serialize"),
-    )
-}
-
 fn run_anchors(smoke: bool, seed: u64) -> AnchorDoc {
     let n = breaking_n(smoke);
     let rounds = 6;
     let params = experiment_params(n);
     let honest = run_rounds(params, seed, rounds);
-    let honest_print = fingerprint(&honest.report(), &honest.snapshots());
+    let honest_print = honest.fingerprint();
 
     let rounds_fraction_zero_matches_honest = MisbehaviorKind::ALL.iter().all(|&kind| {
         let byz = run_rounds(
@@ -204,44 +179,35 @@ fn run_anchors(smoke: bool, seed: u64) -> AnchorDoc {
             seed,
             rounds,
         );
-        fingerprint(&byz.report(), &byz.snapshots()) == honest_print
+        byz.fingerprint() == honest_print
     });
 
     // The event-engine anchors: zero delay is the round engine bit for bit,
     // so the empty plan / zero fraction must land exactly on the honest
     // report.
-    let zero_delay = NetModel::new(LatencyModel::constant(0));
-    let mut empty_plan = AsyncMaintenanceHarness::assemble(
-        params,
-        NullAdversary,
-        seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        zero_delay,
-    );
-    empty_plan.set_faults(FaultPlan::default());
-    empty_plan.run_bootstrap();
-    empty_plan.run(rounds);
-    let event_empty_plan_matches_honest =
-        fingerprint(&empty_plan.report(), &empty_plan.snapshots()) == honest_print;
+    let run_event = |params: MaintenanceParams, plan: Option<FaultPlan>| {
+        let mut h = AsyncMaintenanceHarness::assemble(
+            params,
+            NullAdversary,
+            seed,
+            params.paper_churn_rules(),
+            params.paper_lateness(),
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        if let Some(plan) = plan {
+            h.set_faults(plan);
+        }
+        h.run_bootstrap();
+        h.run(rounds);
+        h
+    };
+    let empty_plan = run_event(params, Some(FaultPlan::default()));
+    let event_empty_plan_matches_honest = empty_plan.fingerprint() == honest_print;
     let empty_plan_injects_nothing = empty_plan.fault_stats().total() == 0;
 
-    let mut zero_fraction = AsyncMaintenanceHarness::assemble(
-        params.with_byzantine(ByzantineSpec::fraction(
-            0,
-            DEN,
-            MisbehaviorKind::BogusReplies,
-        )),
-        NullAdversary,
-        seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        zero_delay,
-    );
-    zero_fraction.run_bootstrap();
-    zero_fraction.run(rounds);
-    let event_fraction_zero_matches_honest =
-        fingerprint(&zero_fraction.report(), &zero_fraction.snapshots()) == honest_print;
+    let zero = ByzantineSpec::fraction(0, DEN, MisbehaviorKind::BogusReplies);
+    let zero_fraction = run_event(params.with_byzantine(zero), None);
+    let event_fraction_zero_matches_honest = zero_fraction.fingerprint() == honest_print;
 
     AnchorDoc {
         rounds_fraction_zero_matches_honest,
@@ -289,12 +255,9 @@ fn run_breaking(smoke: bool, seed: u64) -> Vec<BreakingRow> {
         .collect()
 }
 
-fn run_twins(smoke: bool) -> Vec<TwinCell> {
-    let n = 16;
-    let measured = 4;
-    let params = experiment_params(n);
-    let plan = twin_plan();
-    let kinds: &[(MisbehaviorKind, u64)] = if smoke {
+/// The `(misbehavior kind, seed)` cells of the transport-vs-twin check.
+fn twin_kinds(smoke: bool) -> &'static [(MisbehaviorKind, u64)] {
+    if smoke {
         &[
             (MisbehaviorKind::SelectiveForward, 17),
             (MisbehaviorKind::ForgedPosition, 23),
@@ -306,8 +269,17 @@ fn run_twins(smoke: bool) -> Vec<TwinCell> {
             (MisbehaviorKind::SelectiveForward, 17),
             (MisbehaviorKind::BogusReplies, 29),
         ]
-    };
-    kinds
+    }
+}
+
+fn run_twins(smoke: bool) -> Vec<TwinCell> {
+    let n = 16;
+    let measured = 4;
+    let params = experiment_params(n);
+    // The mixed plan: every action kind fires, so the cross-engine pin
+    // covers drop, delay, duplicate *and* mutate in one trace.
+    let plan = FaultPlan::mixed();
+    twin_kinds(smoke)
         .iter()
         .map(|&(kind, seed)| {
             let byz_params = params.with_byzantine(ByzantineSpec::fraction(1, 8, kind));
@@ -322,23 +294,12 @@ fn run_twins(smoke: bool) -> Vec<TwinCell> {
             );
             real.set_faults(plan.clone());
             real.run(total_rounds);
-            let stats = real.net_stats();
-            let trace = real.trace();
-            let trace_complete = trace.len() as u64 == stats.sent;
+            let trace_complete = real.trace().len() as u64 == real.net_stats().sent;
 
-            let mut twin = AsyncMaintenanceHarness::assemble_replay(
-                byz_params,
-                NullAdversary,
-                seed,
-                byz_params.paper_churn_rules(),
-                byz_params.paper_lateness(),
-                trace,
-            );
-            twin.set_faults(plan.clone());
+            let mut twin = real.twin(NullAdversary);
             twin.run(total_rounds);
-            let outcome_match = real.runner().member_ids() == twin.simulator().member_ids()
-                && fingerprint(&real.report(), &real.snapshots())
-                    == fingerprint(&twin.report(), &twin.snapshots());
+            let outcome_match =
+                real.member_ids() == twin.member_ids() && real.fingerprint() == twin.fingerprint();
             let fault_stats_match = real.fault_stats() == twin.fault_stats();
             TwinCell {
                 kind: kind.label().to_string(),
@@ -356,56 +317,32 @@ fn run_twins(smoke: bool) -> Vec<TwinCell> {
 
 fn main() {
     let exp = "exp_byzantine";
-    // `--smoke` is this binary's own flag; everything else is the shared
-    // experiment CLI.
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| {
-            if arg == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let about = "byzantine misbehavior and injected faults: zero-fraction anchors, \
-                 per-kind breaking points of the swarm property, and the cross-engine \
-                 fault twin";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n  --smoke        CI-sized grid (under a minute end to end)",
-                usage(exp, about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("{exp}: {message}\n\n{}", usage(exp, about));
-            std::process::exit(2);
-        }
-    };
+    let args = ExpArgs::parse(
+        exp,
+        "byzantine misbehavior and injected faults: zero-fraction anchors, \
+         per-kind breaking points of the swarm property, and the cross-engine \
+         fault twin",
+        &[Extra::Smoke("CI-sized grid (under a minute end to end)")],
+    );
+    let smoke = args.smoke;
 
     if args.list {
-        // This experiment is not sweep-driven, so it lists its own grid.
-        let nums = fraction_nums(smoke);
-        println!(
-            "{exp}: {} anchor checks, {} breaking cells, {} twin cells",
-            2 + MisbehaviorKind::ALL.len(),
-            MisbehaviorKind::ALL.len() * nums.len(),
-            if smoke { 2 } else { 4 },
-        );
-        for kind in MisbehaviorKind::ALL {
-            for num in &nums {
-                println!(
-                    "  breaking n={} kind={} byz={num}/{DEN}",
+        let breaking = MisbehaviorKind::ALL.iter().flat_map(|kind| {
+            fraction_nums(smoke).into_iter().map(move |num| {
+                format!(
+                    "breaking n={} kind={} byz={num}/{DEN}",
                     breaking_n(smoke),
                     kind.label()
-                );
-            }
-        }
+                )
+            })
+        });
+        let twins = twin_kinds(smoke)
+            .iter()
+            .map(|(kind, seed)| format!("twin kind={} seed={seed}", kind.label()));
+        println!(
+            "{}",
+            list_grid(exp, &breaking.chain(twins).collect::<Vec<_>>())
+        );
         return;
     }
 
@@ -489,47 +426,10 @@ fn main() {
             twins,
         },
     };
-    let artifact_path = match &args.out {
-        Some(dir) => {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: could not create {}: {err}", dir.display());
-            }
-            dir.join(format!("BENCH_{exp}.json"))
-        }
-        None => std::path::PathBuf::from(format!("BENCH_{exp}.json")),
-    };
     // This artifact carries no timing section — it is machine-invariant in
-    // full, so the compare gate is whole-file byte equality. A committed
-    // artifact of the other grid shape (full vs --smoke) is no baseline.
-    let committed = args.compare.then(|| {
-        std::fs::read_to_string(&artifact_path).ok().filter(|text| {
-            serde_json::parse_value(text)
-                .ok()
-                .and_then(|v| v.get("smoke").and_then(|s| s.as_bool()))
-                == Some(smoke)
-        })
-    });
-    write_bench_json_at(&artifact_path, &doc);
-    if let Some(committed) = committed {
-        let fresh = std::fs::read_to_string(&artifact_path).unwrap_or_default();
-        let report = tsa_bench::compare_artifact(exp, committed.as_deref(), &fresh);
-        match tsa_bench::compare::append_trajectory(
-            args.out.as_deref(),
-            exp,
-            report.det_match,
-            fresh.len() as u64,
-            Vec::new(),
-        ) {
-            Ok(path) => println!("[{exp}] trajectory row appended to {}", path.display()),
-            Err(err) => eprintln!("warning: could not append trajectory row: {err}"),
-        }
-        println!("{}", report.render());
-        if !report.det_match {
-            std::process::exit(1);
-        }
-    }
-    if !all_match {
-        eprintln!("{exp}: an anchor or twin check failed");
-        std::process::exit(1);
-    }
+    // full, so the compare gate is whole-file byte equality.
+    let verdict = all_match
+        .then_some(())
+        .ok_or_else(|| "an anchor or twin check failed".to_string());
+    publish(exp, &args, &doc, Compared::Whole, Vec::new(), verdict);
 }

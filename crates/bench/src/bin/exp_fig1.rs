@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use tsa_analysis::{fmt_f, Summary, Table};
-use tsa_bench::{write_bench_json_at, ExpArgs};
+use tsa_bench::{publish, Compared, ExpArgs};
 use tsa_overlay::{Lds, OverlayParams, Position};
 use tsa_sim::NodeId;
 
@@ -31,10 +31,12 @@ struct Fig1Row {
 fn main() {
     // Structure-level measurement (no scenarios to sweep); the shared flags
     // still apply for --out/--help uniformity across the exp_* binaries.
+    let exp = "exp_fig1";
     let args = ExpArgs::parse(
-        "exp_fig1",
+        exp,
         "Figure 1: LDS neighbourhood structure, measured (structure-level, \
          no scenario sweep: --full and --threads are accepted but no-ops)",
+        &[],
     );
     let mut rows: Vec<Fig1Row> = Vec::new();
     let mut table = Table::new(
@@ -108,37 +110,7 @@ fn main() {
          and around both de Bruijn images of its position (long-distance edges), so every\n\
          swarm is adjacent to its image swarms — the structure sketched in Figure 1."
     );
-    let exp = "exp_fig1";
-    let artifact_path = match &args.out {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("output directory is creatable");
-            dir.join(format!("BENCH_{exp}.json"))
-        }
-        None => std::path::PathBuf::from(format!("BENCH_{exp}.json")),
-    };
     // Fixed seeds, one grid, no timing section: the artifact is machine-
-    // invariant in full, so the compare gate is whole-file byte equality.
-    let committed = args
-        .compare
-        .then(|| std::fs::read_to_string(&artifact_path).ok())
-        .flatten();
-    write_bench_json_at(&artifact_path, &rows);
-    if args.compare {
-        let fresh = std::fs::read_to_string(&artifact_path).unwrap_or_default();
-        let report = tsa_bench::compare_artifact(exp, committed.as_deref(), &fresh);
-        match tsa_bench::compare::append_trajectory(
-            args.out.as_deref(),
-            exp,
-            report.det_match,
-            fresh.len() as u64,
-            Vec::new(),
-        ) {
-            Ok(path) => println!("[{exp}] trajectory row appended to {}", path.display()),
-            Err(err) => eprintln!("warning: could not append trajectory row: {err}"),
-        }
-        println!("{}", report.render());
-        if !report.det_match {
-            std::process::exit(1);
-        }
-    }
+    // invariant in full.
+    publish(exp, &args, &rows, Compared::Whole, Vec::new(), Ok(()));
 }

@@ -19,6 +19,7 @@ fn main() {
     let args = ExpArgs::parse(
         exp,
         "Theorem 14: routability, connect load and congestion under churn",
+        &[],
     );
 
     let churn = SweepSpec::new("churn", experiment_spec(48))

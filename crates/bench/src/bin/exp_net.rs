@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use tsa_adversary::{RandomChurnAdversary, TargetedSwarmAdversary};
 use tsa_analysis::{fmt_bool, fmt_f, Table};
-use tsa_bench::{experiment_params, usage, write_bench_json, write_bench_json_at, ExpArgs};
-use tsa_core::{AsyncMaintenanceHarness, NetMaintenanceHarness};
+use tsa_bench::{experiment_params, list_grid, publish, Compared, ExpArgs, Extra};
+use tsa_core::NetMaintenanceHarness;
 use tsa_sim::{Adversary, NullAdversary};
 
 /// One cell of the grid: an adversary regime at a network size and seed.
@@ -115,54 +115,25 @@ struct TimingDoc {
     cells: Vec<TimingCell>,
 }
 
+/// The grid; `--smoke` runs its first three cells (`n = 16`).
 fn grid(smoke: bool) -> Vec<NetCell> {
+    let cell = |label, adversary, n, rounds, seed| NetCell {
+        label,
+        adversary,
+        n,
+        rounds,
+        seed,
+    };
     let mut cells = vec![
-        NetCell {
-            label: "null",
-            adversary: AdvKind::Null,
-            n: 16,
-            rounds: 4,
-            seed: 17,
-        },
-        NetCell {
-            label: "random-churn",
-            adversary: AdvKind::Random(2),
-            n: 16,
-            rounds: 6,
-            seed: 5,
-        },
-        NetCell {
-            label: "targeted-swarm",
-            adversary: AdvKind::Targeted(2),
-            n: 16,
-            rounds: 6,
-            seed: 7,
-        },
+        cell("null", AdvKind::Null, 16, 4, 17),
+        cell("random-churn", AdvKind::Random(2), 16, 6, 5),
+        cell("targeted-swarm", AdvKind::Targeted(2), 16, 6, 7),
+        cell("null", AdvKind::Null, 32, 6, 17),
+        cell("random-churn", AdvKind::Random(3), 32, 8, 42),
+        cell("targeted-swarm", AdvKind::Targeted(2), 32, 8, 31),
     ];
-    if !smoke {
-        cells.extend([
-            NetCell {
-                label: "null",
-                adversary: AdvKind::Null,
-                n: 32,
-                rounds: 6,
-                seed: 17,
-            },
-            NetCell {
-                label: "random-churn",
-                adversary: AdvKind::Random(3),
-                n: 32,
-                rounds: 8,
-                seed: 42,
-            },
-            NetCell {
-                label: "targeted-swarm",
-                adversary: AdvKind::Targeted(2),
-                n: 32,
-                rounds: 8,
-                seed: 31,
-            },
-        ]);
+    if smoke {
+        cells.truncate(3);
     }
     cells
 }
@@ -189,23 +160,12 @@ fn run_cell<A: Adversary>(
 
     let stats = real.net_stats();
     let wire = real.wire_stats();
-    let trace = real.trace();
-    let trace_complete = trace.len() as u64 == stats.sent;
+    let trace_complete = real.trace().len() as u64 == stats.sent;
 
-    let mut twin = AsyncMaintenanceHarness::assemble_replay(
-        params,
-        make_adversary(),
-        cell.seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        trace,
-    );
+    let mut twin = real.twin(make_adversary());
     twin.run(total_rounds);
-    let outcome_match = real.runner().member_ids() == twin.simulator().member_ids()
-        && serde_json::to_string(&real.report()).unwrap()
-            == serde_json::to_string(&twin.report()).unwrap()
-        && serde_json::to_string(&real.snapshots()).unwrap()
-            == serde_json::to_string(&twin.snapshots()).unwrap();
+    let outcome_match =
+        real.member_ids() == twin.member_ids() && real.fingerprint() == twin.fingerprint();
     let sent_matches_twin = twin.net_stats().sent == stats.sent;
 
     let secs = elapsed.as_secs_f64().max(1e-9);
@@ -242,48 +202,26 @@ fn run_cell<A: Adversary>(
 
 fn main() {
     let exp = "exp_net";
-    // `--smoke` is this binary's own flag; everything else is the shared
-    // experiment CLI.
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| {
-            if arg == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let about = "the maintained overlay over loopback TCP: wall-clock throughput, bytes \
-                 on the wire, and the deterministic-twin replay check";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n  --smoke        CI-sized grid (a few seconds end to end)",
-                usage(exp, about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("{exp}: {message}\n\n{}", usage(exp, about));
-            std::process::exit(2);
-        }
-    };
+    let args = ExpArgs::parse(
+        exp,
+        "the maintained overlay over loopback TCP: wall-clock throughput, bytes \
+         on the wire, and the deterministic-twin replay check",
+        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+    );
 
-    let cells = grid(smoke);
+    let cells = grid(args.smoke);
     if args.list {
-        // This experiment is not sweep-driven, so it lists its own grid.
-        println!("{exp}: 1 grid, {} cell(s)", cells.len());
-        for (i, cell) in cells.iter().enumerate() {
-            let rounds = experiment_params(cell.n).bootstrap_rounds() + cell.rounds;
-            println!(
-                "  [{i:>3}] net n={} adv={} seed={} rounds={rounds} round_ms={ROUND_MS}",
-                cell.n, cell.label, cell.seed
-            );
-        }
+        let labels: Vec<String> = cells
+            .iter()
+            .map(|cell| {
+                let rounds = experiment_params(cell.n).bootstrap_rounds() + cell.rounds;
+                format!(
+                    "net n={} adv={} seed={} rounds={rounds} round_ms={ROUND_MS}",
+                    cell.n, cell.label, cell.seed
+                )
+            })
+            .collect();
+        println!("{}", list_grid(exp, &labels));
         return;
     }
 
@@ -337,24 +275,22 @@ fn main() {
         .all(|d| d.outcome_match && d.trace_complete && d.sent_matches_twin);
     let doc = NetDoc {
         exp: exp.to_string(),
-        smoke,
+        smoke: args.smoke,
         deterministic: DeterministicDoc {
             all_match,
             cells: deterministic,
         },
         timing: TimingDoc { cells: timing },
     };
-    match &args.out {
-        Some(dir) => {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: could not create {}: {err}", dir.display());
-            }
-            write_bench_json_at(&dir.join(format!("BENCH_{exp}.json")), &doc);
-        }
-        None => write_bench_json(exp, &doc),
-    }
-    if !all_match {
-        eprintln!("{exp}: a transport run diverged from its deterministic twin");
-        std::process::exit(1);
-    }
+    let verdict = all_match
+        .then_some(())
+        .ok_or_else(|| "a transport run diverged from its deterministic twin".to_string());
+    publish(
+        exp,
+        &args,
+        &doc,
+        Compared::Section("deterministic"),
+        Vec::new(),
+        verdict,
+    );
 }

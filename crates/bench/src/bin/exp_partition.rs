@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use tsa_analysis::{fmt_bool, Table};
-use tsa_bench::{experiment_params, experiment_spec, finish, run_sweeps, usage, ExpArgs};
+use tsa_bench::{experiment_params, experiment_spec, finish, run_sweeps, ExpArgs, Extra};
 use tsa_core::AsyncMaintenanceHarness;
 use tsa_obs::{ObsHandle, ObsRecorder};
 use tsa_scenario::{
@@ -219,42 +219,20 @@ fn probe(n: usize, seed: u64, label: &str, net: NetModel, duration: u64) -> Prob
 
 fn main() {
     let exp = "exp_partition";
-    // `--smoke` is this binary's own flag; everything else is the shared
-    // experiment CLI.
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| {
-            if arg == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let about = "overlay survival and healing across a partial partition: two halves of \
-                 the id space joined by a slow, lossy, scheduled bridge";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n  --smoke        CI-sized grid (a few seconds end to end)",
-                usage(exp, about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("{exp}: {message}\n\n{}", usage(exp, about));
-            std::process::exit(2);
-        }
-    };
+    let args = ExpArgs::parse(
+        exp,
+        "overlay survival and healing across a partial partition: two halves of \
+         the id space joined by a slow, lossy, scheduled bridge",
+        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+    );
+    let smoke = args.smoke;
 
     let n = 48usize;
     let boot = experiment_params(n).bootstrap_rounds();
+    let regions = |net: NetModel, schedule: PartitionSchedule| {
+        Topology::regions_with_schedule(halves(n), intra(), net, schedule)
+    };
     let permanent = PartitionSchedule::starting_at(boot);
-    let regions =
-        |net: NetModel| Topology::regions_with_schedule(halves(n), intra(), net, permanent);
 
     // Part 1 — the bridge grid: intact baseline + bridge latency × loss,
     // partition permanent from the end of bootstrap.
@@ -271,7 +249,7 @@ fn main() {
     let mut bridge_topologies = vec![Topology::global(intra())];
     for &ticks in latencies {
         for &loss in losses {
-            bridge_topologies.push(regions(bridge(ticks, loss)));
+            bridge_topologies.push(regions(bridge(ticks, loss), permanent));
         }
     }
     let bridge_sweep = SweepSpec::new("bridge", experiment_spec(n))
@@ -286,16 +264,9 @@ fn main() {
     let severe = bridge(2500, 0.5);
     let mut healing_topologies: Vec<Topology> = durations
         .iter()
-        .map(|&d| {
-            Topology::regions_with_schedule(
-                halves(n),
-                intra(),
-                severe,
-                PartitionSchedule::window(boot, boot + d),
-            )
-        })
+        .map(|&d| regions(severe, PartitionSchedule::window(boot, boot + d)))
         .collect();
-    healing_topologies.push(regions(severe));
+    healing_topologies.push(regions(severe, permanent));
     let healing_sweep = SweepSpec::new("healing", experiment_spec(n))
         .over_churn([ChurnSpec::fraction(1, 4)])
         .over_adversaries([AdversarySpec::random(1, 223)])
@@ -306,28 +277,8 @@ fn main() {
     let runs = run_sweeps(exp, &args, vec![bridge_sweep, healing_sweep]);
 
     // Part 3 — the round-by-round reconnection probe.
-    let severities: &[(&str, NetModel)] = if smoke {
-        &[(
-            "cut",
-            NetModel {
-                latency: LatencyModel::constant(1000),
-                jitter: 0,
-                loss: 1.0,
-            },
-        )]
-    } else {
-        &[
-            (
-                "cut",
-                NetModel {
-                    latency: LatencyModel::constant(1000),
-                    jitter: 0,
-                    loss: 1.0,
-                },
-            ),
-            ("slow", bridge(2500, 0.5)),
-        ]
-    };
+    let severities = [("cut", bridge(1000, 1.0)), ("slow", bridge(2500, 0.5))];
+    let severities = &severities[..if smoke { 1 } else { 2 }];
     let probe_durations: &[u64] = if smoke {
         &[2, 6]
     } else {

@@ -35,7 +35,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use tsa_bench::compare::BandOutcome;
-use tsa_bench::{experiment_scenario, usage, write_bench_json_at, ExpArgs};
+use tsa_bench::{committed_baseline, experiment_scenario, publish, Compared, ExpArgs, Extra};
 use tsa_core::ProtocolMsg;
 use tsa_event::queue::{CalendarQueue, Pending};
 use tsa_event::{EventConfig, EventSimulator, LatencyModel, NetModel};
@@ -132,12 +132,14 @@ impl Process for Flood {
     }
 }
 
-/// Folds a finished run's metrics into a [`PerfRow`].
-#[allow(clippy::too_many_arguments)]
+/// Folds a finished run's metrics into a [`PerfRow`]. Called inside the
+/// cell's `with_thread_cap` scope, so `threads` records the budget actually
+/// in effect: a cap can only lower the ambient TSA_THREADS/cores budget,
+/// never raise it (the grid is pre-filtered to the ambient budget, but the
+/// row stays honest either way).
 fn finish_row(
     workload: &'static str,
     n: usize,
-    threads: usize,
     warmup_rounds: u64,
     rounds: u64,
     wall_secs: f64,
@@ -156,7 +158,7 @@ fn finish_row(
     PerfRow {
         workload,
         n,
-        threads,
+        threads: rayon::current_num_threads(),
         warmup_rounds,
         rounds,
         wall_ms: wall_secs * 1e3,
@@ -172,35 +174,32 @@ fn finish_row(
     }
 }
 
-fn measure_flood(n: usize, threads: usize, rounds: u64) -> PerfRow {
-    rayon::with_thread_cap(threads, || {
-        // Record the budget actually in effect under the cap: a cap can only
-        // lower the ambient TSA_THREADS/cores budget, never raise it, so
-        // this is what really ran (the grid is pre-filtered to the ambient
-        // budget, but the row stays honest either way).
-        let actual_threads = rayon::current_num_threads();
-        let config = SimConfig::default()
-            .with_seed(5)
-            .with_history_window(8)
-            .with_parallel(true);
-        let mut sim = Simulator::new(config, NullAdversary, Box::new(|_, _| Flood));
-        sim.seed_nodes(n);
-        let warmup = 2u64;
-        sim.run(warmup); // reach buffer steady state before timing
-        let t0 = Instant::now();
-        sim.run(rounds);
-        let wall = t0.elapsed().as_secs_f64();
-        finish_row(
-            "engine_flood",
-            n,
-            actual_threads,
-            warmup,
-            rounds,
-            wall,
-            sim.metrics(),
-            std::mem::size_of::<SimEnvelope<u64>>(),
-        )
-    })
+/// The synthetic-flood workloads share one engine configuration.
+fn flood_config(seed: u64) -> SimConfig {
+    SimConfig::default()
+        .with_seed(seed)
+        .with_history_window(8)
+        .with_parallel(true)
+}
+
+fn measure_flood(n: usize, rounds: u64) -> PerfRow {
+    let mut sim = Simulator::new(flood_config(5), NullAdversary, Box::new(|_, _| Flood));
+    sim.seed_nodes(n);
+    let warmup = 2u64;
+    sim.run(warmup); // reach buffer steady state before timing
+    let t0 = Instant::now();
+    sim.run(rounds);
+    let wall = t0.elapsed().as_secs_f64();
+    let envelope = std::mem::size_of::<SimEnvelope<u64>>();
+    finish_row(
+        "engine_flood",
+        n,
+        warmup,
+        rounds,
+        wall,
+        sim.metrics(),
+        envelope,
+    )
 }
 
 /// Direct cost of one calendar-queue operation, in nanoseconds: a
@@ -238,113 +237,86 @@ fn measure_queue_op_ns() -> f64 {
     t0.elapsed().as_nanos() as f64 / ops as f64
 }
 
-fn measure_event_loop(n: usize, threads: usize, rounds: u64) -> PerfRow {
-    rayon::with_thread_cap(threads, || {
-        let actual_threads = rayon::current_num_threads();
-        // Lossy, jittery, multi-round latencies: the configuration the async
-        // experiments run the event engine under, so the queue sees real
-        // boundary straddling and the fate path real loss coins.
-        let net = NetModel {
-            latency: LatencyModel::uniform(100, 2600),
-            jitter: 300,
-            loss: 0.02,
-        };
-        let sim = SimConfig::default()
-            .with_seed(11)
-            .with_history_window(8)
-            .with_parallel(true);
-        let config = EventConfig::new(sim, net);
-        let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Flood));
-        sim.seed_nodes(n);
-        let warmup = 2u64;
-        sim.run(warmup);
-        let before = sim.net_stats();
-        let in_flight_before = sim.in_flight_count() as i128;
-        let t0 = Instant::now();
-        sim.run(rounds);
-        let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        let after = sim.net_stats();
-        let in_flight_after = sim.in_flight_count() as i128;
-        // Events popped over the window: everything enqueued in it (sent
-        // minus lost minus churn drops), corrected by the queue-depth delta.
-        let enqueued = (after.sent - after.lost - after.dropped_departed) as i128
-            - (before.sent - before.lost - before.dropped_departed) as i128;
-        let popped = (enqueued + in_flight_before - in_flight_after).max(0) as u64;
-        let mut row = finish_row(
+fn measure_event_loop(n: usize, rounds: u64) -> PerfRow {
+    // Lossy, jittery, multi-round latencies: the configuration the async
+    // experiments run the event engine under, so the queue sees real
+    // boundary straddling and the fate path real loss coins.
+    let net = NetModel {
+        latency: LatencyModel::uniform(100, 2600),
+        jitter: 300,
+        loss: 0.02,
+    };
+    let config = EventConfig::new(flood_config(11), net);
+    let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Flood));
+    sim.seed_nodes(n);
+    let warmup = 2u64;
+    sim.run(warmup);
+    let before = sim.net_stats();
+    let in_flight_before = sim.in_flight_count() as i128;
+    let t0 = Instant::now();
+    sim.run(rounds);
+    let wall = t0.elapsed().as_secs_f64().max(1e-9);
+    let after = sim.net_stats();
+    let in_flight_after = sim.in_flight_count() as i128;
+    // Events popped over the window: everything enqueued in it (sent
+    // minus lost minus churn drops), corrected by the queue-depth delta.
+    let enqueued = (after.sent - after.lost - after.dropped_departed) as i128
+        - (before.sent - before.lost - before.dropped_departed) as i128;
+    let popped = (enqueued + in_flight_before - in_flight_after).max(0) as u64;
+    let envelope = std::mem::size_of::<SimEnvelope<u64>>();
+    PerfRow {
+        events_per_sec: Some(popped as f64 / wall),
+        queue_op_ns: Some(measure_queue_op_ns()),
+        peak_queue_depth: Some(sim.peak_queue_depth()),
+        ..finish_row(
             "event_loop",
             n,
-            actual_threads,
             warmup,
             rounds,
             wall,
             sim.metrics(),
-            std::mem::size_of::<SimEnvelope<u64>>(),
-        );
-        row.events_per_sec = Some(popped as f64 / wall);
-        row.queue_op_ns = Some(measure_queue_op_ns());
-        row.peak_queue_depth = Some(sim.peak_queue_depth());
-        row
-    })
+            envelope,
+        )
+    }
 }
 
-fn measure_maintained(n: usize, threads: usize, rounds: u64) -> PerfRow {
-    rayon::with_thread_cap(threads, || {
-        let actual_threads = rayon::current_num_threads();
-        let mut run = experiment_scenario(n)
-            .churn(ChurnSpec::paper())
-            .adversary(AdversarySpec::random(1, 13))
-            .seed(29)
-            .build();
-        let warmup = run.params().bootstrap_rounds();
-        run.run_bootstrap();
-        let t0 = Instant::now();
-        run.run(rounds);
-        let wall = t0.elapsed().as_secs_f64();
-        finish_row(
-            "maintained_lds",
-            n,
-            actual_threads,
-            warmup,
-            rounds,
-            wall,
-            run.metrics(),
-            std::mem::size_of::<SimEnvelope<ProtocolMsg>>(),
-        )
-    })
+fn measure_maintained(n: usize, rounds: u64) -> PerfRow {
+    let mut run = experiment_scenario(n)
+        .churn(ChurnSpec::paper())
+        .adversary(AdversarySpec::random(1, 13))
+        .seed(29)
+        .build();
+    let warmup = run.params().bootstrap_rounds();
+    run.run_bootstrap();
+    let t0 = Instant::now();
+    run.run(rounds);
+    let wall = t0.elapsed().as_secs_f64();
+    let envelope = std::mem::size_of::<SimEnvelope<ProtocolMsg>>();
+    finish_row(
+        "maintained_lds",
+        n,
+        warmup,
+        rounds,
+        wall,
+        run.metrics(),
+        envelope,
+    )
 }
+
+/// One workload of the grid: how to measure a cell, at which sizes, for how
+/// many timed rounds.
+type Workload = (fn(usize, u64) -> PerfRow, &'static [usize], u64);
 
 fn main() {
-    // `--smoke` is this binary's own flag; everything else is the shared
-    // experiment CLI (--full is accepted but a no-op: the grid has no raw
-    // histories to keep).
-    let mut smoke = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|arg| {
-            if arg == "--smoke" {
-                smoke = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let about = "round-loop throughput (rounds/sec, peak-memory proxy) across \
-                 workload × n × threads; --smoke runs a seconds-long CI-sized grid";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n  --smoke        CI-sized grid (a few seconds end to end)",
-                usage("exp_perf", about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("exp_perf: {message}\n\n{}", usage("exp_perf", about));
-            std::process::exit(2);
-        }
-    };
+    // --full is accepted but a no-op: the grid has no raw histories to keep.
+    let exp = "exp_perf";
+    let args = ExpArgs::parse(
+        exp,
+        "round-loop throughput (rounds/sec, peak-memory proxy) across \
+         workload × n × threads; --smoke runs a seconds-long CI-sized grid",
+        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+    );
+    let smoke = args.smoke;
 
     // The per-cell thread budget is applied with `with_thread_cap`, which
     // can only *lower* the ambient TSA_THREADS/cores budget — so `--threads`
@@ -352,20 +324,18 @@ fn main() {
     // dropped rather than run mislabeled.
     let ambient = rayon::current_num_threads();
     let machine_threads = args.threads.map_or(ambient, |t| t.min(ambient));
-    let (flood_sizes, flood_rounds): (&[usize], u64) = if smoke {
-        (&[256], 5)
+    let grid: [Workload; 3] = if smoke {
+        [
+            (measure_flood, &[256], 5),
+            (measure_event_loop, &[256], 5),
+            (measure_maintained, &[48, 64], 3),
+        ]
     } else {
-        (&[256, 1024, 4096], 30)
-    };
-    let (event_sizes, event_rounds): (&[usize], u64) = if smoke {
-        (&[256], 5)
-    } else {
-        (&[256, 1024, 4096], 30)
-    };
-    let (maintained_sizes, maintained_rounds): (&[usize], u64) = if smoke {
-        (&[48, 64], 3)
-    } else {
-        (&[64, 128, 256], 10)
+        [
+            (measure_flood, &[256, 1024, 4096], 30),
+            (measure_event_loop, &[256, 1024, 4096], 30),
+            (measure_maintained, &[64, 128, 256], 10),
+        ]
     };
     let mut thread_grid: Vec<usize> = if smoke {
         vec![1, 2]
@@ -378,36 +348,19 @@ fn main() {
 
     let mut rows = Vec::new();
     println!(
-        "exp_perf{}: flood n ∈ {flood_sizes:?} × event n ∈ {event_sizes:?} × \
-         maintained n ∈ {maintained_sizes:?} × threads ∈ {thread_grid:?}",
+        "exp_perf{}: flood n ∈ {:?} × event n ∈ {:?} × maintained n ∈ {:?} × \
+         threads ∈ {thread_grid:?}",
         if smoke { " (smoke)" } else { "" },
+        grid[0].1,
+        grid[1].1,
+        grid[2].1,
     );
-    let cells = flood_sizes
+    let cells = grid
         .iter()
-        .map(|&n| {
-            (
-                n,
-                flood_rounds,
-                measure_flood as fn(usize, usize, u64) -> PerfRow,
-            )
-        })
-        .chain(event_sizes.iter().map(|&n| {
-            (
-                n,
-                event_rounds,
-                measure_event_loop as fn(usize, usize, u64) -> PerfRow,
-            )
-        }))
-        .chain(maintained_sizes.iter().map(|&n| {
-            (
-                n,
-                maintained_rounds,
-                measure_maintained as fn(usize, usize, u64) -> PerfRow,
-            )
-        }));
-    for (n, rounds, measure) in cells {
+        .flat_map(|&(measure, sizes, rounds)| sizes.iter().map(move |&n| (measure, n, rounds)));
+    for (measure, n, rounds) in cells {
         for &threads in &thread_grid {
-            let row = measure(n, threads, rounds);
+            let row = rayon::with_thread_cap(threads, || measure(n, rounds));
             println!(
                 "  {:<14} n = {n:>5}, threads = {threads}: {:>9.1} rounds/s, \
                  {:>12.0} msgs/s, peak in-flight {:>8} msgs, VmHWM {} kB",
@@ -431,25 +384,32 @@ fn main() {
     }
 
     let doc = PerfDoc {
-        exp: "exp_perf",
+        exp,
         smoke,
         machine_threads,
         rows,
     };
-    let artifact_path = match &args.out {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("output directory is creatable");
-            dir.join("BENCH_exp_perf.json")
+    // A timing-only artifact: nothing in it is byte-stable, so the gate is
+    // the throughput band against the committed rows, handed in as the
+    // verdict; the fresh throughputs ride along as the trajectory metrics.
+    let verdict = match committed_baseline(exp, &args) {
+        Some(committed) => band_verdict(&committed, &doc),
+        None => {
+            if args.compare {
+                println!("{exp}: no comparable committed artifact (baseline seeded)");
+            }
+            Ok(())
         }
-        None => std::path::PathBuf::from("BENCH_exp_perf.json"),
     };
-    let committed = args
-        .compare
-        .then(|| std::fs::read_to_string(&artifact_path).ok());
-    write_bench_json_at(&artifact_path, &doc);
-    if let Some(committed) = committed {
-        compare_trajectory(&args, committed.as_deref(), &doc);
-    }
+    let metrics = doc
+        .rows
+        .iter()
+        .map(|r| tsa_dash::MetricPoint {
+            name: format!("rounds_per_sec[{} n={} t={}]", r.workload, r.n, r.threads),
+            value: r.rounds_per_sec,
+        })
+        .collect();
+    publish(exp, &args, &doc, Compared::Nothing, metrics, verdict);
 }
 
 /// Relative tolerance on `rounds_per_sec` for the `--compare` band: wall
@@ -462,92 +422,51 @@ const PERF_BAND: f64 = 0.5;
 /// there would gate on noise.
 const PERF_BAND_MIN_WALL_MS: f64 = 100.0;
 
-/// The `--compare` gate for a timing-only artifact: every committed
+/// The `--compare` band of a timing-only artifact: every committed
 /// `(workload, n, threads)` row's `rounds_per_sec` must land within
-/// [`PERF_BAND`] of the fresh run's, and one machine-tagged trajectory row
-/// records the fresh throughputs either way. Exits non-zero on a band
-/// violation. A committed artifact of the other grid shape (full vs
-/// `--smoke`) is no baseline.
-fn compare_trajectory(args: &ExpArgs, committed: Option<&str>, doc: &PerfDoc) {
-    let committed = committed
-        .and_then(|text| serde_json::parse_value(text).ok())
-        .filter(|v| v.get("smoke").and_then(|s| s.as_bool()) == Some(doc.smoke));
+/// [`PERF_BAND`] of the fresh run's. Prints what it banded and what it
+/// skipped; `Err` lists the violations.
+fn band_verdict(committed: &str, doc: &PerfDoc) -> Result<(), String> {
+    let committed = serde_json::parse_value(committed).ok();
+    let rows = committed.as_ref().and_then(|v| v.get("rows")?.as_array());
     let mut violations = Vec::new();
     let mut skipped = Vec::new();
     let mut compared = 0usize;
-    if let Some(rows) = committed
-        .as_ref()
-        .and_then(|v| v.get("rows"))
-        .and_then(|v| v.as_array())
-    {
-        for row in rows {
-            let key = |field: &str| row.get(field).and_then(|v| v.as_u64());
-            let (Some(n), Some(threads)) = (key("n"), key("threads")) else {
-                continue;
-            };
-            let workload = row
-                .get("workload")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default();
-            let Some(was) = row.get("rounds_per_sec").and_then(|v| v.as_f64()) else {
-                continue;
-            };
-            let Some(fresh) = doc
-                .rows
-                .iter()
-                .find(|r| r.workload == workload && r.n as u64 == n && r.threads as u64 == threads)
-            else {
-                continue;
-            };
-            let was_wall = row.get("wall_ms").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let name = format!("rounds_per_sec[{workload} n={n} t={threads}]");
-            match tsa_bench::compare::check_band_floored(
-                &name,
-                was,
-                fresh.rounds_per_sec,
-                PERF_BAND,
-                was_wall,
-                fresh.wall_ms,
-                PERF_BAND_MIN_WALL_MS,
-            ) {
-                BandOutcome::Within => compared += 1,
-                BandOutcome::Violation(v) => {
-                    compared += 1;
-                    violations.push(v);
-                }
-                BandOutcome::Skipped(reason) => skipped.push(reason),
+    for row in rows.unwrap_or_default() {
+        let num = |field: &str| row.get(field).and_then(|v| v.as_f64());
+        let workload = row.get("workload").and_then(|v| v.as_str());
+        let (Some(n), Some(threads), Some(was)) = (num("n"), num("threads"), num("rounds_per_sec"))
+        else {
+            continue;
+        };
+        let Some(fresh) = doc.rows.iter().find(|r| {
+            Some(r.workload) == workload && r.n as f64 == n && r.threads as f64 == threads
+        }) else {
+            continue;
+        };
+        match tsa_bench::compare::check_band_floored(
+            &format!("rounds_per_sec[{} n={n} t={threads}]", fresh.workload),
+            was,
+            fresh.rounds_per_sec,
+            PERF_BAND,
+            num("wall_ms").unwrap_or(0.0),
+            fresh.wall_ms,
+            PERF_BAND_MIN_WALL_MS,
+        ) {
+            BandOutcome::Within => compared += 1,
+            BandOutcome::Violation(v) => {
+                compared += 1;
+                violations.push(v);
             }
+            BandOutcome::Skipped(reason) => skipped.push(reason),
         }
-    }
-    let band_ok = violations.is_empty();
-    let metrics = doc
-        .rows
-        .iter()
-        .map(|r| tsa_dash::MetricPoint {
-            name: format!("rounds_per_sec[{} n={} t={}]", r.workload, r.n, r.threads),
-            value: r.rounds_per_sec,
-        })
-        .collect();
-    match tsa_bench::compare::append_trajectory(
-        args.out.as_deref(),
-        "exp_perf",
-        band_ok,
-        0,
-        metrics,
-    ) {
-        Ok(path) => println!("[exp_perf] trajectory row appended to {}", path.display()),
-        Err(err) => eprintln!("warning: could not append trajectory row: {err}"),
-    }
-    if committed.is_none() {
-        println!("exp_perf: no comparable committed artifact (baseline seeded)");
-        return;
     }
     // Skips are part of the gate's claim: say what was NOT banded and why,
     // so a green gate over a grid of sub-floor cells reads as exactly that.
     for reason in &skipped {
         println!("exp_perf: {reason}");
     }
-    if band_ok {
+    if violations.is_empty() {
         println!(
             "exp_perf: {compared} committed throughput row(s) within the ±{:.0}% band \
              ({} skipped under the {:.0} ms floor)",
@@ -555,14 +474,12 @@ fn compare_trajectory(args: &ExpArgs, committed: Option<&str>, doc: &PerfDoc) {
             skipped.len(),
             PERF_BAND_MIN_WALL_MS,
         );
+        Ok(())
     } else {
-        eprintln!(
-            "exp_perf: throughput left the ±{:.0}% band:",
-            PERF_BAND * 100.0
-        );
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
+        Err(format!(
+            "throughput left the ±{:.0}% band:\n  {}",
+            PERF_BAND * 100.0,
+            violations.join("\n  ")
+        ))
     }
 }

@@ -50,14 +50,13 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use tsa_adversary::RandomChurnAdversary;
 use tsa_analysis::{fmt_bool, Table};
-use tsa_bench::{experiment_params, experiment_scenario, usage, write_bench_json_at, ExpArgs};
-use tsa_core::{AsyncMaintenanceHarness, MaintenanceHarness, NetMaintenanceHarness};
-use tsa_dash::{JournalRecorder, RunJournal, SpanSlice, TraceBuilder};
-use tsa_obs::{DetSnapshot, ObsHandle, TimingSnapshot};
-use tsa_scenario::{
-    AdversarySpec, FaultAction, FaultPlan, FaultRule, LatencyModel, MetricsMode, NetModel,
-    RoundWindow,
+use tsa_bench::{
+    experiment_params, experiment_scenario, list_grid, publish, Compared, ExpArgs, Extra,
 };
+use tsa_core::{AsyncMaintenanceHarness, MaintenanceHarness, NetMaintenanceHarness};
+use tsa_dash::{JournalRecorder, MetricPoint, RunJournal, SpanSlice, TraceBuilder};
+use tsa_obs::{DetSnapshot, ObsHandle, TimingSnapshot};
+use tsa_scenario::{AdversarySpec, FaultPlan, LatencyModel, MetricsMode, NetModel};
 
 /// The milliseconds of wall clock one transport round occupies. Generous for
 /// loopback, so the runs stay meaningful (mostly-delivered) without the
@@ -68,51 +67,20 @@ const ROUND_MS: u64 = 25;
 /// neighbor repair (and its sampling-age probe) busy every round.
 const CHURN_PER_ROUND: usize = 2;
 
-/// The mixed fault plan of the faulted runs: every action kind at low
-/// probability, drops delayed past bootstrap. Fault decisions are a pure
-/// function of `(seed, frame sequence)`, so the resulting `proto.fault_*`
-/// counters are deterministic on the event engine and twin-pinned on the
-/// transport.
-fn fault_plan() -> FaultPlan {
-    FaultPlan::new()
-        .with_rule(
-            FaultRule::every(FaultAction::Drop)
-                .with_prob(0.04)
-                .in_window(RoundWindow::starting_at(2)),
-        )
-        .with_rule(FaultRule::every(FaultAction::Delay { ticks: 1500 }).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Mutate).with_prob(0.05))
-}
+/// The transport's network size: smaller than the engines' (wall-clock
+/// bound), at either grid shape.
+const NET_N: usize = 16;
 
-/// The grid: one (n, seed, measured-rounds) point per scheduler.
-struct Grid {
-    /// Round + event engines run at this size.
-    n: usize,
-    /// The transport runs smaller (wall-clock bound).
-    net_n: usize,
-    seed: u64,
-    rounds: u64,
-    net_rounds: u64,
-}
+/// The one seed every run of the grid shares.
+const SEED: u64 = 29;
 
-fn grid(smoke: bool) -> Grid {
+/// The grid: `(n, measured rounds)` of the round + event engines and the
+/// transport's measured rounds.
+fn grid(smoke: bool) -> (usize, u64, u64) {
     if smoke {
-        Grid {
-            n: 48,
-            net_n: 16,
-            seed: 29,
-            rounds: 4,
-            net_rounds: 4,
-        }
+        (48, 4, 4)
     } else {
-        Grid {
-            n: 64,
-            net_n: 16,
-            seed: 29,
-            rounds: 8,
-            net_rounds: 6,
-        }
+        (64, 8, 6)
     }
 }
 
@@ -268,7 +236,10 @@ fn event_run(n: usize, seed: u64, rounds: u64, faults: Option<FaultPlan>) -> Run
     collect(&rec, start.elapsed().as_millis() as u64)
 }
 
-/// Runs the loopback transport under the mixed fault plan with a
+/// Runs the loopback transport under the mixed fault plan (every action
+/// kind at low probability; decisions are a pure function of `(seed, frame
+/// sequence)`, so the `proto.fault_*` counters are deterministic on the
+/// event engine and twin-pinned on the transport) with a
 /// [`JournalRecorder`], then replays its recorded trace through the
 /// event-engine twin (same plan) with its own recorder. Returns the
 /// transport's run plus the twin's deterministic snapshot.
@@ -283,22 +254,14 @@ fn net_run(n: usize, seed: u64, rounds: u64) -> (RunOut, DetSnapshot) {
         params.paper_lateness(),
         Duration::from_millis(ROUND_MS),
     );
-    real.set_faults(fault_plan());
+    real.set_faults(FaultPlan::mixed());
     let rec = Arc::new(JournalRecorder::new());
     real.set_obs(ObsHandle::new(rec.clone()));
     let start = Instant::now();
     real.run(total);
     let elapsed_ms = start.elapsed().as_millis() as u64;
 
-    let mut twin = AsyncMaintenanceHarness::assemble_replay(
-        params,
-        RandomChurnAdversary::new(CHURN_PER_ROUND, seed),
-        seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        real.trace(),
-    );
-    twin.set_faults(fault_plan());
+    let mut twin = real.twin(RandomChurnAdversary::new(CHURN_PER_ROUND, seed));
     let twin_rec = Arc::new(JournalRecorder::new());
     twin.set_obs(ObsHandle::new(twin_rec.clone()));
     twin.run(total);
@@ -356,69 +319,36 @@ fn write_journals(dir: &PathBuf, runs: &[(&str, &RunOut)]) {
 
 fn main() {
     let exp = "exp_profile";
-    // `--smoke` and `--journal <dir>` are this binary's own flags;
-    // everything else is the shared experiment CLI.
-    let mut smoke = false;
-    let mut journal_dir: Option<PathBuf> = None;
-    let mut rest = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--journal" => match raw.next() {
-                Some(dir) => journal_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("{exp}: --journal requires a directory argument");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(arg),
-        }
-    }
-    let about = "the tsa-obs observability layer across all three schedulers: \
-                 deterministic counters/histograms (CI byte-compares them), the \
-                 flight-recorder journal, fault counters, the transport's \
-                 twin-counter pin, and wall-clock phase spans";
-    let args = match ExpArgs::parse_from(rest) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!(
-                "{}\n\nEXTRA:\n\
-                 \x20 --smoke        CI-sized run (a few seconds end to end)\n\
-                 \x20 --journal <dir> write the deterministic journal streams and\n\
-                 \x20                the Perfetto trace.json under <dir>",
-                usage(exp, about)
-            );
-            return;
-        }
-        Err(message) => {
-            eprintln!("{exp}: {message}\n\n{}", usage(exp, about));
-            std::process::exit(2);
-        }
-    };
+    let args = ExpArgs::parse(
+        exp,
+        "the tsa-obs observability layer across all three schedulers: \
+         deterministic counters/histograms (CI byte-compares them), the \
+         flight-recorder journal, fault counters, the transport's \
+         twin-counter pin, and wall-clock phase spans",
+        &[
+            Extra::Smoke("CI-sized run (a few seconds end to end)"),
+            Extra::Journal,
+        ],
+    );
 
-    let g = grid(smoke);
-    let round_total = experiment_params(g.n).bootstrap_rounds() + g.rounds;
-    let net_total = experiment_params(g.net_n).bootstrap_rounds() + g.net_rounds;
+    let (n, rounds, net_rounds) = grid(args.smoke);
+    let seed = SEED;
+    let round_total = experiment_params(n).bootstrap_rounds() + rounds;
+    let net_total = experiment_params(NET_N).bootstrap_rounds() + net_rounds;
     if args.list {
-        // This experiment is not sweep-driven, so it lists its own grid.
-        println!("{exp}: 1 grid, 4 cell(s)");
-        println!(
-            "  [  0] round n={} seed={} rounds={round_total} churn={CHURN_PER_ROUND}",
-            g.n, g.seed
-        );
-        println!(
-            "  [  1] event n={} seed={} rounds={round_total} churn={CHURN_PER_ROUND} latency=500t",
-            g.n, g.seed
-        );
-        println!(
-            "  [  2] event n={} seed={} rounds={round_total} churn={CHURN_PER_ROUND} latency=500t faults=mixed",
-            g.n, g.seed
-        );
-        println!(
-            "  [  3] net n={} seed={} rounds={net_total} churn={CHURN_PER_ROUND} round_ms={ROUND_MS} faults=mixed",
-            g.net_n, g.seed
-        );
+        let cells = [
+            format!("round n={n} seed={seed} rounds={round_total} churn={CHURN_PER_ROUND}"),
+            format!(
+                "event n={n} seed={seed} rounds={round_total} churn={CHURN_PER_ROUND} latency=500t"
+            ),
+            format!(
+                "event n={n} seed={seed} rounds={round_total} churn={CHURN_PER_ROUND} latency=500t faults=mixed"
+            ),
+            format!(
+                "net n={NET_N} seed={seed} rounds={net_total} churn={CHURN_PER_ROUND} round_ms={ROUND_MS} faults=mixed"
+            ),
+        ];
+        println!("{}", list_grid(exp, &cells));
         return;
     }
     let reporter = args.reporter();
@@ -429,79 +359,102 @@ fn main() {
     // cap-invariant, because deterministic events only ever originate from
     // the engines' sequential sections.
     reporter.note(&format!(
-        "[{exp}] round engine n={} ({round_total} rounds, thread caps 1 and 2)",
-        g.n
+        "[{exp}] round engine n={n} ({round_total} rounds, thread caps 1 and 2)"
     ));
-    let round = round_run(g.n, g.seed, g.rounds, 1);
-    let round_cap2 = round_run(g.n, g.seed, g.rounds, 2);
-    let thread_caps_identical = bytes_eq(&round.det, &round_cap2.det);
-    let journal_identical_across_caps = round.journal.to_jsonl() == round_cap2.journal.to_jsonl();
+    let round = round_run(n, seed, rounds, 1);
+    let round_cap2 = round_run(n, seed, rounds, 2);
 
     reporter.note(&format!(
-        "[{exp}] event engine n={} (sub-round latency twin, clean + faulted)",
-        g.n
+        "[{exp}] event engine n={n} (sub-round latency twin, clean + faulted)"
     ));
-    let event = event_run(g.n, g.seed, g.rounds, None);
-    let event_matches_round =
-        bytes_eq(&round.det.filtered("proto."), &event.det.filtered("proto."));
-    let event_faulted = event_run(g.n, g.seed, g.rounds, Some(fault_plan()));
+    let event = event_run(n, seed, rounds, None);
+    let event_faulted = event_run(n, seed, rounds, Some(FaultPlan::mixed()));
 
     reporter.note(&format!(
-        "[{exp}] loopback transport n={} ({net_total} wall-clock rounds, faulted) + twin replay",
-        g.net_n
+        "[{exp}] loopback transport n={NET_N} ({net_total} wall-clock rounds, faulted) + twin replay"
     ));
-    let (net, twin_det) = net_run(g.net_n, g.seed, g.net_rounds);
-    // Drop attribution differs by design: the replay accounts every
-    // undelivered fate as dropped at the boundary it missed, while the
-    // transport counts only frames it actively lost — end-of-run in-flight
-    // frames are neither. The twin contract (like `exp_net`'s) pins
-    // everything else: sent, delivered, every histogram, and — both sides
-    // running the same fault plan — every `proto.fault_*` counter.
-    let net_twin_counters_match = bytes_eq(
-        &without_counter(net.det.filtered("proto."), "proto.dropped"),
-        &without_counter(twin_det.filtered("proto."), "proto.dropped"),
-    );
-    let journal_fold_matches_snapshot = round.fold_ok
-        && round_cap2.fold_ok
-        && event.fold_ok
-        && event_faulted.fold_ok
-        && net.fold_ok;
-    let fault_counters_recorded = fault_total(&event_faulted.det) > 0 && fault_total(&net.det) > 0;
+    let (net, twin_det) = net_run(NET_N, seed, net_rounds);
 
     // The metrics-mode pin: streaming accumulators must fold to the exact
     // digest of the full per-round history.
     reporter.note(&format!("[{exp}] streaming-vs-full metrics digest"));
-    let adversary = AdversarySpec::random(CHURN_PER_ROUND, g.seed);
-    let full = experiment_scenario(g.n)
-        .adversary(adversary)
-        .seed(g.seed)
-        .run(g.rounds);
-    let streaming = experiment_scenario(g.n)
-        .adversary(adversary)
-        .seed(g.seed)
-        .metrics_mode(MetricsMode::Streaming)
-        .run(g.rounds);
+    let scenario = || {
+        experiment_scenario(n)
+            .adversary(AdversarySpec::random(CHURN_PER_ROUND, seed))
+            .seed(seed)
+    };
+    let full = scenario().run(rounds);
+    let streaming = scenario().metrics_mode(MetricsMode::Streaming).run(rounds);
     let fm = full.maintenance.as_ref().expect("maintained outcome");
     let sm = streaming.maintenance.as_ref().expect("maintained outcome");
-    let streaming_digest_matches_full =
-        fm.metrics_summary == sm.metrics_summary && sm.metrics.is_none();
 
     let checks = Checks {
-        thread_caps_identical,
-        journal_identical_across_caps,
-        journal_fold_matches_snapshot,
-        event_matches_round,
-        net_twin_counters_match,
-        fault_counters_recorded,
-        streaming_digest_matches_full,
+        thread_caps_identical: bytes_eq(&round.det, &round_cap2.det),
+        journal_identical_across_caps: round.journal.to_jsonl() == round_cap2.journal.to_jsonl(),
+        journal_fold_matches_snapshot: [&round, &round_cap2, &event, &event_faulted, &net]
+            .iter()
+            .all(|run| run.fold_ok),
+        event_matches_round: bytes_eq(&round.det.filtered("proto."), &event.det.filtered("proto.")),
+        // Drop attribution differs by design: the replay accounts every
+        // undelivered fate as dropped at the boundary it missed, while the
+        // transport counts only frames it actively lost — end-of-run
+        // in-flight frames are neither. The twin contract (like `exp_net`'s)
+        // pins everything else: sent, delivered, every histogram, and — both
+        // sides running the same fault plan — every `proto.fault_*` counter.
+        net_twin_counters_match: bytes_eq(
+            &without_counter(net.det.filtered("proto."), "proto.dropped"),
+            &without_counter(twin_det.filtered("proto."), "proto.dropped"),
+        ),
+        fault_counters_recorded: fault_total(&event_faulted.det) > 0 && fault_total(&net.det) > 0,
+        streaming_digest_matches_full: fm.metrics_summary == sm.metrics_summary
+            && sm.metrics.is_none(),
     };
-    let all_checks_pass = checks.thread_caps_identical
-        && checks.journal_identical_across_caps
-        && checks.journal_fold_matches_snapshot
-        && checks.event_matches_round
-        && checks.net_twin_counters_match
-        && checks.fault_counters_recorded
-        && checks.streaming_digest_matches_full;
+    let pins = [
+        (
+            "round engine byte-identical at thread caps 1/2",
+            checks.thread_caps_identical,
+        ),
+        (
+            "journal stream byte-identical at thread caps 1/2",
+            checks.journal_identical_across_caps,
+        ),
+        (
+            "journal folds to the live snapshot (all engines)",
+            checks.journal_fold_matches_snapshot,
+        ),
+        (
+            "proto.* identical: round vs sub-round event",
+            checks.event_matches_round,
+        ),
+        (
+            "proto.* identical: faulted transport vs its twin replay",
+            checks.net_twin_counters_match,
+        ),
+        (
+            "gated proto.fault_* counters recorded",
+            checks.fault_counters_recorded,
+        ),
+        (
+            "streaming metrics fold to the full digest",
+            checks.streaming_digest_matches_full,
+        ),
+    ];
+    let all_checks_pass = pins.iter().all(|&(_, holds)| holds);
+
+    // The four runs: (engine name in the artifact, table label, n, total
+    // rounds, the run).
+    let engines = [
+        ("round", "round", n, round_total, &round),
+        ("event", "event", n, round_total, &event),
+        (
+            "event_faulted",
+            "event+faults",
+            n,
+            round_total,
+            &event_faulted,
+        ),
+        ("net", "net+faults", NET_N, net_total, &net),
+    ];
 
     let mut table = Table::new(
         "Observability across the three schedulers (net columns are run-dependent)",
@@ -517,19 +470,14 @@ fn main() {
             "elapsed ms",
         ],
     );
-    for (engine, n, run) in [
-        ("round", g.n, &round),
-        ("event", g.n, &event),
-        ("event+faults", g.n, &event_faulted),
-        ("net+faults", g.net_n, &net),
-    ] {
+    for (_, label, n, _, run) in engines {
         let inbox_max = run
             .det
             .histogram("proto.inbox_len")
             .map(|h| h.max)
             .unwrap_or(0);
         table.row(vec![
-            engine.to_string(),
+            label.to_string(),
             n.to_string(),
             run.det.counter("proto.rounds").to_string(),
             run.det.counter("proto.sent").to_string(),
@@ -543,34 +491,9 @@ fn main() {
     println!("{}", table.to_markdown());
 
     let mut check_table = Table::new("Observability pins", &["check", "holds"]);
-    check_table.row(vec![
-        "round engine byte-identical at thread caps 1/2".to_string(),
-        fmt_bool(checks.thread_caps_identical),
-    ]);
-    check_table.row(vec![
-        "journal stream byte-identical at thread caps 1/2".to_string(),
-        fmt_bool(checks.journal_identical_across_caps),
-    ]);
-    check_table.row(vec![
-        "journal folds to the live snapshot (all engines)".to_string(),
-        fmt_bool(checks.journal_fold_matches_snapshot),
-    ]);
-    check_table.row(vec![
-        "proto.* identical: round vs sub-round event".to_string(),
-        fmt_bool(checks.event_matches_round),
-    ]);
-    check_table.row(vec![
-        "proto.* identical: faulted transport vs its twin replay".to_string(),
-        fmt_bool(checks.net_twin_counters_match),
-    ]);
-    check_table.row(vec![
-        "gated proto.fault_* counters recorded".to_string(),
-        fmt_bool(checks.fault_counters_recorded),
-    ]);
-    check_table.row(vec![
-        "streaming metrics fold to the full digest".to_string(),
-        fmt_bool(checks.streaming_digest_matches_full),
-    ]);
+    for (check, holds) in pins {
+        check_table.row(vec![check.to_string(), fmt_bool(holds)]);
+    }
     println!("{}", check_table.to_markdown());
     println!(
         "The deterministic section (round + event + faulted-event snapshots, all seven\n\
@@ -581,137 +504,61 @@ fn main() {
          identity."
     );
 
-    if let Some(dir) = &journal_dir {
-        write_journals(
-            dir,
-            &[
-                ("round", &round),
-                ("event", &event),
-                ("event_faulted", &event_faulted),
-                ("net", &net),
-            ],
-        );
+    if let Some(dir) = &args.journal {
+        write_journals(dir, &engines.map(|(engine, _, _, _, run)| (engine, run)));
         reporter.note(&format!(
             "[{exp}] journal streams + trace.json written under {}",
             dir.display()
         ));
     }
 
+    let [round_det, event_det, event_faulted_det, net_det] =
+        engines.map(|(engine, _, n, rounds, run)| EngineDet {
+            engine: engine.to_string(),
+            n,
+            seed,
+            rounds,
+            snapshot: run.det.clone(),
+        });
     let doc = ProfileDoc {
         exp: exp.to_string(),
-        smoke,
+        smoke: args.smoke,
         deterministic: DeterministicDoc {
             all_checks_pass,
             checks,
-            round: EngineDet {
-                engine: "round".to_string(),
-                n: g.n,
-                seed: g.seed,
-                rounds: round_total,
-                snapshot: round.det,
-            },
-            event: EngineDet {
-                engine: "event".to_string(),
-                n: g.n,
-                seed: g.seed,
-                rounds: round_total,
-                snapshot: event.det,
-            },
-            event_faulted: EngineDet {
-                engine: "event_faulted".to_string(),
-                n: g.n,
-                seed: g.seed,
-                rounds: round_total,
-                snapshot: event_faulted.det,
-            },
+            round: round_det,
+            event: event_det,
+            event_faulted: event_faulted_det,
         },
         timing: TimingDoc {
-            engines: vec![
-                EngineTiming {
-                    engine: "round".to_string(),
-                    elapsed_ms: round.elapsed_ms,
-                    spans: round.spans,
-                },
-                EngineTiming {
-                    engine: "event".to_string(),
-                    elapsed_ms: event.elapsed_ms,
-                    spans: event.spans,
-                },
-                EngineTiming {
-                    engine: "event_faulted".to_string(),
-                    elapsed_ms: event_faulted.elapsed_ms,
-                    spans: event_faulted.spans,
-                },
-                EngineTiming {
-                    engine: "net".to_string(),
-                    elapsed_ms: net.elapsed_ms,
-                    spans: net.spans,
-                },
-            ],
-            net: EngineDet {
-                engine: "net".to_string(),
-                n: g.net_n,
-                seed: g.seed,
-                rounds: net_total,
-                snapshot: net.det,
-            },
+            engines: engines
+                .iter()
+                .map(|(engine, _, _, _, run)| EngineTiming {
+                    engine: engine.to_string(),
+                    elapsed_ms: run.elapsed_ms,
+                    spans: run.spans.clone(),
+                })
+                .collect(),
+            net: net_det,
         },
     };
-    let artifact_path = match &args.out {
-        Some(dir) => {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: could not create {}: {err}", dir.display());
-            }
-            dir.join(format!("BENCH_{exp}.json"))
-        }
-        None => PathBuf::from(format!("BENCH_{exp}.json")),
-    };
-    // The compare gate reads the committed bytes BEFORE the write below
-    // replaces them. Only the deterministic section is byte-compared — the
-    // timing section is wall clock and never byte-stable — and a committed
-    // artifact of the other grid shape (full vs --smoke) is no baseline.
-    let committed_det = args.compare.then(|| {
-        std::fs::read_to_string(&artifact_path)
-            .ok()
-            .and_then(|text| serde_json::parse_value(&text).ok())
-            .filter(|v| v.get("smoke").and_then(|s| s.as_bool()) == Some(smoke))
-            .and_then(|v| v.get("deterministic").map(|d| d.to_json_compact()))
-    });
-    write_bench_json_at(&artifact_path, &doc);
-    if let Some(committed_det) = committed_det {
-        let fresh_det =
-            serde_json::to_string(&doc.deterministic).expect("deterministic section serializes");
-        let report = tsa_bench::compare_artifact(exp, committed_det.as_deref(), &fresh_det);
-        let metrics = vec![
-            tsa_dash::MetricPoint {
-                name: "round_ms".to_string(),
-                value: doc.timing.engines[0].elapsed_ms as f64,
-            },
-            tsa_dash::MetricPoint {
-                name: "net_ms".to_string(),
-                value: doc.timing.engines[3].elapsed_ms as f64,
-            },
-        ];
-        match tsa_bench::compare::append_trajectory(
-            args.out.as_deref(),
-            exp,
-            report.det_match,
-            fresh_det.len() as u64,
-            metrics,
-        ) {
-            Ok(path) => reporter.note(&format!(
-                "[{exp}] trajectory row appended to {}",
-                path.display()
-            )),
-            Err(err) => eprintln!("warning: could not append trajectory row: {err}"),
-        }
-        println!("{}", report.render());
-        if !report.det_match {
-            std::process::exit(1);
-        }
-    }
-    if !all_checks_pass {
-        eprintln!("{exp}: an observability pin failed");
-        std::process::exit(1);
-    }
+    // Only the deterministic section is byte-compared — the timing section
+    // is wall clock and never byte-stable.
+    let metrics = [("round_ms", &round), ("net_ms", &net)]
+        .map(|(name, run)| MetricPoint {
+            name: name.to_string(),
+            value: run.elapsed_ms as f64,
+        })
+        .to_vec();
+    let verdict = all_checks_pass
+        .then_some(())
+        .ok_or_else(|| "an observability pin failed".to_string());
+    publish(
+        exp,
+        &args,
+        &doc,
+        Compared::Section("deterministic"),
+        metrics,
+        verdict,
+    );
 }

@@ -8,10 +8,10 @@
 use serde::Serialize;
 
 use tsa_analysis::{fmt_f, Table};
-use tsa_bench::{finish, run_sweeps, workload_spec, ExpArgs};
+use tsa_bench::{finish, run_sweeps, ExpArgs};
 use tsa_overlay::{Interval, OverlayParams, Position};
 use tsa_routing::{trajectory_crossings, uniform_workload, RoutableSeries};
-use tsa_scenario::ScenarioKind;
+use tsa_scenario::{ScenarioKind, ScenarioSpec};
 use tsa_sim::NodeId;
 use tsa_sweep::SweepSpec;
 
@@ -28,11 +28,12 @@ fn main() {
     let args = ExpArgs::parse(
         exp,
         "Lemmas 9-12: delivery, dilation, congestion, crossings",
+        &[],
     );
 
     // Lemma 9: delivery + dilation + congestion over the n × k grid, three
     // seed replicates per cell for confidence intervals.
-    let mut base = workload_spec(ScenarioKind::Routing, 128);
+    let mut base = ScenarioSpec::new(ScenarioKind::Routing, 128);
     base.replication = Some(4);
     base.holder_failure = 0.25;
     let grid = SweepSpec::new("grid", base)

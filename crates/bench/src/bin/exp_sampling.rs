@@ -5,15 +5,15 @@
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use tsa_bench::{finish, run_sweeps, workload_spec, ExpArgs};
-use tsa_scenario::ScenarioKind;
+use tsa_bench::{finish, run_sweeps, ExpArgs};
+use tsa_scenario::{ScenarioKind, ScenarioSpec};
 use tsa_sweep::SweepSpec;
 
 fn main() {
     let exp = "exp_sampling";
-    let args = ExpArgs::parse(exp, "Lemma 13: A_SAMPLING uniformity and discard rate");
+    let args = ExpArgs::parse(exp, "Lemma 13: A_SAMPLING uniformity and discard rate", &[]);
 
-    let uniformity = SweepSpec::new("uniformity", workload_spec(ScenarioKind::Sampling, 128))
+    let uniformity = SweepSpec::new("uniformity", ScenarioSpec::new(ScenarioKind::Sampling, 128))
         .over_n([128, 256, 512])
         .seeds(21, 3);
     let runs = run_sweeps(exp, &args, vec![uniformity]);

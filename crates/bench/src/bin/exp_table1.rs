@@ -11,18 +11,18 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use tsa_analysis::{fmt_bool, fmt_f, Table};
-use tsa_bench::{experiment_spec, finish, run_sweeps, workload_spec, ExpArgs};
-use tsa_scenario::{AdversarySpec, BaselineKind, ChurnSpec, ScenarioKind};
+use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs};
+use tsa_scenario::{AdversarySpec, BaselineKind, ChurnSpec, ScenarioKind, ScenarioSpec};
 use tsa_sweep::{RoundsSpec, SweepSpec};
 
 fn main() {
     let exp = "exp_table1";
-    let args = ExpArgs::parse(exp, "Table 1: adversary-model comparison, re-measured");
+    let args = ExpArgs::parse(exp, "Table 1: adversary-model comparison, re-measured", &[]);
     let n = 256usize;
 
     let static_sweep = SweepSpec::new(
         "static",
-        workload_spec(ScenarioKind::Baseline(BaselineKind::HdGraph), n),
+        ScenarioSpec::new(ScenarioKind::Baseline(BaselineKind::HdGraph), n),
     )
     .over_kinds([
         ScenarioKind::Baseline(BaselineKind::HdGraph),

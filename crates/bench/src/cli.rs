@@ -1,28 +1,42 @@
 //! Minimal flag parsing shared by every `exp_*` binary.
 //!
-//! All experiment binaries accept the same five flags plus `--help`:
-//!
-//! * `--full` — keep full-fidelity results (per-round metrics histories and
-//!   the raw per-cell records) in `BENCH_<exp>.json` instead of the compact
-//!   aggregate;
-//! * `--list` — print every enumerated sweep cell (index, axis label, seed,
-//!   rounds) and exit without running anything;
-//! * `--out <dir>` — directory for `BENCH_<exp>.json` and the sweep shard
-//!   files (default: `BENCH_<exp>.json` in the current directory, shards
-//!   under `target/sweeps/`);
-//! * `--threads <k>` — worker threads for sweep execution (default:
-//!   `TSA_THREADS` or the machine's parallelism);
-//! * `--quiet` — silence the stderr progress stream (resume summaries,
-//!   per-cell progress lines); results on stdout are unaffected;
-//! * `--compare` — hold the fresh artifact against the committed
-//!   `BENCH_<exp>.json`, append a machine-tagged row to `TRAJECTORY.jsonl`,
-//!   and exit non-zero with a metric-level diff on deterministic drift;
-//! * `--trace <file>` — export the run's wall-clock placement (one track
-//!   per sweep worker, one slice per cell) as Chrome-trace/Perfetto JSON.
+//! Every experiment binary accepts `--full`, `--list`, `--out <dir>`,
+//! `--threads <k>`, `--quiet`, `--compare`, `--trace <file>` and `--help`
+//! (what each does is stated once, in [`usage`] and on the [`ExpArgs`]
+//! fields). A binary may additionally declare [`Extra`] flags — `--smoke` for
+//! the six binaries with a CI-sized grid, `--journal <dir>` for
+//! `exp_profile`; a flag the binary did not declare is an unknown flag like
+//! any other.
 
 use std::path::PathBuf;
 
 use tsa_obs::Reporter;
+
+/// A flag only some binaries accept, declared by the binary as data in its
+/// [`ExpArgs::parse`] call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Extra {
+    /// `--smoke`: run the binary's CI-sized grid. Carries the binary's
+    /// one-line help text (how long that grid takes).
+    Smoke(&'static str),
+    /// `--journal <dir>`: write the deterministic journal streams and the
+    /// Perfetto `trace.json` under `<dir>`.
+    Journal,
+}
+
+impl Extra {
+    /// The flag as typed (with its value placeholder) and its help text.
+    fn usage(self) -> (&'static str, &'static str) {
+        match self {
+            Extra::Smoke(help) => ("--smoke", help),
+            Extra::Journal => (
+                "--journal <dir>",
+                "write the deterministic journal streams and\n\
+                 \x20                the Perfetto trace.json under <dir>",
+            ),
+        }
+    }
+}
 
 /// Parsed command-line arguments of an experiment binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,13 +57,21 @@ pub struct ExpArgs {
     /// Export the run's wall-clock worker/cell placement as trace-event
     /// JSON to this file.
     pub trace: Option<PathBuf>,
+    /// Run the CI-sized grid ([`Extra::Smoke`]).
+    pub smoke: bool,
+    /// Directory for the journal streams and trace ([`Extra::Journal`]).
+    pub journal: Option<PathBuf>,
 }
 
 impl ExpArgs {
-    /// Parses an argument list (without the program name). Returns an error
-    /// message for unknown or malformed flags; `Ok(None)` means `--help` was
-    /// requested and usage should be printed.
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Option<ExpArgs>, String> {
+    /// Parses an argument list (without the program name) for a binary that
+    /// declared `extras`. Returns an error message for unknown, undeclared
+    /// or malformed flags; `Ok(None)` means `--help` was requested and usage
+    /// should be printed.
+    fn parse_from<I: IntoIterator<Item = String>>(
+        args: I,
+        extras: &[Extra],
+    ) -> Result<Option<ExpArgs>, String> {
         let mut parsed = ExpArgs::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -77,24 +99,37 @@ impl ExpArgs {
                     let file = args.next().ok_or("--trace requires a file argument")?;
                     parsed.trace = Some(PathBuf::from(file));
                 }
+                "--smoke" if extras.iter().any(|e| matches!(e, Extra::Smoke(_))) => {
+                    parsed.smoke = true;
+                }
+                "--journal" if extras.contains(&Extra::Journal) => {
+                    let dir = args
+                        .next()
+                        .ok_or("--journal requires a directory argument")?;
+                    parsed.journal = Some(PathBuf::from(dir));
+                }
                 other => return Err(format!("unknown flag {other:?} (try --help)")),
             }
         }
         Ok(Some(parsed))
     }
 
-    /// Parses [`std::env::args`] for the experiment `exp`, printing usage and
-    /// exiting on `--help` or a parse error.
-    pub fn parse(exp: &str, about: &str) -> ExpArgs {
+    /// Parses [`std::env::args`] for the experiment `exp`, which accepts
+    /// the shared flags plus the `extras` it declares; prints usage and
+    /// exits on `--help` (status 0) or a parse error (status 2).
+    pub fn parse(exp: &str, about: &str, extras: &[Extra]) -> ExpArgs {
         let reporter = Reporter::default();
-        match Self::parse_from(std::env::args().skip(1)) {
+        match Self::parse_from(std::env::args().skip(1), extras) {
             Ok(Some(args)) => args,
             Ok(None) => {
-                reporter.result(&usage(exp, about));
+                reporter.result(&usage(exp, about, extras));
                 std::process::exit(0);
             }
             Err(message) => {
-                reporter.error(&format!("{exp}: {message}\n\n{}", usage(exp, about)));
+                reporter.error(&format!(
+                    "{exp}: {message}\n\n{}",
+                    usage(exp, about, extras)
+                ));
                 std::process::exit(2);
             }
         }
@@ -107,9 +142,10 @@ impl ExpArgs {
     }
 }
 
-/// The usage text shared by the experiment binaries.
-pub fn usage(exp: &str, about: &str) -> String {
-    format!(
+/// The usage text of the experiment binaries: the shared flags, then an
+/// `EXTRA:` block listing exactly the flags this binary declared.
+pub fn usage(exp: &str, about: &str, extras: &[Extra]) -> String {
+    let mut text = format!(
         "{exp} — {about}\n\
          \n\
          USAGE: {exp} [--full] [--list] [--out <dir>] [--threads <k>] [--quiet]\n\
@@ -132,33 +168,34 @@ pub fn usage(exp: &str, about: &str) -> String {
          \x20 --trace <file> export worker/cell wall-clock placement as\n\
          \x20                Chrome-trace JSON (open in Perfetto)\n\
          \x20 --help         print this help"
-    )
+    );
+    if !extras.is_empty() {
+        text.push_str("\n\nEXTRA:");
+        for extra in extras {
+            let (flag, help) = extra.usage();
+            text.push_str(&format!("\n  {flag:<14} {help}"));
+        }
+    }
+    text
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    const SMOKE: Extra = Extra::Smoke("CI-sized grid (a few seconds end to end)");
+
+    /// Parses a command line given as one whitespace-separated string.
+    fn parse(line: &str, extras: &[Extra]) -> Result<Option<ExpArgs>, String> {
+        ExpArgs::parse_from(line.split_whitespace().map(str::to_string), extras)
     }
+
+    const SHARED: &str =
+        "--full --list --out results --threads 4 --quiet --compare --trace out.trace.json";
 
     #[test]
     fn parses_all_flags() {
-        let args = ExpArgs::parse_from(strings(&[
-            "--full",
-            "--list",
-            "--out",
-            "results",
-            "--threads",
-            "4",
-            "--quiet",
-            "--compare",
-            "--trace",
-            "out.trace.json",
-        ]))
-        .unwrap()
-        .unwrap();
+        let args = parse(SHARED, &[]).unwrap().unwrap();
         assert!(args.full);
         assert!(args.list);
         assert_eq!(args.out, Some(PathBuf::from("results")));
@@ -168,45 +205,76 @@ mod tests {
         assert_eq!(args.trace, Some(PathBuf::from("out.trace.json")));
         assert!(args.reporter().is_quiet());
         assert!(!ExpArgs::default().reporter().is_quiet());
-        assert_eq!(
-            ExpArgs::parse_from(strings(&[])).unwrap().unwrap(),
-            ExpArgs::default()
-        );
+        assert_eq!(parse("", &[]).unwrap().unwrap(), ExpArgs::default());
     }
 
     #[test]
     fn help_short_circuits() {
-        assert_eq!(ExpArgs::parse_from(strings(&["--help"])).unwrap(), None);
-        assert_eq!(
-            ExpArgs::parse_from(strings(&["--full", "-h"])).unwrap(),
-            None
-        );
+        assert_eq!(parse("--help", &[]).unwrap(), None);
+        assert_eq!(parse("--full -h", &[]).unwrap(), None);
     }
 
     #[test]
     fn rejects_malformed_flags() {
-        assert!(ExpArgs::parse_from(strings(&["--frobnicate"])).is_err());
-        assert!(ExpArgs::parse_from(strings(&["--out"])).is_err());
-        assert!(ExpArgs::parse_from(strings(&["--threads"])).is_err());
-        assert!(ExpArgs::parse_from(strings(&["--threads", "zero"])).is_err());
-        assert!(ExpArgs::parse_from(strings(&["--threads", "0"])).is_err());
-        assert!(ExpArgs::parse_from(strings(&["--trace"])).is_err());
+        for line in [
+            "--frobnicate",
+            "--out",
+            "--threads",
+            "--threads zero",
+            "--threads 0",
+            "--trace",
+        ] {
+            assert!(parse(line, &[]).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn declared_extras_parse_and_undeclared_ones_stay_unknown() {
+        let args = parse("--smoke --journal prof --quiet", &[SMOKE, Extra::Journal])
+            .unwrap()
+            .unwrap();
+        assert!(args.smoke && args.quiet);
+        assert_eq!(args.journal, Some(PathBuf::from("prof")));
+
+        let missing = parse("--journal", &[Extra::Journal]).unwrap_err();
+        assert!(missing.contains("--journal requires"), "{missing}");
+
+        // A binary without a CI grid still rejects --smoke (the exit-2 path),
+        // and declaring one extra does not admit the other.
+        for (line, extras) in [
+            ("--smoke", &[][..]),
+            ("--smoke", &[Extra::Journal][..]),
+            ("--journal x", &[SMOKE][..]),
+        ] {
+            let err = parse(line, extras).unwrap_err();
+            assert!(err.contains("unknown flag"), "{line}: {err}");
+        }
     }
 
     #[test]
     fn usage_names_every_flag() {
-        let text = usage("exp_x", "test experiment");
-        for flag in [
-            "--full",
-            "--list",
-            "--out",
-            "--threads",
-            "--quiet",
-            "--compare",
-            "--trace",
-            "--help",
-        ] {
+        let text = usage("exp_x", "test experiment", &[]);
+        for flag in SHARED.split(' ').filter(|word| word.starts_with("--")) {
             assert!(text.contains(flag), "usage must document {flag}");
         }
+        assert!(text.contains("--help"));
+        assert!(!text.contains("EXTRA:") && !text.contains("--smoke"));
+    }
+
+    #[test]
+    fn the_extra_block_lists_exactly_the_declared_flags() {
+        let smoke_only = usage("exp_x", "test experiment", &[SMOKE]);
+        assert!(smoke_only
+            .ends_with("\n\nEXTRA:\n  --smoke        CI-sized grid (a few seconds end to end)"));
+        assert!(!smoke_only.contains("--journal"));
+
+        let both = usage("exp_x", "test experiment", &[SMOKE, Extra::Journal]);
+        let block = both.split("EXTRA:").nth(1).expect("an EXTRA block");
+        let flags: Vec<&str> = block
+            .lines()
+            .filter_map(|l| l.strip_prefix("  --"))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(flags, ["smoke", "journal"]);
     }
 }

@@ -61,45 +61,31 @@ impl CompareReport {
 /// Compares a fresh artifact against the committed bytes. `committed` is
 /// `None` when no artifact was committed yet.
 pub fn compare_artifact(exp: &str, committed: Option<&str>, fresh: &str) -> CompareReport {
-    let Some(committed) = committed else {
-        return CompareReport {
-            exp: exp.to_string(),
-            committed_found: false,
-            det_match: true,
-            diffs: Vec::new(),
-        };
-    };
-    if committed == fresh {
-        return CompareReport {
-            exp: exp.to_string(),
-            committed_found: true,
-            det_match: true,
-            diffs: Vec::new(),
-        };
-    }
     // Byte mismatch: localize it. Parse failures fall back to a one-line
     // explanation rather than pretending the artifacts matched.
-    let diffs = match (
-        serde_json::parse_value(committed),
-        serde_json::parse_value(fresh),
-    ) {
-        (Ok(a), Ok(b)) => {
-            let mut out = Vec::new();
-            diff_values("$", &a, &b, &mut out);
-            if out.is_empty() {
-                // Identical trees, different bytes (formatting drift).
-                vec!["artifacts parse identically but differ in formatting".to_string()]
-            } else {
+    let diffs = match committed.filter(|&committed| committed != fresh) {
+        None => Vec::new(),
+        Some(committed) => match (
+            serde_json::parse_value(committed),
+            serde_json::parse_value(fresh),
+        ) {
+            (Ok(a), Ok(b)) => {
+                let mut out = Vec::new();
+                diff_values("$", &a, &b, &mut out);
+                if out.is_empty() {
+                    // Identical trees, different bytes (formatting drift).
+                    out.push("artifacts parse identically but differ in formatting".to_string());
+                }
                 out
             }
-        }
-        (Err(_), _) => vec!["committed artifact is not valid JSON".to_string()],
-        (_, Err(_)) => vec!["fresh artifact is not valid JSON".to_string()],
+            (Err(_), _) => vec!["committed artifact is not valid JSON".to_string()],
+            (_, Err(_)) => vec!["fresh artifact is not valid JSON".to_string()],
+        },
     };
     CompareReport {
         exp: exp.to_string(),
-        committed_found: true,
-        det_match: false,
+        committed_found: committed.is_some(),
+        det_match: diffs.is_empty(),
         diffs,
     }
 }

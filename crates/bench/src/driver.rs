@@ -1,9 +1,12 @@
-//! The shared sweep driver: every `exp_*` binary is a list of
-//! [`SweepSpec`]s handed to [`run_sweeps`], which executes them with shard
-//! checkpointing, prints the aggregated tables, and writes the
-//! `BENCH_<exp>.json` artifact.
+//! The shared experiment driver. A sweep-driven `exp_*` binary is a list of
+//! [`SweepSpec`]s handed to [`run_sweeps`] (shard checkpointing, aggregate
+//! tables) and [`finish`]; a binary with a grid of its own builds its
+//! document itself. Either way the run ends in [`publish`], the one place
+//! that writes `BENCH_<exp>.json`, holds it against the committed artifact
+//! under `--compare`, and decides the exit code.
 
-use std::path::PathBuf;
+use std::borrow::Cow;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 use serde_json::Value;
@@ -85,6 +88,16 @@ pub fn list_cells(exp: &str, sweeps: &[SweepSpec]) -> String {
     out
 }
 
+/// [`list_cells`] for a binary that is not sweep-driven: its one grid, one
+/// `[idx] label` line per cell.
+pub fn list_grid(exp: &str, cells: &[String]) -> String {
+    let mut out = format!("{exp}: 1 grid, {} cell(s)", cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        out.push_str(&format!("\n  [{i:>3}] {cell}"));
+    }
+    out
+}
+
 /// Runs each sweep (resuming from existing shards), prints its aggregate
 /// table, and returns the runs in order. Under `--list` the cells are
 /// printed instead and the process exits without executing any. Progress —
@@ -145,73 +158,136 @@ pub fn bench_doc(exp: &str, args: &ExpArgs, runs: &[SweepRun], extra: Value) -> 
     }
 }
 
-/// Writes the document to `BENCH_<exp>.json` (honouring `--out`) and reports
-/// the path on stdout.
-pub fn write_bench_doc(exp: &str, args: &ExpArgs, doc: &BenchDoc) {
-    match &args.out {
-        Some(dir) => {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                tsa_obs::Reporter::default().error(&format!(
-                    "warning: could not create {}: {err}",
-                    dir.display()
-                ));
-            }
-            crate::write_bench_json_at(&dir.join(format!("BENCH_{exp}.json")), doc);
+/// Which part of the artifact is machine-invariant, and therefore
+/// byte-compared against the committed one under `--compare`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Compared {
+    /// The whole file.
+    Whole,
+    /// One named top-level section; the rest is wall clock.
+    Section(&'static str),
+    /// Nothing: a timing-only artifact, held by the binary's own verdict.
+    Nothing,
+}
+
+/// The committed `BENCH_<exp>.json` this invocation is held against: `None`
+/// without `--compare`, when there is none yet, or when the committed
+/// artifact's `smoke` marker names the other grid shape (a full grid is no
+/// baseline for a `--smoke` run, nor the reverse).
+pub fn committed_baseline(exp: &str, args: &ExpArgs) -> Option<String> {
+    if !args.compare {
+        return None;
+    }
+    let text = std::fs::read_to_string(bench_artifact_path(exp, args)).ok()?;
+    let other_shape = serde_json::parse_value(&text)
+        .ok()
+        .and_then(|doc| doc.get("smoke").and_then(Value::as_bool))
+        .is_some_and(|smoke| smoke != args.smoke);
+    (!other_shape).then_some(text)
+}
+
+/// The compared part of an artifact, as the bytes the gate holds equal.
+fn compared_part(text: &str, compared: Compared) -> Option<Cow<'_, str>> {
+    match compared {
+        Compared::Whole => Some(Cow::Borrowed(text)),
+        Compared::Section(name) => serde_json::parse_value(text)
+            .ok()?
+            .get(name)
+            .map(|section| Cow::Owned(section.to_json_compact())),
+        Compared::Nothing => None,
+    }
+}
+
+/// The tail of every experiment binary, as a value: writes `doc` to
+/// `BENCH_<exp>.json` (creating `--out`) and, under `--compare`, holds its
+/// `compared` part against the committed artifact — read *before* the write,
+/// since both live at the same path — and appends one machine-tagged row
+/// with `metrics` to `TRAJECTORY.jsonl`. `verdict` is the binary's own
+/// all-checks result. `Err` carries everything that must fail the run: an
+/// artifact that could not be written, deterministic drift (with the
+/// metric-level diff), a failed verdict.
+pub fn try_publish<D: Serialize>(
+    exp: &str,
+    args: &ExpArgs,
+    doc: &D,
+    compared: Compared,
+    metrics: Vec<MetricPoint>,
+    verdict: Result<(), String>,
+) -> Result<(), String> {
+    let reporter = args.reporter();
+    let artifact = bench_artifact_path(exp, args);
+    let committed = committed_baseline(exp, args);
+    if let Some(dir) = &args.out {
+        std::fs::create_dir_all(dir)
+            .map_err(|err| format!("could not create {}: {err}", dir.display()))?;
+    }
+    let fresh = serde_json::to_string_pretty(doc).expect("bench results serialize");
+    std::fs::write(&artifact, &fresh)
+        .map_err(|err| format!("could not write {}: {err}", artifact.display()))?;
+    reporter.result(&format!(
+        "\n[machine-readable results written to {}]",
+        artifact.display()
+    ));
+
+    let mut failures = Vec::new();
+    if args.compare {
+        let fresh_part = compared_part(&fresh, compared);
+        let report = fresh_part.as_ref().map(|fresh_part| {
+            let committed_part = committed
+                .as_deref()
+                .and_then(|text| compared_part(text, compared));
+            compare_artifact(exp, committed_part.as_deref(), fresh_part)
+        });
+        let det_match = report.as_ref().is_none_or(|r| r.det_match);
+        match append_trajectory(
+            args.out.as_deref(),
+            exp,
+            det_match && verdict.is_ok(),
+            fresh_part.map_or(0, |part| part.len() as u64),
+            metrics,
+        ) {
+            Ok(path) => reporter.note(&format!("{exp}: trajectory row -> {}", path.display())),
+            Err(err) => reporter.error(&format!("{exp}: could not append trajectory row: {err}")),
         }
-        None => crate::write_bench_json(exp, doc),
+        match report {
+            Some(report) if !report.det_match => failures.push(report.render()),
+            Some(report) => reporter.result(&report.render()),
+            None => {}
+        }
+    }
+    failures.extend(verdict.err().map(|message| format!("{exp}: {message}")));
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
+}
+
+/// [`try_publish`], exiting with status 1 (and the reasons on stderr) when
+/// the run must fail.
+pub fn publish<D: Serialize>(
+    exp: &str,
+    args: &ExpArgs,
+    doc: &D,
+    compared: Compared,
+    metrics: Vec<MetricPoint>,
+    verdict: Result<(), String>,
+) {
+    if let Err(failures) = try_publish(exp, args, doc, compared, metrics, verdict) {
+        tsa_obs::Reporter::default().error(&failures);
+        std::process::exit(1);
     }
 }
 
 /// The standard tail of every sweep-driven experiment binary: aggregate,
-/// serialize, write — and, under `--compare` / `--trace`, gate the artifact
-/// against the committed one and export the run's worker trace.
-///
-/// Under `--compare`, deterministic drift (the fresh artifact not
-/// byte-matching the committed `BENCH_<exp>.json`) prints a metric-level
-/// diff and exits with status 1; either way one machine-tagged row lands in
-/// `TRAJECTORY.jsonl`. The committed bytes are read *before* the fresh
-/// write, since both live at the same path.
+/// export the run's worker trace under `--trace`, and [`publish`] the
+/// document — machine-invariant in full, so the whole file is compared.
 pub fn finish(exp: &str, args: &ExpArgs, runs: &[SweepRun], extra: Value) {
     let doc = bench_doc(exp, args, runs, extra);
-    let artifact = bench_artifact_path(exp, args);
-    let committed = if args.compare {
-        Some(std::fs::read_to_string(&artifact).ok())
-    } else {
-        None
-    };
-    write_bench_doc(exp, args, &doc);
-
     if let Some(path) = &args.trace {
         write_sweep_trace(exp, path, runs);
     }
-
-    let Some(committed) = committed else { return };
-    let reporter = args.reporter();
-    let fresh = match std::fs::read_to_string(&artifact) {
-        Ok(text) => text,
-        Err(err) => {
-            reporter.error(&format!(
-                "{exp}: cannot re-read fresh artifact {}: {err}",
-                artifact.display()
-            ));
-            std::process::exit(1);
-        }
-    };
-    let report = compare_artifact(exp, committed.as_deref(), &fresh);
-    match append_trajectory(
-        args.out.as_deref(),
-        exp,
-        report.det_match,
-        fresh.len() as u64,
-        run_metrics(runs),
-    ) {
-        Ok(path) => reporter.note(&format!("{exp}: trajectory row -> {}", path.display())),
-        Err(err) => reporter.error(&format!("{exp}: could not append trajectory row: {err}")),
-    }
-    reporter.result(&report.render());
-    if !report.det_match {
-        std::process::exit(1);
-    }
+    publish(exp, args, &doc, Compared::Whole, run_metrics(runs), Ok(()));
 }
 
 /// The plottable scalars a sweep run contributes to its trajectory row:
@@ -240,7 +316,7 @@ fn run_metrics(runs: &[SweepRun]) -> Vec<MetricPoint> {
 
 /// Exports the sweeps' wall-clock placement as trace-event JSON: one
 /// process per sweep, one track per executor worker, one slice per cell.
-fn write_sweep_trace(exp: &str, path: &std::path::Path, runs: &[SweepRun]) {
+fn write_sweep_trace(exp: &str, path: &Path, runs: &[SweepRun]) {
     let mut trace = TraceBuilder::new();
     for (i, run) in runs.iter().enumerate() {
         let pid = i as u64 + 1;
@@ -267,7 +343,135 @@ fn write_sweep_trace(exp: &str, path: &std::path::Path, runs: &[SweepRun]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsa_dash::{read_rows, TrajectoryRow};
     use tsa_scenario::{ScenarioKind, ScenarioSpec};
+
+    /// A two-section artifact shaped like `exp_net`'s / `exp_profile`'s.
+    #[derive(Serialize)]
+    struct SplitDoc {
+        smoke: bool,
+        deterministic: Det,
+        timing: u64,
+    }
+
+    #[derive(Serialize)]
+    struct Det {
+        sent: u64,
+    }
+
+    const SECTION: Compared = Compared::Section("deterministic");
+
+    /// `--compare --quiet --out <fresh temp dir>`, at the given grid shape.
+    fn compare_args(test: &str, smoke: bool) -> ExpArgs {
+        let dir = std::env::temp_dir().join(format!("tsa-publish-{test}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        ExpArgs {
+            out: Some(dir),
+            compare: true,
+            quiet: true,
+            smoke,
+            ..ExpArgs::default()
+        }
+    }
+
+    /// Publishes a [`SplitDoc`] of `args`' grid shape through the tail.
+    fn run(
+        args: &ExpArgs,
+        (sent, timing): (u64, u64),
+        compared: Compared,
+        verdict: Result<(), String>,
+    ) -> Result<(), String> {
+        let doc = SplitDoc {
+            smoke: args.smoke,
+            deterministic: Det { sent },
+            timing,
+        };
+        try_publish("exp_x", args, &doc, compared, vec![], verdict)
+    }
+
+    fn last_row(args: &ExpArgs) -> (usize, TrajectoryRow) {
+        let rows = read_rows(&crate::compare::trajectory_path(args.out.as_deref()));
+        (rows.len(), rows.last().expect("a trajectory row").clone())
+    }
+
+    #[test]
+    fn a_committed_artifact_of_the_other_grid_shape_is_no_baseline() {
+        let full = compare_args("shape", false);
+        run(&full, (10, 1), SECTION, Ok(())).unwrap();
+        // Different deterministic content, but the committed file is the
+        // full grid: nothing to hold a --smoke run against.
+        let smoke = ExpArgs {
+            smoke: true,
+            ..full
+        };
+        assert_eq!(committed_baseline("exp_x", &smoke), None);
+        run(&smoke, (99, 2), SECTION, Ok(())).unwrap();
+        let (rows, last) = last_row(&smoke);
+        assert_eq!(rows, 2, "the trajectory row is appended either way");
+        assert!(last.det_match);
+        // The artifact now on disk is the smoke one, and is a baseline for
+        // the next --smoke run.
+        assert!(committed_baseline("exp_x", &smoke).is_some());
+    }
+
+    #[test]
+    fn drift_inside_the_compared_section_fails_with_the_json_path() {
+        // This is `exp_net -- --compare`, which before this tail existed
+        // compared nothing and exited 0.
+        let args = compare_args("drift", true);
+        run(&args, (10, 1), SECTION, Ok(())).unwrap();
+        let err = run(&args, (11, 1), SECTION, Ok(())).unwrap_err();
+        assert!(err.contains("$.sent: 10 -> 11"), "{err}");
+        assert!(!last_row(&args).1.det_match);
+    }
+
+    #[test]
+    fn drift_outside_the_compared_section_is_not_drift() {
+        let args = compare_args("timing", true);
+        run(&args, (10, 1), SECTION, Ok(())).unwrap();
+        run(&args, (10, 777), SECTION, Ok(())).unwrap();
+        assert!(last_row(&args).1.det_match);
+        // The same change under a whole-file gate is drift.
+        let err = run(&args, (10, 778), Compared::Whole, Ok(())).unwrap_err();
+        assert!(err.contains("$.timing: 777 -> 778"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_verdict_fails_the_run_even_when_the_bytes_match() {
+        let args = compare_args("verdict", true);
+        run(&args, (10, 1), SECTION, Ok(())).unwrap();
+        let err = run(&args, (10, 1), SECTION, Err("a twin diverged".into())).unwrap_err();
+        assert_eq!(err, "exp_x: a twin diverged");
+        assert!(!last_row(&args).1.det_match);
+        // A timing-only artifact is gated by its verdict alone.
+        run(&args, (10, 1), Compared::Nothing, Ok(())).unwrap();
+        assert_eq!(last_row(&args).1.artifact_bytes, 0);
+    }
+
+    #[test]
+    fn an_artifact_that_cannot_be_written_is_an_error_not_a_green_run() {
+        // `--out` below a regular file: the directory cannot be created
+        // (for root too, unlike a permission probe).
+        let file = std::env::temp_dir().join("tsa-publish-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let args = ExpArgs {
+            out: Some(file.join("sub")),
+            quiet: true,
+            ..ExpArgs::default()
+        };
+        let err = run(&args, (1, 1), Compared::Whole, Ok(())).unwrap_err();
+        assert!(err.contains("could not create"), "{err}");
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn grid_listings_share_the_cell_format() {
+        let text = list_grid("exp_x", &["net n=16".to_string(), "net n=32".to_string()]);
+        assert_eq!(
+            text,
+            "exp_x: 1 grid, 2 cell(s)\n  [  0] net n=16\n  [  1] net n=32"
+        );
+    }
 
     #[test]
     fn shard_paths_follow_the_out_flag() {

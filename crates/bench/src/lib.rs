@@ -1,16 +1,15 @@
-//! # tsa-bench — experiment harness and Criterion benchmarks
+//! # tsa-bench — the experiment binaries and their shared driver
 //!
 //! Each binary in `src/bin/` regenerates one exhibit of the paper (or one
-//! quantitative claim of a lemma/theorem) as a thin set of
-//! [`tsa_sweep::SweepSpec`] declarations over the shared [`driver`] (shards,
-//! resume, aggregation) and [`cli`] flags (`--full`, `--out`, `--threads`,
-//! `--quiet`, `--help`); the Criterion benches in `benches/` measure the
-//! wall-clock cost
-//! of the core operations. `EXPERIMENTS.md` in the repository root records
-//! the outputs. Every binary additionally writes its machine-readable
-//! results as `BENCH_<exp>.json` (a [`BenchDoc`]: sweep aggregates plus
-//! compacted cell records), so the bench trajectory can be tracked across
-//! PRs.
+//! quantitative claim of a lemma/theorem) as a grid and a table: a thin set
+//! of [`tsa_sweep::SweepSpec`] declarations (or a grid of its own) over the
+//! shared [`cli`] flags and the shared [`driver`] (shards, resume,
+//! aggregation, and the one [`publish`] tail that writes `BENCH_<exp>.json`
+//! and gates it under `--compare`). `EXPERIMENTS.md` in the repository root
+//! records the outputs; the artifact of a sweep-driven binary is a
+//! [`BenchDoc`] (sweep aggregates plus compacted cell records), so the
+//! bench trajectory can be tracked across PRs. Wall-clock cost is measured
+//! by `exp_perf` and by the `benchmark/` package, not here.
 //!
 //! | binary            | exhibit / claim |
 //! |--------------------|-----------------|
@@ -33,20 +32,15 @@ pub mod cli;
 pub mod compare;
 pub mod driver;
 
-pub use cli::{usage, ExpArgs};
+pub use cli::{ExpArgs, Extra};
 pub use compare::{compare_artifact, CompareReport};
 pub use driver::{
-    bench_artifact_path, bench_doc, finish, list_cells, run_sweeps, shard_path, BenchDoc,
+    bench_artifact_path, bench_doc, committed_baseline, finish, list_cells, list_grid, publish,
+    run_sweeps, shard_path, BenchDoc, Compared,
 };
 
-use serde::Serialize;
 use tsa_core::MaintenanceParams;
-use tsa_scenario::{Scenario, ScenarioKind, ScenarioSpec};
-
-/// The standard network sizes used by the experiments. They are deliberately
-/// modest so every experiment finishes in minutes on a laptop; the asymptotic
-/// trends are already visible at these sizes.
-pub const EXPERIMENT_SIZES: [usize; 3] = [64, 128, 256];
+use tsa_scenario::{Scenario, ScenarioSpec};
 
 /// Maintenance-protocol parameters used across the experiments: slightly
 /// reduced constants (`c`, `τ`, `r`) keep the message volume manageable while
@@ -71,34 +65,6 @@ pub fn experiment_scenario(n: usize) -> Scenario {
 /// plain data, ready for `SweepSpec` axes.
 pub fn experiment_spec(n: usize) -> ScenarioSpec {
     experiment_scenario(n).spec().clone()
-}
-
-/// A spec of the given one-shot kind over `n` nodes, at the paper's defaults.
-pub fn workload_spec(kind: ScenarioKind, n: usize) -> ScenarioSpec {
-    ScenarioSpec::new(kind, n)
-}
-
-/// Writes `results` as pretty-printed JSON to `BENCH_<exp>.json` in the
-/// current directory and reports the path on stdout.
-pub fn write_bench_json<T: Serialize>(exp: &str, results: &T) {
-    write_bench_json_at(std::path::Path::new(&format!("BENCH_{exp}.json")), results);
-}
-
-/// Writes `results` as pretty-printed JSON to `path` and reports the path on
-/// stdout.
-pub fn write_bench_json_at<T: Serialize>(path: &std::path::Path, results: &T) {
-    let json = serde_json::to_string_pretty(results).expect("bench results serialize");
-    let reporter = tsa_obs::Reporter::default();
-    match std::fs::write(path, json) {
-        Ok(()) => reporter.result(&format!(
-            "\n[machine-readable results written to {}]",
-            path.display()
-        )),
-        Err(err) => reporter.error(&format!(
-            "warning: could not write {}: {err}",
-            path.display()
-        )),
-    }
 }
 
 #[cfg(test)]

@@ -15,14 +15,16 @@
 //!   maintenance actually tolerates;
 //! * on `tsa-net`'s transport the messages are real length-prefixed frames
 //!   over loopback TCP, scheduled by the wall clock. The harness records
-//!   every message's fate; replaying the recorded [`MessageTrace`] through
-//!   [`AsyncMaintenanceHarness::assemble_replay`] re-executes the run
-//!   deterministically, which is how the twin tests pin the transport to the
-//!   model.
+//!   every message's fate; [`NetMaintenanceHarness::twin`] replays the
+//!   recorded [`MessageTrace`] through the event engine from the run's own
+//!   genesis and fault plan, re-executing it deterministically, which is how
+//!   the twin tests pin the transport to the model.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
+
+use serde::Serialize;
 
 use tsa_event::{
     EventConfig, FaultPlan, LatencyModel, MessageTrace, NetModel, Topology, VirtualTime,
@@ -86,6 +88,9 @@ pub struct Maintained<A: Adversary, D: Delivery<ProtocolMsg>> {
     /// clone): the protocol-level probes — sampling ages — live here, above
     /// the scheduler.
     obs: ObsHandle,
+    /// The fault plan installed on a transport run, kept so it can hand it
+    /// to its [`twin`](NetMaintenanceHarness::twin).
+    faults: Option<FaultPlan>,
 }
 
 /// Everything read-only the world and its delivery offer — `round`,
@@ -237,6 +242,7 @@ impl<A: Adversary, D: Delivery<ProtocolMsg>> Maintained<A, D> {
             sim,
             params,
             obs: ObsHandle::off(),
+            faults: None,
         }
     }
 
@@ -323,17 +329,31 @@ impl<A: Adversary, D: Delivery<ProtocolMsg>> Maintained<A, D> {
 
     /// The health report for the most recently completed round.
     pub fn report(&self) -> MaintenanceReport {
-        let round = self.sim.round().saturating_sub(1);
-        let snapshots = self.snapshots();
+        self.report_over(&self.snapshots())
+    }
+
+    fn report_over(&self, snapshots: &[(NodeId, NodeSnapshot)]) -> MaintenanceReport {
         build_report(
             &self.params,
             self.sim.config().hash_seed,
-            round,
-            &snapshots,
+            self.sim.round().saturating_sub(1),
+            snapshots,
             self.sim
                 .last_metrics()
                 .map(|m| m.max_received_per_node)
                 .unwrap_or(0),
+        )
+    }
+
+    /// The byte-identity fingerprint of the run so far: the health report
+    /// plus every node snapshot, serialized. Two runs with equal
+    /// fingerprints are in the same protocol state, on whichever schedulers.
+    pub fn fingerprint(&self) -> String {
+        let snapshots = self.snapshots();
+        format!(
+            "{}|{}",
+            self.report_over(&snapshots).to_value().to_json_compact(),
+            snapshots.to_value().to_json_compact(),
         )
     }
 
@@ -493,7 +513,32 @@ impl<A: Adversary> NetMaintenanceHarness<A> {
     /// [`AsyncMaintenanceHarness`] takes byte-identical decisions, because
     /// both schedulers assign the same sequence numbers.
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sim.set_faults(plan, ProtocolMsg::fault_adapter());
+        self.sim
+            .set_faults(plan.clone(), ProtocolMsg::fault_adapter());
+        self.faults = Some(plan);
+    }
+
+    /// The deterministic twin of this run, built from the run itself: the
+    /// same parameters, seed, churn rules and lateness, the fate trace
+    /// recorded so far, and the installed fault plan. Only the adversary is
+    /// passed in — a fresh instance of the one this run was assembled with.
+    /// Running the twin for as many rounds as this harness has run must
+    /// reproduce its [`fingerprint`](Maintained::fingerprint) and membership
+    /// exactly.
+    pub fn twin(&self, adversary: A) -> AsyncMaintenanceHarness<A> {
+        let config = self.sim.config();
+        let mut twin = AsyncMaintenanceHarness::assemble_replay(
+            self.params,
+            adversary,
+            config.seed,
+            config.churn_rules,
+            config.lateness,
+            self.trace(),
+        );
+        if let Some(plan) = &self.faults {
+            twin.set_faults(plan.clone());
+        }
+        twin
     }
 
     /// Direct access to the underlying transport runtime.

@@ -22,7 +22,7 @@ use tsa_core::{
     AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams, MisbehaviorKind,
     NetMaintenanceHarness,
 };
-use tsa_event::{FaultAction, FaultPlan, FaultRule, LatencyModel, NetModel, RoundWindow};
+use tsa_event::{FaultPlan, LatencyModel, NetModel};
 use tsa_sim::NullAdversary;
 
 fn small_params(n: usize) -> MaintenanceParams {
@@ -32,37 +32,13 @@ fn small_params(n: usize) -> MaintenanceParams {
         .with_replication(2)
 }
 
-/// A mixed plan exercising all four actions, so each twin pin covers drop,
-/// delay, duplicate and mutate in one trace.
-fn mixed_plan() -> FaultPlan {
-    FaultPlan::new()
-        .with_rule(
-            FaultRule::every(FaultAction::Drop)
-                .with_prob(0.04)
-                .in_window(RoundWindow::starting_at(2)),
-        )
-        .with_rule(FaultRule::every(FaultAction::Delay { ticks: 1500 }).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.05))
-        .with_rule(FaultRule::every(FaultAction::Mutate).with_prob(0.05))
-}
-
-/// Report + snapshots, serialized: the byte-identity fingerprint every
-/// assertion in this file compares.
-fn fingerprint(report: &impl serde::Serialize, snapshots: &impl serde::Serialize) -> String {
-    format!(
-        "{}|{}",
-        serde_json::to_string(report).unwrap(),
-        serde_json::to_string(snapshots).unwrap(),
-    )
-}
-
-/// Runs the transport under `plan` + byzantine `spec`, replays its trace in
-/// the event engine under the same plan, and demands identical protocol
-/// state and fault counters.
+/// Runs the transport under the mixed plan (all four actions, so each pin
+/// covers drop, delay, duplicate and mutate in one trace) + a byzantine
+/// population, replays its trace in the event engine under the same plan,
+/// and demands identical protocol state and fault counters.
 fn assert_faulted_twin(kind: MisbehaviorKind, seed: u64) {
     let params = small_params(16).with_byzantine(ByzantineSpec::fraction(1, 8, kind));
     let rounds = params.bootstrap_rounds() + 4;
-    let plan = mixed_plan();
 
     let mut real = NetMaintenanceHarness::assemble(
         params,
@@ -72,29 +48,20 @@ fn assert_faulted_twin(kind: MisbehaviorKind, seed: u64) {
         params.paper_lateness(),
         Duration::from_millis(15),
     );
-    real.set_faults(plan.clone());
+    real.set_faults(FaultPlan::mixed());
     real.run(rounds);
     let label = kind.label();
     assert!(
         real.fault_stats().total() > 0,
         "{label}/{seed}: the plan must actually inject faults"
     );
-    let trace = real.trace();
     assert_eq!(
-        trace.len() as u64,
+        real.trace().len() as u64,
         real.net_stats().sent,
         "{label}/{seed}: one fate per sent message, duplicates included"
     );
 
-    let mut twin = AsyncMaintenanceHarness::assemble_replay(
-        params,
-        NullAdversary,
-        seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        trace,
-    );
-    twin.set_faults(plan);
+    let mut twin = real.twin(NullAdversary);
     twin.run(rounds);
 
     assert_eq!(
@@ -103,8 +70,8 @@ fn assert_faulted_twin(kind: MisbehaviorKind, seed: u64) {
         "{label}/{seed}: membership diverged"
     );
     assert_eq!(
-        fingerprint(&real.report(), &real.snapshots()),
-        fingerprint(&twin.report(), &twin.snapshots()),
+        real.fingerprint(),
+        twin.fingerprint(),
         "{label}/{seed}: protocol state diverged"
     );
     assert_eq!(
@@ -159,7 +126,7 @@ fn fraction_zero_is_invisible_on_the_round_engine() {
         );
         h.run_bootstrap();
         h.run(rounds);
-        fingerprint(&h.report(), &h.snapshots())
+        h.fingerprint()
     };
     let honest = run(params);
     for kind in MisbehaviorKind::ALL {
@@ -195,8 +162,7 @@ fn the_empty_plan_and_fraction_zero_are_invisible_on_the_event_engine() {
         }
         h.run_bootstrap();
         h.run(rounds);
-        let total = h.fault_stats().total();
-        (fingerprint(&h.report(), &h.snapshots()), total)
+        (h.fingerprint(), h.fault_stats().total())
     };
     let params = small_params(24);
     let (honest, _) = run(params, None);
@@ -250,12 +216,12 @@ fn the_empty_plan_and_fraction_zero_are_invisible_on_the_transport_replay() {
             twin.set_faults(plan);
         }
         twin.run(rounds);
-        fingerprint(&twin.report(), &twin.snapshots())
+        twin.fingerprint()
     };
     let plain = replay(params, None);
     assert_eq!(
         plain,
-        fingerprint(&real.report(), &real.snapshots()),
+        real.fingerprint(),
         "the plain replay reproduces the transport"
     );
     assert_eq!(

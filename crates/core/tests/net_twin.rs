@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use tsa_adversary::{RandomChurnAdversary, TargetedSwarmAdversary};
-use tsa_core::{AsyncMaintenanceHarness, MaintenanceParams, NetMaintenanceHarness};
+use tsa_core::{MaintenanceParams, NetMaintenanceHarness};
 use tsa_sim::{Adversary, NullAdversary};
 
 fn small_params(n: usize) -> MaintenanceParams {
@@ -44,21 +44,13 @@ fn assert_twin_reproduces<A: Adversary>(
         Duration::from_millis(15),
     );
     real.run(rounds);
-    let trace = real.trace();
     assert_eq!(
-        trace.len() as u64,
+        real.trace().len() as u64,
         real.net_stats().sent,
         "{label}/{seed}: one fate per sent message"
     );
 
-    let mut twin = AsyncMaintenanceHarness::assemble_replay(
-        params,
-        make_adversary(),
-        seed,
-        params.paper_churn_rules(),
-        params.paper_lateness(),
-        trace,
-    );
+    let mut twin = real.twin(make_adversary());
     twin.run(rounds);
 
     assert_eq!(

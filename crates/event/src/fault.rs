@@ -364,6 +364,21 @@ impl FaultPlan {
         self
     }
 
+    /// The mixed plan the cross-engine twin pins and the faulted experiment
+    /// runs share: every action kind at low probability, so one trace covers
+    /// drop, delay, duplicate *and* mutate; drops start past round 2.
+    pub fn mixed() -> Self {
+        FaultPlan::new()
+            .with_rule(
+                FaultRule::every(FaultAction::Drop)
+                    .with_prob(0.04)
+                    .in_window(RoundWindow::starting_at(2)),
+            )
+            .with_rule(FaultRule::every(FaultAction::Delay { ticks: 1500 }).with_prob(0.05))
+            .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.05))
+            .with_rule(FaultRule::every(FaultAction::Mutate).with_prob(0.05))
+    }
+
     /// `true` if the plan has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()

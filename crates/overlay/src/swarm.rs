@@ -21,7 +21,8 @@ use crate::position::Position;
 /// the node (positions, not identifiers, are the sort key); both shift the
 /// tail, so each operation is `O(n)` worst case — for the handful of churn
 /// events one round actually brings, far cheaper than an `O(n log n)`
-/// rebuild (measured by `bench_swarm_index`). An incrementally maintained
+/// rebuild (2.7 µs against 29.7 µs at `n = 1024`; EXPERIMENTS.md,
+/// "Wall-clock benchmarks"). An incrementally maintained
 /// index is always byte-identical to a fresh [`SwarmIndex::build`] over the
 /// same membership (pinned by a property test below).
 #[derive(Clone, Debug, Default)]
