@@ -21,11 +21,9 @@
 //!   pin (now over a faulted run, so `proto.fault_*` is inside the pin),
 //!   journal-fold identity with the live snapshots, presence of nonzero
 //!   fault counters, and the streaming-vs-full metrics digest pin.
-//! * **timing** — the wall-clock phase spans (`sim.*`, `event.*`, `net.*`):
-//!   where each scheduler actually spends its time. The *transport's*
-//!   counter snapshot also lives here: wall-clock scheduling makes its
-//!   protocol trace run-dependent (a frame that lands just before a round
-//!   boundary in one run lands just after it in the next), so its raw
+//! * **timing** — the *transport's* counter snapshot: wall-clock scheduling
+//!   makes its protocol trace run-dependent (a frame that lands just before a
+//!   round boundary in one run lands just after it in the next), so its raw
 //!   counters can never be byte-compared. Its deterministic claim is the
 //!   twin pin instead — replaying the recorded message fates through the
 //!   event engine (with the same fault plan) must reproduce the transport's
@@ -38,14 +36,15 @@
 //! (`journal.round.jsonl`, `journal.event.jsonl`,
 //! `journal.event_faulted.jsonl` — the transport's journal is wall-clock
 //! dependent and stays out) and a Chrome-trace `trace.json` with the phase
-//! spans of all three engines, ready for Perfetto.
+//! spans of all three engines, ready for Perfetto. Phase-span *medians* are
+//! the traced pass of `benchmark/`, not this artifact.
 
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Serialize;
 use tsa_adversary::RandomChurnAdversary;
@@ -54,8 +53,8 @@ use tsa_bench::{
     experiment_params, experiment_scenario, list_grid, publish, Compared, ExpArgs, Extra,
 };
 use tsa_core::{AsyncMaintenanceHarness, MaintenanceHarness, NetMaintenanceHarness};
-use tsa_dash::{JournalRecorder, MetricPoint, RunJournal, SpanSlice, TraceBuilder};
-use tsa_obs::{DetSnapshot, ObsHandle, TimingSnapshot};
+use tsa_dash::{JournalRecorder, RunJournal, SpanSlice, TraceBuilder};
+use tsa_obs::{DetSnapshot, ObsHandle};
 use tsa_scenario::{AdversarySpec, FaultPlan, LatencyModel, MetricsMode, NetModel};
 
 /// The milliseconds of wall clock one transport round occupies. Generous for
@@ -137,18 +136,9 @@ struct DeterministicDoc {
     event_faulted: EngineDet,
 }
 
-/// One scheduler's wall-clock phase spans (machine-dependent).
-#[derive(Serialize)]
-struct EngineTiming {
-    engine: String,
-    elapsed_ms: u64,
-    spans: TimingSnapshot,
-}
-
 /// The wall-clock half of `BENCH_exp_profile.json`.
 #[derive(Serialize)]
 struct TimingDoc {
-    engines: Vec<EngineTiming>,
     /// The transport's counters/histograms: run-dependent (see the module
     /// docs), so they live here, outside the byte-compared section. The
     /// twin pin in `deterministic.checks` is their correctness contract.
@@ -167,25 +157,21 @@ struct ProfileDoc {
 /// Everything one flight-recorded run yields.
 struct RunOut {
     det: DetSnapshot,
-    spans: TimingSnapshot,
     journal: RunJournal,
     slices: Vec<SpanSlice>,
-    elapsed_ms: u64,
     /// Folding the journal reproduced `det` byte-for-byte.
     fold_ok: bool,
 }
 
 /// Drains one [`JournalRecorder`] into a [`RunOut`].
-fn collect(rec: &JournalRecorder, elapsed_ms: u64) -> RunOut {
+fn collect(rec: &JournalRecorder) -> RunOut {
     let det = rec.det_snapshot();
     let journal = rec.journal();
     let fold_ok = bytes_eq(&journal.fold(), &det);
     RunOut {
-        spans: rec.timing_snapshot(),
         slices: rec.slices(),
         journal,
         det,
-        elapsed_ms,
         fold_ok,
     }
 }
@@ -203,10 +189,9 @@ fn round_run(n: usize, seed: u64, rounds: u64, cap: usize) -> RunOut {
         );
         let rec = Arc::new(JournalRecorder::new());
         h.set_obs(ObsHandle::new(rec.clone()));
-        let start = Instant::now();
         h.run_bootstrap();
         h.run(rounds);
-        collect(&rec, start.elapsed().as_millis() as u64)
+        collect(&rec)
     })
 }
 
@@ -230,10 +215,9 @@ fn event_run(n: usize, seed: u64, rounds: u64, faults: Option<FaultPlan>) -> Run
     }
     let rec = Arc::new(JournalRecorder::new());
     h.set_obs(ObsHandle::new(rec.clone()));
-    let start = Instant::now();
     h.run_bootstrap();
     h.run(rounds);
-    collect(&rec, start.elapsed().as_millis() as u64)
+    collect(&rec)
 }
 
 /// Runs the loopback transport under the mixed fault plan (every action
@@ -257,16 +241,14 @@ fn net_run(n: usize, seed: u64, rounds: u64) -> (RunOut, DetSnapshot) {
     real.set_faults(FaultPlan::mixed());
     let rec = Arc::new(JournalRecorder::new());
     real.set_obs(ObsHandle::new(rec.clone()));
-    let start = Instant::now();
     real.run(total);
-    let elapsed_ms = start.elapsed().as_millis() as u64;
 
     let mut twin = real.twin(RandomChurnAdversary::new(CHURN_PER_ROUND, seed));
     let twin_rec = Arc::new(JournalRecorder::new());
     twin.set_obs(ObsHandle::new(twin_rec.clone()));
     twin.run(total);
 
-    (collect(&rec, elapsed_ms), twin_rec.det_snapshot())
+    (collect(&rec), twin_rec.det_snapshot())
 }
 
 /// Removes one counter from a snapshot before comparison.
@@ -323,8 +305,8 @@ fn main() {
         exp,
         "the tsa-obs observability layer across all three schedulers: \
          deterministic counters/histograms (CI byte-compares them), the \
-         flight-recorder journal, fault counters, the transport's \
-         twin-counter pin, and wall-clock phase spans",
+         flight-recorder journal, fault counters and the transport's \
+         twin-counter pin",
         &[
             Extra::Smoke("CI-sized run (a few seconds end to end)"),
             Extra::Journal,
@@ -467,7 +449,6 @@ fn main() {
             "faults",
             "inbox max",
             "journal events",
-            "elapsed ms",
         ],
     );
     for (_, label, n, _, run) in engines {
@@ -485,7 +466,6 @@ fn main() {
             fault_total(&run.det).to_string(),
             inbox_max.to_string(),
             run.journal.len().to_string(),
-            run.elapsed_ms.to_string(),
         ]);
     }
     println!("{}", table.to_markdown());
@@ -499,9 +479,8 @@ fn main() {
         "The deterministic section (round + event + faulted-event snapshots, all seven\n\
          pins) is a pure function of (seed, protocol): CI runs this binary twice at\n\
          different TSA_THREADS and byte-compares it, journal streams included. The\n\
-         timing section — phase spans, and the transport's wall-clock-dependent\n\
-         counters — is excluded; the transport's contract is the twin pin, not byte\n\
-         identity."
+         timing section — the transport's wall-clock-dependent counters — is excluded;\n\
+         the transport's contract is the twin pin, not byte identity."
     );
 
     if let Some(dir) = &args.journal {
@@ -530,26 +509,10 @@ fn main() {
             event: event_det,
             event_faulted: event_faulted_det,
         },
-        timing: TimingDoc {
-            engines: engines
-                .iter()
-                .map(|(engine, _, _, _, run)| EngineTiming {
-                    engine: engine.to_string(),
-                    elapsed_ms: run.elapsed_ms,
-                    spans: run.spans.clone(),
-                })
-                .collect(),
-            net: net_det,
-        },
+        timing: TimingDoc { net: net_det },
     };
     // Only the deterministic section is byte-compared — the timing section
-    // is wall clock and never byte-stable.
-    let metrics = [("round_ms", &round), ("net_ms", &net)]
-        .map(|(name, run)| MetricPoint {
-            name: name.to_string(),
-            value: run.elapsed_ms as f64,
-        })
-        .to_vec();
+    // depends on the wall clock and is never byte-stable.
     let verdict = all_checks_pass
         .then_some(())
         .ok_or_else(|| "an observability pin failed".to_string());
@@ -558,7 +521,7 @@ fn main() {
         &args,
         &doc,
         Compared::Section("deterministic"),
-        metrics,
+        Vec::new(),
         verdict,
     );
 }

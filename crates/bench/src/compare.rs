@@ -1,11 +1,10 @@
 //! The perf-trajectory gate behind `--compare`.
 //!
 //! A fresh experiment run is held against the committed `BENCH_<exp>.json`:
-//! deterministic artifacts must byte-match (the same claim the
+//! the deterministic part must byte-match (the same claim the
 //! bench-regeneration CI job makes with `git diff`, but failing with a
-//! *metric-level* diff naming the exact JSON paths that drifted), and
-//! timing metrics are held to a relative tolerance band instead — wall
-//! clocks differ across machines, so byte equality would be a lie there.
+//! *metric-level* diff naming the exact JSON paths that drifted). Wall-clock
+//! fields are never gated here — claims about speed are `benchmark/`'s.
 //! Every compared run appends one machine-tagged [`TrajectoryRow`] to
 //! `TRAJECTORY.jsonl`, which the dashboard plots across PRs.
 
@@ -170,74 +169,6 @@ pub fn append_trajectory(
     Ok(path)
 }
 
-/// Checks one fresh timing metric against its committed value with relative
-/// tolerance `band` (e.g. 0.5 = ±50%). Returns `None` when within band, or
-/// a description of the violation.
-pub fn check_band(name: &str, committed: f64, fresh: f64, band: f64) -> Option<String> {
-    if committed <= 0.0 {
-        return None; // nothing meaningful to hold the fresh value against
-    }
-    let ratio = fresh / committed;
-    if ratio < 1.0 - band || ratio > 1.0 + band {
-        Some(format!(
-            "{name}: committed {committed:.2}, fresh {fresh:.2} (ratio {ratio:.2} outside ±{band:.0}% band)",
-            band = band * 100.0
-        ))
-    } else {
-        None
-    }
-}
-
-/// The outcome of holding one timing row against the band, with a wall-time
-/// floor: rows too short to time meaningfully are *skipped with a reason*
-/// rather than silently passed, so the gate's output says what it did not
-/// check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BandOutcome {
-    /// Both sides were long enough and the fresh value sits within the band.
-    Within,
-    /// Both sides were long enough and the fresh value left the band; the
-    /// string names the metric and the ratio.
-    Violation(String),
-    /// At least one side ran under the wall-time floor, so a band there
-    /// would gate on cache state and scheduler noise, not on the code. The
-    /// string says which side was too short — it must be *printed*, not
-    /// swallowed.
-    Skipped(String),
-}
-
-/// [`check_band`] with a wall-time floor: rows whose measured window is
-/// shorter than `min_wall_ms` on either side are skipped (sub-millisecond
-/// cells flip 2× on cache state alone), and the skip is announced through
-/// [`BandOutcome::Skipped`] rather than silently treated as in-band.
-#[allow(clippy::too_many_arguments)]
-pub fn check_band_floored(
-    name: &str,
-    committed: f64,
-    fresh: f64,
-    band: f64,
-    committed_wall_ms: f64,
-    fresh_wall_ms: f64,
-    min_wall_ms: f64,
-) -> BandOutcome {
-    if committed_wall_ms < min_wall_ms || fresh_wall_ms < min_wall_ms {
-        let side = match (committed_wall_ms < min_wall_ms, fresh_wall_ms < min_wall_ms) {
-            (true, true) => {
-                format!("committed {committed_wall_ms:.1} ms and fresh {fresh_wall_ms:.1} ms")
-            }
-            (true, false) => format!("committed {committed_wall_ms:.1} ms"),
-            _ => format!("fresh {fresh_wall_ms:.1} ms"),
-        };
-        return BandOutcome::Skipped(format!(
-            "{name}: skipped ({side} under the {min_wall_ms:.0} ms floor — too short to band)"
-        ));
-    }
-    match check_band(name, committed, fresh, band) {
-        Some(violation) => BandOutcome::Violation(violation),
-        None => BandOutcome::Within,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,60 +223,6 @@ mod tests {
             &mut out,
         );
         assert_eq!(out.len(), DIFF_CAP);
-    }
-
-    #[test]
-    fn tolerance_band_brackets_the_committed_value() {
-        assert!(check_band("m", 100.0, 120.0, 0.5).is_none());
-        assert!(check_band("m", 100.0, 60.0, 0.5).is_none());
-        let violation = check_band("m", 100.0, 40.0, 0.5).unwrap();
-        assert!(violation.contains("ratio 0.40"), "{violation}");
-        assert!(check_band("m", 100.0, 151.0, 0.5).is_some());
-        assert!(
-            check_band("m", 0.0, 1000.0, 0.5).is_none(),
-            "no baseline, no claim"
-        );
-    }
-
-    #[test]
-    fn sub_floor_rows_are_skipped_and_say_so() {
-        // A 2× collapse on a sub-floor cell is noise, not a violation — but
-        // the gate must announce the skip, naming the short side.
-        let skip = check_band_floored("m", 100.0, 40.0, 0.5, 3.0, 200.0, 100.0);
-        let BandOutcome::Skipped(msg) = skip else {
-            panic!("expected a skip, got {skip:?}");
-        };
-        assert!(msg.contains("skipped"), "{msg}");
-        assert!(msg.contains("committed 3.0 ms"), "{msg}");
-        assert!(msg.contains("100 ms floor"), "{msg}");
-        // The floor applies to either side: a fresh run that got *faster*
-        // than the floor is skipped too (that speedup is exactly what a perf
-        // PR produces — it must not read as a band violation).
-        let fresh_short = check_band_floored("m", 100.0, 900.0, 0.5, 200.0, 8.0, 100.0);
-        assert!(
-            matches!(&fresh_short, BandOutcome::Skipped(m) if m.contains("fresh 8.0 ms")),
-            "{fresh_short:?}"
-        );
-        let both_short = check_band_floored("m", 100.0, 900.0, 0.5, 1.0, 2.0, 100.0);
-        assert!(
-            matches!(&both_short, BandOutcome::Skipped(m) if m.contains("committed 1.0 ms and fresh 2.0 ms")),
-            "{both_short:?}"
-        );
-        // Above the floor the band still bites in both directions.
-        assert_eq!(
-            check_band_floored("m", 100.0, 120.0, 0.5, 500.0, 500.0, 100.0),
-            BandOutcome::Within
-        );
-        let violation = check_band_floored("m", 100.0, 40.0, 0.5, 500.0, 500.0, 100.0);
-        assert!(
-            matches!(&violation, BandOutcome::Violation(m) if m.contains("ratio 0.40")),
-            "{violation:?}"
-        );
-        // Exactly at the floor counts as long enough.
-        assert_eq!(
-            check_band_floored("m", 100.0, 100.0, 0.5, 100.0, 100.0, 100.0),
-            BandOutcome::Within
-        );
     }
 
     #[test]

@@ -98,16 +98,33 @@ pub fn list_grid(exp: &str, cells: &[String]) -> String {
     out
 }
 
+/// Opens every sweep's shard file for append (creating its directory), so
+/// an unwritable `--out` is a one-line error before any cell runs rather
+/// than a panic inside [`SweepRunner::run`].
+fn probe_shards(exp: &str, args: &ExpArgs, sweeps: &[SweepSpec]) -> Result<(), String> {
+    for sweep in sweeps {
+        let path = shard_path(exp, &sweep.name, args);
+        tsa_sweep::shard::open_shard_for_append(&path)
+            .map_err(|err| format!("could not open shard file {}: {err}", path.display()))?;
+    }
+    Ok(())
+}
+
 /// Runs each sweep (resuming from existing shards), prints its aggregate
 /// table, and returns the runs in order. Under `--list` the cells are
-/// printed instead and the process exits without executing any. Progress —
-/// the executor's resume summary and per-cell lines — streams to stderr
-/// unless `--quiet`; the tables are results and always print on stdout.
+/// printed instead and the process exits without executing any; shard files
+/// that cannot be opened exit with status 1. Progress — the executor's
+/// resume summary and per-cell lines — streams to stderr unless `--quiet`;
+/// the tables are results and always print on stdout.
 pub fn run_sweeps(exp: &str, args: &ExpArgs, sweeps: Vec<SweepSpec>) -> Vec<SweepRun> {
     let reporter = args.reporter();
     if args.list {
         reporter.result(list_cells(exp, &sweeps).trim_end());
         std::process::exit(0);
+    }
+    if let Err(reason) = probe_shards(exp, args, &sweeps) {
+        reporter.error(&format!("{exp}: {reason}"));
+        std::process::exit(1);
     }
     sweeps
         .into_iter()
@@ -166,15 +183,13 @@ pub enum Compared {
     Whole,
     /// One named top-level section; the rest is wall clock.
     Section(&'static str),
-    /// Nothing: a timing-only artifact, held by the binary's own verdict.
-    Nothing,
 }
 
 /// The committed `BENCH_<exp>.json` this invocation is held against: `None`
 /// without `--compare`, when there is none yet, or when the committed
 /// artifact's `smoke` marker names the other grid shape (a full grid is no
 /// baseline for a `--smoke` run, nor the reverse).
-pub fn committed_baseline(exp: &str, args: &ExpArgs) -> Option<String> {
+fn committed_baseline(exp: &str, args: &ExpArgs) -> Option<String> {
     if !args.compare {
         return None;
     }
@@ -194,7 +209,6 @@ fn compared_part(text: &str, compared: Compared) -> Option<Cow<'_, str>> {
             .ok()?
             .get(name)
             .map(|section| Cow::Owned(section.to_json_compact())),
-        Compared::Nothing => None,
     }
 }
 
@@ -231,28 +245,26 @@ pub fn try_publish<D: Serialize>(
 
     let mut failures = Vec::new();
     if args.compare {
-        let fresh_part = compared_part(&fresh, compared);
-        let report = fresh_part.as_ref().map(|fresh_part| {
-            let committed_part = committed
-                .as_deref()
-                .and_then(|text| compared_part(text, compared));
-            compare_artifact(exp, committed_part.as_deref(), fresh_part)
-        });
-        let det_match = report.as_ref().is_none_or(|r| r.det_match);
+        let fresh_part = compared_part(&fresh, compared)
+            .expect("the document holds the section it declares compared");
+        let committed_part = committed
+            .as_deref()
+            .and_then(|text| compared_part(text, compared));
+        let report = compare_artifact(exp, committed_part.as_deref(), &fresh_part);
         match append_trajectory(
             args.out.as_deref(),
             exp,
-            det_match && verdict.is_ok(),
-            fresh_part.map_or(0, |part| part.len() as u64),
+            report.det_match && verdict.is_ok(),
+            fresh_part.len() as u64,
             metrics,
         ) {
             Ok(path) => reporter.note(&format!("{exp}: trajectory row -> {}", path.display())),
             Err(err) => reporter.error(&format!("{exp}: could not append trajectory row: {err}")),
         }
-        match report {
-            Some(report) if !report.det_match => failures.push(report.render()),
-            Some(report) => reporter.result(&report.render()),
-            None => {}
+        if report.det_match {
+            reporter.result(&report.render());
+        } else {
+            failures.push(report.render());
         }
     }
     failures.extend(verdict.err().map(|message| format!("{exp}: {message}")));
@@ -346,7 +358,8 @@ mod tests {
     use tsa_dash::{read_rows, TrajectoryRow};
     use tsa_scenario::{ScenarioKind, ScenarioSpec};
 
-    /// A two-section artifact shaped like `exp_net`'s / `exp_profile`'s.
+    /// A two-section artifact shaped like `exp_net`'s / `exp_profile`'s /
+    /// `exp_perf`'s.
     #[derive(Serialize)]
     struct SplitDoc {
         smoke: bool,
@@ -356,7 +369,7 @@ mod tests {
 
     #[derive(Serialize)]
     struct Det {
-        sent: u64,
+        messages_sent: u64,
     }
 
     const SECTION: Compared = Compared::Section("deterministic");
@@ -377,13 +390,13 @@ mod tests {
     /// Publishes a [`SplitDoc`] of `args`' grid shape through the tail.
     fn run(
         args: &ExpArgs,
-        (sent, timing): (u64, u64),
+        (messages_sent, timing): (u64, u64),
         compared: Compared,
         verdict: Result<(), String>,
     ) -> Result<(), String> {
         let doc = SplitDoc {
             smoke: args.smoke,
-            deterministic: Det { sent },
+            deterministic: Det { messages_sent },
             timing,
         };
         try_publish("exp_x", args, &doc, compared, vec![], verdict)
@@ -416,12 +429,14 @@ mod tests {
 
     #[test]
     fn drift_inside_the_compared_section_fails_with_the_json_path() {
-        // This is `exp_net -- --compare`, which before this tail existed
-        // compared nothing and exited 0.
+        // This is `exp_perf --smoke --compare`: a different wall clock is
+        // not drift, a different message count is.
         let args = compare_args("drift", true);
         run(&args, (10, 1), SECTION, Ok(())).unwrap();
-        let err = run(&args, (11, 1), SECTION, Ok(())).unwrap_err();
-        assert!(err.contains("$.sent: 10 -> 11"), "{err}");
+        run(&args, (10, 2), SECTION, Ok(())).unwrap();
+        assert!(last_row(&args).1.det_match);
+        let err = run(&args, (11, 2), SECTION, Ok(())).unwrap_err();
+        assert!(err.contains("$.messages_sent: 10 -> 11"), "{err}");
         assert!(!last_row(&args).1.det_match);
     }
 
@@ -443,9 +458,6 @@ mod tests {
         let err = run(&args, (10, 1), SECTION, Err("a twin diverged".into())).unwrap_err();
         assert_eq!(err, "exp_x: a twin diverged");
         assert!(!last_row(&args).1.det_match);
-        // A timing-only artifact is gated by its verdict alone.
-        run(&args, (10, 1), Compared::Nothing, Ok(())).unwrap();
-        assert_eq!(last_row(&args).1.artifact_bytes, 0);
     }
 
     #[test]
@@ -461,6 +473,11 @@ mod tests {
         };
         let err = run(&args, (1, 1), Compared::Whole, Ok(())).unwrap_err();
         assert!(err.contains("could not create"), "{err}");
+        // A sweep-driven binary meets the same `--out` first at its shards.
+        let sweep = SweepSpec::new("grid", ScenarioSpec::new(ScenarioKind::MaintainedLds, 32));
+        let err = probe_shards("exp_x", &args, &[sweep]).unwrap_err();
+        assert!(err.contains("could not open shard file"), "{err}");
+        assert!(err.contains("exp_x.grid.jsonl"), "{err}");
         let _ = std::fs::remove_file(&file);
     }
 

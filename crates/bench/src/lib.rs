@@ -8,8 +8,8 @@
 //! and gates it under `--compare`). `EXPERIMENTS.md` in the repository root
 //! records the outputs; the artifact of a sweep-driven binary is a
 //! [`BenchDoc`] (sweep aggregates plus compacted cell records), so the
-//! bench trajectory can be tracked across PRs. Wall-clock cost is measured
-//! by `exp_perf` and by the `benchmark/` package, not here.
+//! bench trajectory can be tracked across PRs. Claims about wall-clock cost
+//! are the `benchmark/` package's; `exp_perf` adds the `n × threads` grid.
 //!
 //! | binary            | exhibit / claim |
 //! |--------------------|-----------------|
@@ -21,9 +21,9 @@
 //! | `exp_ablation`     | Robustness parameter `c`, replication `r` sweeps |
 //! | `exp_async`        | Survival and congestion under bounded-delay asynchrony (latency/jitter/loss regimes vs the synchronous baseline) |
 //! | `exp_partition`    | Regional partitions: bridge latency × loss survival grid, scheduled healing, the reconnection probe |
-//! | `exp_perf`         | Round-loop throughput trajectory (rounds/s, msgs/s, peak RSS) |
+//! | `exp_perf`         | The maintained overlay over `n × threads`: exact message counts (CI byte-compares them) plus wall-clock rounds/s and peak RSS |
 //! | `exp_net`          | The overlay over loopback TCP: wall-clock throughput, bytes on the wire, and the deterministic-twin replay check |
-//! | `exp_profile`      | The `tsa-obs` observability layer: deterministic counters/histograms per scheduler (CI byte-compares them) plus wall-clock phase spans |
+//! | `exp_profile`      | The `tsa-obs` observability layer: deterministic counters/histograms per scheduler (CI byte-compares them), the journal streams and the transport's twin-counter pin |
 //! | `exp_byzantine`    | Byzantine nodes and injected faults: zero-fraction anchors, per-kind breaking points of the swarm property, the cross-engine fault twin |
 
 #![warn(missing_docs)]
@@ -35,8 +35,8 @@ pub mod driver;
 pub use cli::{ExpArgs, Extra};
 pub use compare::{compare_artifact, CompareReport};
 pub use driver::{
-    bench_artifact_path, bench_doc, committed_baseline, finish, list_cells, list_grid, publish,
-    run_sweeps, shard_path, BenchDoc, Compared,
+    bench_artifact_path, bench_doc, finish, list_cells, list_grid, publish, run_sweeps, shard_path,
+    BenchDoc, Compared,
 };
 
 use tsa_core::MaintenanceParams;

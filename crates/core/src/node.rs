@@ -1217,7 +1217,7 @@ mod tests {
         ];
         let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(99), 4, 4, &[], 11, 11);
         node.on_round(&mut ctx, &inbox);
-        let out = ctx.into_outbox().into_inner();
+        let out = ctx.into_sends();
         let connects: Vec<&(NodeId, ProtocolMsg)> = out
             .iter()
             .filter(|(_, m)| matches!(m, ProtocolMsg::Connect { .. }))
@@ -1259,7 +1259,7 @@ mod tests {
         let sponsored = vec![NodeId(200)];
         let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 31, 0, &sponsored, 11, 11);
         node.on_round(&mut ctx, &[]);
-        let out = ctx.into_outbox().into_inner();
+        let out = ctx.into_sends();
         let tokens_to_newcomer = out
             .iter()
             .filter(|(to, m)| *to == NodeId(200) && matches!(m, ProtocolMsg::Token { .. }))

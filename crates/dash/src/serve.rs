@@ -14,14 +14,15 @@
 //! * `GET /api/bench/<name>` — one artifact's contents (name must match
 //!   `BENCH_*.json` exactly; path traversal is rejected by construction).
 //!
-//! The server handles one connection at a time with a short read timeout:
-//! it is an observation window onto files the experiments own, not a
-//! production web server, and a stalled client must never wedge a sweep.
+//! The server handles one connection at a time and gives each client one
+//! short deadline for its whole request head: it is an observation window
+//! onto files the experiments own, not a production web server, and a
+//! stalled or trickling client must never wedge a sweep.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 
@@ -69,8 +70,11 @@ pub fn serve(listener: &TcpListener, config: &DashConfig, max_requests: Option<u
     served
 }
 
+/// How long a client has to deliver its whole request head (shortened under
+/// test, so the trickling-client test takes a second instead of ten).
+const HEAD_DEADLINE: Duration = Duration::from_millis(if cfg!(test) { 400 } else { 5_000 });
+
 fn handle(mut stream: TcpStream, config: &DashConfig) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let path = match read_request_path(&mut stream) {
         Some(p) => p,
@@ -111,10 +115,17 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
     // inside 8 KiB, and anything longer is not a request we serve.
     let mut buf = [0u8; 8192];
     let mut len = 0;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     loop {
         if len == buf.len() {
             return None;
         }
+        // Each read may wait only for what is left of the one deadline, so
+        // a client trickling bytes cannot renew it.
+        let left = deadline.checked_duration_since(Instant::now())?;
+        stream
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .ok()?;
         let n = stream.read(&mut buf[len..]).ok()?;
         if n == 0 {
             break;
@@ -513,6 +524,39 @@ mod tests {
         let (status, _) = request(addr, "/api/progress");
         assert_eq!(status, 200);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_head_deadline() {
+        let (addr, handle) = serve_n(temp_config("trickle"), 2);
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let mut reader = slow.try_clone().unwrap();
+        // One byte every 50 ms and never a newline: every single read on the
+        // server succeeds quickly, for 5 s or until the server hangs up.
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..100 {
+                if slow.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        // The server closes with trickled bytes unread, so the stream may
+        // end in a reset rather than EOF; the bytes before it are kept.
+        let mut out = Vec::new();
+        let _ = reader.read_to_end(&mut out);
+        assert!(out.starts_with(b"HTTP/1.1 400"), "{out:?}");
+        assert!(
+            started.elapsed() < HEAD_DEADLINE * 4,
+            "cut off after {:?}",
+            started.elapsed()
+        );
+        // And the server is free for the next, well-formed request.
+        let (status, _) = request(addr, "/api/progress");
+        assert_eq!(status, 200);
+        trickler.join().unwrap();
+        assert_eq!(handle.join().unwrap(), 2);
     }
 
     #[test]

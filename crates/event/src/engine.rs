@@ -38,8 +38,7 @@
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    CommGraph, Delivery, Envelope, NodeId, PhaseSpans, ProtocolStep, Round, SimConfig, SlotIndex,
-    World,
+    CommGraph, Delivery, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
 };
 
 use crate::fault::{FaultAdapter, FaultInjector, FaultPlan, FaultStats};
@@ -106,7 +105,7 @@ pub struct NetStats {
 
 /// The virtual-time event simulator: a [`World`] whose messages travel
 /// through a [`VirtualTime`] network.
-pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as ProtocolStep>::Msg>>;
+pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
 /// The virtual-time delivery policy. See the module docs.
 pub struct VirtualTime<M> {

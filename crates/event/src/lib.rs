@@ -33,8 +33,7 @@
 //!   (default: the synchronous round model).
 //!
 //! Both engines schedule the *same* node logic — any
-//! [`ProtocolStep`](tsa_sim::ProtocolStep) (which every
-//! [`Process`](tsa_sim::Process) implements) — and share one churn arbiter,
+//! [`Process`](tsa_sim::Process) — and share one churn arbiter,
 //! so the lockstep round engine is just one scheduler policy: an event run
 //! whose delays never exceed one round reproduces it bit for bit.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The round engine and the event engine prove the two-steps-ahead
 //! maintenance protocol correct under controlled schedulers; this crate runs
-//! the *same unmodified node logic* ([`ProtocolStep`](tsa_sim::ProtocolStep))
+//! the *same unmodified node logic* ([`Process`](tsa_sim::Process))
 //! over real in-process sockets, and bounds the wall-clock nondeterminism it
 //! introduces with a deterministic twin:
 //!

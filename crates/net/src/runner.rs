@@ -54,7 +54,7 @@ use tsa_event::{
 };
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    Delivery, Envelope, NodeId, PhaseSpans, ProtocolStep, Round, SimConfig, SlotIndex, World,
+    Delivery, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
 };
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -283,7 +283,7 @@ fn poll_loop<M: serde::Deserialize>(
 /// The loopback transport runtime: a [`World`] whose messages are real
 /// frames on real sockets, with every message's fate recorded for twin
 /// replay.
-pub type NetRunner<P, A> = World<P, A, Loopback<<P as ProtocolStep>::Msg>>;
+pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 
 /// One node's side of the transport, in the world's slot order.
 struct Port<M> {

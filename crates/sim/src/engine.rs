@@ -53,13 +53,13 @@ use tsa_obs::ObsHandle;
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
 use crate::message::Envelope;
-use crate::node::ProtocolStep;
+use crate::node::Process;
 use crate::slot_index::{SlotIndex, NO_SLOT};
 use crate::world::{Delivery, PhaseSpans, World};
 
 /// The round-synchronous simulator: a [`World`] whose messages take exactly
 /// one round.
-pub type Simulator<P, A> = World<P, A, Lockstep<<P as ProtocolStep>::Msg>>;
+pub type Simulator<P, A> = World<P, A, Lockstep<<P as Process>::Msg>>;
 
 /// The lockstep delivery policy. See the module docs.
 pub struct Lockstep<M> {

@@ -66,12 +66,12 @@ pub use config::SimConfig;
 pub use engine::{Lockstep, Simulator};
 pub use ids::{parity, NodeId, Round, RoundParity};
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
-pub use message::{Envelope, Outbox};
+pub use message::Envelope;
 pub use metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, Reservoir, RoundMetrics,
     RoundMetricsBuilder, StreamingMetrics, RESERVOIR_CAPACITY,
 };
-pub use node::{run_activation, Ctx, Process, ProtocolStep};
+pub use node::{run_activation, Ctx, Process};
 pub use slot_index::{SlotIndex, NO_SLOT};
 pub use world::{Delivery, NodeFactory, PhaseSpans, World};
 
@@ -84,5 +84,5 @@ pub mod prelude {
     pub use crate::ids::{NodeId, Round};
     pub use crate::knowledge::{KnowledgeView, Lateness};
     pub use crate::message::Envelope;
-    pub use crate::node::{Ctx, Process, ProtocolStep};
+    pub use crate::node::{Ctx, Process};
 }

@@ -1,4 +1,4 @@
-//! Message envelopes and per-node outboxes.
+//! Message envelopes.
 //!
 //! A message sent in round `t` is received at the beginning of round `t + 1`
 //! (Section 1.1). Sending a message implicitly creates a directed edge of the
@@ -32,112 +32,9 @@ impl<M> Envelope<M> {
     }
 }
 
-/// The set of messages a node emits during the send phase of a round.
-///
-/// The outbox also doubles as the place where per-round per-node send counters
-/// are accumulated for the congestion metrics of Lemma 24.
-#[derive(Debug)]
-pub struct Outbox<M> {
-    msgs: Vec<(NodeId, M)>,
-}
-
-impl<M> Default for Outbox<M> {
-    fn default() -> Self {
-        Outbox { msgs: Vec::new() }
-    }
-}
-
-impl<M> Outbox<M> {
-    /// Creates an empty outbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an outbox with pre-reserved capacity, useful on hot paths to
-    /// avoid repeated reallocation (see the performance notes in DESIGN.md).
-    pub fn with_capacity(cap: usize) -> Self {
-        Outbox {
-            msgs: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Wraps an existing buffer (cleared first) so its capacity is reused.
-    ///
-    /// This is how the engine keeps the steady-state round loop
-    /// allocation-free: every node's outbox buffer survives from round to
-    /// round and is re-wrapped here instead of being reallocated.
-    pub fn from_vec(mut buf: Vec<(NodeId, M)>) -> Self {
-        buf.clear();
-        Outbox { msgs: buf }
-    }
-
-    /// Queues `payload` for delivery to `to` at the beginning of the next round.
-    #[inline]
-    pub fn send(&mut self, to: NodeId, payload: M) {
-        self.msgs.push((to, payload));
-    }
-
-    /// Queues the same payload for every receiver in `targets`.
-    pub fn broadcast<I>(&mut self, targets: I, payload: M)
-    where
-        M: Clone,
-        I: IntoIterator<Item = NodeId>,
-    {
-        for t in targets {
-            self.msgs.push((t, payload.clone()));
-        }
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether the outbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
-    /// Consumes the outbox and returns the queued `(receiver, payload)` pairs.
-    pub fn into_inner(self) -> Vec<(NodeId, M)> {
-        self.msgs
-    }
-
-    /// Mutable access to the queued `(receiver, payload)` pairs — the hook a
-    /// byzantine node uses to rewrite what its honest machinery queued.
-    pub fn queued_mut(&mut self) -> &mut Vec<(NodeId, M)> {
-        &mut self.msgs
-    }
-
-    /// Iterates over the queued destinations (used by degree metrics).
-    pub fn destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.msgs.iter().map(|(to, _)| *to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outbox_collects_messages_in_order() {
-        let mut ob: Outbox<&'static str> = Outbox::new();
-        ob.send(NodeId(1), "a");
-        ob.send(NodeId(2), "b");
-        assert_eq!(ob.len(), 2);
-        assert!(!ob.is_empty());
-        let inner = ob.into_inner();
-        assert_eq!(inner, vec![(NodeId(1), "a"), (NodeId(2), "b")]);
-    }
-
-    #[test]
-    fn broadcast_clones_payload_to_all_targets() {
-        let mut ob: Outbox<u32> = Outbox::with_capacity(4);
-        ob.broadcast([NodeId(1), NodeId(2), NodeId(3)], 9);
-        assert_eq!(ob.len(), 3);
-        let dests: Vec<NodeId> = ob.destinations().collect();
-        assert_eq!(dests, vec![NodeId(1), NodeId(2), NodeId(3)]);
-    }
 
     #[test]
     fn envelope_carries_metadata() {
@@ -146,25 +43,5 @@ mod tests {
         assert_eq!(e.to, NodeId(6));
         assert_eq!(e.sent_at, 12);
         assert_eq!(e.payload, 99);
-    }
-
-    #[test]
-    fn from_vec_reuses_capacity_and_clears_contents() {
-        let mut buf: Vec<(NodeId, u8)> = Vec::with_capacity(64);
-        buf.push((NodeId(1), 1));
-        let cap = buf.capacity();
-        let mut ob = Outbox::from_vec(buf);
-        assert!(ob.is_empty(), "stale contents are cleared");
-        ob.send(NodeId(2), 2);
-        let inner = ob.into_inner();
-        assert_eq!(inner, vec![(NodeId(2), 2)]);
-        assert_eq!(inner.capacity(), cap, "capacity survives the round trip");
-    }
-
-    #[test]
-    fn empty_outbox_reports_empty() {
-        let ob: Outbox<u8> = Outbox::default();
-        assert!(ob.is_empty());
-        assert_eq!(ob.len(), 0);
     }
 }

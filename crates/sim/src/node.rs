@@ -9,7 +9,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::ids::{NodeId, Round};
-use crate::message::{Envelope, Outbox};
+use crate::message::Envelope;
 use crate::rng;
 
 /// Everything a node may legally observe and do in a single round.
@@ -26,7 +26,9 @@ pub struct Ctx<'a, M> {
     hash_seed: u64,
     /// Deterministic per-`(seed, node, round)` random stream.
     pub rng: ChaCha8Rng,
-    outbox: Outbox<M>,
+    /// The `(receiver, payload)` pairs queued so far this round, in send
+    /// order.
+    sends: Vec<(NodeId, M)>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -40,29 +42,6 @@ impl<'a, M> Ctx<'a, M> {
         seed: u64,
         hash_seed: u64,
     ) -> Self {
-        Self::with_outbox(
-            id,
-            round,
-            joined_at,
-            sponsored,
-            seed,
-            hash_seed,
-            Outbox::new(),
-        )
-    }
-
-    /// Like [`Ctx::new`], but sends into a caller-provided outbox — usually
-    /// one wrapping a buffer recycled from an earlier round via
-    /// [`Outbox::from_vec`], so the steady-state round loop allocates nothing.
-    pub fn with_outbox(
-        id: NodeId,
-        round: Round,
-        joined_at: Round,
-        sponsored: &'a [NodeId],
-        seed: u64,
-        hash_seed: u64,
-        outbox: Outbox<M>,
-    ) -> Self {
         Ctx {
             id,
             round,
@@ -70,7 +49,7 @@ impl<'a, M> Ctx<'a, M> {
             sponsored,
             hash_seed,
             rng: rng::node_round_rng(seed, id, round),
-            outbox,
+            sends: Vec::new(),
         }
     }
 
@@ -127,7 +106,7 @@ impl<'a, M> Ctx<'a, M> {
     /// `t + 1` if `to` is still in the network.
     #[inline]
     pub fn send(&mut self, to: NodeId, payload: M) {
-        self.outbox.send(to, payload);
+        self.sends.push((to, payload));
     }
 
     /// Sends a clone of `payload` to every node in `targets`.
@@ -136,32 +115,40 @@ impl<'a, M> Ctx<'a, M> {
         M: Clone,
         I: IntoIterator<Item = NodeId>,
     {
-        self.outbox.broadcast(targets, payload);
+        for to in targets {
+            self.sends.push((to, payload.clone()));
+        }
     }
 
     /// Number of messages queued so far this round (congestion self-check).
     pub fn queued(&self) -> usize {
-        self.outbox.len()
+        self.sends.len()
     }
 
     /// Mutable access to the queued `(receiver, payload)` pairs — the hook a
     /// byzantine node uses to rewrite what its honest machinery queued.
     pub fn queued_mut(&mut self) -> &mut Vec<(NodeId, M)> {
-        self.outbox.queued_mut()
+        &mut self.sends
     }
 
-    /// Consumes the context and returns the outbox (engine internal).
-    pub fn into_outbox(self) -> Outbox<M> {
-        self.outbox
+    /// Consumes the context and returns the queued `(receiver, payload)`
+    /// pairs, in send order.
+    pub fn into_sends(self) -> Vec<(NodeId, M)> {
+        self.sends
     }
 }
 
-/// A node-local protocol executed by the simulator.
+/// A node-local protocol: the one node trait every scheduler drives.
 ///
-/// Implementors hold all node-local state. The engine guarantees that
-/// `on_round` is called exactly once per round for every node currently in the
-/// network, with every message addressed to it that was sent in the previous
-/// round by a node that still existed at sending time.
+/// Implementors hold all node-local state. One call of `on_round` is one
+/// *activation*: it consumes the messages delivered to the node since it last
+/// ran and emits new ones through the [`Ctx`]. Every scheduler calls it
+/// exactly once per round for every node currently in the network; *which*
+/// messages have arrived by then is the scheduler's delivery policy, not
+/// protocol logic — under the lockstep [`Simulator`](crate::Simulator),
+/// everything sent to the node one round earlier by a node that still existed
+/// at sending time; under `tsa-event` and `tsa-net`, whatever the latency
+/// model or the sockets delivered before the boundary.
 pub trait Process: Send + 'static {
     /// The protocol message type.
     type Msg: Clone + Send + Sync + 'static;
@@ -177,65 +164,20 @@ pub trait Process: Send + 'static {
     }
 }
 
-/// The transport-agnostic node protocol step that every execution engine
-/// schedules.
-///
-/// One *activation* consumes the messages delivered to the node since it last
-/// ran and emits new messages through the [`Ctx`]. Which messages those are —
-/// and *when* the activation happens — is a scheduler policy, not protocol
-/// logic:
-///
-/// * the round-synchronous [`Simulator`](crate::Simulator) activates every
-///   node exactly once per round with the messages sent to it one round
-///   earlier;
-/// * `tsa-event`'s virtual-time engine activates nodes at the round boundaries
-///   of its virtual clock with whatever messages the latency/jitter/loss
-///   models delivered in between.
-///
-/// Every [`Process`] implements `ProtocolStep` automatically (an activation
-/// of a round-synchronous protocol *is* its round), so the same node logic
-/// runs unchanged under both engines. Protocols that only ever run under the
-/// event engine may implement `ProtocolStep` directly.
-pub trait ProtocolStep: Send + 'static {
-    /// The protocol message type.
-    type Msg: Clone + Send + Sync + 'static;
-
-    /// Executes one activation: receive, compute, send.
-    fn on_activation(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]);
-
-    /// A compact digest of the node's internal state, made visible to the
-    /// adversary only with lateness `b` (Section 1.1). The default of `0`
-    /// reveals nothing.
-    fn state_digest(&self) -> u64 {
-        0
-    }
-}
-
-impl<P: Process> ProtocolStep for P {
-    type Msg = P::Msg;
-
-    fn on_activation(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]) {
-        self.on_round(ctx, inbox);
-    }
-
-    fn state_digest(&self) -> u64 {
-        Process::state_digest(self)
-    }
-}
-
 /// Runs one node activation — the single protocol step shared by every
 /// execution engine. The round engine's parallel compute phase and the event
 /// engine's boundary activations both call exactly this, which is what makes
 /// the two engines scheduler policies over the *same* protocol rather than
 /// two protocol copies.
 ///
-/// `out` is a recycled buffer (cleared on wrap) that becomes the activation's
-/// outbox; the emitted `(receiver, payload)` pairs are returned together with
-/// the node's state digest (`0` unless `record_digest`). The activation's RNG
+/// `out` is a recycled buffer (cleared first) that the activation's sends are
+/// queued into, so the steady-state round loop allocates nothing; the emitted
+/// `(receiver, payload)` pairs are returned together with the node's state
+/// digest (`0` unless `record_digest`). The activation's RNG
 /// stream depends only on `(seed, id, round)`, so *where* and *in which
 /// order* activations of a round execute can never change an output bit.
 #[allow(clippy::too_many_arguments)]
-pub fn run_activation<P: ProtocolStep>(
+pub fn run_activation<P: Process>(
     process: &mut P,
     id: NodeId,
     round: Round,
@@ -244,19 +186,19 @@ pub fn run_activation<P: ProtocolStep>(
     seed: u64,
     hash_seed: u64,
     inbox: &[Envelope<P::Msg>],
-    out: Vec<(NodeId, P::Msg)>,
+    mut out: Vec<(NodeId, P::Msg)>,
     record_digest: bool,
 ) -> (Vec<(NodeId, P::Msg)>, u64) {
-    let outbox = Outbox::from_vec(out);
-    let mut ctx: Ctx<'_, P::Msg> =
-        Ctx::with_outbox(id, round, joined_at, sponsored, seed, hash_seed, outbox);
-    process.on_activation(&mut ctx, inbox);
+    let mut ctx: Ctx<'_, P::Msg> = Ctx::new(id, round, joined_at, sponsored, seed, hash_seed);
+    out.clear();
+    ctx.sends = out;
+    process.on_round(&mut ctx, inbox);
     let digest = if record_digest {
         process.state_digest()
     } else {
         0
     };
-    (ctx.into_outbox().into_inner(), digest)
+    (ctx.into_sends(), digest)
 }
 
 #[cfg(test)]
@@ -297,8 +239,33 @@ mod tests {
         let mut ctx = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
         let inbox = vec![Envelope::new(NodeId(7), NodeId(2), 4, 41)];
         e.on_round(&mut ctx, &inbox);
-        let out = ctx.into_outbox().into_inner();
+        let out = ctx.into_sends();
         assert_eq!(out, vec![(NodeId(7), 42)]);
+    }
+
+    #[test]
+    fn broadcast_clones_the_payload_to_every_target_in_order() {
+        let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        ctx.send(NodeId(9), 1);
+        ctx.broadcast([NodeId(1), NodeId(3)], 7);
+        assert_eq!(ctx.queued(), 3);
+        assert_eq!(
+            ctx.into_sends(),
+            vec![(NodeId(9), 1), (NodeId(1), 7), (NodeId(3), 7)]
+        );
+    }
+
+    #[test]
+    fn run_activation_clears_the_recycled_buffer_and_keeps_its_capacity() {
+        let mut buf: Vec<(NodeId, u32)> = Vec::with_capacity(64);
+        buf.push((NodeId(1), 1));
+        let cap = buf.capacity();
+        let inbox = vec![Envelope::new(NodeId(7), NodeId(2), 4, 41)];
+        let (out, digest) =
+            run_activation(&mut Echo, NodeId(2), 5, 0, &[], 1, 1, &inbox, buf, true);
+        assert_eq!(out, vec![(NodeId(7), 42)], "stale contents are cleared");
+        assert_eq!(out.capacity(), cap, "capacity survives the round trip");
+        assert_eq!(digest, 0, "the default digest reveals nothing");
     }
 
     #[test]

@@ -67,7 +67,7 @@ use crate::metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics,
     RoundMetricsBuilder, StreamingMetrics,
 };
-use crate::node::{run_activation, ProtocolStep};
+use crate::node::{run_activation, Process};
 use crate::slot_index::SlotIndex;
 
 /// Creates the protocol state for a node that joins the network.
@@ -170,7 +170,7 @@ pub trait Delivery<M>: Sync {
 
 /// A node in the world: its protocol state plus per-round scratch that is
 /// reused across rounds.
-struct Slot<P: ProtocolStep> {
+struct Slot<P: Process> {
     id: NodeId,
     joined_at: Round,
     process: P,
@@ -197,7 +197,7 @@ const HISTORY_RESERVE_CAP: u64 = 4096;
 ///
 /// Methods a delivery adds on top (network counters, traces, fault plans)
 /// are reached through `Deref`.
-pub struct World<P: ProtocolStep, A, D> {
+pub struct World<P: Process, A, D> {
     config: SimConfig,
     adversary: A,
     factory: NodeFactory<P>,
@@ -238,20 +238,20 @@ pub struct World<P: ProtocolStep, A, D> {
     last_outcome: ChurnOutcome,
 }
 
-impl<P: ProtocolStep, A, D> Deref for World<P, A, D> {
+impl<P: Process, A, D> Deref for World<P, A, D> {
     type Target = D;
     fn deref(&self) -> &D {
         &self.delivery
     }
 }
 
-impl<P: ProtocolStep, A, D> DerefMut for World<P, A, D> {
+impl<P: Process, A, D> DerefMut for World<P, A, D> {
     fn deref_mut(&mut self) -> &mut D {
         &mut self.delivery
     }
 }
 
-impl<P: ProtocolStep, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
+impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
     /// Creates an empty world. Populate the initial node set `V_0` with
     /// [`seed_nodes`](World::seed_nodes) before stepping.
     pub fn new(config: D::Config, adversary: A, factory: NodeFactory<P>) -> Self {

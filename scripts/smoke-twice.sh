@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the CI-sized (`--smoke`) grid of one experiment binary twice, into two
 # independent output directories, and requires the two artifacts to agree —
-# the artifact-level determinism check the async, partition, byzantine, obs
-# and transport CI jobs share. Every cargo invocation runs under a hard
+# the artifact-level determinism check the async, partition, byzantine, obs,
+# transport and perf CI jobs share. Every cargo invocation runs under a hard
 # `timeout 600`: a wedged socket or a hung sweep must fail the job, not hang it.
 #
 #   scripts/smoke-twice.sh <exp>
