@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
+use tsa_overlay::{ring_distance, Lds, Position};
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round};
 
 use crate::byzantine::MisbehaviorKind;
@@ -49,18 +50,6 @@ use crate::snapshot::{NodeSnapshot, NodeStats};
 
 /// A neighbour entry: identifier plus position in the relevant epoch.
 pub(crate) type Neighbor = (NodeId, f64);
-
-/// Ring distance on `[0,1)` for raw `f64` positions (hot path; avoids going
-/// through the `Position` newtype for every comparison).
-#[inline]
-pub(crate) fn ring_distance(a: f64, b: f64) -> f64 {
-    let d = (a - b).abs();
-    if d <= 0.5 {
-        d
-    } else {
-        1.0 - d
-    }
-}
 
 // ----------------------------------------------------------------------
 // Per-worker scratch
@@ -274,21 +263,12 @@ impl ProtocolNode {
             return;
         };
         let own = ctx.position_hash(ctx.id(), epoch);
-        let list_r = self.params.overlay.list_radius();
-        let db_r = self.params.overlay.debruijn_radius();
-        let own_half = own / 2.0;
-        let own_half_plus = (own + 1.0) / 2.0;
         for &v in genesis.iter() {
             if v == ctx.id() {
                 continue;
             }
             let p = ctx.position_hash(v, epoch);
-            if ring_distance(p, own) <= list_r
-                || ring_distance(p, own_half) <= db_r
-                || ring_distance(p, own_half_plus) <= db_r
-                || ring_distance(own, p / 2.0) <= db_r
-                || ring_distance(own, (p + 1.0) / 2.0) <= db_r
-            {
+            if self.params.overlay.are_neighbors(own, p) {
                 self.d_neighbors.push((v, p));
             }
         }
@@ -318,29 +298,6 @@ impl ProtocolNode {
         members.clear();
         self.current_members_near(me, point, self.params.swarm_radius(), members);
         choose_up_to(members, self.params.replication, rng)
-    }
-
-    /// The three responsibility intervals of a position `p` in the next
-    /// overlay, expressed as `(center, radius)` pairs: `⟨p ± 2cλ/n⟩`,
-    /// `⟨p/2 ± 3cλ/2n⟩`, `⟨(p+1)/2 ± 3cλ/2n⟩`.
-    fn responsibility(&self, p: f64) -> [(f64, f64); 3] {
-        [
-            (p, self.params.overlay.list_radius()),
-            (p / 2.0, self.params.overlay.debruijn_radius()),
-            ((p + 1.0) / 2.0, self.params.overlay.debruijn_radius()),
-        ]
-    }
-
-    /// `true` if a node at position `q` is a Definition-5 neighbour (in either
-    /// direction) of a node at position `p`.
-    fn are_neighbors(&self, p: f64, q: f64) -> bool {
-        let list_r = self.params.overlay.list_radius();
-        let db_r = self.params.overlay.debruijn_radius();
-        ring_distance(p, q) <= list_r
-            || ring_distance(p / 2.0, q) <= db_r
-            || ring_distance((p + 1.0) / 2.0, q) <= db_r
-            || ring_distance(q / 2.0, p) <= db_r
-            || ring_distance((q + 1.0) / 2.0, p) <= db_r
     }
 
     /// The `i`-th most significant bit (1-indexed) of `target`'s λ-bit prefix.
@@ -436,17 +393,16 @@ impl ProtocolNode {
                         announces.push((node, target_epoch, target));
                     } else {
                         let next_point = self.next_point(target, step + 1, point);
-                        for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
-                            ctx.send(
-                                to,
-                                ProtocolMsg::RouteJoin {
-                                    node,
-                                    target_epoch,
-                                    step: step + 1,
-                                    point: next_point,
-                                },
-                            );
-                        }
+                        let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
+                        ctx.broadcast(
+                            to.iter().copied(),
+                            ProtocolMsg::RouteJoin {
+                                node,
+                                target_epoch,
+                                step: step + 1,
+                                point: next_point,
+                            },
+                        );
                     }
                 }
                 ProtocolMsg::RouteToken {
@@ -473,18 +429,17 @@ impl ProtocolNode {
                         }
                     } else {
                         let next_point = self.next_point(target, step + 1, point);
-                        for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
-                            ctx.send(
-                                to,
-                                ProtocolMsg::RouteToken {
-                                    owner,
-                                    delta,
-                                    target,
-                                    step: step + 1,
-                                    point: next_point,
-                                },
-                            );
-                        }
+                        let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
+                        ctx.broadcast(
+                            to.iter().copied(),
+                            ProtocolMsg::RouteToken {
+                                owner,
+                                delta,
+                                target,
+                                step: step + 1,
+                                point: next_point,
+                            },
+                        );
                     }
                 }
                 _ => {}
@@ -496,21 +451,22 @@ impl ProtocolNode {
         for &(node, target_epoch, position) in announces.iter() {
             self.stats.joins_delivered += 1;
             members.clear();
-            for (center, radius) in self.responsibility(position) {
+            for interval in
+                Lds::responsibility_intervals(&self.params.overlay, Position::new(position))
+            {
+                let (center, radius) = (interval.center().value(), interval.radius());
                 self.current_members_near(me, center, radius, members);
             }
             members.sort_unstable();
             members.dedup();
-            for &to in members.iter() {
-                ctx.send(
-                    to,
-                    ProtocolMsg::AnnounceJoin {
-                        node,
-                        epoch: target_epoch,
-                        position,
-                    },
-                );
-            }
+            ctx.broadcast(
+                members.iter().copied(),
+                ProtocolMsg::AnnounceJoin {
+                    node,
+                    epoch: target_epoch,
+                    position,
+                },
+            );
         }
         for &(to, owner) in token_deliveries.iter() {
             ctx.send(to, ProtocolMsg::Token { owner });
@@ -529,19 +485,17 @@ impl ProtocolNode {
             for &node in ids.iter() {
                 let target = ctx.position_hash(node, target_epoch);
                 let next_point = self.next_point(target, 1, me.1);
-                let chosen = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
+                let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                 self.stats.joins_started += 1;
-                for &to in chosen {
-                    ctx.send(
-                        to,
-                        ProtocolMsg::RouteJoin {
-                            node,
-                            target_epoch,
-                            step: 1,
-                            point: next_point,
-                        },
-                    );
-                }
+                ctx.broadcast(
+                    to.iter().copied(),
+                    ProtocolMsg::RouteJoin {
+                        node,
+                        target_epoch,
+                        step: 1,
+                        point: next_point,
+                    },
+                );
             }
 
             // Token emission: τ tokens carrying this node's identifier, each
@@ -551,18 +505,17 @@ impl ProtocolNode {
                 let target: f64 = ctx.rng.gen();
                 let delta: u32 = ctx.rng.gen_range(0..=max_delta);
                 let next_point = self.next_point(target, 1, me.1);
-                for &to in self.choose_forwarders(me, next_point, members, &mut ctx.rng) {
-                    ctx.send(
-                        to,
-                        ProtocolMsg::RouteToken {
-                            owner: me.0,
-                            delta,
-                            target,
-                            step: 1,
-                            point: next_point,
-                        },
-                    );
-                }
+                let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
+                ctx.broadcast(
+                    to.iter().copied(),
+                    ProtocolMsg::RouteToken {
+                        owner: me.0,
+                        delta,
+                        target,
+                        step: 1,
+                        point: next_point,
+                    },
+                );
             }
         }
     }
@@ -658,7 +611,7 @@ impl ProtocolNode {
         //     identifier and position (Listing 3 lines 25-26).
         for (i, &(v, pv)) in self.h_entries.iter().enumerate() {
             for &(w, pw) in &self.h_entries[i + 1..] {
-                if self.are_neighbors(pv, pw) {
+                if self.params.overlay.are_neighbors(pv, pw) {
                     ctx.send(
                         w,
                         ProtocolMsg::Create {
@@ -1008,13 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_distance_matches_position_type() {
-        assert!((ring_distance(0.1, 0.9) - 0.2).abs() < 1e-12);
-        assert!((ring_distance(0.3, 0.4) - 0.1).abs() < 1e-12);
-        assert_eq!(ring_distance(0.5, 0.5), 0.0);
-    }
-
-    #[test]
     fn choose_up_to_caps_at_candidates() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let c: Vec<NodeId> = (0..3).map(NodeId).collect();
@@ -1115,7 +1061,7 @@ mod tests {
         for (id, pos) in neighbors {
             assert_ne!(*id, NodeId(0));
             assert!(
-                node.are_neighbors(own, *pos),
+                p.overlay.are_neighbors(own, *pos),
                 "genesis neighbour {id} at {pos} is not a Definition-5 neighbour"
             );
         }

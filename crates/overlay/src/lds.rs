@@ -322,6 +322,7 @@ pub struct GoodnessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -476,5 +477,30 @@ mod tests {
         let survivors = HashSet::new();
         assert!(!lds.is_good(&survivors, 0.75));
         assert_eq!(lds.goodness_stats(&survivors, 0.75).sampled_points, 0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_symmetric_predicate_is_the_edge_set(
+            n in 8usize..160,
+            c in 0.4f64..2.5,
+            seed in 0u64..u64::MAX,
+        ) {
+            // The predicate the maintenance protocol introduces neighbours
+            // by is the structure `neighbors` (and so `exp_fig1`) measures.
+            let lds = random_lds(n, c, seed);
+            let sets = lds.neighbor_sets();
+            for v in lds.members() {
+                let pv = lds.position(v).unwrap().value();
+                for w in lds.members().filter(|&w| w != v) {
+                    let pw = lds.position(w).unwrap().value();
+                    prop_assert_eq!(
+                        lds.params().are_neighbors(pv, pw),
+                        sets[&v].contains(&w) || sets[&w].contains(&v),
+                        "{} at {} and {} at {}", v, pv, w, pw
+                    );
+                }
+            }
+        }
     }
 }

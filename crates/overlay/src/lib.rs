@@ -41,6 +41,6 @@ pub use interval::Interval;
 pub use ldg::Ldg;
 pub use lds::{GoodnessStats, Lds};
 pub use params::OverlayParams;
-pub use position::Position;
+pub use position::{ring_distance, Position};
 pub use swarm::SwarmIndex;
 pub use trajectory::{step_bit, Trajectory};

@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::position::ring_distance;
+
 /// Global parameters of an LDS-style overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OverlayParams {
@@ -60,6 +62,22 @@ impl OverlayParams {
     /// The long-distance (de Bruijn) edge radius `3cλ/(2n)` of Definition 5.
     pub fn debruijn_radius(&self) -> f64 {
         1.5 * self.c * self.lambda_over_n()
+    }
+
+    /// Definition 5 read symmetrically, on raw positions in `[0, 1)`: `true`
+    /// iff nodes at `p` and `q` are joined by a list edge or by a
+    /// long-distance edge in either direction — `q ∈ N(p)` or `p ∈ N(q)` in
+    /// [`Lds`](crate::Lds) terms. The maintenance protocol runs this for
+    /// every pair of announced nodes, hence raw `f64`s.
+    #[inline]
+    pub fn are_neighbors(&self, p: f64, q: f64) -> bool {
+        let list_r = self.list_radius();
+        let db_r = self.debruijn_radius();
+        ring_distance(p, q) <= list_r
+            || ring_distance(p / 2.0, q) <= db_r
+            || ring_distance((p + 1.0) / 2.0, q) <= db_r
+            || ring_distance(q / 2.0, p) <= db_r
+            || ring_distance((q + 1.0) / 2.0, p) <= db_r
     }
 
     /// Expected number of nodes in a swarm when `m` nodes are placed uniformly.

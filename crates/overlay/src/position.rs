@@ -10,6 +10,20 @@
 
 use std::fmt;
 
+/// The ring distance `d(a, b)` of Section 3 on raw values in `[0, 1)`: the
+/// definition [`Position::distance`] wraps, exposed for hot loops that keep
+/// positions as plain `f64`s (the maintenance protocol's per-copy member
+/// filter) and must not pay [`Position::new`]'s wrap for every comparison.
+#[inline]
+pub fn ring_distance(a: f64, b: f64) -> f64 {
+    let diff = (a - b).abs();
+    if diff <= 0.5 {
+        diff
+    } else {
+        1.0 - diff
+    }
+}
+
 /// A point on the unit ring `[0, 1)`.
 ///
 /// The type maintains the invariant `0.0 <= value < 1.0`; all constructors and
@@ -38,12 +52,7 @@ impl Position {
     /// The ring distance `d(self, other)` from Section 3.
     #[inline]
     pub fn distance(self, other: Position) -> f64 {
-        let diff = (self.0 - other.0).abs();
-        if diff <= 0.5 {
-            diff
-        } else {
-            1.0 - diff
-        }
+        ring_distance(self.0, other.0)
     }
 
     /// The first de Bruijn image `p / 2`.
@@ -218,6 +227,12 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_ring_distance_matches_position_type(a in 0.0f64..1.0, b in 0.0f64..1.0) {
+            let d = Position::new(a).distance(Position::new(b));
+            prop_assert_eq!(ring_distance(a, b).to_bits(), d.to_bits());
+        }
+
         #[test]
         fn prop_distance_is_symmetric_and_bounded(a in 0.0f64..1.0, b in 0.0f64..1.0) {
             let pa = Position::new(a);
