@@ -9,7 +9,7 @@
 //!    exactly reproducible.
 //! 2. **Order independence** — per-node streams do not depend on the order in
 //!    which nodes are stepped, so the engine may execute the compute phase of a
-//!    round in parallel (the engine's `par_iter_mut` pass) without changing
+//!    round in parallel (`rayon::for_each_index_mut`) without changing
 //!    results.
 //!
 //! The paper additionally assumes a uniform hash function `h : V × N → [0,1)`
