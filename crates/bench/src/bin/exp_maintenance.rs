@@ -34,7 +34,7 @@ fn main() {
         .seeds(7, 1);
 
     let congestion = SweepSpec::new("congestion", experiment_spec(48))
-        .over_n([48, 96, 160])
+        .over_n([48, 96, 160, 384, 512])
         .over_churn([ChurnSpec::none()])
         .rounds(RoundsSpec::Fixed(6))
         .seeds(5, 1);

@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use tsa_overlay::{ring_distance, Lds, Position};
+use tsa_overlay::{ring_distance, step_bit, Lds, Position};
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round};
 
 use crate::byzantine::MisbehaviorKind;
@@ -300,18 +300,11 @@ impl ProtocolNode {
         choose_up_to(members, self.params.replication, rng)
     }
 
-    /// The `i`-th most significant bit (1-indexed) of `target`'s λ-bit prefix.
-    fn target_bit(&self, target: f64, i: u32) -> u8 {
-        let lambda = self.params.lambda();
-        let bits = (target * (1u64 << lambda) as f64) as u64;
-        let bits = bits.min((1u64 << lambda) - 1);
-        ((bits >> (lambda - i)) & 1) as u8
-    }
-
-    /// The trajectory point after forwarding step `step` towards `target`
-    /// from `point`.
-    fn next_point(&self, target: f64, step: u32, point: f64) -> f64 {
-        (point + self.target_bit(target, step) as f64) / 2.0
+    /// Where forwarding step `step` towards `target` takes a request that
+    /// sits at `point`: the trajectory of Definition 7, one step at a time.
+    fn trajectory_step(&self, target: f64, step: u32, point: f64) -> f64 {
+        let bit = step_bit(Position::new(target), step, self.params.lambda());
+        Position::new(point).debruijn_image(bit).value()
     }
 
     // ------------------------------------------------------------------
@@ -392,7 +385,7 @@ impl ProtocolNode {
                         // Delivered: spread the announcement (Listing 3 line 10).
                         announces.push((node, target_epoch, target));
                     } else {
-                        let next_point = self.next_point(target, step + 1, point);
+                        let next_point = self.trajectory_step(target, step + 1, point);
                         let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                         ctx.broadcast(
                             to.iter().copied(),
@@ -428,7 +421,7 @@ impl ProtocolNode {
                             token_deliveries.push((receiver, owner));
                         }
                     } else {
-                        let next_point = self.next_point(target, step + 1, point);
+                        let next_point = self.trajectory_step(target, step + 1, point);
                         let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                         ctx.broadcast(
                             to.iter().copied(),
@@ -484,7 +477,7 @@ impl ProtocolNode {
             ids.dedup();
             for &node in ids.iter() {
                 let target = ctx.position_hash(node, target_epoch);
-                let next_point = self.next_point(target, 1, me.1);
+                let next_point = self.trajectory_step(target, 1, me.1);
                 let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                 self.stats.joins_started += 1;
                 ctx.broadcast(
@@ -504,7 +497,7 @@ impl ProtocolNode {
             for _ in 0..self.params.tau {
                 let target: f64 = ctx.rng.gen();
                 let delta: u32 = ctx.rng.gen_range(0..=max_delta);
-                let next_point = self.next_point(target, 1, me.1);
+                let next_point = self.trajectory_step(target, 1, me.1);
                 let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                 ctx.broadcast(
                     to.iter().copied(),
@@ -951,6 +944,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use tsa_overlay::Trajectory;
 
     fn params() -> MaintenanceParams {
         MaintenanceParams::new(64)
@@ -1049,22 +1043,24 @@ mod tests {
 
     #[test]
     fn genesis_neighbors_match_definition_5() {
+        // The bootstrap neighbourhood is the node's LDS neighbourhood, in
+        // either direction, over the initial member set.
         let p = params();
         let g = genesis(64);
         let mut node = ProtocolNode::new(p, Some(g.clone()));
         let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 7, 7);
         node.d_neighbors = vec![(NodeId(63), 0.5)];
         node.fill_genesis_neighbors(&ctx, 0);
-        let neighbors = &node.d_neighbors;
-        assert!(!neighbors.is_empty(), "a genesis node must have neighbours");
-        let own = ctx.position_hash(NodeId(0), 0);
-        for (id, pos) in neighbors {
-            assert_ne!(*id, NodeId(0));
-            assert!(
-                p.overlay.are_neighbors(own, *pos),
-                "genesis neighbour {id} at {pos} is not a Definition-5 neighbour"
-            );
-        }
+        let lds = Lds::from_hash(p.overlay, g.iter().copied(), 7, 0);
+        let expected: Vec<Neighbor> = g
+            .iter()
+            .filter(|&&w| {
+                lds.neighbors(NodeId(0)).contains(&w) || lds.neighbors(w).contains(&NodeId(0))
+            })
+            .map(|&w| (w, ctx.position_hash(w, 0)))
+            .collect();
+        assert!(!expected.is_empty(), "a genesis node must have neighbours");
+        assert_eq!(node.d_neighbors, expected);
     }
 
     #[test]
@@ -1085,14 +1081,48 @@ mod tests {
     }
 
     #[test]
-    fn target_bits_follow_binary_expansion() {
+    fn forwarded_copies_follow_the_definition_7_trajectory() {
+        // One even round of a genesis node: it starts its own join request
+        // (step 1) and forwards one copy of that request for every later
+        // step. Every copy it sends must sit on the trajectory from the
+        // node's position to the request's target, bit for bit. Several
+        // nodes, so that not every target's λ-bit prefix is a palindrome.
         let p = params();
-        let node = ProtocolNode::new(p, None);
-        // 0.75 = 0.11 in binary: the first two bits are 1.
-        assert_eq!(node.target_bit(0.75, 1), 1);
-        assert_eq!(node.target_bit(0.75, 2), 1);
-        assert_eq!(node.target_bit(0.25, 1), 0);
-        assert_eq!(node.target_bit(0.25, 2), 1);
+        let lambda = p.lambda();
+        let target_epoch = lambda as u64 + 1;
+        for me in (0..8).map(NodeId) {
+            let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(me, 0, 0, &[], 7, 7);
+            let trajectory = Trajectory::compute(
+                Position::new(ctx.position_hash(me, 0)),
+                Position::new(ctx.position_hash(me, target_epoch)),
+                lambda,
+            );
+            let inbox: Vec<Envelope<ProtocolMsg>> = (1..lambda)
+                .map(|step| {
+                    let msg = ProtocolMsg::RouteJoin {
+                        node: me,
+                        target_epoch,
+                        step,
+                        point: trajectory.point(step as usize).value(),
+                    };
+                    Envelope::new(NodeId(63), me, 0, msg)
+                })
+                .collect();
+            let mut node = ProtocolNode::new(p, Some(genesis(64)));
+            node.on_round(&mut ctx, &inbox);
+            let mut steps_seen = vec![false; lambda as usize + 1];
+            for (_, msg) in ctx.into_sends() {
+                if let ProtocolMsg::RouteJoin { step, point, .. } = msg {
+                    let expected = trajectory.point(step as usize).value();
+                    assert_eq!(point.to_bits(), expected.to_bits(), "{me}, step {step}");
+                    steps_seen[step as usize] = true;
+                }
+            }
+            assert!(
+                steps_seen[1..].iter().all(|&seen| seen),
+                "{me} must have sent a copy of every step 1..=λ: {steps_seen:?}"
+            );
+        }
     }
 
     #[test]

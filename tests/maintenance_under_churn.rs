@@ -102,6 +102,46 @@ fn fresh_nodes_are_known_by_mature_nodes() {
     );
 }
 
+/// Fidelity: the neighbour sets the protocol builds are the LDS of
+/// Definition 5, not merely a connected graph. A join request that does not
+/// end in its target's swarm (Definition 7) is announced to the wrong
+/// responsibility intervals, and the introductions never happen — invisible
+/// while the radii cover most of the ring, so this runs at c = 0.75, where
+/// they do not.
+#[test]
+fn protocol_built_neighbor_sets_contain_the_ideal_lds() {
+    let mut run = Scenario::maintained_lds(256)
+        .with_c(0.75)
+        .with_tau(4)
+        .with_replication(2)
+        .churn(ChurnSpec::none())
+        .seed(29)
+        .build();
+    run.run_bootstrap();
+    run.run(8);
+    let report = run.report();
+    let snapshots = run.snapshots();
+    let lds = Lds::from_hash(
+        run.params().overlay,
+        snapshots.iter().map(|(id, _)| *id),
+        run.simulator().config().hash_seed,
+        report.epoch,
+    );
+    for (v, snapshot) in &snapshots {
+        let missing: Vec<NodeId> = lds
+            .neighbors(*v)
+            .into_iter()
+            .filter(|w| !snapshot.neighbors.contains(w))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{v} lacks its Definition-5 neighbours {missing:?}"
+        );
+    }
+    assert_eq!(report.participation_rate, 1.0, "{report:?}");
+    assert!(report.is_routable(), "{report:?}");
+}
+
 #[test]
 fn scenario_outcome_captures_the_run() {
     let run = run_with(AdversarySpec::targeted(2, 6), 20);
