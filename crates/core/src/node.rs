@@ -1052,11 +1052,10 @@ mod tests {
         node.d_neighbors = vec![(NodeId(63), 0.5)];
         node.fill_genesis_neighbors(&ctx, 0);
         let lds = Lds::from_hash(p.overlay, g.iter().copied(), 7, 0);
+        let own = lds.neighbors(NodeId(0));
         let expected: Vec<Neighbor> = g
             .iter()
-            .filter(|&&w| {
-                lds.neighbors(NodeId(0)).contains(&w) || lds.neighbors(w).contains(&NodeId(0))
-            })
+            .filter(|&&w| own.contains(&w) || lds.neighbors(w).contains(&NodeId(0)))
             .map(|&w| (w, ctx.position_hash(w, 0)))
             .collect();
         assert!(!expected.is_empty(), "a genesis node must have neighbours");
