@@ -41,7 +41,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use tsa_overlay::{ring_distance, step_bit, Lds, Position};
-use tsa_sim::{Ctx, Envelope, NodeId, Process, Round};
+use tsa_sim::{Ctx, Envelope, NodeId, Process, Round, Shared};
 
 use crate::byzantine::MisbehaviorKind;
 use crate::messages::ProtocolMsg;
@@ -124,6 +124,8 @@ struct Scratch {
     token_deliveries: Vec<(NodeId, NodeId)>,
     /// [`delta_select`]'s clockwise offsets.
     clockwise: Vec<(f64, NodeId)>,
+    /// The introduction phase's `Create` claims, one per entry of `H_t`.
+    creates: Vec<Shared>,
     /// Bootstrap only: the initial members' positions in the next epoch,
     /// evaluated once per activation.
     genesis_next: Vec<Neighbor>,
@@ -529,6 +531,7 @@ impl ProtocolNode {
             seen,
             members,
             genesis_next,
+            creates,
             ..
         } = scratch;
         let swarm_r = self.params.swarm_radius();
@@ -594,33 +597,30 @@ impl ProtocolNode {
             }
             members.clear();
             members_near(next_members, point, swarm_r, members);
-            for &to in choose_up_to(members, replication, &mut ctx.rng) {
-                ctx.send(to, env.payload);
-            }
+            let to = choose_up_to(members, replication, &mut ctx.rng);
+            ctx.broadcast(to.iter().copied(), env.payload);
         }
 
         // (3) Introductions: for every pair of announced nodes that will be
         //     neighbours in D_{next_epoch}, send each of them the other's
-        //     identifier and position (Listing 3 lines 25-26).
+        //     identifier and position (Listing 3 lines 25-26). A node's claim
+        //     goes to each of its neighbours-to-be, interleaved with theirs:
+        //     every claim is stored once, up front, and the pair loop sends
+        //     handles in the order it always sent copies.
+        creates.clear();
+        creates.extend(self.h_entries.iter().map(|&(node, position)| {
+            ctx.share(ProtocolMsg::Create {
+                node,
+                epoch: next_epoch,
+                position,
+            })
+        }));
         for (i, &(v, pv)) in self.h_entries.iter().enumerate() {
-            for &(w, pw) in &self.h_entries[i + 1..] {
+            let create_v = creates[i];
+            for (&(w, pw), &create_w) in self.h_entries[i + 1..].iter().zip(&creates[i + 1..]) {
                 if self.params.overlay.are_neighbors(pv, pw) {
-                    ctx.send(
-                        w,
-                        ProtocolMsg::Create {
-                            node: v,
-                            epoch: next_epoch,
-                            position: pv,
-                        },
-                    );
-                    ctx.send(
-                        v,
-                        ProtocolMsg::Create {
-                            node: w,
-                            epoch: next_epoch,
-                            position: pw,
-                        },
-                    );
+                    ctx.send_shared(w, create_v);
+                    ctx.send_shared(v, create_w);
                 }
             }
         }
@@ -771,53 +771,42 @@ impl ProtocolNode {
         };
         self.honest_round(ctx, inbox, epoch, scratch);
 
-        let me = ctx.id();
-        let mut sent = std::mem::take(ctx.queued_mut());
-        match kind {
-            // The censorship already happened on the inbound side.
-            MisbehaviorKind::SelectiveForward => {}
-            // Claims two epochs stale: exactly the staleness the
-            // two-steps-ahead rebuild is supposed to outrun.
-            MisbehaviorKind::StaleClaims => {
-                for (_, msg) in sent.iter_mut() {
-                    if let ProtocolMsg::Create {
-                        node,
-                        epoch,
-                        position,
-                    }
-                    | ProtocolMsg::AnnounceJoin {
-                        node,
-                        epoch,
-                        position,
-                    } = msg
-                    {
-                        *position = ctx.position_hash(*node, epoch.saturating_sub(2));
-                    }
-                }
+        ctx.rewrite_payloads(|ctx, msg| misreport(kind, ctx, msg));
+    }
+}
+
+/// What a byzantine node of `kind` makes of a claim its honest machinery
+/// queued: a function of the payload and the node's own identifier only, so
+/// rewriting a shared payload once is rewriting every copy of it.
+fn misreport(kind: MisbehaviorKind, ctx: &Ctx<'_, ProtocolMsg>, msg: &mut ProtocolMsg) {
+    match (kind, msg) {
+        // The censorship already happened on the inbound side.
+        (MisbehaviorKind::SelectiveForward, _) => {}
+        // Claims two epochs stale: exactly the staleness the two-steps-ahead
+        // rebuild is supposed to outrun.
+        (
+            MisbehaviorKind::StaleClaims,
+            ProtocolMsg::Create {
+                node,
+                epoch,
+                position,
             }
-            // Antipodal positions: maximally wrong, still in [0,1).
-            MisbehaviorKind::ForgedPosition => {
-                for (_, msg) in sent.iter_mut() {
-                    if let ProtocolMsg::Create { position, .. }
-                    | ProtocolMsg::AnnounceJoin { position, .. } = msg
-                    {
-                        *position = (*position + 0.5) % 1.0;
-                    }
-                }
-            }
-            // Introductions and tokens all name the byzantine node itself:
-            // every CREATE/CONNECT-machinery reply funnels edges to it.
-            MisbehaviorKind::BogusReplies => {
-                for (_, msg) in sent.iter_mut() {
-                    match msg {
-                        ProtocolMsg::Create { node, .. } => *node = me,
-                        ProtocolMsg::Token { owner } => *owner = me,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        *ctx.queued_mut() = sent;
+            | ProtocolMsg::AnnounceJoin {
+                node,
+                epoch,
+                position,
+            },
+        ) => *position = ctx.position_hash(*node, epoch.saturating_sub(2)),
+        // Antipodal positions: maximally wrong, still in [0,1).
+        (
+            MisbehaviorKind::ForgedPosition,
+            ProtocolMsg::Create { position, .. } | ProtocolMsg::AnnounceJoin { position, .. },
+        ) => *position = (*position + 0.5) % 1.0,
+        // Introductions and tokens all name the byzantine node itself: every
+        // CREATE/CONNECT-machinery reply funnels edges to it.
+        (MisbehaviorKind::BogusReplies, ProtocolMsg::Create { node, .. }) => *node = ctx.id(),
+        (MisbehaviorKind::BogusReplies, ProtocolMsg::Token { owner }) => *owner = ctx.id(),
+        _ => {}
     }
 }
 
@@ -1120,6 +1109,75 @@ mod tests {
             assert!(
                 steps_seen[1..].iter().all(|&seen| seen),
                 "{me} must have sent a copy of every step 1..=λ: {steps_seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rewriting_each_distinct_payload_is_rewriting_each_copy() {
+        // One outbox with every message kind, sent each way a payload can be
+        // queued (alone, broadcast, shared and interleaved). For every
+        // misbehavior the byzantine hook — once per distinct payload — must
+        // leave the flat sends a per-copy rewrite of the honest ones gives.
+        use MisbehaviorKind::*;
+        let claim = |node, epoch, position| (NodeId(node), epoch, position);
+        let queue = |ctx: &mut Ctx<'_, ProtocolMsg>| {
+            let (node, epoch, position) = claim(4, 9, 0.75);
+            ctx.broadcast(
+                (0..5).map(NodeId),
+                ProtocolMsg::AnnounceJoin {
+                    node,
+                    epoch,
+                    position,
+                },
+            );
+            ctx.broadcast([], ProtocolMsg::Connect { node });
+            let creates = [claim(1, 9, 0.125), claim(2, 1, 0.5), claim(3, 9, 0.9)].map(
+                |(node, epoch, position)| {
+                    ctx.share(ProtocolMsg::Create {
+                        node,
+                        epoch,
+                        position,
+                    })
+                },
+            );
+            ctx.send_shared(NodeId(2), creates[0]);
+            ctx.send_shared(NodeId(1), creates[1]);
+            ctx.send(NodeId(8), ProtocolMsg::Token { owner: NodeId(5) });
+            ctx.send_shared(NodeId(1), creates[0]);
+            let forward = ProtocolMsg::RouteToken {
+                owner: NodeId(6),
+                delta: 3,
+                target: 0.3,
+                step: 2,
+                point: 0.6,
+            };
+            ctx.broadcast([NodeId(7), NodeId(7)], forward);
+        };
+        for kind in [SelectiveForward, StaleClaims, ForgedPosition, BogusReplies] {
+            let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
+            queue(&mut ctx);
+            ctx.rewrite_payloads(|ctx, msg| misreport(kind, ctx, msg));
+
+            let mut honest: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
+            queue(&mut honest);
+            let reference = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
+            let mut per_copy = honest.into_sends();
+            for (_, msg) in per_copy.iter_mut() {
+                misreport(kind, &reference, msg);
+            }
+            let rewritten = ctx.into_sends();
+            assert_eq!(rewritten.len(), 11);
+            assert_eq!(rewritten, per_copy, "{kind:?}");
+            let honest_again = {
+                let mut ctx = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
+                queue(&mut ctx);
+                ctx.into_sends()
+            };
+            assert_eq!(
+                rewritten != honest_again,
+                kind != SelectiveForward,
+                "{kind:?} rewrites something here, censorship does not"
             );
         }
     }

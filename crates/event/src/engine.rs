@@ -38,7 +38,8 @@
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    CommGraph, Delivery, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
+    CommGraph, Delivery, Envelope, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
+    SlotIndex, World,
 };
 
 use crate::fault::{FaultAdapter, FaultInjector, FaultPlan, FaultStats};
@@ -290,22 +291,29 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         (batch - dropped, dropped)
     }
 
-    fn inbox(&self, slot: usize) -> &[Envelope<M>] {
+    fn inbox<'a>(&'a self, slot: usize, _buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
         &self.inboxes[slot]
+    }
+
+    fn inbox_len(&self, slot: usize) -> usize {
+        self.inboxes[slot].len()
     }
 
     fn send(
         &mut self,
         from: NodeId,
         t: Round,
-        out: &mut Vec<(NodeId, M)>,
+        out: &mut Outbox<M>,
         _to_slots: &[u32],
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
         let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
         let mut lost = 0usize;
-        for (to, mut payload) in out.drain(..) {
+        for (to, payload) in out.iter() {
+            // Every copy is its own message from here on: a fault mutates
+            // this clone, never the payload the other copies share.
+            let mut payload = payload.clone();
             // The fault decision is taken on the sequence number this
             // message is about to take, so the loopback transport takes the
             // identical branch for the identical frame.
@@ -407,6 +415,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 }
             }
         }
+        out.clear();
         obs.span_end("event.fate", span);
         lost
     }

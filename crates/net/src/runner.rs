@@ -54,7 +54,7 @@ use tsa_event::{
 };
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    Delivery, Envelope, NodeId, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
+    Delivery, Envelope, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
 };
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -560,20 +560,27 @@ where
         (delivered, dropped)
     }
 
-    fn inbox(&self, slot: usize) -> &[Envelope<M>] {
+    fn inbox<'a>(&'a self, slot: usize, _buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
         &self.ports[slot].inbox
+    }
+
+    fn inbox_len(&self, slot: usize) -> usize {
+        self.ports[slot].inbox.len()
     }
 
     fn send(
         &mut self,
         from: NodeId,
         t: Round,
-        out: &mut Vec<(NodeId, M)>,
+        out: &mut Outbox<M>,
         _to_slots: &[u32],
         _obs: &ObsHandle,
     ) -> usize {
         let mut lost = 0usize;
-        for (to, mut payload) in out.drain(..) {
+        for (to, payload) in out.iter() {
+            // Every copy is its own frame from here on: a fault mutates this
+            // clone, never the payload the other copies share.
+            let mut payload = payload.clone();
             // The fault decision is taken on the sequence number this frame
             // is about to take, as the event engine does for the identical
             // message.
@@ -604,6 +611,7 @@ where
                 }
             }
         }
+        out.clear();
         lost
     }
 

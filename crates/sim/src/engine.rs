@@ -5,46 +5,59 @@
 //! otherwise. [`Lockstep`] is the [`Delivery`] that does exactly that for a
 //! [`World`], and [`Simulator`] is the world it drives.
 //!
-//! # One envelope buffer, scattered at send time
+//! # Payloads once, 4-byte handles scattered at send time
 //!
-//! Round `t`'s inboxes are fully consumed by round `t`'s compute phase, so
-//! the buffer that held them is free when round `t`'s sends are collected:
-//! the sends are grouped by receiver *as they are sent* and written straight
-//! into it, as round `t + 1`'s inboxes. Every message is moved exactly once,
-//! from its sender's outbox into its receiver's range.
+//! A round's traffic is replication: every member of a swarm sends the same
+//! claim to every member of the next, so a sender's [`Outbox`] already holds
+//! each distinct payload once. `Lockstep` keeps it that way. What is in
+//! flight between two rounds is an **arena** of `(sender, payload)` pairs —
+//! one per distinct payload of the round, in send order — and one 4-byte
+//! **handle** into it per copy, grouped by receiver. No envelope exists
+//! until its receiver runs.
 //!
 //! * `send` (once per node, id order) moves nothing. The world has already
 //!   resolved each receiver's slot in the pass that stamps the distinct
-//!   edges; `send` counts the messages per slot and keeps the slots (4 B a
-//!   message), and leaves the outbox as it is.
+//!   edges; `send` counts the copies per slot and keeps the slots (4 B a
+//!   copy), and leaves the outbox as it is.
 //! * `flush_sends` (once per round) prefix-sums the counts into per-slot
-//!   ranges and drains every outbox, in id order, through per-slot write
-//!   cursors: a stable counting scatter. *Stable* is load-bearing: slots are
-//!   visited in id order, so every inbox lists its messages in global send
-//!   order — exactly what a stable sort by receiver would produce, without a
-//!   sort's merge scratch.
+//!   ranges of the handle buffer, moves every outbox's payloads to the end of
+//!   the arena and writes each copy's handle through its slot's write cursor:
+//!   a stable counting scatter. *Stable* is load-bearing: slots are visited
+//!   in id order, so every inbox lists its messages in global send order —
+//!   exactly what a stable sort by receiver would produce, without a sort's
+//!   merge scratch. Round `t`'s inboxes are fully consumed by round `t`'s
+//!   compute phase, so both buffers are overwritten in place.
 //! * `deliver` moves no message and is O(slots): the ranges already are the
 //!   inboxes. A node that departs at `t + 1` had its range removed by
-//!   `on_depart` (the envelopes stay behind in the buffer, unread, until the
-//!   next scatter overwrites it) and its length is charged to round
-//!   `t + 1`'s `dropped`; a node that joins gets an empty range.
+//!   `on_depart` (the handles stay behind, unread, until the next scatter
+//!   overwrites them) and its length is charged to round `t + 1`'s
+//!   `dropped`; a node that joins gets an empty range. The *sender* of a
+//!   message may be gone by then as well — the arena, not its outbox, owns
+//!   the payload.
+//! * `inbox` (once per node, from the compute worker that runs it) builds
+//!   the slot's envelopes — `from` and a clone of the payload out of the
+//!   arena, `to` the slot's owner, `sent_at` the round before — in the
+//!   worker's buffer, which is as large as the largest inbox that worker has
+//!   seen and stays in cache between nodes.
 //!
 //! **Not a member at send time.** A receiver with no slot when the message
 //! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
 //! the adversary will only hand out next round — has no range to be counted
-//! into. Those messages wait in a side list (`late`), in send order;
-//! `deliver` resolves it against round `t + 1`'s membership, appends the
-//! arrivals behind the main buffer (such a receiver joined after the sends,
-//! so its range is still empty) and drops the rest. Delivered and dropped
-//! counts, the round they are charged to and every inbox's order are the
-//! naive model's (`tests/scheduler_reference.rs`).
+//! into. Those messages wait as envelopes in a side list (`late`), in send
+//! order; `deliver` resolves it against round `t + 1`'s membership, moves
+//! the arrivals' payloads to the end of the arena and their handles behind
+//! the scattered ones (such a receiver joined after the sends, so its range
+//! is still empty) and drops the rest. Delivered and dropped counts, the
+//! round they are charged to and every inbox's order are the naive model's
+//! (`tests/scheduler_reference.rs`).
 //!
-//! **Cost per message** (64 B envelope, 48 B outbox entry): the count pass
+//! **Cost per copy** (a 16 B outbox entry, a 4 B handle): the count pass
 //! rides on the edge-stamping read of the outbox and writes 4 B; the scatter
-//! reads 48 B + 4 B and writes 64 B — about 170 B of memory traffic with the
-//! write-allocate, where copying into a second buffer and scattering at
-//! delivery cost about 370 B. Nothing is allocated once the buffer has met
-//! the traffic's high-water mark.
+//! reads 16 B + 4 B and writes 4 B into a zero-filled buffer; the payload is
+//! moved once per distinct payload, not per copy. The 64 B envelope is
+//! written once, by the worker about to read it. Nothing is allocated once
+//! arena, handles and the workers' buffers have met the traffic's high-water
+//! mark.
 
 use std::ops::Range;
 
@@ -53,7 +66,7 @@ use tsa_obs::ObsHandle;
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
 use crate::message::Envelope;
-use crate::node::Process;
+use crate::node::{handle, Outbox, Process};
 use crate::slot_index::{SlotIndex, NO_SLOT};
 use crate::world::{Delivery, PhaseSpans, World};
 
@@ -61,39 +74,50 @@ use crate::world::{Delivery, PhaseSpans, World};
 /// one round.
 pub type Simulator<P, A> = World<P, A, Lockstep<<P as Process>::Msg>>;
 
+/// One slot's side of the delivery, in the world's slot order.
+struct Inbox {
+    /// The slot's owner: the `to` of every envelope built for it.
+    id: NodeId,
+    /// The slot's inbox is `handles[range]`.
+    range: Range<usize>,
+    /// While a round's sends are announced, how many are addressed to the
+    /// slot; during the scatter, its write cursor. Zero in between.
+    cursor: usize,
+}
+
 /// The lockstep delivery policy. See the module docs.
 pub struct Lockstep<M> {
-    /// The one envelope buffer: the messages sent last round, grouped by the
-    /// slot their receiver owned when they were sent, send order kept within
-    /// each group.
-    inboxes: Vec<Envelope<M>>,
-    /// Slot `i`'s inbox is `inboxes[ranges[i]]`. Envelopes outside every
-    /// range were addressed to a node that has since departed.
-    ranges: Vec<Range<usize>>,
-    /// Per slot: while a round's sends are announced, how many are addressed
-    /// to it; during the scatter, its write cursor. Zero in between.
-    cursors: Vec<usize>,
+    /// The distinct payloads sent last round, each with its sender, in send
+    /// order (late arrivals behind them).
+    arena: Vec<(NodeId, M)>,
+    /// One arena index per message sent last round, grouped by the slot its
+    /// receiver owned when it was sent, send order kept within each group.
+    /// Handles outside every range were addressed to a node that has since
+    /// departed.
+    handles: Vec<u32>,
+    /// The round `arena` and `handles` were sent in.
+    sent_at: Round,
+    inboxes: Vec<Inbox>,
     /// The receiver slot (or [`NO_SLOT`]) of every message announced this
     /// round, in send order.
     route: Vec<u32>,
     /// Last round's messages whose receiver had no slot at send time, each
     /// with its position in the list (send order).
     late: Vec<(usize, Envelope<M>)>,
-    /// Envelopes of `inboxes` whose range `on_depart` removed since the last
-    /// `deliver`.
+    /// Handles whose range `on_depart` removed since the last `deliver`.
     stranded: usize,
 }
 
 impl<M> Lockstep<M> {
     /// Number of messages currently in flight (sent last round, not yet
-    /// delivered).
+    /// delivered): copies, not distinct payloads.
     pub fn in_flight_count(&self) -> usize {
-        self.inboxes.len() + self.late.len()
+        self.handles.len() + self.late.len()
     }
 
-    /// Resolves the side list against the current membership: arrivals are
-    /// appended behind the main buffer, grouped per receiver in send order;
-    /// the rest are dropped. Returns how many arrived.
+    /// Resolves the side list against the current membership: arrivals move
+    /// to the end of the arena and of the handle buffer, grouped per receiver
+    /// in send order; the rest are dropped. Returns how many arrived.
     fn deliver_late(&mut self, index: &SlotIndex) -> usize {
         let slot_of = |env: &Envelope<M>| index.slot(env.to).unwrap_or(usize::MAX);
         // The key is unique, so the in-place unstable sort is a stable
@@ -103,9 +127,9 @@ impl<M> Lockstep<M> {
         let arrived = self
             .late
             .partition_point(|(_, env)| slot_of(env) != usize::MAX);
-        let mut end = self.inboxes.len();
+        let mut end = self.handles.len();
         for run in self.late[..arrived].chunk_by(|a, b| a.1.to == b.1.to) {
-            let range = &mut self.ranges[slot_of(&run[0].1)];
+            let range = &mut self.inboxes[slot_of(&run[0].1)].range;
             debug_assert!(
                 Range::is_empty(range),
                 "a late receiver joined after the sends"
@@ -113,15 +137,18 @@ impl<M> Lockstep<M> {
             *range = end..end + run.len();
             end += run.len();
         }
-        // Within the capacity `flush_sends` reserved.
-        self.inboxes
-            .extend(self.late.drain(..arrived).map(|(_, env)| env));
+        // Both within the capacity `flush_sends` reserved.
+        for (_, env) in self.late.drain(..arrived) {
+            debug_assert_eq!(env.sent_at, self.sent_at);
+            self.handles.push(handle(self.arena.len()));
+            self.arena.push((env.from, env.payload));
+        }
         self.late.clear();
         arrived
     }
 }
 
-impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
+impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
     type Config = SimConfig;
 
     const SPANS: PhaseSpans = PhaseSpans {
@@ -132,9 +159,10 @@ impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
 
     fn new(config: SimConfig) -> (SimConfig, Self) {
         let lockstep = Lockstep {
+            arena: Vec::new(),
+            handles: Vec::new(),
+            sent_at: 0,
             inboxes: Vec::new(),
-            ranges: Vec::new(),
-            cursors: Vec::new(),
             route: Vec::new(),
             late: Vec::new(),
             stranded: 0,
@@ -142,28 +170,41 @@ impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
         (config, lockstep)
     }
 
-    fn on_join(&mut self, _id: NodeId) {
-        self.ranges.push(0..0);
-        self.cursors.push(0);
+    fn on_join(&mut self, id: NodeId) {
+        self.inboxes.push(Inbox {
+            id,
+            range: 0..0,
+            cursor: 0,
+        });
     }
 
     fn on_depart(&mut self, _id: NodeId, slot: usize, _t: Round) {
-        self.stranded += self.ranges.remove(slot).len();
-        self.cursors.remove(slot);
+        self.stranded += self.inboxes.remove(slot).range.len();
     }
 
     /// The ranges `flush_sends` laid out already are the inboxes; what is
-    /// left to do is to charge the departed receivers' envelopes to this
+    /// left to do is to charge the departed receivers' messages to this
     /// round and to resolve the (normally empty) side list.
     fn deliver(&mut self, _t: Round, index: &SlotIndex) -> (usize, usize) {
         let stranded = std::mem::take(&mut self.stranded);
         let late = self.late.len();
         let arrived = self.deliver_late(index);
-        (self.inboxes.len() - stranded, stranded + late - arrived)
+        (self.handles.len() - stranded, stranded + late - arrived)
     }
 
-    fn inbox(&self, slot: usize) -> &[Envelope<M>] {
-        &self.inboxes[self.ranges[slot].clone()]
+    /// Builds the slot's envelopes in `buf`, from the arena.
+    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
+        let Inbox { id, ref range, .. } = self.inboxes[slot];
+        buf.clear();
+        buf.extend(self.handles[range.clone()].iter().map(|&h| {
+            let (from, payload) = &self.arena[h as usize];
+            Envelope::new(*from, id, self.sent_at, payload.clone())
+        }));
+        buf
+    }
+
+    fn inbox_len(&self, slot: usize) -> usize {
+        self.inboxes[slot].range.len()
     }
 
     /// Counts the sends per receiver slot and keeps the slots; the messages
@@ -172,14 +213,14 @@ impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
         &mut self,
         _from: NodeId,
         _t: Round,
-        out: &mut Vec<(NodeId, M)>,
+        out: &mut Outbox<M>,
         to_slots: &[u32],
         _obs: &ObsHandle,
     ) -> usize {
         debug_assert_eq!(out.len(), to_slots.len());
         for &slot in to_slots {
             if slot != NO_SLOT {
-                self.cursors[slot as usize] += 1;
+                self.inboxes[slot as usize].cursor += 1;
             }
         }
         self.route.extend_from_slice(to_slots);
@@ -187,62 +228,64 @@ impl<M: Send + Sync> Delivery<M> for Lockstep<M> {
     }
 
     /// The stable counting scatter: prefix-sum the per-slot counts into
-    /// ranges, then move every message from its sender's outbox to its
-    /// receiver's write cursor, overwriting the inboxes the compute phase
-    /// has consumed.
+    /// ranges, then move every outbox's payloads into the arena and every
+    /// send's handle to its receiver's write cursor, overwriting what the
+    /// compute phase has consumed.
     fn flush_sends<'a>(
         &mut self,
         t: Round,
-        outboxes: impl Iterator<Item = (NodeId, &'a mut Vec<(NodeId, M)>)>,
+        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
     ) where
         M: 'a,
     {
         let mut resolved = 0usize;
-        for (range, cursor) in self.ranges.iter_mut().zip(self.cursors.iter_mut()) {
-            let count = std::mem::replace(cursor, resolved);
-            *range = resolved..resolved + count;
+        for inbox in self.inboxes.iter_mut() {
+            let count = std::mem::replace(&mut inbox.cursor, resolved);
+            inbox.range = resolved..resolved + count;
             resolved += count;
         }
         let unresolved = self.route.len() - resolved;
-        self.inboxes.clear();
+        self.sent_at = t;
+        self.arena.clear();
+        self.handles.clear();
         // Room for the late arrivals too, so `deliver` never reallocates.
-        self.inboxes.reserve(resolved + unresolved);
-        let spare = self.inboxes.spare_capacity_mut();
+        self.handles.reserve(resolved + unresolved);
+        self.handles.resize(resolved, 0);
         let mut route = self.route.iter();
         let mut sent = 0usize;
         for (from, out) in outboxes {
             sent += out.len();
-            for ((to, payload), &slot) in out.drain(..).zip(route.by_ref()) {
-                let env = Envelope::new(from, to, t, payload);
+            let base = self.arena.len();
+            self.arena
+                .extend(out.payloads.drain(..).map(|payload| (from, payload)));
+            for ((to, payload), &slot) in out.sends.drain(..).zip(route.by_ref()) {
+                let h = handle(base + payload as usize);
                 if slot == NO_SLOT {
+                    let payload = self.arena[h as usize].1.clone();
+                    let env = Envelope::new(from, to, t, payload);
                     self.late.push((self.late.len(), env));
                 } else {
-                    let cursor = &mut self.cursors[slot as usize];
-                    spare[*cursor].write(env);
+                    let cursor = &mut self.inboxes[slot as usize].cursor;
+                    self.handles[*cursor] = h;
                     *cursor += 1;
                 }
             }
         }
+        self.arena.reserve(unresolved);
         debug_assert_eq!(sent, resolved + unresolved, "every announced send");
         debug_assert_eq!(self.late.len(), unresolved);
-        // Checked in release builds too: it is what `set_len` rests on, it
-        // spans two trait calls, and it costs O(slots) a round.
+        // Checked in release builds too: a handle left at its zero fill would
+        // deliver somebody else's payload, the condition spans two trait
+        // calls, and it costs O(slots) a round.
         assert!(
-            self.ranges
+            self.inboxes
                 .iter()
-                .zip(self.cursors.iter())
-                .all(|(range, &cursor)| cursor == range.end),
+                .all(|inbox| inbox.cursor == inbox.range.end),
             "the outboxes are not the sends that were announced"
         );
-        // SAFETY: the prefix sums partition 0..resolved into disjoint
-        // per-slot ranges. Each cursor started at its range's start, moved
-        // one element per write and — asserted above — stopped at its
-        // range's end, so every element of 0..resolved was written exactly
-        // once and all `resolved` spare elements are initialized.
-        unsafe {
-            self.inboxes.set_len(resolved);
+        for inbox in self.inboxes.iter_mut() {
+            inbox.cursor = 0;
         }
-        self.cursors.fill(0);
         self.route.clear();
     }
 
@@ -258,17 +301,20 @@ mod tests {
     use crate::node::{Ctx, Process};
 
     /// A protocol where every node floods a counter to the two numerically
-    /// adjacent identifiers each round.
+    /// adjacent identifiers each round, and holds every envelope it is handed
+    /// to the metadata the model promises.
     #[derive(Default)]
     struct Ping {
-        heard: Vec<u64>,
+        heard: Vec<(NodeId, u64)>,
     }
 
     impl Process for Ping {
         type Msg = u64;
         fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
             for env in inbox {
-                self.heard.push(env.payload);
+                assert_eq!(env.to, ctx.id(), "an envelope for somebody else");
+                assert_eq!(env.sent_at + 1, ctx.round(), "not sent last round");
+                self.heard.push((env.from, env.payload));
             }
             let me = ctx.id().raw();
             let round = ctx.round();
@@ -315,24 +361,47 @@ mod tests {
         s.run(3);
         let caps = |s: &Simulator<Ping, NullAdversary>| {
             (
-                s.inboxes.capacity(),
+                (s.arena.capacity(), s.handles.capacity()),
                 s.late.capacity(),
                 s.route.capacity(),
-                (s.ranges.capacity(), s.cursors.capacity()),
-                s.outbox_capacity(),
+                s.inboxes.capacity(),
+                s.compute_buffer_capacities(),
             )
         };
         let warm = caps(&s);
         s.run(20);
         assert_eq!(caps(&s), warm, "steady-state rounds must not reallocate");
         assert_eq!(s.records().len(), 4, "window bounds the archive");
-        // One envelope-sized buffer holds the round's traffic; the only
-        // other envelope storage is the side list, which holds the one
-        // message a round that the last node addresses past the end.
+        // A payload per distinct payload and a handle per copy hold the
+        // round's traffic; the only envelopes in flight are the side list's,
+        // which holds the one message a round that the last node addresses
+        // past the end.
         assert_eq!(s.in_flight_count(), 2 * 32 - 1);
-        assert_eq!(s.inboxes.len(), 2 * 32 - 2);
+        assert_eq!(s.handles.len(), 2 * 32 - 2);
+        assert_eq!(s.arena.len(), 2 * 32 - 1);
         assert_eq!(s.late.len(), 1);
         assert!(s.late.capacity() <= 4, "{}", s.late.capacity());
+        let (_, _, inbox_bufs) = s.compute_buffer_capacities();
+        assert_eq!(inbox_bufs.len(), 1, "one buffer per compute worker");
+    }
+
+    #[test]
+    fn shared_payloads_are_in_flight_once_however_many_copies() {
+        struct Town;
+        impl Process for Town {
+            type Msg = u64;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+                let me = ctx.id().raw();
+                assert!(inbox.iter().all(|env| env.payload == env.from.raw()));
+                ctx.broadcast((0..8).map(NodeId), me);
+            }
+        }
+        let mut s = Simulator::new(SimConfig::default(), NullAdversary, Box::new(|_, _| Town));
+        s.seed_nodes(8);
+        s.run(2);
+        assert_eq!(s.in_flight_count(), 8 * 8, "copies are what is counted");
+        assert_eq!((s.arena.len(), s.handles.len()), (8, 8 * 8));
+        assert_eq!(s.metrics().rounds()[1].messages_delivered, 8 * 8);
     }
 
     #[test]
@@ -380,8 +449,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn churn_removes_and_adds_nodes() {
+    fn one_shot_churn() -> Simulator<Ping, OneShotChurn> {
         let config = SimConfig::default().with_churn_rules(ChurnRules {
             max_events: Some(10),
             window: 4,
@@ -389,6 +457,12 @@ mod tests {
         });
         let mut s = Simulator::new(config, OneShotChurn, Box::new(|_, _| Ping::default()));
         s.seed_nodes(4);
+        s
+    }
+
+    #[test]
+    fn churn_removes_and_adds_nodes() {
+        let mut s = one_shot_churn();
         s.run(3);
         assert!(!s.member_ids().contains(&NodeId(0)), "node 0 departed");
         assert_eq!(s.node_count(), 4, "one left, one joined");
@@ -399,14 +473,33 @@ mod tests {
     }
 
     #[test]
+    fn late_arrivals_are_materialized_like_any_other_message() {
+        // Node 3 writes to the identifier after its own every round; in
+        // round 2 that identifier is handed out, and the joiner's first
+        // inbox is the message sent before it existed — with the receiver
+        // and send round `Ping` insists on.
+        let mut s = one_shot_churn();
+        s.run(2);
+        assert_eq!(s.late.len(), 1, "3 → 4 waits in the side list");
+        s.step();
+        assert_eq!(s.node(NodeId(4)).unwrap().heard, [(NodeId(3), 1)]);
+        assert!(s.late.iter().all(|(_, env)| env.to != NodeId(4)));
+    }
+
+    #[test]
+    fn a_message_outlives_its_sender() {
+        // Node 0 sends in round 1 and is churned out at the start of round
+        // 2: what it sent is delivered all the same, out of the arena.
+        let mut s = one_shot_churn();
+        s.run(3);
+        assert!(s.node(NodeId(0)).is_none(), "the sender is gone");
+        let heard = &s.node(NodeId(1)).unwrap().heard;
+        assert_eq!(heard[heard.len() - 2..], [(NodeId(0), 1), (NodeId(2), 1)]);
+    }
+
+    #[test]
     fn departed_nodes_do_not_receive_messages() {
-        let config = SimConfig::default().with_churn_rules(ChurnRules {
-            max_events: Some(10),
-            window: 4,
-            ..ChurnRules::default()
-        });
-        let mut s = Simulator::new(config, OneShotChurn, Box::new(|_, _| Ping::default()));
-        s.seed_nodes(4);
+        let mut s = one_shot_churn();
         s.run(4);
         // Messages addressed to node 0 in round 1 were dropped in round 2.
         assert!(s.metrics().rounds()[2].messages_dropped > 0);

@@ -71,7 +71,7 @@ pub use metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, Reservoir, RoundMetrics,
     RoundMetricsBuilder, StreamingMetrics, RESERVOIR_CAPACITY,
 };
-pub use node::{run_activation, Ctx, Process};
+pub use node::{activate, run_activation, Ctx, Outbox, Process, Shared};
 pub use slot_index::{SlotIndex, NO_SLOT};
 pub use world::{Delivery, NodeFactory, PhaseSpans, World};
 

@@ -5,12 +5,94 @@
 //! [`Process::on_round`] with all messages delivered this round and a
 //! [`Ctx`] through which the node can inspect its environment and send
 //! messages that will arrive in the next round.
+//!
+//! What a node sends is replication by design — every member of a swarm hands
+//! the *same* claim to every member of the next — so the [`Outbox`] behind a
+//! `Ctx` stores each distinct payload once and 16 bytes per copy:
+//! [`Ctx::broadcast`] shares one payload among its targets, and
+//! [`Ctx::share`] + [`Ctx::send_shared`] do the same for sends that interleave
+//! several payloads.
 
 use rand_chacha::ChaCha8Rng;
 
 use crate::ids::{NodeId, Round};
 use crate::message::Envelope;
 use crate::rng;
+
+/// A payload or arena index as the 4-byte handle a copy in flight is: a panic
+/// with a message where the index does not fit, never a wrap.
+pub(crate) fn handle(index: usize) -> u32 {
+    u32::try_from(index)
+        .unwrap_or_else(|_| panic!("payload index {index} does not fit a 4-byte handle"))
+}
+
+/// A payload stored by [`Ctx::share`], to be named in any number of
+/// [`Ctx::send_shared`] calls of the same activation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shared(u32);
+
+/// One node's sends of one round: each distinct payload once, and one
+/// `(receiver, payload index)` entry per copy, in send order — the order
+/// every delivery preserves.
+#[derive(Debug)]
+pub struct Outbox<M> {
+    pub(crate) payloads: Vec<M>,
+    pub(crate) sends: Vec<(NodeId, u32)>,
+}
+
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
+        Outbox {
+            payloads: Vec::new(),
+            sends: Vec::new(),
+        }
+    }
+}
+
+impl<M> Outbox<M> {
+    /// Number of sends (copies, not distinct payloads).
+    pub fn len(&self) -> usize {
+        self.sends.len()
+    }
+
+    /// `true` if nothing was sent.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+    }
+
+    /// The sends as flat `(receiver, payload)` pairs, in send order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &M)> {
+        self.sends
+            .iter()
+            .map(|&(to, payload)| (to, &self.payloads[payload as usize]))
+    }
+
+    /// Empties the outbox; both buffers keep their capacity.
+    pub fn clear(&mut self) {
+        self.payloads.clear();
+        self.sends.clear();
+    }
+
+    fn share(&mut self, payload: M) -> Shared {
+        let index = handle(self.payloads.len());
+        self.payloads.push(payload);
+        Shared(index)
+    }
+
+    fn send_shared(&mut self, to: NodeId, payload: Shared) {
+        assert!(
+            (payload.0 as usize) < self.payloads.len(),
+            "a `Shared` names a payload of the activation that shared it"
+        );
+        self.sends.push((to, payload.0));
+    }
+
+    /// Capacities of the payload and the send buffer.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize) {
+        (self.payloads.capacity(), self.sends.capacity())
+    }
+}
 
 /// Everything a node may legally observe and do in a single round.
 ///
@@ -26,9 +108,8 @@ pub struct Ctx<'a, M> {
     hash_seed: u64,
     /// Deterministic per-`(seed, node, round)` random stream.
     pub rng: ChaCha8Rng,
-    /// The `(receiver, payload)` pairs queued so far this round, in send
-    /// order.
-    sends: Vec<(NodeId, M)>,
+    /// What the node has sent so far this round.
+    out: Outbox<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -49,7 +130,7 @@ impl<'a, M> Ctx<'a, M> {
             sponsored,
             hash_seed,
             rng: rng::node_round_rng(seed, id, round),
-            sends: Vec::new(),
+            out: Outbox::default(),
         }
     }
 
@@ -106,35 +187,74 @@ impl<'a, M> Ctx<'a, M> {
     /// `t + 1` if `to` is still in the network.
     #[inline]
     pub fn send(&mut self, to: NodeId, payload: M) {
-        self.sends.push((to, payload));
+        let payload = self.out.share(payload);
+        self.out.send_shared(to, payload);
     }
 
-    /// Sends a clone of `payload` to every node in `targets`.
+    /// Sends `payload` to every node in `targets`. It is stored once however
+    /// many targets there are, and not at all if there are none.
     pub fn broadcast<I>(&mut self, targets: I, payload: M)
     where
-        M: Clone,
         I: IntoIterator<Item = NodeId>,
     {
+        let mut targets = targets.into_iter();
+        let Some(first) = targets.next() else {
+            return;
+        };
+        let payload = self.out.share(payload);
+        self.out.send_shared(first, payload);
         for to in targets {
-            self.sends.push((to, payload.clone()));
+            self.out.send_shared(to, payload);
         }
+    }
+
+    /// Stores `payload` for the [`send_shared`](Ctx::send_shared) calls that
+    /// follow — [`broadcast`](Ctx::broadcast) for sends that interleave
+    /// several payloads, where send order is part of the protocol. Sharing
+    /// sends nothing by itself.
+    #[inline]
+    pub fn share(&mut self, payload: M) -> Shared {
+        self.out.share(payload)
+    }
+
+    /// Sends the shared `payload` to `to`, exactly as [`send`](Ctx::send)
+    /// would send a copy of it.
+    ///
+    /// # Panics
+    ///
+    /// If `payload` was not shared through this context.
+    #[inline]
+    pub fn send_shared(&mut self, to: NodeId, payload: Shared) {
+        self.out.send_shared(to, payload);
     }
 
     /// Number of messages queued so far this round (congestion self-check).
     pub fn queued(&self) -> usize {
-        self.sends.len()
+        self.out.len()
     }
 
-    /// Mutable access to the queued `(receiver, payload)` pairs — the hook a
-    /// byzantine node uses to rewrite what its honest machinery queued.
-    pub fn queued_mut(&mut self) -> &mut Vec<(NodeId, M)> {
-        &mut self.sends
+    /// Passes every distinct payload queued so far through `rewrite`, once
+    /// each — the hook a byzantine node uses to rewrite what its honest
+    /// machinery queued. A rewrite reaches every copy of the payload; the
+    /// receivers and the order of the sends stay as they are.
+    pub fn rewrite_payloads(&mut self, mut rewrite: impl FnMut(&Self, &mut M)) {
+        let mut payloads = std::mem::take(&mut self.out.payloads);
+        for payload in payloads.iter_mut() {
+            rewrite(self, payload);
+        }
+        self.out.payloads = payloads;
     }
 
     /// Consumes the context and returns the queued `(receiver, payload)`
     /// pairs, in send order.
-    pub fn into_sends(self) -> Vec<(NodeId, M)> {
-        self.sends
+    pub fn into_sends(self) -> Vec<(NodeId, M)>
+    where
+        M: Clone,
+    {
+        self.out
+            .iter()
+            .map(|(to, payload)| (to, payload.clone()))
+            .collect()
     }
 }
 
@@ -170,12 +290,41 @@ pub trait Process: Send + 'static {
 /// the two engines scheduler policies over the *same* protocol rather than
 /// two protocol copies.
 ///
-/// `out` is a recycled buffer (cleared first) that the activation's sends are
-/// queued into, so the steady-state round loop allocates nothing; the emitted
-/// `(receiver, payload)` pairs are returned together with the node's state
-/// digest (`0` unless `record_digest`). The activation's RNG
-/// stream depends only on `(seed, id, round)`, so *where* and *in which
-/// order* activations of a round execute can never change an output bit.
+/// `out` is a recycled outbox (cleared first) that the activation's sends are
+/// queued into, so the steady-state round loop allocates nothing; it is
+/// returned together with the node's state digest (`0` unless
+/// `record_digest`). The activation's RNG stream depends only on
+/// `(seed, id, round)`, so *where* and *in which order* activations of a
+/// round execute can never change an output bit.
+#[allow(clippy::too_many_arguments)]
+pub fn activate<P: Process>(
+    process: &mut P,
+    id: NodeId,
+    round: Round,
+    joined_at: Round,
+    sponsored: &[NodeId],
+    seed: u64,
+    hash_seed: u64,
+    inbox: &[Envelope<P::Msg>],
+    mut out: Outbox<P::Msg>,
+    record_digest: bool,
+) -> (Outbox<P::Msg>, u64) {
+    let mut ctx: Ctx<'_, P::Msg> = Ctx::new(id, round, joined_at, sponsored, seed, hash_seed);
+    out.clear();
+    ctx.out = out;
+    process.on_round(&mut ctx, inbox);
+    let digest = if record_digest {
+        process.state_digest()
+    } else {
+        0
+    };
+    (ctx.out, digest)
+}
+
+/// [`activate`] with the sends expanded into flat `(receiver, payload)`
+/// pairs in `out` (a recycled buffer, cleared first): the form a scheduler
+/// that knows nothing about shared payloads reads, the naive reference of
+/// `tests/scheduler_reference.rs` first of all.
 #[allow(clippy::too_many_arguments)]
 pub fn run_activation<P: Process>(
     process: &mut P,
@@ -189,16 +338,21 @@ pub fn run_activation<P: Process>(
     mut out: Vec<(NodeId, P::Msg)>,
     record_digest: bool,
 ) -> (Vec<(NodeId, P::Msg)>, u64) {
-    let mut ctx: Ctx<'_, P::Msg> = Ctx::new(id, round, joined_at, sponsored, seed, hash_seed);
+    let (sent, digest) = activate(
+        process,
+        id,
+        round,
+        joined_at,
+        sponsored,
+        seed,
+        hash_seed,
+        inbox,
+        Outbox::default(),
+        record_digest,
+    );
     out.clear();
-    ctx.sends = out;
-    process.on_round(&mut ctx, inbox);
-    let digest = if record_digest {
-        process.state_digest()
-    } else {
-        0
-    };
-    (ctx.into_sends(), digest)
+    out.extend(sent.iter().map(|(to, payload)| (to, payload.clone())));
+    (out, digest)
 }
 
 #[cfg(test)]
@@ -244,14 +398,71 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_clones_the_payload_to_every_target_in_order() {
+    fn broadcast_stores_the_payload_once_and_sends_in_target_order() {
         let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
         ctx.send(NodeId(9), 1);
-        ctx.broadcast([NodeId(1), NodeId(3)], 7);
-        assert_eq!(ctx.queued(), 3);
+        ctx.broadcast([NodeId(1), NodeId(3), NodeId(1)], 7);
+        ctx.broadcast([], 8);
+        assert_eq!(ctx.queued(), 4);
+        assert_eq!(ctx.out.payloads, [1, 7], "no payload for no target");
         assert_eq!(
             ctx.into_sends(),
-            vec![(NodeId(9), 1), (NodeId(1), 7), (NodeId(3), 7)]
+            vec![
+                (NodeId(9), 1),
+                (NodeId(1), 7),
+                (NodeId(3), 7),
+                (NodeId(1), 7)
+            ]
+        );
+    }
+
+    #[test]
+    fn shared_payloads_interleave_in_send_order() {
+        let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        let (a, b) = (ctx.share(10), ctx.share(20));
+        let unsent = ctx.share(30);
+        assert_eq!(ctx.queued(), 0, "sharing sends nothing");
+        ctx.send_shared(NodeId(1), a);
+        ctx.send_shared(NodeId(0), b);
+        ctx.send(NodeId(4), 40);
+        ctx.send_shared(NodeId(3), a);
+        assert_ne!(unsent, a);
+        // A rewrite of a distinct payload reaches every copy of it.
+        ctx.rewrite_payloads(|ctx, payload| {
+            if *payload == 10 {
+                *payload += ctx.id().raw() as u32;
+            }
+        });
+        assert_eq!(
+            ctx.into_sends(),
+            vec![
+                (NodeId(1), 12),
+                (NodeId(0), 20),
+                (NodeId(4), 40),
+                (NodeId(3), 12)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "of the activation that shared it")]
+    fn a_shared_payload_of_another_activation_is_refused() {
+        let mut one: Ctx<'_, u32> = Ctx::new(NodeId(1), 5, 0, &[], 1, 1);
+        let mut other: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        one.share(1);
+        let second = one.share(2);
+        other.share(3);
+        other.send_shared(NodeId(0), second);
+    }
+
+    #[test]
+    fn handles_are_checked_conversions() {
+        assert_eq!(handle(u32::MAX as usize), u32::MAX);
+        let wrapped = std::panic::catch_unwind(|| handle(u32::MAX as usize + 1));
+        let message = *wrapped.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(
+            message,
+            "payload index 4294967296 does not fit a 4-byte handle"
         );
     }
 
@@ -266,6 +477,18 @@ mod tests {
         assert_eq!(out, vec![(NodeId(7), 42)], "stale contents are cleared");
         assert_eq!(out.capacity(), cap, "capacity survives the round trip");
         assert_eq!(digest, 0, "the default digest reveals nothing");
+    }
+
+    #[test]
+    fn activate_clears_the_recycled_outbox_and_keeps_its_capacity() {
+        let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        ctx.broadcast((0..40).map(NodeId), 1);
+        let stale = ctx.out;
+        let caps = stale.capacity();
+        let inbox = vec![Envelope::new(NodeId(7), NodeId(2), 4, 41)];
+        let (out, _) = activate(&mut Echo, NodeId(2), 5, 0, &[], 1, 1, &inbox, stale, false);
+        assert_eq!(out.iter().collect::<Vec<_>>(), [(NodeId(7), &42)]);
+        assert_eq!(out.capacity(), caps);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! phase, metrics, records and observability — with *how a sent message
 //! becomes a delivered one* injected as a [`Delivery`]:
 //!
-//! * [`Lockstep`](crate::Lockstep) — one envelope buffer; round `t`'s sends
-//!   are scattered straight into round `t + 1`'s inboxes (the paper's
-//!   synchronous model);
+//! * [`Lockstep`](crate::Lockstep) — round `t`'s distinct payloads are kept
+//!   once and a 4-byte handle per copy is scattered straight into round
+//!   `t + 1`'s inboxes (the paper's synchronous model);
 //! * `tsa-event`'s `VirtualTime` — a calendar queue under per-message
 //!   latency, jitter, loss and fault plans;
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
@@ -28,20 +28,23 @@
 //!    [`KnowledgeView`], the shared arbiter validates and applies the plan,
 //!    slots are retired and spawned ([`Delivery::on_depart`] /
 //!    [`Delivery::on_join`]);
-//! 2. **deliver** — [`Delivery::deliver`] makes every slot's inbox one
-//!    contiguous slice; sponsored joiners are grouped per bootstrap node;
-//! 3. **compute** — every node activates once through [`run_activation`] on
+//! 2. **deliver** — [`Delivery::deliver`] settles what every slot's inbox
+//!    holds; sponsored joiners are grouped per bootstrap node;
+//! 3. **compute** — every node activates once through [`activate`] on
 //!    [`rayon::for_each_index_mut`], whose worker count follows the
 //!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. An activation reads
-//!    its own inbox slice, writes its own slot and draws from an RNG stream
-//!    that depends only on `(seed, node, round)`, so where and in which order
+//!    its own inbox — [`Delivery::inbox`], one contiguous slice, which a
+//!    delivery that keeps no envelopes builds in the worker's own buffer
+//!    right then — writes its own slot and draws from an RNG stream that
+//!    depends only on `(seed, node, round)`, so where and in which order
 //!    activations run cannot change an output bit;
 //! 4. **collect and send** — in id order: metrics, the communication graph,
-//!    digests, then [`Delivery::send`] for the node's outbox; once every
-//!    node has sent, [`Delivery::flush_sends`] takes whatever the sends left
-//!    in the outboxes. Everything order-sensitive (sequence numbers, fates,
-//!    the edge list, every deterministic observation) happens here and in
-//!    the other sequential phases;
+//!    digests, then [`Delivery::send`] for the node's [`Outbox`] (each
+//!    distinct payload once, 16 bytes per copy); once every node has sent,
+//!    [`Delivery::flush_sends`] takes whatever the sends left in the
+//!    outboxes. Everything order-sensitive (sequence numbers, fates, the
+//!    edge list, every deterministic observation) happens here and in the
+//!    other sequential phases;
 //! 5. **finish** — trim the record window, fold the metrics row, emit the
 //!    `proto.*` observations, [`Delivery::end_round`].
 //!
@@ -67,7 +70,7 @@ use crate::metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics,
     RoundMetricsBuilder, StreamingMetrics,
 };
-use crate::node::{run_activation, Process};
+use crate::node::{activate, Outbox, Process};
 use crate::slot_index::SlotIndex;
 
 /// Creates the protocol state for a node that joins the network.
@@ -116,29 +119,36 @@ pub trait Delivery<M>: Sync {
     /// it each move down one.
     fn on_depart(&mut self, id: NodeId, slot: usize, t: Round);
 
-    /// Makes every slot's inbox for round `t` a slice in global send order;
+    /// Settles every slot's inbox for round `t`, in global send order;
     /// `index` maps a receiver to its slot. Returns how many messages were
     /// delivered and how many were dropped undelivered.
     fn deliver(&mut self, t: Round, index: &SlotIndex) -> (usize, usize);
 
-    /// The inbox [`deliver`](Delivery::deliver) made for `slot`.
-    fn inbox(&self, slot: usize) -> &[Envelope<M>];
+    /// The inbox [`deliver`](Delivery::deliver) made for `slot`, as a slice.
+    /// A delivery that keeps envelopes returns its own; one that does not
+    /// builds them in `buf` — the calling worker's buffer, free to be
+    /// overwritten — and returns that.
+    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>];
+
+    /// The length of [`inbox`](Delivery::inbox) for `slot`, in O(1).
+    fn inbox_len(&self, slot: usize) -> usize;
 
     /// Announces the sends `from` made in round `t`, in send order. Called in
     /// id order, once per node. `to_slots[k]` is the slot the receiver of
-    /// `out[k]` owns right now, or [`NO_SLOT`](crate::NO_SLOT) if it is not
-    /// a member at send time (it may still join before delivery).
+    /// the `k`-th send owns right now, or [`NO_SLOT`](crate::NO_SLOT) if it
+    /// is not a member at send time (it may still join before delivery).
     ///
-    /// A delivery that routes message by message takes the sends here and
-    /// leaves `out` empty. One that needs the whole round's sends before it
-    /// can place any (the lockstep scatter) only takes notes, leaves `out`
-    /// as it is and empties it in [`flush_sends`](Delivery::flush_sends).
-    /// Returns how many of the sends are already known to be lost.
+    /// A delivery that routes message by message copies each send's payload
+    /// out of the outbox here and leaves `out` empty. One that needs the
+    /// whole round's sends before it can place any (the lockstep scatter)
+    /// only takes notes, leaves `out` as it is and empties it in
+    /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
+    /// are already known to be lost.
     fn send(
         &mut self,
         from: NodeId,
         t: Round,
-        out: &mut Vec<(NodeId, M)>,
+        out: &mut Outbox<M>,
         to_slots: &[u32],
         obs: &ObsHandle,
     ) -> usize;
@@ -151,7 +161,7 @@ pub trait Delivery<M>: Sync {
     fn flush_sends<'a>(
         &mut self,
         _t: Round,
-        _outboxes: impl Iterator<Item = (NodeId, &'a mut Vec<(NodeId, M)>)>,
+        _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
     ) where
         M: 'a,
     {
@@ -174,8 +184,8 @@ struct Slot<P: Process> {
     id: NodeId,
     joined_at: Round,
     process: P,
-    /// Reusable outbox buffer; handed to the delivery each round.
-    out: Vec<(NodeId, P::Msg)>,
+    /// Reusable outbox; handed to the delivery each round.
+    out: Outbox<P::Msg>,
     /// State digest captured at the end of the last compute phase.
     digest: u64,
     /// This round's sponsorships: a range of `sponsored_ids`.
@@ -217,8 +227,11 @@ pub struct World<P: Process, A, D> {
     /// Scratch: joiner ids grouped contiguously per bootstrap node; slots
     /// reference ranges of this vector.
     sponsored_ids: Vec<NodeId>,
-    /// Outbox buffers donated by departed nodes, reused by joining nodes.
-    spare_outboxes: Vec<Vec<(NodeId, P::Msg)>>,
+    /// Outboxes donated by departed nodes, reused by joining nodes.
+    spare_outboxes: Vec<Outbox<P::Msg>>,
+    /// One inbox buffer per compute worker, for deliveries that build a
+    /// slot's envelopes only while its node runs.
+    inbox_bufs: Vec<Vec<Envelope<P::Msg>>>,
     /// Scratch for churn-plan validation (departure dedup, join fan-in).
     plan_scratch: PlanScratch,
     /// Round records trimmed out of the history window, recycled as scratch.
@@ -268,6 +281,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
             spare_outboxes: Vec::new(),
+            inbox_bufs: Vec::new(),
             plan_scratch: PlanScratch::default(),
             spare_records: Vec::new(),
             records: Vec::new(),
@@ -413,10 +427,14 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         &self.adversary
     }
 
-    /// Total capacity of the slots' reusable outbox buffers.
+    /// Capacities of the reusable buffers the compute phase fills: the
+    /// slots' outboxes (payloads, sends) and the workers' inbox buffers.
     #[cfg(test)]
-    pub(crate) fn outbox_capacity(&self) -> usize {
-        self.slots.iter().map(|slot| slot.out.capacity()).sum()
+    pub(crate) fn compute_buffer_capacities(&self) -> (usize, usize, Vec<usize>) {
+        let outboxes = self.slots.iter().map(|slot| slot.out.capacity());
+        let (payloads, sends) = outboxes.fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
+        let inboxes = self.inbox_bufs.iter().map(Vec::capacity).collect();
+        (payloads, sends, inboxes)
     }
 
     /// Executes `rounds` rounds.
@@ -487,8 +505,12 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         {
             let delivery = &self.delivery;
             let sponsored_ids = &self.sponsored_ids;
-            rayon::for_each_index_mut(&mut self.slots, threads, |i, slot| {
-                let (out, digest) = run_activation(
+            if self.inbox_bufs.len() < threads {
+                self.inbox_bufs.resize_with(threads, Vec::new);
+            }
+            let workers = &mut self.inbox_bufs[..threads];
+            rayon::for_each_index_mut(&mut self.slots, workers, |inbox_buf, i, slot| {
+                let (out, digest) = activate(
                     &mut slot.process,
                     slot.id,
                     t,
@@ -496,7 +518,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                     &sponsored_ids[slot.sponsored.clone()],
                     seed,
                     hash_seed,
-                    delivery.inbox(i),
+                    delivery.inbox(i, inbox_buf),
                     std::mem::take(&mut slot.out),
                     record_digests,
                 );
@@ -518,7 +540,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let obs_on = self.obs.is_on();
         let mut lost = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            let received = self.delivery.inbox(i).len();
+            let received = self.delivery.inbox_len(i);
             mb.record_received(slot.id, received);
             if obs_on {
                 // The messages this activation read: a deterministic
@@ -528,7 +550,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             self.to_slots.clear();
             let distinct = self.index.push_distinct_edges(
                 slot.id,
-                &slot.out,
+                &slot.out.sends,
                 &mut rec.graph.edges,
                 &mut self.to_slots,
             );

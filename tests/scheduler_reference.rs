@@ -9,7 +9,7 @@
 //! a zero-latency [`EventSimulator`] must match it row for row, at every
 //! thread cap — under a flood that churns by what the archives show, and
 //! under a protocol that addresses nodes that are not members (yet, any
-//! more, or ever).
+//! more, or ever), one payload per send and as payloads shared between sends.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -366,6 +366,38 @@ impl Process for Probe {
     }
 }
 
+/// [`Probe`]'s receiver list — duplicates, same-round joiners, departed
+/// peers, an identifier nobody owns — addressed through the outbox's shared
+/// payloads instead of one payload per send: one `broadcast`, then two
+/// `share`d payloads interleaved receiver by receiver. Which of the two a
+/// receiver folds first is send order, so handles sent out of order show.
+#[derive(Default)]
+struct SharedProbe {
+    heard: u64,
+}
+
+impl Process for SharedProbe {
+    type Msg = u64;
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+        for env in inbox {
+            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw();
+        }
+        let me = ctx.id().raw();
+        let near = (1..=REACH).flat_map(|d| [NodeId(me + d), NodeId(me.wrapping_sub(d))]);
+        let receivers: Vec<NodeId> = near.chain([NodeId(me + 1), NEVER_ASSIGNED]).collect();
+        ctx.broadcast(receivers.iter().copied(), self.heard);
+        ctx.broadcast([], me);
+        let (state, name) = (ctx.share(!self.heard), ctx.share(me));
+        for &to in &receivers {
+            ctx.send_shared(to, state);
+            ctx.send_shared(to, name);
+        }
+    }
+    fn state_digest(&self) -> u64 {
+        self.heard
+    }
+}
+
 /// Every round: the oldest member and one from the middle leave, two join.
 struct SteadyChurn;
 
@@ -380,9 +412,10 @@ impl Adversary for SteadyChurn {
     }
 }
 
-#[test]
-fn lockstep_matches_the_reference_on_sends_to_non_members() {
-    const NODES: usize = 256; // 11 messages each: past the parallel threshold
+/// Both schedulers against the reference under [`SteadyChurn`], for a
+/// protocol that writes to non-members of every kind.
+fn sends_to_non_members_match_the_reference<P: Process + Default>() {
+    const NODES: usize = 256; // 11+ messages each: past the parallel threshold
     const ROUNDS: u64 = 8;
     let config = || {
         let mut config = SimConfig::default()
@@ -397,7 +430,7 @@ fn lockstep_matches_the_reference_on_sends_to_non_members() {
         config.record_digests = true;
         config
     };
-    let factory = || -> NodeFactory<Probe> { Box::new(|_, _| Probe::default()) };
+    let factory = || -> NodeFactory<P> { Box::new(|_, _| P::default()) };
 
     let mut reference = Reference::new(config(), SteadyChurn, factory(), NODES as u64);
     let mut queued = Vec::new();
@@ -432,4 +465,14 @@ fn lockstep_matches_the_reference_on_sends_to_non_members() {
             assert_eq!(event, reference.rows, "event, cap {cap}");
         });
     }
+}
+
+#[test]
+fn lockstep_matches_the_reference_on_sends_to_non_members() {
+    sends_to_non_members_match_the_reference::<Probe>();
+}
+
+#[test]
+fn shared_payloads_match_the_reference_on_sends_to_non_members() {
+    sends_to_non_members_match_the_reference::<SharedProbe>();
 }
