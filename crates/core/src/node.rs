@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use tsa_overlay::{ring_distance, step_bit, Lds, Position};
+use tsa_overlay::{ring_distance, step_bit, Lds, Position, Radii};
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round, Shared};
 
 use crate::byzantine::MisbehaviorKind;
@@ -138,6 +138,9 @@ thread_local! {
 /// The node state machine of the maintenance protocol.
 pub struct ProtocolNode {
     params: MaintenanceParams,
+    /// `params.overlay`'s `λ` and radii: asked for per routed copy and per
+    /// announced pair.
+    radii: Radii,
     /// The initial member set, available only to genesis nodes and only used
     /// for epochs `< genesis_epochs` (the bootstrap substitute).
     genesis: Option<Arc<Vec<NodeId>>>,
@@ -173,6 +176,7 @@ impl ProtocolNode {
         let slots = vec![None; params.connect_slots()];
         ProtocolNode {
             params,
+            radii: params.overlay.radii(),
             genesis,
             joined_at: None,
             d_neighbors: Vec::new(),
@@ -270,7 +274,7 @@ impl ProtocolNode {
                 continue;
             }
             let p = ctx.position_hash(v, epoch);
-            if self.params.overlay.are_neighbors(own, p) {
+            if self.radii.are_neighbors(own, p) {
                 self.d_neighbors.push((v, p));
             }
         }
@@ -298,14 +302,14 @@ impl ProtocolNode {
         rng: &mut R,
     ) -> &'m [NodeId] {
         members.clear();
-        self.current_members_near(me, point, self.params.swarm_radius(), members);
+        self.current_members_near(me, point, self.radii.swarm, members);
         choose_up_to(members, self.params.replication, rng)
     }
 
     /// Where forwarding step `step` towards `target` takes a request that
     /// sits at `point`: the trajectory of Definition 7, one step at a time.
     fn trajectory_step(&self, target: f64, step: u32, point: f64) -> f64 {
-        let bit = step_bit(Position::new(target), step, self.params.lambda());
+        let bit = step_bit(Position::new(target), step, self.radii.lambda);
         Position::new(point).debruijn_image(bit).value()
     }
 
@@ -337,8 +341,11 @@ impl ProtocolNode {
             clockwise,
             ..
         } = scratch;
-        let lambda = self.params.lambda();
-        let swarm_r = self.params.swarm_radius();
+        let Radii {
+            lambda,
+            swarm: swarm_r,
+            ..
+        } = self.radii;
         let me: Neighbor = (ctx.id(), ctx.position_hash(ctx.id(), epoch));
 
         // (1) Assemble this epoch's neighbour set from the CREATE messages
@@ -446,9 +453,7 @@ impl ProtocolNode {
         for &(node, target_epoch, position) in announces.iter() {
             self.stats.joins_delivered += 1;
             members.clear();
-            for interval in
-                Lds::responsibility_intervals(&self.params.overlay, Position::new(position))
-            {
+            for interval in Lds::responsibility_intervals(&self.radii, Position::new(position)) {
                 let (center, radius) = (interval.center().value(), interval.radius());
                 self.current_members_near(me, center, radius, members);
             }
@@ -534,7 +539,7 @@ impl ProtocolNode {
             creates,
             ..
         } = scratch;
-        let swarm_r = self.params.swarm_radius();
+        let swarm_r = self.radii.swarm;
         let replication = self.params.replication;
         let next_epoch = epoch + 1;
 
@@ -618,7 +623,7 @@ impl ProtocolNode {
         for (i, &(v, pv)) in self.h_entries.iter().enumerate() {
             let create_v = creates[i];
             for (&(w, pw), &create_w) in self.h_entries[i + 1..].iter().zip(&creates[i + 1..]) {
-                if self.params.overlay.are_neighbors(pv, pw) {
+                if self.radii.are_neighbors(pv, pw) {
                     ctx.send_shared(w, create_v);
                     ctx.send_shared(v, create_w);
                 }

@@ -17,7 +17,7 @@ use tsa_sim::NodeId;
 
 use crate::graph::OverlayGraph;
 use crate::interval::Interval;
-use crate::params::OverlayParams;
+use crate::params::{OverlayParams, Radii};
 use crate::position::Position;
 use crate::swarm::SwarmIndex;
 
@@ -166,11 +166,11 @@ impl Lds {
     ///
     /// These are exactly the intervals the maintenance protocol (Listing 3)
     /// spreads join requests over.
-    pub fn responsibility_intervals(params: &OverlayParams, p: Position) -> [Interval; 3] {
+    pub fn responsibility_intervals(radii: &Radii, p: Position) -> [Interval; 3] {
         [
-            Interval::around(p, params.list_radius()),
-            Interval::around(p.half(), params.debruijn_radius()),
-            Interval::around(p.half_plus(), params.debruijn_radius()),
+            Interval::around(p, radii.list),
+            Interval::around(p.half(), radii.debruijn),
+            Interval::around(p.half_plus(), radii.debruijn),
         ]
     }
 
@@ -427,7 +427,7 @@ mod tests {
         let lds = random_lds(128, 2.0, 8);
         let v = NodeId(11);
         let pv = lds.position(v).unwrap();
-        let intervals = Lds::responsibility_intervals(lds.params(), pv);
+        let intervals = Lds::responsibility_intervals(&lds.params().radii(), pv);
         for w in lds.neighbors(v) {
             let pw = lds.position(w).unwrap();
             assert!(

@@ -40,7 +40,7 @@ pub use graph::OverlayGraph;
 pub use interval::Interval;
 pub use ldg::Ldg;
 pub use lds::{GoodnessStats, Lds};
-pub use params::OverlayParams;
+pub use params::{OverlayParams, Radii};
 pub use position::{ring_distance, Position};
 pub use swarm::SwarmIndex;
 pub use trajectory::{step_bit, Trajectory};

@@ -64,20 +64,21 @@ impl OverlayParams {
         1.5 * self.c * self.lambda_over_n()
     }
 
-    /// Definition 5 read symmetrically, on raw positions in `[0, 1)`: `true`
-    /// iff nodes at `p` and `q` are joined by a list edge or by a
-    /// long-distance edge in either direction — `q ∈ N(p)` or `p ∈ N(q)` in
-    /// [`Lds`](crate::Lds) terms. The maintenance protocol runs this for
-    /// every pair of announced nodes, hence raw `f64`s.
-    #[inline]
+    /// `λ` and the three radii, computed once — for code that asks per
+    /// message or per pair, where the `log2` behind every getter above would
+    /// be most of the work.
+    pub fn radii(&self) -> Radii {
+        Radii {
+            lambda: self.lambda(),
+            swarm: self.swarm_radius(),
+            list: self.list_radius(),
+            debruijn: self.debruijn_radius(),
+        }
+    }
+
+    /// [`Radii::are_neighbors`] for these parameters.
     pub fn are_neighbors(&self, p: f64, q: f64) -> bool {
-        let list_r = self.list_radius();
-        let db_r = self.debruijn_radius();
-        ring_distance(p, q) <= list_r
-            || ring_distance(p / 2.0, q) <= db_r
-            || ring_distance((p + 1.0) / 2.0, q) <= db_r
-            || ring_distance(q / 2.0, p) <= db_r
-            || ring_distance((q + 1.0) / 2.0, p) <= db_r
+        self.radii().are_neighbors(p, q)
     }
 
     /// Expected number of nodes in a swarm when `m` nodes are placed uniformly.
@@ -113,9 +114,51 @@ impl OverlayParams {
     }
 }
 
+/// What [`OverlayParams::radii`] precomputes: `λ` and the radii of
+/// Definition 5, bit for bit the getters' values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Radii {
+    /// [`OverlayParams::lambda`].
+    pub lambda: u32,
+    /// [`OverlayParams::swarm_radius`].
+    pub swarm: f64,
+    /// [`OverlayParams::list_radius`].
+    pub list: f64,
+    /// [`OverlayParams::debruijn_radius`].
+    pub debruijn: f64,
+}
+
+impl Radii {
+    /// Definition 5 read symmetrically, on raw positions in `[0, 1)`: `true`
+    /// iff nodes at `p` and `q` are joined by a list edge or by a
+    /// long-distance edge in either direction — `q ∈ N(p)` or `p ∈ N(q)` in
+    /// [`Lds`](crate::Lds) terms. The maintenance protocol runs this for
+    /// every pair of announced nodes, hence raw `f64`s.
+    #[inline]
+    pub fn are_neighbors(&self, p: f64, q: f64) -> bool {
+        ring_distance(p, q) <= self.list
+            || ring_distance(p / 2.0, q) <= self.debruijn
+            || ring_distance((p + 1.0) / 2.0, q) <= self.debruijn
+            || ring_distance(q / 2.0, p) <= self.debruijn
+            || ring_distance((q + 1.0) / 2.0, p) <= self.debruijn
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn radii_are_the_getters_values() {
+        for (n, c) in [(2, 1.0), (64, 1.5), (1000, 2.0), (4096, 0.75)] {
+            let p = OverlayParams::new(n, c);
+            let r = p.radii();
+            assert_eq!(r.lambda, p.lambda());
+            assert_eq!(r.swarm.to_bits(), p.swarm_radius().to_bits());
+            assert_eq!(r.list.to_bits(), p.list_radius().to_bits());
+            assert_eq!(r.debruijn.to_bits(), p.debruijn_radius().to_bits());
+        }
+    }
 
     #[test]
     fn lambda_grows_logarithmically() {
