@@ -843,14 +843,20 @@ impl Process for ProtocolNode {
 
 /// Appends to `out` the identifiers of the `known` entries within `radius`
 /// of `point`, in `known`'s order.
+///
+/// About a quarter of the entries pass and nothing predicts which, so a
+/// `filter` + `push` loop spends its time on mispredicted branches (this runs
+/// once per routed copy). Instead every candidate is written and the length
+/// advances by the comparison.
 #[inline]
 fn members_near(known: &[Neighbor], point: f64, radius: f64, out: &mut Vec<NodeId>) {
-    out.extend(
-        known
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius)
-            .map(|(id, _)| *id),
-    );
+    let mut kept = out.len();
+    out.resize(kept + known.len(), NodeId(0));
+    for &(id, p) in known {
+        out[kept] = id;
+        kept += usize::from(ring_distance(p, point) <= radius);
+    }
+    out.truncate(kept);
 }
 
 /// Replaces `out` with the first claim about each node, in `claims` order,
@@ -935,6 +941,7 @@ fn delta_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, prop_oneof, proptest};
     use rand::seq::SliceRandom;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1009,6 +1016,60 @@ mod tests {
             seen.insert((SEEN_JOIN, NodeId(3), 0, 0));
             dedup_claims(claims.iter().copied(), &mut seen, &mut out);
             assert_eq!(out, reference, "seed {seed}");
+        }
+    }
+
+    /// What [`members_near`] computes, as the `filter` it replaced.
+    fn members_near_by_filter(known: &[Neighbor], point: f64, radius: f64) -> Vec<NodeId> {
+        let near = known
+            .iter()
+            .filter(|(_, p)| ring_distance(*p, point) <= radius);
+        near.map(|(id, _)| *id).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn members_near_is_the_filter_form(
+            // Uniform positions and ones hugging the 0/1 seam; radii around
+            // a swarm's and up to "the whole ring" (every distance is ≤ 0.5).
+            positions in proptest::collection::vec(
+                prop_oneof![0.0f64..1.0, 0.0f64..0.02, 0.98f64..1.0],
+                0..48,
+            ),
+            point in prop_oneof![0.0f64..1.0, 0.0f64..0.02, 0.98f64..1.0],
+            radius in prop_oneof![0.0f64..0.06, 0.0f64..0.8],
+            earlier in 0usize..3,
+        ) {
+            let known: Vec<Neighbor> = (100u64..).map(NodeId).zip(positions).collect();
+            let mut out: Vec<NodeId> = (0..earlier as u64).map(NodeId).collect();
+            let mut expected = out.clone();
+            expected.extend(members_near_by_filter(&known, point, radius));
+            members_near(&known, point, radius, &mut out);
+            prop_assert_eq!(out, expected);
+        }
+    }
+
+    #[test]
+    fn members_near_handles_the_empty_the_full_and_the_seam() {
+        let known: Vec<Neighbor> = [0.995, 0.4, 0.005, 0.03]
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (NodeId(i as u64), p))
+            .collect();
+        let near = |known: &[Neighbor], point, radius| {
+            let mut out = vec![NodeId(77)];
+            members_near(known, point, radius, &mut out);
+            assert_eq!(out[1..], members_near_by_filter(known, point, radius));
+            out.split_off(1)
+        };
+        assert!(near(&[], 0.5, 0.3).is_empty(), "nobody known");
+        assert!(near(&known, 0.7, 0.05).is_empty(), "nobody near");
+        // Across the seam, from either side.
+        assert_eq!(near(&known, 0.999, 0.01), [NodeId(0), NodeId(2)]);
+        assert_eq!(near(&known, 0.0, 0.01), [NodeId(0), NodeId(2)]);
+        // No two points of the ring are further apart than 0.5.
+        for radius in [0.5, 0.75] {
+            assert_eq!(near(&known, 0.2, radius).len(), known.len());
         }
     }
 
