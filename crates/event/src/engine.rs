@@ -299,14 +299,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         self.inboxes[slot].len()
     }
 
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        _to_slots: &[u32],
-        obs: &ObsHandle,
-    ) -> usize {
+    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize {
         let span = obs.span_start();
         let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
         let mut lost = 0usize;

@@ -568,14 +568,7 @@ where
         self.ports[slot].inbox.len()
     }
 
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        _to_slots: &[u32],
-        _obs: &ObsHandle,
-    ) -> usize {
+    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
         let mut lost = 0usize;
         for (to, payload) in out.iter() {
             // Every copy is its own frame from here on: a fault mutates this

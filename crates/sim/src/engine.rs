@@ -16,9 +16,9 @@
 //! until its receiver runs.
 //!
 //! * `send` (once per node, id order) moves nothing. The world has already
-//!   resolved each receiver's slot in the pass that stamps the distinct
-//!   edges; `send` counts the copies per slot and keeps the slots (4 B a
-//!   copy), and leaves the outbox as it is.
+//!   written each receiver's slot into the outbox, in the pass that stamps
+//!   the distinct edges; `send` counts the copies per slot and leaves the
+//!   outbox as it is.
 //! * `flush_sends` (once per round) prefix-sums the counts into per-slot
 //!   ranges of the handle buffer, moves every outbox's payloads to the end of
 //!   the arena and writes each copy's handle through its slot's write cursor:
@@ -51,9 +51,10 @@
 //! round they are charged to and every inbox's order are the naive model's
 //! (`tests/scheduler_reference.rs`).
 //!
-//! **Cost per copy** (a 16 B outbox entry, a 4 B handle): the count pass
-//! rides on the edge-stamping read of the outbox and writes 4 B; the scatter
-//! reads 16 B + 4 B and writes 4 B into a zero-filled buffer; the payload is
+//! **Cost per copy** (a 16 B outbox entry, a 4 B handle): the edge-stamping
+//! pass writes the slot into the entry it is reading, the count pass reads it
+//! back while it is in cache; the scatter reads the 16 B again and writes
+//! 4 B into a zero-filled buffer; the payload is
 //! moved once per distinct payload, not per copy. The 64 B envelope is
 //! written once, by the worker about to read it. Nothing is allocated once
 //! arena, handles and the workers' buffers have met the traffic's high-water
@@ -98,9 +99,6 @@ pub struct Lockstep<M> {
     /// The round `arena` and `handles` were sent in.
     sent_at: Round,
     inboxes: Vec<Inbox>,
-    /// The receiver slot (or [`NO_SLOT`]) of every message announced this
-    /// round, in send order.
-    route: Vec<u32>,
     /// Last round's messages whose receiver had no slot at send time, each
     /// with its position in the list (send order).
     late: Vec<(usize, Envelope<M>)>,
@@ -163,7 +161,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
             handles: Vec::new(),
             sent_at: 0,
             inboxes: Vec::new(),
-            route: Vec::new(),
             late: Vec::new(),
             stranded: 0,
         };
@@ -207,23 +204,14 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
         self.inboxes[slot].range.len()
     }
 
-    /// Counts the sends per receiver slot and keeps the slots; the messages
-    /// stay in `out` until [`flush_sends`](Delivery::flush_sends).
-    fn send(
-        &mut self,
-        _from: NodeId,
-        _t: Round,
-        out: &mut Outbox<M>,
-        to_slots: &[u32],
-        _obs: &ObsHandle,
-    ) -> usize {
-        debug_assert_eq!(out.len(), to_slots.len());
-        for &slot in to_slots {
-            if slot != NO_SLOT {
-                self.inboxes[slot as usize].cursor += 1;
+    /// Counts the sends per receiver slot; the messages stay in `out` until
+    /// [`flush_sends`](Delivery::flush_sends).
+    fn send(&mut self, _from: NodeId, _t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
+        for sent in &out.sends {
+            if sent.slot != NO_SLOT {
+                self.inboxes[sent.slot as usize].cursor += 1;
             }
         }
-        self.route.extend_from_slice(to_slots);
         0
     }
 
@@ -244,36 +232,30 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
             inbox.range = resolved..resolved + count;
             resolved += count;
         }
-        let unresolved = self.route.len() - resolved;
         self.sent_at = t;
         self.arena.clear();
         self.handles.clear();
-        // Room for the late arrivals too, so `deliver` never reallocates.
-        self.handles.reserve(resolved + unresolved);
         self.handles.resize(resolved, 0);
-        let mut route = self.route.iter();
-        let mut sent = 0usize;
         for (from, out) in outboxes {
-            sent += out.len();
             let base = self.arena.len();
             self.arena
                 .extend(out.payloads.drain(..).map(|payload| (from, payload)));
-            for ((to, payload), &slot) in out.sends.drain(..).zip(route.by_ref()) {
-                let h = handle(base + payload as usize);
-                if slot == NO_SLOT {
+            for sent in out.sends.drain(..) {
+                let h = handle(base + sent.payload as usize);
+                if sent.slot == NO_SLOT {
                     let payload = self.arena[h as usize].1.clone();
-                    let env = Envelope::new(from, to, t, payload);
+                    let env = Envelope::new(from, sent.to, t, payload);
                     self.late.push((self.late.len(), env));
                 } else {
-                    let cursor = &mut self.inboxes[slot as usize].cursor;
+                    let cursor = &mut self.inboxes[sent.slot as usize].cursor;
                     self.handles[*cursor] = h;
                     *cursor += 1;
                 }
             }
         }
-        self.arena.reserve(unresolved);
-        debug_assert_eq!(sent, resolved + unresolved, "every announced send");
-        debug_assert_eq!(self.late.len(), unresolved);
+        // Room for the late arrivals, so `deliver` never reallocates.
+        self.arena.reserve(self.late.len());
+        self.handles.reserve(self.late.len());
         // Checked in release builds too: a handle left at its zero fill would
         // deliver somebody else's payload, the condition spans two trait
         // calls, and it costs O(slots) a round.
@@ -286,7 +268,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
         for inbox in self.inboxes.iter_mut() {
             inbox.cursor = 0;
         }
-        self.route.clear();
     }
 
     fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
@@ -363,7 +344,6 @@ mod tests {
             (
                 (s.arena.capacity(), s.handles.capacity()),
                 s.late.capacity(),
-                s.route.capacity(),
                 s.inboxes.capacity(),
                 s.compute_buffer_capacities(),
             )

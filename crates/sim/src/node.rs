@@ -18,6 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::ids::{NodeId, Round};
 use crate::message::Envelope;
 use crate::rng;
+use crate::slot_index::NO_SLOT;
 
 /// A payload or arena index as the 4-byte handle a copy in flight is: a panic
 /// with a message where the index does not fit, never a wrap.
@@ -31,13 +32,28 @@ pub(crate) fn handle(index: usize) -> u32 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shared(u32);
 
+/// One copy queued in an [`Outbox`]: 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Sent {
+    /// The receiver.
+    pub(crate) to: NodeId,
+    /// Index of the payload in the outbox.
+    pub(crate) payload: u32,
+    /// The slot `to` owns when the round's sends are collected, or
+    /// [`NO_SLOT`]: written by [`SlotIndex::push_distinct_edges`], read by
+    /// the delivery.
+    ///
+    /// [`SlotIndex::push_distinct_edges`]: crate::SlotIndex::push_distinct_edges
+    pub(crate) slot: u32,
+}
+
 /// One node's sends of one round: each distinct payload once, and one
 /// `(receiver, payload index)` entry per copy, in send order — the order
 /// every delivery preserves.
 #[derive(Debug)]
 pub struct Outbox<M> {
     pub(crate) payloads: Vec<M>,
-    pub(crate) sends: Vec<(NodeId, u32)>,
+    pub(crate) sends: Vec<Sent>,
 }
 
 impl<M> Default for Outbox<M> {
@@ -64,7 +80,7 @@ impl<M> Outbox<M> {
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &M)> {
         self.sends
             .iter()
-            .map(|&(to, payload)| (to, &self.payloads[payload as usize]))
+            .map(|sent| (sent.to, &self.payloads[sent.payload as usize]))
     }
 
     /// Empties the outbox; both buffers keep their capacity.
@@ -84,7 +100,11 @@ impl<M> Outbox<M> {
             (payload.0 as usize) < self.payloads.len(),
             "a `Shared` names a payload of the activation that shared it"
         );
-        self.sends.push((to, payload.0));
+        self.sends.push(Sent {
+            to,
+            payload: payload.0,
+            slot: NO_SLOT,
+        });
     }
 
     /// Capacities of the payload and the send buffer.

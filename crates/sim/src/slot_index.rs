@@ -15,8 +15,9 @@
 //! members; for distinct counting they fall back to a checked linear list.
 
 use crate::ids::NodeId;
+use crate::node::Outbox;
 
-/// What [`SlotIndex::push_distinct_edges`] reports for a receiver that owns
+/// What [`SlotIndex::push_distinct_edges`] writes for a receiver that owns
 /// no slot: departed, never assigned, or outside the table altogether.
 pub const NO_SLOT: u32 = u32::MAX;
 
@@ -98,21 +99,20 @@ impl SlotIndex {
     /// Appends one `(from, to)` edge per *distinct* receiver in `out` to
     /// `edges`, in ascending receiver order, and returns how many there are
     /// — what sorting and deduplicating all of `out`'s destinations yields,
-    /// but only the distinct ones are ever sorted. Appends to `slots`, per
-    /// message of `out` in order, the receiver's current slot or
-    /// [`NO_SLOT`].
+    /// but only the distinct ones are ever sorted. Writes into every send of
+    /// `out` the receiver's current slot, or [`NO_SLOT`] — the four bytes the
+    /// 16-byte entry has to spare, so the delivery needs no list of its own.
     pub fn push_distinct_edges<M>(
         &mut self,
         from: NodeId,
-        out: &[(NodeId, M)],
+        out: &mut Outbox<M>,
         edges: &mut Vec<(NodeId, NodeId)>,
-        slots: &mut Vec<u32>,
     ) -> usize {
         self.pass += 1;
         self.beyond.clear();
         let start = edges.len();
-        slots.reserve(out.len());
-        for &(to, _) in out {
+        for sent in out.sends.iter_mut() {
+            let to = sent.to;
             let entry = usize::try_from(to.raw())
                 .ok()
                 .and_then(|i| self.entries.get_mut(i));
@@ -129,7 +129,7 @@ impl SlotIndex {
                     (first, NO_SLOT)
                 }
             };
-            slots.push(slot);
+            sent.slot = slot;
             if first {
                 edges.push((from, to));
             }
@@ -142,6 +142,7 @@ impl SlotIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Sent;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -211,28 +212,35 @@ mod tests {
             for pass in 0..6 {
                 // Destinations among members, departed ids, ids >= next_id
                 // and u64::MAX, with many repeats.
-                let out: Vec<(NodeId, u8)> = (0..rng.gen_range(0..300usize))
+                let receivers: Vec<NodeId> = (0..rng.gen_range(0..300usize))
                     .map(|_| {
-                        let to = match rng.gen_range(0..10u32) {
+                        NodeId(match rng.gen_range(0..10u32) {
                             0 => u64::MAX,
                             1 => reference.next_id + rng.gen_range(0..3u64),
                             _ => rng.gen_range(0..reference.next_id),
-                        };
-                        (NodeId(to), 0)
+                        })
                     })
                     .collect();
-                let mut expected: Vec<NodeId> = out.iter().map(|&(to, _)| to).collect();
+                let stale = |&to| Sent {
+                    to,
+                    payload: 0,
+                    slot: 7,
+                };
+                let mut out = Outbox {
+                    payloads: vec![0u8],
+                    sends: receivers.iter().map(stale).collect(),
+                };
+                let mut expected = receivers.clone();
                 expected.sort_unstable();
                 expected.dedup();
                 let before = edges.len();
-                let mut slots = vec![7];
-                let distinct = index.push_distinct_edges(from, &out, &mut edges, &mut slots);
+                let distinct = index.push_distinct_edges(from, &mut out, &mut edges);
                 assert_eq!(distinct, expected.len(), "seed {seed}, pass {pass}");
-                let resolved = out.iter().map(|&(to, _)| match reference.slot(to) {
-                    Some(slot) => slot as u32,
-                    None => NO_SLOT,
-                });
-                let expected_slots: Vec<u32> = std::iter::once(7).chain(resolved).collect();
+                let slots: Vec<u32> = out.sends.iter().map(|sent| sent.slot).collect();
+                let expected_slots: Vec<u32> = receivers
+                    .iter()
+                    .map(|&to| reference.slot(to).map_or(NO_SLOT, |slot| slot as u32))
+                    .collect();
                 assert_eq!(slots, expected_slots, "seed {seed}, pass {pass}");
                 let got: Vec<NodeId> = edges[before..].iter().map(|&(_, to)| to).collect();
                 assert_eq!(got, expected, "seed {seed}, pass {pass}");

@@ -134,9 +134,9 @@ pub trait Delivery<M>: Sync {
     fn inbox_len(&self, slot: usize) -> usize;
 
     /// Announces the sends `from` made in round `t`, in send order. Called in
-    /// id order, once per node. `to_slots[k]` is the slot the receiver of
-    /// the `k`-th send owns right now, or [`NO_SLOT`](crate::NO_SLOT) if it
-    /// is not a member at send time (it may still join before delivery).
+    /// id order, once per node, after the world has written into every send
+    /// the slot its receiver owns right now (`NO_SLOT` if it is not a member
+    /// at send time — it may still join before delivery).
     ///
     /// A delivery that routes message by message copies each send's payload
     /// out of the outbox here and leaves `out` empty. One that needs the
@@ -144,14 +144,7 @@ pub trait Delivery<M>: Sync {
     /// only takes notes, leaves `out` as it is and empties it in
     /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
     /// are already known to be lost.
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        to_slots: &[u32],
-        obs: &ObsHandle,
-    ) -> usize;
+    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize;
 
     /// Every node of round `t` has sent: `outboxes` is each slot's sender
     /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
@@ -217,9 +210,6 @@ pub struct World<P: Process, A, D> {
     /// `id → slot` table over `slots`, kept current wherever `slots`
     /// changes; also stamps distinct receivers in the collect phase.
     index: SlotIndex,
-    /// Scratch: the receiver slot of each message in the outbox the collect
-    /// phase is looking at.
-    to_slots: Vec<u32>,
     members: BTreeMap<NodeId, MemberInfo>,
     /// Scratch: `(bootstrap, joiner)` pairs of the current round, sorted by
     /// bootstrap node.
@@ -276,7 +266,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             delivery,
             slots: Vec::new(),
             index: SlotIndex::new(),
-            to_slots: Vec::new(),
             members: BTreeMap::new(),
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
@@ -531,9 +520,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         // Phase 4: collect and send, in id order. Each slot contributes its
         // distinct receivers in id order, so the edge list comes out sorted
         // and duplicate-free without a global sort, and the same table
-        // lookup resolves each receiver's slot for the delivery; the
-        // delivery numbers and routes the sends in the same order on every
-        // scheduler.
+        // lookup writes each receiver's slot into the outbox for the
+        // delivery; the delivery numbers and routes the sends in the same
+        // order on every scheduler.
         let span = self.obs.span_start();
         let mut rec = self.spare_records.pop().unwrap_or_default();
         rec.graph.round = t;
@@ -547,20 +536,14 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                 // function of the protocol wherever delivery is.
                 self.obs.observe("proto.inbox_len", received as u64);
             }
-            self.to_slots.clear();
-            let distinct = self.index.push_distinct_edges(
-                slot.id,
-                &slot.out.sends,
-                &mut rec.graph.edges,
-                &mut self.to_slots,
-            );
+            let distinct =
+                self.index
+                    .push_distinct_edges(slot.id, &mut slot.out, &mut rec.graph.edges);
             mb.record_sent(slot.id, slot.out.len(), distinct);
             if record_digests {
                 rec.digests.push((slot.id, slot.digest));
             }
-            lost += self
-                .delivery
-                .send(slot.id, t, &mut slot.out, &self.to_slots, &self.obs);
+            lost += self.delivery.send(slot.id, t, &mut slot.out, &self.obs);
             rec.graph.members.push(slot.id);
         }
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
