@@ -22,6 +22,7 @@ use crate::slot_index::NO_SLOT;
 
 /// A payload or arena index as the 4-byte handle a copy in flight is: a panic
 /// with a message where the index does not fit, never a wrap.
+#[inline]
 pub(crate) fn handle(index: usize) -> u32 {
     u32::try_from(index)
         .unwrap_or_else(|_| panic!("payload index {index} does not fit a 4-byte handle"))
@@ -310,12 +311,11 @@ pub trait Process: Send + 'static {
 /// the two engines scheduler policies over the *same* protocol rather than
 /// two protocol copies.
 ///
-/// `out` is a recycled outbox (cleared first) that the activation's sends are
-/// queued into, so the steady-state round loop allocates nothing; it is
-/// returned together with the node's state digest (`0` unless
-/// `record_digest`). The activation's RNG stream depends only on
-/// `(seed, id, round)`, so *where* and *in which order* activations of a
-/// round execute can never change an output bit.
+/// `out` is a recycled outbox that the activation's sends replace, so the
+/// steady-state round loop allocates nothing. Returns the node's state
+/// digest (`0` unless `record_digest`). The activation's RNG stream depends
+/// only on `(seed, id, round)`, so *where* and *in which order* activations
+/// of a round execute can never change an output bit.
 #[allow(clippy::too_many_arguments)]
 pub fn activate<P: Process>(
     process: &mut P,
@@ -326,19 +326,19 @@ pub fn activate<P: Process>(
     seed: u64,
     hash_seed: u64,
     inbox: &[Envelope<P::Msg>],
-    mut out: Outbox<P::Msg>,
+    out: &mut Outbox<P::Msg>,
     record_digest: bool,
-) -> (Outbox<P::Msg>, u64) {
+) -> u64 {
     let mut ctx: Ctx<'_, P::Msg> = Ctx::new(id, round, joined_at, sponsored, seed, hash_seed);
     out.clear();
-    ctx.out = out;
+    std::mem::swap(&mut ctx.out, out);
     process.on_round(&mut ctx, inbox);
-    let digest = if record_digest {
+    std::mem::swap(&mut ctx.out, out);
+    if record_digest {
         process.state_digest()
     } else {
         0
-    };
-    (ctx.out, digest)
+    }
 }
 
 /// [`activate`] with the sends expanded into flat `(receiver, payload)`
@@ -358,7 +358,8 @@ pub fn run_activation<P: Process>(
     mut out: Vec<(NodeId, P::Msg)>,
     record_digest: bool,
 ) -> (Vec<(NodeId, P::Msg)>, u64) {
-    let (sent, digest) = activate(
+    let mut sent = Outbox::default();
+    let digest = activate(
         process,
         id,
         round,
@@ -367,7 +368,7 @@ pub fn run_activation<P: Process>(
         seed,
         hash_seed,
         inbox,
-        Outbox::default(),
+        &mut sent,
         record_digest,
     );
     out.clear();
@@ -503,10 +504,21 @@ mod tests {
     fn activate_clears_the_recycled_outbox_and_keeps_its_capacity() {
         let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
         ctx.broadcast((0..40).map(NodeId), 1);
-        let stale = ctx.out;
-        let caps = stale.capacity();
+        let mut out = ctx.out;
+        let caps = out.capacity();
         let inbox = vec![Envelope::new(NodeId(7), NodeId(2), 4, 41)];
-        let (out, _) = activate(&mut Echo, NodeId(2), 5, 0, &[], 1, 1, &inbox, stale, false);
+        activate(
+            &mut Echo,
+            NodeId(2),
+            5,
+            0,
+            &[],
+            1,
+            1,
+            &inbox,
+            &mut out,
+            false,
+        );
         assert_eq!(out.iter().collect::<Vec<_>>(), [(NodeId(7), &42)]);
         assert_eq!(out.capacity(), caps);
     }

@@ -499,7 +499,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             }
             let workers = &mut self.inbox_bufs[..threads];
             rayon::for_each_index_mut(&mut self.slots, workers, |inbox_buf, i, slot| {
-                let (out, digest) = activate(
+                slot.digest = activate(
                     &mut slot.process,
                     slot.id,
                     t,
@@ -508,11 +508,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                     seed,
                     hash_seed,
                     delivery.inbox(i, inbox_buf),
-                    std::mem::take(&mut slot.out),
+                    &mut slot.out,
                     record_digests,
                 );
-                slot.out = out;
-                slot.digest = digest;
             });
         }
         self.obs.span_end("sim.compute", span);
