@@ -17,6 +17,7 @@
 //! [`tsa_sim::KnowledgeView`], so an experiment that hands the same strategy a
 //! different lateness automatically measures how much that knowledge is worth.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod isolate;

@@ -4,6 +4,7 @@
 //! markdown table rendering shared by the experiment binaries in `tsa-bench`
 //! and the integration tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

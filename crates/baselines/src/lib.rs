@@ -16,6 +16,7 @@
 //! those papers: the Table-1 experiment compares what a 2-late adversary can
 //! do to a topology it can observe, which depends on the structure alone.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chord_swarm;

@@ -11,9 +11,8 @@
 //!   the seed: every thread count must report the same row (the binary exits
 //!   non-zero otherwise) and `--compare` holds the section to the committed
 //!   artifact byte for byte.
-//! * **timing** — per `(n, threads)`: rounds/s, wall ms, in-flight envelope
-//!   bytes, peak RSS. Machine-dependent: plotted in the trajectory, never
-//!   gated.
+//! * **timing** — per `(n, threads)`: rounds/s, wall ms, peak RSS.
+//!   Machine-dependent: plotted in the trajectory, never gated.
 
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -22,10 +21,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 use tsa_bench::{experiment_scenario, list_grid, publish, Compared, ExpArgs, Extra};
-use tsa_core::ProtocolMsg;
 use tsa_dash::MetricPoint;
 use tsa_scenario::{AdversarySpec, ChurnSpec};
-use tsa_sim::Envelope;
 
 /// The one seed every cell of the grid shares.
 const SEED: u64 = 29;
@@ -53,9 +50,6 @@ struct TimingRow {
     /// Wall clock of the measured rounds.
     wall_ms: f64,
     rounds_per_sec: f64,
-    /// `peak_in_flight_messages × size_of::<Envelope<ProtocolMsg>>()`: the
-    /// engine's dominant steady-state buffer.
-    peak_in_flight_bytes: usize,
     /// Linux `VmHWM` (peak resident set) in kB after this cell; 0 where
     /// `/proc/self/status` is unreadable. A process-level high-water mark,
     /// monotone across cells.
@@ -127,7 +121,6 @@ fn measure(n: usize, rounds: u64) -> (DetRow, TimingRow) {
         threads: rayon::current_num_threads(),
         wall_ms: wall_secs * 1e3,
         rounds_per_sec: rounds as f64 / wall_secs,
-        peak_in_flight_bytes: peak * std::mem::size_of::<Envelope<ProtocolMsg>>(),
         vm_hwm_kb: vm_hwm_kb(),
     };
     (det, timing)

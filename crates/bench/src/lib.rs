@@ -26,6 +26,7 @@
 //! | `exp_profile`      | The `tsa-obs` observability layer: deterministic counters/histograms per scheduler (CI byte-compares them), the journal streams and the transport's twin-counter pin |
 //! | `exp_byzantine`    | Byzantine nodes and injected faults: zero-fraction anchors, per-kind breaking points of the swarm property, the cross-engine fault twin |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;

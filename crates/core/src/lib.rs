@@ -36,6 +36,7 @@
 //! assert!(report.is_routable());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod byzantine;

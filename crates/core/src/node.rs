@@ -1187,7 +1187,8 @@ mod tests {
         // leave the flat sends a per-copy rewrite of the honest ones gives.
         use MisbehaviorKind::*;
         let claim = |node, epoch, position| (NodeId(node), epoch, position);
-        let queue = |ctx: &mut Ctx<'_, ProtocolMsg>| {
+        let queued = || {
+            let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
             let (node, epoch, position) = claim(4, 9, 0.75);
             ctx.broadcast(
                 (0..5).map(NodeId),
@@ -1219,29 +1220,20 @@ mod tests {
                 point: 0.6,
             };
             ctx.broadcast([NodeId(7), NodeId(7)], forward);
+            ctx
         };
+        let honest = queued().into_sends();
+        assert_eq!(honest.len(), 11);
         for kind in [SelectiveForward, StaleClaims, ForgedPosition, BogusReplies] {
-            let mut ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
-            queue(&mut ctx);
-            ctx.rewrite_payloads(|ctx, msg| misreport(kind, ctx, msg));
-
-            let mut honest: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
-            queue(&mut honest);
-            let reference = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
-            let mut per_copy = honest.into_sends();
+            let mut per_payload = queued();
+            per_payload.rewrite_payloads(|ctx, msg| misreport(kind, ctx, msg));
+            let mut per_copy = honest.clone();
             for (_, msg) in per_copy.iter_mut() {
-                misreport(kind, &reference, msg);
+                misreport(kind, &queued(), msg);
             }
-            let rewritten = ctx.into_sends();
-            assert_eq!(rewritten.len(), 11);
-            assert_eq!(rewritten, per_copy, "{kind:?}");
-            let honest_again = {
-                let mut ctx = Ctx::new(NodeId(11), 20, 0, &[], 5, 5);
-                queue(&mut ctx);
-                ctx.into_sends()
-            };
+            assert_eq!(per_payload.into_sends(), per_copy, "{kind:?}");
             assert_eq!(
-                rewritten != honest_again,
+                per_copy != honest,
                 kind != SelectiveForward,
                 "{kind:?} rewrites something here, censorship does not"
             );

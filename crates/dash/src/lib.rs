@@ -23,6 +23,7 @@
 //! only deterministic events and are byte-compared in CI; spans live in
 //! [`SpanSlice`]s and traces, which never are.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod journal;

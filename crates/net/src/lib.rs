@@ -43,6 +43,7 @@
 //! assert!(net.wire_stats().frames_sent > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod codec;

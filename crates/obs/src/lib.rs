@@ -25,6 +25,7 @@
 //! interleaving — and the engines only record from their sequential
 //! sections anyway.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::collections::BTreeMap;

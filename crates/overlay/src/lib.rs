@@ -25,6 +25,7 @@
 //! assert!(lds.swarm_property_holds_at(Position::new(0.25)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod graph;

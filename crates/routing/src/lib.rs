@@ -21,6 +21,7 @@
 //! assert_eq!(report.delivered, 64);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;

@@ -44,6 +44,7 @@
 //! assert!(outcome.maintenance.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod builder;

@@ -43,6 +43,7 @@
 //! assert!(sim.metrics().total_messages() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod adversary;

@@ -31,6 +31,7 @@
 //! println!("{}", summary.to_table().to_markdown());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod aggregate;
