@@ -1222,6 +1222,7 @@ mod tests {
             ctx.broadcast([NodeId(7), NodeId(7)], forward);
             ctx
         };
+        let me = queued();
         let honest = queued().into_sends();
         assert_eq!(honest.len(), 11);
         for kind in [SelectiveForward, StaleClaims, ForgedPosition, BogusReplies] {
@@ -1229,7 +1230,7 @@ mod tests {
             per_payload.rewrite_payloads(|ctx, msg| misreport(kind, ctx, msg));
             let mut per_copy = honest.clone();
             for (_, msg) in per_copy.iter_mut() {
-                misreport(kind, &queued(), msg);
+                misreport(kind, &me, msg);
             }
             assert_eq!(per_payload.into_sends(), per_copy, "{kind:?}");
             assert_eq!(

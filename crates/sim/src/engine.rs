@@ -43,13 +43,13 @@
 //! **Not a member at send time.** A receiver with no slot when the message
 //! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
 //! the adversary will only hand out next round — has no range to be counted
-//! into. Those messages wait as envelopes in a side list (`late`), in send
-//! order; `deliver` resolves it against round `t + 1`'s membership, moves
-//! the arrivals' payloads to the end of the arena and their handles behind
-//! the scattered ones (such a receiver joined after the sends, so its range
-//! is still empty) and drops the rest. Delivered and dropped counts, the
-//! round they are charged to and every inbox's order are the naive model's
-//! (`tests/scheduler_reference.rs`).
+//! into. Those sends wait in a side list (`late`) as `(receiver, handle)`,
+//! in send order — their payloads are in the arena like everybody's;
+//! `deliver` resolves it against round `t + 1`'s membership, appends the
+//! arrivals' handles behind the scattered ones (such a receiver joined after
+//! the sends, so its range is still empty) and drops the rest. Delivered and
+//! dropped counts, the round they are charged to and every inbox's order are
+//! the naive model's (`tests/scheduler_reference.rs`).
 //!
 //! **Cost per copy** (a 16 B outbox entry, a 4 B handle): the edge-stamping
 //! pass writes the slot into the entry it is reading, the count pass reads it
@@ -89,19 +89,19 @@ struct Inbox {
 /// The lockstep delivery policy. See the module docs.
 pub struct Lockstep<M> {
     /// The distinct payloads sent last round, each with its sender, in send
-    /// order (late arrivals behind them).
+    /// order.
     arena: Vec<(NodeId, M)>,
     /// One arena index per message sent last round, grouped by the slot its
-    /// receiver owned when it was sent, send order kept within each group.
-    /// Handles outside every range were addressed to a node that has since
-    /// departed.
+    /// receiver owned when it was sent (late arrivals behind them), send
+    /// order kept within each group. Handles outside every range were
+    /// addressed to a node that has since departed.
     handles: Vec<u32>,
     /// The round `arena` and `handles` were sent in.
     sent_at: Round,
     inboxes: Vec<Inbox>,
-    /// Last round's messages whose receiver had no slot at send time, each
-    /// with its position in the list (send order).
-    late: Vec<(usize, Envelope<M>)>,
+    /// Last round's sends whose receiver had no slot at send time: position
+    /// in the list (send order), receiver, handle.
+    late: Vec<(usize, NodeId, u32)>,
     /// Handles whose range `on_depart` removed since the last `deliver`.
     stranded: usize,
 }
@@ -113,21 +113,21 @@ impl<M> Lockstep<M> {
         self.handles.len() + self.late.len()
     }
 
-    /// Resolves the side list against the current membership: arrivals move
-    /// to the end of the arena and of the handle buffer, grouped per receiver
-    /// in send order; the rest are dropped. Returns how many arrived.
+    /// Resolves the side list against the current membership: the arrivals'
+    /// handles go behind the scattered ones, grouped per receiver in send
+    /// order; the rest are dropped. Returns how many arrived.
     fn deliver_late(&mut self, index: &SlotIndex) -> usize {
-        let slot_of = |env: &Envelope<M>| index.slot(env.to).unwrap_or(usize::MAX);
+        let slot_of = |to: NodeId| index.slot(to).unwrap_or(usize::MAX);
         // The key is unique, so the in-place unstable sort is a stable
         // grouping.
         self.late
-            .sort_unstable_by_key(|(seq, env)| (slot_of(env), *seq));
+            .sort_unstable_by_key(|&(seq, to, _)| (slot_of(to), seq));
         let arrived = self
             .late
-            .partition_point(|(_, env)| slot_of(env) != usize::MAX);
+            .partition_point(|&(_, to, _)| slot_of(to) != usize::MAX);
         let mut end = self.handles.len();
-        for run in self.late[..arrived].chunk_by(|a, b| a.1.to == b.1.to) {
-            let range = &mut self.inboxes[slot_of(&run[0].1)].range;
+        for run in self.late[..arrived].chunk_by(|a, b| a.1 == b.1) {
+            let range = &mut self.inboxes[slot_of(run[0].1)].range;
             debug_assert!(
                 Range::is_empty(range),
                 "a late receiver joined after the sends"
@@ -135,12 +135,9 @@ impl<M> Lockstep<M> {
             *range = end..end + run.len();
             end += run.len();
         }
-        // Both within the capacity `flush_sends` reserved.
-        for (_, env) in self.late.drain(..arrived) {
-            debug_assert_eq!(env.sent_at, self.sent_at);
-            self.handles.push(handle(self.arena.len()));
-            self.arena.push((env.from, env.payload));
-        }
+        // Within the capacity `flush_sends` reserved.
+        self.handles
+            .extend(self.late[..arrived].iter().map(|&(_, _, h)| h));
         self.late.clear();
         arrived
     }
@@ -243,9 +240,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
             for sent in out.sends.drain(..) {
                 let h = handle(base + sent.payload as usize);
                 if sent.slot == NO_SLOT {
-                    let payload = self.arena[h as usize].1.clone();
-                    let env = Envelope::new(from, sent.to, t, payload);
-                    self.late.push((self.late.len(), env));
+                    self.late.push((self.late.len(), sent.to, h));
                 } else {
                     let cursor = &mut self.inboxes[sent.slot as usize].cursor;
                     self.handles[*cursor] = h;
@@ -254,7 +249,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
             }
         }
         // Room for the late arrivals, so `deliver` never reallocates.
-        self.arena.reserve(self.late.len());
         self.handles.reserve(self.late.len());
         // Checked in release builds too: a handle left at its zero fill would
         // deliver somebody else's payload, the condition spans two trait
@@ -353,9 +347,8 @@ mod tests {
         assert_eq!(caps(&s), warm, "steady-state rounds must not reallocate");
         assert_eq!(s.records().len(), 4, "window bounds the archive");
         // A payload per distinct payload and a handle per copy hold the
-        // round's traffic; the only envelopes in flight are the side list's,
-        // which holds the one message a round that the last node addresses
-        // past the end.
+        // round's traffic; the side list holds the one handle a round that
+        // the last node addresses past the end.
         assert_eq!(s.in_flight_count(), 2 * 32 - 1);
         assert_eq!(s.handles.len(), 2 * 32 - 2);
         assert_eq!(s.arena.len(), 2 * 32 - 1);
@@ -463,7 +456,7 @@ mod tests {
         assert_eq!(s.late.len(), 1, "3 → 4 waits in the side list");
         s.step();
         assert_eq!(s.node(NodeId(4)).unwrap().heard, [(NodeId(3), 1)]);
-        assert!(s.late.iter().all(|(_, env)| env.to != NodeId(4)));
+        assert!(s.late.iter().all(|&(_, to, _)| to != NodeId(4)));
     }
 
     #[test]

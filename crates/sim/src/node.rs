@@ -90,24 +90,6 @@ impl<M> Outbox<M> {
         self.sends.clear();
     }
 
-    fn share(&mut self, payload: M) -> Shared {
-        let index = handle(self.payloads.len());
-        self.payloads.push(payload);
-        Shared(index)
-    }
-
-    fn send_shared(&mut self, to: NodeId, payload: Shared) {
-        assert!(
-            (payload.0 as usize) < self.payloads.len(),
-            "a `Shared` names a payload of the activation that shared it"
-        );
-        self.sends.push(Sent {
-            to,
-            payload: payload.0,
-            slot: NO_SLOT,
-        });
-    }
-
     /// Capacities of the payload and the send buffer.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> (usize, usize) {
@@ -208,8 +190,8 @@ impl<'a, M> Ctx<'a, M> {
     /// `t + 1` if `to` is still in the network.
     #[inline]
     pub fn send(&mut self, to: NodeId, payload: M) {
-        let payload = self.out.share(payload);
-        self.out.send_shared(to, payload);
+        let payload = self.share(payload);
+        self.send_shared(to, payload);
     }
 
     /// Sends `payload` to every node in `targets`. It is stored once however
@@ -222,10 +204,10 @@ impl<'a, M> Ctx<'a, M> {
         let Some(first) = targets.next() else {
             return;
         };
-        let payload = self.out.share(payload);
-        self.out.send_shared(first, payload);
+        let payload = self.share(payload);
+        self.send_shared(first, payload);
         for to in targets {
-            self.out.send_shared(to, payload);
+            self.send_shared(to, payload);
         }
     }
 
@@ -235,7 +217,9 @@ impl<'a, M> Ctx<'a, M> {
     /// sends nothing by itself.
     #[inline]
     pub fn share(&mut self, payload: M) -> Shared {
-        self.out.share(payload)
+        let index = handle(self.out.payloads.len());
+        self.out.payloads.push(payload);
+        Shared(index)
     }
 
     /// Sends the shared `payload` to `to`, exactly as [`send`](Ctx::send)
@@ -246,7 +230,15 @@ impl<'a, M> Ctx<'a, M> {
     /// If `payload` was not shared through this context.
     #[inline]
     pub fn send_shared(&mut self, to: NodeId, payload: Shared) {
-        self.out.send_shared(to, payload);
+        assert!(
+            (payload.0 as usize) < self.out.payloads.len(),
+            "a `Shared` names a payload of the activation that shared it"
+        );
+        self.out.sends.push(Sent {
+            to,
+            payload: payload.0,
+            slot: NO_SLOT,
+        });
     }
 
     /// Number of messages queued so far this round (congestion self-check).
