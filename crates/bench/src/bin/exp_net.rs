@@ -39,6 +39,11 @@ struct NetCell {
     label: &'static str,
     adversary: AdvKind,
     n: usize,
+    /// The milliseconds of wall clock one protocol round occupies: a round
+    /// the receiving side can hold at this `n` (the poller decodes every
+    /// frame of a round before the next boundary), so that the run is
+    /// mostly-delivered without depending on it.
+    round_ms: u64,
     rounds: u64,
     seed: u64,
 }
@@ -50,11 +55,6 @@ enum AdvKind {
     Random(usize),
     Targeted(usize),
 }
-
-/// The milliseconds of wall clock one protocol round occupies. Generous for
-/// loopback — each round's sends comfortably land before the next boundary —
-/// which keeps the runs meaningful (mostly-delivered) without depending on it.
-const ROUND_MS: u64 = 15;
 
 /// The machine-invariant half of one cell's result (see the module docs).
 #[derive(Serialize)]
@@ -117,20 +117,21 @@ struct TimingDoc {
 
 /// The grid; `--smoke` runs its first three cells (`n = 16`).
 fn grid(smoke: bool) -> Vec<NetCell> {
-    let cell = |label, adversary, n, rounds, seed| NetCell {
+    let cell = |label, adversary, n, round_ms, rounds, seed| NetCell {
         label,
         adversary,
         n,
+        round_ms,
         rounds,
         seed,
     };
     let mut cells = vec![
-        cell("null", AdvKind::Null, 16, 4, 17),
-        cell("random-churn", AdvKind::Random(2), 16, 6, 5),
-        cell("targeted-swarm", AdvKind::Targeted(2), 16, 6, 7),
-        cell("null", AdvKind::Null, 32, 6, 17),
-        cell("random-churn", AdvKind::Random(3), 32, 8, 42),
-        cell("targeted-swarm", AdvKind::Targeted(2), 32, 8, 31),
+        cell("null", AdvKind::Null, 16, 15, 4, 17),
+        cell("random-churn", AdvKind::Random(2), 16, 15, 6, 5),
+        cell("targeted-swarm", AdvKind::Targeted(2), 16, 15, 6, 7),
+        cell("null", AdvKind::Null, 32, 100, 6, 17),
+        cell("random-churn", AdvKind::Random(3), 32, 100, 8, 42),
+        cell("targeted-swarm", AdvKind::Targeted(2), 32, 100, 8, 31),
     ];
     if smoke {
         cells.truncate(3);
@@ -152,7 +153,7 @@ fn run_cell<A: Adversary>(
         cell.seed,
         params.paper_churn_rules(),
         params.paper_lateness(),
-        Duration::from_millis(ROUND_MS),
+        Duration::from_millis(cell.round_ms),
     );
     let start = Instant::now();
     real.run(total_rounds);
@@ -175,7 +176,7 @@ fn run_cell<A: Adversary>(
             n: cell.n,
             rounds: total_rounds,
             seed: cell.seed,
-            round_ms: ROUND_MS,
+            round_ms: cell.round_ms,
             outcome_match,
             trace_complete,
             sent_matches_twin,
@@ -216,8 +217,8 @@ fn main() {
             .map(|cell| {
                 let rounds = experiment_params(cell.n).bootstrap_rounds() + cell.rounds;
                 format!(
-                    "net n={} adv={} seed={} rounds={rounds} round_ms={ROUND_MS}",
-                    cell.n, cell.label, cell.seed
+                    "net n={} adv={} seed={} rounds={rounds} round_ms={}",
+                    cell.n, cell.label, cell.seed, cell.round_ms
                 )
             })
             .collect();

@@ -13,6 +13,11 @@
 //! accepted connection, decoding frames into a shared hub of inboxes as they
 //! arrive. There is no tokio and no thread-per-node — `std::net` nonblocking
 //! sockets and a `64 KiB` read buffer are enough for an in-process overlay.
+//! The poller has no readiness API to block in, so it blocks on the
+//! coordinator instead: it passes over its sockets until a pass finds
+//! nothing, then sleeps on its control channel until the coordinator says
+//! it has written (every sender's writes end in a wake) or a safety-net
+//! period passes. An idle barrier costs it a pass every few milliseconds.
 //!
 //! # What `deliver`, `send` and `end_round` do, and what they cost
 //!
@@ -22,11 +27,15 @@
 //! has no meaning. The round's wall-clock budget starts at the snapshot.
 //! `send` numbers a node's messages exactly as the twin engines do, decides
 //! their faults (the same pure `(seed, seq)` decisions the event engine
-//! takes), encodes each survivor into a length-prefixed frame and writes it
-//! to a cached per-link stream — encoding and the socket write are where a
-//! transport round's CPU goes. `end_round` sleeps out the rest of the
-//! budget: the window in which the poller turns this round's writes into the
-//! next boundary's deliveries.
+//! takes) and encodes each survivor as a length-prefixed frame behind the
+//! others queued for the same receiver; when the node's outbox is done, each
+//! receiver's frames leave in one write on the cached per-link stream. A
+//! round therefore costs one system call per sender and link it uses, not
+//! one per frame, and the sender's CPU goes into encoding. A frame to a
+//! non-member is lost when it is queued; a link whose connect or write
+//! fails loses its whole batch and its cached stream. `end_round` sleeps out
+//! the rest of the budget: the window in which the poller turns this round's
+//! writes into the next boundary's deliveries.
 //!
 //! # Determinism boundary
 //!
@@ -40,7 +49,7 @@
 //! the deterministic model — the differential tests in `tsa-core` prove the
 //! replay reproduces the transport run's protocol state exactly.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -145,6 +154,9 @@ struct Hub<M> {
     dead_letters: Vec<u64>,
     frames_received: u64,
     bytes_received: u64,
+    /// Passes the poller has made over its sockets.
+    #[cfg(test)]
+    passes: u64,
 }
 
 impl<M> Default for Hub<M> {
@@ -154,6 +166,8 @@ impl<M> Default for Hub<M> {
             dead_letters: Vec::new(),
             frames_received: 0,
             bytes_received: 0,
+            #[cfg(test)]
+            passes: 0,
         }
     }
 }
@@ -162,7 +176,34 @@ impl<M> Default for Hub<M> {
 enum Ctl {
     Register(NodeId, TcpListener),
     Unregister(NodeId),
+    /// Frames were written since the last pass.
+    Wake,
     Shutdown,
+}
+
+/// How long the poller sleeps after a pass that found nothing, unless the
+/// coordinator speaks first. Every write is followed by a [`Ctl::Wake`], so
+/// this only bounds how long a write that blocks on a full socket buffer —
+/// its wake still to come — waits for its reader.
+const POLL_SAFETY_NET: Duration = Duration::from_millis(5);
+
+/// The next control message: after an idle pass the poller blocks for it, up
+/// to [`POLL_SAFETY_NET`]; otherwise it only takes what is already queued. A
+/// coordinator that is gone reads as a shutdown.
+fn next_ctl(ctl: &mpsc::Receiver<Ctl>, idle: bool) -> Option<Ctl> {
+    if idle {
+        match ctl.recv_timeout(POLL_SAFETY_NET) {
+            Ok(msg) => Some(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Ctl::Shutdown),
+        }
+    } else {
+        match ctl.try_recv() {
+            Ok(msg) => Some(msg),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(Ctl::Shutdown),
+        }
+    }
 }
 
 /// One accepted connection on the poller: the listener owner it delivers
@@ -174,7 +215,9 @@ struct Conn {
 }
 
 /// The poller loop: accept on every registered listener, read every
-/// connection, decode frames into the hub. Runs until shutdown.
+/// connection, decode frames into the hub; after a pass that found nothing,
+/// sleep until the coordinator has written (or the safety net expires).
+/// Runs until shutdown.
 fn poll_loop<M: serde::Deserialize>(
     ctl: mpsc::Receiver<Ctl>,
     hub: Arc<Mutex<Hub<M>>>,
@@ -183,17 +226,25 @@ fn poll_loop<M: serde::Deserialize>(
     let mut listeners: Vec<(NodeId, TcpListener)> = Vec::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
+    // The frames of one read, decoded before the hub is locked for them.
+    let mut decoded: InboxBatch<M> = Vec::new();
+    let mut idle = false;
     loop {
-        loop {
-            match ctl.try_recv() {
-                Ok(Ctl::Register(id, listener)) => listeners.push((id, listener)),
-                Ok(Ctl::Unregister(id)) => {
+        while let Some(msg) = next_ctl(&ctl, idle) {
+            idle = false;
+            match msg {
+                Ctl::Register(id, listener) => listeners.push((id, listener)),
+                Ctl::Unregister(id) => {
                     listeners.retain(|(owner, _)| *owner != id);
                     conns.retain(|c| c.owner != id);
                 }
-                Ok(Ctl::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return,
-                Err(mpsc::TryRecvError::Empty) => break,
+                Ctl::Wake => {}
+                Ctl::Shutdown => return,
             }
+        }
+        #[cfg(test)]
+        {
+            hub.lock().expect("hub lock poisoned").passes += 1;
         }
         let mut active = false;
         for (owner, listener) in listeners.iter() {
@@ -228,34 +279,34 @@ fn poll_loop<M: serde::Deserialize>(
                         active = true;
                         let conn = &mut conns[i];
                         conn.decoder.push(&buf[..n]);
-                        let mut hub = hub.lock().expect("hub lock poisoned");
-                        hub.bytes_received += n as u64;
                         loop {
-                            match conn.decoder.next_frame() {
-                                Ok(Some(value)) => match decode_wire_value::<M>(&value) {
-                                    Ok((seq, env)) => {
-                                        hub.frames_received += 1;
-                                        match hub.inboxes.get_mut(&conn.owner) {
-                                            Some(inbox) => inbox.push((seq, env)),
-                                            None => hub.dead_letters.push(seq),
-                                        }
-                                    }
-                                    // A frame that decodes but is not a wire
-                                    // envelope: the peer is broken, cut it.
-                                    Err(_) => {
-                                        drop_conn = true;
-                                        break;
-                                    }
-                                },
+                            let frame = conn.decoder.next_frame().and_then(|value| {
+                                value.map(|v| decode_wire_value::<M>(&v)).transpose()
+                            });
+                            match frame {
+                                Ok(Some(frame)) => decoded.push(frame),
                                 Ok(None) => break,
-                                // Oversized or malformed stream: the offset
-                                // is meaningless from here on, cut it.
+                                // An oversized or malformed stream (the
+                                // offset is meaningless from here on), or a
+                                // frame that is not a wire envelope (the
+                                // peer is broken): cut it, once the frames
+                                // before it are delivered.
                                 Err(_) => {
                                     drop_conn = true;
                                     break;
                                 }
                             }
                         }
+                        let mut hub = hub.lock().expect("hub lock poisoned");
+                        hub.bytes_received += n as u64;
+                        hub.frames_received += decoded.len() as u64;
+                        match hub.inboxes.get_mut(&conn.owner) {
+                            Some(inbox) => inbox.append(&mut decoded),
+                            None => hub
+                                .dead_letters
+                                .extend(decoded.drain(..).map(|(seq, _)| seq)),
+                        }
+                        drop(hub);
                         if drop_conn {
                             break;
                         }
@@ -274,9 +325,7 @@ fn poll_loop<M: serde::Deserialize>(
                 i += 1;
             }
         }
-        if !active {
-            thread::sleep(Duration::from_micros(200));
-        }
+        idle = !active;
     }
 }
 
@@ -285,11 +334,20 @@ fn poll_loop<M: serde::Deserialize>(
 /// replay.
 pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 
-/// One node's side of the transport, in the world's slot order.
+/// One node's side of the transport, in the world's slot order — which is
+/// id order, so a receiver's port is a binary search away.
 struct Port<M> {
     id: NodeId,
+    /// The node's listener address, for the sender side.
+    addr: SocketAddr,
     /// This round's inbox, in global send order.
     inbox: Vec<Envelope<M>>,
+    /// The frames the current sender has encoded for this node, back to
+    /// back, and how many they are. One sender sends at a time, and its
+    /// buffers are written out before the next one starts: n buffers serve
+    /// all n² links, and all are empty between two senders.
+    pending: Vec<u8>,
+    pending_frames: usize,
 }
 
 /// The loopback-TCP delivery policy. See the module docs.
@@ -299,8 +357,6 @@ pub struct Loopback<M> {
     /// When the current round's wall-clock budget started.
     round_started: Instant,
     ports: Vec<Port<M>>,
-    /// Listener addresses of live nodes, for the sender side.
-    addrs: BTreeMap<NodeId, SocketAddr>,
     /// Cached outgoing streams, one per directed `(sender, receiver)` link.
     conns: BTreeMap<(NodeId, NodeId), TcpStream>,
     hub: Arc<Mutex<Hub<M>>>,
@@ -311,7 +367,6 @@ pub struct Loopback<M> {
     seq: u64,
     /// Recorded fates; a message is `Lost` until its delivery is observed.
     fates: MessageTrace,
-    encode_scratch: Vec<u8>,
     stats: NetStats,
     /// Frames a departed node never read, not yet charged to a round.
     unread_departed: usize,
@@ -326,6 +381,9 @@ pub struct Loopback<M> {
     /// Fault-delayed frames: `(release round, seq, envelope)`, written to
     /// the wire at the boundary whose round reaches `release`.
     held: Vec<(Round, u64, Envelope<M>)>,
+    /// Socket writes made so far.
+    #[cfg(test)]
+    writes: u64,
 }
 
 impl<M: serde::Serialize> Loopback<M> {
@@ -372,39 +430,62 @@ impl<M: serde::Serialize> Loopback<M> {
         self.faults.stats()
     }
 
-    /// Writes one framed message to its receiver's socket, connecting (and
-    /// caching the stream) on first use. Returns false if the message never
-    /// made it onto the wire.
-    fn write_frame(&mut self, seq: u64, env: &Envelope<M>) -> bool {
-        let Some(&addr) = self.addrs.get(&env.to) else {
-            // No such member (departed, or an id that never existed):
-            // nothing to connect to.
+    /// Encodes one frame behind the others the current sender has queued for
+    /// the same receiver. Returns false if the receiver is not a member
+    /// (departed, or an id that never existed): there is nothing to connect
+    /// to, and the frame is lost here.
+    fn queue_frame(&mut self, seq: u64, env: &Envelope<M>) -> bool {
+        let Ok(slot) = self.ports.binary_search_by_key(&env.to, |port| port.id) else {
             return false;
         };
-        let key = (env.from, env.to);
-        if let std::collections::btree_map::Entry::Vacant(entry) = self.conns.entry(key) {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
+        let port = &mut self.ports[slot];
+        encode_wire_frame(seq, env, &mut port.pending);
+        port.pending_frames += 1;
+        true
+    }
+
+    /// Writes out what `from` has queued: one write per receiver with frames
+    /// pending, on the cached `(from, to)` stream, connecting (and
+    /// caching the stream) on first use; then tells the poller there is
+    /// something to read. A link whose connect or write fails drops its
+    /// stream and loses its whole batch — a prefix the kernel took before
+    /// the failure may still be read, and is then `Delivered` in the trace,
+    /// which is what the twin replays. Returns how many frames never made it
+    /// onto the wire.
+    fn flush_links(&mut self, from: NodeId) -> usize {
+        let mut lost = 0usize;
+        let mut wrote = false;
+        for port in self.ports.iter_mut().filter(|p| p.pending_frames > 0) {
+            let key = (from, port.id);
+            let stream = match self.conns.entry(key) {
+                Entry::Occupied(entry) => Ok(entry.into_mut()),
+                Entry::Vacant(entry) => TcpStream::connect(port.addr).map(|stream| {
                     let _ = stream.set_nodelay(true);
-                    entry.insert(stream);
+                    entry.insert(stream)
+                }),
+            };
+            #[cfg(test)]
+            {
+                self.writes += u64::from(stream.is_ok());
+            }
+            match stream.and_then(|stream| stream.write_all(&port.pending)) {
+                Ok(()) => {
+                    self.wire_sent_frames += port.pending_frames as u64;
+                    self.wire_sent_bytes += port.pending.len() as u64;
+                    wrote = true;
                 }
-                Err(_) => return false,
+                Err(_) => {
+                    self.conns.remove(&key);
+                    lost += port.pending_frames;
+                }
             }
+            port.pending.clear();
+            port.pending_frames = 0;
         }
-        self.encode_scratch.clear();
-        let len = encode_wire_frame(seq, env, &mut self.encode_scratch);
-        let stream = self.conns.get_mut(&key).expect("stream just cached");
-        match stream.write_all(&self.encode_scratch) {
-            Ok(()) => {
-                self.wire_sent_frames += 1;
-                self.wire_sent_bytes += len as u64;
-                true
-            }
-            Err(_) => {
-                self.conns.remove(&key);
-                false
-            }
+        if wrote {
+            self.ctl.send(Ctl::Wake).expect("poller alive");
         }
+        lost
     }
 }
 
@@ -436,14 +517,12 @@ where
             round_duration: config.round_duration(),
             round_started: Instant::now(),
             ports: Vec::new(),
-            addrs: BTreeMap::new(),
             conns: BTreeMap::new(),
             hub,
             ctl,
             poller: Some(poller),
             seq: 0,
             fates: MessageTrace::new(),
-            encode_scratch: Vec::new(),
             stats: NetStats::default(),
             unread_departed: 0,
             wire_sent_frames: 0,
@@ -451,6 +530,8 @@ where
             wire_reported: (0, 0),
             faults: FaultInjector::new(config.sim.seed),
             held: Vec::new(),
+            #[cfg(test)]
+            writes: 0,
         };
         (config.sim, delivery)
     }
@@ -462,7 +543,6 @@ where
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener address");
-        self.addrs.insert(id, addr);
         self.hub
             .lock()
             .expect("hub lock poisoned")
@@ -471,9 +551,16 @@ where
         self.ctl
             .send(Ctl::Register(id, listener))
             .expect("poller alive");
+        debug_assert!(
+            self.ports.last().is_none_or(|last| last.id < id),
+            "slots join in id order"
+        );
         self.ports.push(Port {
             id,
+            addr,
             inbox: Vec::new(),
+            pending: Vec::new(),
+            pending_frames: 0,
         });
     }
 
@@ -482,7 +569,6 @@ where
     /// round `t` (exactly when the twin engines would drop them).
     fn on_depart(&mut self, id: NodeId, slot: usize, t: Round) {
         self.ports.remove(slot);
-        self.addrs.remove(&id);
         self.conns.retain(|(from, to), _| *from != id && *to != id);
         self.ctl.send(Ctl::Unregister(id)).expect("poller alive");
         let pending = self
@@ -544,20 +630,23 @@ where
         // this boundary, to be read one round later — their delay in whole
         // rounds past their original delivery boundary. Frames whose hold
         // outlives the run stay recorded as `Lost`, which is how the
-        // replaying twin must treat them (they influenced nobody).
+        // replaying twin must treat them (they influenced nobody). The due
+        // frames are brought to the front, sender by sender (in send order
+        // within one), so each link they use sees one write.
         let mut held = std::mem::take(&mut self.held);
-        held.retain(|(release, seq, env)| {
-            if *release > t {
-                return true;
+        held.sort_by_key(|(release, seq, env)| (*release > t, env.from, *seq));
+        let due = held.partition_point(|(release, ..)| *release <= t);
+        let mut lost = 0usize;
+        for sender in held[..due].chunk_by(|a, b| a.2.from == b.2.from) {
+            for (_, seq, env) in sender {
+                lost += usize::from(!self.queue_frame(*seq, env));
             }
-            if !self.write_frame(*seq, env) {
-                dropped += 1;
-                self.stats.lost += 1;
-            }
-            false
-        });
+            lost += self.flush_links(sender[0].2.from);
+        }
+        held.drain(..due);
         self.held = held;
-        (delivered, dropped)
+        self.stats.lost += lost as u64;
+        (delivered, dropped + lost)
     }
 
     fn inbox<'a>(&'a self, slot: usize, _buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
@@ -596,15 +685,16 @@ where
                 let env = Envelope::new(from, to, t, payload);
                 if let Some(rounds) = hold_rounds {
                     self.held.push((t.saturating_add(rounds), msg_seq, env));
-                } else if fault.drop || !self.write_frame(msg_seq, &env) {
+                } else if fault.drop || !self.queue_frame(msg_seq, &env) {
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
                     lost += 1;
-                    self.stats.lost += 1;
                 }
             }
         }
         out.clear();
+        lost += self.flush_links(from);
+        self.stats.lost += lost as u64;
         lost
     }
 
@@ -633,6 +723,308 @@ impl<M> Drop for Loopback<M> {
         let _ = self.ctl.send(Ctl::Shutdown);
         if let Some(handle) = self.poller.take() {
             let _ = handle.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsa_event::{
+        EventConfig, EventSimulator, FaultAction, FaultRule, LatencyModel, NetModel, RoundWindow,
+    };
+    use tsa_sim::prelude::*;
+    use tsa_sim::{ChurnRules, NodeFactory};
+
+    /// Every round: `copies` frames to each id of `targets` but its own, in
+    /// that order. A payload is `(round, position in the outbox)`, so one
+    /// sender's payloads rise with its sequence numbers.
+    struct Fan {
+        targets: Vec<u64>,
+        copies: u64,
+        heard: Vec<u64>,
+    }
+
+    impl Process for Fan {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            self.heard.extend(inbox.iter().map(|env| env.payload));
+            let (me, mut position) = (ctx.id().raw(), 0);
+            for &to in self.targets.iter().filter(|&&to| to != me) {
+                for _ in 0..self.copies {
+                    ctx.send(NodeId(to), (ctx.round() << 32) | position);
+                    position += 1;
+                }
+            }
+        }
+    }
+
+    /// `k` nodes that each send `copies` frames to every other one.
+    fn full_mesh(k: u64, copies: u64) -> NodeFactory<Fan> {
+        Box::new(move |_, _| Fan {
+            targets: (0..k).collect(),
+            copies,
+            heard: Vec::new(),
+        })
+    }
+
+    fn sim_config() -> SimConfig {
+        SimConfig::default().with_seed(11)
+    }
+
+    fn runner<P: Process, A: Adversary>(
+        sim: SimConfig,
+        round_ms: u64,
+        adversary: A,
+        factory: NodeFactory<P>,
+    ) -> NetRunner<P, A>
+    where
+        P::Msg: serde::Serialize + serde::Deserialize,
+    {
+        let config = NetConfig::new(sim).with_round_duration(Duration::from_millis(round_ms));
+        NetRunner::new(config, adversary, factory)
+    }
+
+    /// Blocks until the poller has decoded every frame written so far.
+    fn wait_until_read<P: Process, A>(net: &NetRunner<P, A>)
+    where
+        P::Msg: serde::Serialize,
+    {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while net.wire_stats().frames_received < net.wire_stats().frames_sent {
+            assert!(Instant::now() < deadline, "written frames were never read");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_round_makes_one_write_per_link_and_counts_every_frame() {
+        let (k, copies, rounds) = (4u64, 3u64, 3u64);
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
+        net.seed_nodes(k as usize);
+        net.run(rounds);
+        assert_eq!(net.writes, rounds * k * (k - 1));
+        // What the same frames, numbered as `send` numbers them, encode to
+        // one by one.
+        let mut wire = Vec::new();
+        let mut seq = 0;
+        for t in 0..rounds {
+            for from in 0..k {
+                let mut position = 0;
+                for to in (0..k).filter(|&to| to != from) {
+                    for _ in 0..copies {
+                        let payload = (t << 32) | position;
+                        let env = Envelope::new(NodeId(from), NodeId(to), t, payload);
+                        encode_wire_frame(seq, &env, &mut wire);
+                        seq += 1;
+                        position += 1;
+                    }
+                }
+            }
+        }
+        let stats = net.wire_stats();
+        assert_eq!(stats.frames_sent, seq);
+        assert_eq!(stats.bytes_sent, wire.len() as u64);
+        assert_eq!(net.net_stats().lost, 0);
+    }
+
+    #[test]
+    fn a_mixed_outbox_loses_the_frames_without_a_socket_and_delivers_the_rest_in_order() {
+        struct DepartTwo;
+        impl Adversary for DepartTwo {
+            fn plan(&mut self, round: Round, _view: &KnowledgeView<'_>) -> ChurnPlan {
+                ChurnPlan {
+                    departures: if round == 1 {
+                        vec![NodeId(2)]
+                    } else {
+                        Vec::new()
+                    },
+                    joins: Vec::new(),
+                }
+            }
+        }
+        // Node 0 alone sends: to its neighbour 1 (three times), to an id
+        // nobody ever had, to node 2 (which departs in round 1) and to 3.
+        let outbox = [1, 99, 2, 1, 3, 2, 1];
+        let factory: NodeFactory<Fan> = Box::new(move |id, _| Fan {
+            targets: if id == NodeId(0) {
+                outbox.to_vec()
+            } else {
+                Vec::new()
+            },
+            copies: 1,
+            heard: Vec::new(),
+        });
+        let sim = sim_config().with_churn_rules(ChurnRules {
+            max_events: Some(10),
+            window: 4,
+            ..ChurnRules::default()
+        });
+        let rounds = 4u64;
+        let mut net = runner(sim, 20, DepartTwo, factory);
+        net.seed_nodes(4);
+        net.run(rounds);
+        assert!(!net.member_ids().contains(&NodeId(2)), "node 2 departed");
+
+        let stats = net.net_stats();
+        assert_eq!(stats.sent, rounds * outbox.len() as u64);
+        // One frame a round to the id that never was, two more from round 1
+        // on to the departed node; nothing else is lost on the way out.
+        assert_eq!(stats.lost, rounds + 2 * (rounds - 1));
+        assert_eq!(
+            net.wire_stats().frames_sent + stats.lost,
+            stats.sent,
+            "every frame is written or lost, once"
+        );
+        // One link is one ordered stream: whatever made its boundary so far
+        // is a prefix of what was sent, in send order.
+        let to_one = |t: u64| [0u64, 3, 6].map(move |position| (t << 32) | position);
+        let sent_to_one: Vec<u64> = (0..rounds).flat_map(to_one).collect();
+        let heard = &net.node(NodeId(1)).unwrap().heard;
+        assert!(heard.len() >= 3, "heard {heard:?}");
+        assert_eq!(heard[..], sent_to_one[..heard.len()]);
+        let heard = &net.node(NodeId(3)).unwrap().heard;
+        assert!(!heard.is_empty() && heard.iter().all(|payload| payload & 0xffff_ffff == 4));
+    }
+
+    #[test]
+    fn a_batch_far_larger_than_a_socket_buffer_arrives_whole() {
+        const FRAMES: usize = 130;
+        const FRAME_BYTES: usize = 64 * 1024;
+
+        /// In round 1 node 0 sends node 1 `FRAMES` frames of `FRAME_BYTES`.
+        #[derive(Default)]
+        struct Bulk {
+            heard_bytes: usize,
+        }
+        impl Process for Bulk {
+            type Msg = String;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, String>, inbox: &[Envelope<String>]) {
+                self.heard_bytes += inbox.iter().map(|env| env.payload.len()).sum::<usize>();
+                if ctx.id() == NodeId(0) && ctx.round() == 1 {
+                    let payload = ctx.share("x".repeat(FRAME_BYTES));
+                    for _ in 0..FRAMES {
+                        ctx.send_shared(NodeId(1), payload);
+                    }
+                }
+            }
+        }
+
+        // On a thread of its own, so that a writer blocked on a full socket
+        // buffer and a poller that never wakes fail the test instead of
+        // hanging it.
+        let (done, finished) = mpsc::channel();
+        let run = thread::spawn(move || {
+            let factory: NodeFactory<Bulk> = Box::new(|_, _| Bulk::default());
+            let mut net = runner(sim_config(), 1, NullAdversary, factory);
+            net.seed_nodes(2);
+            // Round 0 sends nothing: the poller is asleep when round 1
+            // starts its one write.
+            net.step();
+            thread::sleep(2 * POLL_SAFETY_NET);
+            let started = Instant::now();
+            net.step();
+            let took = started.elapsed();
+            wait_until_read(&net);
+            net.step();
+            let heard_bytes = net.node(NodeId(1)).unwrap().heard_bytes;
+            let _ = done.send((took, net.writes, net.wire_stats(), heard_bytes));
+        });
+        let (took, writes, wire, heard_bytes) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a blocked write and a sleeping poller deadlocked");
+        run.join().expect("the run panicked");
+        assert_eq!(writes, 1);
+        assert_eq!(wire.frames_sent, FRAMES as u64);
+        assert!(wire.bytes_sent >= 8 << 20, "{} bytes", wire.bytes_sent);
+        assert_eq!(wire.bytes_received, wire.bytes_sent);
+        assert_eq!(heard_bytes, FRAMES * FRAME_BYTES);
+        // Once the safety net has woken it the reader is the bottleneck and
+        // finds bytes on every pass: the round is the copying (~20 ms
+        // unoptimized) plus a safety-net period, far inside this bound.
+        assert!(took < Duration::from_secs(1), "the round took {took:?}");
+    }
+
+    #[test]
+    fn an_idle_poller_sleeps_and_a_write_wakes_it() {
+        let k = 4u64;
+        // A 1 ms round: `step` returns a millisecond after its boundary.
+        let mut net = runner(sim_config(), 1, NullAdversary, full_mesh(k, 1));
+        net.seed_nodes(k as usize);
+        net.run(3);
+        wait_until_read(&net);
+        let passes = |net: &NetRunner<Fan, NullAdversary>| net.hub.lock().unwrap().passes;
+
+        let before = passes(&net);
+        thread::sleep(Duration::from_millis(300));
+        let idle_passes = passes(&net) - before;
+        // One pass per safety-net period and no more (sleeping 200 µs
+        // between passes made over a thousand).
+        let periods = (300 / POLL_SAFETY_NET.as_millis()) as u64;
+        assert!(idle_passes <= periods + 2, "{idle_passes} idle passes");
+
+        // Frames written while the poller sleeps are in the hub when the
+        // 1 ms round ends: the wake brought them there, not the safety net,
+        // which on its own is on time for a fifth of the rounds (the idle
+        // stretches differ in length so that they end all over its period).
+        let trials = 20u32;
+        let mut on_time = 0;
+        for trial in 0..trials {
+            wait_until_read(&net);
+            thread::sleep(2 * POLL_SAFETY_NET + Duration::from_micros(370) * trial);
+            net.step();
+            let wire = net.wire_stats();
+            on_time += u32::from(wire.frames_received == wire.frames_sent);
+        }
+        assert!(on_time >= trials / 2, "{on_time} of {trials} rounds");
+    }
+
+    #[test]
+    fn delayed_frames_leave_in_one_write_per_link_and_the_run_still_twins() {
+        let (k, copies, rounds) = (4u64, 2u64, 5u64);
+        let links = k * (k - 1);
+        // Everything sent in round 1 is held for two rounds and leaves at
+        // the boundary of round 3, beside that round's own sends.
+        let plan = FaultPlan::new().with_rule(
+            FaultRule::every(FaultAction::Delay {
+                ticks: TICKS_PER_ROUND + 1,
+            })
+            .in_window(RoundWindow::between(1, 2)),
+        );
+        let adapter = FaultAdapter {
+            kind_of: |_| 0,
+            mutate: |_, _| false,
+        };
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
+        net.set_faults(plan.clone(), adapter);
+        net.seed_nodes(k as usize);
+        net.run(3);
+        assert_eq!(net.writes, 2 * links, "rounds 0 and 2; round 1 is held");
+        assert_eq!(net.held.len() as u64, links * copies);
+        net.step();
+        assert!(net.held.is_empty());
+        assert_eq!(net.writes, 4 * links, "the held frames and round 3's");
+        net.step();
+        assert_eq!(net.wire_stats().frames_sent, rounds * links * copies);
+        assert_eq!(net.net_stats().lost, 0);
+
+        let model = NetModel::new(LatencyModel::constant(0));
+        let mut twin = EventSimulator::new(
+            EventConfig::new(sim_config(), model),
+            NullAdversary,
+            full_mesh(k, copies),
+        );
+        twin.set_replay(net.trace());
+        twin.set_faults(plan, adapter);
+        twin.seed_nodes(k as usize);
+        twin.run(rounds);
+        assert_eq!(twin.net_stats().sent, net.net_stats().sent);
+        for id in (0..k).map(NodeId) {
+            assert_eq!(
+                twin.node(id).unwrap().heard,
+                net.node(id).unwrap().heard,
+                "{id:?}"
+            );
         }
     }
 }
