@@ -11,8 +11,9 @@
 //!    itself and every fresh node `v` it sponsors and sends the first
 //!    forwarding copies towards the trajectory point `x_1`;
 //! 2. the copies alternate forwarding (even rounds, current overlay) and
-//!    handover (odd rounds, next overlay) steps, reaching the swarm of the
-//!    target position after `λ` forwarding steps, in even round `2(s+λ)`;
+//!    handover (odd rounds, next overlay) steps, each one hop of
+//!    [`tsa_overlay::rules`], reaching the swarm of the target position
+//!    after `λ` forwarding steps, in even round `2(s+λ)`;
 //! 3. the swarm members spread the announcement (`AnnounceJoin`) to every
 //!    current member whose position falls in the three responsibility
 //!    intervals of the announced position;
@@ -40,7 +41,8 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use tsa_overlay::{ring_distance, step_bit, Lds, Position, Radii};
+use tsa_overlay::rules::{choose_up_to, delta_range, delta_select, hop, members_near, Placed};
+use tsa_overlay::{step_bit, Lds, Position, Radii};
 use tsa_sim::{Ctx, Envelope, NodeId, Process, Round, Shared};
 
 use crate::byzantine::MisbehaviorKind;
@@ -49,7 +51,7 @@ use crate::params::MaintenanceParams;
 use crate::snapshot::{NodeSnapshot, NodeStats};
 
 /// A neighbour entry: identifier plus position in the relevant epoch.
-pub(crate) type Neighbor = (NodeId, f64);
+pub(crate) type Neighbor = Placed;
 
 // ----------------------------------------------------------------------
 // Per-worker scratch
@@ -62,6 +64,39 @@ const SEEN_JOIN: u8 = 0;
 const SEEN_TOKEN: u8 = 1;
 /// A `Create`/`AnnounceJoin` claim about a node (epoch and step unused).
 const SEEN_CLAIM: u8 = 2;
+
+/// The routing header of an in-flight copy: which logical message it is a
+/// copy of, the forwarding steps it has taken and the trajectory point it
+/// sits at.
+struct Route {
+    key: SeenKey,
+    step: u32,
+    point: f64,
+}
+
+impl Route {
+    /// Reads the header off a `RouteJoin` or `RouteToken`.
+    #[inline]
+    fn of(msg: &ProtocolMsg) -> Option<Route> {
+        let (key, step, point) = match *msg {
+            ProtocolMsg::RouteJoin {
+                node,
+                target_epoch,
+                step,
+                point,
+            } => ((SEEN_JOIN, node, target_epoch, step), step, point),
+            ProtocolMsg::RouteToken {
+                owner,
+                delta,
+                step,
+                point,
+                ..
+            } => ((SEEN_TOKEN, owner, delta as u64, step), step, point),
+            _ => return None,
+        };
+        Some(Route { key, step, point })
+    }
+}
 
 /// One multiply per key word. [`SeenKey`]s are a few machine words compared
 /// exactly on collision, and the set lives for one activation of a simulated
@@ -111,8 +146,11 @@ type SeenSet = HashSet<SeenKey, BuildHasherDefault<WordHasher>>;
 struct Scratch {
     /// Logical messages already handled by the running activation.
     seen: SeenSet,
-    /// Members near the point of the current routing decision;
-    /// [`choose_up_to`] permutes it in place.
+    /// The current overlay as the running node knows it: its neighbour set,
+    /// then itself.
+    known: Vec<Neighbor>,
+    /// Members near the point of the current routing decision; a [`hop`]
+    /// permutes it in place.
     members: Vec<NodeId>,
     /// Small identifier lists: this round's joiners, the distinct tokens of
     /// the pool.
@@ -197,11 +235,6 @@ impl ProtocolNode {
         self.byzantine = kind;
     }
 
-    /// The node's byzantine role, if any.
-    pub fn byzantine_kind(&self) -> Option<MisbehaviorKind> {
-        self.byzantine
-    }
-
     /// The protocol parameters.
     pub fn params(&self) -> &MaintenanceParams {
         &self.params
@@ -280,39 +313,6 @@ impl ProtocolNode {
         }
     }
 
-    /// Appends to `out` the members of the *current* overlay within `radius`
-    /// of `point`, according to this node's neighbour knowledge — plus the
-    /// node itself (`me`: its identifier and current position) if close
-    /// enough.
-    fn current_members_near(&self, me: Neighbor, point: f64, radius: f64, out: &mut Vec<NodeId>) {
-        members_near(&self.d_neighbors, point, radius, out);
-        if ring_distance(me.1, point) <= radius {
-            out.push(me.0);
-        }
-    }
-
-    /// Up to `replication` uniformly chosen current members of the swarm
-    /// around `point` (the receivers of one forwarding step). `members` is
-    /// the buffer the result lives in.
-    fn choose_forwarders<'m, R: Rng + ?Sized>(
-        &self,
-        me: Neighbor,
-        point: f64,
-        members: &'m mut Vec<NodeId>,
-        rng: &mut R,
-    ) -> &'m [NodeId] {
-        members.clear();
-        self.current_members_near(me, point, self.radii.swarm, members);
-        choose_up_to(members, self.params.replication, rng)
-    }
-
-    /// Where forwarding step `step` towards `target` takes a request that
-    /// sits at `point`: the trajectory of Definition 7, one step at a time.
-    fn trajectory_step(&self, target: f64, step: u32, point: f64) -> f64 {
-        let bit = step_bit(Position::new(target), step, self.radii.lambda);
-        Position::new(point).debruijn_image(bit).value()
-    }
-
     // ------------------------------------------------------------------
     // Even round: forwarding, delivery, join/token emission (Listing 3 even
     // block + Listing 4).
@@ -334,6 +334,7 @@ impl ProtocolNode {
     ) {
         let Scratch {
             seen,
+            known,
             members,
             ids,
             announces,
@@ -346,6 +347,7 @@ impl ProtocolNode {
             swarm: swarm_r,
             ..
         } = self.radii;
+        let replication = self.params.replication;
         let me: Neighbor = (ctx.id(), ctx.position_hash(ctx.id(), epoch));
 
         // (1) Assemble this epoch's neighbour set from the CREATE messages
@@ -374,74 +376,67 @@ impl ProtocolNode {
 
         // (2) Advance in-flight route messages (forwarding step) and deliver
         //     completed ones. Deduplicate copies of the same logical message.
+        known.clear();
+        known.extend_from_slice(&self.d_neighbors);
+        known.push(me);
+        let known: &[Neighbor] = known;
+        // One forwarding step: the copy `msg`, on its way to `target`, hops
+        // into the swarm of its next trajectory point (Definition 7, one
+        // step at a time).
+        let forward = |ctx: &mut Ctx<'_, ProtocolMsg>,
+                       members: &mut Vec<NodeId>,
+                       mut msg: ProtocolMsg,
+                       target: f64| {
+            let (ProtocolMsg::RouteJoin { step, point, .. }
+            | ProtocolMsg::RouteToken { step, point, .. }) = &mut msg
+            else {
+                return;
+            };
+            *step += 1;
+            let bit = step_bit(Position::new(target), *step, lambda);
+            *point = Position::new(*point).debruijn_image(bit).value();
+            let to = hop(known, *point, swarm_r, replication, members, &mut ctx.rng);
+            ctx.broadcast(to.iter().copied(), msg);
+        };
         seen.clear();
         announces.clear();
         token_deliveries.clear();
         for env in inbox {
+            let Some(Route { key, step, .. }) = Route::of(&env.payload) else {
+                continue;
+            };
+            self.stats.route_copies_received += 1;
+            if !participating || !seen.insert(key) {
+                continue;
+            }
+            let target = match env.payload {
+                ProtocolMsg::RouteJoin {
+                    node, target_epoch, ..
+                } => ctx.position_hash(node, target_epoch),
+                ProtocolMsg::RouteToken { target, .. } => target,
+                _ => continue,
+            };
+            if step < lambda {
+                forward(ctx, members, env.payload, target);
+                continue;
+            }
+            // Arrived in the target's swarm.
             match env.payload {
                 ProtocolMsg::RouteJoin {
-                    node,
-                    target_epoch,
-                    step,
-                    point,
+                    node, target_epoch, ..
                 } => {
-                    self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((SEEN_JOIN, node, target_epoch, step)) {
-                        continue;
-                    }
-                    let target = ctx.position_hash(node, target_epoch);
-                    if step >= lambda {
-                        // Delivered: spread the announcement (Listing 3 line 10).
-                        announces.push((node, target_epoch, target));
-                    } else {
-                        let next_point = self.trajectory_step(target, step + 1, point);
-                        let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
-                        ctx.broadcast(
-                            to.iter().copied(),
-                            ProtocolMsg::RouteJoin {
-                                node,
-                                target_epoch,
-                                step: step + 1,
-                                point: next_point,
-                            },
-                        );
-                    }
+                    // Spread the announcement (Listing 3 line 10).
+                    announces.push((node, target_epoch, target));
                 }
-                ProtocolMsg::RouteToken {
-                    owner,
-                    delta,
-                    target,
-                    step,
-                    point,
-                } => {
-                    self.stats.route_copies_received += 1;
-                    if !participating || !seen.insert((SEEN_TOKEN, owner, delta as u64, step)) {
-                        continue;
-                    }
-                    if step >= lambda {
-                        // Sampling delivery rule (Listing 2): pick the swarm
-                        // member with exactly `delta` members clockwise
-                        // between the target point and itself.
-                        members.clear();
-                        self.current_members_near(me, target, swarm_r, members);
-                        if let Some(receiver) =
-                            delta_select(ctx, epoch, members, target, delta as usize, clockwise)
-                        {
-                            token_deliveries.push((receiver, owner));
-                        }
-                    } else {
-                        let next_point = self.trajectory_step(target, step + 1, point);
-                        let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
-                        ctx.broadcast(
-                            to.iter().copied(),
-                            ProtocolMsg::RouteToken {
-                                owner,
-                                delta,
-                                target,
-                                step: step + 1,
-                                point: next_point,
-                            },
-                        );
+                ProtocolMsg::RouteToken { owner, delta, .. } => {
+                    // The sampling rule (Listing 2) picks the receiver among
+                    // the known members of the target's swarm.
+                    members.clear();
+                    members_near(known, target, swarm_r, members);
+                    let placed = members.iter().map(|&id| (id, ctx.position_hash(id, epoch)));
+                    if let Some(receiver) = delta_select(placed, target, delta as usize, clockwise)
+                    {
+                        token_deliveries.push((receiver, owner));
                     }
                 }
                 _ => {}
@@ -454,8 +449,7 @@ impl ProtocolNode {
             self.stats.joins_delivered += 1;
             members.clear();
             for interval in Lds::responsibility_intervals(&self.radii, Position::new(position)) {
-                let (center, radius) = (interval.center().value(), interval.radius());
-                self.current_members_near(me, center, radius, members);
+                members_near(known, interval.center().value(), interval.radius(), members);
             }
             members.sort_unstable();
             members.dedup();
@@ -482,40 +476,33 @@ impl ProtocolNode {
             ids.extend(self.slots.iter().flatten());
             ids.sort_unstable();
             ids.dedup();
+            // A new request is a copy that has taken no step yet and sits at
+            // this node's own position.
             for &node in ids.iter() {
                 let target = ctx.position_hash(node, target_epoch);
-                let next_point = self.trajectory_step(target, 1, me.1);
-                let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
                 self.stats.joins_started += 1;
-                ctx.broadcast(
-                    to.iter().copied(),
-                    ProtocolMsg::RouteJoin {
-                        node,
-                        target_epoch,
-                        step: 1,
-                        point: next_point,
-                    },
-                );
+                let request = ProtocolMsg::RouteJoin {
+                    node,
+                    target_epoch,
+                    step: 0,
+                    point: me.1,
+                };
+                forward(ctx, members, request, target);
             }
 
             // Token emission: τ tokens carrying this node's identifier, each
             // routed to a uniformly random point with a uniform offset Δ.
-            let max_delta = (2.0 * self.params.overlay.c * lambda as f64).round() as u32;
+            let deltas = delta_range(self.params.overlay.c, lambda);
             for _ in 0..self.params.tau {
                 let target: f64 = ctx.rng.gen();
-                let delta: u32 = ctx.rng.gen_range(0..=max_delta);
-                let next_point = self.trajectory_step(target, 1, me.1);
-                let to = self.choose_forwarders(me, next_point, members, &mut ctx.rng);
-                ctx.broadcast(
-                    to.iter().copied(),
-                    ProtocolMsg::RouteToken {
-                        owner: me.0,
-                        delta,
-                        target,
-                        step: 1,
-                        point: next_point,
-                    },
-                );
+                let token = ProtocolMsg::RouteToken {
+                    owner: me.0,
+                    delta: ctx.rng.gen_range(deltas.clone()),
+                    target,
+                    step: 0,
+                    point: me.1,
+                };
+                forward(ctx, members, token, target);
             }
         }
     }
@@ -580,29 +567,21 @@ impl ProtocolNode {
         };
         seen.clear();
         for env in inbox {
-            let (key, point) = match env.payload {
-                ProtocolMsg::RouteJoin {
-                    node,
-                    target_epoch,
-                    step,
-                    point,
-                } => ((SEEN_JOIN, node, target_epoch, step), point),
-                ProtocolMsg::RouteToken {
-                    owner,
-                    delta,
-                    step,
-                    point,
-                    ..
-                } => ((SEEN_TOKEN, owner, delta as u64, step), point),
-                _ => continue,
+            let Some(Route { key, point, .. }) = Route::of(&env.payload) else {
+                continue;
             };
             self.stats.route_copies_received += 1;
             if !seen.insert(key) {
                 continue;
             }
-            members.clear();
-            members_near(next_members, point, swarm_r, members);
-            let to = choose_up_to(members, replication, &mut ctx.rng);
+            let to = hop(
+                next_members,
+                point,
+                swarm_r,
+                replication,
+                members,
+                &mut ctx.rng,
+            );
             ctx.broadcast(to.iter().copied(), env.payload);
         }
 
@@ -841,24 +820,6 @@ impl Process for ProtocolNode {
     }
 }
 
-/// Appends to `out` the identifiers of the `known` entries within `radius`
-/// of `point`, in `known`'s order.
-///
-/// About a quarter of the entries pass and nothing predicts which, so a
-/// `filter` + `push` loop spends its time on mispredicted branches (this runs
-/// once per routed copy). Instead every candidate is written and the length
-/// advances by the comparison.
-#[inline]
-fn members_near(known: &[Neighbor], point: f64, radius: f64, out: &mut Vec<NodeId>) {
-    let mut kept = out.len();
-    out.resize(kept + known.len(), NodeId(0));
-    for &(id, p) in known {
-        out[kept] = id;
-        kept += usize::from(ring_distance(p, point) <= radius);
-    }
-    out.truncate(kept);
-}
-
 /// Replaces `out` with the first claim about each node, in `claims` order,
 /// sorted by node: what a stable sort by node followed by keeping the first
 /// of every run yields, without sorting the duplicates — an inbox holds on
@@ -872,27 +833,6 @@ fn dedup_claims(
     out.clear();
     out.extend(claims.filter(|&(node, _)| seen.insert((SEEN_CLAIM, node, 0, 0))));
     out.sort_unstable_by_key(|&(node, _)| node);
-}
-
-/// Chooses up to `count` distinct elements of `candidates` uniformly at
-/// random and returns them as a prefix of the (permuted) buffer: a partial
-/// Fisher–Yates shuffle, draw for draw what `SliceRandom::choose_multiple`
-/// does on an index vector. With `count` or fewer candidates it returns them
-/// all, in order, without touching `rng`.
-fn choose_up_to<'c, R: Rng + ?Sized>(
-    candidates: &'c mut [NodeId],
-    count: usize,
-    rng: &mut R,
-) -> &'c [NodeId] {
-    let len = candidates.len();
-    if len <= count {
-        return candidates;
-    }
-    for i in 0..count {
-        let j = rng.gen_range(i..len);
-        candidates.swap(i, j);
-    }
-    &candidates[..count]
 }
 
 /// Picks `count` tokens uniformly at random (with replacement across calls but
@@ -911,39 +851,10 @@ fn pick_tokens<'d, R: Rng + ?Sized>(
     choose_up_to(distinct, count, rng)
 }
 
-/// The `A_SAMPLING` delivery rule: among `members` (the known swarm of
-/// `target`), select the node with exactly `delta` members clockwise between
-/// `target` and itself. `clockwise` is scratch.
-fn delta_select(
-    ctx: &Ctx<'_, ProtocolMsg>,
-    epoch: u64,
-    members: &[NodeId],
-    target: f64,
-    delta: usize,
-    clockwise: &mut Vec<(f64, NodeId)>,
-) -> Option<NodeId> {
-    clockwise.clear();
-    clockwise.extend(
-        members
-            .iter()
-            .map(|&id| {
-                let p = ctx.position_hash(id, epoch);
-                (((p - target).rem_euclid(1.0)), id)
-            })
-            .filter(|(off, _)| *off <= 0.5),
-    );
-    // Identifiers are distinct, so the order is total and an unstable sort
-    // cannot reorder anything.
-    clockwise.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    clockwise.get(delta).map(|(_, id)| *id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::{prop_assert_eq, prop_oneof, proptest};
-    use rand::seq::SliceRandom;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tsa_overlay::Trajectory;
 
@@ -953,48 +864,6 @@ mod tests {
 
     fn genesis(n: u64) -> Arc<Vec<NodeId>> {
         Arc::new((0..n).map(NodeId).collect())
-    }
-
-    #[test]
-    fn choose_up_to_caps_at_candidates() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let c: Vec<NodeId> = (0..3).map(NodeId).collect();
-        assert_eq!(choose_up_to(&mut c.clone(), 5, &mut rng), c.as_slice());
-        assert_eq!(choose_up_to(&mut c.clone(), 2, &mut rng).len(), 2);
-        let mut buf = c.clone();
-        let picked = choose_up_to(&mut buf, 2, &mut rng);
-        assert!(picked.iter().all(|id| c.contains(id)));
-    }
-
-    #[test]
-    fn choose_up_to_makes_exactly_choose_multiples_draws() {
-        // Same picks in the same order and the same RNG state afterwards,
-        // with fewer, exactly as many and more candidates than picks.
-        for seed in 0..50u64 {
-            for (len, count) in [(0usize, 2usize), (1, 2), (2, 2), (3, 2), (9, 2), (40, 5)] {
-                let c: Vec<NodeId> = (0..len as u64).map(|i| NodeId(i * 7 + seed)).collect();
-                let mut reference_rng = ChaCha8Rng::seed_from_u64(seed);
-                let reference: Vec<NodeId> = if c.len() <= count {
-                    c.clone()
-                } else {
-                    c.choose_multiple(&mut reference_rng, count)
-                        .copied()
-                        .collect()
-                };
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut buf = c.clone();
-                assert_eq!(
-                    choose_up_to(&mut buf, count, &mut rng),
-                    reference.as_slice(),
-                    "seed {seed}, {count} of {len}"
-                );
-                assert_eq!(
-                    rng.next_u64(),
-                    reference_rng.next_u64(),
-                    "seed {seed}, {count} of {len}: RNG streams diverged"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1016,60 +885,6 @@ mod tests {
             seen.insert((SEEN_JOIN, NodeId(3), 0, 0));
             dedup_claims(claims.iter().copied(), &mut seen, &mut out);
             assert_eq!(out, reference, "seed {seed}");
-        }
-    }
-
-    /// What [`members_near`] computes, as the `filter` it replaced.
-    fn members_near_by_filter(known: &[Neighbor], point: f64, radius: f64) -> Vec<NodeId> {
-        let near = known
-            .iter()
-            .filter(|(_, p)| ring_distance(*p, point) <= radius);
-        near.map(|(id, _)| *id).collect()
-    }
-
-    proptest! {
-        #[test]
-        fn members_near_is_the_filter_form(
-            // Uniform positions and ones hugging the 0/1 seam; radii around
-            // a swarm's and up to "the whole ring" (every distance is ≤ 0.5).
-            positions in proptest::collection::vec(
-                prop_oneof![0.0f64..1.0, 0.0f64..0.02, 0.98f64..1.0],
-                0..48,
-            ),
-            point in prop_oneof![0.0f64..1.0, 0.0f64..0.02, 0.98f64..1.0],
-            radius in prop_oneof![0.0f64..0.06, 0.0f64..0.8],
-            earlier in 0usize..3,
-        ) {
-            let known: Vec<Neighbor> = (100u64..).map(NodeId).zip(positions).collect();
-            let mut out: Vec<NodeId> = (0..earlier as u64).map(NodeId).collect();
-            let mut expected = out.clone();
-            expected.extend(members_near_by_filter(&known, point, radius));
-            members_near(&known, point, radius, &mut out);
-            prop_assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
-    fn members_near_handles_the_empty_the_full_and_the_seam() {
-        let known: Vec<Neighbor> = [0.995, 0.4, 0.005, 0.03]
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (NodeId(i as u64), p))
-            .collect();
-        let near = |known: &[Neighbor], point, radius| {
-            let mut out = vec![NodeId(77)];
-            members_near(known, point, radius, &mut out);
-            assert_eq!(out[1..], members_near_by_filter(known, point, radius));
-            out.split_off(1)
-        };
-        assert!(near(&[], 0.5, 0.3).is_empty(), "nobody known");
-        assert!(near(&known, 0.7, 0.05).is_empty(), "nobody near");
-        // Across the seam, from either side.
-        assert_eq!(near(&known, 0.999, 0.01), [NodeId(0), NodeId(2)]);
-        assert_eq!(near(&known, 0.0, 0.01), [NodeId(0), NodeId(2)]);
-        // No two points of the ring are further apart than 0.5.
-        for radius in [0.5, 0.75] {
-            assert_eq!(near(&known, 0.2, radius).len(), known.len());
         }
     }
 
@@ -1239,28 +1054,6 @@ mod tests {
                 "{kind:?} rewrites something here, censorship does not"
             );
         }
-    }
-
-    #[test]
-    fn delta_select_orders_clockwise() {
-        let p = params();
-        let node = ProtocolNode::new(p, Some(genesis(4)));
-        let ctx: Ctx<'_, ProtocolMsg> = Ctx::new(NodeId(0), 0, 0, &[], 3, 3);
-        // Build the member set from the hash positions themselves so ordering
-        // is well-defined.
-        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let target = 0.0;
-        let mut scratch = Vec::new();
-        let first = delta_select(&ctx, 0, &members, target, 0, &mut scratch);
-        let second = delta_select(&ctx, 0, &members, target, 1, &mut scratch);
-        assert!(first.is_some());
-        if let (Some(a), Some(b)) = (first, second) {
-            assert_ne!(a, b);
-            let pa = (ctx.position_hash(a, 0) - target).rem_euclid(1.0);
-            let pb = (ctx.position_hash(b, 0) - target).rem_euclid(1.0);
-            assert!(pa <= pb, "delta ordering must be clockwise");
-        }
-        let _ = node;
     }
 
     #[test]

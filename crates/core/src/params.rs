@@ -16,7 +16,10 @@ pub struct MaintenanceParams {
     /// `τ ∈ O(log n)`: how many tokens each mature node emits per round via
     /// `A_SAMPLING`.
     pub tau: usize,
-    /// The routing replication factor `r ∈ Θ(1)` (Listing 1).
+    /// The routing replication factor `r ∈ Θ(1)` (Listing 1). Defaults to 3;
+    /// the same `r` in the Lemma 9–12 simulator (`tsa-routing`'s
+    /// `RoutingConfig::replication`) defaults to 4, and the committed
+    /// artifacts of each layer depend on its default.
     pub replication: usize,
     /// Number of initial epochs during which genesis nodes may derive their
     /// neighbourhood directly from the (churn-free) initial member set instead

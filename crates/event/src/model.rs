@@ -584,11 +584,6 @@ impl Topology {
         }
     }
 
-    /// `true` for [`Topology::Global`].
-    pub fn is_global(&self) -> bool {
-        matches!(self, Topology::Global(_))
-    }
-
     /// A compact label for tables, e.g.
     /// `regions(halves@24,intra=c500,inter=c3000-l0.5@6..14)`.
     pub fn label(&self) -> String {

@@ -242,17 +242,6 @@ impl Lds {
         true
     }
 
-    /// Checks swarm adjacency between two arbitrary points: every node of
-    /// `S(p)` has an edge to every node of `S(q)`.
-    pub fn swarms_adjacent(&self, p: Position, q: Position) -> bool {
-        let source = self.swarm(p);
-        let target = self.swarm(q);
-        source.iter().all(|&v| {
-            let nbrs: HashSet<NodeId> = self.neighbors(v).into_iter().collect();
-            target.iter().all(|&w| w == v || nbrs.contains(&w))
-        })
-    }
-
     /// The goodness of the swarm at `p` given the set of nodes that survive
     /// into the relevant later round (Definition 8 asks for a 3/4 fraction).
     pub fn swarm_good_fraction(&self, p: Position, survivors: &HashSet<NodeId>) -> f64 {

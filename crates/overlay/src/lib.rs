@@ -11,6 +11,9 @@
 //!   and goodness checks (Lemma 6, Definition 8);
 //! * [`Ldg`]: the classical Linearized DeBruijn Graph baseline;
 //! * [`Trajectory`]: Definition 7, the backbone of the routing algorithm;
+//! * [`rules`]: the per-copy decisions of `A_ROUTING` and `A_SAMPLING` (the
+//!   hop, the Δ range, the delivery rule), once, for the protocol and the
+//!   Lemma 13 sampler alike;
 //! * [`OverlayGraph`]: graph snapshots with connectivity and degree analysis.
 //!
 //! ```
@@ -34,6 +37,7 @@ pub mod ldg;
 pub mod lds;
 pub mod params;
 pub mod position;
+pub mod rules;
 pub mod swarm;
 pub mod trajectory;
 

@@ -8,7 +8,9 @@ pub struct RoutingConfig {
     /// The replication factor `r ∈ Θ(1)`: how many random members of the next
     /// swarm each holder forwards a copy to. The paper's analysis (Lemma 11)
     /// only needs a sufficiently large constant; 3 already works well in
-    /// practice and 4 is a comfortable default.
+    /// practice and 4 is a comfortable default. The maintenance protocol's
+    /// own `r` (`tsa-core`'s `MaintenanceParams::replication`) defaults to 3;
+    /// the committed artifacts of each layer depend on its default.
     pub replication: usize,
     /// Probability that an individual holder fails to forward in a step
     /// (models churned-out swarm members when the routing layer is exercised

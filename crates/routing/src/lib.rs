@@ -10,6 +10,10 @@
 //!   `A_SAMPLING` (Listing 2, Lemma 13).
 //! * [`CongestionTracker`] records per-node per-round load.
 //!
+//! The sampler draws Δ and delivers by [`tsa_overlay::rules`], the functions
+//! the maintenance protocol in `tsa-core` calls; how [`RoutingSim`]'s hop
+//! differs from the protocol's is stated there.
+//!
 //! ```
 //! use tsa_routing::{RoutableSeries, RoutingConfig, RoutingSim, uniform_workload};
 //! use tsa_overlay::OverlayParams;
@@ -35,5 +39,5 @@ pub use congestion::CongestionTracker;
 pub use router::{
     trajectory_crossings, uniform_workload, MessageOutcome, MessageSpec, RoutingReport, RoutingSim,
 };
-pub use sampling::{max_offset, sample_many, select_sample_target, SamplingReport};
+pub use sampling::{sample_many, select_sample_target, SamplingReport};
 pub use series::RoutableSeries;

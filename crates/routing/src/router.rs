@@ -212,7 +212,9 @@ impl<'a> RoutingSim<'a> {
 
     /// One transfer step: every surviving holder forwards copies into
     /// `target_swarm`. With `broadcast` each holder contacts the whole swarm
-    /// (initial/final step); otherwise each holder picks `r` uniform members.
+    /// (initial/final step); otherwise each holder picks `r` uniform members,
+    /// with replacement — the one way this differs from the protocol's hop
+    /// (see `tsa_overlay::rules`).
     /// Returns the distinct members that received at least one copy.
     fn transfer(
         &self,

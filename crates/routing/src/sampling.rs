@@ -1,11 +1,10 @@
 //! `A_SAMPLING` (Listing 2): sending a message to a uniformly random node.
 //!
 //! The technique is adapted from King & Saia: pick a uniform target point
-//! `p ∈ [0,1)` and a uniform offset `Δ ∈ {0, …, 2cλ}`, route to the swarm
-//! `S(p)` with `A_ROUTING`, then deliver only to the node `u ∈ S(p)` such that
-//! exactly `Δ` swarm members lie clockwise between `p` and `u`; if no such
-//! node exists the message is discarded. Lemma 13 shows every node is chosen
-//! with the same probability and the discard probability is at most `1/2`.
+//! `p ∈ [0,1)` and a uniform offset `Δ` ([`delta_range`]), route to the swarm
+//! `S(p)` with `A_ROUTING`, then deliver by [`delta_select`]; if it picks
+//! nobody the message is discarded. Lemma 13 shows every node is chosen with
+//! the same probability and the discard probability is at most `1/2`.
 
 use std::collections::HashMap;
 
@@ -14,6 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
+use tsa_overlay::rules::{delta_range, delta_select};
 use tsa_overlay::{Lds, Position};
 use tsa_sim::NodeId;
 
@@ -56,45 +56,26 @@ impl SamplingReport {
     }
 }
 
-/// The maximum offset `2cλ` used when drawing `Δ`.
-pub fn max_offset(lds: &Lds) -> usize {
-    (2.0 * lds.params().c * lds.params().lambda() as f64).round() as usize
-}
-
-/// The delivery rule of `A_SAMPLING`: given the routed-to point `p` and the
-/// drawn offset `delta`, returns the node of `S(p)` with exactly `delta` swarm
-/// members clockwise between `p` and itself, or `None` (discard).
+/// The delivery rule of `A_SAMPLING` on an ideal overlay: the node
+/// [`delta_select`] picks from the swarm `S(p)`, or `None` (discard).
 pub fn select_sample_target(lds: &Lds, p: Position, delta: usize) -> Option<NodeId> {
-    let swarm = lds.swarm(p);
-    // Order the swarm members that are right of p by clockwise distance from p.
-    let mut right_of_p: Vec<(f64, NodeId)> = swarm
-        .iter()
-        .filter_map(|&id| {
-            let pos = lds.position(id)?;
-            if pos.is_right_of(p) || pos == p {
-                // Clockwise offset from p.
-                Some(((pos.value() - p.value()).rem_euclid(1.0), id))
-            } else {
-                None
-            }
-        })
-        .collect();
-    right_of_p.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    right_of_p.get(delta).map(|(_, id)| *id)
+    let placed = |id| Some((id, lds.position(id)?.value()));
+    let swarm = lds.swarm(p).into_iter().filter_map(placed);
+    delta_select(swarm, p.value(), delta, &mut Vec::new())
 }
 
 /// Performs `attempts` independent sampling attempts on `lds` and reports the
 /// per-node hit counts and the discard rate.
 pub fn sample_many(lds: &Lds, attempts: usize, seed: u64) -> SamplingReport {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let max_delta = max_offset(lds);
+    let deltas = delta_range(lds.params().c, lds.params().lambda());
     let mut report = SamplingReport {
         attempts,
         ..Default::default()
     };
     for _ in 0..attempts {
         let p = Position::new(rng.gen::<f64>());
-        let delta = rng.gen_range(0..=max_delta);
+        let delta = rng.gen_range(deltas.clone()) as usize;
         match select_sample_target(lds, p, delta) {
             Some(node) => *report.hits.entry(node.raw()).or_insert(0) += 1,
             None => report.discarded += 1,
@@ -139,7 +120,8 @@ mod tests {
     fn selection_discards_when_delta_too_large() {
         let overlay = lds(64, 3);
         let p = Position::new(0.5);
-        let huge = 10 * max_offset(&overlay);
+        let deltas = delta_range(overlay.params().c, overlay.params().lambda());
+        let huge = 10 * *deltas.end() as usize;
         assert_eq!(select_sample_target(&overlay, p, huge), None);
     }
 

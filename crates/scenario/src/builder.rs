@@ -173,12 +173,6 @@ impl Scenario {
         self
     }
 
-    /// Skips the churn-free bootstrap phase before the measured rounds.
-    pub fn skip_bootstrap(mut self) -> Self {
-        self.spec.bootstrap = false;
-        self
-    }
-
     /// Sets the number of messages per node in a routing workload.
     pub fn messages_per_node(mut self, k: usize) -> Self {
         self.spec.messages_per_node = k;

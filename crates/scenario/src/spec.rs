@@ -108,11 +108,6 @@ impl ChurnSpec {
         ChurnSpec::Budget { max_events }
     }
 
-    /// `max_events` churn events per explicit `window`.
-    pub fn budget_with_window(max_events: usize, window: u64) -> Self {
-        ChurnSpec::BudgetWindow { max_events, window }
-    }
-
     /// Fully explicit engine rules.
     pub fn custom(rules: ChurnRules) -> Self {
         ChurnSpec::Custom { rules }

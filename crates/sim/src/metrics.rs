@@ -424,11 +424,6 @@ impl StreamingMetrics {
         self.last.as_ref()
     }
 
-    /// The reservoir-sampled per-round congestion values.
-    pub fn congestion_samples(&self) -> &[u64] {
-        self.congestion.samples()
-    }
-
     /// The digest — bit-identical to `MetricsHistory::summary()` over the
     /// same rows.
     pub fn summary(&self) -> MetricsSummary {

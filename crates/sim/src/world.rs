@@ -348,11 +348,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         self.index.slot(id).map(|i| &self.slots[i].process)
     }
 
-    /// Mutable access to a node's protocol state (tests and harnesses only).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.index.slot(id).map(|i| &mut self.slots[i].process)
-    }
-
     /// Iterates over `(id, protocol state)` pairs of all current members.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.slots.iter().map(|s| (s.id, &s.process))
@@ -386,11 +381,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
     /// The most recent round's metrics.
     pub fn last_metrics(&self) -> Option<&RoundMetrics> {
         self.streaming.last()
-    }
-
-    /// The running accumulators every finished round folds into.
-    pub fn streaming_metrics(&self) -> &StreamingMetrics {
-        &self.streaming
     }
 
     /// Archived round records (communication graphs and digests).

@@ -227,12 +227,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sweeps `τ`.
-    pub fn over_tau(mut self, taus: impl IntoIterator<Item = usize>) -> Self {
-        self.tau = taus.into_iter().collect();
-        self
-    }
-
     /// Sweeps the replication factor `r`.
     pub fn over_replication(mut self, rs: impl IntoIterator<Item = usize>) -> Self {
         self.replication = rs.into_iter().collect();
@@ -288,203 +282,78 @@ impl SweepSpec {
         self
     }
 
-    /// Sweeps the holder failure probability (routing workloads).
-    pub fn over_holder_failure(mut self, ps: impl IntoIterator<Item = f64>) -> Self {
-        self.holder_failure = ps.into_iter().collect();
-        self
-    }
-
     /// Bounds the worker threads used for this sweep.
     pub fn max_parallel(mut self, threads: usize) -> Self {
         self.max_parallel = Some(threads);
         self
     }
 
+    /// The axes in enumeration order (outermost first): how many values each
+    /// has and how its `i`-th value is written into a cell's spec. The
+    /// topology goes *on top of* the execution model, so it comes after it.
+    fn axes(&self) -> [Axis<'_>; 16] {
+        fn axis<'a, T>(values: &'a [T], set: impl Fn(&mut ScenarioSpec, &'a T) + 'a) -> Axis<'a> {
+            (values.len(), Box::new(move |spec, i| set(spec, &values[i])))
+        }
+        [
+            axis(&self.kind, |spec, v| spec.kind = *v),
+            axis(&self.n, |spec, v| spec.n = *v),
+            axis(&self.c, |spec, v| spec.c = Some(*v)),
+            axis(&self.delta, |spec, v| spec.delta = Some(*v)),
+            axis(&self.tau, |spec, v| spec.tau = Some(*v)),
+            axis(&self.replication, |spec, v| spec.replication = Some(*v)),
+            axis(&self.churn, |spec, v| spec.churn = *v),
+            axis(&self.adversary, |spec, v| spec.adversary = *v),
+            axis(&self.lateness, |spec, v| spec.lateness = Some(*v)),
+            axis(&self.execution, |spec, v| spec.execution = v.clone()),
+            axis(&self.topology, |spec, v| {
+                spec.execution = spec.execution.clone().with_topology(v.clone())
+            }),
+            axis(&self.faults, |spec, v| spec.faults = Some(v.clone())),
+            axis(&self.byzantine, |spec, v| spec.byzantine = Some(*v)),
+            axis(&self.messages_per_node, |spec, v| {
+                spec.messages_per_node = *v
+            }),
+            axis(&self.holder_failure, |spec, v| spec.holder_failure = *v),
+            axis(&self.attempts, |spec, v| spec.attempts = *v),
+        ]
+    }
+
     /// Number of cells the sweep enumerates (grid size × seed replicates).
     pub fn cell_count(&self) -> usize {
-        let axis = |len: usize| len.max(1);
-        axis(self.kind.len())
-            * axis(self.n.len())
-            * axis(self.c.len())
-            * axis(self.delta.len())
-            * axis(self.tau.len())
-            * axis(self.replication.len())
-            * axis(self.churn.len())
-            * axis(self.adversary.len())
-            * axis(self.lateness.len())
-            * axis(self.execution.len())
-            * axis(self.topology.len())
-            * axis(self.faults.len())
-            * axis(self.byzantine.len())
-            * axis(self.messages_per_node.len())
-            * axis(self.holder_failure.len())
-            * axis(self.attempts.len())
-            * self.seeds.len()
+        let grid: usize = self.axes().iter().map(|(len, _)| (*len).max(1)).product();
+        grid * self.seeds.len()
     }
 
     /// Expands the cartesian grid × seed range into concrete cells, in the
     /// fixed enumeration order (seed varies fastest).
     pub fn enumerate(&self) -> Vec<SweepCell> {
-        // Each axis contributes either its values (by reference — axis
-        // values such as topologies need not be `Copy`) or the single "keep
-        // the base" marker (None).
-        fn axis<T>(values: &[T]) -> Vec<Option<&T>> {
-            if values.is_empty() {
-                vec![None]
-            } else {
-                values.iter().map(Some).collect()
+        let axes = self.axes();
+        let seeds: Vec<u64> = self.seeds.seeds().collect();
+        let count = self.cell_count();
+        let cells = (0..count).map(|index| {
+            // The cell index read as a mixed-radix number over the non-empty
+            // axes and the seed range, most significant digit first; an empty
+            // axis keeps the base spec's value.
+            let mut spec = self.base.clone().with_seed(seeds[index % seeds.len()]);
+            let mut stride = count;
+            for (len, set) in axes.iter().filter(|(len, _)| *len > 0) {
+                stride /= len;
+                set(&mut spec, index / stride % len);
             }
-        }
-
-        let kinds = axis(&self.kind);
-        let ns = axis(&self.n);
-        let cs = axis(&self.c);
-        let deltas = axis(&self.delta);
-        let taus = axis(&self.tau);
-        let replications = axis(&self.replication);
-        let churns = axis(&self.churn);
-        let adversaries = axis(&self.adversary);
-        let latenesses = axis(&self.lateness);
-        let executions = axis(&self.execution);
-        let topologies = axis(&self.topology);
-        let fault_plans = axis(&self.faults);
-        let byzantines = axis(&self.byzantine);
-        let ks = axis(&self.messages_per_node);
-        let fails = axis(&self.holder_failure);
-        let attempts_axis = axis(&self.attempts);
-
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for &kind in &kinds {
-            for &n in &ns {
-                for &c in &cs {
-                    for &delta in &deltas {
-                        for &tau in &taus {
-                            for &replication in &replications {
-                                for &churn in &churns {
-                                    for &adversary in &adversaries {
-                                        for &lateness in &latenesses {
-                                            for &execution in &executions {
-                                                for &topology in &topologies {
-                                                    for &fault_plan in &fault_plans {
-                                                        for &byz in &byzantines {
-                                                            for &k in &ks {
-                                                                for &fail in &fails {
-                                                                    for &attempts in &attempts_axis
-                                                                    {
-                                                                        for seed in
-                                                                            self.seeds.seeds()
-                                                                        {
-                                                                            let mut spec = self
-                                                                                .base
-                                                                                .clone()
-                                                                                .with_seed(seed);
-                                                                            if let Some(kind) = kind
-                                                                            {
-                                                                                spec.kind = *kind;
-                                                                            }
-                                                                            if let Some(n) = n {
-                                                                                spec.n = *n;
-                                                                            }
-                                                                            if let Some(c) = c {
-                                                                                spec.c = Some(*c);
-                                                                            }
-                                                                            if let Some(delta) =
-                                                                                delta
-                                                                            {
-                                                                                spec.delta =
-                                                                                    Some(*delta);
-                                                                            }
-                                                                            if let Some(tau) = tau {
-                                                                                spec.tau =
-                                                                                    Some(*tau);
-                                                                            }
-                                                                            if let Some(r) =
-                                                                                replication
-                                                                            {
-                                                                                spec.replication =
-                                                                                    Some(*r);
-                                                                            }
-                                                                            if let Some(churn) =
-                                                                                churn
-                                                                            {
-                                                                                spec.churn = *churn;
-                                                                            }
-                                                                            if let Some(adv) =
-                                                                                adversary
-                                                                            {
-                                                                                spec.adversary =
-                                                                                    *adv;
-                                                                            }
-                                                                            if let Some(l) =
-                                                                                lateness
-                                                                            {
-                                                                                spec.lateness =
-                                                                                    Some(*l);
-                                                                            }
-                                                                            if let Some(x) =
-                                                                                execution
-                                                                            {
-                                                                                spec.execution =
-                                                                                    x.clone();
-                                                                            }
-                                                                            if let Some(t) =
-                                                                                topology
-                                                                            {
-                                                                                spec.execution = spec
-                                                                            .execution
-                                                                            .with_topology(
-                                                                                t.clone(),
-                                                                            );
-                                                                            }
-                                                                            if let Some(p) =
-                                                                                fault_plan
-                                                                            {
-                                                                                spec.faults =
-                                                                                    Some(p.clone());
-                                                                            }
-                                                                            if let Some(b) = byz {
-                                                                                spec.byzantine =
-                                                                                    Some(*b);
-                                                                            }
-                                                                            if let Some(k) = k {
-                                                                                spec.messages_per_node = *k;
-                                                                            }
-                                                                            if let Some(p) = fail {
-                                                                                spec.holder_failure = *p;
-                                                                            }
-                                                                            if let Some(a) =
-                                                                                attempts
-                                                                            {
-                                                                                spec.attempts = *a;
-                                                                            }
-                                                                            let rounds = self
-                                                                                .rounds
-                                                                                .resolve(&spec);
-                                                                            cells.push(SweepCell {
-                                                                                index: cells.len(),
-                                                                                spec,
-                                                                                rounds,
-                                                                            });
-                                                                        }
-                                                                    }
-                                                                }
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+            let rounds = self.rounds.resolve(&spec);
+            SweepCell {
+                index,
+                spec,
+                rounds,
             }
-        }
-        cells
+        });
+        cells.collect()
     }
 }
+
+/// One axis of a [`SweepSpec`]: its length and the setter of its `i`-th value.
+type Axis<'a> = (usize, Box<dyn Fn(&mut ScenarioSpec, usize) + 'a>);
 
 #[cfg(test)]
 mod tests {
@@ -551,6 +420,37 @@ mod tests {
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(cell.index, i);
         }
+    }
+
+    #[test]
+    fn non_adjacent_axes_cross_with_the_seed_range_in_the_documented_order() {
+        let (ns, fails) = ([32, 64, 96], [0.0, 0.1]);
+        let adversaries = [AdversarySpec::random(1, 1), AdversarySpec::targeted(1, 1)];
+        let mut sweep = SweepSpec::new("cross", routing_base())
+            .over_adversaries(adversaries)
+            .over_n(ns)
+            .seeds(5, 3);
+        sweep.holder_failure = fails.to_vec();
+        let cells = sweep.enumerate();
+        assert_eq!(cells.len(), sweep.cell_count());
+        let mut expected = Vec::new();
+        for n in ns {
+            for adversary in adversaries {
+                for fail in fails {
+                    for seed in 5..8 {
+                        expected.push((expected.len(), n, adversary, fail, seed));
+                    }
+                }
+            }
+        }
+        let got: Vec<_> = cells
+            .iter()
+            .map(|c| {
+                let s = &c.spec;
+                (c.index, s.n, s.adversary, s.holder_failure, s.seed)
+            })
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

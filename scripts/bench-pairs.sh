@@ -45,7 +45,7 @@ if [ "$(git -C "$work/parent" rev-parse HEAD 2>/dev/null || true)" != "$commit" 
 fi
 
 build() { # <root> <target-dir>
-  CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
+  CARGO_TARGET_DIR="$2" cargo build --release --offline --locked --quiet \
     --manifest-path "$1/benchmark/Cargo.toml"
 }
 build "$work/parent" "$work/parent-target"
