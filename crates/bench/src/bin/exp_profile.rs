@@ -357,8 +357,8 @@ fn main() {
     ));
     let (net, twin_det) = net_run(NET_N, seed, net_rounds);
 
-    // The metrics-mode pin: streaming accumulators must fold to the exact
-    // digest of the full per-round history.
+    // The metrics-mode pin: a streaming run's digest must equal the exact
+    // digest of a full run, which keeps its per-round history.
     reporter.note(&format!("[{exp}] streaming-vs-full metrics digest"));
     let scenario = || {
         experiment_scenario(n)

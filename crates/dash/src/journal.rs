@@ -75,9 +75,9 @@ pub struct RunJournal {
     pub events: Vec<JournalEvent>,
 }
 
-/// A folding histogram: the same algebra as the live recorder's, but keyed
-/// by owned strings (journal events carry `String` names, the live recorder
-/// `&'static str`).
+/// A folding histogram: the same saturating algebra as the live recorder's,
+/// but keyed by owned strings (journal events carry `String` names, the live
+/// recorder `&'static str`).
 #[derive(Default)]
 struct FoldHist {
     count: u64,
@@ -88,10 +88,11 @@ struct FoldHist {
 
 impl FoldHist {
     fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value;
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-        *self.buckets.entry(bucket_of(value)).or_insert(0) += 1;
+        let bucket = self.buckets.entry(bucket_of(value)).or_insert(0);
+        *bucket = bucket.saturating_add(1);
     }
 
     fn snapshot(&self, name: &str) -> HistogramSnapshot {
@@ -134,7 +135,8 @@ impl RunJournal {
         for event in &self.events {
             match event {
                 JournalEvent::Counter { name, delta } => {
-                    *counters.entry(name).or_insert(0) += delta;
+                    let counter = counters.entry(name).or_insert(0);
+                    *counter = counter.saturating_add(*delta);
                 }
                 JournalEvent::Observe { name, value } => {
                     histograms.entry(name).or_default().record(*value);
@@ -410,6 +412,25 @@ mod tests {
         // And the timing aggregate matches an ObsRecorder's shape.
         assert_eq!(rec.timing_snapshot().spans.len(), 2);
         assert_eq!(rec.det_snapshot(), DetSnapshot::default());
+    }
+
+    #[test]
+    fn hostile_totals_saturate_alike_in_fold_and_recorder() {
+        // Two 2^63 counter deltas and two 2^63 observations overflow a u64:
+        // fold and live recorder both stop at u64::MAX instead of wrapping.
+        let text = "{\"Counter\":{\"name\":\"c\",\"delta\":9223372036854775808}}\n\
+                    {\"Counter\":{\"name\":\"c\",\"delta\":9223372036854775808}}\n\
+                    {\"Observe\":{\"name\":\"h\",\"value\":9223372036854775808}}\n\
+                    {\"Observe\":{\"name\":\"h\",\"value\":9223372036854775808}}\n";
+        let folded = RunJournal::from_jsonl(text).unwrap().fold();
+        assert_eq!(folded.counter("c"), u64::MAX);
+        assert_eq!(folded.histogram("h").unwrap().sum, u64::MAX);
+        let rec = JournalRecorder::new();
+        for _ in 0..2 {
+            rec.add("c", 1 << 63);
+            rec.observe("h", 1 << 63);
+        }
+        assert_eq!(folded, rec.det_snapshot());
     }
 
     #[test]

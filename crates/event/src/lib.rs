@@ -58,7 +58,7 @@
 //! sim.seed_nodes(8);
 //! sim.run(6);
 //! assert_eq!(sim.node_count(), 8);
-//! assert!(sim.metrics().total_messages() > 0);
+//! assert!(sim.metrics_summary().total_messages_sent > 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -82,8 +82,8 @@ pub fn bucket_of(value: u64) -> u32 {
 }
 
 /// One power-of-two histogram: count/sum/max plus 65 fixed buckets (bucket 0
-/// holds the zeros). Merging two histograms is element-wise addition (and a
-/// max), so accumulation commutes.
+/// holds the zeros). Merging two histograms is element-wise saturating
+/// addition (and a max), so accumulation commutes — also at `u64::MAX`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Hist {
     count: u64,
@@ -105,10 +105,11 @@ impl Default for Hist {
 
 impl Hist {
     fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value;
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-        self.buckets[bucket_of(value) as usize] += 1;
+        let bucket = &mut self.buckets[bucket_of(value) as usize];
+        *bucket = bucket.saturating_add(1);
     }
 }
 
@@ -190,7 +191,8 @@ impl ObsRecorder {
 impl Recorder for ObsRecorder {
     fn add(&self, name: &'static str, delta: u64) {
         let mut det = self.det.lock().expect("det state lock");
-        *det.counters.entry(name).or_insert(0) += delta;
+        let counter = det.counters.entry(name).or_insert(0);
+        *counter = counter.saturating_add(delta);
     }
 
     fn observe(&self, name: &'static str, value: u64) {
@@ -209,8 +211,8 @@ impl Recorder for ObsRecorder {
     fn span_ns(&self, name: &'static str, nanos: u64) {
         let mut timing = self.timing.lock().expect("timing state lock");
         let s = timing.entry(name).or_default();
-        s.count += 1;
-        s.total_ns += nanos;
+        s.count = s.count.saturating_add(1);
+        s.total_ns = s.total_ns.saturating_add(nanos);
         s.max_ns = s.max_ns.max(nanos);
     }
 }

@@ -141,9 +141,9 @@ impl Scenario {
     }
 
     /// Selects how the engine retains per-round metrics for a maintained
-    /// scenario: the full per-round history (the default), or O(1) streaming
-    /// accumulators — same [`MetricsSummary`](tsa_sim::MetricsSummary)
-    /// digest, no per-round rows in the outcome. One-shot kinds ignore it.
+    /// scenario: the full per-round history (the default), or only the O(1)
+    /// running digest — same [`MetricsSummary`](tsa_sim::MetricsSummary), no
+    /// per-round rows in the outcome. One-shot kinds ignore it.
     pub fn metrics_mode(mut self, mode: MetricsMode) -> Self {
         self.spec.metrics = mode;
         self

@@ -139,28 +139,23 @@ impl ScenarioOutcome {
     /// Drops the bulky per-round metrics history, keeping the
     /// [`MetricsSummary`] digest. One-shot outcomes are unchanged. This is
     /// what experiment binaries serialize by default; pass `--full` to keep
-    /// the raw history.
+    /// the raw history. The same as [`to_compact`](Self::to_compact).
+    pub fn compact(self) -> Self {
+        self.to_compact()
+    }
+
+    /// A compacted copy, made without ever copying the per-round history
+    /// (which for long maintained runs is megabytes the compaction would
+    /// immediately drop).
     ///
-    /// The digest is **re-folded from the history first** whenever a history
-    /// is present: the per-round congestion rows are the source of truth for
+    /// The digest is **re-folded from the history** whenever a history is
+    /// present: the per-round congestion rows are the source of truth for
     /// the paper's Lemma 24 claim (max per-node congestion over the whole
     /// run), so the max must be recorded before the rows are dropped.
     /// Without this, an outcome whose digest went stale — assembled by hand,
     /// or deserialized from an artifact written before the digest existed —
     /// would silently lose its peak congestion in every compacted
     /// `BENCH_*.json`.
-    pub fn compact(mut self) -> Self {
-        if let Some(m) = self.maintenance.as_mut() {
-            if let Some(history) = m.metrics.take() {
-                m.metrics_summary = history.summary();
-            }
-        }
-        self
-    }
-
-    /// A compacted copy: [`clone`](Clone::clone) + [`compact`](Self::compact)
-    /// without ever copying the per-round history (which for long maintained
-    /// runs is megabytes the compaction would immediately drop).
     pub fn to_compact(&self) -> Self {
         ScenarioOutcome {
             label: self.label.clone(),
@@ -168,8 +163,6 @@ impl ScenarioOutcome {
             rounds: self.rounds,
             maintenance: self.maintenance.as_ref().map(|m| MaintenanceOutcome {
                 report: m.report.clone(),
-                // Same rule as `compact`: the history, when present, is the
-                // source of truth for the digest.
                 metrics_summary: m
                     .metrics
                     .as_ref()

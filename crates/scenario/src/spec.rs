@@ -284,9 +284,9 @@ pub struct ScenarioSpec {
     #[serde(default, skip_serializing_if = "ExecutionModel::is_rounds")]
     pub execution: ExecutionModel,
     /// How the engine retains per-round metrics for a maintained scenario:
-    /// the full per-round history (default), or O(1) streaming accumulators
-    /// whose [`MetricsSummary`](tsa_sim::MetricsSummary) digest is pinned
-    /// identical to the full fold. One-shot kinds ignore it. Serialized only
+    /// the full per-round history (default), or only the O(1) running
+    /// [`MetricsSummary`](tsa_sim::MetricsSummary) digest, which both modes
+    /// fold the same way. One-shot kinds ignore it. Serialized only
     /// when streaming, so every pre-existing artifact (and every full-mode
     /// spec) keeps its exact serialized form.
     #[serde(default, skip_serializing_if = "MetricsMode::is_full")]

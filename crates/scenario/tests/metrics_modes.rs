@@ -1,10 +1,11 @@
 //! The metrics-mode bridge, pinned by property tests: a
 //! [`MetricsMode::Streaming`] run keeps no per-round `MetricsHistory` rows,
-//! yet its O(1) running accumulators must fold to the **exact**
+//! yet its O(1) running digest must equal the **exact**
 //! [`MetricsSummary`] of a [`MetricsMode::Full`] run — same totals, same
 //! extrema, same means — across seeds, adversaries and both execution
-//! engines. Any drift between the accumulator fold and the row fold shows
-//! up here as a digest diff.
+//! engines. There is one fold (`StreamingMetrics`): the running digest and
+//! the full run's rows re-folded after the fact both go through it, so a
+//! digest diff here means the two modes saw different rows.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use tsa_scenario::{AdversarySpec, ChurnSpec, ExecutionModel, LatencyModel, MetricsMode, Scenario};

@@ -40,7 +40,7 @@
 //! sim.seed_nodes(8);
 //! sim.run(4);
 //! assert_eq!(sim.node_count(), 8);
-//! assert!(sim.metrics().total_messages() > 0);
+//! assert!(sim.metrics_summary().total_messages_sent > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,8 +69,7 @@ pub use ids::{parity, NodeId, Round, RoundParity};
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::Envelope;
 pub use metrics::{
-    record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, Reservoir, RoundMetrics,
-    RoundMetricsBuilder, StreamingMetrics, RESERVOIR_CAPACITY,
+    record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics, StreamingMetrics,
 };
 pub use node::{activate, run_activation, Ctx, Outbox, Process, Shared};
 pub use slot_index::{SlotIndex, NO_SLOT};

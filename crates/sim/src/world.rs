@@ -67,8 +67,7 @@ use crate::ids::{NodeId, Round};
 use crate::knowledge::{CommGraph, KnowledgeView, MemberInfo, RoundRecord};
 use crate::message::Envelope;
 use crate::metrics::{
-    record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics,
-    RoundMetricsBuilder, StreamingMetrics,
+    record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics, StreamingMetrics,
 };
 use crate::node::{activate, Outbox, Process};
 use crate::slot_index::SlotIndex;
@@ -227,7 +226,7 @@ pub struct World<P: Process, A, D> {
     /// Round records trimmed out of the history window, recycled as scratch.
     spare_records: Vec<RoundRecord>,
     records: Vec<RoundRecord>,
-    /// Every finished row folds into these O(1) accumulators.
+    /// Every finished row folds into this O(1) digest.
     streaming: StreamingMetrics,
     /// Under [`MetricsMode::Full`] every row is also kept here.
     history: MetricsHistory,
@@ -274,8 +273,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             plan_scratch: PlanScratch::default(),
             spare_records: Vec::new(),
             records: Vec::new(),
-            streaming: StreamingMetrics::new(),
-            history: MetricsHistory::new(),
+            streaming: StreamingMetrics::default(),
+            history: MetricsHistory::default(),
             keep_history: true,
             obs: ObsHandle::off(),
             budget: ChurnBudget::new(),
@@ -433,7 +432,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
     /// Executes a single round. See the module docs for the phases.
     pub fn step(&mut self) {
         let t = self.round;
-        let mut mb = RoundMetricsBuilder::new(t);
+        let mut row = RoundMetrics::new(t);
 
         // Phase 1: adversarial churn (suppressed during the bootstrap phase).
         // The previous round's outcome buffers are recycled.
@@ -458,7 +457,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             };
             self.apply_plan(t, plan, &mut outcome);
         }
-        mb.record_churn(outcome.departed.len(), outcome.joined.len());
+        row.departures = outcome.departed.len();
+        row.joins = outcome.joined.len();
         self.obs.span_end(D::SPANS.churn, span);
 
         // Phase 2: every slot's inbox becomes a slice, and this round's
@@ -466,7 +466,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let span = self.obs.span_start();
         let (delivered, dropped) = self.delivery.deliver(t, &self.index);
         self.group_sponsored(&outcome);
-        mb.record_node_count(self.slots.len());
+        row.node_count = self.slots.len();
         self.obs.span_end(D::SPANS.deliver, span);
 
         // Phase 3: compute. Every node steps exactly once; nothing it reads
@@ -518,7 +518,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let mut lost = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let received = self.delivery.inbox_len(i);
-            mb.record_received(slot.id, received);
+            row.record_received(received);
             if obs_on {
                 // The messages this activation read: a deterministic
                 // function of the protocol wherever delivery is.
@@ -527,7 +527,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             let distinct =
                 self.index
                     .push_distinct_edges(slot.id, &mut slot.out, &mut rec.graph.edges);
-            mb.record_sent(slot.id, slot.out.len(), distinct);
+            row.record_sent(slot.out.len(), distinct);
             if record_digests {
                 rec.digests.push((slot.id, slot.digest));
             }
@@ -542,7 +542,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         );
         // Receiver-departed drops are charged to the delivery round, losses
         // to the sending round (the network never carried them).
-        mb.record_dropped(dropped + lost);
+        row.messages_dropped = dropped + lost;
 
         // Phase 5: archive the round, recycle what leaves the window, fold
         // the metrics row.
@@ -558,7 +558,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         }
         self.obs.span_end(D::SPANS.send, span);
 
-        let row = mb.finish();
+        let row = row.finish();
         if obs_on {
             record_round_obs(&self.obs, &row);
         }

@@ -35,6 +35,7 @@
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the reproduction results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use tsa_adversary as adversary;

@@ -77,7 +77,7 @@ fn congestion_stays_polylogarithmic() {
     let params = small_scenario().spec().maintenance_params();
     let run = run_with(AdversarySpec::random(2, 8), 2 * params.maturity_age());
     let lambda = params.lambda() as usize;
-    let peak = run.metrics().peak_congestion();
+    let peak = run.metrics_summary().peak_congestion;
     // Lemma 24: O(log^3 n) messages per node and round. With the small
     // constants used in tests the peak must stay well below n * λ and within a
     // modest multiple of λ^3.

@@ -19,7 +19,7 @@ use two_steps_ahead::sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
 use two_steps_ahead::sim::{
     apply_churn_plan, run_activation, Adversary, ChurnBudget, ChurnOutcome, ChurnPlan, ChurnRules,
     Ctx, Delivery, Envelope, JoinPlan, Lateness, NodeFactory, NodeId, PlanScratch, Process, Round,
-    RoundMetricsBuilder, SimConfig, Simulator, World,
+    RoundMetrics, SimConfig, Simulator, World,
 };
 
 #[derive(Default, Debug)]
@@ -79,7 +79,7 @@ impl<P: Process, A: Adversary> Reference<P, A> {
     fn step(&mut self) {
         let t = self.round;
         let rules = self.config.churn_rules;
-        let mut mb = RoundMetricsBuilder::new(t);
+        let mut metrics = RoundMetrics::new(t);
 
         // Churn: O_t leaves, J_t joins, before anything is delivered.
         let mut outcome = ChurnOutcome::default();
@@ -110,8 +110,9 @@ impl<P: Process, A: Adversary> Reference<P, A> {
         for &(id, _) in &outcome.joined {
             self.nodes.insert(id, (t, (self.factory)(id, t)));
         }
-        mb.record_churn(outcome.departed.len(), outcome.joined.len());
-        mb.record_node_count(self.nodes.len());
+        metrics.departures = outcome.departed.len();
+        metrics.joins = outcome.joined.len();
+        metrics.node_count = self.nodes.len();
 
         // Deliver: last round's messages reach the survivors, the rest drop.
         let mut inboxes = std::mem::take(&mut self.in_flight);
@@ -141,8 +142,8 @@ impl<P: Process, A: Adversary> Reference<P, A> {
                 true,
             );
             let receivers: BTreeSet<NodeId> = out.iter().map(|&(to, _)| to).collect();
-            mb.record_received(id, inbox.len());
-            mb.record_sent(id, out.len(), receivers.len());
+            metrics.record_received(inbox.len());
+            metrics.record_sent(out.len(), receivers.len());
             rec.graph.edges.extend(receivers.iter().map(|&to| (id, to)));
             rec.graph.members.push(id);
             rec.digests.push((id, digest));
@@ -151,7 +152,7 @@ impl<P: Process, A: Adversary> Reference<P, A> {
                 self.in_flight.entry(to).or_default().push(env);
             }
         }
-        mb.record_dropped(inboxes.values().map(Vec::len).sum());
+        metrics.messages_dropped = inboxes.values().map(Vec::len).sum();
         for (id, unread) in &inboxes {
             if outcome.departed.contains(id) {
                 self.fates.to_departed += unread.len();
@@ -159,7 +160,8 @@ impl<P: Process, A: Adversary> Reference<P, A> {
                 self.fates.to_nobody += unread.len();
             }
         }
-        self.rows.push(row(&format!("{:?}", mb.finish()), &rec));
+        self.rows
+            .push(row(&format!("{:?}", metrics.finish()), &rec));
         self.records.push(rec);
         self.round += 1;
     }
