@@ -424,9 +424,9 @@ impl<A: Adversary> AsyncMaintenanceHarness<A> {
     }
 
     /// [`AsyncMaintenanceHarness::assemble`] over an explicit link
-    /// [`Topology`] instead of a link-uniform model — regional partitions,
-    /// scheduled bridges, per-link overrides. A [`Topology::Global`]
-    /// topology is `assemble` bit for bit.
+    /// [`Topology`] instead of a link-uniform model — two halves joined by a
+    /// possibly scheduled bridge. A [`Topology::Global`] topology is
+    /// `assemble` bit for bit.
     pub fn assemble_with_topology(
         params: MaintenanceParams,
         adversary: A,

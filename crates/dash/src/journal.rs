@@ -30,8 +30,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use tsa_obs::{
-    bucket_of, BucketCount, CounterSnapshot, DetSnapshot, HistogramSnapshot, ObsRecorder, Recorder,
-    RegionHistogramSnapshot, TimingSnapshot,
+    CounterSnapshot, DetSnapshot, Hist, ObsRecorder, Recorder, RegionHistogramSnapshot,
+    TimingSnapshot,
 };
 
 /// One deterministic observability event, in engine emission order.
@@ -75,44 +75,6 @@ pub struct RunJournal {
     pub events: Vec<JournalEvent>,
 }
 
-/// A folding histogram: the same saturating algebra as the live recorder's,
-/// but keyed by owned strings (journal events carry `String` names, the live
-/// recorder `&'static str`).
-#[derive(Default)]
-struct FoldHist {
-    count: u64,
-    sum: u64,
-    max: u64,
-    buckets: BTreeMap<u32, u64>,
-}
-
-impl FoldHist {
-    fn record(&mut self, value: u64) {
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-        let bucket = self.buckets.entry(bucket_of(value)).or_insert(0);
-        *bucket = bucket.saturating_add(1);
-    }
-
-    fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        HistogramSnapshot {
-            name: name.to_string(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .map(|(bucket, count)| BucketCount {
-                    bucket: *bucket,
-                    count: *count,
-                })
-                .collect(),
-        }
-    }
-}
-
 impl RunJournal {
     /// Number of events in the journal.
     pub fn len(&self) -> usize {
@@ -130,8 +92,8 @@ impl RunJournal {
     /// `tests/journal_props.rs` and the CI `dash-smoke` job.
     pub fn fold(&self) -> DetSnapshot {
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut histograms: BTreeMap<&str, FoldHist> = BTreeMap::new();
-        let mut regions: BTreeMap<(&str, u32), FoldHist> = BTreeMap::new();
+        let mut histograms: BTreeMap<&str, Hist> = BTreeMap::new();
+        let mut regions: BTreeMap<(&str, u32), Hist> = BTreeMap::new();
         for event in &self.events {
             match event {
                 JournalEvent::Counter { name, delta } => {
@@ -395,6 +357,13 @@ mod tests {
         // Empty lines are tolerated (trailing newline, blank separators).
         let ok = RunJournal::from_jsonl("\n{\"Round\":{\"index\":3}}\n\n").unwrap();
         assert_eq!(ok.events, vec![JournalEvent::Round { index: 3 }]);
+    }
+
+    #[test]
+    fn a_hostile_line_is_an_error_naming_it_not_a_crash() {
+        // A million unclosed `[` would overflow a recursive parser's stack.
+        let err = RunJournal::from_jsonl(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("line 1"), "{err}");
     }
 
     #[test]

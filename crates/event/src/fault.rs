@@ -327,21 +327,6 @@ impl FaultRule {
     }
 }
 
-/// The decision a [`FaultPlan`] makes for one message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultDecision {
-    /// No rule fired: the message is untouched.
-    Pass,
-    /// The message never reaches the network.
-    Drop,
-    /// The message is held back by the given number of extra ticks.
-    Delay(u64),
-    /// A second copy is sent (consuming the next sequence number).
-    Duplicate,
-    /// The payload is corrupted in place before sending.
-    Mutate,
-}
-
 /// A serde-round-trippable fault-injection plan: ordered rules applied at
 /// the delivery boundary of the event engine and the frame boundary of the
 /// loopback transport. The default plan is empty and injects nothing.
@@ -385,7 +370,8 @@ impl FaultPlan {
     }
 
     /// Decides the fault for message `seq` sent in `round` from `from` to
-    /// `to` with kind tag `kind`, under master seed `seed`.
+    /// `to` with kind tag `kind`, under master seed `seed`: the action of
+    /// the rule that fires, or `None` when the message passes untouched.
     ///
     /// A pure function: the rules are scanned in order, each matching rule
     /// flips its private coin (one lane of the `(seed, seq / 64, rule
@@ -404,7 +390,7 @@ impl FaultPlan {
         from: NodeId,
         to: NodeId,
         kind: u8,
-    ) -> FaultDecision {
+    ) -> Option<FaultAction> {
         self.decide_with(&mut FaultCoins::new(seed), seq, round, from, to, kind)
     }
 
@@ -421,7 +407,7 @@ impl FaultPlan {
         from: NodeId,
         to: NodeId,
         kind: u8,
-    ) -> FaultDecision {
+    ) -> Option<FaultAction> {
         for (idx, rule) in self.rules.iter().enumerate() {
             if !rule.matches(round, from, to, kind) {
                 continue;
@@ -436,14 +422,9 @@ impl FaultPlan {
                     continue;
                 }
             }
-            return match rule.action {
-                FaultAction::Drop => FaultDecision::Drop,
-                FaultAction::Delay { ticks } => FaultDecision::Delay(ticks),
-                FaultAction::Duplicate => FaultDecision::Duplicate,
-                FaultAction::Mutate => FaultDecision::Mutate,
-            };
+            return Some(rule.action);
         }
-        FaultDecision::Pass
+        None
     }
 
     /// The entropy word a [`FaultAdapter::mutate`] receives for message
@@ -582,23 +563,23 @@ impl<M> FaultInjector<M> {
         let kind = (adapter.kind_of)(payload);
         let mut effect = FaultEffect::default();
         match plan.decide_with(&mut self.coins, seq, round, from, to, kind) {
-            FaultDecision::Pass => {}
-            FaultDecision::Drop => {
+            None => {}
+            Some(FaultAction::Drop) => {
                 self.stats.dropped += 1;
                 effect.drop = true;
             }
-            FaultDecision::Delay(ticks) => {
+            Some(FaultAction::Delay { ticks }) => {
                 self.stats.delayed += 1;
                 effect.delay_ticks = Some(ticks);
             }
-            FaultDecision::Duplicate => {
+            Some(FaultAction::Duplicate) => {
                 self.stats.duplicated += 1;
                 effect.duplicate = true;
             }
-            FaultDecision::Mutate => {
-                if (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq)) {
-                    self.stats.mutated += 1;
-                }
+            Some(FaultAction::Mutate) => {
+                let changed =
+                    (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq));
+                self.stats.mutated += u64::from(changed);
             }
         }
         effect
@@ -632,10 +613,7 @@ mod tests {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
         for seq in 0..64 {
-            assert_eq!(
-                plan.decide(7, seq, 3, NodeId(1), NodeId(2), 0),
-                FaultDecision::Pass
-            );
+            assert_eq!(plan.decide(7, seq, 3, NodeId(1), NodeId(2), 0), None);
         }
     }
 
@@ -646,12 +624,12 @@ mod tests {
             .with_rule(FaultRule::every(FaultAction::Mutate));
         assert_eq!(
             plan.decide(1, 0, 0, NodeId(0), NodeId(1), 2),
-            FaultDecision::Drop,
+            Some(FaultAction::Drop),
             "kind 2 hits the drop rule first"
         );
         assert_eq!(
             plan.decide(1, 0, 0, NodeId(0), NodeId(1), 3),
-            FaultDecision::Mutate,
+            Some(FaultAction::Mutate),
             "other kinds fall through to the catch-all"
         );
     }
@@ -661,20 +639,20 @@ mod tests {
         let plan = FaultPlan::new()
             .with_rule(FaultRule::every(FaultAction::Drop).with_prob(0.5))
             .with_rule(FaultRule::every(FaultAction::Delay { ticks: 700 }).with_prob(0.5));
-        let first: Vec<FaultDecision> = (0..256)
+        let first: Vec<Option<FaultAction>> = (0..256)
             .map(|seq| plan.decide(42, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
-        let second: Vec<FaultDecision> = (0..256)
+        let second: Vec<Option<FaultAction>> = (0..256)
             .map(|seq| plan.decide(42, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         assert_eq!(first, second, "same inputs, same decisions");
         assert!(
-            first.contains(&FaultDecision::Drop)
-                && first.contains(&FaultDecision::Delay(700))
-                && first.contains(&FaultDecision::Pass),
+            first.contains(&Some(FaultAction::Drop))
+                && first.contains(&Some(FaultAction::Delay { ticks: 700 }))
+                && first.contains(&None),
             "a 0.5/0.5 two-rule plan exercises all three outcomes: {first:?}"
         );
-        let other_seed: Vec<FaultDecision> = (0..256)
+        let other_seed: Vec<Option<FaultAction>> = (0..256)
             .map(|seq| plan.decide(43, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         assert_ne!(first, other_seed, "the seed matters");
@@ -692,25 +670,25 @@ mod tests {
                 }),
         );
         let hit = plan.decide(1, 0, 15, NodeId(5), NodeId(3), 0);
-        assert_eq!(hit, FaultDecision::Drop);
+        assert_eq!(hit, Some(FaultAction::Drop));
         assert_eq!(
             plan.decide(1, 0, 9, NodeId(5), NodeId(3), 0),
-            FaultDecision::Pass,
+            None,
             "before the window"
         );
         assert_eq!(
             plan.decide(1, 0, 20, NodeId(5), NodeId(3), 0),
-            FaultDecision::Pass,
+            None,
             "the window end is exclusive"
         );
         assert_eq!(
             plan.decide(1, 0, 15, NodeId(6), NodeId(3), 0),
-            FaultDecision::Pass,
+            None,
             "wrong sender"
         );
         assert_eq!(
             plan.decide(1, 0, 15, NodeId(5), NodeId(9), 0),
-            FaultDecision::Pass,
+            None,
             "receiver in the wrong region"
         );
     }
@@ -723,9 +701,9 @@ mod tests {
             // NaN and non-positive probabilities never fire; ≥ 1 always does.
             let d = plan.decide(1, 0, 0, NodeId(0), NodeId(1), 0);
             if prob >= 1.0 {
-                assert_eq!(d, FaultDecision::Drop);
+                assert_eq!(d, Some(FaultAction::Drop));
             } else {
-                assert_eq!(d, FaultDecision::Pass);
+                assert_eq!(d, None);
             }
         }
     }

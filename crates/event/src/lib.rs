@@ -16,9 +16,10 @@
 //!   [`FateBlock`] batches that amortize the RNG key schedule), so identical
 //!   seeds give byte-identical traces at any thread/host configuration;
 //! * [`Topology`] makes the network addressable by link: one global model,
-//!   regional partitions ([`RegionAssign`] is a pure function of the node
-//!   id) joined by a possibly slow/lossy — and [`PartitionSchedule`]d —
-//!   bridge, or explicit per-link overrides;
+//!   or two id halves ([`RegionAssign`] is a pure function of the node id)
+//!   joined by a possibly slow/lossy — and [`PartitionSchedule`]d — bridge.
+//!   A one-way link is a directed [`FaultRule`], which this engine and the
+//!   loopback transport both honour;
 //! * [`MessageTrace`] records the fate of every message (lost, or delivered
 //!   at which round) on one engine and replays it as a fixed schedule on
 //!   another — the bridge the `tsa-net` loopback transport uses to twin a
@@ -72,12 +73,12 @@ pub mod trace;
 
 pub use engine::{EventConfig, EventSimulator, NetStats, VirtualTime};
 pub use fault::{
-    FaultAction, FaultAdapter, FaultCoins, FaultDecision, FaultEffect, FaultInjector, FaultPlan,
-    FaultRule, FaultStats, NodeSelector, RoundWindow,
+    FaultAction, FaultAdapter, FaultCoins, FaultEffect, FaultInjector, FaultPlan, FaultRule,
+    FaultStats, NodeSelector, RoundWindow,
 };
 pub use model::{
-    ExecutionModel, FateBlock, LatencyModel, LinkOverride, NetModel, PartitionSchedule,
-    RegionAssign, RegionEntry, Topology, FATE_BLOCK_LANES,
+    ExecutionModel, FateBlock, LatencyModel, NetModel, PartitionSchedule, RegionAssign, Topology,
+    FATE_BLOCK_LANES,
 };
 pub use trace::{MessageFate, MessageTrace};
 
@@ -305,32 +306,30 @@ mod tests {
     #[test]
     fn equal_model_topologies_reproduce_the_global_trace() {
         // The trace-level half of the topology equivalence bridge: a
-        // regional split whose intra and inter models agree, and a per-link
-        // topology with no overrides, are the global network bit for bit —
-        // loss coins, delays and delivery order included.
+        // regional split whose intra and inter models agree is the global
+        // network bit for bit — loss coins, delays and delivery order
+        // included — with and without a bridge schedule.
         let net = NetModel {
             latency: LatencyModel::uniform(100, 2800),
             jitter: 300,
             loss: 0.05,
         };
         let global = topo_fingerprint(Topology::global(net), 13, 16, 8);
-        for assign in [
-            RegionAssign::halves(8),
-            RegionAssign::bands(4, 3),
-            RegionAssign::explicit(1, [(0, 0), (7, 2)]),
-        ] {
-            assert_eq!(
-                topo_fingerprint(Topology::regions(assign.clone(), net, net), 13, 16, 8),
-                global,
-                "intra == inter must be the global network ({})",
-                assign.label()
-            );
+        for split in [0, 8, 13] {
+            let assign = RegionAssign::halves(split);
+            let schedule = PartitionSchedule::window(2, 5);
+            for topology in [
+                Topology::regions(assign, net, net),
+                Topology::regions_with_schedule(assign, net, net, schedule),
+            ] {
+                assert_eq!(
+                    topo_fingerprint(topology, 13, 16, 8),
+                    global,
+                    "intra == inter must be the global network ({})",
+                    topology.label()
+                );
+            }
         }
-        assert_eq!(
-            topo_fingerprint(Topology::per_link(net, Vec::new()), 13, 16, 8),
-            global,
-            "no overrides must be the global network"
-        );
     }
 
     #[test]

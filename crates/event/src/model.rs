@@ -158,18 +158,8 @@ impl LatencyModel {
         }
     }
 
-    /// Draws one delay in ticks from the model.
-    ///
-    /// Consumes exactly one stream word ([`sample_word`](Self::sample_word)
-    /// on `rng.next_u64()`), so every model variant advances the stream by
-    /// the same amount.
-    pub fn sample(&self, rng: &mut ChaCha8Rng) -> u64 {
-        self.sample_word(rng.next_u64())
-    }
-
-    /// Maps one stream word to a delay in ticks — the single sampling path
-    /// shared by the streaming [`sample`](Self::sample) and the batched
-    /// [`FateBlock`] route.
+    /// Maps one stream word to a delay in ticks — the single sampling path,
+    /// fed one [`FateBlock`] lane word per message.
     ///
     /// A malformed `Uniform` with `max < min` (possible via deserialization,
     /// which bypasses the [`LatencyModel::uniform`] assertion) degrades to
@@ -293,7 +283,7 @@ impl NetModel {
 /// across resumed runs. This is what keeps topology-aware traces
 /// byte-identical everywhere: which side of a partition a node sits on can
 /// never depend on hashing order, insertion order, or wall-clock state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RegionAssign {
     /// Two halves of the id space: ids below `split` are region 0, the rest
     /// region 1. With the engines' sequential id assignment (`V_0 = 0..n`),
@@ -304,33 +294,6 @@ pub enum RegionAssign {
         /// First id that belongs to region 1.
         split: u64,
     },
-    /// `k`-way banding: region = `(id / width) mod k` — contiguous bands of
-    /// `width` ids striped round-robin over `k` regions, so later joiners
-    /// keep spreading across all regions instead of piling into the last
-    /// one.
-    Bands {
-        /// Ids per contiguous band (0 is treated as 1).
-        width: u64,
-        /// Number of regions (0 is treated as 1).
-        k: u32,
-    },
-    /// An explicit id → region map; ids the map does not mention fall into
-    /// `default`.
-    Explicit {
-        /// Region of every id absent from the map.
-        default: u32,
-        /// The explicit assignments.
-        map: Vec<RegionEntry>,
-    },
-}
-
-/// One entry of an explicit region map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RegionEntry {
-    /// The raw node id.
-    pub id: u64,
-    /// The region that id belongs to.
-    pub region: u32,
 }
 
 impl RegionAssign {
@@ -339,44 +302,16 @@ impl RegionAssign {
         RegionAssign::Halves { split }
     }
 
-    /// `k`-way bands of `width` ids.
-    pub fn bands(width: u64, k: u32) -> Self {
-        RegionAssign::Bands { width, k }
-    }
-
-    /// An explicit map over `(id, region)` pairs with a default region.
-    pub fn explicit(default: u32, pairs: impl IntoIterator<Item = (u64, u32)>) -> Self {
-        RegionAssign::Explicit {
-            default,
-            map: pairs
-                .into_iter()
-                .map(|(id, region)| RegionEntry { id, region })
-                .collect(),
-        }
-    }
-
     /// The region of `id` — a total, pure function.
     pub fn region_of(&self, id: NodeId) -> u32 {
-        match self {
-            RegionAssign::Halves { split } => u32::from(id.0 >= *split),
-            RegionAssign::Bands { width, k } => {
-                ((id.0 / (*width).max(1)) % u64::from((*k).max(1))) as u32
-            }
-            RegionAssign::Explicit { default, map } => map
-                .iter()
-                .find(|e| e.id == id.0)
-                .map(|e| e.region)
-                .unwrap_or(*default),
-        }
+        let RegionAssign::Halves { split } = *self;
+        u32::from(id.0 >= split)
     }
 
-    /// A compact label for tables, e.g. `halves@64`, `bands16x4`, `map(5)`.
+    /// A compact label for tables, e.g. `halves@64`.
     pub fn label(&self) -> String {
-        match self {
-            RegionAssign::Halves { split } => format!("halves@{split}"),
-            RegionAssign::Bands { width, k } => format!("bands{width}x{k}"),
-            RegionAssign::Explicit { map, .. } => format!("map({})", map.len()),
-        }
+        let RegionAssign::Halves { split } = self;
+        format!("halves@{split}")
     }
 }
 
@@ -423,18 +358,6 @@ impl PartitionSchedule {
     }
 }
 
-/// One per-link override of a [`Topology::PerLink`] network: the directed
-/// link `from → to` uses `net` instead of the base model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LinkOverride {
-    /// The sending node.
-    pub from: NodeId,
-    /// The receiving node.
-    pub to: NodeId,
-    /// The model this directed link uses.
-    pub net: NetModel,
-}
-
 /// The network *topology*: which [`NetModel`] governs each directed
 /// `(sender, receiver)` link at each round.
 ///
@@ -445,8 +368,10 @@ pub struct LinkOverride {
 /// ([`NetModel::route`]), independent of *which* model consumes it; two
 /// topologies that resolve every link to equal models therefore produce
 /// byte-identical traces — the equivalence the `topology_equivalence` test
-/// bridge pins.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// bridge pins. Links are symmetric here: a one-way link is a
+/// [`FaultRule`](crate::FaultRule) with `from`/`to` selectors, which both
+/// fault boundaries (this engine and the loopback transport) honour.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Topology {
     /// One model for every link (what a scalar [`NetModel`] always was).
     Global(NetModel),
@@ -462,14 +387,6 @@ pub enum Topology {
         inter: NetModel,
         /// When the bridge is degraded; `None` = always.
         schedule: Option<PartitionSchedule>,
-    },
-    /// Explicit per-link overrides over a base model (first matching
-    /// override wins; everything else runs `base`).
-    PerLink {
-        /// The model of every link without an override.
-        base: NetModel,
-        /// The directed-link overrides.
-        overrides: Vec<LinkOverride>,
     },
 }
 
@@ -504,18 +421,12 @@ impl Topology {
         }
     }
 
-    /// Per-link overrides over `base`.
-    pub fn per_link(base: NetModel, overrides: Vec<LinkOverride>) -> Self {
-        Topology::PerLink { base, overrides }
-    }
-
     /// The *base* model: what most links run (`Global`'s model, `Regions`'
-    /// intra model, `PerLink`'s base).
+    /// intra model).
     pub fn base(&self) -> NetModel {
-        match self {
-            Topology::Global(net) => *net,
-            Topology::Regions { intra, .. } => *intra,
-            Topology::PerLink { base, .. } => *base,
+        match *self {
+            Topology::Global(net) => net,
+            Topology::Regions { intra, .. } => intra,
         }
     }
 
@@ -538,27 +449,13 @@ impl Topology {
         }
     }
 
-    /// Whether cross-region links run the degraded `inter` model for
-    /// messages sent at `round`.
-    pub fn bridge_degraded_at(&self, round: Round) -> bool {
-        match self {
-            Topology::Regions { schedule, .. } => schedule.is_none_or(|s| s.degraded_at(round)),
-            _ => false,
-        }
-    }
-
-    /// Resolves the effective model of one message: sent at round boundary
-    /// `round` over the directed link `from → to`.
-    pub fn net_for(&self, round: Round, from: NodeId, to: NodeId) -> NetModel {
-        self.resolve(round, from, to).0
-    }
-
-    /// [`Topology::net_for`] and [`Topology::is_cross`] in one pass — the
-    /// engine's per-message entry point, so each endpoint's region (or the
-    /// override list) is looked up exactly once per send.
+    /// Resolves one message sent at round boundary `round` over the link
+    /// `from → to`: its effective model, and whether the link crosses
+    /// regions ([`Topology::is_cross`]) — the engine's per-message entry
+    /// point, so each endpoint's region is looked up exactly once per send.
     pub fn resolve(&self, round: Round, from: NodeId, to: NodeId) -> (NetModel, bool) {
-        match self {
-            Topology::Global(net) => (*net, false),
+        match *self {
+            Topology::Global(net) => (net, false),
             Topology::Regions {
                 assign,
                 intra,
@@ -567,20 +464,12 @@ impl Topology {
             } => {
                 let cross = assign.region_of(from) != assign.region_of(to);
                 let net = if cross && schedule.is_none_or(|s| s.degraded_at(round)) {
-                    *inter
+                    inter
                 } else {
-                    *intra
+                    intra
                 };
                 (net, cross)
             }
-            Topology::PerLink { base, overrides } => (
-                overrides
-                    .iter()
-                    .find(|o| o.from == from && o.to == to)
-                    .map(|o| o.net)
-                    .unwrap_or(*base),
-                false,
-            ),
         }
     }
 
@@ -601,9 +490,6 @@ impl Topology {
                 inter.label(),
                 schedule.map(|s| s.label()).unwrap_or_default()
             ),
-            Topology::PerLink { base, overrides } => {
-                format!("perlink({}+{})", base.label(), overrides.len())
-            }
         }
     }
 }
@@ -617,7 +503,7 @@ impl Topology {
 /// The `topology` field plays the same game one level down: it is skipped
 /// when `None`, so every `Async` spec serialized before topologies existed
 /// (and every global-network spec after) keeps its exact serialized form.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum ExecutionModel {
     /// The paper's synchronous round model (`tsa-sim`'s lockstep engine).
     #[default]
@@ -674,13 +560,6 @@ impl ExecutionModel {
         }
     }
 
-    /// Replaces the network with an explicit link [`Topology`], switching to
-    /// the event engine if necessary — the hook the sweep topology axis
-    /// applies to each cell.
-    pub fn with_topology(self, topology: Topology) -> Self {
-        ExecutionModel::topo(topology)
-    }
-
     /// `true` for [`ExecutionModel::Rounds`] — the `skip_serializing_if`
     /// predicate that keeps synchronous specs byte-identical to the
     /// pre-`ExecutionModel` serialization.
@@ -695,13 +574,13 @@ impl ExecutionModel {
     ///
     /// Panics on [`ExecutionModel::Rounds`] (no network model) and on a
     /// topology-bearing model, where "the" jitter is ambiguous — configure
-    /// the topology's per-link [`NetModel`]s instead.
+    /// the topology's own [`NetModel`]s instead.
     pub fn with_jitter(self, jitter: u64) -> Self {
         match self {
             ExecutionModel::Rounds => panic!("Rounds has no jitter to configure"),
             ExecutionModel::Async {
                 topology: Some(_), ..
-            } => panic!("a link topology carries its own per-link jitter"),
+            } => panic!("a link topology carries its own jitter"),
             ExecutionModel::Async { latency, loss, .. } => ExecutionModel::Async {
                 latency,
                 jitter,
@@ -718,13 +597,13 @@ impl ExecutionModel {
     ///
     /// Panics on [`ExecutionModel::Rounds`] (no network model) and on a
     /// topology-bearing model, where "the" loss is ambiguous — configure
-    /// the topology's per-link [`NetModel`]s instead.
+    /// the topology's own [`NetModel`]s instead.
     pub fn with_loss(self, loss: f64) -> Self {
         match self {
             ExecutionModel::Rounds => panic!("Rounds has no loss to configure"),
             ExecutionModel::Async {
                 topology: Some(_), ..
-            } => panic!("a link topology carries its own per-link loss"),
+            } => panic!("a link topology carries its own loss"),
             ExecutionModel::Async {
                 latency, jitter, ..
             } => ExecutionModel::Async {
@@ -762,11 +641,11 @@ impl ExecutionModel {
     /// `Rounds`): the explicit topology when one is set, otherwise the flat
     /// model wrapped as [`Topology::Global`].
     pub fn effective_topology(&self) -> Option<Topology> {
-        match self {
+        match *self {
             ExecutionModel::Rounds => None,
             ExecutionModel::Async {
                 topology: Some(t), ..
-            } => Some(t.clone()),
+            } => Some(t),
             ExecutionModel::Async { .. } => self.net_model().map(Topology::Global),
         }
     }
@@ -799,7 +678,7 @@ mod tests {
         let m = LatencyModel::constant(7);
         let mut r = rng(1);
         for _ in 0..10 {
-            assert_eq!(m.sample(&mut r), 7);
+            assert_eq!(m.sample_word(r.next_u64()), 7);
         }
     }
 
@@ -807,7 +686,7 @@ mod tests {
     fn uniform_latency_stays_in_range_and_spreads() {
         let m = LatencyModel::uniform(100, 300);
         let mut r = rng(2);
-        let draws: Vec<u64> = (0..500).map(|_| m.sample(&mut r)).collect();
+        let draws: Vec<u64> = (0..500).map(|_| m.sample_word(r.next_u64())).collect();
         assert!(draws.iter().all(|&d| (100..=300).contains(&d)));
         assert!(draws.iter().any(|&d| d < 150));
         assert!(draws.iter().any(|&d| d > 250));
@@ -817,7 +696,7 @@ mod tests {
     fn pareto_latency_is_heavy_tailed_but_bounded() {
         let m = LatencyModel::pareto(100, 200, 1, 10_000);
         let mut r = rng(3);
-        let draws: Vec<u64> = (0..2000).map(|_| m.sample(&mut r)).collect();
+        let draws: Vec<u64> = (0..2000).map(|_| m.sample_word(r.next_u64())).collect();
         assert!(draws.iter().all(|&d| (100..=10_100).contains(&d)));
         // The α = 2 tail must actually produce multi-round outliers.
         assert!(draws.iter().any(|&d| d > 2000), "no tail events");
@@ -908,7 +787,7 @@ mod tests {
         // the cap keeps draws finite.
         let m = LatencyModel::pareto(100, 100, 0, 50_000);
         let mut r = rng(7);
-        let draws: Vec<u64> = (0..4000).map(|_| m.sample(&mut r)).collect();
+        let draws: Vec<u64> = (0..4000).map(|_| m.sample_word(r.next_u64())).collect();
         assert!(draws.iter().all(|&d| (100..=50_100).contains(&d)));
         assert!(
             draws.contains(&50_100),
@@ -924,7 +803,7 @@ mod tests {
         let lighter = LatencyModel::pareto(100, 100, 1, 50_000);
         let mut r2 = rng(7);
         let capped_lighter = (0..4000)
-            .map(|_| lighter.sample(&mut r2))
+            .map(|_| lighter.sample_word(r2.next_u64()))
             .filter(|&d| d == 50_100)
             .count();
         let capped_heavy = draws.iter().filter(|&&d| d == 50_100).count();
@@ -962,21 +841,9 @@ mod tests {
         assert_eq!(halves.region_of(NodeId(23)), 0);
         assert_eq!(halves.region_of(NodeId(24)), 1);
         assert_eq!(halves.region_of(NodeId(u64::MAX)), 1, "joiners go right");
-
-        let bands = RegionAssign::bands(4, 3);
-        assert_eq!(bands.region_of(NodeId(0)), 0);
-        assert_eq!(bands.region_of(NodeId(3)), 0);
-        assert_eq!(bands.region_of(NodeId(4)), 1);
-        assert_eq!(bands.region_of(NodeId(8)), 2);
-        assert_eq!(bands.region_of(NodeId(12)), 0, "bands stripe round-robin");
-
-        let map = RegionAssign::explicit(7, [(1, 0), (2, 5)]);
-        assert_eq!(map.region_of(NodeId(1)), 0);
-        assert_eq!(map.region_of(NodeId(2)), 5);
-        assert_eq!(map.region_of(NodeId(3)), 7, "unlisted ids take the default");
-
-        // Degenerate parameters degrade to one region, never panic.
-        assert_eq!(RegionAssign::bands(0, 0).region_of(NodeId(9)), 0);
+        // Degenerate splits put every id on one side, never panic.
+        assert_eq!(RegionAssign::halves(0).region_of(NodeId(0)), 1);
+        assert_eq!(RegionAssign::halves(u64::MAX).region_of(NodeId(9)), 0);
     }
 
     #[test]
@@ -989,16 +856,17 @@ mod tests {
         };
 
         let global = Topology::global(fast);
-        assert_eq!(global.net_for(9, NodeId(0), NodeId(99)), fast);
+        assert_eq!(global.resolve(9, NodeId(0), NodeId(99)), (fast, false));
         assert!(!global.is_cross(NodeId(0), NodeId(99)));
         assert_eq!(global.base(), fast);
 
         let regions = Topology::regions(RegionAssign::halves(8), fast, slow);
-        assert_eq!(regions.net_for(0, NodeId(1), NodeId(2)), fast, "intra");
-        assert_eq!(regions.net_for(0, NodeId(1), NodeId(9)), slow, "bridge");
-        assert_eq!(regions.net_for(0, NodeId(9), NodeId(1)), slow, "both ways");
-        assert!(regions.is_cross(NodeId(1), NodeId(9)));
-        assert_eq!(regions.region_of(NodeId(9)), Some(1));
+        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(9));
+        assert_eq!(regions.resolve(0, a, b), (fast, false), "intra");
+        assert_eq!(regions.resolve(0, a, c), (slow, true), "bridge");
+        assert_eq!(regions.resolve(0, c, a), (slow, true), "both ways");
+        assert!(regions.is_cross(a, c));
+        assert_eq!(regions.region_of(c), Some(1));
         assert_eq!(regions.base(), fast);
 
         let windowed = Topology::regions_with_schedule(
@@ -1007,25 +875,12 @@ mod tests {
             slow,
             PartitionSchedule::window(3, 7),
         );
-        assert_eq!(windowed.net_for(2, NodeId(1), NodeId(9)), fast, "pre");
-        assert_eq!(windowed.net_for(3, NodeId(1), NodeId(9)), slow, "during");
-        assert_eq!(windowed.net_for(6, NodeId(1), NodeId(9)), slow);
-        assert_eq!(windowed.net_for(7, NodeId(1), NodeId(9)), fast, "healed");
-        assert!(windowed.bridge_degraded_at(4) && !windowed.bridge_degraded_at(7));
+        assert_eq!(windowed.resolve(2, a, c), (fast, true), "pre");
+        assert_eq!(windowed.resolve(3, a, c), (slow, true), "during");
+        assert_eq!(windowed.resolve(6, a, c), (slow, true));
+        assert_eq!(windowed.resolve(7, a, c), (fast, true), "healed");
         // The schedule never touches intra links.
-        assert_eq!(windowed.net_for(4, NodeId(1), NodeId(2)), fast);
-
-        let link = Topology::per_link(
-            fast,
-            vec![LinkOverride {
-                from: NodeId(3),
-                to: NodeId(5),
-                net: slow,
-            }],
-        );
-        assert_eq!(link.net_for(0, NodeId(3), NodeId(5)), slow);
-        assert_eq!(link.net_for(0, NodeId(5), NodeId(3)), fast, "directed");
-        assert_eq!(link.net_for(0, NodeId(0), NodeId(1)), fast);
+        assert_eq!(windowed.resolve(4, a, b), (fast, false));
     }
 
     #[test]
@@ -1040,12 +895,10 @@ mod tests {
         };
         let global = Topology::global(m);
         let regions = Topology::regions(RegionAssign::halves(8), m, m);
-        let link = Topology::per_link(m, Vec::new());
         for seq in 0..100 {
             let (from, to) = (NodeId(seq % 16), NodeId((seq * 7) % 16));
-            let expect = global.net_for(0, from, to).route(13, seq);
-            assert_eq!(regions.net_for(0, from, to).route(13, seq), expect);
-            assert_eq!(link.net_for(0, from, to).route(13, seq), expect);
+            let expect = global.resolve(0, from, to).0.route(13, seq);
+            assert_eq!(regions.resolve(0, from, to).0.route(13, seq), expect);
         }
     }
 
@@ -1061,33 +914,29 @@ mod tests {
             Topology::global(fast),
             Topology::regions(RegionAssign::halves(24), fast, slow),
             Topology::regions_with_schedule(
-                RegionAssign::bands(8, 4),
+                RegionAssign::halves(8),
                 fast,
                 slow,
                 PartitionSchedule::window(6, 14),
-            ),
-            Topology::regions(RegionAssign::explicit(0, [(0, 1), (5, 1)]), fast, slow),
-            Topology::per_link(
-                fast,
-                vec![LinkOverride {
-                    from: NodeId(1),
-                    to: NodeId(2),
-                    net: slow,
-                }],
             ),
         ];
         for topo in topologies {
             let json = serde_json::to_string(&topo).unwrap();
             let back: Topology = serde_json::from_str(&json).unwrap();
             assert_eq!(back, topo, "{json}");
-            let model = ExecutionModel::topo(topo.clone());
+            let model = ExecutionModel::topo(topo);
             let json = serde_json::to_string(&model).unwrap();
             assert!(json.contains("topology"), "{json}");
             let back: ExecutionModel = serde_json::from_str(&json).unwrap();
             assert_eq!(back, model, "{json}");
-            assert_eq!(back.effective_topology(), Some(topo.clone()));
+            assert_eq!(back.effective_topology(), Some(topo));
             assert_eq!(back.net_model(), Some(topo.base()));
         }
+        // The serialized form the partition artifacts record.
+        assert_eq!(
+            serde_json::to_string(&RegionAssign::halves(24)).unwrap(),
+            r#"{"Halves":{"split":24}}"#
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Direction-sensitivity regressions: a per-link override and a fault rule
-//! both name a *directed* link `from → to`, and neither may ever leak onto
-//! the reverse direction. The protocol under test floods `id ± 1`, so the
-//! pair `1 ↔ 2` exercises both directions of one link every round.
+//! Direction-sensitivity regression: a fault rule with `from`/`to`
+//! selectors names a *directed* link `from → to` — the one way to cut a
+//! single direction — and may never leak onto the reverse direction. The
+//! protocol under test floods `id ± 1`, so the pair `1 ↔ 2` exercises both
+//! directions of one link every round. The loopback transport's counterpart
+//! lives in `tsa-net`.
 
 use tsa_event::{
     EventConfig, EventSimulator, FaultAction, FaultAdapter, FaultPlan, FaultRule, LatencyModel,
-    LinkOverride, NetModel, NodeSelector, Topology,
+    NetModel, NodeSelector,
 };
 use tsa_sim::prelude::*;
 use tsa_sim::SimConfig;
@@ -57,43 +59,9 @@ fn senders_heard_by(sim: &EventSimulator<Ping, NullAdversary>, id: u64) -> Vec<u
 }
 
 #[test]
-fn per_link_overrides_are_direction_sensitive() {
-    // Kill the directed link 1 → 2 only: node 2 must go deaf to node 1 while
-    // node 1 keeps hearing node 2 over the untouched reverse direction.
-    let base = NetModel::new(LatencyModel::constant(0));
-    let cut = NetModel {
-        latency: LatencyModel::constant(0),
-        jitter: 0,
-        loss: 1.0,
-    };
-    let topology = Topology::per_link(
-        base,
-        vec![LinkOverride {
-            from: NodeId(1),
-            to: NodeId(2),
-            net: cut,
-        }],
-    );
-    // The resolver itself is asymmetric...
-    assert_eq!(topology.net_for(0, NodeId(1), NodeId(2)), cut, "overridden");
-    assert_eq!(topology.net_for(0, NodeId(2), NodeId(1)), base, "reverse");
-    assert_eq!(topology.net_for(0, NodeId(2), NodeId(3)), base, "others");
-
-    // ...and so is the engine behavior built on it.
-    let config = EventConfig::with_topology(SimConfig::default().with_seed(5), topology);
-    let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Ping::default()));
-    sim.seed_nodes(4);
-    sim.run(6);
-    assert_eq!(senders_heard_by(&sim, 2), vec![3], "2 never hears 1");
-    assert_eq!(senders_heard_by(&sim, 1), vec![0, 2], "1 still hears 2");
-    let stats = sim.net_stats();
-    assert!(stats.lost > 0, "the override actually dropped frames");
-}
-
-#[test]
 fn fault_rules_drop_one_direction_only() {
-    // The same asymmetry through the fault layer: an unconditional drop rule
-    // scoped to `from #1 → to #2` must censor exactly that direction.
+    // An unconditional drop rule scoped to `from #1 → to #2` must censor
+    // exactly that direction.
     let plan = FaultPlan::new().with_rule(
         FaultRule::every(FaultAction::Drop)
             .from(NodeSelector::Id { id: 1 })

@@ -124,6 +124,62 @@ mod tests {
     }
 
     #[test]
+    fn a_directed_drop_rule_cuts_one_direction_of_a_link() {
+        use tsa_event::{FaultAction, FaultAdapter, FaultPlan, FaultRule, NodeSelector};
+
+        /// Ping on a ring of four: every send has a live receiver, so the
+        /// only frames that never reach the wire are the censored ones.
+        #[derive(Default)]
+        struct Ring {
+            heard: Vec<u64>,
+        }
+        impl Process for Ring {
+            type Msg = u64;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+                self.heard.extend(inbox.iter().map(|env| env.from.raw()));
+                let me = ctx.id().raw();
+                ctx.send(NodeId((me + 1) % 4), me);
+                ctx.send(NodeId((me + 3) % 4), me);
+            }
+        }
+        let senders_heard_by = |net: &NetRunner<Ring, NullAdversary>, id: u64| {
+            let mut senders = net.node(NodeId(id)).unwrap().heard.clone();
+            senders.sort_unstable();
+            senders.dedup();
+            senders
+        };
+
+        // The transport half of the event engine's `direction.rs`: the same
+        // rule scoped to `from #1 → to #2` censors exactly that direction.
+        let plan = FaultPlan::new().with_rule(
+            FaultRule::every(FaultAction::Drop)
+                .from(NodeSelector::Id { id: 1 })
+                .to(NodeSelector::Id { id: 2 }),
+        );
+        let adapter = FaultAdapter {
+            kind_of: |_| 0,
+            mutate: |_, _| false,
+        };
+        let config = NetConfig::new(SimConfig::default().with_seed(5))
+            .with_round_duration(Duration::from_millis(10));
+        let mut net = NetRunner::new(config, NullAdversary, Box::new(|_, _| Ring::default()));
+        net.set_faults(plan, adapter);
+        net.seed_nodes(4);
+        let rounds = 6;
+        net.run(rounds);
+        assert_eq!(senders_heard_by(&net, 2), vec![3], "2 never hears 1");
+        assert_eq!(senders_heard_by(&net, 1), vec![0, 2], "1 still hears 2");
+        let fs = net.fault_stats();
+        assert_eq!(fs.dropped, rounds, "one censored send per round");
+        assert_eq!(fs.total(), fs.dropped, "no other action fired");
+        assert_eq!(
+            net.net_stats().lost,
+            fs.dropped,
+            "fault drops are charged to the network loss counter"
+        );
+    }
+
+    #[test]
     fn the_trace_accounts_for_every_message() {
         let mut net = runner(4);
         net.seed_nodes(4);

@@ -84,8 +84,10 @@ pub fn bucket_of(value: u64) -> u32 {
 /// One power-of-two histogram: count/sum/max plus 65 fixed buckets (bucket 0
 /// holds the zeros). Merging two histograms is element-wise saturating
 /// addition (and a max), so accumulation commutes — also at `u64::MAX`.
+/// The live recorder and the `tsa-dash` journal fold both accumulate
+/// through it, which is what keeps their snapshots byte-identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct Hist {
+pub struct Hist {
     count: u64,
     sum: u64,
     max: u64,
@@ -104,12 +106,34 @@ impl Default for Hist {
 }
 
 impl Hist {
-    fn record(&mut self, value: u64) {
+    /// Adds one observation, saturating every total at `u64::MAX`.
+    pub fn record(&mut self, value: u64) {
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
         let bucket = &mut self.buckets[bucket_of(value) as usize];
         *bucket = bucket.saturating_add(1);
+    }
+
+    /// The serializable face of this histogram under `name`: only the
+    /// occupied buckets, in ascending order.
+    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_string(),
+            count: self.count,
+            sum: self.sum,
+            max: self.max,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(bucket, count)| BucketCount {
+                    bucket: bucket as u32,
+                    count: *count,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -157,14 +181,14 @@ impl ObsRecorder {
             histograms: det
                 .histograms
                 .iter()
-                .map(|(name, h)| HistogramSnapshot::from_hist(name, h))
+                .map(|(name, h)| h.snapshot(name))
                 .collect(),
             region_histograms: det
                 .region_histograms
                 .iter()
                 .map(|((name, region), h)| RegionHistogramSnapshot {
                     region: *region,
-                    histogram: HistogramSnapshot::from_hist(name, h),
+                    histogram: h.snapshot(name),
                 })
                 .collect(),
         }
@@ -254,27 +278,6 @@ pub struct HistogramSnapshot {
     pub max: u64,
     /// The occupied buckets.
     pub buckets: Vec<BucketCount>,
-}
-
-impl HistogramSnapshot {
-    fn from_hist(name: &str, h: &Hist) -> Self {
-        HistogramSnapshot {
-            name: name.to_string(),
-            count: h.count,
-            sum: h.sum,
-            max: h.max,
-            buckets: h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(bucket, count)| BucketCount {
-                    bucket: bucket as u32,
-                    count: *count,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// A histogram keyed by region (the per-region probes, e.g. sampling ages).

@@ -11,18 +11,13 @@
 //!
 //! Two callers run them. `tsa-core`'s `ProtocolNode` is the maintenance
 //! protocol: every copy is a message and the known set is what the node's
-//! neighbour set holds. `tsa-routing`'s `select_sample_target` and
-//! `sample_many` measure Lemma 13 on ideal [`Lds`](crate::Lds) snapshots,
-//! where the known set is the whole swarm. Both already depend on this
-//! crate, so sharing the rules here adds no edge to the crate graph.
-//!
-//! One difference remains, on purpose: `tsa-routing`'s `RoutingSim`
-//! (Lemmas 9–12) does not hop through this module. Its `transfer` makes `r`
-//! draws *with* replacement per holder, where [`hop`] picks up to `r`
-//! *distinct* members, and the committed `exp_routing` and `exp_ablation`
-//! artifacts record that draw. A test in `tsa-routing`
-//! (`tests/simulator_vs_protocol.rs`) holds the difference until a change
-//! that is allowed to move those numbers closes it.
+//! neighbour set holds. `tsa-routing` measures Lemmas 9–13 on ideal
+//! [`Lds`](crate::Lds) snapshots, where the known set is the whole swarm:
+//! `RoutingSim::transfer` picks each holder's receivers with
+//! [`choose_up_to`] over [`Lds::swarm`](crate::Lds::swarm) (the set [`hop`]'s
+//! filter yields, pinned below), and `select_sample_target` and
+//! `sample_many` take the Δ range and the delivery rule. Both already depend
+//! on this crate, so sharing the rules here adds no edge to the crate graph.
 
 use std::ops::RangeInclusive;
 

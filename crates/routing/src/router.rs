@@ -2,24 +2,25 @@
 //!
 //! A message from a node `v` to a point `p` is first broadcast to `v`'s own
 //! swarm, then travels along the trajectory `τ(v, p)` (Definition 7). In every
-//! *forwarding* step each holder forwards `r` copies to uniformly chosen
-//! members of the next trajectory point's swarm; in every *handover* step the
-//! copies move from the current overlay's swarm to the next overlay's swarm at
-//! the same point. The final step broadcasts to the whole target swarm, so the
-//! message arrives after exactly `2λ + 2` rounds (Lemma 9).
+//! *forwarding* step each holder forwards copies to `r` distinct, uniformly
+//! chosen members of the next trajectory point's swarm; in every *handover*
+//! step the copies move from the current overlay's swarm to the next
+//! overlay's swarm at the same point. The final step broadcasts to the whole
+//! target swarm, so the message arrives after exactly `2λ + 2` rounds
+//! (Lemma 9).
 //!
 //! This module executes the algorithm directly over a [`RoutableSeries`] (a
 //! sequence of LDS snapshots) so its dilation, delivery rate and congestion
 //! can be measured in isolation; the full message-level implementation inside
 //! the maintenance protocol lives in `tsa-core`.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
+use tsa_overlay::rules::choose_up_to;
 use tsa_overlay::{Interval, Lds, Position, Trajectory};
 use tsa_sim::NodeId;
 
@@ -212,9 +213,9 @@ impl<'a> RoutingSim<'a> {
 
     /// One transfer step: every surviving holder forwards copies into
     /// `target_swarm`. With `broadcast` each holder contacts the whole swarm
-    /// (initial/final step); otherwise each holder picks `r` uniform members,
-    /// with replacement — the one way this differs from the protocol's hop
-    /// (see `tsa_overlay::rules`).
+    /// (initial/final step); otherwise each holder picks up to `r` distinct
+    /// uniform members, exactly as the protocol's hop does
+    /// ([`choose_up_to`], see `tsa_overlay::rules`).
     /// Returns the distinct members that received at least one copy.
     fn transfer(
         &self,
@@ -229,21 +230,21 @@ impl<'a> RoutingSim<'a> {
             return Vec::new();
         }
         let mut received: Vec<NodeId> = Vec::new();
+        let mut members: Vec<NodeId> = Vec::with_capacity(target_swarm.len());
         for &_holder in holders {
             if self.config.holder_failure > 0.0 && rng.gen::<f64>() < self.config.holder_failure {
                 continue; // this holder was churned out before it could forward
             }
-            if broadcast {
-                for &t in target_swarm {
-                    congestion.record(round, t, 1);
-                    received.push(t);
-                }
+            let to = if broadcast {
+                target_swarm
             } else {
-                for _ in 0..self.config.replication {
-                    let &t = target_swarm.choose(rng).expect("non-empty swarm");
-                    congestion.record(round, t, 1);
-                    received.push(t);
-                }
+                members.clear();
+                members.extend_from_slice(target_swarm);
+                choose_up_to(&mut members, self.config.replication, rng)
+            };
+            for &t in to {
+                congestion.record(round, t, 1);
+                received.push(t);
             }
         }
         received.sort();

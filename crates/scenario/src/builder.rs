@@ -132,11 +132,12 @@ impl Scenario {
     }
 
     /// Runs a maintained scenario on the event engine under an explicit link
-    /// [`Topology`] — regional partitions, scheduled bridges, per-link
-    /// overrides. Shorthand for
-    /// `execution(self.spec.execution.with_topology(topology))`.
+    /// [`Topology`] — two halves joined by a possibly scheduled bridge.
+    /// Shorthand for `execution(ExecutionModel::topo(topology))`; a one-way
+    /// link is a directed [`FaultRule`](tsa_event::FaultRule) in
+    /// [`faults`](Self::faults) instead.
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.spec.execution = self.spec.execution.with_topology(topology);
+        self.spec.execution = ExecutionModel::topo(topology);
         self
     }
 

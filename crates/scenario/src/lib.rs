@@ -59,9 +59,8 @@ pub use spec::{AdversarySpec, BaselineKind, ChurnSpec, ScenarioKind, ScenarioSpe
 // The execution-model and fault-injection vocabulary every spec embeds,
 // re-exported so scenario consumers need no direct tsa-event dependency.
 pub use tsa_event::{
-    ExecutionModel, FaultAction, FaultPlan, FaultRule, FaultStats, LatencyModel, LinkOverride,
-    NetModel, NetStats, NodeSelector, PartitionSchedule, RegionAssign, RegionEntry, RoundWindow,
-    Topology,
+    ExecutionModel, FaultAction, FaultPlan, FaultRule, FaultStats, LatencyModel, NetModel,
+    NetStats, NodeSelector, PartitionSchedule, RegionAssign, RoundWindow, Topology,
 };
 // The byzantine-role vocabulary, re-exported for the same reason.
 pub use tsa_core::{ByzantineSpec, MisbehaviorKind};

@@ -250,9 +250,8 @@ impl AdversarySpec {
 
 /// The complete declarative description of one scenario.
 ///
-/// `Clone` but deliberately not `Copy`: the execution model may carry a link
-/// topology with explicit region maps or per-link overrides, which are
-/// heap-backed. Every other field is plain data.
+/// `Clone` but not `Copy`: a fault plan is a heap-backed rule list. Every
+/// other field is plain data.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// What kind of experiment runs.

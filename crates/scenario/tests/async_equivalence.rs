@@ -135,7 +135,7 @@ fn any_sub_round_latency_is_also_the_round_model() {
                 .seed(3)
         };
         let sync = base().run(8);
-        let asynch = base().execution(model.clone()).run(8);
+        let asynch = base().execution(model).run(8);
         assert_eq!(
             normalized_json(asynch),
             serde_json::to_string(&sync).unwrap(),

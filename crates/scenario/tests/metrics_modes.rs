@@ -44,7 +44,7 @@ proptest! {
             ExecutionModel::Rounds
         };
 
-        let full = base(seed, adversary, execution.clone()).run(6);
+        let full = base(seed, adversary, execution).run(6);
         let streaming = base(seed, adversary, execution)
             .metrics_mode(MetricsMode::Streaming)
             .run(6);

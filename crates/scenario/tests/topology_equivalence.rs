@@ -2,18 +2,16 @@
 //! the topology-aware sibling of `async_equivalence.rs`:
 //!
 //! * `Topology::Global(m)` is the scalar network model `m`, byte-identically;
-//! * `Topology::Regions { intra == inter }` is `Global` (for every region
-//!   assignment and schedule), byte-identically;
-//! * `Topology::PerLink` with no overrides is its base model,
-//!   byte-identically.
+//! * `Topology::Regions { intra == inter }` is `Global` (for every split,
+//!   with and without a schedule), byte-identically.
 //!
-//! All three are pinned at the `ScenarioOutcome` level (full serialized
+//! Both are pinned at the `ScenarioOutcome` level (full serialized
 //! JSON) across scenario kinds, adversaries and seeds, and at the harness
 //! level (`AsyncMaintenanceHarness` reports and metrics). The trace-level
 //! pins live next to the engine in `tsa-event`. Together they make the
 //! link-resolution layer "one more pure function": any drift — a region
-//! lookup perturbing an RNG stream, a schedule consulted at the wrong round,
-//! an override reordering deliveries — shows up here as a JSON diff.
+//! lookup perturbing an RNG stream, a schedule consulted at the wrong round —
+//! shows up here as a JSON diff.
 
 use proptest::{prop_assert_eq, prop_oneof, proptest, ProptestConfig, Strategy};
 use tsa_scenario::{
@@ -64,12 +62,13 @@ fn net() -> NetModel {
     }
 }
 
-/// Region assignments the regional equivalence is quantified over.
-fn assigns() -> Vec<RegionAssign> {
-    vec![
+/// Region assignments the regional equivalence is quantified over: the
+/// genesis halves, a lopsided split, and one that joiners alone cross.
+fn assigns() -> [RegionAssign; 3] {
+    [
         RegionAssign::halves(16),
-        RegionAssign::bands(4, 3),
-        RegionAssign::explicit(1, [(0, 0), (3, 2), (17, 0)]),
+        RegionAssign::halves(5),
+        RegionAssign::halves(32),
     ]
 }
 
@@ -127,11 +126,8 @@ proptest! {
         let mut global = spec.clone().with_seed(seed);
         global.execution = ExecutionModel::topo(Topology::global(net()));
         let mut regional = spec.with_seed(seed);
-        regional.execution = ExecutionModel::topo(Topology::regions(
-            assigns()[which].clone(),
-            net(),
-            net(),
-        ));
+        regional.execution =
+            ExecutionModel::topo(Topology::regions(assigns()[which], net(), net()));
         prop_assert_eq!(
             normalized_json(regional, rounds),
             normalized_json(global, rounds)
@@ -166,10 +162,10 @@ fn equal_model_regions_match_global_under_every_assign_and_schedule() {
             Some(PartitionSchedule::starting_at(0)),
         ] {
             let topology = match schedule {
-                None => Topology::regions(assign.clone(), net(), net()),
-                Some(s) => Topology::regions_with_schedule(assign.clone(), net(), net(), s),
+                None => Topology::regions(assign, net(), net()),
+                Some(s) => Topology::regions_with_schedule(assign, net(), net(), s),
             };
-            let mut outcome = base().topology(topology.clone()).run(10);
+            let mut outcome = base().topology(topology).run(10);
             normalize(&mut outcome);
             assert_eq!(
                 serde_json::to_string(&outcome).unwrap(),
@@ -179,29 +175,6 @@ fn equal_model_regions_match_global_under_every_assign_and_schedule() {
             );
         }
     }
-}
-
-#[test]
-fn per_link_without_overrides_is_its_base_model() {
-    let base = || {
-        Scenario::maintained_lds(32)
-            .with_c(1.5)
-            .with_tau(3)
-            .with_replication(2)
-            .churn(ChurnSpec::fraction(1, 2))
-            .adversary(AdversarySpec::targeted(1, 11))
-            .seed(8)
-    };
-    let mut global = base().topology(Topology::global(net())).run(10);
-    let mut link = base()
-        .topology(Topology::per_link(net(), Vec::new()))
-        .run(10);
-    global.spec.execution = ExecutionModel::Rounds;
-    link.spec.execution = ExecutionModel::Rounds;
-    assert_eq!(
-        serde_json::to_string(&link).unwrap(),
-        serde_json::to_string(&global).unwrap()
-    );
 }
 
 #[test]

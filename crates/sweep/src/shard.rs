@@ -181,6 +181,29 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_line_is_skipped_and_the_records_around_it_survive() {
+        // A million unclosed `[` would overflow a recursive parser's stack.
+        let path = tmp("hostile");
+        let (_, record) = sample_record(0);
+        let (_, next) = sample_record(1);
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n{}\n{}\n",
+                record.to_jsonl(),
+                "[".repeat(1_000_000),
+                next.to_jsonl()
+            ),
+        )
+        .unwrap();
+        let (records, skipped) = read_shards(&path).unwrap();
+        assert_eq!(skipped, 1);
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].to_jsonl(), next.to_jsonl());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn missing_shard_files_read_as_empty() {
         let (records, skipped) = read_shards(&tmp("missing-never-created")).unwrap();
         assert!(records.is_empty());

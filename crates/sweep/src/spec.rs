@@ -130,10 +130,9 @@ pub struct SweepSpec {
     /// aggregate group (their axis labels omit `exec=`).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub execution: Vec<ExecutionModel>,
-    /// Axis over the link topology (regional partitions, scheduled bridges,
-    /// per-link overrides). Each value is applied *on top of* the cell's
-    /// execution model via
-    /// [`ExecutionModel::with_topology`] — a synchronous base
+    /// Axis over the link topology (a global model, or two halves joined by
+    /// a possibly scheduled bridge). Each value replaces the cell's
+    /// execution model with [`ExecutionModel::topo`] — a synchronous base
     /// switches to the event engine under that topology. Absent in
     /// pre-topology sweep specs, so it defaults to empty ("keep the cell's
     /// network as is") and is skipped when empty, keeping old spec JSON
@@ -253,10 +252,9 @@ impl SweepSpec {
         self
     }
 
-    /// Sweeps the link topology (regional partitions with slow/lossy/
-    /// scheduled bridges, per-link overrides), applied on top of each cell's
-    /// execution model. Meaningful for maintained scenarios only (see the
-    /// field docs).
+    /// Sweeps the link topology (two halves joined by a slow/lossy/scheduled
+    /// bridge), which replaces each cell's execution model. Meaningful for
+    /// maintained scenarios only (see the field docs).
     pub fn over_topology(mut self, topologies: impl IntoIterator<Item = Topology>) -> Self {
         self.topology = topologies.into_iter().collect();
         self
@@ -290,7 +288,7 @@ impl SweepSpec {
 
     /// The axes in enumeration order (outermost first): how many values each
     /// has and how its `i`-th value is written into a cell's spec. The
-    /// topology goes *on top of* the execution model, so it comes after it.
+    /// topology replaces the execution model, so it comes after it.
     fn axes(&self) -> [Axis<'_>; 16] {
         fn axis<'a, T>(values: &'a [T], set: impl Fn(&mut ScenarioSpec, &'a T) + 'a) -> Axis<'a> {
             (values.len(), Box::new(move |spec, i| set(spec, &values[i])))
@@ -305,9 +303,9 @@ impl SweepSpec {
             axis(&self.churn, |spec, v| spec.churn = *v),
             axis(&self.adversary, |spec, v| spec.adversary = *v),
             axis(&self.lateness, |spec, v| spec.lateness = Some(*v)),
-            axis(&self.execution, |spec, v| spec.execution = v.clone()),
+            axis(&self.execution, |spec, v| spec.execution = *v),
             axis(&self.topology, |spec, v| {
-                spec.execution = spec.execution.clone().with_topology(v.clone())
+                spec.execution = ExecutionModel::topo(*v)
             }),
             axis(&self.faults, |spec, v| spec.faults = Some(v.clone())),
             axis(&self.byzantine, |spec, v| spec.byzantine = Some(*v)),
@@ -502,7 +500,7 @@ mod tests {
             ExecutionModel::asynchronous(LatencyModel::uniform(500, 2500)),
         ];
         let sweep = SweepSpec::new("async", base.clone())
-            .over_execution(regimes.clone())
+            .over_execution(regimes)
             .seeds(1, 2);
         let cells = sweep.enumerate();
         assert_eq!(cells.len(), 6);
@@ -532,19 +530,13 @@ mod tests {
         // Applied to a synchronous base, the axis switches each cell to the
         // event engine under its topology.
         let sweep = SweepSpec::new("topo", base.clone())
-            .over_topology(topologies.clone())
+            .over_topology(topologies)
             .seeds(1, 2);
         let cells = sweep.enumerate();
         assert_eq!(cells.len(), 4);
         assert_eq!(sweep.cell_count(), 4);
-        assert_eq!(
-            cells[0].spec.execution,
-            ExecutionModel::topo(topologies[0].clone())
-        );
-        assert_eq!(
-            cells[2].spec.execution,
-            ExecutionModel::topo(topologies[1].clone())
-        );
+        assert_eq!(cells[0].spec.execution, ExecutionModel::topo(topologies[0]));
+        assert_eq!(cells[2].spec.execution, ExecutionModel::topo(topologies[1]));
         // Crossed with an execution axis, the topology wins the network
         // (enumeration order: execution outside, topology inside).
         let crossed = SweepSpec::new("x", base.clone())
@@ -552,7 +544,7 @@ mod tests {
                 ExecutionModel::rounds(),
                 ExecutionModel::asynchronous(LatencyModel::constant(700)),
             ])
-            .over_topology(topologies.clone());
+            .over_topology(topologies);
         let cells = crossed.enumerate();
         assert_eq!(cells.len(), 4);
         for cell in &cells {
@@ -560,7 +552,7 @@ mod tests {
         }
         assert_eq!(
             cells[1].spec.execution.effective_topology(),
-            Some(topologies[1].clone())
+            Some(topologies[1])
         );
         // An empty axis keeps the base's network and serializes exactly as
         // a pre-topology sweep spec did.
