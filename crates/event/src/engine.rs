@@ -10,21 +10,44 @@
 //! be lost, and a [`FaultPlan`] may drop, delay, duplicate
 //! or mutate it on the way out.
 //!
-//! # What `deliver`, `send` and `end_round` do, and what they cost
+//! # Payloads once, a handle per copy in flight
 //!
-//! `send` gives every outgoing message the next global *sequence number* (its
-//! send index: slots send in id order, so the numbering is the lockstep
-//! engine's in-flight order), decides its fault and its fate — both pure
-//! functions of `(master seed, sequence number)`, drawn from cached 64-message
-//! blocks, or read from a recorded [`MessageTrace`] under replay — and pushes
-//! the survivors into a [`CalendarQueue`](crate::queue) keyed on arrival
-//! tick: ~30 ns of fate and ~10 ns of queue per message, no allocation.
+//! A round's traffic is replication: every member of a swarm sends the same
+//! claim to every member of the next, so a sender's [`Outbox`] already holds
+//! each distinct payload once. `VirtualTime` keeps it that way, as the
+//! lockstep delivery does, except that a copy may stay in flight for many
+//! rounds. What the queue parks per copy is a `Pending<u32>` — arrival tick,
+//! sequence number and an envelope whose payload is a 4-byte **handle**, 48
+//! bytes in all — and the payloads live in one **arena** per send round.
 //!
-//! `deliver` at boundary `t` drains everything whose arrival tick has passed
-//! ("round-boundary delivery") and re-sorts the batch into send order before
-//! it reaches the per-slot inboxes: within one boundary the residual arrival
-//! jitter has no semantic meaning (every message of the batch is read by the
-//! same activation), and send order is exactly the lockstep delivery order.
+//! * `send` (once per node, id order) appends the outbox's distinct payloads
+//!   to the current round's arena, gives every copy the next global *sequence
+//!   number* (its send index: slots send in id order, so the numbering is
+//!   the lockstep engine's in-flight order), decides its fault and its fate —
+//!   both pure functions of `(master seed, sequence number)`, drawn from
+//!   cached 64-message blocks, or read from a recorded [`MessageTrace`] under
+//!   replay — and parks the survivors in a [`CalendarQueue`](crate::queue)
+//!   keyed on arrival tick, the handle naming the copy's arena entry. A copy
+//!   a `Mutate` fault corrupts gets an entry of its own; a duplicate shares
+//!   its original's. A copy parked beyond the wheel's 64-round horizon owns
+//!   its payload in a slot store with a free list instead: one late copy must
+//!   not pin its whole round's arena (a hostile `Delay { ticks: u64::MAX }`
+//!   would pin every round's forever).
+//! * `deliver` at boundary `t` drains everything whose arrival tick has
+//!   passed ("round-boundary delivery"), sorts the batch into send order —
+//!   within one boundary the residual arrival jitter has no semantic meaning
+//!   (every message of the batch is read by the same activation), and send
+//!   order is exactly the lockstep delivery order; the drain is nearly sorted
+//!   already — and scatters 4-byte batch positions into per-slot ranges: a
+//!   stable counting scatter, so every inbox keeps send order. A copy whose
+//!   receiver has no slot is dropped there.
+//! * `inbox` (once per node, from the compute worker that runs it) builds
+//!   the slot's envelopes — the parked metadata and a clone of the payload
+//!   its handle names — in the worker's buffer.
+//! * An arena is recycled once its last parked copy has drained, at the
+//!   boundary after the one that drained it: the compute phase in between
+//!   reads it. Far slots are freed on the same schedule.
+//!
 //! A delay of `d ∈ [0, ticks_per_round]` for a message sent at boundary
 //! `t - 1` lands at `(t-1)·T + d ≤ t·T` and is read at `t` — the synchronous
 //! model's one-round delay, bit for bit, jitter included; `d >
@@ -36,6 +59,9 @@
 //! `ticks_per_round` pins the clock at the end of time instead of wrapping it
 //! (which would reorder the queue).
 
+use std::collections::VecDeque;
+use std::ops::Range;
+
 use tsa_obs::ObsHandle;
 use tsa_sim::{
     CommGraph, Delivery, Envelope, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
@@ -44,7 +70,7 @@ use tsa_sim::{
 
 use crate::fault::{FaultAdapter, FaultInjector, FaultPlan, FaultStats};
 use crate::model::{FateBlock, NetModel, Topology};
-use crate::queue::{CalendarQueue, Pending};
+use crate::queue::{CalendarQueue, Pending, WHEEL_SLOTS};
 use crate::trace::{MessageFate, MessageTrace};
 use crate::TICKS_PER_ROUND;
 
@@ -108,6 +134,26 @@ pub struct NetStats {
 /// through a [`VirtualTime`] network.
 pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
+/// Set in a handle that names a slot of the far store rather than an entry
+/// of its send round's arena.
+const FAR: u32 = 1 << 31;
+
+/// An arena or far-store index as a handle: a panic with a message where the
+/// index reaches the far bit, never a wrap.
+fn to_handle(index: usize) -> u32 {
+    u32::try_from(index)
+        .ok()
+        .filter(|&h| h < FAR)
+        .unwrap_or_else(|| panic!("payload index {index} does not fit a handle"))
+}
+
+/// The payloads one round sent, each distinct payload once (plus one entry
+/// per mutated copy), and how many parked copies still name them.
+struct Arena<M> {
+    payloads: Vec<M>,
+    parked: usize,
+}
+
 /// The virtual-time delivery policy. See the module docs.
 pub struct VirtualTime<M> {
     seed: u64,
@@ -115,12 +161,28 @@ pub struct VirtualTime<M> {
     ticks_per_round: u64,
     /// The tick of the boundary being executed (between steps: the next).
     now: u64,
-    /// Per-slot inboxes, in `(arrival boundary, seq)` order.
-    inboxes: Vec<Vec<Envelope<M>>>,
-    /// Inbox buffers donated by departed nodes, reused by joining nodes.
-    spare_inboxes: Vec<Vec<Envelope<M>>>,
-    /// The event queue: pending deliveries, earliest `(arrival, seq)` first.
-    queue: CalendarQueue<M>,
+    /// The event queue: one entry per copy in flight, earliest
+    /// `(arrival, seq)` first; each envelope's payload is the copy's handle.
+    queue: CalendarQueue<u32>,
+    /// The arenas of send rounds `arena_base..`, oldest first: the current
+    /// round's and every earlier one that a parked copy or this boundary's
+    /// batch still names (a recycled one in between keeps its place, empty).
+    arenas: VecDeque<Arena<M>>,
+    arena_base: Round,
+    /// Payload buffers of recycled arenas, taken by the next rounds'.
+    spare_arenas: Vec<Vec<M>>,
+    /// The payloads of copies parked beyond the wheel horizon, one slot
+    /// each; `None` is a free slot, listed in `far_free`.
+    far: Vec<Option<M>>,
+    far_free: Vec<u32>,
+    /// The far slots this boundary's batch reads, freed at the next one.
+    far_read: Vec<u32>,
+    /// This boundary's copies, in send order.
+    batch: Vec<Pending<u32>>,
+    /// Positions in `batch`, grouped by receiver slot: slot `s`'s inbox is
+    /// `order[inboxes[s]]`, in send order.
+    order: Vec<u32>,
+    inboxes: Vec<Range<usize>>,
     /// Global send sequence number: the identity of a message for the
     /// network model's per-message streams.
     seq: u64,
@@ -130,8 +192,6 @@ pub struct VirtualTime<M> {
     fate_block: Option<FateBlock>,
     /// High-water mark of the event queue depth, sampled once per boundary.
     peak_queue_depth: u64,
-    /// Scratch: the current boundary's deliverable batch.
-    deliverable: Vec<Pending<M>>,
     stats: NetStats,
     /// `stats` as of the end of the previous round.
     reported: NetStats,
@@ -220,6 +280,66 @@ impl<M> VirtualTime<M> {
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()
     }
+
+    /// The payload a parked copy's envelope names.
+    fn payload(&self, env: &Envelope<u32>) -> &M {
+        if env.payload & FAR != 0 {
+            self.far[(env.payload & !FAR) as usize]
+                .as_ref()
+                .expect("a far handle names an occupied slot")
+        } else {
+            &self.arenas[(env.sent_at - self.arena_base) as usize].payloads[env.payload as usize]
+        }
+    }
+
+    /// Gives a copy parked beyond the wheel horizon a slot of its own.
+    fn park_far(&mut self, payload: M) -> u32 {
+        let slot = match self.far_free.pop() {
+            Some(slot) => {
+                self.far[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                self.far.push(Some(payload));
+                to_handle(self.far.len() - 1)
+            }
+        };
+        slot | FAR
+    }
+
+    /// What the last boundary's batch read is free now that its compute
+    /// phase is over: its far slots, and every arena no parked copy names.
+    /// Arenas leave the front of the window; one further in gives its buffer
+    /// back and keeps its place.
+    fn recycle(&mut self) {
+        for slot in self.far_read.drain(..) {
+            self.far[slot as usize] = None;
+            self.far_free.push(slot);
+        }
+        for arena in self.arenas.iter_mut() {
+            if arena.parked == 0 && arena.payloads.capacity() > 0 {
+                let mut payloads = std::mem::take(&mut arena.payloads);
+                payloads.clear();
+                self.spare_arenas.push(payloads);
+            }
+        }
+        while self.arenas.front().is_some_and(|arena| arena.parked == 0) {
+            self.arenas.pop_front();
+            self.arena_base += 1;
+        }
+    }
+
+    /// Opens round `t`'s arena, on a recycled buffer when there is one.
+    fn open_arena(&mut self, t: Round) {
+        if self.arenas.is_empty() {
+            self.arena_base = t;
+        }
+        debug_assert_eq!(self.arena_base + self.arenas.len() as u64, t);
+        self.arenas.push_back(Arena {
+            payloads: self.spare_arenas.pop().unwrap_or_default(),
+            parked: 0,
+        });
+    }
 }
 
 impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
@@ -239,13 +359,19 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             topology: config.topology,
             ticks_per_round: config.ticks_per_round,
             now: 0,
-            inboxes: Vec::new(),
-            spare_inboxes: Vec::new(),
             queue: CalendarQueue::new(config.ticks_per_round),
+            arenas: VecDeque::new(),
+            arena_base: 0,
+            spare_arenas: Vec::new(),
+            far: Vec::new(),
+            far_free: Vec::new(),
+            far_read: Vec::new(),
+            batch: Vec::new(),
+            order: Vec::new(),
+            inboxes: Vec::new(),
             seq: 0,
             fate_block: None,
             peak_queue_depth: 0,
-            deliverable: Vec::new(),
             stats: NetStats::default(),
             reported: NetStats::default(),
             trace: None,
@@ -256,43 +382,74 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     }
 
     fn on_join(&mut self, _id: NodeId) {
-        self.inboxes
-            .push(self.spare_inboxes.pop().unwrap_or_default());
+        self.inboxes.push(0..0);
     }
 
     fn on_depart(&mut self, _id: NodeId, slot: usize, _t: Round) {
-        let mut inbox = self.inboxes.remove(slot);
-        inbox.clear();
-        self.spare_inboxes.push(inbox);
+        self.inboxes.remove(slot);
     }
 
     fn deliver(&mut self, t: Round, index: &SlotIndex) -> (usize, usize) {
         debug_assert_eq!(self.now, t.saturating_mul(self.ticks_per_round));
-        for inbox in self.inboxes.iter_mut() {
-            inbox.clear();
-        }
-        self.deliverable.clear();
+        self.recycle();
+        self.batch.clear();
         // The wheel moves whole due buckets with a bulk append (unordered);
         // the by-seq sort below is the only order the inboxes ever see.
-        self.queue
-            .drain_at_or_before(self.now, &mut self.deliverable);
-        self.deliverable.sort_unstable_by_key(|p| p.seq);
-        let batch = self.deliverable.len();
+        self.queue.drain_at_or_before(self.now, &mut self.batch);
+        self.batch.sort_unstable_by_key(|p| p.seq);
+        // Count each slot's copies, and let go of each copy's hold on its
+        // payload (released at the next boundary, once it has been read)...
+        for range in self.inboxes.iter_mut() {
+            *range = 0..0;
+        }
         let mut dropped = 0usize;
-        for pending in self.deliverable.drain(..) {
-            match index.slot(pending.env.to) {
-                Some(idx) => self.inboxes[idx].push(pending.env),
-                None => {
-                    dropped += 1;
-                    self.stats.dropped_departed += 1;
-                }
+        for pending in &self.batch {
+            let env = &pending.env;
+            if env.payload & FAR != 0 {
+                self.far_read.push(env.payload & !FAR);
+            } else {
+                self.arenas[(env.sent_at - self.arena_base) as usize].parked -= 1;
+            }
+            match index.slot(env.to) {
+                Some(slot) => self.inboxes[slot].end += 1,
+                None => dropped += 1,
             }
         }
-        (batch - dropped, dropped)
+        self.stats.dropped_departed += dropped as u64;
+        // ... lay the counts out as consecutive ranges, each empty for now:
+        // its end is the slot's write cursor ...
+        let mut delivered = 0usize;
+        for range in self.inboxes.iter_mut() {
+            let count = range.end;
+            *range = delivered..delivered;
+            delivered += count;
+        }
+        // ... and write each copy's batch position through its slot's
+        // cursor. Stable: every inbox lists its copies in send order.
+        self.order.clear();
+        self.order.resize(delivered, 0);
+        for (position, pending) in self.batch.iter().enumerate() {
+            if let Some(slot) = index.slot(pending.env.to) {
+                let cursor = &mut self.inboxes[slot].end;
+                self.order[*cursor] =
+                    u32::try_from(position).expect("a batch fits 4-byte positions");
+                *cursor += 1;
+            }
+        }
+        self.open_arena(t);
+        (delivered, dropped)
     }
 
-    fn inbox<'a>(&'a self, slot: usize, _buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
-        &self.inboxes[slot]
+    /// Builds the slot's envelopes in `buf`, from the batch and the payloads
+    /// its handles name.
+    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
+        let positions = &self.order[self.inboxes[slot].clone()];
+        buf.clear();
+        buf.extend(positions.iter().map(|&position| {
+            let env = &self.batch[position as usize].env;
+            Envelope::new(env.from, env.to, env.sent_at, self.payload(env).clone())
+        }));
+        buf
     }
 
     fn inbox_len(&self, slot: usize) -> usize {
@@ -302,15 +459,30 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize {
         let span = obs.span_start();
         let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
+        // A copy delayed this long or longer is parked past the wheel's
+        // horizon and owns its payload.
+        let far_delay = WHEEL_SLOTS.saturating_mul(ticks_per_round);
+        let payloads = out.payloads();
+        let arena = self
+            .arenas
+            .back_mut()
+            .expect("deliver opened the round's arena");
+        let base = arena.payloads.len();
+        arena.payloads.extend_from_slice(payloads);
         let mut lost = 0usize;
-        for (to, payload) in out.iter() {
-            // Every copy is its own message from here on: a fault mutates
-            // this clone, never the payload the other copies share.
-            let mut payload = payload.clone();
+        for (to, index) in out.sends() {
+            let payload = &payloads[index];
             // The fault decision is taken on the sequence number this
             // message is about to take, so the loopback transport takes the
             // identical branch for the identical frame.
-            let fault = self.faults.apply(self.seq, t, from, to, &mut payload);
+            let fault = self.faults.decide(self.seq, t, from, to, payload);
+            // A mutated copy is the one copy with its own bytes; every other
+            // one shares the outbox's payload.
+            let mut own = fault.mutate.then(|| {
+                let mut payload = payload.clone();
+                self.faults.mutate(self.seq, &mut payload);
+                payload
+            });
             // When replaying a recorded trace, Drop and Delay are already
             // encoded in the fates; only Mutate (payload bytes) and
             // Duplicate (sequence alignment) re-apply.
@@ -320,9 +492,9 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 (fault.drop, fault.delay_ticks.unwrap_or(0))
             };
             // The duplicate copy consumes the next sequence number and
-            // takes its own network fate, with no fault decision of its own.
-            let dup = fault.duplicate.then(|| payload.clone());
-            for payload in std::iter::once(payload).chain(dup) {
+            // takes its own network fate, with no fault decision of its own;
+            // it shares its original's payload.
+            for _ in 0..1 + usize::from(fault.duplicate) {
                 let msg_seq = self.seq;
                 self.seq += 1;
                 self.stats.sent += 1;
@@ -375,37 +547,45 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                         },
                     }
                 };
-                match delay {
-                    None => {
-                        lost += 1;
-                        self.stats.lost += 1;
-                        if cross {
-                            self.stats.bridge_lost += 1;
-                        }
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(msg_seq, MessageFate::Lost);
-                        }
+                let Some(delay) = delay else {
+                    lost += 1;
+                    self.stats.lost += 1;
+                    if cross {
+                        self.stats.bridge_lost += 1;
                     }
-                    Some(delay) => {
-                        self.stats.max_delay_ticks = self.stats.max_delay_ticks.max(delay);
-                        self.stats.total_delay_ticks =
-                            self.stats.total_delay_ticks.saturating_add(delay);
-                        let arrival = now.saturating_add(delay);
-                        if let Some(tr) = self.trace.as_mut() {
-                            // The boundary that will read this message: the
-                            // first one at or past the arrival tick, and
-                            // never the sending round's own.
-                            let at_round =
-                                (arrival.div_ceil(ticks_per_round)).max(t.saturating_add(1));
-                            tr.record(msg_seq, MessageFate::Delivered { at_round });
-                        }
-                        self.queue.push(Pending {
-                            arrival,
-                            seq: msg_seq,
-                            env: Envelope::new(from, to, t, payload),
-                        });
+                    if let Some(tr) = self.trace.as_mut() {
+                        tr.record(msg_seq, MessageFate::Lost);
                     }
+                    continue;
+                };
+                self.stats.max_delay_ticks = self.stats.max_delay_ticks.max(delay);
+                self.stats.total_delay_ticks = self.stats.total_delay_ticks.saturating_add(delay);
+                let arrival = now.saturating_add(delay);
+                if let Some(tr) = self.trace.as_mut() {
+                    // The boundary that will read this message: the first
+                    // one at or past the arrival tick, and never the sending
+                    // round's own.
+                    let at_round = (arrival.div_ceil(ticks_per_round)).max(t.saturating_add(1));
+                    tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
+                let handle = if delay >= far_delay {
+                    self.park_far(own.take().unwrap_or_else(|| payload.clone()))
+                } else {
+                    let arena = self.arenas.back_mut().expect("opened above");
+                    arena.parked += 1;
+                    match own.take() {
+                        Some(own) => {
+                            arena.payloads.push(own);
+                            to_handle(arena.payloads.len() - 1)
+                        }
+                        None => to_handle(base + index),
+                    }
+                };
+                self.queue.push(Pending {
+                    arrival,
+                    seq: msg_seq,
+                    env: Envelope::new(from, to, t, handle),
+                });
             }
         }
         out.clear();
@@ -442,6 +622,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultRule, NodeSelector};
     use crate::model::LatencyModel;
     use tsa_sim::prelude::*;
 
@@ -472,5 +653,189 @@ mod tests {
         sim.run(3);
         assert_eq!(sim.virtual_time(), u64::MAX);
         assert!(sim.metrics().rounds().len() == 3);
+    }
+
+    /// Node 0 shares one payload, `100 + round`, with nodes 1–8; everyone
+    /// keeps what it hears.
+    #[derive(Default)]
+    struct Town {
+        heard: Vec<u64>,
+    }
+
+    impl Process for Town {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            self.heard.extend(inbox.iter().map(|env| env.payload));
+            if ctx.id() == NodeId(0) {
+                ctx.broadcast((1..=8).map(NodeId), 100 + ctx.round());
+            }
+        }
+    }
+
+    /// Adds 1000 to a mutated payload.
+    const PLUS_1000: FaultAdapter<u64> = FaultAdapter {
+        kind_of: |_| 0,
+        mutate: |payload, _| {
+            *payload += 1000;
+            true
+        },
+    };
+
+    /// Nine `Town` nodes under `plan`, one round of delay apart.
+    fn town(plan: FaultPlan) -> EventSimulator<Town, NullAdversary> {
+        let config = EventConfig::new(
+            SimConfig::default().with_seed(5),
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Town::default()));
+        sim.set_faults(plan, PLUS_1000);
+        sim.seed_nodes(9);
+        sim
+    }
+
+    fn heard(sim: &EventSimulator<Town, NullAdversary>, id: u64) -> &[u64] {
+        &sim.node(NodeId(id)).unwrap().heard
+    }
+
+    #[test]
+    fn a_mutated_copy_gets_its_own_payload_and_the_others_share_one() {
+        let to_three = FaultRule::every(FaultAction::Mutate).to(NodeSelector::Id { id: 3 });
+        let mut sim = town(FaultPlan::new().with_rule(to_three));
+        sim.step();
+        let sent = sim.arenas.back().unwrap();
+        assert_eq!(sent.payloads, [100, 1100], "the shared payload, then #3's");
+        assert_eq!(sent.parked, 8);
+        sim.step();
+        for id in 1..=8 {
+            let expected = if id == 3 { 1100 } else { 100 };
+            assert_eq!(heard(&sim, id), [expected], "#{id}");
+        }
+        assert_eq!(sim.fault_stats().mutated, 2, "one copy a round");
+    }
+
+    #[test]
+    fn a_duplicate_shares_its_original_payload() {
+        let to_five = FaultRule::every(FaultAction::Duplicate).to(NodeSelector::Id { id: 5 });
+        let mut sim = town(FaultPlan::new().with_rule(to_five));
+        sim.step();
+        let sent = sim.arenas.back().unwrap();
+        assert_eq!((&sent.payloads[..], sent.parked), (&[100][..], 9));
+        sim.step();
+        for id in 1..=8 {
+            let expected: &[u64] = if id == 5 { &[100, 100] } else { &[100] };
+            assert_eq!(heard(&sim, id), expected, "#{id}");
+        }
+    }
+
+    /// Every node shares `(id << 32) | round` with every node, every round,
+    /// and checks that what it is handed carries its sender's and send
+    /// round's payload, whichever arena or far slot that came out of.
+    struct Chorus {
+        n: u64,
+        heard: usize,
+    }
+
+    impl Process for Chorus {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            for env in inbox {
+                assert_eq!(env.to, ctx.id());
+                assert_eq!(env.payload, (env.from.raw() << 32) | env.sent_at);
+            }
+            self.heard += inbox.len();
+            let me = (ctx.id().raw() << 32) | ctx.round();
+            ctx.broadcast((0..self.n).map(NodeId), me);
+        }
+    }
+
+    const CHORUS: u64 = 16;
+
+    fn chorus(net: NetModel, plan: FaultPlan) -> EventSimulator<Chorus, NullAdversary> {
+        let sim_config = SimConfig::default().with_seed(7).with_history_window(4);
+        let mut sim = EventSimulator::new(
+            EventConfig::new(sim_config, net),
+            NullAdversary,
+            Box::new(|_, _| Chorus {
+                n: CHORUS,
+                heard: 0,
+            }),
+        );
+        sim.set_faults(plan, PLUS_1000);
+        sim.seed_nodes(CHORUS as usize);
+        sim
+    }
+
+    /// Payload slots held by live and spare arenas.
+    fn retained_arena_payloads<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> usize {
+        let live: usize = sim.arenas.iter().map(|a| a.payloads.capacity()).sum();
+        live + sim.spare_arenas.iter().map(Vec::capacity).sum::<usize>()
+    }
+
+    fn sub_round() -> NetModel {
+        NetModel::new(LatencyModel::uniform(100, 900))
+    }
+
+    #[test]
+    fn copies_parked_beyond_the_horizon_pin_no_arena() {
+        // A twentieth of all copies never arrive. Parked in their rounds'
+        // arenas they would keep every round's payloads for good.
+        let forever = FaultRule::every(FaultAction::Delay { ticks: u64::MAX }).with_prob(0.05);
+        let mut sim = chorus(sub_round(), FaultPlan::new().with_rule(forever));
+        sim.run(100);
+        let retained = retained_arena_payloads(&sim);
+        sim.run(200);
+        assert_eq!(retained_arena_payloads(&sim), retained);
+        assert!(
+            retained <= 4 * CHORUS as usize,
+            "{retained} payloads retained"
+        );
+        assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
+        // The late copies own their payloads: one slot each, none free.
+        let delayed = sim.fault_stats().delayed as usize;
+        assert!(delayed > 1000);
+        assert_eq!((sim.far.len(), sim.far_free.len()), (delayed, 0));
+    }
+
+    #[test]
+    fn far_slots_are_reused_once_read() {
+        // 70 rounds late: past the horizon, delivered all the same, and its
+        // slot back on the free list once the receiver has read it.
+        let late = FaultRule::every(FaultAction::Delay {
+            ticks: 70 * TICKS_PER_ROUND,
+        })
+        .with_prob(0.05);
+        let mut sim = chorus(sub_round(), FaultPlan::new().with_rule(late));
+        sim.run(300);
+        let delayed = sim.fault_stats().delayed as usize;
+        let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
+        let in_flight = sim.in_flight_count();
+        assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
+        assert!(
+            sim.far.len() < delayed / 3,
+            "{} slots for {delayed}",
+            sim.far.len()
+        );
+        assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
+    }
+
+    #[test]
+    fn steady_state_rounds_do_not_grow_scratch_buffers() {
+        // Multi-round latency: a round's copies arrive over the next three
+        // boundaries, so several arenas are live at once.
+        let net = NetModel::new(LatencyModel::uniform(100, 2600));
+        let mut sim = chorus(net, FaultPlan::new());
+        let caps = |sim: &EventSimulator<Chorus, NullAdversary>| {
+            (
+                (retained_arena_payloads(sim), sim.arenas.capacity()),
+                (sim.batch.capacity(), sim.order.capacity()),
+                sim.inboxes.capacity(),
+            )
+        };
+        sim.run(30);
+        let warm = caps(&sim);
+        sim.run(60);
+        assert_eq!(caps(&sim), warm, "steady-state rounds must not reallocate");
+        assert!(sim.arenas.len() <= 5, "{} arenas", sim.arenas.len());
+        assert!(sim.far.is_empty());
     }
 }

@@ -497,8 +497,8 @@ impl FaultStats {
     }
 }
 
-/// What an injected fault does to one message on its way out. Mutation has
-/// already happened to the payload when a caller sees this.
+/// What an injected fault does to one message on its way out. At most one
+/// field is set: the first rule that fires decides one action.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultEffect {
     /// The message never reaches the network.
@@ -507,13 +507,18 @@ pub struct FaultEffect {
     pub delay_ticks: Option<u64>,
     /// A second copy is sent, consuming the next sequence number.
     pub duplicate: bool,
+    /// The caller corrupts its own copy of the payload through
+    /// [`FaultInjector::mutate`] before sending it.
+    pub mutate: bool,
 }
 
 /// The fault state a delivery boundary carries: the installed plan and
 /// message adapter, the coin cache, and the whole-run counters. The event
 /// engine and the loopback transport each own one and call
-/// [`apply`](FaultInjector::apply) on every outgoing message, which is what
-/// makes one plan inject the same faults into the same messages on both.
+/// [`decide`](FaultInjector::decide) on every outgoing message — then
+/// [`mutate`](FaultInjector::mutate) on their own copy of its payload when
+/// the decision says so — which is what makes one plan inject the same
+/// faults into the same messages on both.
 pub struct FaultInjector<M> {
     installed: Option<(FaultPlan, FaultAdapter<M>)>,
     seed: u64,
@@ -547,15 +552,16 @@ impl<M> FaultInjector<M> {
     }
 
     /// Decides the fault of the message about to take sequence number `seq`
-    /// — a pure function of `(seed, seq)` and the plan — counts it, and
-    /// applies a mutation to `payload` in place.
-    pub fn apply(
+    /// — a pure function of `(seed, seq)` and the plan — and counts it. The
+    /// payload is only read (for its kind tag): copies of one payload that
+    /// pass untouched can go on sharing it.
+    pub fn decide(
         &mut self,
         seq: u64,
         round: Round,
         from: NodeId,
         to: NodeId,
-        payload: &mut M,
+        payload: &M,
     ) -> FaultEffect {
         let Some((plan, adapter)) = &self.installed else {
             return FaultEffect::default();
@@ -576,13 +582,19 @@ impl<M> FaultInjector<M> {
                 self.stats.duplicated += 1;
                 effect.duplicate = true;
             }
-            Some(FaultAction::Mutate) => {
-                let changed =
-                    (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq));
-                self.stats.mutated += u64::from(changed);
-            }
+            Some(FaultAction::Mutate) => effect.mutate = true,
         }
         effect
+    }
+
+    /// Corrupts `payload` — the caller's own copy of message `seq`'s, which
+    /// [`decide`](Self::decide) marked for mutation — with the entropy of
+    /// `(seed, seq)`, and counts it if anything changed.
+    pub fn mutate(&mut self, seq: u64, payload: &mut M) {
+        if let Some((_, adapter)) = &self.installed {
+            let changed = (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq));
+            self.stats.mutated += u64::from(changed);
+        }
     }
 
     /// Closes a round: reports what was injected since the previous call as

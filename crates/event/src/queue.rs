@@ -42,7 +42,7 @@ use tsa_sim::{Envelope, NodeId};
 /// Number of near-future buckets kept in the ring. One bucket per round
 /// window (the engine sets `bucket_width = ticks_per_round`), so the ring
 /// covers 64 rounds of look-ahead before events spill to overflow.
-const WHEEL_SLOTS: u64 = 64;
+pub(crate) const WHEEL_SLOTS: u64 = 64;
 
 /// Drained bucket allocations kept for reuse. Round-shaped traffic keeps one
 /// or two buckets live at a time, so a handful of spares is all the wheel

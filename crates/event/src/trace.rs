@@ -49,8 +49,16 @@ impl MessageTrace {
     /// Gaps are filled with [`MessageFate::Lost`], so a recorder may register
     /// deliveries out of order (as a real transport observes them) and leave
     /// in-flight messages implicitly lost.
+    ///
+    /// # Panics
+    ///
+    /// If `seq + 1` entries do not fit a `usize` — a panic with a message,
+    /// never a wrap that would truncate the trace.
     pub fn record(&mut self, seq: u64, fate: MessageFate) {
-        let idx = seq as usize;
+        let idx = usize::try_from(seq)
+            .ok()
+            .filter(|idx| idx.checked_add(1).is_some())
+            .unwrap_or_else(|| panic!("message seq {seq} is beyond any trace"));
         if idx >= self.fates.len() {
             self.fates.resize(idx + 1, MessageFate::Lost);
         }
@@ -106,6 +114,14 @@ mod tests {
         assert_eq!(trace.fate(0), Some(MessageFate::Delivered { at_round: 1 }));
         assert_eq!(trace.delivered_count(), 2);
         assert_eq!(trace.lost_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "message seq 18446744073709551615 is beyond any trace")]
+    fn the_last_seq_is_refused_instead_of_wrapping() {
+        let mut trace = MessageTrace::new();
+        trace.record(1, MessageFate::Lost);
+        trace.record(u64::MAX, MessageFate::Lost);
     }
 
     #[test]

@@ -329,6 +329,15 @@ fn poll_loop<M: serde::Deserialize>(
     }
 }
 
+/// Whether a frame read off the wire as `seq` is one of the `sent` messages
+/// this transport numbered and nobody has read yet. The poller queues any
+/// well-formed frame on any connection to a listener: one whose `seq` was
+/// never assigned, or was already read, is a stray, and is discarded before
+/// it reaches an inbox or the trace.
+fn unread(fates: &MessageTrace, sent: u64, seq: u64) -> bool {
+    seq < sent && fates.fate(seq) == Some(MessageFate::Lost)
+}
+
 /// The loopback transport runtime: a [`World`] whose messages are real
 /// frames on real sockets, with every message's fate recorded for twin
 /// replay.
@@ -579,10 +588,12 @@ where
             .remove(&id)
             .unwrap_or_default();
         for (seq, _env) in pending {
-            self.fates
-                .record(seq, MessageFate::Delivered { at_round: t });
-            self.stats.dropped_departed += 1;
-            self.unread_departed += 1;
+            if unread(&self.fates, self.seq, seq) {
+                self.fates
+                    .record(seq, MessageFate::Delivered { at_round: t });
+                self.stats.dropped_departed += 1;
+                self.unread_departed += 1;
+            }
         }
     }
 
@@ -599,9 +610,11 @@ where
             // capacity and nothing is allocated per boundary.
             let mut hub = self.hub.lock().expect("hub lock poisoned");
             for seq in hub.dead_letters.drain(..) {
-                self.fates.record(seq, read_now);
-                self.stats.dropped_departed += 1;
-                dropped += 1;
+                if unread(&self.fates, self.seq, seq) {
+                    self.fates.record(seq, read_now);
+                    self.stats.dropped_departed += 1;
+                    dropped += 1;
+                }
             }
             for port in self.ports.iter_mut() {
                 port.inbox.clear();
@@ -609,8 +622,11 @@ where
                     continue;
                 };
                 pending.sort_unstable_by_key(|&(seq, _)| seq);
-                delivered += pending.len();
                 for (seq, env) in pending.drain(..) {
+                    if !unread(&self.fates, self.seq, seq) {
+                        continue;
+                    }
+                    delivered += 1;
                     self.fates.record(seq, read_now);
                     // Saturating, like every tick product of the event
                     // engine: a hostile `ticks_per_round` (or a frame
@@ -660,13 +676,16 @@ where
     fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
         let mut lost = 0usize;
         for (to, payload) in out.iter() {
-            // Every copy is its own frame from here on: a fault mutates this
-            // clone, never the payload the other copies share.
-            let mut payload = payload.clone();
             // The fault decision is taken on the sequence number this frame
             // is about to take, as the event engine does for the identical
             // message.
-            let fault = self.faults.apply(self.seq, t, from, to, &mut payload);
+            let fault = self.faults.decide(self.seq, t, from, to, payload);
+            // Every copy is its own frame from here on: a fault mutates this
+            // clone, never the payload the other copies share.
+            let mut payload = payload.clone();
+            if fault.mutate {
+                self.faults.mutate(self.seq, &mut payload);
+            }
             // The transport's clock is the round cadence: a hold-back is
             // the tick delay rounded up to whole rounds, at least one.
             let hold_rounds = fault
@@ -826,6 +845,46 @@ mod tests {
         assert_eq!(stats.frames_sent, seq);
         assert_eq!(stats.bytes_sent, wire.len() as u64);
         assert_eq!(net.net_stats().lost, 0);
+    }
+
+    #[test]
+    fn stray_frames_on_a_listener_reach_no_inbox_and_no_trace() {
+        const STRAY: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+        let k = 3u64;
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, 1));
+        net.seed_nodes(k as usize);
+        net.run(2);
+        wait_until_read(&net);
+        net.step();
+        assert!(matches!(
+            net.trace().fate(0),
+            Some(MessageFate::Delivered { .. })
+        ));
+        // A peer nobody numbered writes well-formed frames to node 0's
+        // listener: one with the last seq there is, one with a seq the
+        // transport has not assigned yet, and one replaying a seq that was
+        // already read.
+        let mut frames = Vec::new();
+        for seq in [u64::MAX, net.seq + 5, 0] {
+            let env = Envelope::new(NodeId(1), NodeId(0), 1, STRAY);
+            encode_wire_frame(seq, &env, &mut frames);
+        }
+        let mut stray = TcpStream::connect(net.ports[0].addr).expect("connect to node 0");
+        stray.write_all(&frames).expect("write the stray frames");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while net.wire_stats().frames_received < net.wire_stats().frames_sent + 3 {
+            assert!(
+                Instant::now() < deadline,
+                "the stray frames were never read"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        net.run(2);
+        for (id, fan) in net.nodes() {
+            assert!(!fan.heard.contains(&STRAY), "{id:?} read a stray frame");
+        }
+        assert_eq!(net.trace().len() as u64, net.net_stats().sent);
+        assert_eq!(net.net_stats().dropped_departed, 0);
     }
 
     #[test]

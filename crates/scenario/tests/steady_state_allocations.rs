@@ -5,8 +5,8 @@
 //! rounds the protocol activations (the world's compute phase: every
 //! `ProtocolNode::on_round` plus the `Ctx::send`s it makes) must not touch
 //! the allocator at all — on the lockstep and on the event scheduler — and
-//! the rest of the lockstep round loop only to grow its reused buffers, a
-//! bounded number of times.
+//! the rest of either round loop only to grow its reused buffers, a bounded
+//! number of times.
 //!
 //! The compute phase is located from outside, through the observability
 //! sink: the world closes its deliver span (`sim.deliver`, `event.pop`)
@@ -123,14 +123,14 @@ fn measure<W>(world: &mut W, run: fn(&mut W, u64), set_obs: fn(&mut W, ObsHandle
     (sink.in_compute.load(Ordering::Relaxed), total)
 }
 
+/// Allocator calls the round loop may make *outside* the compute phase over
+/// the measured rounds: one growth of a reused buffer (arena, handles or
+/// batch, round record) per round when traffic sets a new high. Measured: 0
+/// on both schedulers.
+const ENGINE_GROWTH_BOUND: u64 = MEASURED_ROUNDS;
+
 #[test]
 fn protocol_activations_do_not_allocate_in_steady_state() {
-    /// Allocator calls the round loop may make *outside* the compute phase
-    /// over the measured rounds: one growth of a reused buffer (in-flight
-    /// double buffer, round record) per round when traffic sets a new high.
-    /// Measured: 0.
-    const ENGINE_GROWTH_BOUND: u64 = MEASURED_ROUNDS;
-
     rayon::with_thread_cap(1, || {
         let mut run = Scenario::maintained_lds(32)
             .with_c(1.5)
@@ -169,9 +169,9 @@ fn protocol_activations_do_not_allocate_in_steady_state() {
 fn protocol_activations_do_not_allocate_on_the_event_scheduler() {
     // The same overlay through the event engine's calendar queue under
     // sub-round latency and jitter: the compute phase is the shared one, so
-    // it must be as silent. (The queue's buckets and the per-node inboxes
-    // grow with the traffic's arrival pattern, so the scheduler's own side
-    // is not bounded here.)
+    // it must be as silent, and the scheduler's own side — queue buckets,
+    // payload arenas, the batch and its per-slot positions — reuses its
+    // buffers like the lockstep one.
     rayon::with_thread_cap(1, || {
         let params = MaintenanceParams::new(32)
             .with_c(1.5)
@@ -191,7 +191,7 @@ fn protocol_activations_do_not_allocate_on_the_event_scheduler() {
         );
         harness.set_metrics_mode(MetricsMode::Streaming);
         harness.run_bootstrap();
-        let (in_compute, _) = measure(
+        let (in_compute, total) = measure(
             &mut harness,
             |harness, rounds| harness.run(rounds),
             |harness, obs| harness.set_obs(obs),
@@ -205,6 +205,12 @@ fn protocol_activations_do_not_allocate_on_the_event_scheduler() {
             in_compute, 0,
             "{in_compute} allocator calls inside protocol activations over \
              {MEASURED_ROUNDS} steady-state event rounds"
+        );
+        let engine_side = total - in_compute;
+        assert!(
+            engine_side <= ENGINE_GROWTH_BOUND,
+            "{engine_side} allocator calls in the event round loop outside the compute \
+             phase over {MEASURED_ROUNDS} steady-state rounds (bound {ENGINE_GROWTH_BOUND})"
         );
     });
 }

@@ -84,6 +84,19 @@ impl<M> Outbox<M> {
             .map(|sent| (sent.to, &self.payloads[sent.payload as usize]))
     }
 
+    /// The distinct payloads, each once, in the order they were shared.
+    pub fn payloads(&self) -> &[M] {
+        &self.payloads
+    }
+
+    /// The sends as `(receiver, payload index)` pairs, in send order; the
+    /// index is into [`payloads`](Self::payloads).
+    pub fn sends(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.sends
+            .iter()
+            .map(|sent| (sent.to, sent.payload as usize))
+    }
+
     /// Empties the outbox; both buffers keep their capacity.
     pub fn clear(&mut self) {
         self.payloads.clear();
@@ -417,7 +430,16 @@ mod tests {
         ctx.broadcast([NodeId(1), NodeId(3), NodeId(1)], 7);
         ctx.broadcast([], 8);
         assert_eq!(ctx.queued(), 4);
-        assert_eq!(ctx.out.payloads, [1, 7], "no payload for no target");
+        assert_eq!(ctx.out.payloads(), [1, 7], "no payload for no target");
+        assert_eq!(
+            ctx.out.sends().collect::<Vec<_>>(),
+            [
+                (NodeId(9), 0),
+                (NodeId(1), 1),
+                (NodeId(3), 1),
+                (NodeId(1), 1)
+            ]
+        );
         assert_eq!(
             ctx.into_sends(),
             vec![

@@ -15,7 +15,8 @@
 //!   once and a 4-byte handle per copy is scattered straight into round
 //!   `t + 1`'s inboxes (the paper's synchronous model);
 //! * `tsa-event`'s `VirtualTime` — a calendar queue under per-message
-//!   latency, jitter, loss and fault plans;
+//!   latency, jitter, loss and fault plans, parking a handle per copy into
+//!   its send round's payload arena;
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
 //!
 //! # Phases of a round
@@ -137,12 +138,13 @@ pub trait Delivery<M>: Sync {
     /// the slot its receiver owns right now (`NO_SLOT` if it is not a member
     /// at send time — it may still join before delivery).
     ///
-    /// A delivery that routes message by message copies each send's payload
-    /// out of the outbox here and leaves `out` empty. One that needs the
-    /// whole round's sends before it can place any (the lockstep scatter)
-    /// only takes notes, leaves `out` as it is and empties it in
-    /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
-    /// are already known to be lost.
+    /// A delivery that routes message by message copies what it keeps out
+    /// of the outbox here — each send's payload, or each distinct payload
+    /// once ([`Outbox::payloads`], [`Outbox::sends`]) — and leaves `out`
+    /// empty. One that needs the whole round's sends before it can place any
+    /// (the lockstep scatter) only takes notes, leaves `out` as it is and
+    /// empties it in [`flush_sends`](Delivery::flush_sends). Returns how
+    /// many of the sends are already known to be lost.
     fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize;
 
     /// Every node of round `t` has sent: `outboxes` is each slot's sender
