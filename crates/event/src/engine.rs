@@ -12,38 +12,29 @@
 //!
 //! # Payloads once, a handle per copy in flight
 //!
-//! A round's traffic is replication: every member of a swarm sends the same
-//! claim to every member of the next, so a sender's [`Outbox`] already holds
-//! each distinct payload once. `VirtualTime` keeps it that way, as the
-//! lockstep delivery does, except that a copy may stay in flight for many
-//! rounds. What the queue parks per copy is a `Pending<u32>` — arrival tick,
-//! sequence number and an envelope whose payload is a 4-byte **handle**, 48
-//! bytes in all — and the payloads live in one **arena** per send round.
+//! As on the lockstep delivery, a send round's distinct payloads are kept
+//! once, in an **arena**, but a copy may stay in flight for many rounds: the
+//! queue parks a 48-byte `Pending<u32>` per copy — arrival tick, sequence
+//! number and an envelope whose payload is a 4-byte **handle**.
 //!
 //! * `send` (once per node, id order) appends the outbox's distinct payloads
-//!   to the current round's arena, gives every copy the next global *sequence
-//!   number* (its send index: slots send in id order, so the numbering is
-//!   the lockstep engine's in-flight order), decides its fault and its fate —
-//!   both pure functions of `(master seed, sequence number)`, drawn from
-//!   cached 64-message blocks, or read from a recorded [`MessageTrace`] under
-//!   replay — and parks the survivors in a [`CalendarQueue`](crate::queue)
-//!   keyed on arrival tick, the handle naming the copy's arena entry. A copy
-//!   a `Mutate` fault corrupts gets an entry of its own; a duplicate shares
-//!   its original's. A copy parked beyond the wheel's 64-round horizon owns
-//!   its payload in a slot store with a free list instead: one late copy must
-//!   not pin its whole round's arena (a hostile `Delay { ticks: u64::MAX }`
-//!   would pin every round's forever).
+//!   to the current round's arena, numbers the copies through the fault
+//!   injector's one numbering rule (slots send in id order, so the numbering
+//!   is the lockstep engine's in-flight order), draws each fate — a pure
+//!   function of `(master seed, sequence number)`, or a recorded
+//!   [`MessageTrace`]'s entry under replay — and parks the survivors in a
+//!   [`CalendarQueue`](crate::queue) keyed on arrival tick. A copy a
+//!   `Mutate` fault corrupts gets an arena entry of its own. A copy parked
+//!   beyond the wheel's 64-round horizon owns its payload in a slot store
+//!   with a free list instead: one late copy must not pin its whole round's
+//!   arena (a hostile `Delay { ticks: u64::MAX }` would pin every round's
+//!   forever).
 //! * `deliver` at boundary `t` drains everything whose arrival tick has
 //!   passed ("round-boundary delivery"), sorts the batch into send order —
 //!   within one boundary the residual arrival jitter has no semantic meaning
-//!   (every message of the batch is read by the same activation), and send
-//!   order is exactly the lockstep delivery order; the drain is nearly sorted
-//!   already — and scatters 4-byte batch positions into per-slot ranges: a
-//!   stable counting scatter, so every inbox keeps send order. A copy whose
-//!   receiver has no slot is dropped there.
-//! * `inbox` (once per node, from the compute worker that runs it) builds
-//!   the slot's envelopes — the parked metadata and a clone of the payload
-//!   its handle names — in the worker's buffer.
+//!   (every message of the batch is read by the same activation); the drain
+//!   is nearly sorted already — and scatters its positions into the world's
+//!   inboxes.
 //! * An arena is recycled once its last parked copy has drained, at the
 //!   boundary after the one that drained it: the compute phase in between
 //!   reads it. Far slots are freed on the same schedule.
@@ -60,15 +51,14 @@
 //! (which would reorder the queue).
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    CommGraph, Delivery, Envelope, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
+    CommGraph, Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
     SlotIndex, World,
 };
 
-use crate::fault::{FaultAdapter, FaultInjector, FaultPlan, FaultStats};
+use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
 use crate::model::{FateBlock, NetModel, Topology};
 use crate::queue::{CalendarQueue, Pending, WHEEL_SLOTS};
 use crate::trace::{MessageFate, MessageTrace};
@@ -177,12 +167,8 @@ pub struct VirtualTime<M> {
     far_free: Vec<u32>,
     /// The far slots this boundary's batch reads, freed at the next one.
     far_read: Vec<u32>,
-    /// This boundary's copies, in send order.
+    /// This boundary's copies, in send order: what an inbox position names.
     batch: Vec<Pending<u32>>,
-    /// Positions in `batch`, grouped by receiver slot: slot `s`'s inbox is
-    /// `order[inboxes[s]]`, in send order.
-    order: Vec<u32>,
-    inboxes: Vec<Range<usize>>,
     /// Global send sequence number: the identity of a message for the
     /// network model's per-message streams.
     seq: u64,
@@ -367,8 +353,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             far_free: Vec::new(),
             far_read: Vec::new(),
             batch: Vec::new(),
-            order: Vec::new(),
-            inboxes: Vec::new(),
             seq: 0,
             fate_block: None,
             peak_queue_depth: 0,
@@ -381,15 +365,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         (config.sim, delivery)
     }
 
-    fn on_join(&mut self, _id: NodeId) {
-        self.inboxes.push(0..0);
-    }
-
-    fn on_depart(&mut self, _id: NodeId, slot: usize, _t: Round) {
-        self.inboxes.remove(slot);
-    }
-
-    fn deliver(&mut self, t: Round, index: &SlotIndex) -> (usize, usize) {
+    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
         debug_assert_eq!(self.now, t.saturating_mul(self.ticks_per_round));
         self.recycle();
         self.batch.clear();
@@ -397,66 +373,41 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         // the by-seq sort below is the only order the inboxes ever see.
         self.queue.drain_at_or_before(self.now, &mut self.batch);
         self.batch.sort_unstable_by_key(|p| p.seq);
-        // Count each slot's copies, and let go of each copy's hold on its
-        // payload (released at the next boundary, once it has been read)...
-        for range in self.inboxes.iter_mut() {
-            *range = 0..0;
-        }
-        let mut dropped = 0usize;
-        for pending in &self.batch {
+        // Every copy lets go of its hold on its payload (released at the
+        // next boundary, once it has been read) in the scatter's one pass
+        // over the batch.
+        let (far_read, arenas, arena_base) =
+            (&mut self.far_read, &mut self.arenas, self.arena_base);
+        let dropped = inboxes.scatter(self.batch.iter().map(|pending| {
             let env = &pending.env;
             if env.payload & FAR != 0 {
-                self.far_read.push(env.payload & !FAR);
+                far_read.push(env.payload & !FAR);
             } else {
-                self.arenas[(env.sent_at - self.arena_base) as usize].parked -= 1;
+                arenas[(env.sent_at - arena_base) as usize].parked -= 1;
             }
-            match index.slot(env.to) {
-                Some(slot) => self.inboxes[slot].end += 1,
-                None => dropped += 1,
-            }
-        }
-        self.stats.dropped_departed += dropped as u64;
-        // ... lay the counts out as consecutive ranges, each empty for now:
-        // its end is the slot's write cursor ...
-        let mut delivered = 0usize;
-        for range in self.inboxes.iter_mut() {
-            let count = range.end;
-            *range = delivered..delivered;
-            delivered += count;
-        }
-        // ... and write each copy's batch position through its slot's
-        // cursor. Stable: every inbox lists its copies in send order.
-        self.order.clear();
-        self.order.resize(delivered, 0);
-        for (position, pending) in self.batch.iter().enumerate() {
-            if let Some(slot) = index.slot(pending.env.to) {
-                let cursor = &mut self.inboxes[slot].end;
-                self.order[*cursor] =
-                    u32::try_from(position).expect("a batch fits 4-byte positions");
-                *cursor += 1;
-            }
-        }
-        self.open_arena(t);
-        (delivered, dropped)
-    }
-
-    /// Builds the slot's envelopes in `buf`, from the batch and the payloads
-    /// its handles name.
-    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
-        let positions = &self.order[self.inboxes[slot].clone()];
-        buf.clear();
-        buf.extend(positions.iter().map(|&position| {
-            let env = &self.batch[position as usize].env;
-            Envelope::new(env.from, env.to, env.sent_at, self.payload(env).clone())
+            index.slot(env.to)
         }));
-        buf
+        self.stats.dropped_departed += dropped as u64;
+        self.open_arena(t);
+        dropped
     }
 
-    fn inbox_len(&self, slot: usize) -> usize {
-        self.inboxes[slot].len()
+    /// The batch entry's metadata and a clone of the payload its handle
+    /// names.
+    #[inline]
+    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
+        let env = &self.batch[position as usize].env;
+        Envelope::new(env.from, to, env.sent_at, self.payload(env).clone())
     }
 
-    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize {
+    fn send(
+        &mut self,
+        from: NodeId,
+        t: Round,
+        out: &mut Outbox<M>,
+        _inboxes: &mut Inboxes,
+        obs: &ObsHandle,
+    ) -> usize {
         let span = obs.span_start();
         let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
         // A copy delayed this long or longer is parked past the wheel's
@@ -472,32 +423,18 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         let mut lost = 0usize;
         for (to, index) in out.sends() {
             let payload = &payloads[index];
-            // The fault decision is taken on the sequence number this
-            // message is about to take, so the loopback transport takes the
-            // identical branch for the identical frame.
-            let fault = self.faults.decide(self.seq, t, from, to, payload);
-            // A mutated copy is the one copy with its own bytes; every other
-            // one shares the outbox's payload.
-            let mut own = fault.mutate.then(|| {
-                let mut payload = payload.clone();
-                self.faults.mutate(self.seq, &mut payload);
-                payload
-            });
-            // When replaying a recorded trace, Drop and Delay are already
-            // encoded in the fates; only Mutate (payload bytes) and
-            // Duplicate (sequence alignment) re-apply.
-            let (fault_drop, extra_delay) = if self.replay.is_some() {
-                (false, 0)
-            } else {
-                (fault.drop, fault.delay_ticks.unwrap_or(0))
-            };
-            // The duplicate copy consumes the next sequence number and
-            // takes its own network fate, with no fault decision of its own;
-            // it shares its original's payload.
-            for _ in 0..1 + usize::from(fault.duplicate) {
-                let msg_seq = self.seq;
-                self.seq += 1;
+            for copy in self.faults.copies(&mut self.seq, t, from, to, payload) {
+                let msg_seq = copy.seq;
                 self.stats.sent += 1;
+                // When replaying a recorded trace, Drop and Delay are already
+                // encoded in the fates; only Mutate (payload bytes) and
+                // Duplicate (sequence alignment) re-apply.
+                let (fault_drop, extra_delay) = match copy.fault {
+                    _ if self.replay.is_some() => (false, 0),
+                    Some(FaultAction::Drop) => (true, 0),
+                    Some(FaultAction::Delay { ticks }) => (false, ticks),
+                    _ => (false, 0),
+                };
                 // The effective model of this message is a pure function of
                 // (round, sender, receiver); the fate stream it consumes is
                 // seeded from (seed, seq) alone, so two topologies resolving
@@ -569,11 +506,11 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                     tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
                 let handle = if delay >= far_delay {
-                    self.park_far(own.take().unwrap_or_else(|| payload.clone()))
+                    self.park_far(copy.mutated.unwrap_or_else(|| payload.clone()))
                 } else {
                     let arena = self.arenas.back_mut().expect("opened above");
                     arena.parked += 1;
-                    match own.take() {
+                    match copy.mutated {
                         Some(own) => {
                             arena.payloads.push(own);
                             to_handle(arena.payloads.len() - 1)
@@ -827,8 +764,8 @@ mod tests {
         let caps = |sim: &EventSimulator<Chorus, NullAdversary>| {
             (
                 (retained_arena_payloads(sim), sim.arenas.capacity()),
-                (sim.batch.capacity(), sim.order.capacity()),
-                sim.inboxes.capacity(),
+                sim.batch.capacity(),
+                sim.inboxes().capacity(),
             )
         };
         sim.run(30);

@@ -497,28 +497,26 @@ impl FaultStats {
     }
 }
 
-/// What an injected fault does to one message on its way out. At most one
-/// field is set: the first rule that fires decides one action.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultEffect {
-    /// The message never reaches the network.
-    pub drop: bool,
-    /// The message is held back by this many extra ticks.
-    pub delay_ticks: Option<u64>,
-    /// A second copy is sent, consuming the next sequence number.
-    pub duplicate: bool,
-    /// The caller corrupts its own copy of the payload through
-    /// [`FaultInjector::mutate`] before sending it.
-    pub mutate: bool,
+/// One copy a send becomes on its way out, as
+/// [`FaultInjector::copies`] numbers it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NumberedCopy<M> {
+    /// The copy's sequence number.
+    pub seq: u64,
+    /// The fault the plan decided on this copy's number; `None` for a
+    /// duplicate, which has no decision of its own.
+    pub fault: Option<FaultAction>,
+    /// The copy's own payload when a `Mutate` fault corrupted it; otherwise
+    /// the copy carries the send's payload unchanged.
+    pub mutated: Option<M>,
 }
 
 /// The fault state a delivery boundary carries: the installed plan and
 /// message adapter, the coin cache, and the whole-run counters. The event
-/// engine and the loopback transport each own one and call
-/// [`decide`](FaultInjector::decide) on every outgoing message — then
-/// [`mutate`](FaultInjector::mutate) on their own copy of its payload when
-/// the decision says so — which is what makes one plan inject the same
-/// faults into the same messages on both.
+/// engine and the loopback transport each own one and turn every outgoing
+/// send into its numbered copies through [`copies`](FaultInjector::copies) —
+/// which is what makes one plan inject the same faults into the same
+/// messages on both.
 pub struct FaultInjector<M> {
     installed: Option<(FaultPlan, FaultAdapter<M>)>,
     seed: u64,
@@ -552,9 +550,9 @@ impl<M> FaultInjector<M> {
     }
 
     /// Decides the fault of the message about to take sequence number `seq`
-    /// — a pure function of `(seed, seq)` and the plan — and counts it. The
-    /// payload is only read (for its kind tag): copies of one payload that
-    /// pass untouched can go on sharing it.
+    /// — a pure function of `(seed, seq)` and the plan — and counts it (a
+    /// `Mutate` is counted by [`copies`](Self::copies), once it changed
+    /// something). The payload is only read, for its kind tag.
     pub fn decide(
         &mut self,
         seq: u64,
@@ -562,39 +560,53 @@ impl<M> FaultInjector<M> {
         from: NodeId,
         to: NodeId,
         payload: &M,
-    ) -> FaultEffect {
-        let Some((plan, adapter)) = &self.installed else {
-            return FaultEffect::default();
-        };
+    ) -> Option<FaultAction> {
+        let (plan, adapter) = self.installed.as_ref()?;
         let kind = (adapter.kind_of)(payload);
-        let mut effect = FaultEffect::default();
-        match plan.decide_with(&mut self.coins, seq, round, from, to, kind) {
-            None => {}
-            Some(FaultAction::Drop) => {
-                self.stats.dropped += 1;
-                effect.drop = true;
-            }
-            Some(FaultAction::Delay { ticks }) => {
-                self.stats.delayed += 1;
-                effect.delay_ticks = Some(ticks);
-            }
-            Some(FaultAction::Duplicate) => {
-                self.stats.duplicated += 1;
-                effect.duplicate = true;
-            }
-            Some(FaultAction::Mutate) => effect.mutate = true,
+        let action = plan.decide_with(&mut self.coins, seq, round, from, to, kind)?;
+        match action {
+            FaultAction::Drop => self.stats.dropped += 1,
+            FaultAction::Delay { .. } => self.stats.delayed += 1,
+            FaultAction::Duplicate => self.stats.duplicated += 1,
+            FaultAction::Mutate => {}
         }
-        effect
+        Some(action)
     }
 
-    /// Corrupts `payload` — the caller's own copy of message `seq`'s, which
-    /// [`decide`](Self::decide) marked for mutation — with the entropy of
-    /// `(seed, seq)`, and counts it if anything changed.
-    pub fn mutate(&mut self, seq: u64, payload: &mut M) {
-        if let Some((_, adapter)) = &self.installed {
-            let changed = (adapter.mutate)(payload, FaultPlan::mutation_entropy(self.seed, seq));
-            self.stats.mutated += u64::from(changed);
+    /// The copies one send becomes, numbered from `*seq` on, which it
+    /// advances past them: the twin contract's numbering rule, the same on
+    /// both boundaries. The copy that takes `*seq` carries the plan's
+    /// decision on that number and, under `Mutate`, its own payload,
+    /// corrupted with the entropy of `(seed, seq)`. A `Duplicate` adds a
+    /// second copy that takes the next number, with no decision of its own;
+    /// it carries the send's payload. Every other copy of a shared payload
+    /// goes on sharing it.
+    pub fn copies(
+        &mut self,
+        seq: &mut u64,
+        round: Round,
+        from: NodeId,
+        to: NodeId,
+        payload: &M,
+    ) -> impl Iterator<Item = NumberedCopy<M>>
+    where
+        M: Clone,
+    {
+        let first = *seq;
+        let fault = self.decide(first, round, from, to, payload);
+        let mut mutated = None;
+        if let (Some(FaultAction::Mutate), Some((_, adapter))) = (fault, &self.installed) {
+            let mut own = payload.clone();
+            let entropy = FaultPlan::mutation_entropy(self.seed, first);
+            self.stats.mutated += u64::from((adapter.mutate)(&mut own, entropy));
+            mutated = Some(own);
         }
+        *seq += 1 + u64::from(fault == Some(FaultAction::Duplicate));
+        (first..*seq).map(move |seq| NumberedCopy {
+            seq,
+            fault: fault.filter(|_| seq == first),
+            mutated: mutated.take(),
+        })
     }
 
     /// Closes a round: reports what was injected since the previous call as

@@ -73,8 +73,8 @@ pub mod trace;
 
 pub use engine::{EventConfig, EventSimulator, NetStats, VirtualTime};
 pub use fault::{
-    FaultAction, FaultAdapter, FaultCoins, FaultEffect, FaultInjector, FaultPlan, FaultRule,
-    FaultStats, NodeSelector, RoundWindow,
+    FaultAction, FaultAdapter, FaultCoins, FaultInjector, FaultPlan, FaultRule, FaultStats,
+    NodeSelector, NumberedCopy, RoundWindow,
 };
 pub use model::{
     ExecutionModel, FateBlock, LatencyModel, NetModel, PartitionSchedule, RegionAssign, Topology,

@@ -10,7 +10,7 @@
 //!
 //! Two threads run the show: the caller's thread runs the world (churn,
 //! activations, sends), and one *poller* thread owns every listener and
-//! accepted connection, decoding frames into a shared hub of inboxes as they
+//! accepted connection, decoding frames into one shared batch as they
 //! arrive. There is no tokio and no thread-per-node — `std::net` nonblocking
 //! sockets and a `64 KiB` read buffer are enough for an in-process overlay.
 //! The poller has no readiness API to block in, so it blocks on the
@@ -21,10 +21,9 @@
 //!
 //! # What `deliver`, `send` and `end_round` do, and what they cost
 //!
-//! `deliver` snapshots the hub: everything the poller decoded before that
-//! instant is this boundary's batch, re-sorted per node into global send
-//! order exactly like the event engine's batch, so residual arrival jitter
-//! has no meaning. The round's wall-clock budget starts at the snapshot.
+//! `deliver` swaps out what the poller decoded so far and scatters it in send
+//! order, like the event engine's batch; a frame whose receiver has departed
+//! is read there, by nobody. The round's wall-clock budget starts there.
 //! `send` numbers a node's messages exactly as the twin engines do, decides
 //! their faults (the same pure `(seed, seq)` decisions the event engine
 //! takes) and encodes each survivor as a length-prefixed frame behind the
@@ -58,12 +57,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use tsa_event::{
-    FaultAdapter, FaultInjector, FaultPlan, FaultStats, MessageFate, MessageTrace, NetStats,
-    TICKS_PER_ROUND,
+    FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats, MessageFate, MessageTrace,
+    NetStats, TICKS_PER_ROUND,
 };
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    Delivery, Envelope, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig, SlotIndex, World,
+    Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig, SlotIndex,
+    World,
 };
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -140,36 +140,18 @@ pub struct WireStats {
     pub bytes_received: u64,
 }
 
-/// One node's decoded-but-unread messages: `(send seq, envelope)` pairs in
-/// arrival order, re-sorted into global send order at the round boundary.
-type InboxBatch<M> = Vec<(u64, Envelope<M>)>;
+/// Decoded frames, in arrival order: `(listener owner, send seq, envelope)`.
+/// The socket a frame arrived on decides its receiver.
+type Frames<M> = Vec<(NodeId, u64, Envelope<M>)>;
 
-/// Messages the poller has decoded but no activation has read yet.
+/// What the poller has decoded since the last boundary.
 struct Hub<M> {
-    /// Per-node pending messages, keyed by the *listener owner* (the socket
-    /// a frame arrived on decides its receiver).
-    inboxes: BTreeMap<NodeId, InboxBatch<M>>,
-    /// Sequence numbers of frames that arrived for a node with no inbox
-    /// (departed between the sender's records and delivery).
-    dead_letters: Vec<u64>,
+    batch: Frames<M>,
     frames_received: u64,
     bytes_received: u64,
     /// Passes the poller has made over its sockets.
     #[cfg(test)]
     passes: u64,
-}
-
-impl<M> Default for Hub<M> {
-    fn default() -> Self {
-        Hub {
-            inboxes: BTreeMap::new(),
-            dead_letters: Vec::new(),
-            frames_received: 0,
-            bytes_received: 0,
-            #[cfg(test)]
-            passes: 0,
-        }
-    }
 }
 
 /// Coordinator → poller control messages.
@@ -215,9 +197,9 @@ struct Conn {
 }
 
 /// The poller loop: accept on every registered listener, read every
-/// connection, decode frames into the hub; after a pass that found nothing,
-/// sleep until the coordinator has written (or the safety net expires).
-/// Runs until shutdown.
+/// connection, decode frames into the hub's batch; after a pass that found
+/// nothing, sleep until the coordinator has written (or the safety net
+/// expires). Runs until shutdown.
 fn poll_loop<M: serde::Deserialize>(
     ctl: mpsc::Receiver<Ctl>,
     hub: Arc<Mutex<Hub<M>>>,
@@ -227,7 +209,7 @@ fn poll_loop<M: serde::Deserialize>(
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
     // The frames of one read, decoded before the hub is locked for them.
-    let mut decoded: InboxBatch<M> = Vec::new();
+    let mut decoded: Frames<M> = Vec::new();
     let mut idle = false;
     loop {
         while let Some(msg) = next_ctl(&ctl, idle) {
@@ -284,7 +266,7 @@ fn poll_loop<M: serde::Deserialize>(
                                 value.map(|v| decode_wire_value::<M>(&v)).transpose()
                             });
                             match frame {
-                                Ok(Some(frame)) => decoded.push(frame),
+                                Ok(Some((seq, env))) => decoded.push((conn.owner, seq, env)),
                                 Ok(None) => break,
                                 // An oversized or malformed stream (the
                                 // offset is meaningless from here on), or a
@@ -300,12 +282,7 @@ fn poll_loop<M: serde::Deserialize>(
                         let mut hub = hub.lock().expect("hub lock poisoned");
                         hub.bytes_received += n as u64;
                         hub.frames_received += decoded.len() as u64;
-                        match hub.inboxes.get_mut(&conn.owner) {
-                            Some(inbox) => inbox.append(&mut decoded),
-                            None => hub
-                                .dead_letters
-                                .extend(decoded.drain(..).map(|(seq, _)| seq)),
-                        }
+                        hub.batch.append(&mut decoded);
                         drop(hub);
                         if drop_conn {
                             break;
@@ -329,15 +306,6 @@ fn poll_loop<M: serde::Deserialize>(
     }
 }
 
-/// Whether a frame read off the wire as `seq` is one of the `sent` messages
-/// this transport numbered and nobody has read yet. The poller queues any
-/// well-formed frame on any connection to a listener: one whose `seq` was
-/// never assigned, or was already read, is a stray, and is discarded before
-/// it reaches an inbox or the trace.
-fn unread(fates: &MessageTrace, sent: u64, seq: u64) -> bool {
-    seq < sent && fates.fate(seq) == Some(MessageFate::Lost)
-}
-
 /// The loopback transport runtime: a [`World`] whose messages are real
 /// frames on real sockets, with every message's fate recorded for twin
 /// replay.
@@ -345,12 +313,10 @@ pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 
 /// One node's side of the transport, in the world's slot order — which is
 /// id order, so a receiver's port is a binary search away.
-struct Port<M> {
+struct Port {
     id: NodeId,
     /// The node's listener address, for the sender side.
     addr: SocketAddr,
-    /// This round's inbox, in global send order.
-    inbox: Vec<Envelope<M>>,
     /// The frames the current sender has encoded for this node, back to
     /// back, and how many they are. One sender sends at a time, and its
     /// buffers are written out before the next one starts: n buffers serve
@@ -365,10 +331,13 @@ pub struct Loopback<M> {
     round_duration: Duration,
     /// When the current round's wall-clock budget started.
     round_started: Instant,
-    ports: Vec<Port<M>>,
+    ports: Vec<Port>,
     /// Cached outgoing streams, one per directed `(sender, receiver)` link.
     conns: BTreeMap<(NodeId, NodeId), TcpStream>,
     hub: Arc<Mutex<Hub<M>>>,
+    /// This boundary's frames, in send order: what an inbox position names.
+    /// Swapped with the hub's batch at the next boundary.
+    batch: Frames<M>,
     ctl: mpsc::Sender<Ctl>,
     poller: Option<thread::JoinHandle<()>>,
     /// Global send sequence number, assigned exactly as in the twin engines:
@@ -377,8 +346,6 @@ pub struct Loopback<M> {
     /// Recorded fates; a message is `Lost` until its delivery is observed.
     fates: MessageTrace,
     stats: NetStats,
-    /// Frames a departed node never read, not yet charged to a round.
-    unread_departed: usize,
     wire_sent_frames: u64,
     wire_sent_bytes: u64,
     /// The two wire counters as of the end of the previous round.
@@ -513,7 +480,13 @@ where
     /// Starts the poller thread.
     fn new(config: NetConfig) -> (SimConfig, Self) {
         assert!(config.ticks_per_round > 0, "ticks_per_round must be > 0");
-        let hub: Arc<Mutex<Hub<M>>> = Arc::new(Mutex::new(Hub::default()));
+        let hub = Arc::new(Mutex::new(Hub {
+            batch: Vec::new(),
+            frames_received: 0,
+            bytes_received: 0,
+            #[cfg(test)]
+            passes: 0,
+        }));
         let (ctl, ctl_rx) = mpsc::channel();
         let poller_hub = Arc::clone(&hub);
         let max_frame = config.max_frame;
@@ -528,12 +501,12 @@ where
             ports: Vec::new(),
             conns: BTreeMap::new(),
             hub,
+            batch: Vec::new(),
             ctl,
             poller: Some(poller),
             seq: 0,
             fates: MessageTrace::new(),
             stats: NetStats::default(),
-            unread_departed: 0,
             wire_sent_frames: 0,
             wire_sent_bytes: 0,
             wire_reported: (0, 0),
@@ -545,18 +518,13 @@ where
         (config.sim, delivery)
     }
 
-    /// Binds the member's loopback listener and opens its hub inbox.
+    /// Binds the member's loopback listener.
     fn on_join(&mut self, id: NodeId) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener address");
-        self.hub
-            .lock()
-            .expect("hub lock poisoned")
-            .inboxes
-            .insert(id, Vec::new());
         self.ctl
             .send(Ctl::Register(id, listener))
             .expect("poller alive");
@@ -567,81 +535,58 @@ where
         self.ports.push(Port {
             id,
             addr,
-            inbox: Vec::new(),
             pending: Vec::new(),
             pending_frames: 0,
         });
     }
 
-    /// Tears down a departed member's listener, hub inbox and cached
-    /// streams; frames it never read become receiver-departed drops at
-    /// round `t` (exactly when the twin engines would drop them).
-    fn on_depart(&mut self, id: NodeId, slot: usize, t: Round) {
+    /// Tears down a departed member's listener and cached streams; frames
+    /// it never read are dropped when the next boundary reads them.
+    fn on_depart(&mut self, id: NodeId, slot: usize) {
         self.ports.remove(slot);
         self.conns.retain(|(from, to), _| *from != id && *to != id);
         self.ctl.send(Ctl::Unregister(id)).expect("poller alive");
-        let pending = self
-            .hub
-            .lock()
-            .expect("hub lock poisoned")
-            .inboxes
-            .remove(&id)
-            .unwrap_or_default();
-        for (seq, _env) in pending {
-            if unread(&self.fates, self.seq, seq) {
-                self.fates
-                    .record(seq, MessageFate::Delivered { at_round: t });
-                self.stats.dropped_departed += 1;
-                self.unread_departed += 1;
-            }
-        }
     }
 
-    fn deliver(&mut self, t: Round, _index: &SlotIndex) -> (usize, usize) {
+    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
         self.round_started = Instant::now();
+        // Everything the poller decoded before this lock is taken is this
+        // boundary's batch. It is swapped out under the lock, the consumed
+        // one going back, so both sides keep their capacity and nothing is
+        // allocated per boundary.
+        self.batch.clear();
+        std::mem::swap(
+            &mut self.batch,
+            &mut self.hub.lock().expect("hub lock poisoned").batch,
+        );
+        self.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
+        // The poller queues any well-formed frame on any connection to a
+        // listener: one whose `seq` was never assigned, or was already read,
+        // is a stray and goes before it reaches an inbox or the trace. Every
+        // other frame is read now — by nobody if its receiver has departed,
+        // which the scatter drops.
         let read_now = MessageFate::Delivered { at_round: t };
-        let mut dropped = std::mem::take(&mut self.unread_departed);
-        let mut delivered = 0usize;
-        {
-            // Everything the poller decoded before this lock is taken is
-            // this boundary's batch. The batches are sorted and moved out
-            // under the lock — microseconds against a round of
-            // milliseconds — so every buffer on either side keeps its
-            // capacity and nothing is allocated per boundary.
-            let mut hub = self.hub.lock().expect("hub lock poisoned");
-            for seq in hub.dead_letters.drain(..) {
-                if unread(&self.fates, self.seq, seq) {
-                    self.fates.record(seq, read_now);
-                    self.stats.dropped_departed += 1;
-                    dropped += 1;
-                }
+        let (fates, stats, sent) = (&mut self.fates, &mut self.stats, self.seq);
+        let ticks_per_round = self.ticks_per_round;
+        self.batch.retain(|&(owner, seq, ref env)| {
+            if seq >= sent || fates.fate(seq) != Some(MessageFate::Lost) {
+                return false;
             }
-            for port in self.ports.iter_mut() {
-                port.inbox.clear();
-                let Some(pending) = hub.inboxes.get_mut(&port.id) else {
-                    continue;
-                };
-                pending.sort_unstable_by_key(|&(seq, _)| seq);
-                for (seq, env) in pending.drain(..) {
-                    if !unread(&self.fates, self.seq, seq) {
-                        continue;
-                    }
-                    delivered += 1;
-                    self.fates.record(seq, read_now);
-                    // Saturating, like every tick product of the event
-                    // engine: a hostile `ticks_per_round` (or a frame
-                    // stamped with a future round) pins the counters, never
-                    // wraps them.
-                    let delay = t
-                        .saturating_sub(env.sent_at)
-                        .saturating_mul(self.ticks_per_round);
-                    self.stats.max_delay_ticks = self.stats.max_delay_ticks.max(delay);
-                    self.stats.total_delay_ticks =
-                        self.stats.total_delay_ticks.saturating_add(delay);
-                    port.inbox.push(env);
-                }
+            fates.record(seq, read_now);
+            if index.slot(owner).is_some() {
+                // Saturating, like every tick product of the event engine: a
+                // hostile `ticks_per_round` (or a frame stamped with a future
+                // round) pins the counters, never wraps them.
+                let delay = t
+                    .saturating_sub(env.sent_at)
+                    .saturating_mul(ticks_per_round);
+                stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
+                stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
             }
-        }
+            true
+        });
+        let departed = inboxes.scatter(self.batch.iter().map(|&(owner, ..)| index.slot(owner)));
+        self.stats.dropped_departed += departed as u64;
         // Fault-delayed frames whose hold has expired go onto the wire at
         // this boundary, to be read one round later — their delay in whole
         // rounds past their original delivery boundary. Frames whose hold
@@ -662,52 +607,46 @@ where
         held.drain(..due);
         self.held = held;
         self.stats.lost += lost as u64;
-        (delivered, dropped + lost)
+        departed + lost
     }
 
-    fn inbox<'a>(&'a self, slot: usize, _buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
-        &self.ports[slot].inbox
+    /// A clone of the frame's envelope, to the listener's owner.
+    #[inline]
+    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
+        let (_, _, env) = &self.batch[position as usize];
+        Envelope::new(env.from, to, env.sent_at, env.payload.clone())
     }
 
-    fn inbox_len(&self, slot: usize) -> usize {
-        self.ports[slot].inbox.len()
-    }
-
-    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
+    fn send(
+        &mut self,
+        from: NodeId,
+        t: Round,
+        out: &mut Outbox<M>,
+        _inboxes: &mut Inboxes,
+        _obs: &ObsHandle,
+    ) -> usize {
         let mut lost = 0usize;
         for (to, payload) in out.iter() {
-            // The fault decision is taken on the sequence number this frame
-            // is about to take, as the event engine does for the identical
-            // message.
-            let fault = self.faults.decide(self.seq, t, from, to, payload);
-            // Every copy is its own frame from here on: a fault mutates this
-            // clone, never the payload the other copies share.
-            let mut payload = payload.clone();
-            if fault.mutate {
-                self.faults.mutate(self.seq, &mut payload);
-            }
-            // The transport's clock is the round cadence: a hold-back is
-            // the tick delay rounded up to whole rounds, at least one.
-            let hold_rounds = fault
-                .delay_ticks
-                .map(|ticks| ticks.div_ceil(self.ticks_per_round).max(1));
-            // The duplicate copy consumes the next sequence number and
-            // takes its own wire fate, with no fault decision of its own.
-            let dup = fault.duplicate.then(|| payload.clone());
-            for payload in std::iter::once(payload).chain(dup) {
-                let msg_seq = self.seq;
-                self.seq += 1;
+            for copy in self.faults.copies(&mut self.seq, t, from, to, payload) {
                 self.stats.sent += 1;
                 // Lost until proven delivered: overwritten when a later
                 // boundary (or none) reads the frame.
-                self.fates.record(msg_seq, MessageFate::Lost);
+                self.fates.record(copy.seq, MessageFate::Lost);
+                // Every copy is its own frame from here on.
+                let payload = copy.mutated.unwrap_or_else(|| payload.clone());
                 let env = Envelope::new(from, to, t, payload);
-                if let Some(rounds) = hold_rounds {
-                    self.held.push((t.saturating_add(rounds), msg_seq, env));
-                } else if fault.drop || !self.queue_frame(msg_seq, &env) {
+                match copy.fault {
+                    // The transport's clock is the round cadence: a
+                    // hold-back is the tick delay rounded up to whole
+                    // rounds, at least one.
+                    Some(FaultAction::Delay { ticks }) => {
+                        let rounds = ticks.div_ceil(self.ticks_per_round).max(1);
+                        self.held.push((t.saturating_add(rounds), copy.seq, env));
+                    }
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
-                    lost += 1;
+                    Some(FaultAction::Drop) => lost += 1,
+                    _ => lost += usize::from(!self.queue_frame(copy.seq, &env)),
                 }
             }
         }
@@ -757,7 +696,8 @@ mod tests {
 
     /// Every round: `copies` frames to each id of `targets` but its own, in
     /// that order. A payload is `(round, position in the outbox)`, so one
-    /// sender's payloads rise with its sequence numbers.
+    /// sender's payloads rise with its sequence numbers. Every envelope it
+    /// is handed must carry the metadata the model promises.
     struct Fan {
         targets: Vec<u64>,
         copies: u64,
@@ -767,7 +707,11 @@ mod tests {
     impl Process for Fan {
         type Msg = u64;
         fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
-            self.heard.extend(inbox.iter().map(|env| env.payload));
+            for env in inbox {
+                assert_eq!(env.to, ctx.id(), "an envelope for somebody else");
+                assert!(env.sent_at < ctx.round(), "not sent in an earlier round");
+                self.heard.push(env.payload);
+            }
             let (me, mut position) = (ctx.id().raw(), 0);
             for &to in self.targets.iter().filter(|&&to| to != me) {
                 for _ in 0..self.copies {
@@ -922,10 +866,23 @@ mod tests {
         let rounds = 4u64;
         let mut net = runner(sim, 20, DepartTwo, factory);
         net.seed_nodes(4);
-        net.run(rounds);
+        // Round 0's frames to node 2 (seqs 2 and 5) are all in before it
+        // departs at round 1's boundary: read there, by nobody.
+        net.step();
+        wait_until_read(&net);
+        net.run(rounds - 1);
         assert!(!net.member_ids().contains(&NodeId(2)), "node 2 departed");
+        let trace = net.trace();
+        for seq in [2, 5] {
+            assert_eq!(
+                trace.fate(seq),
+                Some(MessageFate::Delivered { at_round: 1 }),
+                "seq {seq}"
+            );
+        }
 
         let stats = net.net_stats();
+        assert_eq!(stats.dropped_departed, 2);
         assert_eq!(stats.sent, rounds * outbox.len() as u64);
         // One frame a round to the id that never was, two more from round 1
         // on to the departed node; nothing else is lost on the way out.

@@ -5,67 +5,37 @@
 //! otherwise. [`Lockstep`] is the [`Delivery`] that does exactly that for a
 //! [`World`], and [`Simulator`] is the world it drives.
 //!
-//! # Payloads once, 4-byte handles scattered at send time
+//! # Payloads once, 4-byte handles placed at send time
 //!
-//! A round's traffic is replication: every member of a swarm sends the same
-//! claim to every member of the next, so a sender's [`Outbox`] already holds
-//! each distinct payload once. `Lockstep` keeps it that way. What is in
-//! flight between two rounds is an **arena** of `(sender, payload)` pairs —
-//! one per distinct payload of the round, in send order — and one 4-byte
-//! **handle** into it per copy, grouped by receiver. No envelope exists
-//! until its receiver runs.
-//!
-//! * `send` (once per node, id order) moves nothing. The world has already
-//!   written each receiver's slot into the outbox, in the pass that stamps
-//!   the distinct edges; `send` counts the copies per slot and leaves the
-//!   outbox as it is.
-//! * `flush_sends` (once per round) prefix-sums the counts into per-slot
-//!   ranges of the handle buffer, moves every outbox's payloads to the end of
-//!   the arena and writes each copy's handle through its slot's write cursor:
-//!   a stable counting scatter. *Stable* is load-bearing: slots are visited
-//!   in id order, so every inbox lists its messages in global send order —
-//!   exactly what a stable sort by receiver would produce, without a sort's
-//!   merge scratch. Round `t`'s inboxes are fully consumed by round `t`'s
-//!   compute phase, so both buffers are overwritten in place.
-//! * `deliver` moves no message and is O(slots): the ranges already are the
-//!   inboxes. A node that departs at `t + 1` had its range removed by
-//!   `on_depart` (the handles stay behind, unread, until the next scatter
-//!   overwrites them) and its length is charged to round `t + 1`'s
-//!   `dropped`; a node that joins gets an empty range. The *sender* of a
-//!   message may be gone by then as well — the arena, not its outbox, owns
-//!   the payload.
-//! * `inbox` (once per node, from the compute worker that runs it) builds
-//!   the slot's envelopes — `from` and a clone of the payload out of the
-//!   arena, `to` the slot's owner, `sent_at` the round before — in the
-//!   worker's buffer, which is as large as the largest inbox that worker has
-//!   seen and stays in cache between nodes.
+//! What is in flight between two rounds is an **arena** of `(sender,
+//! payload)` pairs — each distinct payload of the round once, as the
+//! outboxes hold them — and one 4-byte **handle** into it per copy, in the
+//! world's [`Inboxes`]. What `Lockstep` does differently from the other
+//! deliveries is *when* it runs the world's scatter: round `t`'s inboxes are
+//! consumed by round `t`'s compute phase, so round `t + 1`'s are laid out
+//! while round `t`'s sends are collected. `send` counts each copy into the
+//! slot its receiver owns (which the world wrote into the outbox while the
+//! entry was in cache); `flush_sends` moves every outbox's payloads to the
+//! arena and places the handles; `deliver` moves no message. Placing at send
+//! time is what saves re-resolving every copy against the membership at
+//! delivery time. The arena, not an outbox, owns a payload, so a message
+//! outlives its sender.
 //!
 //! **Not a member at send time.** A receiver with no slot when the message
 //! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
-//! the adversary will only hand out next round — has no range to be counted
+//! the adversary will only hand out next round — has no inbox to be counted
 //! into. Those sends wait in a side list (`late`) as `(receiver, handle)`,
-//! in send order — their payloads are in the arena like everybody's;
-//! `deliver` resolves it against round `t + 1`'s membership, appends the
-//! arrivals' handles behind the scattered ones (such a receiver joined after
-//! the sends, so its range is still empty) and drops the rest. Delivered and
-//! dropped counts, the round they are charged to and every inbox's order are
-//! the naive model's (`tests/scheduler_reference.rs`).
-//!
-//! **Cost per copy** (a 16 B outbox entry, a 4 B handle): the edge-stamping
-//! pass writes the slot into the entry it is reading, the count pass reads it
-//! back while it is in cache; the scatter reads the 16 B again and writes
-//! 4 B into a zero-filled buffer; the payload is
-//! moved once per distinct payload, not per copy. The 64 B envelope is
-//! written once, by the worker about to read it. Nothing is allocated once
-//! arena, handles and the workers' buffers have met the traffic's high-water
-//! mark.
-
-use std::ops::Range;
+//! in send order; `deliver` resolves it against round `t + 1`'s membership,
+//! appends the arrivals' handles behind the placed ones (such a receiver
+//! joined after the sends, so its inbox is still empty) and drops the rest.
+//! Delivered and dropped counts, the round they are charged to and every
+//! inbox's order are the naive model's (`tests/scheduler_reference.rs`).
 
 use tsa_obs::ObsHandle;
 
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
+use crate::inboxes::Inboxes;
 use crate::message::Envelope;
 use crate::node::{handle, Outbox, Process};
 use crate::slot_index::{SlotIndex, NO_SLOT};
@@ -75,71 +45,25 @@ use crate::world::{Delivery, PhaseSpans, World};
 /// one round.
 pub type Simulator<P, A> = World<P, A, Lockstep<<P as Process>::Msg>>;
 
-/// One slot's side of the delivery, in the world's slot order.
-struct Inbox {
-    /// The slot's owner: the `to` of every envelope built for it.
-    id: NodeId,
-    /// The slot's inbox is `handles[range]`.
-    range: Range<usize>,
-    /// While a round's sends are announced, how many are addressed to the
-    /// slot; during the scatter, its write cursor. Zero in between.
-    cursor: usize,
-}
-
 /// The lockstep delivery policy. See the module docs.
 pub struct Lockstep<M> {
     /// The distinct payloads sent last round, each with its sender, in send
-    /// order.
+    /// order: what a handle names.
     arena: Vec<(NodeId, M)>,
-    /// One arena index per message sent last round, grouped by the slot its
-    /// receiver owned when it was sent (late arrivals behind them), send
-    /// order kept within each group. Handles outside every range were
-    /// addressed to a node that has since departed.
-    handles: Vec<u32>,
-    /// The round `arena` and `handles` were sent in.
+    /// The round `arena` was sent in.
     sent_at: Round,
-    inboxes: Vec<Inbox>,
     /// Last round's sends whose receiver had no slot at send time: position
     /// in the list (send order), receiver, handle.
     late: Vec<(usize, NodeId, u32)>,
-    /// Handles whose range `on_depart` removed since the last `deliver`.
-    stranded: usize,
+    /// Copies sent last round.
+    in_flight: usize,
 }
 
 impl<M> Lockstep<M> {
     /// Number of messages currently in flight (sent last round, not yet
     /// delivered): copies, not distinct payloads.
     pub fn in_flight_count(&self) -> usize {
-        self.handles.len() + self.late.len()
-    }
-
-    /// Resolves the side list against the current membership: the arrivals'
-    /// handles go behind the scattered ones, grouped per receiver in send
-    /// order; the rest are dropped. Returns how many arrived.
-    fn deliver_late(&mut self, index: &SlotIndex) -> usize {
-        let slot_of = |to: NodeId| index.slot(to).unwrap_or(usize::MAX);
-        // The key is unique, so the in-place unstable sort is a stable
-        // grouping.
-        self.late
-            .sort_unstable_by_key(|&(seq, to, _)| (slot_of(to), seq));
-        let arrived = self
-            .late
-            .partition_point(|&(_, to, _)| slot_of(to) != usize::MAX);
-        let mut end = self.handles.len();
-        for run in self.late[..arrived].chunk_by(|a, b| a.1 == b.1) {
-            let range = &mut self.inboxes[slot_of(run[0].1)].range;
-            debug_assert!(
-                Range::is_empty(range),
-                "a late receiver joined after the sends"
-            );
-            *range = end..end + run.len();
-            end += run.len();
-        }
-        // Within the capacity `flush_sends` reserved.
-        self.handles
-            .extend(self.late[..arrived].iter().map(|&(_, _, h)| h));
-        self.late.clear();
-        arrived
+        self.in_flight
     }
 }
 
@@ -155,84 +79,71 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
     fn new(config: SimConfig) -> (SimConfig, Self) {
         let lockstep = Lockstep {
             arena: Vec::new(),
-            handles: Vec::new(),
             sent_at: 0,
-            inboxes: Vec::new(),
             late: Vec::new(),
-            stranded: 0,
+            in_flight: 0,
         };
         (config, lockstep)
     }
 
-    fn on_join(&mut self, id: NodeId) {
-        self.inboxes.push(Inbox {
-            id,
-            range: 0..0,
-            cursor: 0,
-        });
+    /// Resolves the side list against the current membership: the arrivals'
+    /// handles go behind the placed ones, grouped per receiver in send
+    /// order; the rest are dropped.
+    fn deliver(&mut self, _t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
+        let slot_of = |to: NodeId| index.slot(to).unwrap_or(usize::MAX);
+        // The key is unique, so the in-place unstable sort is a stable
+        // grouping.
+        self.late
+            .sort_unstable_by_key(|&(seq, to, _)| (slot_of(to), seq));
+        let arrived = self
+            .late
+            .partition_point(|&(_, to, _)| slot_of(to) != usize::MAX);
+        for run in self.late[..arrived].chunk_by(|a, b| a.1 == b.1) {
+            inboxes.append(slot_of(run[0].1), run.iter().map(|&(_, _, h)| h));
+        }
+        let dropped = self.late.len() - arrived;
+        self.late.clear();
+        dropped
     }
 
-    fn on_depart(&mut self, _id: NodeId, slot: usize, _t: Round) {
-        self.stranded += self.inboxes.remove(slot).range.len();
-    }
-
-    /// The ranges `flush_sends` laid out already are the inboxes; what is
-    /// left to do is to charge the departed receivers' messages to this
-    /// round and to resolve the (normally empty) side list.
-    fn deliver(&mut self, _t: Round, index: &SlotIndex) -> (usize, usize) {
-        let stranded = std::mem::take(&mut self.stranded);
-        let late = self.late.len();
-        let arrived = self.deliver_late(index);
-        (self.handles.len() - stranded, stranded + late - arrived)
-    }
-
-    /// Builds the slot's envelopes in `buf`, from the arena.
-    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>] {
-        let Inbox { id, ref range, .. } = self.inboxes[slot];
-        buf.clear();
-        buf.extend(self.handles[range.clone()].iter().map(|&h| {
-            let (from, payload) = &self.arena[h as usize];
-            Envelope::new(*from, id, self.sent_at, payload.clone())
-        }));
-        buf
-    }
-
-    fn inbox_len(&self, slot: usize) -> usize {
-        self.inboxes[slot].range.len()
+    #[inline]
+    fn envelope(&self, handle: u32, to: NodeId) -> Envelope<M> {
+        let (from, payload) = &self.arena[handle as usize];
+        Envelope::new(*from, to, self.sent_at, payload.clone())
     }
 
     /// Counts the sends per receiver slot; the messages stay in `out` until
     /// [`flush_sends`](Delivery::flush_sends).
-    fn send(&mut self, _from: NodeId, _t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
+    fn send(
+        &mut self,
+        _from: NodeId,
+        _t: Round,
+        out: &mut Outbox<M>,
+        inboxes: &mut Inboxes,
+        _obs: &ObsHandle,
+    ) -> usize {
         for sent in &out.sends {
             if sent.slot != NO_SLOT {
-                self.inboxes[sent.slot as usize].cursor += 1;
+                inboxes.count(sent.slot as usize);
             }
         }
         0
     }
 
-    /// The stable counting scatter: prefix-sum the per-slot counts into
-    /// ranges, then move every outbox's payloads into the arena and every
-    /// send's handle to its receiver's write cursor, overwriting what the
-    /// compute phase has consumed.
+    /// Moves every outbox's payloads into the arena and places every send's
+    /// handle in its receiver's inbox, overwriting what the compute phase
+    /// has consumed.
     fn flush_sends<'a>(
         &mut self,
         t: Round,
         outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        inboxes: &mut Inboxes,
     ) where
         M: 'a,
     {
-        let mut resolved = 0usize;
-        for inbox in self.inboxes.iter_mut() {
-            let count = std::mem::replace(&mut inbox.cursor, resolved);
-            inbox.range = resolved..resolved + count;
-            resolved += count;
-        }
+        inboxes.lay_out();
         self.sent_at = t;
         self.arena.clear();
-        self.handles.clear();
-        self.handles.resize(resolved, 0);
         for (from, out) in outboxes {
             let base = self.arena.len();
             self.arena
@@ -242,26 +153,12 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
                 if sent.slot == NO_SLOT {
                     self.late.push((self.late.len(), sent.to, h));
                 } else {
-                    let cursor = &mut self.inboxes[sent.slot as usize].cursor;
-                    self.handles[*cursor] = h;
-                    *cursor += 1;
+                    inboxes.place(sent.slot as usize, h);
                 }
             }
         }
-        // Room for the late arrivals, so `deliver` never reallocates.
-        self.handles.reserve(self.late.len());
-        // Checked in release builds too: a handle left at its zero fill would
-        // deliver somebody else's payload, the condition spans two trait
-        // calls, and it costs O(slots) a round.
-        assert!(
-            self.inboxes
-                .iter()
-                .all(|inbox| inbox.cursor == inbox.range.end),
-            "the outboxes are not the sends that were announced"
-        );
-        for inbox in self.inboxes.iter_mut() {
-            inbox.cursor = 0;
-        }
+        inboxes.seal();
+        self.in_flight = inboxes.pending() + self.late.len();
     }
 
     fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
@@ -336,9 +233,8 @@ mod tests {
         s.run(3);
         let caps = |s: &Simulator<Ping, NullAdversary>| {
             (
-                (s.arena.capacity(), s.handles.capacity()),
-                s.late.capacity(),
-                s.inboxes.capacity(),
+                (s.arena.capacity(), s.late.capacity()),
+                s.inboxes().capacity(),
                 s.compute_buffer_capacities(),
             )
         };
@@ -350,7 +246,7 @@ mod tests {
         // round's traffic; the side list holds the one handle a round that
         // the last node addresses past the end.
         assert_eq!(s.in_flight_count(), 2 * 32 - 1);
-        assert_eq!(s.handles.len(), 2 * 32 - 2);
+        assert_eq!(s.inboxes().pending(), 2 * 32 - 2);
         assert_eq!(s.arena.len(), 2 * 32 - 1);
         assert_eq!(s.late.len(), 1);
         assert!(s.late.capacity() <= 4, "{}", s.late.capacity());
@@ -373,7 +269,7 @@ mod tests {
         s.seed_nodes(8);
         s.run(2);
         assert_eq!(s.in_flight_count(), 8 * 8, "copies are what is counted");
-        assert_eq!((s.arena.len(), s.handles.len()), (8, 8 * 8));
+        assert_eq!((s.arena.len(), s.inboxes().pending()), (8, 8 * 8));
         assert_eq!(s.metrics().rounds()[1].messages_delivered, 8 * 8);
     }
 

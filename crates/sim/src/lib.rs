@@ -51,6 +51,7 @@ pub mod churn;
 pub mod config;
 pub mod engine;
 pub mod ids;
+pub mod inboxes;
 pub mod knowledge;
 pub mod message;
 pub mod metrics;
@@ -66,6 +67,7 @@ pub use churn::{
 pub use config::SimConfig;
 pub use engine::{Lockstep, Simulator};
 pub use ids::{parity, NodeId, Round, RoundParity};
+pub use inboxes::Inboxes;
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::Envelope;
 pub use metrics::{

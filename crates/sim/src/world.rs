@@ -27,32 +27,35 @@
 //!
 //! 1. **churn** — the adversary plans against its lateness-filtered
 //!    [`KnowledgeView`], the shared arbiter validates and applies the plan,
-//!    slots are retired and spawned ([`Delivery::on_depart`] /
-//!    [`Delivery::on_join`]);
-//! 2. **deliver** — [`Delivery::deliver`] settles what every slot's inbox
-//!    holds; sponsored joiners are grouped per bootstrap node;
+//!    slots and their [`Inboxes`] are retired and spawned
+//!    ([`Delivery::on_depart`] / [`Delivery::on_join`]); what a departed
+//!    slot's inbox held unread is dropped;
+//! 2. **deliver** — [`Delivery::deliver`] settles every slot's inbox, a
+//!    range of 4-byte positions; sponsored joiners are grouped per bootstrap
+//!    node;
 //! 3. **compute** — every node activates once through [`activate`] on
 //!    [`rayon::for_each_index_mut`], whose worker count follows the
-//!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. An activation reads
-//!    its own inbox — [`Delivery::inbox`], one contiguous slice, which a
-//!    delivery that keeps no envelopes builds in the worker's own buffer
-//!    right then — writes its own slot and draws from an RNG stream that
-//!    depends only on `(seed, node, round)`, so where and in which order
-//!    activations run cannot change an output bit;
-//! 4. **collect and send** — in id order: metrics, the communication graph,
-//!    digests, then [`Delivery::send`] for the node's [`Outbox`] (each
-//!    distinct payload once, 16 bytes per copy); once every node has sent,
-//!    [`Delivery::flush_sends`] takes whatever the sends left in the
-//!    outboxes. Everything order-sensitive (sequence numbers, fates, the
-//!    edge list, every deterministic observation) happens here and in the
-//!    other sequential phases;
+//!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. Its worker first
+//!    builds the node's envelopes in the worker's own buffer, one
+//!    [`Delivery::envelope`] per position; the activation reads them, writes
+//!    its own slot and draws from an RNG stream that depends only on
+//!    `(seed, node, round)`, so where and in which order activations run
+//!    cannot change an output bit;
+//! 4. **collect and send** — in id order: the node's inbox is consumed,
+//!    metrics, the communication graph, digests, then [`Delivery::send`] for
+//!    the node's [`Outbox`] (each distinct payload once, 16 bytes per copy);
+//!    once every node has sent, [`Delivery::flush_sends`] takes whatever the
+//!    sends left in the outboxes. Everything order-sensitive (sequence
+//!    numbers, fates, the edge list, every deterministic observation)
+//!    happens here and in the other sequential phases;
 //! 5. **finish** — trim the record window, fold the metrics row, emit the
 //!    `proto.*` observations, [`Delivery::end_round`].
 //!
 //! Every inbox lists its messages in global send order — sender-id order and,
 //! per sender, the order of its [`Ctx::send`](crate::Ctx::send) calls — on
-//! every delivery. That makes the order in which a protocol sends part of
-//! its observable behaviour (which duplicate a receiver sees first, which RNG
+//! every delivery: all of them fill [`Inboxes`] through its one stable
+//! scatter. That makes the order in which a protocol sends part of its
+//! observable behaviour (which duplicate a receiver sees first, which RNG
 //! draw serves which copy): send order is the determinism contract between
 //! protocol and scheduler.
 
@@ -65,6 +68,7 @@ use crate::adversary::Adversary;
 use crate::churn::{apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, PlanScratch};
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
+use crate::inboxes::Inboxes;
 use crate::knowledge::{CommGraph, KnowledgeView, MemberInfo, RoundRecord};
 use crate::message::Envelope;
 use crate::metrics::{
@@ -94,11 +98,13 @@ pub struct PhaseSpans {
 /// How messages travel between two rounds of a [`World`] — the one thing the
 /// three schedulers differ in.
 ///
-/// A delivery keeps its own per-slot state (inboxes, sockets) in the world's
+/// What reached a node is its inbox in the world's [`Inboxes`], positions in
+/// global send order that mean whatever the delivery makes them mean. A
+/// delivery with per-slot state of its own (sockets) keeps it in the world's
 /// slot order: [`on_join`](Delivery::on_join) always appends a slot,
 /// [`on_depart`](Delivery::on_depart) names the slot that closes up. It is
-/// `Sync` because the parallel compute phase reads
-/// [`inbox`](Delivery::inbox) from every worker.
+/// `Sync` because the parallel compute phase calls
+/// [`envelope`](Delivery::envelope) from every worker.
 pub trait Delivery<M>: Sync {
     /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
     /// the policy adds (a topology, a round duration).
@@ -113,25 +119,19 @@ pub trait Delivery<M>: Sync {
         Self: Sized;
 
     /// A node joined: the next slot belongs to `id`.
-    fn on_join(&mut self, id: NodeId);
+    fn on_join(&mut self, _id: NodeId) {}
 
-    /// The node `id` in slot `slot` departed at round `t`; the slots behind
-    /// it each move down one.
-    fn on_depart(&mut self, id: NodeId, slot: usize, t: Round);
+    /// The node `id` in slot `slot` departed; the slots behind it each move
+    /// down one. The world charges what its inbox still held as dropped.
+    fn on_depart(&mut self, _id: NodeId, _slot: usize) {}
 
-    /// Settles every slot's inbox for round `t`, in global send order;
-    /// `index` maps a receiver to its slot. Returns how many messages were
-    /// delivered and how many were dropped undelivered.
-    fn deliver(&mut self, t: Round, index: &SlotIndex) -> (usize, usize);
+    /// Settles every slot's inbox for round `t`, unless the sends were
+    /// placed already; `index` maps a receiver to its slot. Returns how many
+    /// copies were dropped undelivered.
+    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize;
 
-    /// The inbox [`deliver`](Delivery::deliver) made for `slot`, as a slice.
-    /// A delivery that keeps envelopes returns its own; one that does not
-    /// builds them in `buf` — the calling worker's buffer, free to be
-    /// overwritten — and returns that.
-    fn inbox<'a>(&'a self, slot: usize, buf: &'a mut Vec<Envelope<M>>) -> &'a [Envelope<M>];
-
-    /// The length of [`inbox`](Delivery::inbox) for `slot`, in O(1).
-    fn inbox_len(&self, slot: usize) -> usize;
+    /// The envelope at `position` of an inbox of `to`, the slot's owner.
+    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M>;
 
     /// Announces the sends `from` made in round `t`, in send order. Called in
     /// id order, once per node, after the world has written into every send
@@ -141,11 +141,18 @@ pub trait Delivery<M>: Sync {
     /// A delivery that routes message by message copies what it keeps out
     /// of the outbox here — each send's payload, or each distinct payload
     /// once ([`Outbox::payloads`], [`Outbox::sends`]) — and leaves `out`
-    /// empty. One that needs the whole round's sends before it can place any
-    /// (the lockstep scatter) only takes notes, leaves `out` as it is and
-    /// empties it in [`flush_sends`](Delivery::flush_sends). Returns how
-    /// many of the sends are already known to be lost.
-    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize;
+    /// empty. One that places the round's sends in next round's `inboxes`
+    /// counts them here and empties `out` in
+    /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
+    /// are already known to be lost.
+    fn send(
+        &mut self,
+        from: NodeId,
+        t: Round,
+        out: &mut Outbox<M>,
+        inboxes: &mut Inboxes,
+        obs: &ObsHandle,
+    ) -> usize;
 
     /// Every node of round `t` has sent: `outboxes` is each slot's sender
     /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
@@ -156,6 +163,7 @@ pub trait Delivery<M>: Sync {
         &mut self,
         _t: Round,
         _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        _inboxes: &mut Inboxes,
     ) where
         M: 'a,
     {
@@ -220,8 +228,10 @@ pub struct World<P: Process, A, D> {
     sponsored_ids: Vec<NodeId>,
     /// Outboxes donated by departed nodes, reused by joining nodes.
     spare_outboxes: Vec<Outbox<P::Msg>>,
-    /// One inbox buffer per compute worker, for deliveries that build a
-    /// slot's envelopes only while its node runs.
+    /// Every slot's inbox, in slot order.
+    inboxes: Inboxes,
+    /// One envelope buffer per compute worker: a slot's envelopes exist
+    /// there only while its node runs.
     inbox_bufs: Vec<Vec<Envelope<P::Msg>>>,
     /// Scratch for churn-plan validation (departure dedup, join fan-in).
     plan_scratch: PlanScratch,
@@ -271,6 +281,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
             spare_outboxes: Vec::new(),
+            inboxes: Inboxes::default(),
             inbox_bufs: Vec::new(),
             plan_scratch: PlanScratch::default(),
             spare_records: Vec::new(),
@@ -302,8 +313,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         ids
     }
 
-    /// Materializes the slot (process + scratch, and the delivery's side)
-    /// for a node that is already a member.
+    /// Materializes the slot (process + scratch, inbox, and the delivery's
+    /// side) for a node that is already a member.
     fn spawn_slot(&mut self, id: NodeId, round: Round) {
         let process = (self.factory)(id, round);
         let out = self.spare_outboxes.pop().unwrap_or_default();
@@ -316,6 +327,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             digest: 0,
             sponsored: 0..0,
         });
+        self.inboxes.push_slot();
         self.delivery.on_join(id);
     }
 
@@ -407,6 +419,11 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         &self.adversary
     }
 
+    /// Every slot's inbox, as far as the next round's is placed already.
+    pub fn inboxes(&self) -> &Inboxes {
+        &self.inboxes
+    }
+
     /// Capacities of the reusable buffers the compute phase fills: the
     /// slots' outboxes (payloads, sends) and the workers' inbox buffers.
     #[cfg(test)]
@@ -444,6 +461,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         outcome.joined.clear();
         outcome.rejected_departures.clear();
         outcome.rejected_joins.clear();
+        let waiting = self.inboxes.pending();
         if t >= self.config.churn_rules.bootstrap_rounds {
             let remaining = self.budget.remaining(t, &self.config.churn_rules);
             let plan = {
@@ -463,10 +481,13 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         row.joins = outcome.joined.len();
         self.obs.span_end(D::SPANS.churn, span);
 
-        // Phase 2: every slot's inbox becomes a slice, and this round's
-        // joiners are grouped per bootstrap node.
+        // Phase 2: every slot's inbox is settled, and this round's joiners
+        // are grouped per bootstrap node.
         let span = self.obs.span_start();
-        let (delivered, dropped) = self.delivery.deliver(t, &self.index);
+        // What departed slots held unread is dropped with them.
+        let unread = waiting - self.inboxes.pending();
+        let dropped = unread + self.delivery.deliver(t, &self.index, &mut self.inboxes);
+        let delivered = self.inboxes.pending();
         self.group_sponsored(&outcome);
         row.node_count = self.slots.len();
         self.obs.span_end(D::SPANS.deliver, span);
@@ -485,12 +506,21 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let span = self.obs.span_start();
         {
             let delivery = &self.delivery;
+            let inboxes = &self.inboxes;
             let sponsored_ids = &self.sponsored_ids;
             if self.inbox_bufs.len() < threads {
                 self.inbox_bufs.resize_with(threads, Vec::new);
             }
             let workers = &mut self.inbox_bufs[..threads];
-            rayon::for_each_index_mut(&mut self.slots, workers, |inbox_buf, i, slot| {
+            rayon::for_each_index_mut(&mut self.slots, workers, |inbox, i, slot| {
+                let to = slot.id;
+                inbox.clear();
+                inbox.extend(
+                    inboxes
+                        .positions(i)
+                        .iter()
+                        .map(move |&position| delivery.envelope(position, to)),
+                );
                 slot.digest = activate(
                     &mut slot.process,
                     slot.id,
@@ -499,7 +529,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                     &sponsored_ids[slot.sponsored.clone()],
                     seed,
                     hash_seed,
-                    delivery.inbox(i, inbox_buf),
+                    inbox,
                     &mut slot.out,
                     record_digests,
                 );
@@ -519,7 +549,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let obs_on = self.obs.is_on();
         let mut lost = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            let received = self.delivery.inbox_len(i);
+            let received = self.inboxes.consume(i);
             row.record_received(received);
             if obs_on {
                 // The messages this activation read: a deterministic
@@ -533,11 +563,13 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             if record_digests {
                 rec.digests.push((slot.id, slot.digest));
             }
-            lost += self.delivery.send(slot.id, t, &mut slot.out, &self.obs);
+            lost += self
+                .delivery
+                .send(slot.id, t, &mut slot.out, &mut self.inboxes, &self.obs);
             rec.graph.members.push(slot.id);
         }
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
-        self.delivery.flush_sends(t, outboxes);
+        self.delivery.flush_sends(t, outboxes, &mut self.inboxes);
         debug_assert!(
             self.slots.iter().all(|slot| slot.out.is_empty()),
             "the delivery left sends in an outbox"
@@ -599,7 +631,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             let mut out = slot.out;
             out.clear();
             self.spare_outboxes.push(out);
-            self.delivery.on_depart(id, idx, t);
+            self.inboxes.remove_slot(idx);
+            self.delivery.on_depart(id, idx);
         }
         for &(id, _bootstrap) in outcome.joined.iter() {
             self.spawn_slot(id, t);
