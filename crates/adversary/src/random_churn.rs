@@ -44,14 +44,6 @@ impl RandomChurnAdversary {
         self.period = period.max(1);
         self
     }
-
-    /// Uses different departure and join volumes (shrinking or growing the
-    /// network over time).
-    pub fn with_rates(mut self, departures: usize, joins: usize) -> Self {
-        self.departures_per_round = departures;
-        self.joins_per_round = joins;
-        self
-    }
 }
 
 impl Adversary for RandomChurnAdversary {
@@ -162,17 +154,5 @@ mod tests {
             active_rounds <= 2,
             "only rounds 0 and 4 may churn, got {active_rounds}"
         );
-    }
-
-    #[test]
-    fn asymmetric_rates_shrink_the_network() {
-        let adv = RandomChurnAdversary::new(0, 4).with_rates(2, 0);
-        let rules = ChurnRules {
-            max_events: Some(1000),
-            window: 10,
-            ..ChurnRules::default()
-        };
-        let sim = run(adv, rules, 5);
-        assert_eq!(sim.node_count(), 64 - 10);
     }
 }

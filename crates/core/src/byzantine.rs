@@ -79,11 +79,6 @@ impl ByzantineSpec {
         self.num > 0 && id.raw() % self.den.max(1) < self.num
     }
 
-    /// The byzantine fraction as a float (for reports).
-    pub fn fraction_value(&self) -> f64 {
-        self.num as f64 / self.den.max(1) as f64
-    }
-
     /// A compact label, e.g. `byz1/8-selfwd`.
     pub fn label(&self) -> String {
         format!("byz{}/{}-{}", self.num, self.den, self.kind.label())
@@ -110,7 +105,6 @@ mod tests {
     fn zero_fraction_marks_nobody() {
         let spec = ByzantineSpec::fraction(0, 8, MisbehaviorKind::StaleClaims);
         assert!((0..1000u64).all(|i| !spec.is_byzantine(NodeId(i))));
-        assert_eq!(spec.fraction_value(), 0.0);
     }
 
     #[test]
@@ -118,7 +112,6 @@ mod tests {
         let spec = ByzantineSpec::fraction(1, 0, MisbehaviorKind::BogusReplies);
         // den 0 is treated as 1: everything byzantine, nothing panics.
         assert!(spec.is_byzantine(NodeId(7)));
-        assert_eq!(spec.fraction_value(), 1.0);
     }
 
     #[test]

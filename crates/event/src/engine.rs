@@ -14,7 +14,7 @@
 //!
 //! As on the lockstep delivery, a send round's distinct payloads are kept
 //! once, in an **arena**, but a copy may stay in flight for many rounds: the
-//! queue parks a 48-byte `Pending<u32>` per copy — arrival tick, sequence
+//! queue parks a 48-byte `Pending<u32>` per copy — delivery round, sequence
 //! number and an envelope whose payload is a 4-byte **handle**.
 //!
 //! * `send` (once per node, id order) appends the outbox's distinct payloads
@@ -22,19 +22,21 @@
 //!   injector's one numbering rule (slots send in id order, so the numbering
 //!   is the lockstep engine's in-flight order), draws each fate — a pure
 //!   function of `(master seed, sequence number)`, or a recorded
-//!   [`MessageTrace`]'s entry under replay — and parks the survivors in a
-//!   [`CalendarQueue`](crate::queue) keyed on arrival tick. A copy a
-//!   `Mutate` fault corrupts gets an arena entry of its own. A copy parked
-//!   beyond the wheel's 64-round horizon owns its payload in a slot store
+//!   [`MessageTrace`]'s entry under replay — and files the survivors in a
+//!   [`CalendarQueue`](crate::queue) of width 1 under their *delivery
+//!   round*: the first boundary at or past the arrival tick, never the
+//!   sending round's own (the round [`MessageTrace`] records). A copy a
+//!   `Mutate` fault corrupts gets an arena entry of its own. A copy filed
+//!   `FAR_ROUNDS` (64) or more rounds ahead owns its payload in a slot store
 //!   with a free list instead: one late copy must not pin its whole round's
 //!   arena (a hostile `Delay { ticks: u64::MAX }` would pin every round's
 //!   forever).
-//! * `deliver` at boundary `t` drains everything whose arrival tick has
-//!   passed ("round-boundary delivery"), sorts the batch into send order —
-//!   within one boundary the residual arrival jitter has no semantic meaning
-//!   (every message of the batch is read by the same activation); the drain
-//!   is nearly sorted already — and scatters its positions into the world's
-//!   inboxes.
+//! * `deliver` at boundary `t` drains every bucket up to round `t` — one
+//!   whole bucket, in push order ("round-boundary delivery"; within one
+//!   boundary the residual arrival jitter has no semantic meaning, since
+//!   every message of the batch is read by the same activation) — sorts the
+//!   batch into send order, one linear pass on a bucket already in it, and
+//!   scatters its positions into the world's inboxes.
 //! * An arena is recycled once its last parked copy has drained, at the
 //!   boundary after the one that drained it: the compute phase in between
 //!   reads it. Far slots are freed on the same schedule.
@@ -46,9 +48,10 @@
 //! two-steps-ahead maintenance protocol was never proved against.
 //!
 //! `end_round` samples the queue's high-water mark and reports the round's
-//! network counters. All tick arithmetic saturates: a hostile
-//! `ticks_per_round` pins the clock at the end of time instead of wrapping it
-//! (which would reorder the queue).
+//! network counters. Ticks survive only in the delay counters of
+//! [`NetStats`], and all tick arithmetic saturates: a hostile
+//! `ticks_per_round` pins the clock at the end of time instead of wrapping
+//! it.
 
 use std::collections::VecDeque;
 
@@ -60,7 +63,7 @@ use tsa_sim::{
 
 use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
 use crate::model::{FateBlock, NetModel, Topology};
-use crate::queue::{CalendarQueue, Pending, WHEEL_SLOTS};
+use crate::queue::{CalendarQueue, Pending};
 use crate::trace::{MessageFate, MessageTrace};
 use crate::TICKS_PER_ROUND;
 
@@ -124,6 +127,10 @@ pub struct NetStats {
 /// through a [`VirtualTime`] network.
 pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
+/// Rounds ahead of its send round from which a copy owns its payload in the
+/// far store instead of holding its send round's arena.
+const FAR_ROUNDS: u64 = 64;
+
 /// Set in a handle that names a slot of the far store rather than an entry
 /// of its send round's arena.
 const FAR: u32 = 1 << 31;
@@ -151,8 +158,8 @@ pub struct VirtualTime<M> {
     ticks_per_round: u64,
     /// The tick of the boundary being executed (between steps: the next).
     now: u64,
-    /// The event queue: one entry per copy in flight, earliest
-    /// `(arrival, seq)` first; each envelope's payload is the copy's handle.
+    /// The event queue: one entry per copy in flight, filed under its
+    /// delivery round; each envelope's payload is the copy's handle.
     queue: CalendarQueue<u32>,
     /// The arenas of send rounds `arena_base..`, oldest first: the current
     /// round's and every earlier one that a parked copy or this boundary's
@@ -161,7 +168,7 @@ pub struct VirtualTime<M> {
     arena_base: Round,
     /// Payload buffers of recycled arenas, taken by the next rounds'.
     spare_arenas: Vec<Vec<M>>,
-    /// The payloads of copies parked beyond the wheel horizon, one slot
+    /// The payloads of copies filed [`FAR_ROUNDS`] or more ahead, one slot
     /// each; `None` is a free slot, listed in `far_free`.
     far: Vec<Option<M>>,
     far_free: Vec<u32>,
@@ -278,7 +285,7 @@ impl<M> VirtualTime<M> {
         }
     }
 
-    /// Gives a copy parked beyond the wheel horizon a slot of its own.
+    /// Gives a copy filed [`FAR_ROUNDS`] or more ahead a slot of its own.
     fn park_far(&mut self, payload: M) -> u32 {
         let slot = match self.far_free.pop() {
             Some(slot) => {
@@ -345,7 +352,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             topology: config.topology,
             ticks_per_round: config.ticks_per_round,
             now: 0,
-            queue: CalendarQueue::new(config.ticks_per_round),
+            queue: CalendarQueue::new(1),
             arenas: VecDeque::new(),
             arena_base: 0,
             spare_arenas: Vec::new(),
@@ -369,9 +376,9 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         debug_assert_eq!(self.now, t.saturating_mul(self.ticks_per_round));
         self.recycle();
         self.batch.clear();
-        // The wheel moves whole due buckets with a bulk append (unordered);
-        // the by-seq sort below is the only order the inboxes ever see.
-        self.queue.drain_at_or_before(self.now, &mut self.batch);
+        // Round t's bucket moves with a bulk append; the by-seq sort below is
+        // the only order the inboxes ever see.
+        self.queue.drain_at_or_before(t, &mut self.batch);
         self.batch.sort_unstable_by_key(|p| p.seq);
         // Every copy lets go of its hold on its payload (released at the
         // next boundary, once it has been read) in the scatter's one pass
@@ -410,9 +417,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     ) -> usize {
         let span = obs.span_start();
         let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
-        // A copy delayed this long or longer is parked past the wheel's
-        // horizon and owns its payload.
-        let far_delay = WHEEL_SLOTS.saturating_mul(ticks_per_round);
         let payloads = out.payloads();
         let arena = self
             .arenas
@@ -446,8 +450,9 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 // The fate: a fault drop, a sample from the network model
                 // (plus any fault delay), or — when replaying a recorded
                 // twin run — the fixed schedule's entry for this sequence
-                // number.
-                let delay = if fault_drop {
+                // number. A delivered copy carries its delay in ticks (for
+                // the counters only) and the boundary that will read it.
+                let fate = if fault_drop {
                     None
                 } else {
                     match &self.replay {
@@ -459,23 +464,28 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                                 Some(b) if b.covers(seed, msg_seq) => b,
                                 _ => &*self.fate_block.insert(FateBlock::containing(seed, msg_seq)),
                             };
-                            net.route_with(block, msg_seq)
-                                .map(|d| d.saturating_add(extra_delay))
+                            net.route_with(block, msg_seq).map(|d| {
+                                let delay = d.saturating_add(extra_delay);
+                                // The first boundary at or past the arrival
+                                // tick, and never the sending round's own.
+                                let arrival = now.saturating_add(delay);
+                                let at_round =
+                                    arrival.div_ceil(ticks_per_round).max(t.saturating_add(1));
+                                (delay, at_round)
+                            })
                         }
                         Some(tr) => match tr.fate(msg_seq) {
                             Some(MessageFate::Lost) => None,
                             Some(MessageFate::Delivered { at_round }) => {
-                                // Delivered at boundary `at_round` means an
-                                // arrival tick at exactly that boundary
-                                // (saturating, like every other tick
-                                // product).
-                                let arrival = at_round.saturating_mul(ticks_per_round);
                                 assert!(
                                     at_round > t,
                                     "replay trace delivers seq {msg_seq} at round \
                                      {at_round}, not after its send round {t}"
                                 );
-                                Some(arrival.saturating_sub(now))
+                                // The delay that reaches boundary `at_round`
+                                // (saturating, like every other tick product).
+                                let arrival = at_round.saturating_mul(ticks_per_round);
+                                Some((arrival.saturating_sub(now), at_round))
                             }
                             None => panic!(
                                 "replay trace exhausted at seq {msg_seq}: the \
@@ -484,7 +494,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                         },
                     }
                 };
-                let Some(delay) = delay else {
+                let Some((delay, at_round)) = fate else {
                     lost += 1;
                     self.stats.lost += 1;
                     if cross {
@@ -497,15 +507,10 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 };
                 self.stats.max_delay_ticks = self.stats.max_delay_ticks.max(delay);
                 self.stats.total_delay_ticks = self.stats.total_delay_ticks.saturating_add(delay);
-                let arrival = now.saturating_add(delay);
                 if let Some(tr) = self.trace.as_mut() {
-                    // The boundary that will read this message: the first
-                    // one at or past the arrival tick, and never the sending
-                    // round's own.
-                    let at_round = (arrival.div_ceil(ticks_per_round)).max(t.saturating_add(1));
                     tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
-                let handle = if delay >= far_delay {
+                let handle = if at_round - t >= FAR_ROUNDS {
                     self.park_far(copy.mutated.unwrap_or_else(|| payload.clone()))
                 } else {
                     let arena = self.arenas.back_mut().expect("opened above");
@@ -519,7 +524,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                     }
                 };
                 self.queue.push(Pending {
-                    arrival,
+                    arrival: at_round,
                     seq: msg_seq,
                     env: Envelope::new(from, to, t, handle),
                 });
@@ -563,10 +568,10 @@ mod tests {
     use crate::model::LatencyModel;
     use tsa_sim::prelude::*;
 
-    // The queue's ordering contract (pop order, overflow handling, clamped
-    // late pushes) is tested in `crate::queue` and held against a reference
-    // `BinaryHeap` by `tests/queue_props.rs`; here we only pin the engine's
-    // overflow behavior at the clock level.
+    // The queue's ordering contract (pop order, far and late pushes, drains)
+    // is tested in `crate::queue` and held against a reference `BinaryHeap`
+    // by `tests/queue_props.rs`; here we only pin the engine's saturation
+    // behavior at the clock level.
 
     struct Pinger;
     impl Process for Pinger {
@@ -713,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn copies_parked_beyond_the_horizon_pin_no_arena() {
+    fn copies_filed_far_ahead_pin_no_arena() {
         // A twentieth of all copies never arrive. Parked in their rounds'
         // arenas they would keep every round's payloads for good.
         let forever = FaultRule::every(FaultAction::Delay { ticks: u64::MAX }).with_prob(0.05);
@@ -735,7 +740,7 @@ mod tests {
 
     #[test]
     fn far_slots_are_reused_once_read() {
-        // 70 rounds late: past the horizon, delivered all the same, and its
+        // 70 rounds late: far ahead, delivered all the same, and its
         // slot back on the free list once the receiver has read it.
         let late = FaultRule::every(FaultAction::Delay {
             ticks: 70 * TICKS_PER_ROUND,

@@ -7,9 +7,10 @@
 //! boundaries, or is lost outright?
 //!
 //! * [`EventSimulator`] is a discrete-event engine over a virtual tick clock
-//!   ([`TICKS_PER_ROUND`] ticks per protocol round) with a calendar
-//!   (timing-wheel) event queue ([`queue::CalendarQueue`]) popping in the
-//!   total order `(time, seq, node)`;
+//!   ([`TICKS_PER_ROUND`] ticks per protocol round) whose calendar event
+//!   queue ([`queue::CalendarQueue`], an ordered map of buckets) files every
+//!   copy under its delivery round — the boundary that reads it — so each
+//!   boundary drains one whole bucket;
 //! * [`LatencyModel`] / [`NetModel`] are ChaCha8-seeded per-message
 //!   latency/jitter/loss models — every message's fate is a pure function of
 //!   `(master seed, send sequence number)` (derived in 64-message

@@ -1,59 +1,46 @@
-//! The calendar (timing-wheel) event queue behind the event engine.
+//! The calendar event queue behind the event engine: an ordered map of
+//! buckets.
 //!
 //! # Why not a binary heap
 //!
-//! The engine's delivery pattern is extremely structured: events are pushed
-//! with arrival ticks at most a few round-windows ahead of the virtual clock
-//! and are drained in whole round-boundary batches. A binary heap pays
-//! `O(log n)` pointer-chasing comparisons per push *and* per pop for a
-//! generality the workload never uses. A calendar queue instead hashes each
-//! event into the bucket covering its arrival window (`arrival /
-//! bucket_width`), keeps a small ring of near-future buckets plus an
-//! overflow list for far-future events, and sorts a bucket only when it is
-//! actually popped from — `O(1)` amortized per operation for round-shaped
-//! workloads.
+//! The engine's delivery pattern is extremely structured: a message is read
+//! at a round boundary, not at an instant, so the engine files every copy
+//! under its *delivery round* (a queue of width 1 over rounds) and drains one
+//! whole bucket per boundary. A binary heap pays `O(log n)` pointer-chasing
+//! comparisons per push *and* per pop for a generality the workload never
+//! uses. A calendar queue instead files each event under the bucket covering
+//! its arrival window (`arrival / bucket_width`) in a `BTreeMap` that holds
+//! only the live buckets — a handful for round-shaped traffic — and sorts a
+//! bucket only when it is actually popped from.
 //!
 //! # Ordering contract
 //!
 //! [`CalendarQueue::pop_at_or_before`] yields events in exactly the total
 //! order the engine's original `BinaryHeap<Pending>` popped them:
 //! ascending `(arrival, seq, receiver)`. Bucket indices are monotone in the
-//! arrival tick, late pushes whose natural bucket has already been drained
-//! are clamped into the current bucket (where the in-bucket sort restores
-//! their key order), and overflow events are folded back into the ring
-//! *whenever the wheel horizon advances over them* — never only when the
-//! ring empties, which would let a fresh in-ring push overtake an earlier
-//! overflow event. `crates/event/tests/queue_props.rs` holds this
-//! equivalence against a reference heap under dense, sparse, far-future and
-//! duplicate-arrival tick distributions.
-//!
-//! All tick arithmetic saturates: an event at `arrival = u64::MAX` (a
-//! hostile `FaultAction::Delay` plan) parks in the overflow list instead of
-//! wrapping into the past and reordering the queue, and folds back into the
-//! ring once the wheel catches up — the in-ring test compares bucket
-//! *distances* rather than a `cur + WHEEL_SLOTS` horizon, so even bucket
-//! `u64::MAX` (width 1) is reachable rather than stuck beyond a horizon
-//! that saturates at `u64::MAX`.
+//! arrival, so the first bucket of the map holds the smallest keys: an event
+//! pushed behind a bucket already drained is simply a smaller key and pops
+//! first, and one at `arrival = u64::MAX` is an ordinary last bucket.
+//! `crates/event/tests/queue_props.rs` holds this equivalence against a
+//! reference heap under dense, sparse, far-future and duplicate-arrival
+//! distributions, for pops and for drains.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BTreeMap;
 
 use tsa_sim::{Envelope, NodeId};
 
-/// Number of near-future buckets kept in the ring. One bucket per round
-/// window (the engine sets `bucket_width = ticks_per_round`), so the ring
-/// covers 64 rounds of look-ahead before events spill to overflow.
-pub(crate) const WHEEL_SLOTS: u64 = 64;
-
 /// Drained bucket allocations kept for reuse. Round-shaped traffic keeps one
-/// or two buckets live at a time, so a handful of spares is all the wheel
+/// or two buckets live at a time, so a handful of spares is all the queue
 /// ever needs; anything beyond is freed.
 const MAX_SPARE_BUCKETS: usize = 4;
 
-/// One message in flight: its arrival tick, global send sequence number and
+/// One message in flight: its arrival, global send sequence number and
 /// envelope. The queue orders by `(arrival, seq, receiver)`; `seq` is unique
 /// in a live engine, so the order is total and delivery is deterministic.
 pub struct Pending<M> {
-    /// The virtual tick at which the message becomes deliverable.
+    /// When the message becomes deliverable, in the queue's unit of time
+    /// (the event engine files the round whose boundary reads it).
     pub arrival: u64,
     /// The message's global send index.
     pub seq: u64,
@@ -88,198 +75,88 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// One wheel slot: its events plus a lazily-maintained sort flag. A bucket
-/// the wheel has moved past gives its allocation to the queue's spare list,
-/// where the next bucket to fill takes it — were every slot to keep its own,
-/// the ring would pin `WHEEL_SLOTS` round-sized buffers to serve one or two
-/// live windows.
+/// One bucket: its events plus a lazily-maintained sort flag. Never empty
+/// while in the map; an emptied bucket leaves it and gives its allocation to
+/// the queue's spare list, where the next new bucket takes it.
 struct Bucket<M> {
-    /// The slot's events; sorted *descending* by key when `sorted` is set,
+    /// The bucket's events; sorted *descending* by key when `sorted` is set,
     /// so the minimum pops from the tail in O(1).
     items: Vec<Pending<M>>,
     sorted: bool,
 }
 
-impl<M> Default for Bucket<M> {
-    fn default() -> Self {
-        Bucket {
-            items: Vec::new(),
-            sorted: true,
+impl<M> Bucket<M> {
+    fn sort(&mut self) {
+        if !self.sorted {
+            self.items.sort_unstable_by_key(|p| Reverse(p.cmp_key()));
+            self.sorted = true;
         }
     }
 }
 
-/// A calendar queue over [`Pending`] events, keyed on the arrival tick.
+/// A calendar queue over [`Pending`] events, keyed on the arrival.
 ///
 /// See the module docs for the layout and the ordering contract.
 pub struct CalendarQueue<M> {
-    /// Ticks covered by one bucket (the engine's `ticks_per_round`; ≥ 1).
+    /// Arrivals covered by one bucket (≥ 1).
     width: u64,
-    /// The ring of near-future buckets; absolute bucket `b` lives in slot
-    /// `b % WHEEL_SLOTS` while `b < cur + WHEEL_SLOTS`.
-    ring: Vec<Bucket<M>>,
-    /// The absolute index of the earliest live bucket. Monotone.
-    cur: u64,
-    /// Events currently in the ring.
-    ring_len: usize,
+    /// The live buckets by index (`arrival / width`), none of them empty.
+    buckets: BTreeMap<u64, Bucket<M>>,
     /// Empty allocations of drained buckets (at most
-    /// [`MAX_SPARE_BUCKETS`]), handed to the next empty bucket on its first
-    /// push.
+    /// [`MAX_SPARE_BUCKETS`]), handed to the next new bucket.
     spare: Vec<Vec<Pending<M>>>,
-    /// Far-future events (arrival beyond the ring horizon), unordered.
-    overflow: Vec<Pending<M>>,
-    /// Smallest absolute bucket index present in `overflow`, `None` when
-    /// the overflow list is empty. An `Option` rather than a `u64::MAX`
-    /// sentinel: at width 1 an event at `arrival = u64::MAX` really lives
-    /// in bucket `u64::MAX`, and a sentinel collision there once made
-    /// `seek_to_live_bucket` spin forever.
-    overflow_min: Option<u64>,
 }
 
 impl<M> CalendarQueue<M> {
-    /// A queue whose buckets each cover `bucket_width` ticks (clamped to at
-    /// least 1).
+    /// A queue whose buckets each cover `bucket_width` arrivals (clamped to
+    /// at least 1).
     pub fn new(bucket_width: u64) -> Self {
         CalendarQueue {
             width: bucket_width.max(1),
-            ring: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
-            cur: 0,
-            ring_len: 0,
+            buckets: BTreeMap::new(),
             spare: Vec::new(),
-            overflow: Vec::new(),
-            overflow_min: None,
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.buckets.values().map(|b| b.items.len()).sum()
     }
 
     /// `true` when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The absolute bucket index covering `arrival`, clamped so that a late
-    /// push (arrival before the current bucket's window) lands in the
-    /// current bucket, where the in-bucket sort restores its key order.
-    fn bucket_of(&self, arrival: u64) -> u64 {
-        (arrival / self.width).max(self.cur)
-    }
-
-    /// Whether absolute bucket `b` currently falls inside the ring. The
-    /// check compares the *distance* from `cur` (saturating, for the
-    /// clamped-late-push case where `b` sits below `cur`): a
-    /// `b < cur + WHEEL_SLOTS` horizon comparison would saturate at
-    /// `u64::MAX` near the top of the tick range and never admit bucket
-    /// `u64::MAX` itself.
-    fn in_ring(&self, b: u64) -> bool {
-        b.saturating_sub(self.cur) < WHEEL_SLOTS
-    }
-
-    /// Puts an event into in-ring bucket `b`.
-    fn push_into_ring(&mut self, b: u64, p: Pending<M>) {
-        let slot = &mut self.ring[(b % WHEEL_SLOTS) as usize];
-        if slot.items.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                slot.items = spare;
-            }
-        }
-        slot.items.push(p);
-        slot.sorted = false;
-        self.ring_len += 1;
+        self.buckets.is_empty()
     }
 
     /// Queues an event.
     pub fn push(&mut self, p: Pending<M>) {
-        let b = self.bucket_of(p.arrival);
-        if self.in_ring(b) {
-            self.push_into_ring(b, p);
-        } else {
-            self.overflow_min = Some(self.overflow_min.map_or(b, |m| m.min(b)));
-            self.overflow.push(p);
-        }
+        let spare = &mut self.spare;
+        let bucket = self
+            .buckets
+            .entry(p.arrival / self.width)
+            .or_insert_with(|| Bucket {
+                items: spare.pop().unwrap_or_default(),
+                sorted: true,
+            });
+        bucket.items.push(p);
+        bucket.sorted = false;
     }
 
-    /// Folds every overflow event whose bucket has come inside the ring
-    /// horizon back into the ring, and recomputes the overflow minimum.
-    fn refill_from_overflow(&mut self) {
-        let mut min: Option<u64> = None;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let b = self.bucket_of(self.overflow[i].arrival);
-            if self.in_ring(b) {
-                let p = self.overflow.swap_remove(i);
-                self.push_into_ring(b, p);
-            } else {
-                min = Some(min.map_or(b, |m| m.min(b)));
-                i += 1;
-            }
-        }
-        self.overflow_min = min;
-    }
-
-    /// Advances `cur` to the earliest non-empty bucket, folding overflow
-    /// events back into the ring as the horizon moves over them. Returns
-    /// `false` when the queue is empty.
-    fn seek_to_live_bucket(&mut self) -> bool {
-        loop {
-            if self.overflow_min.is_some_and(|m| self.in_ring(m)) {
-                self.refill_from_overflow();
-            }
-            if self.ring_len == 0 {
-                let Some(min) = self.overflow_min else {
-                    return false;
-                };
-                // Everything queued is far-future: jump the wheel straight
-                // to the earliest overflow bucket (cur is monotone, the
-                // overflow minimum is always at or past the old horizon).
-                // The next iteration's refill then folds that bucket into
-                // the ring — `in_ring` admits it even at `u64::MAX` — so
-                // `ring_len` becomes nonzero and the loop terminates.
-                self.cur = self.cur.max(min);
-                continue;
-            }
-            let items = &mut self.ring[(self.cur % WHEEL_SLOTS) as usize].items;
-            if !items.is_empty() {
-                return true;
-            }
-            // Moving past a drained bucket: recycle its allocation.
-            if items.capacity() > 0 {
-                let drained = std::mem::take(items);
-                if self.spare.len() < MAX_SPARE_BUCKETS {
-                    self.spare.push(drained);
-                }
-            }
-            self.cur += 1;
-        }
-    }
-
-    /// Pops the minimum-key event if its arrival tick is at or before
-    /// `now` — exactly the events and exactly the order a
-    /// `BinaryHeap<Pending>` would yield with
-    /// `heap.peek().arrival <= now` / `heap.pop()`.
+    /// Pops the minimum-key event if its arrival is at or before `now` —
+    /// exactly the events and exactly the order a `BinaryHeap<Pending>`
+    /// would yield with `heap.peek().arrival <= now` / `heap.pop()`.
     pub fn pop_at_or_before(&mut self, now: u64) -> Option<Pending<M>> {
-        if !self.seek_to_live_bucket() {
-            return None;
-        }
-        let bucket = &mut self.ring[(self.cur % WHEEL_SLOTS) as usize];
-        if !bucket.sorted {
-            // Descending, so the global minimum sits at the tail. The
-            // current bucket holds the smallest keys in the whole queue:
-            // later ring buckets and overflow events cover strictly later
-            // arrival windows, and late pushes were clamped into this one.
-            bucket
-                .items
-                .sort_unstable_by_key(|p| std::cmp::Reverse(p.cmp_key()));
-            bucket.sorted = true;
-        }
+        let mut first = self.buckets.first_entry()?;
+        let bucket = first.get_mut();
+        bucket.sort();
         if bucket.items.last()?.arrival > now {
             return None;
         }
-        self.ring_len -= 1;
-        bucket.items.pop()
+        let p = bucket.items.pop();
+        if bucket.items.is_empty() {
+            recycle(&mut self.spare, first.remove());
+        }
+        p
     }
 
     /// Moves every event with `arrival <= now` into `out`, in **unspecified
@@ -288,43 +165,42 @@ impl<M> CalendarQueue<M> {
     /// use [`pop_at_or_before`](Self::pop_at_or_before) when the pop order
     /// itself matters.
     pub fn drain_at_or_before(&mut self, now: u64, out: &mut Vec<Pending<M>>) {
-        loop {
-            if !self.seek_to_live_bucket() {
+        while let Some(mut first) = self.buckets.first_entry() {
+            let b = *first.key();
+            // b · width is at most the bucket's smallest arrival: no wrap.
+            if b * self.width > now {
                 return;
             }
-            let width = self.width;
-            let bucket = &mut self.ring[(self.cur % WHEEL_SLOTS) as usize];
-            // The current bucket's window ends at (cur + 1) · width − 1;
-            // if that is within `now` the whole bucket is due (clamped late
-            // pushes are even earlier) and moves without any sort. Checked
-            // arithmetic throughout: near the top of the tick range the
-            // true end meets or exceeds `u64::MAX`, and a clamped
-            // `u64::MAX − 1` end would bulk-move an `arrival = u64::MAX`
-            // event one tick early.
-            let bucket_end = self
-                .cur
+            // The window ends at (b + 1) · width − 1, which near the top of
+            // the range meets or exceeds u64::MAX; clamping it to
+            // u64::MAX − 1 would move an `arrival = u64::MAX` event early.
+            let end = b
                 .checked_add(1)
-                .and_then(|b| b.checked_mul(width))
+                .and_then(|next| next.checked_mul(self.width))
                 .map_or(u64::MAX, |e| e - 1);
-            if bucket_end <= now {
-                self.ring_len -= bucket.items.len();
+            let bucket = first.get_mut();
+            if end <= now {
                 out.append(&mut bucket.items);
-                bucket.sorted = true;
-                continue;
+            } else {
+                // Partially due: sort once, then peel the due tail.
+                bucket.sort();
+                while bucket.items.last().is_some_and(|p| p.arrival <= now) {
+                    out.extend(bucket.items.pop());
+                }
+                if !bucket.items.is_empty() {
+                    return;
+                }
             }
-            // Partially due bucket: sort once, then peel the due tail.
-            if !bucket.sorted {
-                bucket
-                    .items
-                    .sort_unstable_by_key(|p| std::cmp::Reverse(p.cmp_key()));
-                bucket.sorted = true;
-            }
-            while bucket.items.last().is_some_and(|p| p.arrival <= now) {
-                out.push(bucket.items.pop().expect("tail checked above"));
-                self.ring_len -= 1;
-            }
-            return;
+            recycle(&mut self.spare, first.remove());
         }
+    }
+}
+
+/// Gives an emptied bucket's allocation to the spare list, or frees it.
+fn recycle<M>(spare: &mut Vec<Vec<Pending<M>>>, bucket: Bucket<M>) {
+    debug_assert!(bucket.items.is_empty());
+    if spare.len() < MAX_SPARE_BUCKETS {
+        spare.push(bucket.items);
     }
 }
 
@@ -340,20 +216,20 @@ mod tests {
         }
     }
 
-    /// Event slots the queue holds on to, in use or not: ring buckets plus
+    /// Event slots the queue holds on to, in use or not: live buckets plus
     /// spares.
     fn retained_capacity(q: &CalendarQueue<u64>) -> usize {
-        let ring: usize = q.ring.iter().map(|b| b.items.capacity()).sum();
+        let live: usize = q.buckets.values().map(|b| b.items.capacity()).sum();
         let spare: usize = q.spare.iter().map(Vec::capacity).sum();
-        ring + spare
+        live + spare
     }
 
     #[test]
     fn drained_buckets_do_not_pin_a_round_of_memory_each() {
-        // Regression: every wheel slot kept the allocation of the round that
-        // filled it, so 64 slots pinned 64 rounds' worth of buffers while one
-        // or two were live. Sub-round traffic: round t's sends arrive before
-        // boundary t + 1 and are drained there.
+        // Regression: every bucket kept the allocation of the round that
+        // filled it, so the queue pinned many rounds' worth of buffers while
+        // one or two were live. Sub-round traffic: round t's sends arrive
+        // before boundary t + 1 and are drained there.
         let width = 1000u64;
         let mut q = CalendarQueue::new(width);
         let mut out = Vec::new();
@@ -419,29 +295,25 @@ mod tests {
     }
 
     #[test]
-    fn overflow_events_come_back_in_order_as_the_horizon_advances() {
-        // Regression shape: an event lands in overflow (beyond the ring),
-        // then the wheel advances far enough that a *later* event is pushed
-        // straight into the ring. The overflow event must still pop first.
-        let w = 1u64;
-        let mut q = CalendarQueue::new(w);
+    fn a_far_event_pops_before_a_later_near_one() {
+        // An event far ahead is pushed, the queue is polled up to just
+        // before it, and a *later* event is pushed. The far one pops first.
+        let mut q = CalendarQueue::new(1);
         q.push(pending(0, 0, 0));
-        q.push(pending(WHEEL_SLOTS + 1, 1, 0)); // beyond horizon -> overflow
+        q.push(pending(65, 1, 0));
         assert_eq!(q.pop_at_or_before(0).unwrap().seq, 0);
-        // Drain attempts advance the wheel; push a ring event *later* than
-        // the overflow one.
-        assert!(q.pop_at_or_before(WHEEL_SLOTS).is_none());
-        q.push(pending(WHEEL_SLOTS + 2, 2, 0));
+        assert!(q.pop_at_or_before(64).is_none());
+        q.push(pending(66, 2, 0));
         assert_eq!(q.pop_at_or_before(u64::MAX).unwrap().seq, 1);
         assert_eq!(q.pop_at_or_before(u64::MAX).unwrap().seq, 2);
     }
 
     #[test]
-    fn late_pushes_clamp_into_the_current_bucket_and_pop_first() {
+    fn late_pushes_pop_first() {
         let mut q = CalendarQueue::new(1);
         q.push(pending(100, 0, 0));
-        assert!(q.pop_at_or_before(99).is_none()); // advances cur to 100
-        q.push(pending(3, 1, 0)); // natural bucket long drained
+        assert!(q.pop_at_or_before(99).is_none());
+        q.push(pending(3, 1, 0)); // behind everything polled so far
         assert_eq!(q.pop_at_or_before(u64::MAX).unwrap().seq, 1);
         assert_eq!(q.pop_at_or_before(u64::MAX).unwrap().seq, 0);
     }
@@ -459,9 +331,9 @@ mod tests {
     #[test]
     fn width_one_saturated_arrival_pops_instead_of_hanging() {
         // Regression: at width 1 an arrival of u64::MAX lives in bucket
-        // u64::MAX, which collided with the old overflow-min empty sentinel
-        // and could never satisfy a `< cur + WHEEL_SLOTS` horizon check that
-        // saturates at u64::MAX — pop_at_or_before(u64::MAX) spun forever.
+        // u64::MAX, which once collided with an empty-overflow sentinel and
+        // a horizon check that saturates at u64::MAX —
+        // pop_at_or_before(u64::MAX) spun forever.
         let mut q = CalendarQueue::new(1);
         q.push(pending(u64::MAX, 0, 0));
         assert!(q.pop_at_or_before(u64::MAX - 1).is_none());
@@ -472,9 +344,8 @@ mod tests {
 
     #[test]
     fn width_one_pops_in_order_near_saturation() {
-        // Buckets u64::MAX - 2 and u64::MAX both sit past any reachable
-        // horizon; the wheel must jump to the first and still admit the
-        // second, in key order.
+        // Buckets u64::MAX - 2 and u64::MAX, both far from anything polled:
+        // the first pops first and the second is still reached.
         let mut q = CalendarQueue::new(1);
         q.push(pending(u64::MAX, 1, 0));
         q.push(pending(u64::MAX - 2, 0, 0));

@@ -1,12 +1,13 @@
 //! Byte-identity properties of the calendar queue and the batched fate
 //! streams.
 //!
-//! The refactor's contract is that neither the timing wheel nor the
-//! 64-message fate blocks change a single popped event or sampled fate:
+//! The contract is that neither the calendar queue nor the 64-message fate
+//! blocks change a single delivered event or sampled fate:
 //!
 //! * the calendar queue must pop the exact `(arrival, seq, receiver)` order
-//!   of a reference `BinaryHeap<Pending>` under dense, sparse, far-future
-//!   and duplicate-arrival tick distributions, at thread caps 1/2/4;
+//!   of a reference `BinaryHeap<Pending>`, and drain exactly the heap's due
+//!   set, under dense, sparse, far-future and duplicate-arrival
+//!   distributions, at thread caps 1/2/4;
 //! * an engine run's recorded trace (derived through the engine's *cached*
 //!   fate block) must equal the fates predicted by fresh one-shot
 //!   [`NetModel::route`] calls, message by message;
@@ -27,15 +28,15 @@ use tsa_sim::SimConfig;
 /// Which arrival-tick distribution a generated workload draws from.
 #[derive(Clone, Copy, Debug)]
 enum Dist {
-    /// Deltas within a couple of bucket widths: every event lands in the
-    /// wheel's near ring.
+    /// Deltas within a couple of bucket widths: every event lands in one of
+    /// the next few buckets.
     Dense,
-    /// Few events, deltas spread over ~100 buckets: most ring slots stay
-    /// empty and the wheel has to skip them.
+    /// Few events, deltas spread over ~100 buckets: most buckets in between
+    /// stay empty.
     Sparse,
     /// A mix of near deltas and absolute far-future arrivals (up to
-    /// `u64::MAX`): events park in the overflow list and must fold back in
-    /// order as the horizon advances.
+    /// `u64::MAX`): far buckets must wait behind the near ones, and still pop
+    /// in order once due.
     FarFuture,
     /// Deltas from a 3-value set so many events share one arrival tick, and
     /// occasional duplicated `(arrival, seq)` pairs with distinct receivers
@@ -43,13 +44,17 @@ enum Dist {
     DuplicateArrival,
 }
 
-/// One generated workload: a bucket width and per-boundary push batches of
-/// `(arrival, seq, receiver)`.
+/// One generated workload: a bucket width and, per boundary, a batch of
+/// `(arrival, seq, receiver)` pushes and whether the boundary drains its due
+/// events (as the engine does) or pops them one by one.
 #[derive(Clone, Debug)]
 struct Workload {
     width: u64,
-    batches: Vec<Vec<(u64, u64, u64)>>,
+    batches: Vec<(bool, Vec<Push>)>,
 }
+
+/// One push: `(arrival, seq, receiver)`.
+type Push = (u64, u64, u64);
 
 struct WorkloadTree {
     dist: Dist,
@@ -76,8 +81,8 @@ impl Strategy for WorkloadTree {
                     Dist::Sparse => now + rng.next_u64() % (100 * width + 1),
                     Dist::FarFuture => {
                         if rng.next_u64().is_multiple_of(4) {
-                            // Absolute far future, overflowing the wheel —
-                            // including the saturation point itself.
+                            // Absolute far future, including the saturation
+                            // point itself.
                             u64::MAX - rng.next_u64() % 1000
                         } else {
                             now + rng.next_u64() % (70 * width + 1)
@@ -97,7 +102,7 @@ impl Strategy for WorkloadTree {
                 }
                 seq += 1;
             }
-            batches.push(batch);
+            batches.push((rng.next_u64().is_multiple_of(2), batch));
         }
         Workload { width, batches }
     }
@@ -112,16 +117,17 @@ fn pending(arrival: u64, seq: u64, to: u64) -> Pending<u64> {
 }
 
 /// Drives the calendar queue and a reference heap through the identical
-/// push/boundary-drain schedule, asserting the popped keys match one for
-/// one, and returns the full pop order.
+/// push/boundary schedule, asserting that the popped keys match one for one
+/// and that a drain moves exactly the heap's due set, and returns the full
+/// delivery order (a drained set in key order).
 fn drive(w: &Workload) -> Result<Vec<(u64, u64, NodeId)>, String> {
     let mut cal = CalendarQueue::new(w.width);
     let mut heap: BinaryHeap<Pending<u64>> = BinaryHeap::new();
     let mut order = Vec::new();
-    let drain = |cal: &mut CalendarQueue<u64>,
-                 heap: &mut BinaryHeap<Pending<u64>>,
-                 now: u64,
-                 order: &mut Vec<(u64, u64, NodeId)>|
+    let pop = |cal: &mut CalendarQueue<u64>,
+               heap: &mut BinaryHeap<Pending<u64>>,
+               now: u64,
+               order: &mut Vec<(u64, u64, NodeId)>|
      -> Result<(), String> {
         loop {
             let c = cal.pop_at_or_before(now);
@@ -152,7 +158,28 @@ fn drive(w: &Workload) -> Result<Vec<(u64, u64, NodeId)>, String> {
             }
         }
     };
-    for (r, batch) in w.batches.iter().enumerate() {
+    let drain = |cal: &mut CalendarQueue<u64>,
+                 heap: &mut BinaryHeap<Pending<u64>>,
+                 now: u64,
+                 order: &mut Vec<(u64, u64, NodeId)>|
+     -> Result<(), String> {
+        let mut drained = Vec::new();
+        cal.drain_at_or_before(now, &mut drained);
+        let mut got: Vec<_> = drained.iter().map(Pending::cmp_key).collect();
+        got.sort_unstable();
+        let mut due = Vec::new();
+        while heap.peek().is_some_and(|p| p.arrival <= now) {
+            due.push(heap.pop().expect("peeked").cmp_key());
+        }
+        if got != due {
+            return Err(format!(
+                "drained set diverged at now={now}: calendar {got:?}, heap {due:?}"
+            ));
+        }
+        order.extend(due);
+        Ok(())
+    };
+    for (r, (drains, batch)) in w.batches.iter().enumerate() {
         let now = (r as u64).saturating_mul(w.width);
         for &(arrival, seq, to) in batch {
             cal.push(pending(arrival, seq, to));
@@ -161,9 +188,14 @@ fn drive(w: &Workload) -> Result<Vec<(u64, u64, NodeId)>, String> {
         if cal.len() != heap.len() {
             return Err(format!("len diverged: {} vs {}", cal.len(), heap.len()));
         }
-        drain(&mut cal, &mut heap, now, &mut order)?;
+        if *drains {
+            drain(&mut cal, &mut heap, now, &mut order)?;
+        } else {
+            pop(&mut cal, &mut heap, now, &mut order)?;
+        }
     }
-    drain(&mut cal, &mut heap, u64::MAX, &mut order)?;
+    // Whatever remains must still pop in heap order.
+    pop(&mut cal, &mut heap, u64::MAX, &mut order)?;
     if !cal.is_empty() || !heap.is_empty() {
         return Err("a queue kept events past the final drain".to_string());
     }

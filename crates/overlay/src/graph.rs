@@ -166,16 +166,6 @@ impl OverlayGraph {
         dist
     }
 
-    /// The eccentricity of `start` (longest BFS distance to any reachable
-    /// vertex), used to estimate the diameter.
-    pub fn eccentricity(&self, start: NodeId) -> usize {
-        self.bfs_distances(start)
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Restricts the graph to the vertices in `keep` (simulating churn: all
     /// other vertices disappear along with their edges).
     pub fn restrict_to(&self, keep: &HashSet<NodeId>) -> OverlayGraph {
@@ -242,14 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_and_eccentricity() {
+    fn bfs_distances_follow_directed_edges() {
         let mut g = OverlayGraph::new();
         for i in 0..5 {
             g.add_edge(n(i), n(i + 1));
         }
         let d = g.bfs_distances(n(0));
         assert_eq!(d[&n(5)], 5);
-        assert_eq!(g.eccentricity(n(0)), 5);
         assert_eq!(
             g.bfs_distances(n(5)).len(),
             1,

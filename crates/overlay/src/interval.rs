@@ -23,17 +23,6 @@ impl Interval {
         }
     }
 
-    /// The arc from `a` to `b` going clockwise (through increasing values),
-    /// i.e. the set of points `x` with `a ≤ x ≤ b` on the ring.
-    pub fn from_endpoints(a: Position, b: Position) -> Self {
-        let len = (b.value() - a.value()).rem_euclid(1.0);
-        let center = a.offset(len / 2.0);
-        Interval {
-            center,
-            radius: len / 2.0,
-        }
-    }
-
     /// The interval's center.
     pub fn center(&self) -> Position {
         self.center
@@ -118,15 +107,6 @@ mod tests {
         assert!((i.left_end().value() - 0.4).abs() < 1e-12);
         assert!((i.right_end().value() - 0.6).abs() < 1e-12);
         assert!((i.length() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_endpoints_wraps() {
-        let i = Interval::from_endpoints(Position::new(0.9), Position::new(0.1));
-        assert!((i.length() - 0.2).abs() < 1e-12);
-        assert!(i.contains(Position::new(0.95)));
-        assert!(i.contains(Position::new(0.05)));
-        assert!(!i.contains(Position::new(0.5)));
     }
 
     #[test]

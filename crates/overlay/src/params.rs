@@ -81,11 +81,6 @@ impl OverlayParams {
         self.radii().are_neighbors(p, q)
     }
 
-    /// Expected number of nodes in a swarm when `m` nodes are placed uniformly.
-    pub fn expected_swarm_size(&self, m: usize) -> f64 {
-        (2.0 * self.swarm_radius()).min(1.0) * m as f64
-    }
-
     /// The paper's freshness threshold `λ' = 2λ + 4`: nodes younger than this
     /// are *fresh*, older nodes are *mature*.
     pub fn maturity_age(&self) -> u64 {
@@ -174,14 +169,6 @@ mod tests {
         let s = p.swarm_radius();
         assert!((p.list_radius() - 2.0 * s).abs() < 1e-12);
         assert!((p.debruijn_radius() - 1.5 * s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_swarm_size_scales_with_members() {
-        let p = OverlayParams::new(1000, 2.0);
-        let e = p.expected_swarm_size(1000);
-        // 2cλ = 2 * 2 * 10 = 40.
-        assert!((e - 2.0 * p.c * p.lambda() as f64).abs() < 1e-9);
     }
 
     #[test]

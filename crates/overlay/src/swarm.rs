@@ -161,15 +161,6 @@ impl SwarmIndex {
         })
     }
 
-    /// The position of `node`, if indexed. Linear scan: only used in tests and
-    /// analysis code, never on protocol hot paths.
-    pub fn position_of(&self, node: NodeId) -> Option<Position> {
-        self.entries
-            .iter()
-            .find(|(_, id)| *id == node)
-            .map(|(v, _)| Position::new(*v))
-    }
-
     /// Sizes of the swarms around every indexed node (used by experiment F1).
     /// Counts via binary search instead of materializing each swarm.
     pub fn swarm_size_distribution(&self, params: &OverlayParams) -> Vec<usize> {
@@ -236,18 +227,6 @@ mod tests {
         assert!(members.contains(&NodeId(1)));
         assert!(members.contains(&NodeId(2)));
         assert!(!members.contains(&NodeId(3)));
-    }
-
-    #[test]
-    fn position_of_finds_nodes() {
-        let s = idx(&[0.3, 0.6]);
-        assert!(
-            s.position_of(NodeId(1))
-                .unwrap()
-                .distance(Position::new(0.6))
-                < 1e-12
-        );
-        assert!(s.position_of(NodeId(9)).is_none());
     }
 
     #[test]

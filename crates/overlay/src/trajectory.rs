@@ -71,17 +71,6 @@ impl Trajectory {
         let l = self.points.len();
         self.points[l - 2].distance(self.points[l - 1])
     }
-
-    /// Returns the index of the first trajectory point that lies within
-    /// `radius` of the target (useful for measuring how early a message could
-    /// already be delivered).
-    pub fn first_point_within(&self, radius: f64) -> usize {
-        let target = *self.points.last().unwrap();
-        self.points
-            .iter()
-            .position(|x| x.distance(target) <= radius)
-            .unwrap_or(self.points.len() - 1)
-    }
 }
 
 /// The bit pushed at step `i` (1-indexed) when routing towards `p` with
@@ -140,14 +129,6 @@ mod tests {
         assert_eq!(step_bit(p, 1, 3), 1);
         assert_eq!(step_bit(p, 2, 3), 0);
         assert_eq!(step_bit(p, 3, 3), 1);
-    }
-
-    #[test]
-    fn first_point_within_detects_early_arrival() {
-        let p = Position::new(0.5);
-        let t = Trajectory::compute(p, p, 6);
-        // Starting at the target, the first point is already within any radius.
-        assert_eq!(t.first_point_within(0.01), 0);
     }
 
     proptest! {

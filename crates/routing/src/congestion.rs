@@ -62,17 +62,6 @@ impl CongestionTracker {
         }
     }
 
-    /// The per-round maxima, sorted by round (for time-series plots).
-    pub fn per_round_max(&self) -> Vec<(Round, usize)> {
-        let mut v: Vec<(Round, usize)> = self
-            .per_round
-            .iter()
-            .map(|(r, m)| (*r, m.values().copied().max().unwrap_or(0)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Number of distinct rounds with recorded traffic.
     pub fn rounds(&self) -> usize {
         self.per_round.len()
@@ -94,7 +83,6 @@ mod tests {
         assert_eq!(t.total(), 13);
         assert_eq!(t.max_per_node_round(), 7);
         assert_eq!(t.rounds(), 2);
-        assert_eq!(t.per_round_max(), vec![(0, 5), (1, 7)]);
         assert!((t.mean_per_active_node_round() - 13.0 / 3.0).abs() < 1e-12);
     }
 
@@ -104,6 +92,5 @@ mod tests {
         assert_eq!(t.total(), 0);
         assert_eq!(t.max_per_node_round(), 0);
         assert_eq!(t.mean_per_active_node_round(), 0.0);
-        assert!(t.per_round_max().is_empty());
     }
 }

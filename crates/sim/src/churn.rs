@@ -118,9 +118,10 @@ impl ChurnBudget {
     }
 
     /// Drops events that have fallen out of the `window` ending at `round`.
+    /// The sum saturates: `window: u64::MAX` means "never leaves the window".
     pub fn roll(&mut self, round: Round, window: Round) {
         while let Some(&(r, n)) = self.history.front() {
-            if r + window <= round {
+            if r.saturating_add(window) <= round {
                 self.history.pop_front();
                 self.total_in_window -= n;
             } else {
@@ -212,7 +213,7 @@ pub fn apply_churn_plan(
     for join in plan.joins {
         let eligible = members
             .get(&join.bootstrap)
-            .map(|m| m.joined_at + rules.min_bootstrap_age <= t)
+            .map(|m| m.joined_at.saturating_add(rules.min_bootstrap_age) <= t)
             .unwrap_or(false);
         let fanin_idx = match scratch
             .fanin
@@ -305,6 +306,50 @@ mod tests {
         assert_eq!(b.remaining(4, &rules), 6);
         // Round 5: events from round 1 leave as well.
         assert_eq!(b.remaining(5, &rules), 10);
+    }
+
+    #[test]
+    fn an_unbounded_window_never_refills_the_budget() {
+        // `window` deserializes from any u64: the sum saturates instead of
+        // panicking (debug) or wrapping into a zero-length window that
+        // refills the budget every round (release).
+        let rules = ChurnRules {
+            max_events: Some(10),
+            window: u64::MAX,
+            ..ChurnRules::default()
+        };
+        let mut b = ChurnBudget::new();
+        b.record(3, 5);
+        assert_eq!(b.remaining(10, &rules), 5);
+    }
+
+    #[test]
+    fn an_unbounded_bootstrap_age_admits_no_bootstrap() {
+        let rules = ChurnRules {
+            min_bootstrap_age: u64::MAX,
+            ..ChurnRules::default()
+        };
+        let mut members = BTreeMap::from([(NodeId(0), MemberInfo { joined_at: 1 })]);
+        let via_zero = JoinPlan {
+            bootstrap: NodeId(0),
+        };
+        let plan = ChurnPlan {
+            departures: Vec::new(),
+            joins: vec![via_zero],
+        };
+        let mut outcome = ChurnOutcome::default();
+        apply_churn_plan(
+            10,
+            plan,
+            &rules,
+            &mut ChurnBudget::new(),
+            &mut members,
+            &mut 1,
+            &mut PlanScratch::default(),
+            &mut outcome,
+        );
+        assert!(outcome.joined.is_empty());
+        assert_eq!(outcome.rejected_joins, vec![via_zero]);
     }
 
     #[test]

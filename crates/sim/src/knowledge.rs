@@ -164,11 +164,6 @@ impl<'a> KnowledgeView<'a> {
         self.members.iter().map(|(id, info)| (*id, *info))
     }
 
-    /// Number of nodes currently in the network.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// `true` if `node` is currently in the network.
     pub fn contains(&self, node: NodeId) -> bool {
         self.members.contains_key(&node)
@@ -184,7 +179,7 @@ impl<'a> KnowledgeView<'a> {
     pub fn eligible_bootstraps(&self) -> Vec<NodeId> {
         self.members
             .iter()
-            .filter(|(_, info)| info.joined_at + self.min_bootstrap_age <= self.now)
+            .filter(|(_, info)| info.joined_at.saturating_add(self.min_bootstrap_age) <= self.now)
             .map(|(id, _)| *id)
             .collect()
     }
@@ -214,19 +209,6 @@ impl<'a> KnowledgeView<'a> {
             .rev()
             .find(|rec| rec.graph.round <= newest)
             .map(|rec| &rec.graph)
-    }
-
-    /// All currently visible communication graphs, oldest first.
-    pub fn visible_topologies(&self) -> Vec<&CommGraph> {
-        match self.newest_visible_topology_round() {
-            None => Vec::new(),
-            Some(newest) => self
-                .records
-                .iter()
-                .filter(|rec| rec.graph.round <= newest)
-                .map(|rec| &rec.graph)
-                .collect(),
-        }
     }
 
     /// A node's state digest at `round`, available only if `round ≤ t - b`.
@@ -306,7 +288,6 @@ mod tests {
             "round 9 is too recent for a 2-late adversary at t=10"
         );
         assert_eq!(v.latest_topology().unwrap().round, 8);
-        assert_eq!(v.visible_topologies().len(), 2);
     }
 
     #[test]
@@ -315,7 +296,6 @@ mod tests {
         let m = members();
         let v = KnowledgeView::new(5, Lateness::oblivious(), &recs, &m, 10, 2);
         assert!(v.latest_topology().is_none());
-        assert!(v.visible_topologies().is_empty());
         assert!(v.topology_at(0).is_none());
     }
 
@@ -361,7 +341,6 @@ mod tests {
         let recs = Vec::new();
         let m = members();
         let v = KnowledgeView::new(10, Lateness::paper(4), &recs, &m, 3, 2);
-        assert_eq!(v.member_count(), 3);
         assert!(v.contains(NodeId(2)));
         assert!(!v.contains(NodeId(7)));
         assert_eq!(v.joined_at(NodeId(3)), Some(9));

@@ -174,13 +174,6 @@ impl<'a, M> Ctx<'a, M> {
         self.round - self.joined_at
     }
 
-    /// `true` if this is the node's very first round (it joined this round and
-    /// therefore knows no other identifiers yet unless told by its sponsor).
-    #[inline]
-    pub fn is_first_round(&self) -> bool {
-        self.round == self.joined_at
-    }
-
     /// The nodes that joined the network via this node in the current round.
     ///
     /// Per the model, the bootstrap node "receives a reference" to each joiner;
@@ -402,15 +395,7 @@ mod tests {
         assert_eq!(ctx.id(), NodeId(1));
         assert_eq!(ctx.round(), 10);
         assert_eq!(ctx.age(), 6);
-        assert!(!ctx.is_first_round());
         assert_eq!(ctx.sponsored(), &[NodeId(9)]);
-    }
-
-    #[test]
-    fn first_round_detection() {
-        let ctx: Ctx<'_, u32> = Ctx::new(NodeId(1), 4, 4, &[], 0, 0);
-        assert!(ctx.is_first_round());
-        assert_eq!(ctx.age(), 0);
     }
 
     #[test]

@@ -50,17 +50,6 @@ pub fn node_round_rng(seed: u64, node: NodeId, round: Round) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(s)
 }
 
-/// Returns a deterministic RNG stream for an engine-level purpose (e.g. the
-/// adversary's own coin flips), namespaced by `label`.
-pub fn labeled_rng(seed: u64, label: &str, round: Round) -> ChaCha8Rng {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    ChaCha8Rng::seed_from_u64(mix(&[seed, h, round]))
-}
-
 /// The shared uniform hash `h(v, e) ∈ [0,1)` from Section 5 of the paper.
 ///
 /// Every node can evaluate it for any identifier it knows, which is how the
@@ -126,12 +115,5 @@ mod tests {
         let a = position_hash(42, NodeId(1), 1);
         let b = position_hash(42, NodeId(1), 2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn labeled_rng_distinguishes_labels() {
-        let mut a = labeled_rng(1, "adversary", 0);
-        let mut b = labeled_rng(1, "engine", 0);
-        assert_ne!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

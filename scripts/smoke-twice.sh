@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Runs the CI-sized (`--smoke`) grid of one experiment binary twice, into two
-# independent output directories, and requires the two artifacts to agree —
-# the artifact-level determinism check the async, partition, byzantine, obs,
-# transport and perf CI jobs share. Every cargo invocation runs under a hard
-# `timeout 600`: a wedged socket or a hung sweep must fail the job, not hang it.
+# independent output directories, and holds each artifact against a baseline
+# through the binary's own `--compare` gate: the second run against the
+# first's, and (with SMOKE_COMMITTED) the first against the committed one.
+# The gate compares what the binary declares machine-invariant (the whole
+# file, or its `deterministic` section) and exits 1 on drift or a failed pin;
+# the script also requires its "fresh artifact matches the committed bytes"
+# line, so a gate that skipped its comparison fails too. Every cargo
+# invocation runs under a hard `timeout 600`: a wedged socket or a hung sweep
+# must fail the job, not hang it.
 #
 #   scripts/smoke-twice.sh <exp>
 #
@@ -14,10 +19,8 @@
 #                    pre-built, so this times the experiment, not rustc)
 #   SMOKE_THREADS    "A,B": TSA_THREADS of the first and the second run
 #                    (default "2,2"; different values check thread invariance)
-#   SMOKE_SECTION    compare only this top-level JSON subtree (the rest is
-#                    wall-clock) and require its `all_checks_pass`, if present
-#   SMOKE_COMMITTED  non-empty: the artifact must also equal the committed
-#                    BENCH_<exp>.json
+#   SMOKE_COMMITTED  non-empty: the first artifact must also match the
+#                    committed BENCH_<exp>.json
 #
 # Leaves the first run's artifact at BENCH_<exp>.smoke.json for upload.
 set -euo pipefail
@@ -36,36 +39,27 @@ fi
 
 timeout 600 cargo build --release -p tsa-bench --bin "$exp"
 
-run() { # <dir> <threads>
-  TSA_THREADS="$2" timeout 600 cargo run --release -p tsa-bench --bin "$exp" -- --smoke --out "$1"
+# <dir> <threads> <baseline or empty>: one compared run; with a baseline it
+# is seeded into <dir> and the run must report a match against it.
+run() {
+  rm -rf "$1"
+  mkdir -p "$1"
+  if [ -n "$3" ]; then
+    cp "$3" "$1/$artifact"
+  fi
+  TSA_THREADS="$2" timeout 600 cargo run --release -p tsa-bench --bin "$exp" -- \
+    --smoke --compare --out "$1" | tee "$1/stdout.log"
+  if [ -n "$3" ]; then
+    grep -q "fresh artifact matches the committed bytes" "$1/stdout.log"
+  fi
 }
 
 start=$(date +%s)
-run smoke-a "${threads%,*}"
+run smoke-a "${threads%,*}" "${SMOKE_COMMITTED:+$artifact}"
 elapsed=$(( $(date +%s) - start ))
 echo "$exp --smoke: ${elapsed}s"
 if [ -n "${SMOKE_BUDGET:-}" ]; then
   test "$elapsed" -le "$SMOKE_BUDGET"
 fi
-run smoke-b "${threads#*,}"
-
-same() { # <file> <file>
-  if [ -z "${SMOKE_SECTION:-}" ]; then
-    cmp "$1" "$2"
-  else
-    python3 - "$1" "$2" "$SMOKE_SECTION" <<'PY'
-import json, sys
-a, b = (json.load(open(path))[sys.argv[3]] for path in sys.argv[1:3])
-assert a.get('all_checks_pass', True), f'a pin failed in {sys.argv[1]}'
-assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), \
-    f'{sys.argv[3]} section differs between {sys.argv[1]} and {sys.argv[2]}'
-print(f'{sys.argv[3]} sections identical (the rest is excluded by design)')
-PY
-  fi
-}
-
-same "smoke-a/$artifact" "smoke-b/$artifact"
-if [ -n "${SMOKE_COMMITTED:-}" ]; then
-  same "smoke-a/$artifact" "$artifact"
-fi
 cp "smoke-a/$artifact" "BENCH_${exp}.smoke.json"
+run smoke-b "${threads#*,}" "BENCH_${exp}.smoke.json"
