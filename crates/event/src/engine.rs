@@ -25,21 +25,24 @@
 //!   [`MessageTrace`]'s entry under replay — and files the survivors in a
 //!   [`CalendarQueue`](crate::queue) of width 1 under their *delivery
 //!   round*: the first boundary at or past the arrival tick, never the
-//!   sending round's own (the round [`MessageTrace`] records). A copy a
-//!   `Mutate` fault corrupts gets an arena entry of its own. A copy filed
-//!   `FAR_ROUNDS` (64) or more rounds ahead owns its payload in a slot store
-//!   with a free list instead: one late copy must not pin its whole round's
-//!   arena (a hostile `Delay { ticks: u64::MAX }` would pin every round's
-//!   forever).
+//!   sending round's own (the round [`MessageTrace`] records). The arena's
+//!   `read_until` rises to the latest delivery round of any copy filed
+//!   against it. A copy a `Mutate` fault corrupts gets an arena entry of its
+//!   own. A copy filed `FAR_ROUNDS` (64) or more rounds ahead files its
+//!   payload in a far arena keyed by the round that reads it instead: one
+//!   late copy must not pin its whole send round's arena (a hostile
+//!   `Delay { ticks: u64::MAX }` would pin every round's forever).
 //! * `deliver` at boundary `t` drains every bucket up to round `t` — one
 //!   whole bucket, in push order ("round-boundary delivery"; within one
 //!   boundary the residual arrival jitter has no semantic meaning, since
 //!   every message of the batch is read by the same activation) — sorts the
 //!   batch into send order, one linear pass on a bucket already in it, and
-//!   scatters its positions into the world's inboxes.
-//! * An arena is recycled once its last parked copy has drained, at the
-//!   boundary after the one that drained it: the compute phase in between
-//!   reads it. Far slots are freed on the same schedule.
+//!   scatters its positions into the world's inboxes. It takes round `t`'s
+//!   far arena as the one this boundary's far handles name.
+//! * When a payload is freed is decided at send time, from the round that
+//!   reads it: boundary `t` recycles every arena whose `read_until` is
+//!   before `t` (the compute phase after `read_until`'s boundary reads it),
+//!   and drops the far arena boundary `t - 1` took.
 //!
 //! A delay of `d ∈ [0, ticks_per_round]` for a message sent at boundary
 //! `t - 1` lands at `(t-1)·T + d ≤ t·T` and is read at `t` — the synchronous
@@ -53,7 +56,7 @@
 //! `ticks_per_round` pins the clock at the end of time instead of wrapping
 //! it.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
@@ -127,15 +130,15 @@ pub struct NetStats {
 /// through a [`VirtualTime`] network.
 pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
-/// Rounds ahead of its send round from which a copy owns its payload in the
-/// far store instead of holding its send round's arena.
+/// Rounds ahead of its send round from which a copy files its payload in the
+/// far arena of the round that reads it instead of its send round's arena.
 const FAR_ROUNDS: u64 = 64;
 
-/// Set in a handle that names a slot of the far store rather than an entry
-/// of its send round's arena.
+/// Set in a handle that names an entry of this boundary's far arena rather
+/// than one of its send round's arena.
 const FAR: u32 = 1 << 31;
 
-/// An arena or far-store index as a handle: a panic with a message where the
+/// An arena or far-arena index as a handle: a panic with a message where the
 /// index reaches the far bit, never a wrap.
 fn to_handle(index: usize) -> u32 {
     u32::try_from(index)
@@ -145,10 +148,10 @@ fn to_handle(index: usize) -> u32 {
 }
 
 /// The payloads one round sent, each distinct payload once (plus one entry
-/// per mutated copy), and how many parked copies still name them.
+/// per mutated copy), and the latest round that reads one of them.
 struct Arena<M> {
     payloads: Vec<M>,
-    parked: usize,
+    read_until: Round,
 }
 
 /// The virtual-time delivery policy. See the module docs.
@@ -162,18 +165,17 @@ pub struct VirtualTime<M> {
     /// delivery round; each envelope's payload is the copy's handle.
     queue: CalendarQueue<u32>,
     /// The arenas of send rounds `arena_base..`, oldest first: the current
-    /// round's and every earlier one that a parked copy or this boundary's
-    /// batch still names (a recycled one in between keeps its place, empty).
+    /// round's and every earlier one read at this boundary or a later one
+    /// (a recycled one in between keeps its place, empty).
     arenas: VecDeque<Arena<M>>,
     arena_base: Round,
     /// Payload buffers of recycled arenas, taken by the next rounds'.
     spare_arenas: Vec<Vec<M>>,
-    /// The payloads of copies filed [`FAR_ROUNDS`] or more ahead, one slot
-    /// each; `None` is a free slot, listed in `far_free`.
-    far: Vec<Option<M>>,
-    far_free: Vec<u32>,
-    /// The far slots this boundary's batch reads, freed at the next one.
-    far_read: Vec<u32>,
+    /// The payloads of copies filed [`FAR_ROUNDS`] or more ahead, under the
+    /// round that reads them.
+    far: BTreeMap<Round, Vec<M>>,
+    /// The far arena this boundary reads, taken from `far`.
+    far_batch: Vec<M>,
     /// This boundary's copies, in send order: what an inbox position names.
     batch: Vec<Pending<u32>>,
     /// Global send sequence number: the identity of a message for the
@@ -277,46 +279,24 @@ impl<M> VirtualTime<M> {
     /// The payload a parked copy's envelope names.
     fn payload(&self, env: &Envelope<u32>) -> &M {
         if env.payload & FAR != 0 {
-            self.far[(env.payload & !FAR) as usize]
-                .as_ref()
-                .expect("a far handle names an occupied slot")
+            &self.far_batch[(env.payload & !FAR) as usize]
         } else {
             &self.arenas[(env.sent_at - self.arena_base) as usize].payloads[env.payload as usize]
         }
     }
 
-    /// Gives a copy filed [`FAR_ROUNDS`] or more ahead a slot of its own.
-    fn park_far(&mut self, payload: M) -> u32 {
-        let slot = match self.far_free.pop() {
-            Some(slot) => {
-                self.far[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                self.far.push(Some(payload));
-                to_handle(self.far.len() - 1)
-            }
-        };
-        slot | FAR
-    }
-
-    /// What the last boundary's batch read is free now that its compute
-    /// phase is over: its far slots, and every arena no parked copy names.
-    /// Arenas leave the front of the window; one further in gives its buffer
-    /// back and keeps its place.
-    fn recycle(&mut self) {
-        for slot in self.far_read.drain(..) {
-            self.far[slot as usize] = None;
-            self.far_free.push(slot);
-        }
+    /// Every arena that no boundary from `t` on reads is free: the compute
+    /// phase after its last boundary is over. Arenas leave the front of the
+    /// window; one further in gives its buffer back and keeps its place.
+    fn recycle(&mut self, t: Round) {
         for arena in self.arenas.iter_mut() {
-            if arena.parked == 0 && arena.payloads.capacity() > 0 {
+            if arena.read_until < t && arena.payloads.capacity() > 0 {
                 let mut payloads = std::mem::take(&mut arena.payloads);
                 payloads.clear();
                 self.spare_arenas.push(payloads);
             }
         }
-        while self.arenas.front().is_some_and(|arena| arena.parked == 0) {
+        while self.arenas.front().is_some_and(|a| a.read_until < t) {
             self.arenas.pop_front();
             self.arena_base += 1;
         }
@@ -330,7 +310,7 @@ impl<M> VirtualTime<M> {
         debug_assert_eq!(self.arena_base + self.arenas.len() as u64, t);
         self.arenas.push_back(Arena {
             payloads: self.spare_arenas.pop().unwrap_or_default(),
-            parked: 0,
+            read_until: t,
         });
     }
 }
@@ -356,9 +336,8 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             arenas: VecDeque::new(),
             arena_base: 0,
             spare_arenas: Vec::new(),
-            far: Vec::new(),
-            far_free: Vec::new(),
-            far_read: Vec::new(),
+            far: BTreeMap::new(),
+            far_batch: Vec::new(),
             batch: Vec::new(),
             seq: 0,
             fate_block: None,
@@ -374,26 +353,14 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
 
     fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
         debug_assert_eq!(self.now, t.saturating_mul(self.ticks_per_round));
-        self.recycle();
+        self.recycle(t);
+        self.far_batch = self.far.remove(&t).unwrap_or_default();
         self.batch.clear();
         // Round t's bucket moves with a bulk append; the by-seq sort below is
         // the only order the inboxes ever see.
         self.queue.drain_at_or_before(t, &mut self.batch);
         self.batch.sort_unstable_by_key(|p| p.seq);
-        // Every copy lets go of its hold on its payload (released at the
-        // next boundary, once it has been read) in the scatter's one pass
-        // over the batch.
-        let (far_read, arenas, arena_base) =
-            (&mut self.far_read, &mut self.arenas, self.arena_base);
-        let dropped = inboxes.scatter(self.batch.iter().map(|pending| {
-            let env = &pending.env;
-            if env.payload & FAR != 0 {
-                far_read.push(env.payload & !FAR);
-            } else {
-                arenas[(env.sent_at - arena_base) as usize].parked -= 1;
-            }
-            index.slot(env.to)
-        }));
+        let dropped = inboxes.scatter(self.batch.iter().map(|p| index.slot(p.env.to)));
         self.stats.dropped_departed += dropped as u64;
         self.open_arena(t);
         dropped
@@ -511,10 +478,12 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                     tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
                 let handle = if at_round - t >= FAR_ROUNDS {
-                    self.park_far(copy.mutated.unwrap_or_else(|| payload.clone()))
+                    let far = self.far.entry(at_round).or_default();
+                    far.push(copy.mutated.unwrap_or_else(|| payload.clone()));
+                    to_handle(far.len() - 1) | FAR
                 } else {
                     let arena = self.arenas.back_mut().expect("opened above");
-                    arena.parked += 1;
+                    arena.read_until = arena.read_until.max(at_round);
                     match copy.mutated {
                         Some(own) => {
                             arena.payloads.push(own);
@@ -646,7 +615,7 @@ mod tests {
         sim.step();
         let sent = sim.arenas.back().unwrap();
         assert_eq!(sent.payloads, [100, 1100], "the shared payload, then #3's");
-        assert_eq!(sent.parked, 8);
+        assert_eq!(sent.read_until, 1, "read at the next boundary");
         sim.step();
         for id in 1..=8 {
             let expected = if id == 3 { 1100 } else { 100 };
@@ -661,7 +630,7 @@ mod tests {
         let mut sim = town(FaultPlan::new().with_rule(to_five));
         sim.step();
         let sent = sim.arenas.back().unwrap();
-        assert_eq!((&sent.payloads[..], sent.parked), (&[100][..], 9));
+        assert_eq!((&sent.payloads[..], sent.read_until), (&[100][..], 1));
         sim.step();
         for id in 1..=8 {
             let expected: &[u64] = if id == 5 { &[100, 100] } else { &[100] };
@@ -671,7 +640,7 @@ mod tests {
 
     /// Every node shares `(id << 32) | round` with every node, every round,
     /// and checks that what it is handed carries its sender's and send
-    /// round's payload, whichever arena or far slot that came out of.
+    /// round's payload, whichever arena or far arena that came out of.
     struct Chorus {
         n: u64,
         heard: usize,
@@ -732,16 +701,18 @@ mod tests {
             "{retained} payloads retained"
         );
         assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
-        // The late copies own their payloads: one slot each, none free.
+        // The late copies keep their payloads under the one round, at the
+        // end of time, that reads them.
         let delayed = sim.fault_stats().delayed as usize;
         assert!(delayed > 1000);
-        assert_eq!((sim.far.len(), sim.far_free.len()), (delayed, 0));
+        let far: Vec<usize> = sim.far.values().map(Vec::len).collect();
+        assert_eq!(far, [delayed]);
     }
 
     #[test]
-    fn far_slots_are_reused_once_read() {
-        // 70 rounds late: far ahead, delivered all the same, and its
-        // slot back on the free list once the receiver has read it.
+    fn far_rounds_are_freed_once_read() {
+        // 70 rounds late: far ahead, delivered all the same, and its far
+        // round gone once the receivers have read it.
         let late = FaultRule::every(FaultAction::Delay {
             ticks: 70 * TICKS_PER_ROUND,
         })
@@ -752,11 +723,11 @@ mod tests {
         let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
         let in_flight = sim.in_flight_count();
         assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
-        assert!(
-            sim.far.len() < delayed / 3,
-            "{} slots for {delayed}",
-            sim.far.len()
-        );
+        assert!(!sim.far_batch.is_empty(), "round 299 read far copies");
+        let first = sim.far.keys().next().copied();
+        assert!(first.is_some_and(|round| round >= 300), "{first:?}");
+        let far: usize = sim.far.values().map(Vec::len).sum();
+        assert!(far < delayed / 3, "{far} far payloads for {delayed}");
         assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
     }
 

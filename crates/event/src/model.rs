@@ -129,7 +129,8 @@ pub enum LatencyModel {
         base: u64,
         /// The tail scale in ticks.
         scale: u64,
-        /// `log2` of the tail index `α`.
+        /// `log2` of the tail index `α`. Every value from 59 on samples
+        /// alike; 64 roots are the most ever taken.
         alpha_log2: u32,
         /// Upper bound on the tail's extra delay, in ticks.
         cap: u64,
@@ -178,9 +179,11 @@ impl LatencyModel {
                 // small u without ever dividing by zero.
                 let u = 1.0 - unit_f64(w);
                 // u^(−1/2^k) by repeated square roots (IEEE-correct, so the
-                // value is identical on every conforming host).
+                // value is identical on every conforming host). From 2⁻⁵³, the
+                // smallest u, the chain reaches its fixed point within 59
+                // roots, and a larger u no later: 64 are as good as any more.
                 let mut v = u;
-                for _ in 0..alpha_log2 {
+                for _ in 0..alpha_log2.min(64) {
                     v = v.sqrt();
                 }
                 let extra = scale as f64 * (1.0 / v - 1.0);
@@ -204,7 +207,10 @@ impl LatencyModel {
                 scale,
                 alpha_log2,
                 ..
-            } => format!("p{base}/{scale}a{}", 1u64 << alpha_log2),
+            } => match 1u64.checked_shl(alpha_log2) {
+                Some(alpha) => format!("p{base}/{scale}a{alpha}"),
+                None => format!("p{base}/{scale}a2^{alpha_log2}"),
+            },
         }
     }
 }
@@ -706,6 +712,32 @@ mod tests {
             s[s.len() / 2]
         };
         assert!(median < 500, "median {median} should sit near the base");
+    }
+
+    #[test]
+    fn a_huge_pareto_alpha_samples_like_64_roots_and_labels_without_panic() {
+        assert_eq!(
+            LatencyModel::pareto(1, 2, 63, 3).label(),
+            format!("p1/2a{}", 1u64 << 63)
+        );
+        assert_eq!(LatencyModel::pareto(1, 2, 64, 3).label(), "p1/2a2^64");
+        assert_eq!(
+            LatencyModel::pareto(1, 2, u32::MAX, 3).label(),
+            format!("p1/2a2^{}", u32::MAX)
+        );
+        let mut r = rng(11);
+        let mut words: Vec<u64> = (0..20_000).map(|_| r.next_u64()).collect();
+        // The smallest u the sampler draws, and its neighbours: the longest
+        // chains of roots.
+        words.extend((0..64).map(|i| u64::MAX - (i << 11)));
+        let sample = |k| {
+            let m = LatencyModel::pareto(200, 800, k, 8000);
+            words.iter().map(|&w| m.sample_word(w)).collect::<Vec<_>>()
+        };
+        let reference = sample(59);
+        for k in [64, 1000, u32::MAX] {
+            assert!(sample(k) == reference, "alpha_log2 = {k}");
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub fn append_record<W: Write>(writer: &mut W, record: &CellRecord) -> std::io::
 }
 
 /// Reads every parseable record from a shard file. Unparseable lines — the
-/// truncated tail a killed run leaves behind, or garbage — are counted, not
-/// fatal.
+/// truncated tail a killed run leaves behind, or garbage, UTF-8 or not — are
+/// counted, not fatal.
 pub fn read_shards(path: &Path) -> std::io::Result<(Vec<CellRecord>, usize)> {
     let file = match File::open(path) {
         Ok(f) => f,
@@ -67,8 +67,11 @@ pub fn read_shards(path: &Path) -> std::io::Result<(Vec<CellRecord>, usize)> {
     };
     let mut records = Vec::new();
     let mut skipped = 0usize;
-    for line in BufReader::new(file).lines() {
-        let line = line?;
+    for line in BufReader::new(file).split(b'\n') {
+        let Ok(line) = String::from_utf8(line?) else {
+            skipped += 1;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -188,16 +191,20 @@ mod tests {
         let (_, next) = sample_record(1);
         std::fs::write(
             &path,
-            format!(
-                "{}\n{}\n{}\n",
-                record.to_jsonl(),
-                "[".repeat(1_000_000),
-                next.to_jsonl()
-            ),
+            [
+                record.to_jsonl().as_bytes(),
+                b"\n",
+                "[".repeat(1_000_000).as_bytes(),
+                // Not UTF-8 at all.
+                b"\n\xFF\xFE\n",
+                next.to_jsonl().as_bytes(),
+                b"\n",
+            ]
+            .concat(),
         )
         .unwrap();
         let (records, skipped) = read_shards(&path).unwrap();
-        assert_eq!(skipped, 1);
+        assert_eq!(skipped, 2);
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].to_jsonl(), next.to_jsonl());
         std::fs::remove_file(&path).unwrap();

@@ -56,7 +56,7 @@ pub enum RoundsSpec {
     Fixed(u64),
     /// `m · maturity_age(n)` rounds, resolved per cell against the cell's own
     /// maintenance parameters — the natural unit for maintained scenarios,
-    /// scaling with the `n` axis.
+    /// scaling with the `n` axis. Saturates at `u64::MAX` rounds.
     MaturityAges(u64),
 }
 
@@ -65,7 +65,9 @@ impl RoundsSpec {
     pub fn resolve(&self, spec: &ScenarioSpec) -> u64 {
         match *self {
             RoundsSpec::Fixed(rounds) => rounds,
-            RoundsSpec::MaturityAges(m) => m * spec.maintenance_params().maturity_age(),
+            RoundsSpec::MaturityAges(m) => {
+                m.saturating_mul(spec.maintenance_params().maturity_age())
+            }
         }
     }
 }
@@ -488,6 +490,13 @@ mod tests {
         assert_eq!(cells[0].rounds, expect(48));
         assert_eq!(cells[1].rounds, expect(96));
         assert!(cells[1].rounds > cells[0].rounds);
+    }
+
+    #[test]
+    fn a_huge_maturity_multiple_saturates_instead_of_wrapping() {
+        let spec = ScenarioSpec::new(ScenarioKind::MaintainedLds, 48);
+        assert!(spec.maintenance_params().maturity_age() > 1);
+        assert_eq!(RoundsSpec::MaturityAges(u64::MAX).resolve(&spec), u64::MAX);
     }
 
     #[test]

@@ -4,17 +4,24 @@
 //! `HashMap` of inboxes per round, nodes in a `BTreeMap`, everything
 //! sequential, nothing pooled or recycled. It shares only the rules
 //! themselves with the optimized world — the churn arbiter
-//! (`apply_churn_plan`), the activation (`run_activation`) and the metric
+//! (`apply_churn_plan`), the activation (`run_activation`), the fault
+//! injector's copies and decisions (`FaultInjector::copies`), the network
+//! model's per-message fate (`NetModel::route_with`) and the metric
 //! definitions — and none of its bookkeeping. The lockstep [`Simulator`] and
 //! a zero-latency [`EventSimulator`] must match it row for row, at every
 //! thread cap — under a flood that churns by what the archives show, and
 //! under a protocol that addresses nodes that are not members (yet, any
 //! more, or ever), one payload per send and as payloads shared between sends.
+//! So must an [`EventSimulator`] whose copies take up to three rounds, are
+//! lost, duplicated, mutated or delayed 70 rounds.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use rand::Rng;
-use two_steps_ahead::event::{EventConfig, EventSimulator, LatencyModel, NetModel};
+use two_steps_ahead::event::{
+    EventConfig, EventSimulator, FateBlock, FaultAction, FaultAdapter, FaultInjector, FaultPlan,
+    FaultRule, LatencyModel, NetModel, TICKS_PER_ROUND,
+};
 use two_steps_ahead::sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
 use two_steps_ahead::sim::{
     apply_churn_plan, run_activation, Adversary, ChurnBudget, ChurnOutcome, ChurnPlan, ChurnRules,
@@ -29,6 +36,9 @@ struct Fates {
     to_nobody: usize,
 }
 
+/// One round's copies per receiver, in send order.
+type Mail<M> = HashMap<NodeId, Vec<Envelope<M>>>;
+
 /// The naive scheduler. Test code only: it is the reference, not an engine.
 struct Reference<P: Process, A: Adversary> {
     config: SimConfig,
@@ -37,14 +47,25 @@ struct Reference<P: Process, A: Adversary> {
     /// `id → (joined_at, state)`; iteration order is activation order.
     nodes: BTreeMap<NodeId, (Round, P)>,
     members: BTreeMap<NodeId, MemberInfo>,
-    /// Messages sent last round, per receiver, in send order.
-    in_flight: HashMap<NodeId, Vec<Envelope<P::Msg>>>,
+    /// The network every send crosses: zero latency unless
+    /// [`with_network`](Self::with_network) says otherwise.
+    net: NetModel,
+    /// The fate block of the latest copy: `NetModel::route` draws every
+    /// copy's fate from its sequence number's block, one per 64 numbers.
+    fate_block: FateBlock,
+    faults: FaultInjector<P::Msg>,
+    /// The sequence number of the next copy.
+    seq: u64,
+    /// Copies in flight by delivery round.
+    in_flight: BTreeMap<Round, Mail<P::Msg>>,
     records: Vec<RoundRecord>,
     rows: Vec<String>,
     /// How many of the messages due so far went to a receiver that joined
     /// in the very round they arrived, had departed by then, or was not a
     /// member at all.
     fates: Fates,
+    /// Copies a member read 64 or more rounds after they were sent.
+    read_far: usize,
     budget: ChurnBudget,
     next_id: u64,
     round: Round,
@@ -58,10 +79,15 @@ impl<P: Process, A: Adversary> Reference<P, A> {
             members: (0..n)
                 .map(|i| (NodeId(i), MemberInfo { joined_at: 0 }))
                 .collect(),
-            in_flight: HashMap::new(),
+            net: NetModel::new(LatencyModel::constant(0)),
+            fate_block: FateBlock::containing(config.seed, 0),
+            faults: FaultInjector::new(config.seed),
+            seq: 0,
+            in_flight: BTreeMap::new(),
             records: Vec::new(),
             rows: Vec::new(),
             fates: Fates::default(),
+            read_far: 0,
             budget: ChurnBudget::new(),
             next_id: n,
             round: 0,
@@ -71,9 +97,22 @@ impl<P: Process, A: Adversary> Reference<P, A> {
         }
     }
 
-    /// Messages sent last round and not yet delivered or dropped.
+    /// Sends `net` copies through and lets `plan` fault them.
+    fn with_network(
+        mut self,
+        net: NetModel,
+        plan: FaultPlan,
+        adapter: FaultAdapter<P::Msg>,
+    ) -> Self {
+        self.net = net;
+        self.faults.install(plan, adapter);
+        self
+    }
+
+    /// Messages sent and not yet delivered or dropped.
     fn queued(&self) -> usize {
-        self.in_flight.values().map(Vec::len).sum()
+        let rounds = self.in_flight.values();
+        rounds.flat_map(HashMap::values).map(Vec::len).sum()
     }
 
     fn step(&mut self) {
@@ -114,15 +153,17 @@ impl<P: Process, A: Adversary> Reference<P, A> {
         metrics.joins = outcome.joined.len();
         metrics.node_count = self.nodes.len();
 
-        // Deliver: last round's messages reach the survivors, the rest drop.
-        let mut inboxes = std::mem::take(&mut self.in_flight);
+        // Deliver: the copies due now reach the members, the rest drop.
+        let mut inboxes = self.in_flight.remove(&t).unwrap_or_default();
         let mut rec = RoundRecord::default();
         rec.graph.round = t;
+        let mut lost = 0;
         for (&id, (joined_at, process)) in self.nodes.iter_mut() {
             let inbox = inboxes.remove(&id).unwrap_or_default();
             if *joined_at == t && t > 0 {
                 self.fates.to_joiners += inbox.len();
             }
+            self.read_far += inbox.iter().filter(|env| t - env.sent_at >= 64).count();
             let sponsored: Vec<NodeId> = outcome
                 .joined
                 .iter()
@@ -147,12 +188,34 @@ impl<P: Process, A: Adversary> Reference<P, A> {
             rec.graph.edges.extend(receivers.iter().map(|&to| (id, to)));
             rec.graph.members.push(id);
             rec.digests.push((id, digest));
+            // Each send becomes its numbered copies; each copy is lost or
+            // read at the first boundary at or past its arrival tick, never
+            // at its own send round's.
             for (to, payload) in out {
-                let env = Envelope::new(id, to, t, payload);
-                self.in_flight.entry(to).or_default().push(env);
+                for copy in self.faults.copies(&mut self.seq, t, id, to, &payload) {
+                    let fault_delay = match copy.fault {
+                        Some(FaultAction::Drop) => None,
+                        Some(FaultAction::Delay { ticks }) => Some(ticks),
+                        _ => Some(0),
+                    };
+                    if !self.fate_block.covers(self.config.seed, copy.seq) {
+                        self.fate_block = FateBlock::containing(self.config.seed, copy.seq);
+                    }
+                    let route = self.net.route_with(&self.fate_block, copy.seq);
+                    let Some(delay) = fault_delay.zip(route).map(|(f, d)| f + d) else {
+                        lost += 1;
+                        continue;
+                    };
+                    let at = (t * TICKS_PER_ROUND + delay).div_ceil(TICKS_PER_ROUND);
+                    let payload = copy.mutated.unwrap_or_else(|| payload.clone());
+                    let env = Envelope::new(id, to, t, payload);
+                    let due = self.in_flight.entry(at.max(t + 1)).or_default();
+                    due.entry(to).or_default().push(env);
+                }
             }
         }
-        metrics.messages_dropped = inboxes.values().map(Vec::len).sum();
+        // Copies the network lost count in their send round.
+        metrics.messages_dropped = inboxes.values().map(Vec::len).sum::<usize>() + lost;
         for (id, unread) in &inboxes {
             if outcome.departed.contains(id) {
                 self.fates.to_departed += unread.len();
@@ -263,8 +326,8 @@ fn config(seed: u64) -> SimConfig {
     config
 }
 
-fn factory() -> NodeFactory<Flood> {
-    Box::new(|_, _| Flood::default())
+fn factory<P: Process + Default>() -> NodeFactory<P> {
+    Box::new(|_, _| P::default())
 }
 
 /// One round of a world, printed the way the reference prints itself.
@@ -291,7 +354,8 @@ fn rows_of<P: Process, A: Adversary, D: Delivery<P::Msg>>(
 #[test]
 fn both_deterministic_schedulers_match_the_naive_reference() {
     for seed in [3, 29, 1729] {
-        let mut reference = Reference::new(config(seed), LateChurn, factory(), NODES as u64);
+        let mut reference =
+            Reference::new(config(seed), LateChurn, factory::<Flood>(), NODES as u64);
         for _ in 0..ROUNDS {
             reference.step();
         }
@@ -306,7 +370,7 @@ fn both_deterministic_schedulers_match_the_naive_reference() {
                 let instant = NetModel::new(LatencyModel::constant(0));
                 (
                     rows_of(
-                        Simulator::new(config(seed), LateChurn, factory()),
+                        Simulator::new(config(seed), LateChurn, factory::<Flood>()),
                         NODES,
                         ROUNDS,
                     ),
@@ -314,7 +378,7 @@ fn both_deterministic_schedulers_match_the_naive_reference() {
                         EventSimulator::new(
                             EventConfig::new(config(seed), instant),
                             LateChurn,
-                            factory(),
+                            factory::<Flood>(),
                         ),
                         NODES,
                         ROUNDS,
@@ -414,27 +478,29 @@ impl Adversary for SteadyChurn {
     }
 }
 
+const PROBES: usize = 256; // 11+ messages each: past the parallel threshold
+
+fn steady_config(seed: u64) -> SimConfig {
+    let mut config = SimConfig::default()
+        .with_seed(seed)
+        .with_parallel(true)
+        .with_churn_rules(ChurnRules {
+            max_events: Some(8),
+            window: 2,
+            bootstrap_rounds: 2,
+            ..ChurnRules::default()
+        });
+    config.record_digests = true;
+    config
+}
+
 /// Both schedulers against the reference under [`SteadyChurn`], for a
 /// protocol that writes to non-members of every kind.
 fn sends_to_non_members_match_the_reference<P: Process + Default>() {
-    const NODES: usize = 256; // 11+ messages each: past the parallel threshold
     const ROUNDS: u64 = 8;
-    let config = || {
-        let mut config = SimConfig::default()
-            .with_seed(29)
-            .with_parallel(true)
-            .with_churn_rules(ChurnRules {
-                max_events: Some(8),
-                window: 2,
-                bootstrap_rounds: 2,
-                ..ChurnRules::default()
-            });
-        config.record_digests = true;
-        config
-    };
-    let factory = || -> NodeFactory<P> { Box::new(|_, _| P::default()) };
+    let config = || steady_config(29);
 
-    let mut reference = Reference::new(config(), SteadyChurn, factory(), NODES as u64);
+    let mut reference = Reference::new(config(), SteadyChurn, factory::<P>(), PROBES as u64);
     let mut queued = Vec::new();
     for _ in 0..ROUNDS {
         reference.step();
@@ -449,8 +515,8 @@ fn sends_to_non_members_match_the_reference<P: Process + Default>() {
 
     for cap in [1usize, 2, 4] {
         rayon::with_thread_cap(cap, || {
-            let mut lockstep = Simulator::new(config(), SteadyChurn, factory());
-            lockstep.seed_nodes(NODES);
+            let mut lockstep = Simulator::new(config(), SteadyChurn, factory::<P>());
+            lockstep.seed_nodes(PROBES);
             for (t, expected) in reference.rows.iter().enumerate() {
                 lockstep.step();
                 assert_eq!(&last_row(&lockstep), expected, "cap {cap}, round {t}");
@@ -461,9 +527,12 @@ fn sends_to_non_members_match_the_reference<P: Process + Default>() {
                 );
             }
             let instant = NetModel::new(LatencyModel::constant(0));
-            let event =
-                EventSimulator::new(EventConfig::new(config(), instant), SteadyChurn, factory());
-            let event = rows_of(event, NODES, ROUNDS);
+            let event = EventSimulator::new(
+                EventConfig::new(config(), instant),
+                SteadyChurn,
+                factory::<P>(),
+            );
+            let event = rows_of(event, PROBES, ROUNDS);
             assert_eq!(event, reference.rows, "event, cap {cap}");
         });
     }
@@ -477,4 +546,77 @@ fn lockstep_matches_the_reference_on_sends_to_non_members() {
 #[test]
 fn shared_payloads_match_the_reference_on_sends_to_non_members() {
     sends_to_non_members_match_the_reference::<SharedProbe>();
+}
+
+/// Sub-round to three-round latency, with jitter and loss.
+fn multi_round_net() -> NetModel {
+    NetModel {
+        latency: LatencyModel::uniform(200, 2600),
+        jitter: 300,
+        loss: 0.02,
+    }
+}
+
+/// Duplicates, mutations, and copies delayed past the event engine's far
+/// horizon of 64 rounds.
+fn late_plan() -> FaultPlan {
+    let delay = FaultAction::Delay {
+        ticks: 70 * TICKS_PER_ROUND,
+    };
+    FaultPlan::new()
+        .with_rule(FaultRule::every(FaultAction::Duplicate).with_prob(0.05))
+        .with_rule(FaultRule::every(FaultAction::Mutate).with_prob(0.05))
+        .with_rule(FaultRule::every(delay).with_prob(0.02))
+}
+
+/// Adds 1000 to a mutated payload.
+const PLUS_1000: FaultAdapter<u64> = FaultAdapter {
+    kind_of: |_| 0,
+    mutate: |payload, _| {
+        *payload = payload.wrapping_add(1000);
+        true
+    },
+};
+
+/// Long enough that copies delayed 70 rounds are read.
+const LATE_ROUNDS: u64 = 80;
+
+/// The event engine against the reference under [`SteadyChurn`] when copies
+/// span rounds: every copy [`multi_round_net`] delivers and [`late_plan`]
+/// faults is read by whoever is a member at its delivery round, in send
+/// order.
+fn late_copies_match_the_reference<P: Process<Msg = u64> + Default>(nodes: usize) {
+    for seed in [3, 29, 1729] {
+        let config = || steady_config(seed);
+        let mut reference = Reference::new(config(), SteadyChurn, factory::<P>(), nodes as u64)
+            .with_network(multi_round_net(), late_plan(), PLUS_1000);
+        for _ in 0..LATE_ROUNDS {
+            reference.step();
+        }
+        let faults = reference.faults.stats();
+        assert!(faults.duplicated > 0 && faults.mutated > 0, "{faults:?}");
+        assert!(reference.read_far > 0, "seed {seed}: no far copy was read");
+        for cap in [1usize, 2, 4] {
+            let event = rayon::with_thread_cap(cap, || {
+                let config = EventConfig::new(config(), multi_round_net());
+                let mut event = EventSimulator::new(config, SteadyChurn, factory::<P>());
+                event.set_faults(late_plan(), PLUS_1000);
+                rows_of(event, nodes, LATE_ROUNDS)
+            });
+            for (t, expected) in reference.rows.iter().enumerate() {
+                assert_eq!(&event[t], expected, "seed {seed}, cap {cap}, round {t}");
+            }
+        }
+    }
+}
+
+#[test]
+fn copies_spanning_rounds_match_the_reference_under_a_flood() {
+    late_copies_match_the_reference::<Flood>(NODES);
+}
+
+#[test]
+fn copies_spanning_rounds_match_the_reference_on_shared_payloads() {
+    // 30 messages each: still past the parallel threshold.
+    late_copies_match_the_reference::<SharedProbe>(PROBES / 2);
 }
