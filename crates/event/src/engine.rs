@@ -1,7 +1,7 @@
 //! The virtual-time delivery: every message individually samples its fate.
 //!
-//! Virtual time is measured in integer *ticks*; [`TICKS_PER_ROUND`] ticks
-//! make one protocol round. Nodes keep the synchronous cadence of the
+//! Delays are drawn in integer *ticks*; [`TICKS_PER_ROUND`] ticks make one
+//! protocol round. Nodes keep the synchronous cadence of the
 //! paper's model — [`EventSimulator`] is the same [`World`] round loop as the
 //! lockstep simulator, with the same per-`(seed, node, round)` RNG streams,
 //! the same churn arbiter and the same parallel compute phase — but the
@@ -44,17 +44,18 @@
 //!   before `t` (the compute phase after `read_until`'s boundary reads it),
 //!   and drops the far arena boundary `t - 1` took.
 //!
-//! A delay of `d ∈ [0, ticks_per_round]` for a message sent at boundary
-//! `t - 1` lands at `(t-1)·T + d ≤ t·T` and is read at `t` — the synchronous
-//! model's one-round delay, bit for bit, jitter included; `d >
-//! ticks_per_round` straddles further boundaries, the asynchrony the
-//! two-steps-ahead maintenance protocol was never proved against.
+//! The engine keeps no clock; time is the round. A copy sent at round `t`
+//! with a delay of `d` ticks is read at round `max(⌈(t·T + d)/T⌉, t + 1)`,
+//! `T` = [`TICKS_PER_ROUND`]. A delay of `d ∈ [0, T]` is read at `t + 1` —
+//! the synchronous model's one-round delay, bit for bit, jitter included;
+//! `d > T` straddles further boundaries, the asynchrony the two-steps-ahead
+//! maintenance protocol was never proved against.
 //!
 //! `end_round` samples the queue's high-water mark and reports the round's
 //! network counters. Ticks survive only in the delay counters of
-//! [`NetStats`], and all tick arithmetic saturates: a hostile
-//! `ticks_per_round` pins the clock at the end of time instead of wrapping
-//! it.
+//! [`NetStats`], and all tick arithmetic saturates: a `Delay { ticks:
+//! u64::MAX }` copy is read at the one round at the end of time instead of
+//! wrapping back to the past.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -72,7 +73,7 @@ use crate::TICKS_PER_ROUND;
 
 /// Configuration of an event-driven run: the shared simulation knobs (seed,
 /// lateness, churn rules, history window, parallel compute) plus the network
-/// topology and clock resolution.
+/// topology.
 #[derive(Clone, Debug)]
 pub struct EventConfig {
     /// The shared simulation configuration. Seeds and hash seeds are derived
@@ -83,26 +84,18 @@ pub struct EventConfig {
     /// directed `(sender, receiver)` link runs at each round. A scalar
     /// [`NetModel`] is the [`Topology::Global`] special case.
     pub topology: Topology,
-    /// Virtual ticks per protocol round (defaults to
-    /// [`TICKS_PER_ROUND`]).
-    pub ticks_per_round: u64,
 }
 
 impl EventConfig {
     /// An event configuration over `sim` with the link-uniform network model
-    /// `net` at the default clock resolution.
+    /// `net`.
     pub fn new(sim: SimConfig, net: NetModel) -> Self {
         EventConfig::with_topology(sim, Topology::Global(net))
     }
 
-    /// An event configuration over `sim` with an explicit link topology at
-    /// the default clock resolution.
+    /// An event configuration over `sim` with an explicit link topology.
     pub fn with_topology(sim: SimConfig, topology: Topology) -> Self {
-        EventConfig {
-            sim,
-            topology,
-            ticks_per_round: TICKS_PER_ROUND,
-        }
+        EventConfig { sim, topology }
     }
 }
 
@@ -158,9 +151,6 @@ struct Arena<M> {
 pub struct VirtualTime<M> {
     seed: u64,
     topology: Topology,
-    ticks_per_round: u64,
-    /// The tick of the boundary being executed (between steps: the next).
-    now: u64,
     /// The event queue: one entry per copy in flight, filed under its
     /// delivery round; each envelope's payload is the copy's handle.
     queue: CalendarQueue<u32>,
@@ -204,13 +194,6 @@ pub struct VirtualTime<M> {
 }
 
 impl<M> VirtualTime<M> {
-    /// The current virtual time in ticks (the tick of the next boundary).
-    /// Saturates at `u64::MAX`: a hostile `ticks_per_round` can pin the
-    /// clock at the end of time but can never wrap it back to the past.
-    pub fn virtual_time(&self) -> u64 {
-        self.now
-    }
-
     /// Number of distinct directed edges of `graph` that cross a region
     /// boundary of the configured topology — over a round's communication
     /// graph, the quantity that shows whether the two halves of a partition
@@ -325,13 +308,10 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     };
 
     fn new(config: EventConfig) -> (SimConfig, Self) {
-        assert!(config.ticks_per_round > 0, "ticks_per_round must be > 0");
         let seed = config.sim.seed;
         let delivery = VirtualTime {
             seed,
             topology: config.topology,
-            ticks_per_round: config.ticks_per_round,
-            now: 0,
             queue: CalendarQueue::new(1),
             arenas: VecDeque::new(),
             arena_base: 0,
@@ -352,7 +332,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     }
 
     fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        debug_assert_eq!(self.now, t.saturating_mul(self.ticks_per_round));
         self.recycle(t);
         self.far_batch = self.far.remove(&t).unwrap_or_default();
         self.batch.clear();
@@ -383,7 +362,8 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
-        let (seed, now, ticks_per_round) = (self.seed, self.now, self.ticks_per_round);
+        // The tick of this boundary, which delays are drawn from.
+        let (seed, now) = (self.seed, t.saturating_mul(TICKS_PER_ROUND));
         let payloads = out.payloads();
         let arena = self
             .arenas
@@ -437,7 +417,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                                 // tick, and never the sending round's own.
                                 let arrival = now.saturating_add(delay);
                                 let at_round =
-                                    arrival.div_ceil(ticks_per_round).max(t.saturating_add(1));
+                                    arrival.div_ceil(TICKS_PER_ROUND).max(t.saturating_add(1));
                                 (delay, at_round)
                             })
                         }
@@ -451,7 +431,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                                 );
                                 // The delay that reaches boundary `at_round`
                                 // (saturating, like every other tick product).
-                                let arrival = at_round.saturating_mul(ticks_per_round);
+                                let arrival = at_round.saturating_mul(TICKS_PER_ROUND);
                                 Some((arrival.saturating_sub(now), at_round))
                             }
                             None => panic!(
@@ -504,8 +484,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         lost
     }
 
-    fn end_round(&mut self, t: Round, obs: &ObsHandle) {
-        self.now = t.saturating_add(1).saturating_mul(self.ticks_per_round);
+    fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len() as u64);
         // Scheduler-specific (but still deterministic) counters: the network
         // model's effects this round and the queue depth.
@@ -539,32 +518,7 @@ mod tests {
 
     // The queue's ordering contract (pop order, far and late pushes, drains)
     // is tested in `crate::queue` and held against a reference `BinaryHeap`
-    // by `tests/queue_props.rs`; here we only pin the engine's saturation
-    // behavior at the clock level.
-
-    struct Pinger;
-    impl Process for Pinger {
-        type Msg = ();
-        fn on_round(&mut self, ctx: &mut Ctx<'_, ()>, _inbox: &[Envelope<()>]) {
-            ctx.send(NodeId(0), ());
-        }
-    }
-
-    #[test]
-    fn virtual_time_saturates_instead_of_wrapping() {
-        let mut config = EventConfig::new(
-            SimConfig::default().with_seed(1),
-            NetModel::new(LatencyModel::constant(0)),
-        );
-        config.ticks_per_round = u64::MAX;
-        let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Pinger));
-        sim.seed_nodes(2);
-        // From round 1 on, round × u64::MAX ticks saturates; without the
-        // saturation the clock would wrap to 0 and re-deliver the past.
-        sim.run(3);
-        assert_eq!(sim.virtual_time(), u64::MAX);
-        assert!(sim.metrics().rounds().len() == 3);
-    }
+    // by `tests/queue_props.rs`; here we pin where the engine keeps payloads.
 
     /// Node 0 shares one payload, `100 + round`, with nodes 1–8; everyone
     /// keeps what it hears.

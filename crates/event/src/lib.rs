@@ -398,9 +398,36 @@ mod tests {
 
     #[test]
     fn multi_round_delays_straddle_boundaries() {
+        // A constant delay of d ticks: a message sent in round t is read at
+        // round t + max(1, ⌈d / T⌉), on and just past each tick boundary.
+        const T: u64 = TICKS_PER_ROUND;
+        for ticks in [T, T + 1, 2 * T, 2 * T + 1, 2 * T + 500] {
+            let mut sim = event_sim(NetModel::new(LatencyModel::constant(ticks)), 3);
+            sim.record_trace();
+            sim.seed_nodes(4);
+            sim.run(6);
+            let trace = sim.take_trace().unwrap();
+            let send_rounds = sim
+                .metrics()
+                .rounds()
+                .iter()
+                .flat_map(|row| std::iter::repeat_n(row.round, row.messages_sent));
+            let mut seqs = 0;
+            for (seq, t) in send_rounds.enumerate() {
+                let at_round = t + ticks.div_ceil(T).max(1);
+                assert_eq!(
+                    trace.fate(seq as u64),
+                    Some(MessageFate::Delivered { at_round }),
+                    "{ticks} ticks, seq {seq}"
+                );
+                seqs += 1;
+            }
+            assert!(seqs > 0 && seqs == trace.len(), "{ticks} ticks");
+        }
+
         // A constant 2.5-round delay: messages sent in round t arrive in
         // round t + 3 (the first boundary past 2500 ticks).
-        let net = NetModel::new(LatencyModel::constant(2 * TICKS_PER_ROUND + 500));
+        let net = NetModel::new(LatencyModel::constant(2 * T + 500));
         let mut sim = event_sim(net, 3);
         sim.seed_nodes(4);
         sim.run(3);

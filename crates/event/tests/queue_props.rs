@@ -20,7 +20,7 @@ use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, 
 use tsa_event::queue::{CalendarQueue, Pending};
 use tsa_event::{
     EventConfig, EventSimulator, FaultAction, FaultCoins, FaultPlan, FaultRule, LatencyModel,
-    MessageFate, NetModel,
+    MessageFate, NetModel, TICKS_PER_ROUND,
 };
 use tsa_sim::prelude::*;
 use tsa_sim::SimConfig;
@@ -297,7 +297,6 @@ fn recorded_traces_match_one_shot_route_predictions() {
         loss: 0.1,
     };
     let config = EventConfig::new(SimConfig::default().with_seed(seed), net);
-    let tpr = config.ticks_per_round;
     let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Ping));
     sim.record_trace();
     sim.seed_nodes(12);
@@ -317,7 +316,9 @@ fn recorded_traces_match_one_shot_route_predictions() {
         let expected = match net.route(seed, seq) {
             None => MessageFate::Lost,
             Some(delay) => MessageFate::Delivered {
-                at_round: (t * tpr + delay).div_ceil(tpr).max(t + 1),
+                at_round: (t * TICKS_PER_ROUND + delay)
+                    .div_ceil(TICKS_PER_ROUND)
+                    .max(t + 1),
             },
         };
         assert_eq!(

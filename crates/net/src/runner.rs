@@ -4,9 +4,8 @@
 //! and the event engine — same churn arbiter, same per-`(seed, node, round)`
 //! RNG streams, same compute phase — over a [`Loopback`] delivery in which
 //! every node owns a loopback TCP listener. The cadence is *wall-clock*: each
-//! round lasts `tick × ticks_per_round` of real time (the event engine's
-//! 1000-ticks clock, reinterpreted at a configurable tick duration), and the
-//! network between the boundaries is the operating system.
+//! round lasts [`NetConfig::round_duration`] of real time, and the network
+//! between the boundaries is the operating system.
 //!
 //! Two threads run the show: the caller's thread runs the world (churn,
 //! activations, sends), and one *poller* thread owns every listener and
@@ -56,6 +55,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use tsa_event::queue::{CalendarQueue, Pending};
 use tsa_event::{
     FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats, MessageFate, MessageTrace,
     NetStats, TICKS_PER_ROUND,
@@ -66,7 +66,7 @@ use tsa_sim::{
     World,
 };
 
-use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder};
 
 /// Configuration of a loopback transport run.
 #[derive(Clone, Debug)]
@@ -75,22 +75,9 @@ pub struct NetConfig {
     /// history window. Seeds are used exactly as in the other two engines,
     /// so the same protocol run is comparable across all three.
     pub sim: SimConfig,
-    /// Virtual ticks per round (defaults to [`TICKS_PER_ROUND`]); only the
-    /// product `tick × ticks_per_round` — the round duration — is
-    /// observable.
-    pub ticks_per_round: u64,
-    /// Wall-clock duration of one virtual tick. The default 20 µs makes a
-    /// 1000-tick round last 20 ms: comfortably longer than a loopback
-    /// round-trip, short enough that tests stay fast.
-    pub tick: Duration,
-    /// Upper bound on a single frame's payload, enforced by the decoder.
-    pub max_frame: usize,
-}
-
-/// A nanosecond count as a [`Duration`], clamped to what 64 bits hold (584
-/// years).
-fn clamped_nanos(nanos: u128) -> Duration {
-    Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+    /// Wall-clock duration of one round. The default 20 ms is comfortably
+    /// longer than a loopback round-trip, short enough that tests stay fast.
+    pub round_duration: Duration,
 }
 
 impl NetConfig {
@@ -98,31 +85,14 @@ impl NetConfig {
     pub fn new(sim: SimConfig) -> Self {
         NetConfig {
             sim,
-            ticks_per_round: TICKS_PER_ROUND,
-            tick: Duration::from_micros(20),
-            max_frame: DEFAULT_MAX_FRAME,
+            round_duration: Duration::from_millis(20),
         }
     }
 
-    /// Sets the wall-clock duration of one whole round: the tick becomes
-    /// `duration / ticks_per_round`, rounded up to a whole nanosecond so the
-    /// round is never shorter than asked. Computed in 128-bit nanoseconds:
-    /// no `ticks_per_round` divides by zero or truncates here (a zero is
-    /// rejected when the runner is built).
+    /// Sets the wall-clock duration of one round.
     pub fn with_round_duration(mut self, duration: Duration) -> Self {
-        let ticks = u128::from(self.ticks_per_round.max(1));
-        self.tick = clamped_nanos(duration.as_nanos().div_ceil(ticks));
+        self.round_duration = duration;
         self
-    }
-
-    /// The wall-clock duration of one round, `tick × ticks_per_round`,
-    /// clamped instead of wrapped.
-    pub fn round_duration(&self) -> Duration {
-        clamped_nanos(
-            self.tick
-                .as_nanos()
-                .saturating_mul(u128::from(self.ticks_per_round)),
-        )
     }
 }
 
@@ -200,11 +170,7 @@ struct Conn {
 /// connection, decode frames into the hub's batch; after a pass that found
 /// nothing, sleep until the coordinator has written (or the safety net
 /// expires). Runs until shutdown.
-fn poll_loop<M: serde::Deserialize>(
-    ctl: mpsc::Receiver<Ctl>,
-    hub: Arc<Mutex<Hub<M>>>,
-    max_frame: usize,
-) {
+fn poll_loop<M: serde::Deserialize>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
     let mut listeners: Vec<(NodeId, TcpListener)> = Vec::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -239,7 +205,7 @@ fn poll_loop<M: serde::Deserialize>(
                         conns.push(Conn {
                             owner: *owner,
                             stream,
-                            decoder: FrameDecoder::with_max_frame(max_frame),
+                            decoder: FrameDecoder::new(),
                         });
                         active = true;
                     }
@@ -327,7 +293,6 @@ struct Port {
 
 /// The loopback-TCP delivery policy. See the module docs.
 pub struct Loopback<M> {
-    ticks_per_round: u64,
     round_duration: Duration,
     /// When the current round's wall-clock budget started.
     round_started: Instant,
@@ -354,9 +319,9 @@ pub struct Loopback<M> {
     /// it is written (the same pure `(seed, seq)` decisions the event engine
     /// takes at its delivery boundary).
     faults: FaultInjector<M>,
-    /// Fault-delayed frames: `(release round, seq, envelope)`, written to
-    /// the wire at the boundary whose round reaches `release`.
-    held: Vec<(Round, u64, Envelope<M>)>,
+    /// Fault-delayed frames, filed under their release round and written
+    /// to the wire at the boundary whose round reaches it.
+    held: CalendarQueue<M>,
     /// Socket writes made so far.
     #[cfg(test)]
     writes: u64,
@@ -479,7 +444,6 @@ where
 
     /// Starts the poller thread.
     fn new(config: NetConfig) -> (SimConfig, Self) {
-        assert!(config.ticks_per_round > 0, "ticks_per_round must be > 0");
         let hub = Arc::new(Mutex::new(Hub {
             batch: Vec::new(),
             frames_received: 0,
@@ -489,14 +453,12 @@ where
         }));
         let (ctl, ctl_rx) = mpsc::channel();
         let poller_hub = Arc::clone(&hub);
-        let max_frame = config.max_frame;
         let poller = thread::Builder::new()
             .name("tsa-net-poller".into())
-            .spawn(move || poll_loop::<M>(ctl_rx, poller_hub, max_frame))
+            .spawn(move || poll_loop::<M>(ctl_rx, poller_hub))
             .expect("spawn poller thread");
         let delivery = Loopback {
-            ticks_per_round: config.ticks_per_round,
-            round_duration: config.round_duration(),
+            round_duration: config.round_duration,
             round_started: Instant::now(),
             ports: Vec::new(),
             conns: BTreeMap::new(),
@@ -511,7 +473,7 @@ where
             wire_sent_bytes: 0,
             wire_reported: (0, 0),
             faults: FaultInjector::new(config.sim.seed),
-            held: Vec::new(),
+            held: CalendarQueue::new(1),
             #[cfg(test)]
             writes: 0,
         };
@@ -567,7 +529,6 @@ where
         // which the scatter drops.
         let read_now = MessageFate::Delivered { at_round: t };
         let (fates, stats, sent) = (&mut self.fates, &mut self.stats, self.seq);
-        let ticks_per_round = self.ticks_per_round;
         self.batch.retain(|&(owner, seq, ref env)| {
             if seq >= sent || fates.fate(seq) != Some(MessageFate::Lost) {
                 return false;
@@ -575,11 +536,11 @@ where
             fates.record(seq, read_now);
             if index.slot(owner).is_some() {
                 // Saturating, like every tick product of the event engine: a
-                // hostile `ticks_per_round` (or a frame stamped with a future
-                // round) pins the counters, never wraps them.
+                // wire-supplied `sent_at` from the future reads as no delay,
+                // and no product or sum wraps.
                 let delay = t
                     .saturating_sub(env.sent_at)
-                    .saturating_mul(ticks_per_round);
+                    .saturating_mul(TICKS_PER_ROUND);
                 stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
                 stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
             }
@@ -591,21 +552,19 @@ where
         // this boundary, to be read one round later — their delay in whole
         // rounds past their original delivery boundary. Frames whose hold
         // outlives the run stay recorded as `Lost`, which is how the
-        // replaying twin must treat them (they influenced nobody). The due
-        // frames are brought to the front, sender by sender (in send order
-        // within one), so each link they use sees one write.
-        let mut held = std::mem::take(&mut self.held);
-        held.sort_by_key(|(release, seq, env)| (*release > t, env.from, *seq));
-        let due = held.partition_point(|(release, ..)| *release <= t);
+        // replaying twin must treat them (they influenced nobody). Only the
+        // due frames are sorted, sender by sender (in send order within
+        // one), so each link they use sees one write.
+        let mut due = Vec::new();
+        self.held.drain_at_or_before(t, &mut due);
+        due.sort_unstable_by_key(|p| (p.env.from, p.seq));
         let mut lost = 0usize;
-        for sender in held[..due].chunk_by(|a, b| a.2.from == b.2.from) {
-            for (_, seq, env) in sender {
-                lost += usize::from(!self.queue_frame(*seq, env));
+        for sender in due.chunk_by(|a, b| a.env.from == b.env.from) {
+            for p in sender {
+                lost += usize::from(!self.queue_frame(p.seq, &p.env));
             }
-            lost += self.flush_links(sender[0].2.from);
+            lost += self.flush_links(sender[0].env.from);
         }
-        held.drain(..due);
-        self.held = held;
         self.stats.lost += lost as u64;
         departed + lost
     }
@@ -640,8 +599,12 @@ where
                     // hold-back is the tick delay rounded up to whole
                     // rounds, at least one.
                     Some(FaultAction::Delay { ticks }) => {
-                        let rounds = ticks.div_ceil(self.ticks_per_round).max(1);
-                        self.held.push((t.saturating_add(rounds), copy.seq, env));
+                        let rounds = ticks.div_ceil(TICKS_PER_ROUND).max(1);
+                        self.held.push(Pending {
+                            arrival: t.saturating_add(rounds),
+                            seq: copy.seq,
+                            env,
+                        });
                     }
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
@@ -997,16 +960,25 @@ mod tests {
 
     #[test]
     fn delayed_frames_leave_in_one_write_per_link_and_the_run_still_twins() {
-        let (k, copies, rounds) = (4u64, 2u64, 5u64);
+        let (k, copies, rounds) = (4u64, 2u64, 7u64);
         let links = k * (k - 1);
+        let frames = links * copies;
         // Everything sent in round 1 is held for two rounds and leaves at
-        // the boundary of round 3, beside that round's own sends.
-        let plan = FaultPlan::new().with_rule(
-            FaultRule::every(FaultAction::Delay {
-                ticks: TICKS_PER_ROUND + 1,
-            })
-            .in_window(RoundWindow::between(1, 2)),
-        );
+        // the boundary of round 3, beside that round's own sends; everything
+        // sent in round 2 is held for three and leaves at round 5's.
+        let plan = FaultPlan::new()
+            .with_rule(
+                FaultRule::every(FaultAction::Delay {
+                    ticks: TICKS_PER_ROUND + 1,
+                })
+                .in_window(RoundWindow::between(1, 2)),
+            )
+            .with_rule(
+                FaultRule::every(FaultAction::Delay {
+                    ticks: 3 * TICKS_PER_ROUND,
+                })
+                .in_window(RoundWindow::between(2, 3)),
+            );
         let adapter = FaultAdapter {
             kind_of: |_| 0,
             mutate: |_, _| false,
@@ -1015,13 +987,19 @@ mod tests {
         net.set_faults(plan.clone(), adapter);
         net.seed_nodes(k as usize);
         net.run(3);
-        assert_eq!(net.writes, 2 * links, "rounds 0 and 2; round 1 is held");
-        assert_eq!(net.held.len() as u64, links * copies);
+        assert_eq!(net.writes, links, "round 0; rounds 1 and 2 are held");
+        assert_eq!(net.held.len() as u64, 2 * frames);
+        net.step();
+        assert_eq!(net.held.len() as u64, frames, "round 2's stay held");
+        assert_eq!(net.writes, 3 * links, "round 1's held frames and round 3's");
+        net.step();
+        assert_eq!(net.held.len() as u64, frames);
+        assert_eq!(net.writes, 4 * links, "round 4's alone");
         net.step();
         assert!(net.held.is_empty());
-        assert_eq!(net.writes, 4 * links, "the held frames and round 3's");
+        assert_eq!(net.writes, 6 * links, "round 2's held frames and round 5's");
         net.step();
-        assert_eq!(net.wire_stats().frames_sent, rounds * links * copies);
+        assert_eq!(net.wire_stats().frames_sent, rounds * frames);
         assert_eq!(net.net_stats().lost, 0);
 
         let model = NetModel::new(LatencyModel::constant(0));

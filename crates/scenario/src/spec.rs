@@ -162,7 +162,7 @@ impl ChurnSpec {
                 ..ChurnRules::default()
             },
             ChurnSpec::Fraction { num, den } => ChurnRules {
-                max_events: Some(params.overlay.n * num / den.max(1)),
+                max_events: Some(fraction_of(params.overlay.n, num, den)),
                 window: params.overlay.churn_window(),
                 bootstrap_rounds: params.bootstrap_rounds(),
                 ..ChurnRules::default()
@@ -182,10 +182,17 @@ impl ChurnSpec {
             ChurnSpec::Budget { max_events } | ChurnSpec::BudgetWindow { max_events, .. } => {
                 max_events
             }
-            ChurnSpec::Fraction { num, den } => n * num / den.max(1),
+            ChurnSpec::Fraction { num, den } => fraction_of(n, num, den),
             ChurnSpec::Custom { rules } => rules.max_events.unwrap_or(n),
         }
     }
+}
+
+/// `n · num / den` (a zero `den` counts as 1), exact in 128 bits and clamped
+/// to `usize::MAX`: a deserialized fraction can never overflow the product.
+fn fraction_of(n: usize, num: usize, den: usize) -> usize {
+    let exact = n as u128 * num as u128 / den.max(1) as u128;
+    usize::try_from(exact).unwrap_or(usize::MAX)
 }
 
 /// Which attack strategy drives the churn.
@@ -519,6 +526,25 @@ mod tests {
         assert_eq!(ChurnSpec::fraction(3, 8).burst_budget(64), 24);
         assert_eq!(ChurnSpec::fraction(1, 4).label(), "n/4");
         assert_eq!(ChurnSpec::fraction(3, 8).label(), "3n/8");
+    }
+
+    #[test]
+    fn huge_fractions_clamp_instead_of_overflowing() {
+        let params = MaintenanceParams::new(64);
+        let half_of_max = ChurnSpec::Fraction {
+            num: usize::MAX,
+            den: 2,
+        };
+        // 64 · usize::MAX / 2 = 32 · usize::MAX: past every usize.
+        assert_eq!(half_of_max.rules_for(&params).max_events, Some(usize::MAX));
+        assert_eq!(half_of_max.burst_budget(64), usize::MAX);
+        // The product overflows 64 bits, the quotient does not.
+        let exact = ChurnSpec::Fraction {
+            num: usize::MAX,
+            den: usize::MAX,
+        };
+        assert_eq!(exact.burst_budget(64), 64);
+        assert_eq!(ChurnSpec::Fraction { num: 1, den: 0 }.burst_budget(64), 64);
     }
 
     #[test]

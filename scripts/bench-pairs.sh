@@ -14,14 +14,19 @@
 # command BENCHMARK.json names (`--seconds` from its `run_seconds`,
 # `--trace 0`), run from the side's own root.
 #
-# Prints, per end-to-end metric: both medians, the parent's quartiles, the
-# pairs won/lost (ties count for neither) and the verdict — `gain` (ten or
-# more pairs, at least 9/10 of them won, and the medians differ by more than
-# the parent's interquartile distance), `REGRESSION` (the change's median is worse by more
-# than the metric's bound) or `-`. Exits non-zero if any pair disagrees on
-# `det_digest` or the `exact` counts, or a pass is not `correct`: the two
-# sides must run the same program to the same answers before their clocks
-# are compared.
+# Prints, per end-to-end metric: both medians, the parent's quartiles and
+# relative spread `(q3 - q1) / median`, the pairs won/lost (ties count for
+# neither) and the verdict, the first that holds of:
+#   REGRESSION  the change's median is worse by more than the metric's bound;
+#   unresolved  the parent's spread exceeds the bound, and not every change
+#               run is better than every parent run;
+#   gain        ten or more pairs, at least 9/10 of them won, the medians
+#               differ by more than the parent's interquartile distance, and
+#               no more change steps failed than parent steps;
+#   -           otherwise.
+# Exits non-zero if any pair disagrees on `det_digest` or the `exact`
+# counts, or a pass is not `correct`: the two sides must run the same
+# program to the same answers before their clocks are compared.
 set -euo pipefail
 
 usage() { sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0"; }
@@ -93,13 +98,14 @@ for pair, ((p_detail, p_result), (c_detail, c_result)) in enumerate(runs, 1):
 detail = runs[0][0][0]
 print(f"det_digest/exact agree on every pair: {'yes' if same else 'NO'}"
       f" ({detail.get('det_digest')}, {detail.get('exact')})")
+failed = {}
 for side, index in (("parent", 0), ("change", 1)):
-    failed = sum(run[index][1]["failed"] for run in runs)
+    failed[side] = sum(run[index][1]["failed"] for run in runs)
     attempted = sum(run[index][1]["attempted"] for run in runs)
-    print(f"{side}: {failed} of {attempted} steps failed")
+    print(f"{side}: {failed[side]} of {attempted} steps failed")
 
-print(f"{'metric':<18} {'parent':>10} {'[q1':>10} {'q3]':>10} {'change':>10}"
-      f" {'delta':>8} {'won':>4} {'lost':>4}  verdict")
+print(f"{'metric':<18} {'parent':>10} {'[q1':>10} {'q3]':>10} {'spread':>7}"
+      f" {'change':>10} {'delta':>8} {'won':>4} {'lost':>4}  verdict")
 for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
     parent = [run[0][1]["metrics"][name]["value"] for run in runs]
@@ -110,13 +116,18 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4) if pairs > 1 else (p_med,) * 3
     delta = (c_med - p_med) / p_med if p_med else 0.0
+    spread = (q3 - q1) / p_med if p_med else 0.0
     verdict = "-"
-    if (pairs >= 10 and better(c_med, p_med) and won * 10 >= 9 * pairs
-            and abs(c_med - p_med) > q3 - q1):
-        verdict = "gain"
-    elif (-delta if higher else delta) > metric["bound"]:
+    if (-delta if higher else delta) > metric["bound"]:
         verdict = "REGRESSION"
-    print(f"{name:<18} {p_med:>10.3f} {q1:>10.3f} {q3:>10.3f} {c_med:>10.3f}"
-          f" {delta:>+8.1%} {won:>4} {lost:>4}  {verdict}")
+    elif spread > metric["bound"] and not all(
+            better(c, p) for c in change for p in parent):
+        verdict = "unresolved"
+    elif (pairs >= 10 and better(c_med, p_med) and won * 10 >= 9 * pairs
+            and abs(c_med - p_med) > q3 - q1
+            and failed["change"] <= failed["parent"]):
+        verdict = "gain"
+    print(f"{name:<18} {p_med:>10.3f} {q1:>10.3f} {q3:>10.3f} {spread:>7.1%}"
+          f" {c_med:>10.3f} {delta:>+8.1%} {won:>4} {lost:>4}  {verdict}")
 sys.exit(0 if same else 1)
 PY
