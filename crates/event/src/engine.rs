@@ -10,39 +10,36 @@
 //! be lost, and a [`FaultPlan`] may drop, delay, duplicate
 //! or mutate it on the way out.
 //!
-//! # Payloads once, a handle per copy in flight
+//! # One record per delivery round
 //!
-//! As on the lockstep delivery, a send round's distinct payloads are kept
-//! once, in an **arena**, but a copy may stay in flight for many rounds: the
-//! queue parks a 48-byte `Pending<u32>` per copy — delivery round, sequence
-//! number and an envelope whose payload is a 4-byte **handle**.
+//! Everything in flight is kept under the round that reads it. Each round's
+//! record is its copies in send order — a 32-byte envelope each, whose
+//! payload is a 4-byte **handle** — plus the payloads those handles name.
+//! Round `t + 1`'s record is the lockstep delivery's shape: that round's
+//! distinct payloads once and a handle per copy.
 //!
 //! * `send` (once per node, id order) appends the outbox's distinct payloads
-//!   to the current round's arena, numbers the copies through the fault
+//!   once to round `t + 1`'s record, numbers the copies through the fault
 //!   injector's one numbering rule (slots send in id order, so the numbering
 //!   is the lockstep engine's in-flight order), draws each fate — a pure
 //!   function of `(master seed, sequence number)`, or a recorded
-//!   [`MessageTrace`]'s entry under replay — and files the survivors in a
-//!   [`CalendarQueue`](crate::queue) of width 1 under their *delivery
-//!   round*: the first boundary at or past the arrival tick, never the
-//!   sending round's own (the round [`MessageTrace`] records). The arena's
-//!   `read_until` rises to the latest delivery round of any copy filed
-//!   against it. A copy a `Mutate` fault corrupts gets an arena entry of its
-//!   own. A copy filed `FAR_ROUNDS` (64) or more rounds ahead files its
-//!   payload in a far arena keyed by the round that reads it instead: one
-//!   late copy must not pin its whole send round's arena (a hostile
-//!   `Delay { ticks: u64::MAX }` would pin every round's forever).
-//! * `deliver` at boundary `t` drains every bucket up to round `t` — one
-//!   whole bucket, in push order ("round-boundary delivery"; within one
+//!   [`MessageTrace`]'s entry under replay — and appends each survivor to
+//!   the record of its *delivery round*: the first boundary at or past the
+//!   arrival tick, never the sending round's own (the round
+//!   [`MessageTrace`] records). A copy read at `t + 1` names the shared
+//!   entry; one read later, or one a `Mutate` fault corrupted, pushes its own
+//!   payload into the record that reads it. A late copy so holds nothing but
+//!   itself: a hostile `Delay { ticks: u64::MAX }` copy sits in the one
+//!   record at the end of time and pins no other round's payloads.
+//! * Copies are appended in sequence order, so every record is already in
+//!   send order.
+//! * `deliver` at boundary `t` takes round `t`'s record as the one inbox
+//!   positions and handles name ("round-boundary delivery"; within one
 //!   boundary the residual arrival jitter has no semantic meaning, since
-//!   every message of the batch is read by the same activation) — sorts the
-//!   batch into send order, one linear pass on a bucket already in it, and
-//!   scatters its positions into the world's inboxes. It takes round `t`'s
-//!   far arena as the one this boundary's far handles name.
-//! * When a payload is freed is decided at send time, from the round that
-//!   reads it: boundary `t` recycles every arena whose `read_until` is
-//!   before `t` (the compute phase after `read_until`'s boundary reads it),
-//!   and drops the far arena boundary `t - 1` took.
+//!   every message of the record is read by the same activation) and
+//!   scatters its copies into the world's inboxes. The record boundary
+//!   `t - 1` read goes back, emptied, to a spare list, where the next record
+//!   opened takes it.
 //!
 //! The engine keeps no clock; time is the round. A copy sent at round `t`
 //! with a delay of `d` ticks is read at round `max(⌈(t·T + d)/T⌉, t + 1)`,
@@ -51,23 +48,22 @@
 //! `d > T` straddles further boundaries, the asynchrony the two-steps-ahead
 //! maintenance protocol was never proved against.
 //!
-//! `end_round` samples the queue's high-water mark and reports the round's
+//! `end_round` samples the in-flight high-water mark and reports the round's
 //! network counters. Ticks survive only in the delay counters of
 //! [`NetStats`], and all tick arithmetic saturates: a `Delay { ticks:
 //! u64::MAX }` copy is read at the one round at the end of time instead of
 //! wrapping back to the past.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    CommGraph, Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
-    SlotIndex, World,
+    handle, CommGraph, Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round,
+    SimConfig, SlotIndex, World,
 };
 
 use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
 use crate::model::{FateBlock, NetModel, Topology};
-use crate::queue::{CalendarQueue, Pending};
 use crate::trace::{MessageFate, MessageTrace};
 use crate::TICKS_PER_ROUND;
 
@@ -123,51 +119,35 @@ pub struct NetStats {
 /// through a [`VirtualTime`] network.
 pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
-/// Rounds ahead of its send round from which a copy files its payload in the
-/// far arena of the round that reads it instead of its send round's arena.
-const FAR_ROUNDS: u64 = 64;
-
-/// Set in a handle that names an entry of this boundary's far arena rather
-/// than one of its send round's arena.
-const FAR: u32 = 1 << 31;
-
-/// An arena or far-arena index as a handle: a panic with a message where the
-/// index reaches the far bit, never a wrap.
-fn to_handle(index: usize) -> u32 {
-    u32::try_from(index)
-        .ok()
-        .filter(|&h| h < FAR)
-        .unwrap_or_else(|| panic!("payload index {index} does not fit a handle"))
+/// The copies one round reads, in send order, and the payloads their
+/// handles name.
+struct Inbound<M> {
+    /// One envelope per copy; its payload is an index into `payloads`.
+    copies: Vec<Envelope<u32>>,
+    payloads: Vec<M>,
 }
 
-/// The payloads one round sent, each distinct payload once (plus one entry
-/// per mutated copy), and the latest round that reads one of them.
-struct Arena<M> {
-    payloads: Vec<M>,
-    read_until: Round,
+impl<M> Default for Inbound<M> {
+    fn default() -> Self {
+        Inbound {
+            copies: Vec::new(),
+            payloads: Vec::new(),
+        }
+    }
 }
 
 /// The virtual-time delivery policy. See the module docs.
 pub struct VirtualTime<M> {
     seed: u64,
     topology: Topology,
-    /// The event queue: one entry per copy in flight, filed under its
-    /// delivery round; each envelope's payload is the copy's handle.
-    queue: CalendarQueue<u32>,
-    /// The arenas of send rounds `arena_base..`, oldest first: the current
-    /// round's and every earlier one read at this boundary or a later one
-    /// (a recycled one in between keeps its place, empty).
-    arenas: VecDeque<Arena<M>>,
-    arena_base: Round,
-    /// Payload buffers of recycled arenas, taken by the next rounds'.
-    spare_arenas: Vec<Vec<M>>,
-    /// The payloads of copies filed [`FAR_ROUNDS`] or more ahead, under the
-    /// round that reads them.
-    far: BTreeMap<Round, Vec<M>>,
-    /// The far arena this boundary reads, taken from `far`.
-    far_batch: Vec<M>,
-    /// This boundary's copies, in send order: what an inbox position names.
-    batch: Vec<Pending<u32>>,
+    /// Everything in flight, under the round that reads it.
+    inbound: BTreeMap<Round, Inbound<M>>,
+    /// The record this boundary reads: what an inbox position names.
+    reading: Inbound<M>,
+    /// Emptied records, taken by the next rounds opened.
+    spare: Vec<Inbound<M>>,
+    /// Copies in `inbound`.
+    in_flight: usize,
     /// Global send sequence number: the identity of a message for the
     /// network model's per-message streams.
     seq: u64,
@@ -175,7 +155,7 @@ pub struct VirtualTime<M> {
     /// `seq` (sequence numbers are monotone, so one generation serves the
     /// whole window).
     fate_block: Option<FateBlock>,
-    /// High-water mark of the event queue depth, sampled once per boundary.
+    /// High-water mark of the copies in flight, sampled once per boundary.
     peak_queue_depth: u64,
     stats: NetStats,
     /// `stats` as of the end of the previous round.
@@ -206,13 +186,14 @@ impl<M> VirtualTime<M> {
             .count()
     }
 
-    /// Number of messages currently in flight (queued, not yet delivered).
+    /// Number of messages currently in flight (sent, not yet delivered):
+    /// copies, not distinct payloads.
     pub fn in_flight_count(&self) -> usize {
-        self.queue.len()
+        self.in_flight
     }
 
-    /// High-water mark of the event queue depth over the whole run, sampled
-    /// at each round boundary after the sends (when the queue is fullest).
+    /// High-water mark of the copies in flight over the whole run, sampled
+    /// at each round boundary after the sends (when the most are in flight).
     pub fn peak_queue_depth(&self) -> u64 {
         self.peak_queue_depth
     }
@@ -259,42 +240,12 @@ impl<M> VirtualTime<M> {
         self.faults.stats()
     }
 
-    /// The payload a parked copy's envelope names.
-    fn payload(&self, env: &Envelope<u32>) -> &M {
-        if env.payload & FAR != 0 {
-            &self.far_batch[(env.payload & !FAR) as usize]
-        } else {
-            &self.arenas[(env.sent_at - self.arena_base) as usize].payloads[env.payload as usize]
-        }
-    }
-
-    /// Every arena that no boundary from `t` on reads is free: the compute
-    /// phase after its last boundary is over. Arenas leave the front of the
-    /// window; one further in gives its buffer back and keeps its place.
-    fn recycle(&mut self, t: Round) {
-        for arena in self.arenas.iter_mut() {
-            if arena.read_until < t && arena.payloads.capacity() > 0 {
-                let mut payloads = std::mem::take(&mut arena.payloads);
-                payloads.clear();
-                self.spare_arenas.push(payloads);
-            }
-        }
-        while self.arenas.front().is_some_and(|a| a.read_until < t) {
-            self.arenas.pop_front();
-            self.arena_base += 1;
-        }
-    }
-
-    /// Opens round `t`'s arena, on a recycled buffer when there is one.
-    fn open_arena(&mut self, t: Round) {
-        if self.arenas.is_empty() {
-            self.arena_base = t;
-        }
-        debug_assert_eq!(self.arena_base + self.arenas.len() as u64, t);
-        self.arenas.push_back(Arena {
-            payloads: self.spare_arenas.pop().unwrap_or_default(),
-            read_until: t,
-        });
+    /// Round `round`'s record, opened on a spare one if it is new.
+    fn inbound(&mut self, round: Round) -> &mut Inbound<M> {
+        let spare = &mut self.spare;
+        self.inbound
+            .entry(round)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
     }
 }
 
@@ -312,13 +263,10 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         let delivery = VirtualTime {
             seed,
             topology: config.topology,
-            queue: CalendarQueue::new(1),
-            arenas: VecDeque::new(),
-            arena_base: 0,
-            spare_arenas: Vec::new(),
-            far: BTreeMap::new(),
-            far_batch: Vec::new(),
-            batch: Vec::new(),
+            inbound: BTreeMap::new(),
+            reading: Inbound::default(),
+            spare: Vec::new(),
+            in_flight: 0,
             seq: 0,
             fate_block: None,
             peak_queue_depth: 0,
@@ -332,25 +280,27 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     }
 
     fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        self.recycle(t);
-        self.far_batch = self.far.remove(&t).unwrap_or_default();
-        self.batch.clear();
-        // Round t's bucket moves with a bulk append; the by-seq sort below is
-        // the only order the inboxes ever see.
-        self.queue.drain_at_or_before(t, &mut self.batch);
-        self.batch.sort_unstable_by_key(|p| p.seq);
-        let dropped = inboxes.scatter(self.batch.iter().map(|p| index.slot(p.env.to)));
+        debug_assert!(self.inbound.keys().next().is_none_or(|&r| r >= t));
+        let due = self.inbound.remove(&t).unwrap_or_default();
+        let mut read = std::mem::replace(&mut self.reading, due);
+        if read.copies.capacity() > 0 {
+            read.copies.clear();
+            read.payloads.clear();
+            self.spare.push(read);
+        }
+        let copies = &self.reading.copies;
+        self.in_flight -= copies.len();
+        let dropped = inboxes.scatter(copies.iter().map(|env| index.slot(env.to)));
         self.stats.dropped_departed += dropped as u64;
-        self.open_arena(t);
         dropped
     }
 
-    /// The batch entry's metadata and a clone of the payload its handle
-    /// names.
+    /// The copy's metadata and a clone of the payload its handle names.
     #[inline]
     fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
-        let env = &self.batch[position as usize].env;
-        Envelope::new(env.from, to, env.sent_at, self.payload(env).clone())
+        let env = &self.reading.copies[position as usize];
+        let payload = &self.reading.payloads[env.payload as usize];
+        Envelope::new(env.from, to, env.sent_at, payload.clone())
     }
 
     fn send(
@@ -364,13 +314,11 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         let span = obs.span_start();
         // The tick of this boundary, which delays are drawn from.
         let (seed, now) = (self.seed, t.saturating_mul(TICKS_PER_ROUND));
+        let next = t.saturating_add(1);
         let payloads = out.payloads();
-        let arena = self
-            .arenas
-            .back_mut()
-            .expect("deliver opened the round's arena");
-        let base = arena.payloads.len();
-        arena.payloads.extend_from_slice(payloads);
+        let shared = &mut self.inbound(next).payloads;
+        let base = shared.len();
+        shared.extend_from_slice(payloads);
         let mut lost = 0usize;
         for (to, index) in out.sends() {
             let payload = &payloads[index];
@@ -416,8 +364,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                                 // The first boundary at or past the arrival
                                 // tick, and never the sending round's own.
                                 let arrival = now.saturating_add(delay);
-                                let at_round =
-                                    arrival.div_ceil(TICKS_PER_ROUND).max(t.saturating_add(1));
+                                let at_round = arrival.div_ceil(TICKS_PER_ROUND).max(next);
                                 (delay, at_round)
                             })
                         }
@@ -457,26 +404,16 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 if let Some(tr) = self.trace.as_mut() {
                     tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
-                let handle = if at_round - t >= FAR_ROUNDS {
-                    let far = self.far.entry(at_round).or_default();
-                    far.push(copy.mutated.unwrap_or_else(|| payload.clone()));
-                    to_handle(far.len() - 1) | FAR
-                } else {
-                    let arena = self.arenas.back_mut().expect("opened above");
-                    arena.read_until = arena.read_until.max(at_round);
-                    match copy.mutated {
-                        Some(own) => {
-                            arena.payloads.push(own);
-                            to_handle(arena.payloads.len() - 1)
-                        }
-                        None => to_handle(base + index),
+                let record = self.inbound(at_round);
+                let h = match copy.mutated {
+                    None if at_round == next => handle(base + index),
+                    own => {
+                        record.payloads.push(own.unwrap_or_else(|| payload.clone()));
+                        handle(record.payloads.len() - 1)
                     }
                 };
-                self.queue.push(Pending {
-                    arrival: at_round,
-                    seq: msg_seq,
-                    env: Envelope::new(from, to, t, handle),
-                });
+                record.copies.push(Envelope::new(from, to, t, h));
+                self.in_flight += 1;
             }
         }
         out.clear();
@@ -485,7 +422,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
     }
 
     fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
-        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len() as u64);
+        self.peak_queue_depth = self.peak_queue_depth.max(self.in_flight as u64);
         // Scheduler-specific (but still deterministic) counters: the network
         // model's effects this round and the queue depth.
         let before = std::mem::replace(&mut self.reported, self.stats);
@@ -499,7 +436,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             );
             obs.add("event.bridge_sent", now.bridge_sent - before.bridge_sent);
             obs.add("event.bridge_lost", now.bridge_lost - before.bridge_lost);
-            obs.observe("event.queue_len", self.queue.len() as u64);
+            obs.observe("event.queue_len", self.in_flight as u64);
         }
         self.faults.end_round(obs);
     }
@@ -516,9 +453,9 @@ mod tests {
     use crate::model::LatencyModel;
     use tsa_sim::prelude::*;
 
-    // The queue's ordering contract (pop order, far and late pushes, drains)
-    // is tested in `crate::queue` and held against a reference `BinaryHeap`
-    // by `tests/queue_props.rs`; here we pin where the engine keeps payloads.
+    // Delivery order and contents are held against a naive scheduler by
+    // `tests/scheduler_reference.rs`; here we pin where the engine keeps
+    // payloads.
 
     /// Node 0 shares one payload, `100 + round`, with nodes 1–8; everyone
     /// keeps what it hears.
@@ -562,14 +499,19 @@ mod tests {
         &sim.node(NodeId(id)).unwrap().heard
     }
 
+    /// The rounds with a record in flight.
+    fn live_rounds<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> Vec<Round> {
+        sim.inbound.keys().copied().collect()
+    }
+
     #[test]
     fn a_mutated_copy_gets_its_own_payload_and_the_others_share_one() {
         let to_three = FaultRule::every(FaultAction::Mutate).to(NodeSelector::Id { id: 3 });
         let mut sim = town(FaultPlan::new().with_rule(to_three));
         sim.step();
-        let sent = sim.arenas.back().unwrap();
-        assert_eq!(sent.payloads, [100, 1100], "the shared payload, then #3's");
-        assert_eq!(sent.read_until, 1, "read at the next boundary");
+        assert_eq!(live_rounds(&sim), [1], "read at the next boundary");
+        let next = &sim.inbound[&1].payloads;
+        assert_eq!(next, &[100, 1100], "the shared payload, then #3's");
         sim.step();
         for id in 1..=8 {
             let expected = if id == 3 { 1100 } else { 100 };
@@ -583,8 +525,10 @@ mod tests {
         let to_five = FaultRule::every(FaultAction::Duplicate).to(NodeSelector::Id { id: 5 });
         let mut sim = town(FaultPlan::new().with_rule(to_five));
         sim.step();
-        let sent = sim.arenas.back().unwrap();
-        assert_eq!((&sent.payloads[..], sent.read_until), (&[100][..], 1));
+        assert_eq!(live_rounds(&sim), [1]);
+        assert_eq!(sim.inbound[&1].payloads, [100]);
+        let copies = sim.inbound[&1].copies.len();
+        assert_eq!(copies, 9, "eight copies and #5's twin");
         sim.step();
         for id in 1..=8 {
             let expected: &[u64] = if id == 5 { &[100, 100] } else { &[100] };
@@ -594,7 +538,7 @@ mod tests {
 
     /// Every node shares `(id << 32) | round` with every node, every round,
     /// and checks that what it is handed carries its sender's and send
-    /// round's payload, whichever arena or far arena that came out of.
+    /// round's payload, whichever entry of its round's record that is.
     struct Chorus {
         n: u64,
         heard: usize,
@@ -630,10 +574,14 @@ mod tests {
         sim
     }
 
-    /// Payload slots held by live and spare arenas.
-    fn retained_arena_payloads<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> usize {
-        let live: usize = sim.arenas.iter().map(|a| a.payloads.capacity()).sum();
-        live + sim.spare_arenas.iter().map(Vec::capacity).sum::<usize>()
+    /// Copy and payload slots a record holds.
+    fn slots<M>(record: &Inbound<M>) -> usize {
+        record.copies.capacity() + record.payloads.capacity()
+    }
+
+    /// Slots held by the record being read and the spare records.
+    fn retained_off_the_map<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> usize {
+        slots(&sim.reading) + sim.spare.iter().map(slots).sum::<usize>()
     }
 
     fn sub_round() -> NetModel {
@@ -642,31 +590,32 @@ mod tests {
 
     #[test]
     fn copies_filed_far_ahead_pin_no_arena() {
-        // A twentieth of all copies never arrive. Parked in their rounds'
-        // arenas they would keep every round's payloads for good.
+        // A twentieth of all copies never arrive. Sharing their send rounds'
+        // payloads they would keep every round's payloads for good.
         let forever = FaultRule::every(FaultAction::Delay { ticks: u64::MAX }).with_prob(0.05);
         let mut sim = chorus(sub_round(), FaultPlan::new().with_rule(forever));
+        let retained = |sim: &EventSimulator<Chorus, NullAdversary>, next: Round| {
+            slots(&sim.inbound[&next]) + retained_off_the_map(sim)
+        };
         sim.run(100);
-        let retained = retained_arena_payloads(&sim);
+        let warm = retained(&sim, 100);
         sim.run(200);
-        assert_eq!(retained_arena_payloads(&sim), retained);
-        assert!(
-            retained <= 4 * CHORUS as usize,
-            "{retained} payloads retained"
-        );
-        assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
+        assert_eq!(retained(&sim, 300), warm);
+        let round = (CHORUS * CHORUS + CHORUS) as usize;
+        assert!(warm <= 3 * round, "{warm} slots retained");
         // The late copies keep their payloads under the one round, at the
         // end of time, that reads them.
+        let end_of_time = u64::MAX.div_ceil(TICKS_PER_ROUND);
+        assert_eq!(live_rounds(&sim), [300, end_of_time]);
         let delayed = sim.fault_stats().delayed as usize;
         assert!(delayed > 1000);
-        let far: Vec<usize> = sim.far.values().map(Vec::len).collect();
-        assert_eq!(far, [delayed]);
+        assert_eq!(sim.inbound[&end_of_time].payloads.len(), delayed);
     }
 
     #[test]
     fn far_rounds_are_freed_once_read() {
-        // 70 rounds late: far ahead, delivered all the same, and its far
-        // round gone once the receivers have read it.
+        // 70 rounds late: far ahead, delivered all the same, and its
+        // round's record gone once the receivers have read it.
         let late = FaultRule::every(FaultAction::Delay {
             ticks: 70 * TICKS_PER_ROUND,
         })
@@ -677,24 +626,25 @@ mod tests {
         let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
         let in_flight = sim.in_flight_count();
         assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
-        assert!(!sim.far_batch.is_empty(), "round 299 read far copies");
-        let first = sim.far.keys().next().copied();
-        assert!(first.is_some_and(|round| round >= 300), "{first:?}");
-        let far: usize = sim.far.values().map(Vec::len).sum();
-        assert!(far < delayed / 3, "{far} far payloads for {delayed}");
-        assert!(sim.arenas.len() <= 2, "{} arenas", sim.arenas.len());
+        let read_late = sim.reading.copies.iter().any(|env| env.sent_at < 299 - 64);
+        assert!(read_late, "round 299 read copies sent 70 rounds before");
+        assert_eq!(live_rounds(&sim).first(), Some(&300));
+        // Every payload held but round 299's shared ones is a late copy's.
+        let held: usize = sim.inbound.values().map(|r| r.payloads.len()).sum();
+        let late = held - CHORUS as usize;
+        assert!(late < delayed / 3, "{late} late payloads for {delayed}");
     }
 
     #[test]
     fn steady_state_rounds_do_not_grow_scratch_buffers() {
         // Multi-round latency: a round's copies arrive over the next three
-        // boundaries, so several arenas are live at once.
+        // boundaries, so several records are live at once.
         let net = NetModel::new(LatencyModel::uniform(100, 2600));
         let mut sim = chorus(net, FaultPlan::new());
         let caps = |sim: &EventSimulator<Chorus, NullAdversary>| {
+            let live: usize = sim.inbound.values().map(slots).sum();
             (
-                (retained_arena_payloads(sim), sim.arenas.capacity()),
-                sim.batch.capacity(),
+                (live + retained_off_the_map(sim), sim.spare.capacity()),
                 sim.inboxes().capacity(),
             )
         };
@@ -702,7 +652,7 @@ mod tests {
         let warm = caps(&sim);
         sim.run(60);
         assert_eq!(caps(&sim), warm, "steady-state rounds must not reallocate");
-        assert!(sim.arenas.len() <= 5, "{} arenas", sim.arenas.len());
-        assert!(sim.far.is_empty());
+        let live = live_rounds(&sim);
+        assert!(live.len() <= 3, "{live:?} live");
     }
 }

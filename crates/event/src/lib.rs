@@ -6,11 +6,11 @@
 //! every message individually samples a latency, jitters across round
 //! boundaries, or is lost outright?
 //!
-//! * [`EventSimulator`] is a discrete-event engine over a virtual tick clock
-//!   ([`TICKS_PER_ROUND`] ticks per protocol round) whose calendar event
-//!   queue ([`queue::CalendarQueue`], an ordered map of buckets) files every
-//!   copy under its delivery round — the boundary that reads it — so each
-//!   boundary drains one whole bucket;
+//! * [`EventSimulator`] is the round loop under a per-message network:
+//!   delays are drawn in ticks ([`TICKS_PER_ROUND`] to a protocol round),
+//!   and every copy and its payload are filed in the record of its delivery
+//!   round — the boundary that reads it — so each boundary reads one whole
+//!   record, already in send order;
 //! * [`LatencyModel`] / [`NetModel`] are ChaCha8-seeded per-message
 //!   latency/jitter/loss models — every message's fate is a pure function of
 //!   `(master seed, send sequence number)` (derived in 64-message

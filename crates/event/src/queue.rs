@@ -1,26 +1,31 @@
-//! The calendar event queue behind the event engine: an ordered map of
-//! buckets.
+//! A calendar queue: an ordered map of buckets of [`Pending`] events, keyed
+//! on the arrival.
 //!
-//! # Why not a binary heap
+//! # Who uses it
 //!
-//! The engine's delivery pattern is extremely structured: a message is read
-//! at a round boundary, not at an instant, so the engine files every copy
-//! under its *delivery round* (a queue of width 1 over rounds) and drains one
-//! whole bucket per boundary. A binary heap pays `O(log n)` pointer-chasing
-//! comparisons per push *and* per pop for a generality the workload never
-//! uses. A calendar queue instead files each event under the bucket covering
-//! its arrival window (`arrival / bucket_width`) in a `BTreeMap` that holds
-//! only the live buckets — a handful for round-shaped traffic — and sorts a
-//! bucket only when it is actually popped from.
+//! * `tsa-net`'s `Loopback` holds fault-delayed frames in a queue of width 1
+//!   over rounds: each boundary drains the frames due by then and sorts
+//!   only those into send order;
+//! * the `event.queue_op_ns` micro-benchmark of the `benchmark/` package
+//!   times its push and pop at width 64.
+//!
+//! # Layout
+//!
+//! Each event is filed under the bucket covering its arrival window
+//! (`arrival / bucket_width`) in a `BTreeMap` that holds only the live
+//! buckets — a handful for round-shaped traffic — and a bucket is sorted
+//! only when it is actually popped from. A binary heap would pay `O(log n)`
+//! pointer-chasing comparisons per push *and* per pop for a generality that
+//! round-shaped traffic never uses.
 //!
 //! # Ordering contract
 //!
 //! [`CalendarQueue::pop_at_or_before`] yields events in exactly the total
-//! order the engine's original `BinaryHeap<Pending>` popped them:
-//! ascending `(arrival, seq, receiver)`. Bucket indices are monotone in the
-//! arrival, so the first bucket of the map holds the smallest keys: an event
-//! pushed behind a bucket already drained is simply a smaller key and pops
-//! first, and one at `arrival = u64::MAX` is an ordinary last bucket.
+//! order a `BinaryHeap<Pending>` pops them: ascending
+//! `(arrival, seq, receiver)`. Bucket indices are monotone in the arrival,
+//! so the first bucket of the map holds the smallest keys: an event pushed
+//! behind a bucket already drained is simply a smaller key and pops first,
+//! and one at `arrival = u64::MAX` is an ordinary last bucket.
 //! `crates/event/tests/queue_props.rs` holds this equivalence against a
 //! reference heap under dense, sparse, far-future and duplicate-arrival
 //! distributions, for pops and for drains.
@@ -40,7 +45,7 @@ const MAX_SPARE_BUCKETS: usize = 4;
 /// in a live engine, so the order is total and delivery is deterministic.
 pub struct Pending<M> {
     /// When the message becomes deliverable, in the queue's unit of time
-    /// (the event engine files the round whose boundary reads it).
+    /// (the transport files the round whose boundary releases it).
     pub arrival: u64,
     /// The message's global send index.
     pub seq: u64,
@@ -160,7 +165,7 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Moves every event with `arrival <= now` into `out`, in **unspecified
-    /// order** (the engine re-sorts its deliverable batch by `seq` anyway).
+    /// order** (the transport sorts its due frames into send order anyway).
     /// Whole due buckets are appended with a bulk move and never key-sorted;
     /// use [`pop_at_or_before`](Self::pop_at_or_before) when the pop order
     /// itself matters.

@@ -124,8 +124,8 @@ fn measure<W>(world: &mut W, run: fn(&mut W, u64), set_obs: fn(&mut W, ObsHandle
 }
 
 /// Allocator calls the round loop may make *outside* the compute phase over
-/// the measured rounds: one growth of a reused buffer (arena, handles or
-/// batch, round record) per round when traffic sets a new high. Measured: 0
+/// the measured rounds: one growth of a reused buffer (payloads, handles,
+/// round record) per round when traffic sets a new high. Measured: 0
 /// on both schedulers.
 const ENGINE_GROWTH_BOUND: u64 = MEASURED_ROUNDS;
 
@@ -167,11 +167,11 @@ fn protocol_activations_do_not_allocate_in_steady_state() {
 
 #[test]
 fn protocol_activations_do_not_allocate_on_the_event_scheduler() {
-    // The same overlay through the event engine's calendar queue under
-    // sub-round latency and jitter: the compute phase is the shared one, so
-    // it must be as silent, and the scheduler's own side — queue buckets,
-    // payload arenas, the batch and its per-slot positions — reuses its
-    // buffers like the lockstep one.
+    // The same overlay through the event engine under sub-round latency and
+    // jitter: the compute phase is the shared one, so it must be as silent,
+    // and the scheduler's own side — the per-round records of copies and
+    // payloads, and the inboxes' per-slot positions — reuses its buffers like
+    // the lockstep one.
     rayon::with_thread_cap(1, || {
         let params = MaintenanceParams::new(32)
             .with_c(1.5)

@@ -73,7 +73,7 @@ pub use message::Envelope;
 pub use metrics::{
     record_round_obs, MetricsHistory, MetricsMode, MetricsSummary, RoundMetrics, StreamingMetrics,
 };
-pub use node::{activate, run_activation, Ctx, Outbox, Process, Shared};
+pub use node::{activate, handle, run_activation, Ctx, Outbox, Process, Shared};
 pub use slot_index::{SlotIndex, NO_SLOT};
 pub use world::{Delivery, NodeFactory, PhaseSpans, World};
 

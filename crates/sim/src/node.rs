@@ -20,10 +20,10 @@ use crate::message::Envelope;
 use crate::rng;
 use crate::slot_index::NO_SLOT;
 
-/// A payload or arena index as the 4-byte handle a copy in flight is: a panic
-/// with a message where the index does not fit, never a wrap.
+/// A payload index as the 4-byte handle a copy in flight is: a panic with a
+/// message where the index does not fit, never a wrap.
 #[inline]
-pub(crate) fn handle(index: usize) -> u32 {
+pub fn handle(index: usize) -> u32 {
     u32::try_from(index)
         .unwrap_or_else(|_| panic!("payload index {index} does not fit a 4-byte handle"))
 }

@@ -14,9 +14,9 @@
 //! * [`Lockstep`](crate::Lockstep) — round `t`'s distinct payloads are kept
 //!   once and a 4-byte handle per copy is scattered straight into round
 //!   `t + 1`'s inboxes (the paper's synchronous model);
-//! * `tsa-event`'s `VirtualTime` — a calendar queue under per-message
-//!   latency, jitter, loss and fault plans, parking a handle per copy into
-//!   its send round's payload arena;
+//! * `tsa-event`'s `VirtualTime` — per-message latency, jitter, loss and
+//!   fault plans, filing each copy and its payload under the round that
+//!   reads it (round `t + 1`'s record is the lockstep shape);
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
 //!
 //! # Phases of a round

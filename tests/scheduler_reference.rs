@@ -557,8 +557,9 @@ fn multi_round_net() -> NetModel {
     }
 }
 
-/// Duplicates, mutations, and copies delayed past the event engine's far
-/// horizon of 64 rounds.
+/// Duplicates, mutations, and copies delayed 70 rounds: each of those is
+/// filed, with a payload of its own, in the record of a round far ahead of
+/// the next one.
 fn late_plan() -> FaultPlan {
     let delay = FaultAction::Delay {
         ticks: 70 * TICKS_PER_ROUND,
