@@ -63,7 +63,7 @@ use tsa_sim::{
 };
 
 use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
-use crate::model::{FateBlock, NetModel, Topology};
+use crate::model::{NetModel, Topology};
 use crate::trace::{MessageFate, MessageTrace};
 use crate::TICKS_PER_ROUND;
 
@@ -149,12 +149,8 @@ pub struct VirtualTime<M> {
     /// Copies in `inbound`.
     in_flight: usize,
     /// Global send sequence number: the identity of a message for the
-    /// network model's per-message streams.
+    /// network model's per-message fates.
     seq: u64,
-    /// The cached network fate block for the current 64-message window of
-    /// `seq` (sequence numbers are monotone, so one generation serves the
-    /// whole window).
-    fate_block: Option<FateBlock>,
     /// High-water mark of the copies in flight, sampled once per boundary.
     peak_queue_depth: u64,
     stats: NetStats,
@@ -268,7 +264,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             spare: Vec::new(),
             in_flight: 0,
             seq: 0,
-            fate_block: None,
             peak_queue_depth: 0,
             stats: NetStats::default(),
             reported: NetStats::default(),
@@ -335,9 +330,9 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                     _ => (false, 0),
                 };
                 // The effective model of this message is a pure function of
-                // (round, sender, receiver); the fate stream it consumes is
-                // seeded from (seed, seq) alone, so two topologies resolving
-                // this link to equal models take identical branches here.
+                // (round, sender, receiver); its fate is a hash of (seed, seq)
+                // alone, so two topologies resolving this link to equal
+                // models take identical branches here.
                 let (net, cross) = self.topology.resolve(t, from, to);
                 if cross {
                     self.stats.bridge_sent += 1;
@@ -351,23 +346,14 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                     None
                 } else {
                     match &self.replay {
-                        None => {
-                            // One fate block serves 64 consecutive sequence
-                            // numbers; regenerate only when `msg_seq`
-                            // crosses a window boundary.
-                            let block = match &self.fate_block {
-                                Some(b) if b.covers(seed, msg_seq) => b,
-                                _ => &*self.fate_block.insert(FateBlock::containing(seed, msg_seq)),
-                            };
-                            net.route_with(block, msg_seq).map(|d| {
-                                let delay = d.saturating_add(extra_delay);
-                                // The first boundary at or past the arrival
-                                // tick, and never the sending round's own.
-                                let arrival = now.saturating_add(delay);
-                                let at_round = arrival.div_ceil(TICKS_PER_ROUND).max(next);
-                                (delay, at_round)
-                            })
-                        }
+                        None => net.route(seed, msg_seq).map(|d| {
+                            let delay = d.saturating_add(extra_delay);
+                            // The first boundary at or past the arrival tick,
+                            // and never the sending round's own.
+                            let arrival = now.saturating_add(delay);
+                            let at_round = arrival.div_ceil(TICKS_PER_ROUND).max(next);
+                            (delay, at_round)
+                        }),
                         Some(tr) => match tr.fate(msg_seq) {
                             Some(MessageFate::Lost) => None,
                             Some(MessageFate::Delivered { at_round }) => {

@@ -9,17 +9,16 @@
 //!
 //! # Determinism
 //!
-//! A rule's probability coin is one lane of a private ChaCha8 block keyed on
-//! `(master seed, seq / 64, rule index)` — 64 consecutive sequence numbers
-//! share one stream, never any shared RNG state — so the decision for a
-//! message is a pure function of `(seed, seq)` and the plan itself. The same
-//! plan therefore injects the same faults into the same messages on the
-//! event engine and on the loopback transport (which assign identical
-//! sequence numbers), at any thread cap, on any host; both engines cache the
-//! current block in a [`FaultCoins`] so the key schedule runs once per 64
-//! messages instead of once per message. Mutation entropy comes from the
-//! same domain-separated label, so a mutated payload is byte-identical
-//! across engines too.
+//! Rule `idx`'s probability coin for message `seq` is word `idx` of the
+//! counter hash the network fates use, under its own label (`COIN_LABEL`),
+//! so the decision for a message is a pure function of `(seed, seq)` and
+//! the plan itself — never of any shared RNG state. The same plan therefore
+//! injects the same faults into the same messages on the event engine and on
+//! the loopback transport (which assign identical sequence numbers), at any
+//! thread cap, on any host. Mutation entropy is `mix(&[seed, seq,
+//! FAULT_LABEL])` on both engines, so a mutated payload is byte-identical
+//! across them too; the label differs from `COIN_LABEL`, so a rule's coin is
+//! no function of the entropy its mutation uses.
 //!
 //! # Fault semantics at the two boundaries
 //!
@@ -42,66 +41,17 @@
 //! assignment and the payload bytes of the replay aligned with the
 //! recording.
 
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use tsa_sim::rng::mix;
 use tsa_sim::{NodeId, Round};
 
-use crate::model::{unit_f64, RegionAssign};
+use crate::model::{fate_word, unit_f64, RegionAssign};
 
-/// Domain-separation label of the per-message fault streams.
+/// Domain-separation label of the mutation entropy.
 const FAULT_LABEL: u64 = 0x4641_554C_5450_4C4E; // "FAULTPLN"
 
-/// Consecutive sequence numbers served by one cached coin block.
-const COIN_BLOCK_LANES: u64 = 64;
-
-/// A cache of per-rule probability-coin blocks.
-///
-/// Rule `idx`'s coin for message `seq` is lane `seq % 64` of a ChaCha8
-/// block keyed on `(seed, seq / 64, rule index)`. Hot loops hand out
-/// sequence numbers monotonically, so caching the current block per rule
-/// amortizes the RNG key schedule over 64 messages. The coin values are a
-/// pure function of `(seed, seq, idx)` — the cache changes *when* blocks
-/// are generated, never *what* a coin is, so [`FaultPlan::decide`] (which
-/// builds a throwaway cache) and [`FaultPlan::decide_with`] agree exactly.
-#[derive(Clone, Debug)]
-pub struct FaultCoins {
-    seed: u64,
-    /// Per-rule `(block index, lanes)`. `u64::MAX` marks an unfilled entry
-    /// (unreachable as a real index: `seq / 64 ≤ 2^58`).
-    blocks: Vec<(u64, Box<[u64; COIN_BLOCK_LANES as usize]>)>,
-}
-
-impl FaultCoins {
-    /// An empty cache for runs under `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultCoins {
-            seed,
-            blocks: Vec::new(),
-        }
-    }
-
-    /// The raw coin word of `(seq, rule idx)`, from the cached block when
-    /// it is current, regenerating it otherwise.
-    fn word(&mut self, seq: u64, idx: usize) -> u64 {
-        let block = seq / COIN_BLOCK_LANES;
-        while self.blocks.len() <= idx {
-            self.blocks
-                .push((u64::MAX, Box::new([0u64; COIN_BLOCK_LANES as usize])));
-        }
-        let entry = &mut self.blocks[idx];
-        if entry.0 != block {
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(mix(&[self.seed, block, FAULT_LABEL, idx as u64]));
-            for w in entry.1.iter_mut() {
-                *w = rng.next_u64();
-            }
-            entry.0 = block;
-        }
-        entry.1[(seq % COIN_BLOCK_LANES) as usize]
-    }
-}
+/// Domain-separation label of the rules' probability coins.
+const COIN_LABEL: u64 = 0x464C_5443_4F49_4E53; // "FLTCOINS"
 
 /// A half-open round window `[from, until)`. `until = u64::MAX` means
 /// "forever"; the default window matches every round.
@@ -374,34 +324,16 @@ impl FaultPlan {
     /// the rule that fires, or `None` when the message passes untouched.
     ///
     /// A pure function: the rules are scanned in order, each matching rule
-    /// flips its private coin (one lane of the `(seed, seq / 64, rule
-    /// index)` block — no shared stream), and the first rule whose coin
-    /// fires decides. Hostile plans (empty, overlapping windows, all-match
-    /// selectors) degrade to ordinary rule priority and can never panic.
-    ///
-    /// This one-shot form builds a throwaway coin cache; hot loops keep a
-    /// [`FaultCoins`] across messages and call
-    /// [`decide_with`](Self::decide_with) instead, for the identical result.
-    pub fn decide(
-        &self,
-        seed: u64,
-        seq: u64,
-        round: Round,
-        from: NodeId,
-        to: NodeId,
-        kind: u8,
-    ) -> Option<FaultAction> {
-        self.decide_with(&mut FaultCoins::new(seed), seq, round, from, to, kind)
-    }
-
-    /// [`decide`](Self::decide) with an explicit coin cache (seeded with the
-    /// same master seed) — the hot-loop form both engines use.
+    /// flips its private coin (word `idx` of `seq`'s coin hash — no shared
+    /// stream), and the first rule whose coin fires decides. Hostile plans
+    /// (empty, overlapping windows, all-match selectors) degrade to ordinary
+    /// rule priority and can never panic.
     // The negated comparisons are deliberate: they send NaN probabilities
     // into the never-fires arm instead of the always-fires one.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn decide_with(
+    pub fn decide(
         &self,
-        coins: &mut FaultCoins,
+        seed: u64,
         seq: u64,
         round: Round,
         from: NodeId,
@@ -418,7 +350,7 @@ impl FaultPlan {
                 if !(prob > 0.0) {
                     continue;
                 }
-                if unit_f64(coins.word(seq, idx)) >= prob {
+                if unit_f64(fate_word(seed, COIN_LABEL, seq, idx as u64)) >= prob {
                     continue;
                 }
             }
@@ -512,7 +444,7 @@ pub struct NumberedCopy<M> {
 }
 
 /// The fault state a delivery boundary carries: the installed plan and
-/// message adapter, the coin cache, and the whole-run counters. The event
+/// message adapter, the run's seed, and the whole-run counters. The event
 /// engine and the loopback transport each own one and turn every outgoing
 /// send into its numbered copies through [`copies`](FaultInjector::copies) —
 /// which is what makes one plan inject the same faults into the same
@@ -520,8 +452,6 @@ pub struct NumberedCopy<M> {
 pub struct FaultInjector<M> {
     installed: Option<(FaultPlan, FaultAdapter<M>)>,
     seed: u64,
-    /// One ChaCha8 key schedule per rule and 64 consecutive sequence numbers.
-    coins: FaultCoins,
     stats: FaultStats,
     /// `stats` as of the end of the previous round.
     reported: FaultStats,
@@ -533,7 +463,6 @@ impl<M> FaultInjector<M> {
         FaultInjector {
             installed: None,
             seed,
-            coins: FaultCoins::new(seed),
             stats: FaultStats::default(),
             reported: FaultStats::default(),
         }
@@ -563,7 +492,7 @@ impl<M> FaultInjector<M> {
     ) -> Option<FaultAction> {
         let (plan, adapter) = self.installed.as_ref()?;
         let kind = (adapter.kind_of)(payload);
-        let action = plan.decide_with(&mut self.coins, seq, round, from, to, kind)?;
+        let action = plan.decide(self.seed, seq, round, from, to, kind)?;
         match action {
             FaultAction::Drop => self.stats.dropped += 1,
             FaultAction::Delay { .. } => self.stats.delayed += 1,
@@ -680,6 +609,48 @@ mod tests {
             .map(|seq| plan.decide(43, seq, 5, NodeId(3), NodeId(4), 1))
             .collect();
         assert_ne!(first, other_seed, "the seed matters");
+    }
+
+    #[test]
+    fn two_half_coins_fire_together_a_quarter_of_the_time() {
+        // Kind 0 meets only rule 0, kind 1 only rule 1: one call per coin.
+        let plan = FaultPlan::new()
+            .with_rule(
+                FaultRule::every(FaultAction::Drop)
+                    .kinds([0])
+                    .with_prob(0.5),
+            )
+            .with_rule(
+                FaultRule::every(FaultAction::Duplicate)
+                    .kinds([1])
+                    .with_prob(0.5),
+            );
+        let fires = |seq, kind| {
+            plan.decide(29, seq, 0, NodeId(0), NodeId(1), kind)
+                .is_some()
+        };
+        let n = 1u64 << 16;
+        let both = (0..n).filter(|&seq| fires(seq, 0) && fires(seq, 1)).count() as f64;
+        let (mean, sigma) = (n as f64 * 0.25, (n as f64 * 0.25 * 0.75).sqrt());
+        assert!(
+            (both - mean).abs() < 5.0 * sigma,
+            "{both} of {n} fired together"
+        );
+    }
+
+    #[test]
+    fn the_mixed_plan_decisions_are_pinned() {
+        // One letter per sequence number, `.` for no fault: a change here
+        // moves every recorded artifact whose run flips a fault coin.
+        let decisions: String = (0..64)
+            .map(|seq| {
+                FaultPlan::mixed()
+                    .decide(29, seq, 2, NodeId(0), NodeId(1), 0)
+                    .map_or('.', |action| action.letter())
+            })
+            .collect();
+        let known = "u.u.....m....mm..u.......ll.......u..d....lu...mm....m.........d";
+        assert_eq!(decisions, known);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   and every copy and its payload are filed in the record of its delivery
 //!   round — the boundary that reads it — so each boundary reads one whole
 //!   record, already in send order;
-//! * [`LatencyModel`] / [`NetModel`] are ChaCha8-seeded per-message
-//!   latency/jitter/loss models — every message's fate is a pure function of
-//!   `(master seed, send sequence number)` (derived in 64-message
-//!   [`FateBlock`] batches that amortize the RNG key schedule), so identical
-//!   seeds give byte-identical traces at any thread/host configuration;
+//! * [`LatencyModel`] / [`NetModel`] are per-message latency/jitter/loss
+//!   models — every message's fate is a counter hash of `(master seed, send
+//!   sequence number)`, so identical seeds give byte-identical traces at any
+//!   thread/host configuration;
 //! * [`Topology`] makes the network addressable by link: one global model,
 //!   or two id halves ([`RegionAssign`] is a pure function of the node id)
 //!   joined by a possibly slow/lossy — and [`PartitionSchedule`]d — bridge.
@@ -74,12 +73,11 @@ pub mod trace;
 
 pub use engine::{EventConfig, EventSimulator, NetStats, VirtualTime};
 pub use fault::{
-    FaultAction, FaultAdapter, FaultCoins, FaultInjector, FaultPlan, FaultRule, FaultStats,
-    NodeSelector, NumberedCopy, RoundWindow,
+    FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultRule, FaultStats, NodeSelector,
+    NumberedCopy, RoundWindow,
 };
 pub use model::{
-    ExecutionModel, FateBlock, LatencyModel, NetModel, PartitionSchedule, RegionAssign, Topology,
-    FATE_BLOCK_LANES,
+    ExecutionModel, LatencyModel, NetModel, PartitionSchedule, RegionAssign, Topology,
 };
 pub use trace::{MessageFate, MessageTrace};
 

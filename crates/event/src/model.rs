@@ -3,50 +3,45 @@
 //!
 //! # Determinism
 //!
-//! Every message is assigned its fate (dropped or not, and its delay in
-//! ticks) from a [`FateBlock`]: one ChaCha8 stream keyed on
-//! `(master seed, seq / 64)` that serves 64 consecutive sequence numbers,
-//! three fixed stream words per message (loss coin, latency, jitter). The
-//! fate is still a pure function of `(master seed, sequence number)` — it
-//! depends on *what* the message is (its global send order), never on *when*
-//! the sampling happens or which queue state surrounds it — so a fixed seed
-//! produces byte-identical traces at any thread or host configuration; the
-//! block is merely an amortization of the RNG key schedule, which dominated
-//! the per-message cost when each message seeded its own stream. The only
-//! floating-point operations used are IEEE-754 basic operations plus `sqrt`
-//! (all correctly rounded and therefore bit-stable across conforming hosts);
-//! in particular the heavy-tail model restricts its tail index to powers of
-//! two so it can be computed by repeated square roots instead of `powf`.
+//! Every message's fate (dropped or not, and its delay in ticks) is a pure
+//! function of `(master seed, sequence number)`: word `k` of message `seq`
+//! is the counter hash `splitmix64(mix(&[seed, seq, NET_LABEL]) ^ k)` —
+//! `k = 0` the loss coin, `1` the latency, `2` the jitter — and a word is
+//! computed only when its component is on. The fate depends on *what* the
+//! message is (its global send order), never on *when* it is sampled or
+//! which queue state surrounds it, so a fixed seed produces byte-identical
+//! traces at any thread or host configuration. The only floating-point
+//! operations used are IEEE-754 basic operations plus `sqrt` (all correctly
+//! rounded and therefore bit-stable across conforming hosts); in particular
+//! the heavy-tail model restricts its tail index to powers of two so it can
+//! be computed by repeated square roots instead of `powf`.
 
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use tsa_sim::rng::mix;
+use tsa_sim::rng::{mix, splitmix64};
 use tsa_sim::{NodeId, Round};
 
-/// Domain-separation label of the batched network fate streams.
+/// Domain-separation label of the network fates.
 const NET_LABEL: u64 = 0x4E45_545F_4C41_5433; // "NET_LAT3"
 
-/// Stream words consumed per message lane: loss coin, latency, jitter. The
-/// count is fixed per message (no rejection loops), which is what lets 64
-/// lanes pack into one block at stable positions.
-const LANE_WORDS: usize = 3;
+/// Word `k` of message `seq`'s entropy under the domain `label`: a counter
+/// hash, so every word is a pure function of its four inputs and no word
+/// depends on another having been drawn.
+#[inline]
+pub(crate) fn fate_word(seed: u64, label: u64, seq: u64, k: u64) -> u64 {
+    splitmix64(mix(&[seed, seq, label]) ^ k)
+}
 
-/// Consecutive sequence numbers served by one [`FateBlock`].
-pub const FATE_BLOCK_LANES: u64 = 64;
-
-/// Maps one stream word onto the unit interval `[0, 1)` with a full 53-bit
+/// Maps one word onto the unit interval `[0, 1)` with a full 53-bit
 /// mantissa (the same conversion the `rand` shim's `f64` sampling uses).
 #[inline]
 pub(crate) fn unit_f64(w: u64) -> f64 {
     (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Maps one stream word uniformly onto `[min, max]` (inclusive) by the
+/// Maps one word uniformly onto `[min, max]` (inclusive) by the
 /// multiply-shift method: `min + (w · span) >> 64`. One word per draw, no
 /// rejection loop — the (at most `span / 2^64`) bias is far below anything a
-/// simulation could resolve, and the fixed word count is what keeps every
-/// lane of a [`FateBlock`] at a stable stream position.
+/// simulation could resolve.
 #[inline]
 fn word_range(w: u64, min: u64, max: u64) -> u64 {
     let span = (max - min).wrapping_add(1); // 0 encodes the full u64 domain
@@ -54,45 +49,6 @@ fn word_range(w: u64, min: u64, max: u64) -> u64 {
         w
     } else {
         min + (((w as u128 * span as u128) >> 64) as u64)
-    }
-}
-
-/// One block of pre-generated network fate entropy: three stream words for
-/// each of the 64 sequence numbers `[64·b, 64·b + 63]`, drawn from a single
-/// ChaCha8 stream keyed on `(master seed, block index)`. Generating one
-/// block amortizes the RNG key schedule that used to run once per message
-/// (~6 µs/message per the ROADMAP profile) over 64 messages, while keeping
-/// every fate a pure function of `(seed, seq)`.
-#[derive(Clone)]
-pub struct FateBlock {
-    seed: u64,
-    block: u64,
-    words: [u64; LANE_WORDS * FATE_BLOCK_LANES as usize],
-}
-
-impl FateBlock {
-    /// Generates the block covering sequence number `seq` under `seed`.
-    pub fn containing(seed: u64, seq: u64) -> Self {
-        let block = seq / FATE_BLOCK_LANES;
-        let mut rng = ChaCha8Rng::seed_from_u64(mix(&[seed, block, NET_LABEL]));
-        let mut words = [0u64; LANE_WORDS * FATE_BLOCK_LANES as usize];
-        for w in words.iter_mut() {
-            *w = rng.next_u64();
-        }
-        FateBlock { seed, block, words }
-    }
-
-    /// `true` when this block serves `seq` under `seed` — the engine's
-    /// cache check before reusing a block for the next message.
-    pub fn covers(&self, seed: u64, seq: u64) -> bool {
-        self.seed == seed && seq / FATE_BLOCK_LANES == self.block
-    }
-
-    /// The three stream words of `seq`'s lane.
-    fn lane(&self, seq: u64) -> &[u64] {
-        debug_assert_eq!(seq / FATE_BLOCK_LANES, self.block, "wrong fate block");
-        let i = (seq % FATE_BLOCK_LANES) as usize * LANE_WORDS;
-        &self.words[i..i + LANE_WORDS]
     }
 }
 
@@ -159,8 +115,8 @@ impl LatencyModel {
         }
     }
 
-    /// Maps one stream word to a delay in ticks — the single sampling path,
-    /// fed one [`FateBlock`] lane word per message.
+    /// Maps one word to a delay in ticks — the single sampling path, fed
+    /// word 1 of a message's fate.
     ///
     /// A malformed `Uniform` with `max < min` (possible via deserialization,
     /// which bypasses the [`LatencyModel::uniform`] assertion) degrades to
@@ -241,34 +197,25 @@ impl NetModel {
     /// Decides the fate of message `seq` under master seed `seed`: `None`
     /// if the message is lost, otherwise its total delay in ticks.
     ///
-    /// Generates `seq`'s [`FateBlock`] and reads one lane — the one-shot
-    /// convenience over [`route_with`](Self::route_with), which hot loops
-    /// use with a cached block (sequence numbers are handed out
-    /// monotonically, so one block serves 64 consecutive messages).
+    /// Each component reads its own word of `seq`'s fate (loss 0, latency
+    /// 1, jitter 2), and only when it is on — so disabling a component never
+    /// perturbs another's draw, and a constant, lossless, jitterless link
+    /// computes no word at all. All delay additions saturate: a hostile
+    /// model summing to beyond `u64::MAX` ticks parks the message in the far
+    /// future instead of wrapping it into the past.
     pub fn route(&self, seed: u64, seq: u64) -> Option<u64> {
-        self.route_with(&FateBlock::containing(seed, seq), seq)
-    }
-
-    /// Decides the fate of message `seq` from its pre-generated fate block.
-    ///
-    /// Each lane's word positions are fixed (loss, latency, jitter), so a
-    /// model that disables a component still reads the same stream positions
-    /// as one that enables it — adding jitter to a sweep axis never perturbs
-    /// the loss coin flips of its neighbours. All delay additions saturate:
-    /// a hostile model summing to beyond `u64::MAX` ticks parks the message
-    /// in the far future instead of wrapping it into the past.
-    pub fn route_with(&self, fates: &FateBlock, seq: u64) -> Option<u64> {
-        let lane = fates.lane(seq);
-        let lost = unit_f64(lane[0]) < self.loss;
-        let mut delay = self.latency.sample_word(lane[1]);
-        if self.jitter > 0 {
-            delay = delay.saturating_add(word_range(lane[2], 0, self.jitter));
+        let word = |k| fate_word(seed, NET_LABEL, seq, k);
+        if self.loss > 0.0 && unit_f64(word(0)) < self.loss {
+            return None;
         }
-        if lost {
-            None
-        } else {
-            Some(delay)
+        let delay = match self.latency {
+            LatencyModel::Constant { ticks } => ticks,
+            latency => latency.sample_word(word(1)),
+        };
+        if self.jitter == 0 {
+            return Some(delay);
         }
+        Some(delay.saturating_add(word_range(word(2), 0, self.jitter)))
     }
 
     /// A compact label for tables, e.g. `u200-1800+j300-l0.01`.
@@ -370,7 +317,7 @@ impl PartitionSchedule {
 /// Every variant resolves links through pure functions of
 /// `(round, sender id, receiver id)` — never through runtime state — so a
 /// topology-aware trace is exactly as deterministic as a global one. The
-/// per-message randomness stream is seeded from `(seed, seq)` alone
+/// per-message randomness is hashed from `(seed, seq)` alone
 /// ([`NetModel::route`]), independent of *which* model consumes it; two
 /// topologies that resolve every link to equal models therefore produce
 /// byte-identical traces — the equivalence the `topology_equivalence` test
@@ -674,6 +621,8 @@ impl ExecutionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -775,6 +724,99 @@ mod tests {
         }
     }
 
+    /// The sample every statistical test of the fate hash draws: `2^16`
+    /// consecutive sequence numbers under seed 29.
+    const SEQS: u64 = 1 << 16;
+
+    fn word(seq: u64, k: u64) -> u64 {
+        fate_word(29, NET_LABEL, seq, k)
+    }
+
+    /// Pearson's correlation of `(x, y)` pairs; NaN when either side is
+    /// constant.
+    fn correlation(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
+        let (mut n, mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+        for (x, y) in pairs {
+            n += 1.0;
+            sx += x;
+            sy += y;
+            sxx += x * x;
+            syy += y * y;
+            sxy += x * y;
+        }
+        let cov = sxy / n - (sx / n) * (sy / n);
+        let var_x = sxx / n - (sx / n) * (sx / n);
+        let var_y = syy / n - (sy / n) * (sy / n);
+        cov / (var_x * var_y).sqrt()
+    }
+
+    #[test]
+    fn every_fate_word_is_uniform_over_64_bins() {
+        // χ² over 64 bins has 63 degrees of freedom: mean 63, sd √126.
+        let bound = 63.0 + 5.0 * 126f64.sqrt();
+        let expected = SEQS as f64 / 64.0;
+        for k in 0..3 {
+            let mut bins = [0u64; 64];
+            for seq in 0..SEQS {
+                bins[(word(seq, k) >> 58) as usize] += 1;
+            }
+            let chi2: f64 = bins
+                .iter()
+                .map(|&o| (o as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(chi2 < bound, "word {k}: chi2 {chi2:.1} >= {bound:.1}");
+        }
+    }
+
+    #[test]
+    fn realized_loss_rates_sit_within_five_sigma_of_the_model() {
+        let n = SEQS as f64;
+        for loss in [0.005, 0.5] {
+            let net = NetModel {
+                loss,
+                ..NetModel::new(LatencyModel::constant(0))
+            };
+            let lost = (0..SEQS)
+                .filter(|&seq| net.route(29, seq).is_none())
+                .count() as f64;
+            let sigma = (n * loss * (1.0 - loss)).sqrt();
+            assert!(
+                (lost - n * loss).abs() < 5.0 * sigma,
+                "loss {loss}: {lost} of {n} lost"
+            );
+        }
+    }
+
+    #[test]
+    fn neighbouring_fate_words_are_uncorrelated() {
+        let unit = |seq, k| unit_f64(word(seq, k));
+        for k in 0..3 {
+            let next_seq = correlation((0..SEQS).map(|seq| (unit(seq, k), unit(seq + 1, k))));
+            assert!(
+                next_seq.abs() < 0.02,
+                "word {k}, seq vs seq + 1: {next_seq}"
+            );
+        }
+        for k in 0..2 {
+            let next_word = correlation((0..SEQS).map(|seq| (unit(seq, k), unit(seq, k + 1))));
+            assert!(next_word.abs() < 0.02, "word {k} vs {}: {next_word}", k + 1);
+        }
+    }
+
+    #[test]
+    fn the_fate_function_is_pinned() {
+        // `event_jitter`'s network: a change here moves every recorded
+        // artifact whose run samples a fate.
+        let net = NetModel {
+            latency: LatencyModel::uniform(100, 900),
+            jitter: 50,
+            loss: 0.005,
+        };
+        let fates: Vec<_> = (0..8).map(|seq| net.route(29, seq)).collect();
+        let known = [912, 320, 528, 601, 392, 215, 660, 696].map(Some);
+        assert_eq!(fates, known);
+    }
+
     #[test]
     fn execution_model_default_is_rounds_and_skipped() {
         assert_eq!(ExecutionModel::default(), ExecutionModel::Rounds);
@@ -802,8 +844,8 @@ mod tests {
             assert!(never.route(11, seq).is_some(), "loss 0.0 must deliver");
             assert!(always.route(11, seq).is_none(), "loss 1.0 must drop");
         }
-        // The two consume identical stream positions: delivered delays of the
-        // loss-free model are what the lossy model *would* have delayed by.
+        // The two read the same latency and jitter words: delivered delays of
+        // the loss-free model are what the lossy model *would* have delayed by.
         let half = NetModel { loss: 0.5, ..never };
         for seq in 0..100 {
             if let Some(d) = half.route(11, seq) {
@@ -917,7 +959,7 @@ mod tests {
 
     #[test]
     fn equal_models_make_every_topology_the_global_one() {
-        // The per-message stream is seeded from (seed, seq) alone, so two
+        // The per-message fate is hashed from (seed, seq) alone, so two
         // topologies resolving every link to equal models give equal fates —
         // the model-level half of the equivalence bridge.
         let m = NetModel {

@@ -6,7 +6,7 @@
 //! themselves with the optimized world — the churn arbiter
 //! (`apply_churn_plan`), the activation (`run_activation`), the fault
 //! injector's copies and decisions (`FaultInjector::copies`), the network
-//! model's per-message fate (`NetModel::route_with`) and the metric
+//! model's per-message fate (`NetModel::route`) and the metric
 //! definitions — and none of its bookkeeping. The lockstep [`Simulator`] and
 //! a zero-latency [`EventSimulator`] must match it row for row, at every
 //! thread cap — under a flood that churns by what the archives show, and
@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use rand::Rng;
 use two_steps_ahead::event::{
-    EventConfig, EventSimulator, FateBlock, FaultAction, FaultAdapter, FaultInjector, FaultPlan,
-    FaultRule, LatencyModel, NetModel, TICKS_PER_ROUND,
+    EventConfig, EventSimulator, FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultRule,
+    LatencyModel, NetModel, TICKS_PER_ROUND,
 };
 use two_steps_ahead::sim::knowledge::{KnowledgeView, MemberInfo, RoundRecord};
 use two_steps_ahead::sim::{
@@ -50,9 +50,6 @@ struct Reference<P: Process, A: Adversary> {
     /// The network every send crosses: zero latency unless
     /// [`with_network`](Self::with_network) says otherwise.
     net: NetModel,
-    /// The fate block of the latest copy: `NetModel::route` draws every
-    /// copy's fate from its sequence number's block, one per 64 numbers.
-    fate_block: FateBlock,
     faults: FaultInjector<P::Msg>,
     /// The sequence number of the next copy.
     seq: u64,
@@ -80,7 +77,6 @@ impl<P: Process, A: Adversary> Reference<P, A> {
                 .map(|i| (NodeId(i), MemberInfo { joined_at: 0 }))
                 .collect(),
             net: NetModel::new(LatencyModel::constant(0)),
-            fate_block: FateBlock::containing(config.seed, 0),
             faults: FaultInjector::new(config.seed),
             seq: 0,
             in_flight: BTreeMap::new(),
@@ -198,10 +194,7 @@ impl<P: Process, A: Adversary> Reference<P, A> {
                         Some(FaultAction::Delay { ticks }) => Some(ticks),
                         _ => Some(0),
                     };
-                    if !self.fate_block.covers(self.config.seed, copy.seq) {
-                        self.fate_block = FateBlock::containing(self.config.seed, copy.seq);
-                    }
-                    let route = self.net.route_with(&self.fate_block, copy.seq);
+                    let route = self.net.route(self.config.seed, copy.seq);
                     let Some(delay) = fault_delay.zip(route).map(|(f, d)| f + d) else {
                         lost += 1;
                         continue;
