@@ -10,36 +10,43 @@
 //! be lost, and a [`FaultPlan`] may drop, delay, duplicate
 //! or mutate it on the way out.
 //!
-//! # One record per delivery round
+//! # Next round's copies in a lane, later ones in records
 //!
-//! Everything in flight is kept under the round that reads it. Each round's
-//! record is its copies in send order — a 32-byte envelope each, whose
-//! payload is a 4-byte **handle** — plus the payloads those handles name.
-//! Round `t + 1`'s record is the lockstep delivery's shape: that round's
-//! distinct payloads once and a handle per copy.
+//! A copy read at `t + 1` — the synchronous model's delay, and nearly every
+//! copy of a sub-round network — travels as the lockstep delivery's do: its
+//! payload once in a **lane** of `(sender, payload)` entries, a 4-byte
+//! position per copy in the world's inboxes, placed at send time. A copy
+//! read later is filed, with a payload of its own, in the **record** of the
+//! round that reads it.
 //!
-//! * `send` (once per node, id order) appends the outbox's distinct payloads
-//!   once to round `t + 1`'s record, numbers the copies through the fault
+//! * `send` (once per node, id order) pushes the outbox's distinct payloads
+//!   once onto this round's lane, numbers the copies through the fault
 //!   injector's one numbering rule (slots send in id order, so the numbering
-//!   is the lockstep engine's in-flight order), draws each fate — a pure
+//!   is the lockstep engine's in-flight order) and draws each fate — a pure
 //!   function of `(master seed, sequence number)`, or a recorded
-//!   [`MessageTrace`]'s entry under replay — and appends each survivor to
-//!   the record of its *delivery round*: the first boundary at or past the
-//!   arrival tick, never the sending round's own (the round
-//!   [`MessageTrace`] records). A copy read at `t + 1` names the shared
-//!   entry; one read later, or one a `Mutate` fault corrupted, pushes its own
-//!   payload into the record that reads it. A late copy so holds nothing but
-//!   itself: a hostile `Delay { ticks: u64::MAX }` copy sits in the one
-//!   record at the end of time and pins no other round's payloads.
-//! * Copies are appended in sequence order, so every record is already in
-//!   send order.
-//! * `deliver` at boundary `t` takes round `t`'s record as the one inbox
-//!   positions and handles name ("round-boundary delivery"; within one
-//!   boundary the residual arrival jitter has no semantic meaning, since
-//!   every message of the record is read by the same activation) and
-//!   scatters its copies into the world's inboxes. The record boundary
-//!   `t - 1` read goes back, emptied, to a spare list, where the next record
-//!   opened takes it.
+//!   [`MessageTrace`]'s entry under replay. A survivor's *delivery round* is
+//!   the first boundary at or past its arrival tick, never the sending
+//!   round's own (the round [`MessageTrace`] records). One due at `t + 1`
+//!   names its lane entry — a `Mutate` fault's corrupted copy pushes an
+//!   entry of its own — and is counted into its receiver's slot and logged,
+//!   or, if the receiver has no slot, queued for the [`Late`] list. One due
+//!   later goes into its round's record as a whole envelope, so a hostile
+//!   `Delay { ticks: u64::MAX }` copy sits in the one record at the end of
+//!   time and pins no other round's payloads.
+//! * `flush_sends` takes round `t + 1`'s record out of the map. Nothing was
+//!   filed there since round `t - 1` sent, so its copies precede every lane
+//!   copy in send order: it resolves them against the slots, lays the
+//!   inboxes out once and places them first, then the logged lane copies.
+//!   An inbox position below the record's length names a record copy, one
+//!   at or past it the lane entry that far behind. Every inbox is so in send
+//!   order, and so is the late list.
+//! * `deliver` at boundary `t` only resolves the late list, as the lockstep
+//!   delivery does ("round-boundary delivery"; within one boundary the
+//!   residual arrival jitter has no semantic meaning, since every message of
+//!   the round is read by the same activation). A copy placed for a
+//!   receiver that departed in the boundary's churn went with its slot's
+//!   inbox, which the world charges; [`NetStats::dropped_departed`] counts
+//!   those and the late list's drops.
 //!
 //! The engine keeps no clock; time is the round. A copy sent at round `t`
 //! with a delay of `d` ticks is read at round `max(⌈(t·T + d)/T⌉, t + 1)`,
@@ -58,8 +65,8 @@ use std::collections::BTreeMap;
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    handle, CommGraph, Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round,
-    SimConfig, SlotIndex, World,
+    handle, CommGraph, Delivery, Envelope, Inboxes, Late, NodeId, Outbox, PhaseSpans, Process,
+    Round, SimConfig, SlotIndex, World, NO_SLOT,
 };
 
 use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
@@ -119,34 +126,36 @@ pub struct NetStats {
 /// through a [`VirtualTime`] network.
 pub type EventSimulator<P, A> = World<P, A, VirtualTime<<P as Process>::Msg>>;
 
-/// The copies one round reads, in send order, and the payloads their
-/// handles name.
-struct Inbound<M> {
-    /// One envelope per copy; its payload is an index into `payloads`.
-    copies: Vec<Envelope<u32>>,
-    payloads: Vec<M>,
-}
-
-impl<M> Default for Inbound<M> {
-    fn default() -> Self {
-        Inbound {
-            copies: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-}
-
 /// The virtual-time delivery policy. See the module docs.
 pub struct VirtualTime<M> {
     seed: u64,
     topology: Topology,
-    /// Everything in flight, under the round that reads it.
-    inbound: BTreeMap<Round, Inbound<M>>,
-    /// The record this boundary reads: what an inbox position names.
-    reading: Inbound<M>,
+    /// The copies due two or more rounds after they were sent, in send
+    /// order, under the round that reads them.
+    inbound: BTreeMap<Round, Vec<Envelope<M>>>,
+    /// The record this boundary reads: inbox positions below its length.
+    reading: Vec<Envelope<M>>,
+    /// The lane this boundary reads, sent in round `sent_at`: inbox
+    /// position `reading.len() + h` names entry `h`.
+    lane: Vec<(NodeId, M)>,
+    sent_at: Round,
+    /// The lane this round's sends fill.
+    sending: Vec<(NodeId, M)>,
+    /// This round's lane copies to a member, as `(slot, lane entry)`, in
+    /// send order.
+    placing: Vec<(u32, u32)>,
+    /// This round's lane copies to a non-member, as `(receiver, lane
+    /// entry)`, in send order: they join the late list at the flush, behind
+    /// the earlier-sent record copies that have no slot either.
+    homeless: Vec<(NodeId, u32)>,
+    /// Copies due at the next boundary whose receiver had no slot when they
+    /// were placed.
+    late: Late,
+    /// Copies the last flush placed in the inboxes.
+    placed: usize,
     /// Emptied records, taken by the next rounds opened.
-    spare: Vec<Inbound<M>>,
-    /// Copies in `inbound`.
+    spare: Vec<Vec<Envelope<M>>>,
+    /// Copies sent and not yet read (or dropped) at a boundary.
     in_flight: usize,
     /// Global send sequence number: the identity of a message for the
     /// network model's per-message fates.
@@ -237,7 +246,7 @@ impl<M> VirtualTime<M> {
     }
 
     /// Round `round`'s record, opened on a spare one if it is new.
-    fn inbound(&mut self, round: Round) -> &mut Inbound<M> {
+    fn inbound(&mut self, round: Round) -> &mut Vec<Envelope<M>> {
         let spare = &mut self.spare;
         self.inbound
             .entry(round)
@@ -260,7 +269,14 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             seed,
             topology: config.topology,
             inbound: BTreeMap::new(),
-            reading: Inbound::default(),
+            reading: Vec::new(),
+            lane: Vec::new(),
+            sent_at: 0,
+            sending: Vec::new(),
+            placing: Vec::new(),
+            homeless: Vec::new(),
+            late: Late::default(),
+            placed: 0,
             spare: Vec::new(),
             in_flight: 0,
             seq: 0,
@@ -274,28 +290,27 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         (config.sim, delivery)
     }
 
-    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        debug_assert!(self.inbound.keys().next().is_none_or(|&r| r >= t));
-        let due = self.inbound.remove(&t).unwrap_or_default();
-        let mut read = std::mem::replace(&mut self.reading, due);
-        if read.copies.capacity() > 0 {
-            read.copies.clear();
-            read.payloads.clear();
-            self.spare.push(read);
-        }
-        let copies = &self.reading.copies;
-        self.in_flight -= copies.len();
-        let dropped = inboxes.scatter(copies.iter().map(|env| index.slot(env.to)));
-        self.stats.dropped_departed += dropped as u64;
+    /// Resolves the late list; what the last flush placed for a slot that
+    /// has since departed is the world's to charge, and counted here.
+    fn deliver(&mut self, _t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
+        let departed = self.placed - inboxes.pending();
+        self.in_flight -= self.placed + self.late.len();
+        let dropped = self.late.settle(index, inboxes);
+        self.stats.dropped_departed += (departed + dropped) as u64;
         dropped
     }
 
-    /// The copy's metadata and a clone of the payload its handle names.
+    /// A clone of the record copy, or the lane entry's sender and payload.
     #[inline]
     fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
-        let env = &self.reading.copies[position as usize];
-        let payload = &self.reading.payloads[env.payload as usize];
-        Envelope::new(env.from, to, env.sent_at, payload.clone())
+        let position = position as usize;
+        match self.reading.get(position) {
+            Some(env) => env.clone(),
+            None => {
+                let (from, payload) = &self.lane[position - self.reading.len()];
+                Envelope::new(*from, to, self.sent_at, payload.clone())
+            }
+        }
     }
 
     fn send(
@@ -303,7 +318,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         from: NodeId,
         t: Round,
         out: &mut Outbox<M>,
-        _inboxes: &mut Inboxes,
+        inboxes: &mut Inboxes,
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
@@ -311,11 +326,11 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         let (seed, now) = (self.seed, t.saturating_mul(TICKS_PER_ROUND));
         let next = t.saturating_add(1);
         let payloads = out.payloads();
-        let shared = &mut self.inbound(next).payloads;
-        let base = shared.len();
-        shared.extend_from_slice(payloads);
+        let base = self.sending.len();
+        self.sending
+            .extend(payloads.iter().map(|payload| (from, payload.clone())));
         let mut lost = 0usize;
-        for (to, index) in out.sends() {
+        for (to, index, slot) in out.sends() {
             let payload = &payloads[index];
             for copy in self.faults.copies(&mut self.seq, t, from, to, payload) {
                 let msg_seq = copy.seq;
@@ -390,21 +405,81 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 if let Some(tr) = self.trace.as_mut() {
                     tr.record(msg_seq, MessageFate::Delivered { at_round });
                 }
-                let record = self.inbound(at_round);
+                self.in_flight += 1;
+                if at_round > next {
+                    let own = copy.mutated.unwrap_or_else(|| payload.clone());
+                    self.inbound(at_round).push(Envelope::new(from, to, t, own));
+                    continue;
+                }
+                // Due next round: the shared lane entry, or a mutated
+                // copy's own (filed in the record, it would be read ahead
+                // of earlier sends of this round).
                 let h = match copy.mutated {
-                    None if at_round == next => handle(base + index),
-                    own => {
-                        record.payloads.push(own.unwrap_or_else(|| payload.clone()));
-                        handle(record.payloads.len() - 1)
+                    None => handle(base + index),
+                    Some(own) => {
+                        self.sending.push((from, own));
+                        handle(self.sending.len() - 1)
                     }
                 };
-                record.copies.push(Envelope::new(from, to, t, h));
-                self.in_flight += 1;
+                if slot == NO_SLOT {
+                    self.homeless.push((to, h));
+                } else {
+                    inboxes.count(slot as usize);
+                    self.placing.push((slot, h));
+                }
             }
         }
         out.clear();
         obs.span_end("event.fate", span);
         lost
+    }
+
+    /// Places round `t + 1`'s record, then this round's lane, in the
+    /// inboxes; the lane becomes the one the next boundary reads.
+    fn flush_sends<'a>(
+        &mut self,
+        t: Round,
+        _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        index: &SlotIndex,
+        inboxes: &mut Inboxes,
+    ) where
+        M: 'a,
+    {
+        let next = t.saturating_add(1);
+        let due = self.inbound.remove(&next).unwrap_or_default();
+        debug_assert!(self.inbound.keys().next().is_none_or(|&r| r > next));
+        let mut read = std::mem::replace(&mut self.reading, due);
+        if read.capacity() > 0 {
+            read.clear();
+            self.spare.push(read);
+        }
+        // Filed before round `t` sent, the record's copies go first.
+        for env in &self.reading {
+            if let Some(slot) = index.slot(env.to) {
+                inboxes.count(slot);
+            }
+        }
+        inboxes.lay_out();
+        for (i, env) in self.reading.iter().enumerate() {
+            match index.slot(env.to) {
+                Some(slot) => inboxes.place(slot, handle(i)),
+                None => self.late.push(env.to, handle(i)),
+            }
+        }
+        let base = self.reading.len();
+        for &(slot, h) in &self.placing {
+            inboxes.place(slot as usize, handle(base + h as usize));
+        }
+        for &(to, h) in &self.homeless {
+            self.late.push(to, handle(base + h as usize));
+        }
+        inboxes.seal();
+        self.placed = inboxes.pending();
+        self.placing.clear();
+        self.homeless.clear();
+        std::mem::swap(&mut self.lane, &mut self.sending);
+        self.sending.clear();
+        self.sent_at = t;
     }
 
     fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
@@ -490,14 +565,27 @@ mod tests {
         sim.inbound.keys().copied().collect()
     }
 
+    /// The payloads of the lane the next boundary reads.
+    fn lane<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> Vec<P::Msg>
+    where
+        P::Msg: Clone,
+    {
+        sim.lane
+            .iter()
+            .map(|(_, payload)| payload.clone())
+            .collect()
+    }
+
     #[test]
     fn a_mutated_copy_gets_its_own_payload_and_the_others_share_one() {
         let to_three = FaultRule::every(FaultAction::Mutate).to(NodeSelector::Id { id: 3 });
         let mut sim = town(FaultPlan::new().with_rule(to_three));
         sim.step();
-        assert_eq!(live_rounds(&sim), [1], "read at the next boundary");
-        let next = &sim.inbound[&1].payloads;
-        assert_eq!(next, &[100, 1100], "the shared payload, then #3's");
+        assert_eq!(live_rounds(&sim), [], "every copy is due next round");
+        assert!(sim.reading.is_empty());
+        assert_eq!(lane(&sim), [100, 1100], "the shared payload, then #3's");
+        assert_eq!(sim.inboxes().pending(), 8, "placed at send time");
+        assert_eq!(sim.envelope(1, NodeId(3)).payload, 1100);
         sim.step();
         for id in 1..=8 {
             let expected = if id == 3 { 1100 } else { 100 };
@@ -511,15 +599,92 @@ mod tests {
         let to_five = FaultRule::every(FaultAction::Duplicate).to(NodeSelector::Id { id: 5 });
         let mut sim = town(FaultPlan::new().with_rule(to_five));
         sim.step();
-        assert_eq!(live_rounds(&sim), [1]);
-        assert_eq!(sim.inbound[&1].payloads, [100]);
-        let copies = sim.inbound[&1].copies.len();
+        assert_eq!(live_rounds(&sim), []);
+        assert_eq!(lane(&sim), [100]);
+        let copies = sim.inboxes().pending();
         assert_eq!(copies, 9, "eight copies and #5's twin");
+        assert_eq!(sim.in_flight_count(), 9);
         sim.step();
         for id in 1..=8 {
             let expected: &[u64] = if id == 5 { &[100, 100] } else { &[100] };
             assert_eq!(heard(&sim, id), expected, "#{id}");
         }
+    }
+
+    /// Nodes 1 and 2 send `100·id + round` to node 0, which keeps what it
+    /// hears, sender first.
+    #[derive(Default)]
+    struct Pair {
+        heard: Vec<(u64, u64)>,
+    }
+
+    impl Process for Pair {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            let heard = inbox.iter().map(|env| (env.from.raw(), env.payload));
+            self.heard.extend(heard);
+            let me = ctx.id().raw();
+            if me > 0 {
+                ctx.send(NodeId(0), 100 * me + ctx.round());
+            }
+        }
+    }
+
+    #[test]
+    fn a_mutated_next_round_copy_keeps_its_place_in_send_order() {
+        // Node 2's copies are corrupted, node 1's are not: node 0 must
+        // still hear node 1 first every round, as both sent.
+        let from_two = FaultRule::every(FaultAction::Mutate).from(NodeSelector::Id { id: 2 });
+        let config = EventConfig::new(
+            SimConfig::default().with_seed(5),
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Pair::default()));
+        sim.set_faults(FaultPlan::new().with_rule(from_two), PLUS_1000);
+        sim.seed_nodes(3);
+        sim.run(4);
+        let heard = &sim.node(NodeId(0)).unwrap().heard;
+        let expected: Vec<(u64, u64)> = (0..3)
+            .flat_map(|round| [(1, 100 + round), (2, 1200 + round)])
+            .collect();
+        assert_eq!(heard, &expected);
+        assert_eq!(lane(&sim), [103, 203, 1203], "#2's own entry last");
+    }
+
+    /// Removes node 3 at the start of round 2.
+    struct DepartThree;
+
+    impl Adversary for DepartThree {
+        fn plan(&mut self, round: Round, _view: &KnowledgeView<'_>) -> ChurnPlan {
+            ChurnPlan {
+                departures: if round == 2 { vec![NodeId(3)] } else { vec![] },
+                joins: vec![],
+            }
+        }
+    }
+
+    #[test]
+    fn copies_placed_for_a_departing_receiver_are_dropped_once() {
+        let config = EventConfig::new(
+            SimConfig::default().with_seed(5),
+            NetModel::new(LatencyModel::constant(0)),
+        );
+        let mut sim = EventSimulator::new(config, DepartThree, Box::new(|_, _| Town::default()));
+        sim.seed_nodes(9);
+        sim.run(2);
+        assert_eq!(sim.inboxes().pending(), 8, "round 1's copies are placed");
+        // Round 2's churn takes #3's placed copy with its slot; round 2
+        // sends #3 one more, which waits in the late list and is dropped
+        // at round 3's boundary.
+        sim.step();
+        assert_eq!(sim.net_stats().dropped_departed, 1);
+        assert_eq!(sim.late.len(), 1);
+        sim.step();
+        assert_eq!(sim.net_stats().dropped_departed, 2);
+        let rows = sim.metrics().rounds();
+        let dropped: Vec<usize> = rows.iter().map(|row| row.messages_dropped).collect();
+        assert_eq!(dropped, [0, 0, 1, 1], "each copy charged once");
+        assert_eq!(sim.in_flight_count(), 8);
     }
 
     /// Every node shares `(id << 32) | round` with every node, every round,
@@ -560,14 +725,13 @@ mod tests {
         sim
     }
 
-    /// Copy and payload slots a record holds.
-    fn slots<M>(record: &Inbound<M>) -> usize {
-        record.copies.capacity() + record.payloads.capacity()
-    }
-
-    /// Slots held by the record being read and the spare records.
+    /// Slots held off the map: the record being read, the two lanes, this
+    /// round's placement log and the spare records.
     fn retained_off_the_map<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> usize {
-        slots(&sim.reading) + sim.spare.iter().map(slots).sum::<usize>()
+        let records = sim.spare.iter().map(Vec::capacity).sum::<usize>();
+        let lanes = sim.lane.capacity() + sim.sending.capacity();
+        let logs = sim.placing.capacity() + sim.homeless.capacity();
+        sim.reading.capacity() + records + lanes + logs
     }
 
     fn sub_round() -> NetModel {
@@ -577,25 +741,23 @@ mod tests {
     #[test]
     fn copies_filed_far_ahead_pin_no_arena() {
         // A twentieth of all copies never arrive. Sharing their send rounds'
-        // payloads they would keep every round's payloads for good.
+        // lane entries they would keep every round's payloads for good.
         let forever = FaultRule::every(FaultAction::Delay { ticks: u64::MAX }).with_prob(0.05);
         let mut sim = chorus(sub_round(), FaultPlan::new().with_rule(forever));
-        let retained = |sim: &EventSimulator<Chorus, NullAdversary>, next: Round| {
-            slots(&sim.inbound[&next]) + retained_off_the_map(sim)
-        };
         sim.run(100);
-        let warm = retained(&sim, 100);
+        let warm = retained_off_the_map(&sim);
         sim.run(200);
-        assert_eq!(retained(&sim, 300), warm);
+        assert_eq!(retained_off_the_map(&sim), warm);
         let round = (CHORUS * CHORUS + CHORUS) as usize;
         assert!(warm <= 3 * round, "{warm} slots retained");
+        assert_eq!(sim.lane.len(), CHORUS as usize, "one entry per sender");
         // The late copies keep their payloads under the one round, at the
         // end of time, that reads them.
         let end_of_time = u64::MAX.div_ceil(TICKS_PER_ROUND);
-        assert_eq!(live_rounds(&sim), [300, end_of_time]);
+        assert_eq!(live_rounds(&sim), [end_of_time]);
         let delayed = sim.fault_stats().delayed as usize;
         assert!(delayed > 1000);
-        assert_eq!(sim.inbound[&end_of_time].payloads.len(), delayed);
+        assert_eq!(sim.inbound[&end_of_time].len(), delayed);
     }
 
     #[test]
@@ -612,12 +774,14 @@ mod tests {
         let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
         let in_flight = sim.in_flight_count();
         assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
-        let read_late = sim.reading.copies.iter().any(|env| env.sent_at < 299 - 64);
-        assert!(read_late, "round 299 read copies sent 70 rounds before");
-        assert_eq!(live_rounds(&sim).first(), Some(&300));
-        // Every payload held but round 299's shared ones is a late copy's.
-        let held: usize = sim.inbound.values().map(|r| r.payloads.len()).sum();
-        let late = held - CHORUS as usize;
+        // Round 300's record, placed ahead of round 299's lane, holds the
+        // copies sent 71 rounds before.
+        assert!(!sim.reading.is_empty());
+        assert!(sim.reading.iter().all(|env| env.sent_at == 229));
+        assert_eq!(live_rounds(&sim).first(), Some(&301));
+        // Every payload held outside the lanes is a late copy's own.
+        let filed: usize = sim.inbound.values().map(Vec::len).sum();
+        let late = filed + sim.reading.len();
         assert!(late < delayed / 3, "{late} late payloads for {delayed}");
     }
 
@@ -628,9 +792,10 @@ mod tests {
         let net = NetModel::new(LatencyModel::uniform(100, 2600));
         let mut sim = chorus(net, FaultPlan::new());
         let caps = |sim: &EventSimulator<Chorus, NullAdversary>| {
-            let live: usize = sim.inbound.values().map(slots).sum();
+            let live: usize = sim.inbound.values().map(Vec::capacity).sum();
             (
                 (live + retained_off_the_map(sim), sim.spare.capacity()),
+                sim.late.capacity(),
                 sim.inboxes().capacity(),
             )
         };

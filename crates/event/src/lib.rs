@@ -7,10 +7,12 @@
 //! boundaries, or is lost outright?
 //!
 //! * [`EventSimulator`] is the round loop under a per-message network:
-//!   delays are drawn in ticks ([`TICKS_PER_ROUND`] to a protocol round),
-//!   and every copy and its payload are filed in the record of its delivery
-//!   round — the boundary that reads it — so each boundary reads one whole
-//!   record, already in send order;
+//!   delays are drawn in ticks ([`TICKS_PER_ROUND`] to a protocol round);
+//!   a copy due next round is placed in its receiver's inbox at send time,
+//!   as the lockstep engine places it, and a later one is filed with its
+//!   payload in the record of its delivery round, which every inbox lists
+//!   ahead of the lane sent the round before, so every inbox is in send
+//!   order;
 //! * [`LatencyModel`] / [`NetModel`] are per-message latency/jitter/loss
 //!   models — every message's fate is a counter hash of `(master seed, send
 //!   sequence number)`, so identical seeds give byte-identical traces at any

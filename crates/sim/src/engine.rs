@@ -24,8 +24,8 @@
 //! **Not a member at send time.** A receiver with no slot when the message
 //! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
 //! the adversary will only hand out next round — has no inbox to be counted
-//! into. Those sends wait in a side list (`late`) as `(receiver, handle)`,
-//! in send order; `deliver` resolves it against round `t + 1`'s membership,
+//! into. Those sends wait in a [`Late`] list as `(receiver, handle)`, in
+//! send order; `deliver` resolves it against round `t + 1`'s membership,
 //! appends the arrivals' handles behind the placed ones (such a receiver
 //! joined after the sends, so its inbox is still empty) and drops the rest.
 //! Delivered and dropped counts, the round they are charged to and every
@@ -35,7 +35,7 @@ use tsa_obs::ObsHandle;
 
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
-use crate::inboxes::Inboxes;
+use crate::inboxes::{Inboxes, Late};
 use crate::message::Envelope;
 use crate::node::{handle, Outbox, Process};
 use crate::slot_index::{SlotIndex, NO_SLOT};
@@ -52,9 +52,8 @@ pub struct Lockstep<M> {
     arena: Vec<(NodeId, M)>,
     /// The round `arena` was sent in.
     sent_at: Round,
-    /// Last round's sends whose receiver had no slot at send time: position
-    /// in the list (send order), receiver, handle.
-    late: Vec<(usize, NodeId, u32)>,
+    /// Last round's sends whose receiver had no slot at send time.
+    late: Late,
     /// Copies sent last round.
     in_flight: usize,
 }
@@ -80,30 +79,15 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
         let lockstep = Lockstep {
             arena: Vec::new(),
             sent_at: 0,
-            late: Vec::new(),
+            late: Late::default(),
             in_flight: 0,
         };
         (config, lockstep)
     }
 
-    /// Resolves the side list against the current membership: the arrivals'
-    /// handles go behind the placed ones, grouped per receiver in send
-    /// order; the rest are dropped.
+    /// Resolves the side list against the current membership.
     fn deliver(&mut self, _t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        let slot_of = |to: NodeId| index.slot(to).unwrap_or(usize::MAX);
-        // The key is unique, so the in-place unstable sort is a stable
-        // grouping.
-        self.late
-            .sort_unstable_by_key(|&(seq, to, _)| (slot_of(to), seq));
-        let arrived = self
-            .late
-            .partition_point(|&(_, to, _)| slot_of(to) != usize::MAX);
-        for run in self.late[..arrived].chunk_by(|a, b| a.1 == b.1) {
-            inboxes.append(slot_of(run[0].1), run.iter().map(|&(_, _, h)| h));
-        }
-        let dropped = self.late.len() - arrived;
-        self.late.clear();
-        dropped
+        self.late.settle(index, inboxes)
     }
 
     #[inline]
@@ -137,6 +121,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
         &mut self,
         t: Round,
         outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        _index: &SlotIndex,
         inboxes: &mut Inboxes,
     ) where
         M: 'a,
@@ -151,7 +136,7 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
             for sent in out.sends.drain(..) {
                 let h = handle(base + sent.payload as usize);
                 if sent.slot == NO_SLOT {
-                    self.late.push((self.late.len(), sent.to, h));
+                    self.late.push(sent.to, h);
                 } else {
                     inboxes.place(sent.slot as usize, h);
                 }
@@ -352,7 +337,7 @@ mod tests {
         assert_eq!(s.late.len(), 1, "3 → 4 waits in the side list");
         s.step();
         assert_eq!(s.node(NodeId(4)).unwrap().heard, [(NodeId(3), 1)]);
-        assert!(s.late.iter().all(|&(_, to, _)| to != NodeId(4)));
+        assert!(s.late.receivers().all(|to| to != NodeId(4)));
     }
 
     #[test]

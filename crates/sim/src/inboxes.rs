@@ -16,13 +16,21 @@
 //! in stream order, so every range lists its positions in that order — what
 //! a stable sort by receiver gives, without a sort's merge scratch. Streams
 //! are in global send order, so every inbox is in send order.
-//! [`Lockstep`](crate::Lockstep) counts while the round's sends are
-//! announced and places when they are flushed; a delivery that settles a
-//! whole batch at once calls [`Inboxes::scatter`].
+//! [`Lockstep`](crate::Lockstep) and `tsa-event`'s `VirtualTime` count
+//! while the round's sends are announced and place when they are flushed;
+//! `tsa-net`'s `Loopback`, which learns what arrived only at the boundary,
+//! settles its whole batch at once through [`Inboxes::scatter`].
+//!
+//! **Not a member at send time.** A copy placed at send time needs its
+//! receiver's slot then. One whose receiver has none — never assigned,
+//! departed, or an identifier the adversary hands out only next round —
+//! waits in a [`Late`] list, which the next boundary resolves against the
+//! membership it has.
 
 use std::ops::Range;
 
-use crate::slot_index::NO_SLOT;
+use crate::ids::NodeId;
+use crate::slot_index::{SlotIndex, NO_SLOT};
 
 /// One slot's inbox.
 #[derive(Clone, Debug, Default)]
@@ -86,14 +94,14 @@ impl Inboxes {
 
     /// One more copy is addressed to `slot`.
     #[inline]
-    pub(crate) fn count(&mut self, slot: usize) {
+    pub fn count(&mut self, slot: usize) {
         self.slots[slot].cursor += 1;
     }
 
     /// Lays the counted copies out as consecutive ranges, in slot order, over
     /// a zero-filled buffer, and points every slot's cursor at its range's
     /// start. Every earlier inbox is overwritten.
-    pub(crate) fn lay_out(&mut self) {
+    pub fn lay_out(&mut self) {
         let mut end = 0usize;
         for inbox in self.slots.iter_mut() {
             let count = std::mem::replace(&mut inbox.cursor, end);
@@ -106,7 +114,7 @@ impl Inboxes {
 
     /// Writes `position` through `slot`'s cursor.
     #[inline]
-    pub(crate) fn place(&mut self, slot: usize, position: u32) {
+    pub fn place(&mut self, slot: usize, position: u32) {
         let cursor = &mut self.slots[slot].cursor;
         self.positions[*cursor] = position;
         *cursor += 1;
@@ -116,7 +124,7 @@ impl Inboxes {
     /// Checked in release builds too: a position left at its zero fill would
     /// hand a receiver somebody else's message, the count and the placement
     /// may span two trait calls, and the check costs O(slots).
-    pub(crate) fn seal(&mut self) {
+    pub fn seal(&mut self) {
         assert!(
             self.slots
                 .iter()
@@ -166,6 +174,62 @@ impl Inboxes {
             "an appended inbox had unread positions"
         );
         *range = start..self.positions.len();
+    }
+}
+
+/// Copies placed at send time whose receiver had no slot then, as `(order,
+/// receiver, position)`: `order` is the push order, which is send order.
+#[derive(Debug, Default)]
+pub struct Late(Vec<(usize, NodeId, u32)>);
+
+impl Late {
+    /// Queues the copy at `position` for `to`, behind every copy queued
+    /// before it.
+    pub fn push(&mut self, to: NodeId, position: u32) {
+        self.0.push((self.0.len(), to, position));
+    }
+
+    /// Copies queued.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` if no copy is queued.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Resolves every queued copy against the current membership: the
+    /// arrivals' positions go behind the placed ones, grouped per receiver
+    /// in push order (such a receiver joined after the placement, so its
+    /// inbox is still empty); the rest are dropped. Returns how many were
+    /// dropped and leaves the list empty, its capacity kept.
+    pub fn settle(&mut self, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
+        let slot_of = |to: NodeId| index.slot(to).unwrap_or(usize::MAX);
+        // The key is unique, so the in-place unstable sort is a stable
+        // grouping.
+        self.0
+            .sort_unstable_by_key(|&(order, to, _)| (slot_of(to), order));
+        let arrived = self
+            .0
+            .partition_point(|&(_, to, _)| slot_of(to) != usize::MAX);
+        for run in self.0[..arrived].chunk_by(|a, b| a.1 == b.1) {
+            inboxes.append(slot_of(run[0].1), run.iter().map(|&(_, _, p)| p));
+        }
+        let dropped = self.0.len() - arrived;
+        self.0.clear();
+        dropped
+    }
+
+    /// The receivers queued, in push order.
+    #[cfg(test)]
+    pub(crate) fn receivers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().map(|&(_, to, _)| to)
+    }
+
+    /// Capacity of the list.
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
     }
 }
 

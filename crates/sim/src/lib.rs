@@ -67,7 +67,7 @@ pub use churn::{
 pub use config::SimConfig;
 pub use engine::{Lockstep, Simulator};
 pub use ids::{parity, NodeId, Round, RoundParity};
-pub use inboxes::Inboxes;
+pub use inboxes::{Inboxes, Late};
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::Envelope;
 pub use metrics::{

@@ -89,12 +89,13 @@ impl<M> Outbox<M> {
         &self.payloads
     }
 
-    /// The sends as `(receiver, payload index)` pairs, in send order; the
-    /// index is into [`payloads`](Self::payloads).
-    pub fn sends(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+    /// The sends as `(receiver, payload index, slot)`, in send order: the
+    /// index is into [`payloads`](Self::payloads), the slot is the one the
+    /// receiver owned when the round's sends were collected, or [`NO_SLOT`].
+    pub fn sends(&self) -> impl Iterator<Item = (NodeId, usize, u32)> + '_ {
         self.sends
             .iter()
-            .map(|sent| (sent.to, sent.payload as usize))
+            .map(|sent| (sent.to, sent.payload as usize, sent.slot))
     }
 
     /// Empties the outbox; both buffers keep their capacity.
@@ -419,11 +420,12 @@ mod tests {
         assert_eq!(
             ctx.out.sends().collect::<Vec<_>>(),
             [
-                (NodeId(9), 0),
-                (NodeId(1), 1),
-                (NodeId(3), 1),
-                (NodeId(1), 1)
-            ]
+                (NodeId(9), 0, NO_SLOT),
+                (NodeId(1), 1, NO_SLOT),
+                (NodeId(3), 1, NO_SLOT),
+                (NodeId(1), 1, NO_SLOT)
+            ],
+            "no slot until the sends are collected"
         );
         assert_eq!(
             ctx.into_sends(),

@@ -15,8 +15,9 @@
 //!   once and a 4-byte handle per copy is scattered straight into round
 //!   `t + 1`'s inboxes (the paper's synchronous model);
 //! * `tsa-event`'s `VirtualTime` — per-message latency, jitter, loss and
-//!   fault plans, filing each copy and its payload under the round that
-//!   reads it (round `t + 1`'s record is the lockstep shape);
+//!   fault plans; a copy due next round is placed as the lockstep delivery
+//!   places it, one due later is filed with its payload under the round
+//!   that reads it;
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
 //!
 //! # Phases of a round
@@ -127,7 +128,8 @@ pub trait Delivery<M>: Sync {
 
     /// Settles every slot's inbox for round `t`, unless the sends were
     /// placed already; `index` maps a receiver to its slot. Returns how many
-    /// copies were dropped undelivered.
+    /// copies were dropped undelivered, not counting what departed slots'
+    /// inboxes held, which the world charges itself.
     fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize;
 
     /// The envelope at `position` of an inbox of `to`, the slot's owner.
@@ -157,12 +159,15 @@ pub trait Delivery<M>: Sync {
     /// Every node of round `t` has sent: `outboxes` is each slot's sender
     /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
     /// left it. Whoever left messages there takes them now — every outbox
-    /// must be empty on return, its capacity kept for the next round. Still
-    /// inside the send phase's span.
+    /// must be empty on return, its capacity kept for the next round. A
+    /// delivery that places next round's copies at send time lays out and
+    /// fills `inboxes` here, resolving receivers through `index` (the
+    /// membership the sends saw). Still inside the send phase's span.
     fn flush_sends<'a>(
         &mut self,
         _t: Round,
         _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        _index: &SlotIndex,
         _inboxes: &mut Inboxes,
     ) where
         M: 'a,
@@ -569,7 +574,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             rec.graph.members.push(slot.id);
         }
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
-        self.delivery.flush_sends(t, outboxes, &mut self.inboxes);
+        self.delivery
+            .flush_sends(t, outboxes, &self.index, &mut self.inboxes);
         debug_assert!(
             self.slots.iter().all(|slot| slot.out.is_empty()),
             "the delivery left sends in an outbox"
