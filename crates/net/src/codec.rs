@@ -1,48 +1,45 @@
-//! Length-prefixed wire framing for serde [`Value`] trees.
+//! Length-prefixed wire frames in each message's own fixed layout.
 //!
-//! The transport sends every protocol message as one *frame*: a little-endian
-//! `u32` payload length followed by a compact binary encoding of the message's
-//! serde value tree. The encoding is deterministic (floats travel as their
-//! exact `f64::to_bits` image, object keys keep declaration order), so the
-//! bytes-on-the-wire figure reported by `exp_net` is a pure function of the
-//! protocol trace, not of formatting.
+//! The transport sends every protocol message as one *frame*: a
+//! little-endian `u32` body length, then the body — the send sequence
+//! number, sender, receiver and send round as little-endian `u64`s, then the
+//! payload as its [`Wire`] implementation lays it out. There is no tag per
+//! field and no self-description: a payload type knows its own layout, so a
+//! protocol message costs its fields' bytes and a variant tag. The encoding
+//! is deterministic (floats travel as their exact `f64::to_bits` image), so
+//! the bytes-on-the-wire figure reported by `exp_net` is a pure function of
+//! the protocol trace.
 //!
 //! Decoding is written for a hostile peer: [`FrameDecoder`] buffers partial
-//! reads until a full frame is available, rejects frames beyond a configured
-//! size bound before buffering their bodies, and [`decode_value`] bounds its
-//! recursion depth so a deeply nested (or truncated, or trailing-garbage)
-//! frame yields a [`CodecError`] instead of a panic or stack overflow.
+//! reads until a full frame is available and rejects frames beyond a
+//! configured size bound before buffering their bodies, and every read of a
+//! [`WireReader`] is bounds-checked, so a truncated, trailing-garbage or
+//! unknown-tag frame yields a [`CodecError`] instead of a panic.
 
-use serde::Value;
 use std::fmt;
 use tsa_sim::{Envelope, NodeId};
 
-/// Hard ceiling on nesting depth while decoding, so an adversarial frame of
-/// `[[[[...]]]]` cannot overflow the decoder's stack. Protocol messages are
-/// at most a few levels deep.
-const MAX_DEPTH: usize = 64;
-
-/// Default bound on a single frame's payload size (1 MiB) — vastly above any
+/// Default bound on a single frame's body size (1 MiB) — vastly above any
 /// real protocol message, but small enough that a corrupt length prefix
 /// cannot make the decoder buffer gigabytes.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// Bytes of the `u32` length prefix preceding every frame payload.
+/// Bytes of the `u32` length prefix preceding every frame body.
 pub const FRAME_HEADER_LEN: usize = 4;
 
 /// A framing or decoding failure. All variants are recoverable errors — the
 /// codec never panics on wire input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
-    /// The length prefix announced a payload larger than the decoder's bound.
+    /// The length prefix announced a body larger than the decoder's bound.
     Oversized {
-        /// The announced payload length.
+        /// The announced body length.
         len: usize,
         /// The decoder's configured bound.
         max: usize,
     },
-    /// The payload was structurally invalid: unknown tag, truncated field,
-    /// invalid UTF-8, nesting deeper than the cap, or trailing bytes.
+    /// The body was structurally invalid: truncated, an unknown variant tag,
+    /// invalid UTF-8, or trailing bytes.
     Malformed(&'static str),
 }
 
@@ -50,7 +47,7 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::Oversized { len, max } => {
-                write!(f, "frame payload of {len} bytes exceeds bound of {max}")
+                write!(f, "frame body of {len} bytes exceeds bound of {max}")
             }
             CodecError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
@@ -59,221 +56,162 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// Value-tree tags. `Bool` spends two tags so every scalar is tag + raw bytes.
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_UINT: u8 = 4;
-const TAG_FLOAT: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_ARRAY: u8 = 7;
-const TAG_OBJECT: u8 = 8;
+/// A type with a fixed little-endian wire layout: what the transport can
+/// carry as a payload.
+pub trait Wire: Sized {
+    /// Appends this value's layout to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 
-/// Appends the binary encoding of `value` to `out` (no length prefix).
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::UInt(u) => {
-            out.push(TAG_UINT);
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(entries) => {
-            out.push(TAG_OBJECT);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (key, val) in entries {
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                encode_value(val, out);
-            }
-        }
-    }
+    /// Reads one value back, consuming exactly the bytes
+    /// [`encode`](Wire::encode) wrote.
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError>;
 }
 
-/// Appends a complete frame (length prefix + payload) for `value` to `out`.
-pub fn encode_frame(value: &Value, out: &mut Vec<u8>) {
-    let header_at = out.len();
-    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-    encode_value(value, out);
-    let payload_len = (out.len() - header_at - FRAME_HEADER_LEN) as u32;
-    out[header_at..header_at + FRAME_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-}
-
-/// Encodes `(seq, envelope)` as one complete frame appended to `out`,
-/// returning the frame's total on-the-wire length (header included).
+/// A cursor over a frame body; every read is bounds-checked.
 ///
-/// The wire shape is a fixed 5-array: global send sequence number, sender,
-/// receiver, send round, then the payload's own value tree. The sequence
-/// number travels with the message because it is the message's *identity* in
-/// a [`MessageTrace`](tsa_event::MessageTrace) — the receiver records fates
-/// against it.
-pub fn encode_wire_frame<M: serde::Serialize>(
-    seq: u64,
-    env: &Envelope<M>,
-    out: &mut Vec<u8>,
-) -> usize {
-    let before = out.len();
-    let value = Value::Array(vec![
-        Value::UInt(seq),
-        Value::UInt(env.from.raw()),
-        Value::UInt(env.to.raw()),
-        Value::UInt(env.sent_at),
-        env.payload.to_value(),
-    ]);
-    encode_frame(&value, out);
-    out.len() - before
-}
-
-fn wire_u64(value: &Value) -> Result<u64, CodecError> {
-    match value {
-        Value::UInt(u) => Ok(*u),
-        _ => Err(CodecError::Malformed("expected unsigned wire field")),
-    }
-}
-
-/// Decodes a frame's value tree back into `(seq, envelope)`.
-pub fn decode_wire_value<M: serde::Deserialize>(
-    value: &Value,
-) -> Result<(u64, Envelope<M>), CodecError> {
-    let items = match value {
-        Value::Array(items) if items.len() == 5 => items,
-        _ => return Err(CodecError::Malformed("wire envelope is not a 5-array")),
-    };
-    let seq = wire_u64(&items[0])?;
-    let from = NodeId(wire_u64(&items[1])?);
-    let to = NodeId(wire_u64(&items[2])?);
-    let sent_at = wire_u64(&items[3])?;
-    let payload = M::from_value(&items[4])
-        .map_err(|_| CodecError::Malformed("payload failed to deserialize"))?;
-    Ok((seq, Envelope::new(from, to, sent_at, payload)))
-}
-
-/// A cursor over a frame payload; every read is bounds-checked.
-struct Reader<'a> {
+/// Its reads and the scalar [`Wire`] impls below are `#[inline]`: a payload
+/// type in another crate calls them once per field, and folding them into
+/// its encoder and decoder halves the time of both.
+pub struct WireReader<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> WireReader<'a> {
+    /// Takes the next `n` bytes, or fails if fewer are left.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(CodecError::Malformed("truncated payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        if n > self.buf.len() {
+            return Err(CodecError::Malformed("truncated body"));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    /// Takes the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Reads one byte: a variant tag.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Reads one `T`.
+    pub fn read<T: Wire>(&mut self) -> Result<T, CodecError> {
+        T::decode(self)
     }
+}
 
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+impl Wire for u32 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    #[inline]
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        reader.array().map(u32::from_le_bytes)
+    }
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    #[inline]
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        reader.array().map(u64::from_le_bytes)
+    }
+}
+
+/// Bit-exact: NaN payloads, signed zeros and subnormals travel unchanged.
+impl Wire for f64 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_bits().encode(out);
+    }
+    #[inline]
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        reader.read().map(f64::from_bits)
+    }
+}
+
+impl Wire for NodeId {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.raw().encode(out);
+    }
+    #[inline]
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        reader.read().map(NodeId)
+    }
+}
+
+/// A `u32` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u32::try_from(self.len())
+            .expect("a wire string is shorter than 4 GiB")
+            .encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(reader: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        let len = reader.read::<u32>()? as usize;
+        let bytes = reader.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Malformed("invalid UTF-8"))
     }
-
-    fn value(&mut self, depth: usize) -> Result<Value, CodecError> {
-        if depth >= MAX_DEPTH {
-            return Err(CodecError::Malformed("nesting too deep"));
-        }
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_INT => Ok(Value::Int(self.u64()? as i64)),
-            TAG_UINT => Ok(Value::UInt(self.u64()?)),
-            TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            TAG_STR => Ok(Value::Str(self.string()?)),
-            TAG_ARRAY => {
-                let count = self.u32()? as usize;
-                // Every element costs at least one tag byte, so a count
-                // beyond the remaining payload is a lie — reject it before
-                // reserving anything.
-                if count > self.buf.len() - self.pos {
-                    return Err(CodecError::Malformed("array count exceeds payload"));
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            TAG_OBJECT => {
-                let count = self.u32()? as usize;
-                if count > self.buf.len() - self.pos {
-                    return Err(CodecError::Malformed("object count exceeds payload"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.string()?;
-                    entries.push((key, self.value(depth + 1)?));
-                }
-                Ok(Value::Object(entries))
-            }
-            _ => Err(CodecError::Malformed("unknown tag")),
-        }
-    }
 }
 
-/// Decodes one complete frame payload back into a [`Value`].
+/// Appends `(seq, envelope)` as one complete frame to `out`, returning the
+/// frame's total on-the-wire length (header included).
 ///
-/// The whole payload must be consumed — trailing bytes are an error, so a
-/// frame boundary slipping out of sync is caught at the first frame, not
-/// after silently resynchronizing on garbage.
-pub fn decode_value(payload: &[u8]) -> Result<Value, CodecError> {
-    let mut reader = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let value = reader.value(0)?;
-    if reader.pos != payload.len() {
-        return Err(CodecError::Malformed("trailing bytes after value"));
+/// The sequence number travels with the message because it is the message's
+/// *identity* in a [`MessageTrace`](tsa_event::MessageTrace) — the receiver
+/// records fates against it.
+pub fn encode_wire_frame<M: Wire>(seq: u64, env: &Envelope<M>, out: &mut Vec<u8>) -> usize {
+    let header_at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    seq.encode(out);
+    env.from.encode(out);
+    env.to.encode(out);
+    env.sent_at.encode(out);
+    env.payload.encode(out);
+    let frame_len = out.len() - header_at;
+    let body_len = u32::try_from(frame_len - FRAME_HEADER_LEN).expect("a frame body fits a u32");
+    out[header_at..header_at + FRAME_HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
+    frame_len
+}
+
+/// Decodes a frame body back into `(seq, envelope)`.
+///
+/// The whole body must be consumed — trailing bytes are an error, so a frame
+/// boundary slipping out of sync is caught at the first frame, not after
+/// silently resynchronizing on garbage.
+pub fn decode_wire_value<M: Wire>(body: &[u8]) -> Result<(u64, Envelope<M>), CodecError> {
+    let mut reader = WireReader { buf: body };
+    let seq = reader.read()?;
+    let env = Envelope::new(
+        reader.read()?,
+        reader.read()?,
+        reader.read()?,
+        reader.read()?,
+    );
+    if !reader.buf.is_empty() {
+        return Err(CodecError::Malformed("trailing bytes after payload"));
     }
-    Ok(value)
+    Ok((seq, env))
 }
 
 /// Incremental frame extraction over a byte stream delivered in arbitrary
 /// chunks (the read side of a TCP connection).
 ///
-/// Feed raw reads in with [`push`](FrameDecoder::push); pull decoded values
+/// Feed raw reads in with [`push`](FrameDecoder::push); pull frame bodies
 /// out with [`next_frame`](FrameDecoder::next_frame) until it returns
-/// `Ok(None)`. Errors are sticky for the connection in practice — after a
-/// malformed frame the stream offset is meaningless and the caller should
-/// drop the connection.
+/// `Ok(None)`. After an error the stream offset is meaningless and the
+/// caller should drop the connection.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -282,12 +220,12 @@ pub struct FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder enforcing the [`DEFAULT_MAX_FRAME`] payload bound.
+    /// A decoder enforcing the [`DEFAULT_MAX_FRAME`] body bound.
     pub fn new() -> Self {
         Self::with_max_frame(DEFAULT_MAX_FRAME)
     }
 
-    /// A decoder enforcing a custom payload bound.
+    /// A decoder enforcing a custom body bound.
     pub fn with_max_frame(max_frame: usize) -> Self {
         FrameDecoder {
             buf: Vec::new(),
@@ -306,29 +244,28 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Extracts the next complete frame, if one is buffered.
+    /// Extracts the next complete frame's body, if one is buffered, as a
+    /// slice of the decoder's buffer: nothing is allocated per frame.
     ///
-    /// Returns `Ok(None)` when more bytes are needed, `Ok(Some(value))` for a
-    /// decoded frame, and `Err` for an oversized or malformed one.
-    pub fn next_frame(&mut self) -> Result<Option<Value>, CodecError> {
+    /// Returns `Ok(None)` when more bytes are needed and `Err` as soon as the
+    /// header announces a body beyond the bound.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
         let pending = &self.buf[self.start..];
-        if pending.len() < FRAME_HEADER_LEN {
+        let Some(header) = pending.first_chunk::<FRAME_HEADER_LEN>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(*header) as usize;
         if len > self.max_frame {
             return Err(CodecError::Oversized {
                 len,
                 max: self.max_frame,
             });
         }
-        if pending.len() < FRAME_HEADER_LEN + len {
+        let Some(body) = pending.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
             return Ok(None);
-        }
-        let payload = &pending[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-        let value = decode_value(payload)?;
+        };
         self.start += FRAME_HEADER_LEN + len;
-        Ok(Some(value))
+        Ok(Some(body))
     }
 
     /// Bytes buffered but not yet consumed as frames.
@@ -341,73 +278,60 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
-    fn round_trip(v: &Value) -> Value {
-        let mut bytes = Vec::new();
-        encode_value(v, &mut bytes);
-        decode_value(&bytes).expect("round trip")
+    fn frame<M: Wire>(seq: u64, payload: M) -> Vec<u8> {
+        let mut out = Vec::new();
+        let env = Envelope::new(NodeId(3), NodeId(u64::MAX), 41, payload);
+        assert_eq!(encode_wire_frame(seq, &env, &mut out), out.len());
+        out
+    }
+
+    fn body(frame: &[u8]) -> &[u8] {
+        &frame[FRAME_HEADER_LEN..]
     }
 
     #[test]
-    fn scalars_round_trip() {
-        for v in [
-            Value::Null,
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Int(-42),
-            Value::UInt(u64::MAX),
-            Value::Float(0.1 + 0.2),
-            Value::Str("héllo\nworld".into()),
-        ] {
-            assert_eq!(round_trip(&v), v);
+    fn a_frame_is_the_header_four_words_and_the_payload() {
+        let bytes = frame(7, 0x0102_0304_0506_0708u64);
+        assert_eq!(bytes.len(), FRAME_HEADER_LEN + 5 * 8);
+        assert_eq!(bytes[..4], 40u32.to_le_bytes());
+        assert_eq!(bytes[4..12], 7u64.to_le_bytes(), "seq first");
+        assert_eq!(bytes[36..], 0x0102_0304_0506_0708u64.to_le_bytes());
+        let text = frame(8, "héllo".to_string());
+        assert_eq!(text.len(), FRAME_HEADER_LEN + 4 * 8 + 4 + "héllo".len());
+    }
+
+    #[test]
+    fn u64_and_string_frames_round_trip() {
+        for seq in [0, 1, u64::MAX] {
+            let (got, env) = decode_wire_value::<u64>(body(&frame(seq, seq ^ 5))).unwrap();
+            assert_eq!(
+                (got, env.from, env.to, env.sent_at),
+                (seq, NodeId(3), NodeId(u64::MAX), 41)
+            );
+            assert_eq!(env.payload, seq ^ 5);
+        }
+        for text in ["", "a", "héllo\nworld ✓🦀"] {
+            let (_, env) = decode_wire_value::<String>(body(&frame(2, text.to_string()))).unwrap();
+            assert_eq!(env.payload, text);
         }
     }
 
     #[test]
-    fn floats_are_bit_exact() {
-        // JSON rendering would lose the NaN payload; the wire codec must not.
-        let weird = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
-        let mut bytes = Vec::new();
-        encode_value(&Value::Float(weird), &mut bytes);
-        match decode_value(&bytes).unwrap() {
-            Value::Float(f) => assert_eq!(f.to_bits(), weird.to_bits()),
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn nested_structures_round_trip() {
-        let v = Value::Object(vec![
-            ("id".into(), Value::UInt(7)),
-            (
-                "xs".into(),
-                Value::Array(vec![Value::Int(-1), Value::Null, Value::Str("s".into())]),
-            ),
-            ("inner".into(), Value::Object(vec![])),
-        ]);
-        assert_eq!(round_trip(&v), v);
-    }
-
-    #[test]
-    fn frame_stream_splits_at_any_boundary() {
-        let values = [
-            Value::UInt(1),
-            Value::Str("two".into()),
-            Value::Array(vec![Value::UInt(3)]),
-        ];
-        let mut stream = Vec::new();
-        for v in &values {
-            encode_frame(v, &mut stream);
-        }
+    fn a_frame_stream_splits_at_any_boundary() {
+        let mut stream = frame(0, 10u64);
+        stream.extend(frame(1, 11u64));
+        stream.extend(frame(2, 12u64));
         // Deliver the stream one byte at a time — the cruelest segmentation.
         let mut dec = FrameDecoder::new();
         let mut seen = Vec::new();
         for byte in stream {
             dec.push(&[byte]);
-            while let Some(v) = dec.next_frame().unwrap() {
-                seen.push(v);
+            while let Some(body) = dec.next_frame().unwrap() {
+                let (seq, env) = decode_wire_value::<u64>(body).unwrap();
+                seen.push((seq, env.payload));
             }
         }
-        assert_eq!(seen, values);
+        assert_eq!(seen, [(0, 10), (1, 11), (2, 12)]);
         assert_eq!(dec.pending_len(), 0);
     }
 
@@ -422,36 +346,31 @@ mod tests {
     }
 
     #[test]
-    fn malformed_payloads_error_without_panicking() {
-        // Unknown tag.
-        assert!(decode_value(&[99]).is_err());
-        // Truncated scalar.
-        assert!(decode_value(&[TAG_UINT, 1, 2]).is_err());
-        // String length past the payload end.
-        assert!(decode_value(&[TAG_STR, 255, 255, 255, 255]).is_err());
-        // Invalid UTF-8.
-        assert!(decode_value(&[TAG_STR, 1, 0, 0, 0, 0xFF]).is_err());
-        // Array count exceeding the remaining payload.
-        assert!(decode_value(&[TAG_ARRAY, 255, 255, 255, 255]).is_err());
-        // Trailing garbage after a valid value.
-        assert!(decode_value(&[TAG_NULL, 0]).is_err());
-        // Empty payload.
-        assert!(decode_value(&[]).is_err());
-    }
-
-    #[test]
-    fn deep_nesting_is_bounded_not_fatal() {
-        // 1000 nested single-element arrays: rejected by the depth cap long
-        // before the decoder's real stack is at risk.
-        let mut bytes = Vec::new();
-        for _ in 0..1000 {
-            bytes.push(TAG_ARRAY);
-            bytes.extend_from_slice(&1u32.to_le_bytes());
+    fn malformed_bodies_error_without_panicking() {
+        fn error<M: Wire>(body: &[u8]) -> CodecError {
+            decode_wire_value::<M>(body)
+                .err()
+                .expect("not a valid body")
         }
-        bytes.push(TAG_NULL);
+        let truncated = CodecError::Malformed("truncated body");
+        let word = frame(1, 9u64);
+        assert_eq!(error::<u64>(&[]), truncated);
+        assert_eq!(error::<u64>(&body(&word)[..39]), truncated);
+        let mut trailing = body(&word).to_vec();
+        trailing.push(0);
         assert_eq!(
-            decode_value(&bytes),
-            Err(CodecError::Malformed("nesting too deep"))
+            error::<u64>(&trailing),
+            CodecError::Malformed("trailing bytes after payload")
+        );
+        // A string length past the body's end, and bytes that are not UTF-8.
+        let mut text = body(&frame(1, "ab".to_string())).to_vec();
+        text[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(error::<String>(&text), truncated);
+        text[32..36].copy_from_slice(&2u32.to_le_bytes());
+        text[36] = 0xFF;
+        assert_eq!(
+            error::<String>(&text),
+            CodecError::Malformed("invalid UTF-8")
         );
     }
 }

@@ -6,10 +6,11 @@
 //! over real in-process sockets, and bounds the wall-clock nondeterminism it
 //! introduces with a deterministic twin:
 //!
-//! * [`codec`] — a length-prefixed binary wire format for the workspace's
-//!   serde value trees: deterministic encoding, incremental partial-read
-//!   decoding, and hostile-input rejection (size bounds, depth caps, no
-//!   panics);
+//! * [`codec`] — length-prefixed frames in each payload's own fixed
+//!   little-endian layout (the [`Wire`] trait): deterministic encoding,
+//!   incremental partial-read decoding, and hostile-input rejection (size
+//!   bounds, bounds-checked reads, unknown tags and trailing bytes refused,
+//!   no panics);
 //! * [`NetRunner`] — the loopback-TCP runtime: one listener per node, a
 //!   single poller thread, wall-clock rounds of a configured duration, and
 //!   churn through the shared [`tsa_sim::apply_churn_plan`] arbiter;
@@ -49,8 +50,8 @@ pub mod codec;
 pub mod runner;
 
 pub use codec::{
-    decode_value, decode_wire_value, encode_frame, encode_value, encode_wire_frame, CodecError,
-    FrameDecoder, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
+    decode_wire_value, encode_wire_frame, CodecError, FrameDecoder, Wire, WireReader,
+    DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
 pub use runner::{Loopback, NetConfig, NetRunner, WireStats};
 

@@ -1,150 +1,195 @@
-//! Property tests for the wire codec: random value trees must round-trip
-//! bit-exactly through the frame encoding — whole, split at every byte
-//! boundary, and interleaved in one stream — and no mutilation of a valid
-//! frame (truncation, corruption) may ever panic the decoder.
-//!
-//! Equality is asserted on the *re-encoded bytes*, not the decoded trees:
-//! the encoding is deterministic, so byte equality is exactly tree equality
-//! — while also covering NaN floats, whose trees compare unequal to
-//! themselves under IEEE semantics but must still travel bit-exactly.
+//! Property tests for the wire codec over the two payloads `tsa-net` carries
+//! itself, `u64` and `String`: random frames must round-trip exactly — whole,
+//! split at every byte boundary, and interleaved in one stream — every
+//! strict prefix of a frame must read as incomplete or fail with a typed
+//! error, and no corruption of a valid stream may ever panic the decoder.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestRng};
-use serde::Value;
-use tsa_net::{decode_value, encode_frame, encode_value, FrameDecoder, FRAME_HEADER_LEN};
+use tsa_net::{decode_wire_value, encode_wire_frame, CodecError, FrameDecoder, FRAME_HEADER_LEN};
+use tsa_sim::{Envelope, NodeId};
 
-/// Random [`Value`] trees with at most `depth` levels of nesting below the
-/// root. Floats are raw bit patterns, so infinities, subnormals and NaNs all
-/// occur; strings mix ASCII with multi-byte UTF-8.
-struct ValueTree {
-    depth: usize,
+/// A frame's payload: either of the two types, so one stream interleaves
+/// fixed-size and length-prefixed layouts.
+#[derive(Clone, Debug, PartialEq)]
+enum Payload {
+    Word(u64),
+    Text(String),
 }
 
-impl Strategy for ValueTree {
-    type Value = Value;
+/// One frame as sent: its sequence number, envelope header and payload.
+#[derive(Clone, Debug, PartialEq)]
+struct Sent {
+    seq: u64,
+    from: u64,
+    to: u64,
+    sent_at: u64,
+    payload: Payload,
+}
 
-    fn generate(&self, rng: &mut TestRng) -> Value {
-        gen_value(rng, self.depth)
+/// Random frames. Header words are raw 64-bit draws; strings mix ASCII with
+/// multi-byte UTF-8, the empty string included.
+struct Frame;
+
+impl Strategy for Frame {
+    type Value = Sent;
+
+    fn generate(&self, rng: &mut TestRng) -> Sent {
+        const ALPHABET: [char; 8] = ['a', 'z', '0', ' ', 'λ', 'é', '✓', '🦀'];
+        let payload = if rng.next_u64() & 1 == 0 {
+            Payload::Word(rng.next_u64())
+        } else {
+            Payload::Text(
+                (0..rng.next_u64() % 12)
+                    .map(|_| ALPHABET[(rng.next_u64() % ALPHABET.len() as u64) as usize])
+                    .collect(),
+            )
+        };
+        Sent {
+            seq: rng.next_u64(),
+            from: rng.next_u64(),
+            to: rng.next_u64(),
+            sent_at: rng.next_u64(),
+            payload,
+        }
     }
 }
 
-fn gen_value(rng: &mut TestRng, depth: usize) -> Value {
-    // Containers only while below the depth budget.
-    match rng.next_u64() % if depth == 0 { 6 } else { 8 } {
-        0 => Value::Null,
-        1 => Value::Bool(rng.next_u64() & 1 == 0),
-        2 => Value::Int(rng.next_u64() as i64),
-        3 => Value::UInt(rng.next_u64()),
-        4 => Value::Float(f64::from_bits(rng.next_u64())),
-        5 => Value::Str(gen_string(rng)),
-        6 => Value::Array(
-            (0..rng.next_u64() % 4)
-                .map(|_| gen_value(rng, depth - 1))
-                .collect(),
-        ),
-        _ => Value::Object(
-            (0..rng.next_u64() % 4)
-                .map(|_| (gen_string(rng), gen_value(rng, depth - 1)))
-                .collect(),
-        ),
+/// Appends `sent` as one frame to `out`.
+fn encode(sent: &Sent, out: &mut Vec<u8>) {
+    fn envelope<M>(sent: &Sent, payload: M) -> Envelope<M> {
+        Envelope::new(NodeId(sent.from), NodeId(sent.to), sent.sent_at, payload)
     }
+    match &sent.payload {
+        Payload::Word(word) => encode_wire_frame(sent.seq, &envelope(sent, *word), out),
+        Payload::Text(text) => encode_wire_frame(sent.seq, &envelope(sent, text.clone()), out),
+    };
 }
 
-fn gen_string(rng: &mut TestRng) -> String {
-    const ALPHABET: [char; 8] = ['a', 'z', '0', ' ', 'λ', 'é', '✓', '🦀'];
-    (0..rng.next_u64() % 8)
-        .map(|_| ALPHABET[(rng.next_u64() % ALPHABET.len() as u64) as usize])
-        .collect()
-}
-
-/// The canonical encoding of `value`, no frame header.
-fn encoding(value: &Value) -> Vec<u8> {
+fn frame(sent: &Sent) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(value, &mut out);
+    encode(sent, &mut out);
     out
+}
+
+/// Decodes a body as the payload type `like` carries.
+fn decode(body: &[u8], like: &Payload) -> Result<Sent, CodecError> {
+    fn sent<M>((seq, env): (u64, Envelope<M>), payload: fn(M) -> Payload) -> Sent {
+        Sent {
+            seq,
+            from: env.from.raw(),
+            to: env.to.raw(),
+            sent_at: env.sent_at,
+            payload: payload(env.payload),
+        }
+    }
+    match like {
+        Payload::Word(_) => decode_wire_value::<u64>(body).map(|got| sent(got, Payload::Word)),
+        Payload::Text(_) => decode_wire_value::<String>(body).map(|got| sent(got, Payload::Text)),
+    }
+}
+
+/// Feeds `pieces` to a fresh decoder and decodes every frame it yields, each
+/// as the type of the frame sent in its place.
+fn receive<'a>(pieces: impl IntoIterator<Item = &'a [u8]>, sent: &[Sent]) -> Vec<Sent> {
+    let mut decoder = FrameDecoder::new();
+    let mut got = Vec::new();
+    for piece in pieces {
+        decoder.push(piece);
+        while let Some(body) = decoder.next_frame().expect("valid frames decode") {
+            got.push(decode(body, &sent[got.len()].payload).expect("valid bodies decode"));
+        }
+    }
+    assert_eq!(decoder.pending_len(), 0, "nothing left over");
+    got
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_tree_round_trips_bit_exactly(value in ValueTree { depth: 3 }) {
-        let bytes = encoding(&value);
-        let decoded = decode_value(&bytes).expect("valid encoding decodes");
-        prop_assert_eq!(encoding(&decoded), bytes);
-    }
-
-    #[test]
-    fn frames_survive_any_stream_split(
-        values in proptest::collection::vec(ValueTree { depth: 2 }, 1..5),
+    fn interleaved_frames_round_trip_whole_and_split_anywhere(
+        sent in proptest::collection::vec(Frame, 1..6),
         chunk in 1usize..17,
     ) {
-        // All frames in one contiguous stream, delivered `chunk` bytes at a
-        // time — every frame must come back out, in order, bit-exact.
         let mut stream = Vec::new();
-        for value in &values {
-            encode_frame(value, &mut stream);
+        for frame in &sent {
+            encode(frame, &mut stream);
         }
-        let mut decoder = FrameDecoder::new();
-        let mut recovered = Vec::new();
-        for piece in stream.chunks(chunk) {
-            decoder.push(piece);
-            while let Some(frame) = decoder.next_frame().expect("valid frames decode") {
-                recovered.push(frame);
-            }
+        prop_assert_eq!(&receive([&stream[..]], &sent), &sent);
+        prop_assert_eq!(&receive(stream.chunks(chunk), &sent), &sent);
+        for cut in 0..=stream.len() {
+            let (head, tail) = stream.split_at(cut);
+            prop_assert_eq!(&receive([head, tail], &sent), &sent, "split at {}", cut);
         }
-        prop_assert_eq!(recovered.len(), values.len());
-        for (out, sent) in recovered.iter().zip(&values) {
-            prop_assert_eq!(encoding(out), encoding(sent));
-        }
-        prop_assert_eq!(decoder.pending_len(), 0);
     }
 
     #[test]
-    fn no_strict_prefix_of_an_encoding_decodes(value in ValueTree { depth: 2 }) {
-        // The tag-length grammar consumes a determined number of bytes per
-        // production, so cutting an encoding anywhere must yield an error —
-        // never a silently shortened tree.
-        let bytes = encoding(&value);
-        for cut in 0..bytes.len() {
+    fn every_strict_prefix_of_a_frame_is_incomplete_or_an_error(sent in Frame) {
+        let frame = frame(&sent);
+        for cut in 0..frame.len() {
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&frame[..cut]);
+            prop_assert_eq!(decoder.next_frame(), Ok(None), "prefix of {} bytes", cut);
+        }
+        // The body alone, cut anywhere: every field has a determined length,
+        // so a shortened body can never decode as some other frame.
+        let body = &frame[FRAME_HEADER_LEN..];
+        for cut in 0..body.len() {
+            let got = decode(&body[..cut], &sent.payload);
             prop_assert!(
-                decode_value(&bytes[..cut]).is_err(),
-                "strict prefix of length {cut} decoded"
+                matches!(got, Err(CodecError::Malformed(_))),
+                "body prefix of {cut} bytes gave {got:?}"
             );
         }
     }
 
     #[test]
-    fn corrupted_payloads_never_panic(
-        value in ValueTree { depth: 2 },
-        flip in 0usize..4096,
-        bit in 0u8..8,
-    ) {
-        // A single flipped bit may still decode (e.g. a scalar's raw bytes),
-        // but it must always return *something* — the decoder has no panic
-        // or overflow path on arbitrary input.
-        let mut bytes = encoding(&value);
-        let at = flip % bytes.len();
-        bytes[at] ^= 1 << bit;
-        let _ = decode_value(&bytes);
-
-        // The same bytes as a framed stream: header included in the flips.
-        let mut framed = Vec::new();
-        encode_frame(&value, &mut framed);
-        let at = flip % framed.len();
-        framed[at] ^= 1 << bit;
-        let mut decoder = FrameDecoder::with_max_frame(framed.len());
-        decoder.push(&framed);
-        while let Ok(Some(_)) = decoder.next_frame() {}
+    fn one_trailing_byte_is_malformed(sent in Frame, extra in 0u8..=255) {
+        let mut frame = frame(&sent);
+        frame.push(extra);
+        let body_len = (frame.len() - FRAME_HEADER_LEN) as u32;
+        frame[..FRAME_HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&frame);
+        let body = decoder.next_frame().expect("within the bound").expect("complete");
+        prop_assert_eq!(
+            decode(body, &sent.payload),
+            Err(CodecError::Malformed("trailing bytes after payload"))
+        );
     }
-}
 
-#[test]
-fn oversized_frames_are_rejected_from_the_header_alone() {
-    // A lying length prefix is refused before any payload is buffered.
-    let mut decoder = FrameDecoder::with_max_frame(8);
-    let mut bytes = (9u32).to_le_bytes().to_vec();
-    bytes.extend_from_slice(&[0; 2]);
-    decoder.push(&bytes);
-    assert!(decoder.next_frame().is_err());
-    assert!(bytes.len() < 8 + FRAME_HEADER_LEN);
+    #[test]
+    fn an_oversized_header_is_refused_before_its_body(max in 0usize..4096, over in 1u32..1 << 20) {
+        let len = max as u32 + over;
+        let mut decoder = FrameDecoder::with_max_frame(max);
+        decoder.push(&len.to_le_bytes());
+        prop_assert_eq!(
+            decoder.next_frame(),
+            Err(CodecError::Oversized { len: len as usize, max })
+        );
+    }
+
+    #[test]
+    fn corrupted_streams_never_panic(
+        sent in proptest::collection::vec(Frame, 1..4),
+        flips in proptest::collection::vec((0usize..4096, 0u8..8), 1..4),
+    ) {
+        // Flipped bits may still decode (a header word's raw bytes), but the
+        // decoder has no panic or overflow path on arbitrary input: headers
+        // included in the flips, every body read as both payload types.
+        let mut stream = Vec::new();
+        for frame in &sent {
+            encode(frame, &mut stream);
+        }
+        for (at, bit) in flips {
+            let at = at % stream.len();
+            stream[at] ^= 1 << bit;
+        }
+        let mut decoder = FrameDecoder::with_max_frame(stream.len());
+        decoder.push(&stream);
+        while let Ok(Some(body)) = decoder.next_frame() {
+            let _ = decode(body, &Payload::Word(0));
+            let _ = decode(body, &Payload::Text(String::new()));
+        }
+    }
 }
