@@ -106,7 +106,7 @@ impl<A: Adversary, D: Delivery<ProtocolMsg>> std::ops::Deref for Maintained<A, D
 }
 
 /// The maintenance protocol on the round-synchronous simulator.
-pub type MaintenanceHarness<A> = Maintained<A, Lockstep<ProtocolMsg>>;
+pub type MaintenanceHarness<A> = Maintained<A, Lockstep>;
 
 /// The maintenance protocol on the virtual-time event engine, under a
 /// network model.

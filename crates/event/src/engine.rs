@@ -10,43 +10,29 @@
 //! be lost, and a [`FaultPlan`] may drop, delay, duplicate
 //! or mutate it on the way out.
 //!
-//! # Next round's copies in a lane, later ones in records
+//! # Copies due next round stay in the outbox, later ones go to records
 //!
-//! A copy read at `t + 1` — the synchronous model's delay, and nearly every
-//! copy of a sub-round network — travels as the lockstep delivery's do: its
-//! payload once in a **lane** of `(sender, payload)` entries, a 4-byte
-//! position per copy in the world's inboxes, placed at send time. A copy
-//! read later is filed, with a payload of its own, in the **record** of the
-//! round that reads it.
-//!
-//! * `send` (once per node, id order) pushes the outbox's distinct payloads
-//!   once onto this round's lane, numbers the copies through the fault
-//!   injector's one numbering rule (slots send in id order, so the numbering
-//!   is the lockstep engine's in-flight order) and draws each fate — a pure
-//!   function of `(master seed, sequence number)`, or a recorded
-//!   [`MessageTrace`]'s entry under replay. A survivor's *delivery round* is
-//!   the first boundary at or past its arrival tick, never the sending
-//!   round's own (the round [`MessageTrace`] records). One due at `t + 1`
-//!   names its lane entry — a `Mutate` fault's corrupted copy pushes an
-//!   entry of its own — and is counted into its receiver's slot and logged,
-//!   or, if the receiver has no slot, queued for the [`Late`] list. One due
-//!   later goes into its round's record as a whole envelope, so a hostile
-//!   `Delay { ticks: u64::MAX }` copy sits in the one record at the end of
-//!   time and pins no other round's payloads.
-//! * `flush_sends` takes round `t + 1`'s record out of the map. Nothing was
-//!   filed there since round `t - 1` sent, so its copies precede every lane
-//!   copy in send order: it resolves them against the slots, lays the
-//!   inboxes out once and places them first, then the logged lane copies.
-//!   An inbox position below the record's length names a record copy, one
-//!   at or past it the lane entry that far behind. Every inbox is so in send
-//!   order, and so is the late list.
-//! * `deliver` at boundary `t` only resolves the late list, as the lockstep
-//!   delivery does ("round-boundary delivery"; within one boundary the
-//!   residual arrival jitter has no semantic meaning, since every message of
-//!   the round is read by the same activation). A copy placed for a
-//!   receiver that departed in the boundary's churn went with its slot's
-//!   inbox, which the world charges; [`NetStats::dropped_departed`] counts
-//!   those and the late list's drops.
+//! `send` (once per node, id order) numbers the copies through the fault
+//! injector's one numbering rule (slots send in id order, so the numbering
+//! is the lockstep engine's in-flight order) and draws each fate — a pure
+//! function of `(master seed, sequence number)`, or a recorded
+//! [`MessageTrace`]'s entry under replay. A survivor's *delivery round* is
+//! the first boundary at or past its arrival tick, never the sending round's
+//! own (the round [`MessageTrace`] records). Through [`Outbox::keep`] exactly
+//! the copies due at `t + 1` stay in the outbox — a duplicate twice, a
+//! `Mutate` fault's corrupted copy with a payload of its own — and are
+//! counted as the lockstep delivery counts its sends. A copy due later is
+//! filed as a whole envelope in the **record** of the round that reads it,
+//! so a hostile `Delay { ticks: u64::MAX }` copy sits in the one record at
+//! the end of time and pins no other round's payloads. Round `t + 1`'s
+//! record was closed once round `t - 1` sent, so `flush_sends` places it
+//! ahead of the outboxes in the world's [`InFlight`] layout, and `deliver`
+//! settles the late list ("round-boundary delivery"; within one boundary the
+//! residual arrival jitter has no semantic meaning, since every message of
+//! the round is read by the same activation). A copy placed for a receiver
+//! that departed in the boundary's churn went with its slot's inbox, which
+//! the world charges; [`NetStats::dropped_departed`] counts those and the
+//! late list's drops.
 //!
 //! The engine keeps no clock; time is the round. A copy sent at round `t`
 //! with a delay of `d` ticks is read at round `max(⌈(t·T + d)/T⌉, t + 1)`,
@@ -65,8 +51,8 @@ use std::collections::BTreeMap;
 
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    handle, CommGraph, Delivery, Envelope, Inboxes, Late, NodeId, Outbox, PhaseSpans, Process,
-    Round, SimConfig, SlotIndex, World, NO_SLOT,
+    CommGraph, Delivery, Envelope, InFlight, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig,
+    SlotIndex, World,
 };
 
 use crate::fault::{FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats};
@@ -133,26 +119,6 @@ pub struct VirtualTime<M> {
     /// The copies due two or more rounds after they were sent, in send
     /// order, under the round that reads them.
     inbound: BTreeMap<Round, Vec<Envelope<M>>>,
-    /// The record this boundary reads: inbox positions below its length.
-    reading: Vec<Envelope<M>>,
-    /// The lane this boundary reads, sent in round `sent_at`: inbox
-    /// position `reading.len() + h` names entry `h`.
-    lane: Vec<(NodeId, M)>,
-    sent_at: Round,
-    /// The lane this round's sends fill.
-    sending: Vec<(NodeId, M)>,
-    /// This round's lane copies to a member, as `(slot, lane entry)`, in
-    /// send order.
-    placing: Vec<(u32, u32)>,
-    /// This round's lane copies to a non-member, as `(receiver, lane
-    /// entry)`, in send order: they join the late list at the flush, behind
-    /// the earlier-sent record copies that have no slot either.
-    homeless: Vec<(NodeId, u32)>,
-    /// Copies due at the next boundary whose receiver had no slot when they
-    /// were placed.
-    late: Late,
-    /// Copies the last flush placed in the inboxes.
-    placed: usize,
     /// Emptied records, taken by the next rounds opened.
     spare: Vec<Vec<Envelope<M>>>,
     /// Copies sent and not yet read (or dropped) at a boundary.
@@ -254,7 +220,7 @@ impl<M> VirtualTime<M> {
     }
 }
 
-impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
+impl<M: Clone> Delivery<M> for VirtualTime<M> {
     type Config = EventConfig;
 
     const SPANS: PhaseSpans = PhaseSpans {
@@ -269,14 +235,6 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
             seed,
             topology: config.topology,
             inbound: BTreeMap::new(),
-            reading: Vec::new(),
-            lane: Vec::new(),
-            sent_at: 0,
-            sending: Vec::new(),
-            placing: Vec::new(),
-            homeless: Vec::new(),
-            late: Late::default(),
-            placed: 0,
             spare: Vec::new(),
             in_flight: 0,
             seq: 0,
@@ -292,25 +250,12 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
 
     /// Resolves the late list; what the last flush placed for a slot that
     /// has since departed is the world's to charge, and counted here.
-    fn deliver(&mut self, _t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        let departed = self.placed - inboxes.pending();
-        self.in_flight -= self.placed + self.late.len();
-        let dropped = self.late.settle(index, inboxes);
-        self.stats.dropped_departed += (departed + dropped) as u64;
+    fn deliver(&mut self, _t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
+        let due = in_flight.due();
+        let dropped = in_flight.settle(index);
+        self.in_flight -= due;
+        self.stats.dropped_departed += (due - in_flight.pending()) as u64;
         dropped
-    }
-
-    /// A clone of the record copy, or the lane entry's sender and payload.
-    #[inline]
-    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
-        let position = position as usize;
-        match self.reading.get(position) {
-            Some(env) => env.clone(),
-            None => {
-                let (from, payload) = &self.lane[position - self.reading.len()];
-                Envelope::new(*from, to, self.sent_at, payload.clone())
-            }
-        }
     }
 
     fn send(
@@ -318,21 +263,23 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
         from: NodeId,
         t: Round,
         out: &mut Outbox<M>,
-        inboxes: &mut Inboxes,
+        in_flight: &mut InFlight<M>,
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
         // The tick of this boundary, which delays are drawn from.
         let (seed, now) = (self.seed, t.saturating_mul(TICKS_PER_ROUND));
         let next = t.saturating_add(1);
-        let payloads = out.payloads();
-        let base = self.sending.len();
-        self.sending
-            .extend(payloads.iter().map(|payload| (from, payload.clone())));
         let mut lost = 0usize;
-        for (to, index, slot) in out.sends() {
-            let payload = &payloads[index];
-            for copy in self.faults.copies(&mut self.seq, t, from, to, payload) {
+        out.keep(|to, payload| {
+            // At most two copies, a duplicate's: each stays, with its own
+            // payload or the send's, if it is due next round.
+            let mut due = [None, None];
+            for (i, copy) in self
+                .faults
+                .copies(&mut self.seq, t, from, to, payload)
+                .enumerate()
+            {
                 let msg_seq = copy.seq;
                 self.stats.sent += 1;
                 // When replaying a recorded trace, Drop and Delay are already
@@ -409,77 +356,34 @@ impl<M: Clone + Send + Sync> Delivery<M> for VirtualTime<M> {
                 if at_round > next {
                     let own = copy.mutated.unwrap_or_else(|| payload.clone());
                     self.inbound(at_round).push(Envelope::new(from, to, t, own));
-                    continue;
-                }
-                // Due next round: the shared lane entry, or a mutated
-                // copy's own (filed in the record, it would be read ahead
-                // of earlier sends of this round).
-                let h = match copy.mutated {
-                    None => handle(base + index),
-                    Some(own) => {
-                        self.sending.push((from, own));
-                        handle(self.sending.len() - 1)
-                    }
-                };
-                if slot == NO_SLOT {
-                    self.homeless.push((to, h));
                 } else {
-                    inboxes.count(slot as usize);
-                    self.placing.push((slot, h));
+                    due[i] = Some(copy.mutated);
                 }
             }
-        }
-        out.clear();
+            due.into_iter().flatten()
+        });
+        in_flight.count(out);
         obs.span_end("event.fate", span);
         lost
     }
 
-    /// Places round `t + 1`'s record, then this round's lane, in the
-    /// inboxes; the lane becomes the one the next boundary reads.
+    /// Places round `t + 1`'s record ahead of this round's outboxes.
     fn flush_sends<'a>(
         &mut self,
         t: Round,
-        _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
         index: &SlotIndex,
-        inboxes: &mut Inboxes,
+        in_flight: &mut InFlight<M>,
     ) where
         M: 'a,
     {
         let next = t.saturating_add(1);
-        let due = self.inbound.remove(&next).unwrap_or_default();
+        let mut due = self.inbound.remove(&next).unwrap_or_default();
         debug_assert!(self.inbound.keys().next().is_none_or(|&r| r > next));
-        let mut read = std::mem::replace(&mut self.reading, due);
-        if read.capacity() > 0 {
-            read.clear();
-            self.spare.push(read);
+        in_flight.place(t, due.drain(..), outboxes, index);
+        if due.capacity() > 0 {
+            self.spare.push(due);
         }
-        // Filed before round `t` sent, the record's copies go first.
-        for env in &self.reading {
-            if let Some(slot) = index.slot(env.to) {
-                inboxes.count(slot);
-            }
-        }
-        inboxes.lay_out();
-        for (i, env) in self.reading.iter().enumerate() {
-            match index.slot(env.to) {
-                Some(slot) => inboxes.place(slot, handle(i)),
-                None => self.late.push(env.to, handle(i)),
-            }
-        }
-        let base = self.reading.len();
-        for &(slot, h) in &self.placing {
-            inboxes.place(slot as usize, handle(base + h as usize));
-        }
-        for &(to, h) in &self.homeless {
-            self.late.push(to, handle(base + h as usize));
-        }
-        inboxes.seal();
-        self.placed = inboxes.pending();
-        self.placing.clear();
-        self.homeless.clear();
-        std::mem::swap(&mut self.lane, &mut self.sending);
-        self.sending.clear();
-        self.sent_at = t;
     }
 
     fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
@@ -565,12 +469,13 @@ mod tests {
         sim.inbound.keys().copied().collect()
     }
 
-    /// The payloads of the lane the next boundary reads.
+    /// The payloads of the arena the next boundary reads.
     fn lane<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> Vec<P::Msg>
     where
         P::Msg: Clone,
     {
-        sim.lane
+        sim.in_flight()
+            .arena()
             .iter()
             .map(|(_, payload)| payload.clone())
             .collect()
@@ -582,10 +487,9 @@ mod tests {
         let mut sim = town(FaultPlan::new().with_rule(to_three));
         sim.step();
         assert_eq!(live_rounds(&sim), [], "every copy is due next round");
-        assert!(sim.reading.is_empty());
+        assert!(sim.in_flight().ahead().is_empty());
         assert_eq!(lane(&sim), [100, 1100], "the shared payload, then #3's");
-        assert_eq!(sim.inboxes().pending(), 8, "placed at send time");
-        assert_eq!(sim.envelope(1, NodeId(3)).payload, 1100);
+        assert_eq!(sim.in_flight().pending(), 8, "placed at send time");
         sim.step();
         for id in 1..=8 {
             let expected = if id == 3 { 1100 } else { 100 };
@@ -601,7 +505,7 @@ mod tests {
         sim.step();
         assert_eq!(live_rounds(&sim), []);
         assert_eq!(lane(&sim), [100]);
-        let copies = sim.inboxes().pending();
+        let copies = sim.in_flight().pending();
         assert_eq!(copies, 9, "eight copies and #5's twin");
         assert_eq!(sim.in_flight_count(), 9);
         sim.step();
@@ -672,13 +576,13 @@ mod tests {
         let mut sim = EventSimulator::new(config, DepartThree, Box::new(|_, _| Town::default()));
         sim.seed_nodes(9);
         sim.run(2);
-        assert_eq!(sim.inboxes().pending(), 8, "round 1's copies are placed");
+        assert_eq!(sim.in_flight().pending(), 8, "round 1's copies are placed");
         // Round 2's churn takes #3's placed copy with its slot; round 2
         // sends #3 one more, which waits in the late list and is dropped
         // at round 3's boundary.
         sim.step();
         assert_eq!(sim.net_stats().dropped_departed, 1);
-        assert_eq!(sim.late.len(), 1);
+        assert_eq!(sim.in_flight().late().count(), 1);
         sim.step();
         assert_eq!(sim.net_stats().dropped_departed, 2);
         let rows = sim.metrics().rounds();
@@ -725,13 +629,12 @@ mod tests {
         sim
     }
 
-    /// Slots held off the map: the record being read, the two lanes, this
-    /// round's placement log and the spare records.
+    /// Slots held off the map: the record being read, the arena and the
+    /// spare records.
     fn retained_off_the_map<P: Process>(sim: &EventSimulator<P, NullAdversary>) -> usize {
         let records = sim.spare.iter().map(Vec::capacity).sum::<usize>();
-        let lanes = sim.lane.capacity() + sim.sending.capacity();
-        let logs = sim.placing.capacity() + sim.homeless.capacity();
-        sim.reading.capacity() + records + lanes + logs
+        let [_, _, reading, arena, _] = sim.in_flight().capacity();
+        reading + arena + records
     }
 
     fn sub_round() -> NetModel {
@@ -750,7 +653,11 @@ mod tests {
         assert_eq!(retained_off_the_map(&sim), warm);
         let round = (CHORUS * CHORUS + CHORUS) as usize;
         assert!(warm <= 3 * round, "{warm} slots retained");
-        assert_eq!(sim.lane.len(), CHORUS as usize, "one entry per sender");
+        assert_eq!(
+            sim.in_flight().arena().len(),
+            CHORUS as usize,
+            "one entry per sender"
+        );
         // The late copies keep their payloads under the one round, at the
         // end of time, that reads them.
         let end_of_time = u64::MAX.div_ceil(TICKS_PER_ROUND);
@@ -774,14 +681,15 @@ mod tests {
         let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
         let in_flight = sim.in_flight_count();
         assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
-        // Round 300's record, placed ahead of round 299's lane, holds the
-        // copies sent 71 rounds before.
-        assert!(!sim.reading.is_empty());
-        assert!(sim.reading.iter().all(|env| env.sent_at == 229));
+        // Round 300's record, placed ahead of round 299's outboxes, holds
+        // the copies sent 71 rounds before.
+        let reading = sim.in_flight().ahead();
+        assert!(!reading.is_empty());
+        assert!(reading.iter().all(|env| env.sent_at == 229));
         assert_eq!(live_rounds(&sim).first(), Some(&301));
-        // Every payload held outside the lanes is a late copy's own.
+        // Every payload held outside the arena is a late copy's own.
         let filed: usize = sim.inbound.values().map(Vec::len).sum();
-        let late = filed + sim.reading.len();
+        let late = filed + reading.len();
         assert!(late < delayed / 3, "{late} late payloads for {delayed}");
     }
 
@@ -795,11 +703,13 @@ mod tests {
             let live: usize = sim.inbound.values().map(Vec::capacity).sum();
             (
                 (live + retained_off_the_map(sim), sim.spare.capacity()),
-                sim.late.capacity(),
-                sim.inboxes().capacity(),
+                sim.in_flight().capacity(),
             )
         };
-        sim.run(30);
+        // The ahead buffer the placement moves each next-round record into
+        // reaches the largest one between rounds 25 and 75 here, and holds
+        // it over 1000 rounds.
+        sim.run(100);
         let warm = caps(&sim);
         sim.run(60);
         assert_eq!(caps(&sim), warm, "steady-state rounds must not reallocate");

@@ -212,7 +212,7 @@ pub fn decode_wire_value<M: Wire>(body: &[u8]) -> Result<(u64, Envelope<M>), Cod
 /// out with [`next_frame`](FrameDecoder::next_frame) until it returns
 /// `Ok(None)`. After an error the stream offset is meaningless and the
 /// caller should drop the connection.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     start: usize,
@@ -271,6 +271,13 @@ impl FrameDecoder {
     /// Bytes buffered but not yet consumed as frames.
     pub fn pending_len(&self) -> usize {
         self.buf.len() - self.start
+    }
+}
+
+impl Default for FrameDecoder {
+    /// [`FrameDecoder::new`].
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -333,6 +340,15 @@ mod tests {
         }
         assert_eq!(seen, [(0, 10), (1, 11), (2, 12)]);
         assert_eq!(dec.pending_len(), 0);
+    }
+
+    #[test]
+    fn a_default_decoder_is_a_new_one() {
+        let mut dec = FrameDecoder::default();
+        dec.push(&frame(9, 90u64));
+        let body = dec.next_frame().unwrap().expect("one whole frame");
+        assert_eq!(decode_wire_value::<u64>(body).unwrap().0, 9);
+        assert_eq!(dec.max_frame, DEFAULT_MAX_FRAME);
     }
 
     #[test]

@@ -20,20 +20,17 @@
 //!
 //! # What `deliver`, `send` and `end_round` do, and what they cost
 //!
-//! `deliver` swaps out what the poller decoded so far and scatters it in send
-//! order, like the event engine's batch; a frame whose receiver has departed
-//! is read there, by nobody. A frame whose `seq` was never assigned or was
-//! already read, or whose receiver is not the owner of the listener it came
-//! in on, is a stray: it reaches neither an inbox nor the trace. The round's
-//! wall-clock budget starts there.
-//! `send` numbers a node's messages exactly as the twin engines do, decides
-//! their faults (the same pure `(seed, seq)` decisions the event engine
-//! takes) and encodes each survivor in its fixed [`Wire`] layout, as a
-//! length-prefixed frame behind the others queued for the same receiver;
-//! when the node's outbox is done, each receiver's frames leave in one write
-//! on the cached per-link stream. A round therefore costs one system call
-//! per sender and link it uses, not one per frame, and a few tens of
-//! nanoseconds of encoding per frame. A frame to a
+//! `deliver` places what the poller decoded so far, in send order, as the
+//! copies ahead in the world's [`InFlight`] layout; a frame whose receiver
+//! has departed is read there, by nobody. A stray — a `seq` never assigned
+//! or already read, or a receiver other than the listener's owner — reaches
+//! neither an inbox nor the trace. The round's wall-clock budget starts
+//! there. `send` numbers a node's messages exactly as the twin engines do,
+//! decides their faults (the same pure `(seed, seq)` decisions the event
+//! engine takes) and encodes each survivor in its fixed [`Wire`] layout
+//! behind the frames queued for the same receiver; the outbox done, each
+//! receiver's frames leave in one write on the cached per-link stream: one
+//! system call per sender and link it uses, not one per frame. A frame to a
 //! non-member is lost when it is queued; a link whose connect or write
 //! fails loses its whole batch and its cached stream. `end_round` sleeps out
 //! the rest of the budget: the window in which the poller turns this round's
@@ -66,8 +63,8 @@ use tsa_event::{
 };
 use tsa_obs::ObsHandle;
 use tsa_sim::{
-    Delivery, Envelope, Inboxes, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig, SlotIndex,
-    World,
+    Delivery, Envelope, InFlight, NodeId, Outbox, PhaseSpans, Process, Round, SimConfig, SlotIndex,
+    World, NO_SLOT,
 };
 
 use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, Wire};
@@ -282,8 +279,7 @@ fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
 /// replay.
 pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 
-/// One node's side of the transport, in the world's slot order — which is
-/// id order, so a receiver's port is a binary search away.
+/// One node's side of the transport, in the world's slot order.
 struct Port {
     id: NodeId,
     /// The node's listener address, for the sender side.
@@ -305,9 +301,6 @@ pub struct Loopback<M> {
     /// Cached outgoing streams, one per directed `(sender, receiver)` link.
     conns: BTreeMap<(NodeId, NodeId), TcpStream>,
     hub: Arc<Mutex<Hub<M>>>,
-    /// This boundary's frames, in send order: what an inbox position names.
-    /// Swapped with the hub's batch at the next boundary.
-    batch: Frames<M>,
     ctl: mpsc::Sender<Ctl>,
     poller: Option<thread::JoinHandle<()>>,
     /// Global send sequence number, assigned exactly as in the twin engines:
@@ -377,14 +370,13 @@ impl<M: Wire> Loopback<M> {
     }
 
     /// Encodes one frame behind the others the current sender has queued for
-    /// the same receiver. Returns false if the receiver is not a member
-    /// (departed, or an id that never existed): there is nothing to connect
-    /// to, and the frame is lost here.
-    fn queue_frame(&mut self, seq: u64, env: &Envelope<M>) -> bool {
-        let Ok(slot) = self.ports.binary_search_by_key(&env.to, |port| port.id) else {
+    /// the same receiver, the member in `slot`. Returns false if there is
+    /// none (departed, or an id that never existed): there is nothing to
+    /// connect to, and the frame is lost here.
+    fn queue_frame(&mut self, seq: u64, env: &Envelope<M>, slot: Option<usize>) -> bool {
+        let Some(port) = slot.map(|slot| &mut self.ports[slot]) else {
             return false;
         };
-        let port = &mut self.ports[slot];
         encode_wire_frame(seq, env, &mut port.pending);
         port.pending_frames += 1;
         true
@@ -437,7 +429,7 @@ impl<M: Wire> Loopback<M> {
 
 impl<M> Delivery<M> for Loopback<M>
 where
-    M: Wire + Clone + Send + Sync + 'static,
+    M: Wire + Clone + Send + 'static,
 {
     type Config = NetConfig;
 
@@ -468,7 +460,6 @@ where
             ports: Vec::new(),
             conns: BTreeMap::new(),
             hub,
-            batch: Vec::new(),
             ctl,
             poller: Some(poller),
             seq: 0,
@@ -515,27 +506,19 @@ where
         self.ctl.send(Ctl::Unregister(id)).expect("poller alive");
     }
 
-    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
+    fn deliver(&mut self, t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
         self.round_started = Instant::now();
         // Everything the poller decoded before this lock is taken is this
-        // boundary's batch. It is swapped out under the lock, the consumed
-        // one going back, so both sides keep their capacity and nothing is
-        // allocated per boundary.
-        self.batch.clear();
-        std::mem::swap(
-            &mut self.batch,
-            &mut self.hub.lock().expect("hub lock poisoned").batch,
-        );
-        self.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
-        // The poller queues any well-formed frame on any connection to a
-        // listener: one whose `seq` was never assigned, or was already read,
-        // or that names another receiver than the listener's owner, is a
-        // stray and goes before it reaches an inbox or the trace. Every
-        // other frame is read now — by nobody if its receiver has departed,
-        // which the scatter drops.
+        // boundary's batch, drained under it, capacity kept: the poller only
+        // waits to add the next boundary's frames.
+        let mut hub = self.hub.lock().expect("hub lock poisoned");
+        hub.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
+        // A stray (the poller queues any well-formed frame) goes before it
+        // reaches an inbox or the trace. Every other frame is read now — by
+        // nobody if its receiver has departed, which the settle drops.
         let read_now = MessageFate::Delivered { at_round: t };
         let (fates, stats, sent) = (&mut self.fates, &mut self.stats, self.seq);
-        self.batch.retain(|&(owner, seq, ref env)| {
+        hub.batch.retain(|&(owner, seq, ref env)| {
             if seq >= sent || env.to != owner || fates.fate(seq) != Some(MessageFate::Lost) {
                 return false;
             }
@@ -552,7 +535,12 @@ where
             }
             true
         });
-        let departed = inboxes.scatter(self.batch.iter().map(|&(owner, ..)| index.slot(owner)));
+        // Filtered in place first, so that the placement takes the frames in
+        // one move of known length.
+        let frames = hub.batch.drain(..).map(|(_, _, env)| env);
+        in_flight.place(t, frames, std::iter::empty(), index);
+        drop(hub);
+        let departed = in_flight.settle(index);
         self.stats.dropped_departed += departed as u64;
         // Fault-delayed frames whose hold has expired go onto the wire at
         // this boundary, to be read one round later — their delay in whole
@@ -567,7 +555,7 @@ where
         let mut lost = 0usize;
         for sender in due.chunk_by(|a, b| a.env.from == b.env.from) {
             for p in sender {
-                lost += usize::from(!self.queue_frame(p.seq, &p.env));
+                lost += usize::from(!self.queue_frame(p.seq, &p.env, index.slot(p.env.to)));
             }
             lost += self.flush_links(sender[0].env.from);
         }
@@ -575,23 +563,18 @@ where
         departed + lost
     }
 
-    /// A clone of the frame's envelope, to the listener's owner.
-    #[inline]
-    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M> {
-        let (_, _, env) = &self.batch[position as usize];
-        Envelope::new(env.from, to, env.sent_at, env.payload.clone())
-    }
-
     fn send(
         &mut self,
         from: NodeId,
         t: Round,
         out: &mut Outbox<M>,
-        _inboxes: &mut Inboxes,
+        _in_flight: &mut InFlight<M>,
         _obs: &ObsHandle,
     ) -> usize {
         let mut lost = 0usize;
-        for (to, payload) in out.iter() {
+        for (to, index, slot) in out.sends() {
+            let payload = &out.payloads()[index];
+            let slot = (slot != NO_SLOT).then_some(slot as usize);
             for copy in self.faults.copies(&mut self.seq, t, from, to, payload) {
                 self.stats.sent += 1;
                 // Lost until proven delivered: overwritten when a later
@@ -615,7 +598,7 @@ where
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
                     Some(FaultAction::Drop) => lost += 1,
-                    _ => lost += usize::from(!self.queue_frame(copy.seq, &env)),
+                    _ => lost += usize::from(!self.queue_frame(copy.seq, &env, slot)),
                 }
             }
         }

@@ -5,60 +5,36 @@
 //! otherwise. [`Lockstep`] is the [`Delivery`] that does exactly that for a
 //! [`World`], and [`Simulator`] is the world it drives.
 //!
-//! # Payloads once, 4-byte handles placed at send time
-//!
-//! What is in flight between two rounds is an **arena** of `(sender,
-//! payload)` pairs — each distinct payload of the round once, as the
-//! outboxes hold them — and one 4-byte **handle** into it per copy, in the
-//! world's [`Inboxes`]. What `Lockstep` does differently from the other
-//! deliveries is *when* it runs the world's scatter: round `t`'s inboxes are
-//! consumed by round `t`'s compute phase, so round `t + 1`'s are laid out
-//! while round `t`'s sends are collected. `send` counts each copy into the
-//! slot its receiver owns (which the world wrote into the outbox while the
-//! entry was in cache); `flush_sends` moves every outbox's payloads to the
-//! arena and places the handles; `deliver` moves no message. Placing at send
-//! time is what saves re-resolving every copy against the membership at
-//! delivery time. The arena, not an outbox, owns a payload, so a message
-//! outlives its sender.
-//!
-//! **Not a member at send time.** A receiver with no slot when the message
-//! is sent — never assigned, `NodeId(u64::MAX)`, departed, or an identifier
-//! the adversary will only hand out next round — has no inbox to be counted
-//! into. Those sends wait in a [`Late`] list as `(receiver, handle)`, in
-//! send order; `deliver` resolves it against round `t + 1`'s membership,
-//! appends the arrivals' handles behind the placed ones (such a receiver
-//! joined after the sends, so its inbox is still empty) and drops the rest.
-//! Delivered and dropped counts, the round they are charged to and every
-//! inbox's order are the naive model's (`tests/scheduler_reference.rs`).
+//! Round `t`'s inboxes are consumed by round `t`'s compute phase, so round
+//! `t + 1`'s are placed while round `t`'s sends are collected: `send` counts
+//! each copy into the slot its receiver owns (which the world wrote into the
+//! outbox while the entry was in cache), `flush_sends` places every outbox
+//! with nothing ahead, and `deliver` settles the late list — the world's
+//! [`InFlight`] layout (see its module docs), which keeps each distinct
+//! payload once and a message beyond its sender. Delivered and dropped
+//! counts, the round they are charged to and every inbox's order are the
+//! naive model's (`tests/scheduler_reference.rs`).
 
 use tsa_obs::ObsHandle;
 
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
-use crate::inboxes::{Inboxes, Late};
-use crate::message::Envelope;
-use crate::node::{handle, Outbox, Process};
-use crate::slot_index::{SlotIndex, NO_SLOT};
+use crate::in_flight::InFlight;
+use crate::node::Outbox;
+use crate::slot_index::SlotIndex;
 use crate::world::{Delivery, PhaseSpans, World};
 
 /// The round-synchronous simulator: a [`World`] whose messages take exactly
 /// one round.
-pub type Simulator<P, A> = World<P, A, Lockstep<<P as Process>::Msg>>;
+pub type Simulator<P, A> = World<P, A, Lockstep>;
 
 /// The lockstep delivery policy. See the module docs.
-pub struct Lockstep<M> {
-    /// The distinct payloads sent last round, each with its sender, in send
-    /// order: what a handle names.
-    arena: Vec<(NodeId, M)>,
-    /// The round `arena` was sent in.
-    sent_at: Round,
-    /// Last round's sends whose receiver had no slot at send time.
-    late: Late,
+pub struct Lockstep {
     /// Copies sent last round.
     in_flight: usize,
 }
 
-impl<M> Lockstep<M> {
+impl Lockstep {
     /// Number of messages currently in flight (sent last round, not yet
     /// delivered): copies, not distinct payloads.
     pub fn in_flight_count(&self) -> usize {
@@ -66,7 +42,7 @@ impl<M> Lockstep<M> {
     }
 }
 
-impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
+impl<M> Delivery<M> for Lockstep {
     type Config = SimConfig;
 
     const SPANS: PhaseSpans = PhaseSpans {
@@ -76,24 +52,11 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
     };
 
     fn new(config: SimConfig) -> (SimConfig, Self) {
-        let lockstep = Lockstep {
-            arena: Vec::new(),
-            sent_at: 0,
-            late: Late::default(),
-            in_flight: 0,
-        };
-        (config, lockstep)
+        (config, Lockstep { in_flight: 0 })
     }
 
-    /// Resolves the side list against the current membership.
-    fn deliver(&mut self, _t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize {
-        self.late.settle(index, inboxes)
-    }
-
-    #[inline]
-    fn envelope(&self, handle: u32, to: NodeId) -> Envelope<M> {
-        let (from, payload) = &self.arena[handle as usize];
-        Envelope::new(*from, to, self.sent_at, payload.clone())
+    fn deliver(&mut self, _t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
+        in_flight.settle(index)
     }
 
     /// Counts the sends per receiver slot; the messages stay in `out` until
@@ -103,47 +66,24 @@ impl<M: Clone + Send + Sync> Delivery<M> for Lockstep<M> {
         _from: NodeId,
         _t: Round,
         out: &mut Outbox<M>,
-        inboxes: &mut Inboxes,
+        in_flight: &mut InFlight<M>,
         _obs: &ObsHandle,
     ) -> usize {
-        for sent in &out.sends {
-            if sent.slot != NO_SLOT {
-                inboxes.count(sent.slot as usize);
-            }
-        }
+        in_flight.count(out);
         0
     }
 
-    /// Moves every outbox's payloads into the arena and places every send's
-    /// handle in its receiver's inbox, overwriting what the compute phase
-    /// has consumed.
     fn flush_sends<'a>(
         &mut self,
         t: Round,
         outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
-        _index: &SlotIndex,
-        inboxes: &mut Inboxes,
+        index: &SlotIndex,
+        in_flight: &mut InFlight<M>,
     ) where
         M: 'a,
     {
-        inboxes.lay_out();
-        self.sent_at = t;
-        self.arena.clear();
-        for (from, out) in outboxes {
-            let base = self.arena.len();
-            self.arena
-                .extend(out.payloads.drain(..).map(|payload| (from, payload)));
-            for sent in out.sends.drain(..) {
-                let h = handle(base + sent.payload as usize);
-                if sent.slot == NO_SLOT {
-                    self.late.push(sent.to, h);
-                } else {
-                    inboxes.place(sent.slot as usize, h);
-                }
-            }
-        }
-        inboxes.seal();
-        self.in_flight = inboxes.pending() + self.late.len();
+        in_flight.place(t, None, outboxes, index);
+        self.in_flight = in_flight.due();
     }
 
     fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
@@ -155,6 +95,7 @@ mod tests {
     use crate::adversary::{Adversary, NullAdversary};
     use crate::churn::{ChurnPlan, ChurnRules, JoinPlan};
     use crate::knowledge::{KnowledgeView, Lateness};
+    use crate::message::Envelope;
     use crate::node::{Ctx, Process};
 
     /// A protocol where every node floods a counter to the two numerically
@@ -217,11 +158,7 @@ mod tests {
         s.seed_nodes(32);
         s.run(3);
         let caps = |s: &Simulator<Ping, NullAdversary>| {
-            (
-                (s.arena.capacity(), s.late.capacity()),
-                s.inboxes().capacity(),
-                s.compute_buffer_capacities(),
-            )
+            (s.in_flight().capacity(), s.compute_buffer_capacities())
         };
         let warm = caps(&s);
         s.run(20);
@@ -231,10 +168,12 @@ mod tests {
         // round's traffic; the side list holds the one handle a round that
         // the last node addresses past the end.
         assert_eq!(s.in_flight_count(), 2 * 32 - 1);
-        assert_eq!(s.inboxes().pending(), 2 * 32 - 2);
-        assert_eq!(s.arena.len(), 2 * 32 - 1);
-        assert_eq!(s.late.len(), 1);
-        assert!(s.late.capacity() <= 4, "{}", s.late.capacity());
+        let in_flight = s.in_flight();
+        assert_eq!(in_flight.pending(), 2 * 32 - 2);
+        assert_eq!(in_flight.arena().len(), 2 * 32 - 1);
+        assert_eq!(in_flight.late().count(), 1);
+        let late_capacity = in_flight.capacity()[4];
+        assert!(late_capacity <= 4, "{late_capacity}");
         let (_, _, inbox_bufs) = s.compute_buffer_capacities();
         assert_eq!(inbox_bufs.len(), 1, "one buffer per compute worker");
     }
@@ -254,7 +193,8 @@ mod tests {
         s.seed_nodes(8);
         s.run(2);
         assert_eq!(s.in_flight_count(), 8 * 8, "copies are what is counted");
-        assert_eq!((s.arena.len(), s.inboxes().pending()), (8, 8 * 8));
+        let in_flight = s.in_flight();
+        assert_eq!((in_flight.arena().len(), in_flight.pending()), (8, 8 * 8));
         assert_eq!(s.metrics().rounds()[1].messages_delivered, 8 * 8);
     }
 
@@ -334,10 +274,14 @@ mod tests {
         // and send round `Ping` insists on.
         let mut s = one_shot_churn();
         s.run(2);
-        assert_eq!(s.late.len(), 1, "3 → 4 waits in the side list");
+        assert_eq!(
+            s.in_flight().late().count(),
+            1,
+            "3 → 4 waits in the late list"
+        );
         s.step();
         assert_eq!(s.node(NodeId(4)).unwrap().heard, [(NodeId(3), 1)]);
-        assert!(s.late.receivers().all(|to| to != NodeId(4)));
+        assert!(s.in_flight().late().all(|to| to != NodeId(4)));
     }
 
     #[test]

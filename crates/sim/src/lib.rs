@@ -51,7 +51,7 @@ pub mod churn;
 pub mod config;
 pub mod engine;
 pub mod ids;
-pub mod inboxes;
+pub mod in_flight;
 pub mod knowledge;
 pub mod message;
 pub mod metrics;
@@ -67,7 +67,7 @@ pub use churn::{
 pub use config::SimConfig;
 pub use engine::{Lockstep, Simulator};
 pub use ids::{parity, NodeId, Round, RoundParity};
-pub use inboxes::{Inboxes, Late};
+pub use in_flight::InFlight;
 pub use knowledge::{CommGraph, KnowledgeView, Lateness, MemberInfo, RoundRecord};
 pub use message::Envelope;
 pub use metrics::{

@@ -98,6 +98,39 @@ impl<M> Outbox<M> {
             .map(|sent| (sent.to, sent.payload as usize, sent.slot))
     }
 
+    /// Keeps, in send order, the copies `due` returns for each send, given
+    /// its receiver and payload: `None` for a copy that shares the send's
+    /// payload, `Some(own)` for one with a payload of its own, appended to
+    /// the payloads. A send kept twice is there twice; one kept never
+    /// leaves. Every copy keeps its send's slot.
+    pub fn keep<I>(&mut self, mut due: impl FnMut(NodeId, &M) -> I)
+    where
+        I: IntoIterator<Item = Option<M>>,
+    {
+        let sent = self.sends.len();
+        // Kept copies overwrite sends already read; from the first one that
+        // would overwrite a send still to be read, they go behind them all.
+        let (mut kept, mut behind) = (0, false);
+        for read in 0..sent {
+            let Sent { to, payload, slot } = self.sends[read];
+            for own in due(to, &self.payloads[payload as usize]) {
+                let payload = own.map_or(payload, |own| {
+                    self.payloads.push(own);
+                    handle(self.payloads.len() - 1)
+                });
+                let copy = Sent { to, payload, slot };
+                behind |= kept > read;
+                if behind {
+                    self.sends.push(copy);
+                } else {
+                    self.sends[kept] = copy;
+                    kept += 1;
+                }
+            }
+        }
+        self.sends.drain(kept..sent);
+    }
+
     /// Empties the outbox; both buffers keep their capacity.
     pub fn clear(&mut self) {
         self.payloads.clear();
@@ -463,6 +496,31 @@ mod tests {
                 (NodeId(4), 40),
                 (NodeId(3), 12)
             ]
+        );
+    }
+
+    #[test]
+    fn keep_leaves_the_kept_copies_in_send_order() {
+        let mut ctx: Ctx<'_, u32> = Ctx::new(NodeId(2), 5, 0, &[], 1, 1);
+        ctx.broadcast((1..=5).map(NodeId), 7);
+        ctx.send(NodeId(6), 8);
+        let mut out = ctx.out;
+        for sent in out.sends.iter_mut() {
+            sent.slot = sent.to.raw() as u32;
+        }
+        // #1's copy is not kept, so #2's twins fit in place; #3's second
+        // one would overwrite #4's send, and it and all after it go behind.
+        out.keep(|to, &payload| match to.raw() {
+            1 => vec![],
+            2 | 3 => vec![None, None],
+            4 => vec![Some(payload * 10)],
+            _ => vec![None],
+        });
+        assert_eq!(out.payloads(), [7, 8, 70]);
+        let kept = [(2, 0), (2, 0), (3, 0), (3, 0), (4, 2), (5, 0), (6, 1)];
+        assert_eq!(
+            out.sends().collect::<Vec<_>>(),
+            kept.map(|(to, payload)| (NodeId(to), payload, to as u32))
         );
     }
 

@@ -11,13 +11,9 @@
 //! phase, metrics, records and observability — with *how a sent message
 //! becomes a delivered one* injected as a [`Delivery`]:
 //!
-//! * [`Lockstep`](crate::Lockstep) — round `t`'s distinct payloads are kept
-//!   once and a 4-byte handle per copy is scattered straight into round
-//!   `t + 1`'s inboxes (the paper's synchronous model);
+//! * [`Lockstep`](crate::Lockstep) — the paper's synchronous model;
 //! * `tsa-event`'s `VirtualTime` — per-message latency, jitter, loss and
-//!   fault plans; a copy due next round is placed as the lockstep delivery
-//!   places it, one due later is filed with its payload under the round
-//!   that reads it;
+//!   fault plans;
 //! * `tsa-net`'s `Loopback` — real frames over loopback TCP sockets.
 //!
 //! # Phases of a round
@@ -28,20 +24,18 @@
 //!
 //! 1. **churn** — the adversary plans against its lateness-filtered
 //!    [`KnowledgeView`], the shared arbiter validates and applies the plan,
-//!    slots and their [`Inboxes`] are retired and spawned
+//!    slots and their inboxes are retired and spawned
 //!    ([`Delivery::on_depart`] / [`Delivery::on_join`]); what a departed
 //!    slot's inbox held unread is dropped;
-//! 2. **deliver** — [`Delivery::deliver`] settles every slot's inbox, a
-//!    range of 4-byte positions; sponsored joiners are grouped per bootstrap
-//!    node;
+//! 2. **deliver** — [`Delivery::deliver`] settles every slot's inbox;
+//!    sponsored joiners are grouped per bootstrap node;
 //! 3. **compute** — every node activates once through [`activate`] on
 //!    [`rayon::for_each_index_mut`], whose worker count follows the
 //!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. Its worker first
-//!    builds the node's envelopes in the worker's own buffer, one
-//!    [`Delivery::envelope`] per position; the activation reads them, writes
-//!    its own slot and draws from an RNG stream that depends only on
-//!    `(seed, node, round)`, so where and in which order activations run
-//!    cannot change an output bit;
+//!    builds the node's envelopes from its inbox in the worker's own buffer;
+//!    the activation reads them, writes its own slot and draws from an RNG
+//!    stream that depends only on `(seed, node, round)`, so where and in
+//!    which order activations run cannot change an output bit;
 //! 4. **collect and send** — in id order: the node's inbox is consumed,
 //!    metrics, the communication graph, digests, then [`Delivery::send`] for
 //!    the node's [`Outbox`] (each distinct payload once, 16 bytes per copy);
@@ -54,8 +48,9 @@
 //!
 //! Every inbox lists its messages in global send order — sender-id order and,
 //! per sender, the order of its [`Ctx::send`](crate::Ctx::send) calls — on
-//! every delivery: all of them fill [`Inboxes`] through its one stable
-//! scatter. That makes the order in which a protocol sends part of its
+//! every delivery: all of them fill the world's one [`InFlight`] layout (its
+//! module docs say what each places when), which the compute phase alone
+//! reads. That makes the order in which a protocol sends part of its
 //! observable behaviour (which duplicate a receiver sees first, which RNG
 //! draw serves which copy): send order is the determinism contract between
 //! protocol and scheduler.
@@ -69,7 +64,7 @@ use crate::adversary::Adversary;
 use crate::churn::{apply_churn_plan, ChurnBudget, ChurnOutcome, ChurnPlan, PlanScratch};
 use crate::config::SimConfig;
 use crate::ids::{NodeId, Round};
-use crate::inboxes::Inboxes;
+use crate::in_flight::InFlight;
 use crate::knowledge::{CommGraph, KnowledgeView, MemberInfo, RoundRecord};
 use crate::message::Envelope;
 use crate::metrics::{
@@ -99,14 +94,12 @@ pub struct PhaseSpans {
 /// How messages travel between two rounds of a [`World`] — the one thing the
 /// three schedulers differ in.
 ///
-/// What reached a node is its inbox in the world's [`Inboxes`], positions in
-/// global send order that mean whatever the delivery makes them mean. A
-/// delivery with per-slot state of its own (sockets) keeps it in the world's
-/// slot order: [`on_join`](Delivery::on_join) always appends a slot,
-/// [`on_depart`](Delivery::on_depart) names the slot that closes up. It is
-/// `Sync` because the parallel compute phase calls
-/// [`envelope`](Delivery::envelope) from every worker.
-pub trait Delivery<M>: Sync {
+/// What reached a node is its inbox in the world's [`InFlight`], which the
+/// delivery fills. A delivery with per-slot state of its own (sockets) keeps
+/// it in the world's slot order: [`on_join`](Delivery::on_join) always
+/// appends a slot, [`on_depart`](Delivery::on_depart) names the slot that
+/// closes up.
+pub trait Delivery<M> {
     /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
     /// the policy adds (a topology, a round duration).
     type Config;
@@ -130,10 +123,7 @@ pub trait Delivery<M>: Sync {
     /// placed already; `index` maps a receiver to its slot. Returns how many
     /// copies were dropped undelivered, not counting what departed slots'
     /// inboxes held, which the world charges itself.
-    fn deliver(&mut self, t: Round, index: &SlotIndex, inboxes: &mut Inboxes) -> usize;
-
-    /// The envelope at `position` of an inbox of `to`, the slot's owner.
-    fn envelope(&self, position: u32, to: NodeId) -> Envelope<M>;
+    fn deliver(&mut self, t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize;
 
     /// Announces the sends `from` made in round `t`, in send order. Called in
     /// id order, once per node, after the world has written into every send
@@ -143,8 +133,8 @@ pub trait Delivery<M>: Sync {
     /// A delivery that routes message by message copies what it keeps out
     /// of the outbox here — each send's payload, or each distinct payload
     /// once ([`Outbox::payloads`], [`Outbox::sends`]) — and leaves `out`
-    /// empty. One that places the round's sends in next round's `inboxes`
-    /// counts them here and empties `out` in
+    /// empty. One that places the round's sends in `in_flight` leaves what
+    /// it places in `out`, counts it here and places it in
     /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
     /// are already known to be lost.
     fn send(
@@ -152,7 +142,7 @@ pub trait Delivery<M>: Sync {
         from: NodeId,
         t: Round,
         out: &mut Outbox<M>,
-        inboxes: &mut Inboxes,
+        in_flight: &mut InFlight<M>,
         obs: &ObsHandle,
     ) -> usize;
 
@@ -160,15 +150,15 @@ pub trait Delivery<M>: Sync {
     /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
     /// left it. Whoever left messages there takes them now — every outbox
     /// must be empty on return, its capacity kept for the next round. A
-    /// delivery that places next round's copies at send time lays out and
-    /// fills `inboxes` here, resolving receivers through `index` (the
-    /// membership the sends saw). Still inside the send phase's span.
+    /// delivery that places next round's copies at send time places them
+    /// here, resolving receivers through `index` (the membership the sends
+    /// saw). Still inside the send phase's span.
     fn flush_sends<'a>(
         &mut self,
         _t: Round,
         _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
         _index: &SlotIndex,
-        _inboxes: &mut Inboxes,
+        _in_flight: &mut InFlight<M>,
     ) where
         M: 'a,
     {
@@ -233,8 +223,8 @@ pub struct World<P: Process, A, D> {
     sponsored_ids: Vec<NodeId>,
     /// Outboxes donated by departed nodes, reused by joining nodes.
     spare_outboxes: Vec<Outbox<P::Msg>>,
-    /// Every slot's inbox, in slot order.
-    inboxes: Inboxes,
+    /// What is in flight to the next boundary, every slot's inbox with it.
+    in_flight: InFlight<P::Msg>,
     /// One envelope buffer per compute worker: a slot's envelopes exist
     /// there only while its node runs.
     inbox_bufs: Vec<Vec<Envelope<P::Msg>>>,
@@ -286,7 +276,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             sponsored_pairs: Vec::new(),
             sponsored_ids: Vec::new(),
             spare_outboxes: Vec::new(),
-            inboxes: Inboxes::default(),
+            in_flight: InFlight::default(),
             inbox_bufs: Vec::new(),
             plan_scratch: PlanScratch::default(),
             spare_records: Vec::new(),
@@ -332,7 +322,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             digest: 0,
             sponsored: 0..0,
         });
-        self.inboxes.push_slot();
+        self.in_flight.push_slot();
         self.delivery.on_join(id);
     }
 
@@ -424,9 +414,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         &self.adversary
     }
 
-    /// Every slot's inbox, as far as the next round's is placed already.
-    pub fn inboxes(&self) -> &Inboxes {
-        &self.inboxes
+    /// What is in flight to the next boundary, as far as it is placed.
+    pub fn in_flight(&self) -> &InFlight<P::Msg> {
+        &self.in_flight
     }
 
     /// Capacities of the reusable buffers the compute phase fills: the
@@ -466,7 +456,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         outcome.joined.clear();
         outcome.rejected_departures.clear();
         outcome.rejected_joins.clear();
-        let waiting = self.inboxes.pending();
+        let waiting = self.in_flight.pending();
         if t >= self.config.churn_rules.bootstrap_rounds {
             let remaining = self.budget.remaining(t, &self.config.churn_rules);
             let plan = {
@@ -490,9 +480,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         // are grouped per bootstrap node.
         let span = self.obs.span_start();
         // What departed slots held unread is dropped with them.
-        let unread = waiting - self.inboxes.pending();
-        let dropped = unread + self.delivery.deliver(t, &self.index, &mut self.inboxes);
-        let delivered = self.inboxes.pending();
+        let unread = waiting - self.in_flight.pending();
+        let dropped = unread + self.delivery.deliver(t, &self.index, &mut self.in_flight);
+        let delivered = self.in_flight.pending();
         self.group_sponsored(&outcome);
         row.node_count = self.slots.len();
         self.obs.span_end(D::SPANS.deliver, span);
@@ -510,22 +500,14 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         };
         let span = self.obs.span_start();
         {
-            let delivery = &self.delivery;
-            let inboxes = &self.inboxes;
+            let in_flight = &self.in_flight;
             let sponsored_ids = &self.sponsored_ids;
             if self.inbox_bufs.len() < threads {
                 self.inbox_bufs.resize_with(threads, Vec::new);
             }
             let workers = &mut self.inbox_bufs[..threads];
             rayon::for_each_index_mut(&mut self.slots, workers, |inbox, i, slot| {
-                let to = slot.id;
-                inbox.clear();
-                inbox.extend(
-                    inboxes
-                        .positions(i)
-                        .iter()
-                        .map(move |&position| delivery.envelope(position, to)),
-                );
+                in_flight.read(i, slot.id, inbox);
                 slot.digest = activate(
                     &mut slot.process,
                     slot.id,
@@ -554,7 +536,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let obs_on = self.obs.is_on();
         let mut lost = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            let received = self.inboxes.consume(i);
+            let received = self.in_flight.consume(i);
             row.record_received(received);
             if obs_on {
                 // The messages this activation read: a deterministic
@@ -570,12 +552,12 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             }
             lost += self
                 .delivery
-                .send(slot.id, t, &mut slot.out, &mut self.inboxes, &self.obs);
+                .send(slot.id, t, &mut slot.out, &mut self.in_flight, &self.obs);
             rec.graph.members.push(slot.id);
         }
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
         self.delivery
-            .flush_sends(t, outboxes, &self.index, &mut self.inboxes);
+            .flush_sends(t, outboxes, &self.index, &mut self.in_flight);
         debug_assert!(
             self.slots.iter().all(|slot| slot.out.is_empty()),
             "the delivery left sends in an outbox"
@@ -637,7 +619,7 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             let mut out = slot.out;
             out.clear();
             self.spare_outboxes.push(out);
-            self.inboxes.remove_slot(idx);
+            self.in_flight.remove_slot(idx);
             self.delivery.on_depart(id, idx);
         }
         for &(id, _bootstrap) in outcome.joined.iter() {

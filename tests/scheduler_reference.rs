@@ -229,9 +229,16 @@ fn row(metrics: &str, rec: &RoundRecord) -> String {
     format!("{metrics}|{:?}|{:?}", rec.digests, rec.graph.edges)
 }
 
+/// An envelope's send round and receiver, for a digest to fold in: every
+/// scheduler must hand each copy the ones the naive model gives it.
+fn stamp<M>(env: &Envelope<M>) -> u64 {
+    env.sent_at.rotate_left(20) ^ env.to.raw().rotate_left(40)
+}
+
 /// A flood with everything a scheduler can get wrong in it: sends to ids that
 /// never existed and to departed peers, duplicate receivers, per-node RNG
-/// draws, sponsored joiners, and a digest that folds the inbox in order.
+/// draws, sponsored joiners, and a digest that folds the inbox in order, each
+/// copy's send round and receiver too.
 #[derive(Default)]
 struct Flood {
     known: Vec<NodeId>,
@@ -242,7 +249,7 @@ impl Process for Flood {
     type Msg = u64;
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
         for env in inbox {
-            self.heard = self.heard.rotate_left(5) ^ env.payload ^ env.from.raw();
+            self.heard = self.heard.rotate_left(5) ^ env.payload ^ env.from.raw() ^ stamp(env);
             if !self.known.contains(&env.from) {
                 self.known.push(env.from);
             }
@@ -397,7 +404,7 @@ fn both_deterministic_schedulers_match_the_naive_reference() {
 /// youngest nodes thereby write to the identifiers the adversary hands out
 /// next round and the round after, node 0 to the far end of the id space
 /// (`u64::MAX` and below), and everybody to whoever is removed next. The
-/// digest folds the inbox in order.
+/// digest folds the inbox in order, each copy's send round and receiver too.
 #[derive(Default)]
 struct Probe {
     heard: u64,
@@ -410,7 +417,7 @@ impl Process for Probe {
     type Msg = u64;
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
         for env in inbox {
-            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw();
+            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw() ^ stamp(env);
         }
         let me = ctx.id().raw();
         for d in 1..=REACH {
@@ -439,7 +446,7 @@ impl Process for SharedProbe {
     type Msg = u64;
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
         for env in inbox {
-            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw();
+            self.heard = self.heard.rotate_left(7) ^ env.payload ^ env.from.raw() ^ stamp(env);
         }
         let me = ctx.id().raw();
         let near = (1..=REACH).flat_map(|d| [NodeId(me + d), NodeId(me.wrapping_sub(d))]);
