@@ -12,21 +12,35 @@
 //!
 //! # Copies due next round stay in the outbox, later ones go to records
 //!
-//! `send` (once per node, id order) numbers the copies through the fault
-//! injector's one numbering rule (slots send in id order, so the numbering
-//! is the lockstep engine's in-flight order) and draws each fate — a pure
-//! function of `(master seed, sequence number)`, or a recorded
-//! [`MessageTrace`]'s entry under replay. A survivor's *delivery round* is
-//! the first boundary at or past its arrival tick, never the sending round's
-//! own (the round [`MessageTrace`] records). Through [`Outbox::keep`] exactly
-//! the copies due at `t + 1` stay in the outbox — a duplicate twice, a
-//! `Mutate` fault's corrupted copy with a payload of its own — and are
-//! counted as the lockstep delivery counts its sends. A copy due later is
-//! filed as a whole envelope in the **record** of the round that reads it,
-//! so a hostile `Delay { ticks: u64::MAX }` copy sits in the one record at
-//! the end of time and pins no other round's payloads. Round `t + 1`'s
-//! record was closed once round `t - 1` sent, so `flush_sends` places it
-//! ahead of the outboxes in the world's [`InFlight`] layout, and `deliver`
+//! **One pass.** When the topology is [`Topology::Global`], its model's
+//! [`max_delay`](NetModel::max_delay) is at most [`TICKS_PER_ROUND`] and no
+//! fault plan (even an empty one), trace recording or replay is installed,
+//! every copy a node sends is due at `t + 1`. `send` then numbers the
+//! outbox's `k` copies `seq..seq + k` in send order and drops the lost ones
+//! in place with [`Outbox::retain`], one [`NetModel::route`] per copy; a
+//! constant, lossless, jitterless model draws no fate at all, so `send` only
+//! advances `seq` and the counters by `k`. No payload is cloned, no link is
+//! resolved. The counters, the numbering, and so every fate and recorded
+//! byte, are the per-copy path's, which serves everything else: faults,
+//! traces, [`Topology::Regions`] and models whose delay can reach past
+//! `t + 1`.
+//!
+//! **Per copy.** `send` (once per node, id order) numbers the copies
+//! through the fault injector's one numbering rule (slots send in id order,
+//! so the numbering is the lockstep engine's in-flight order) and draws
+//! each fate — a pure function of `(master seed, sequence number)`, or a
+//! recorded [`MessageTrace`]'s entry under replay. A survivor's *delivery
+//! round* is the first boundary at or past its arrival tick, never the
+//! sending round's own (the round [`MessageTrace`] records). Through
+//! [`Outbox::keep`] exactly the copies due at `t + 1` stay in the outbox —
+//! a duplicate twice, a `Mutate` fault's corrupted copy with a payload of
+//! its own — and are counted as the lockstep delivery counts its sends. A
+//! copy due later is filed as a whole envelope in the **record** of the
+//! round that reads it, so a hostile `Delay { ticks: u64::MAX }` copy sits
+//! in the one record at the end of time and pins no other round's
+//! payloads. Round `t + 1`'s record was closed once round `t - 1` sent, so
+//! `flush_sends` places it ahead of the outboxes in the world's
+//! [`InFlight`] layout, and `deliver`
 //! settles the late list ("round-boundary delivery"; within one boundary the
 //! residual arrival jitter has no semantic meaning, since every message of
 //! the round is read by the same activation). A copy placed for a receiver
@@ -267,6 +281,115 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
         obs: &ObsHandle,
     ) -> usize {
         let span = obs.span_start();
+        let lost = match self.one_pass() {
+            Some(net) => self.send_in_one_pass(net, out),
+            None => self.send_per_copy(from, t, out),
+        };
+        in_flight.count(out);
+        obs.span_end("event.fate", span);
+        lost
+    }
+
+    /// Places round `t + 1`'s record ahead of this round's outboxes.
+    fn flush_sends<'a>(
+        &mut self,
+        t: Round,
+        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
+        index: &SlotIndex,
+        in_flight: &mut InFlight<M>,
+    ) where
+        M: 'a,
+    {
+        let next = t.saturating_add(1);
+        let mut due = self.inbound.remove(&next).unwrap_or_default();
+        debug_assert!(self.inbound.keys().next().is_none_or(|&r| r > next));
+        in_flight.place(t, due.drain(..), outboxes, index);
+        if due.capacity() > 0 {
+            self.spare.push(due);
+        }
+    }
+
+    fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
+        self.peak_queue_depth = self.peak_queue_depth.max(self.in_flight as u64);
+        // Scheduler-specific (but still deterministic) counters: the network
+        // model's effects this round and the queue depth.
+        let before = std::mem::replace(&mut self.reported, self.stats);
+        if obs.is_on() {
+            let now = &self.stats;
+            obs.add("event.net_sent", now.sent - before.sent);
+            obs.add("event.net_lost", now.lost - before.lost);
+            obs.add(
+                "event.dropped_departed",
+                now.dropped_departed - before.dropped_departed,
+            );
+            obs.add("event.bridge_sent", now.bridge_sent - before.bridge_sent);
+            obs.add("event.bridge_lost", now.bridge_lost - before.bridge_lost);
+            obs.observe("event.queue_len", self.in_flight as u64);
+        }
+        self.faults.end_round(obs);
+    }
+
+    fn region_of(&self, id: NodeId) -> u32 {
+        self.topology.region_of(id).unwrap_or(0)
+    }
+}
+
+impl<M: Clone> VirtualTime<M> {
+    /// The model of every link, when this round's sends go in one pass (see
+    /// the module docs): a global topology whose every delay is read next
+    /// round, and no fault plan, trace or replay that needs each copy on its
+    /// own.
+    fn one_pass(&self) -> Option<NetModel> {
+        match self.topology {
+            Topology::Global(net)
+                if net.max_delay() <= TICKS_PER_ROUND
+                    && !self.faults.is_installed()
+                    && self.trace.is_none()
+                    && self.replay.is_none() =>
+            {
+                Some(net)
+            }
+            _ => None,
+        }
+    }
+
+    /// Numbers `out`'s copies in send order and drops the lost ones in
+    /// place; every other copy stays, due next round. Returns the number
+    /// lost.
+    fn send_in_one_pass(&mut self, net: NetModel, out: &mut Outbox<M>) -> usize {
+        let copies = out.len();
+        let (seed, stats, seq) = (self.seed, &mut self.stats, &mut self.seq);
+        if let Some(delay) = net.fixed_delay() {
+            // No fate to draw: every copy stays, with the same delay.
+            *seq += copies as u64;
+            if copies > 0 {
+                stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
+                let total = (copies as u64).saturating_mul(delay);
+                stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(total);
+            }
+        } else {
+            out.retain(|_| {
+                let fate = net.route(seed, *seq);
+                *seq += 1;
+                let Some(delay) = fate else {
+                    return false;
+                };
+                stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
+                stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
+                true
+            });
+        }
+        let lost = copies - out.len();
+        self.stats.sent += copies as u64;
+        self.stats.lost += lost as u64;
+        self.in_flight += out.len();
+        lost
+    }
+
+    /// Sends `out` copy by copy: fault copies, each link's resolved model or
+    /// the replayed fate, the trace record, and a record of its own for a
+    /// copy due after next round. Returns the number lost.
+    fn send_per_copy(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>) -> usize {
         // The tick of this boundary, which delays are drawn from.
         let (seed, now) = (self.seed, t.saturating_mul(TICKS_PER_ROUND));
         let next = t.saturating_add(1);
@@ -362,52 +485,7 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
             }
             due.into_iter().flatten()
         });
-        in_flight.count(out);
-        obs.span_end("event.fate", span);
         lost
-    }
-
-    /// Places round `t + 1`'s record ahead of this round's outboxes.
-    fn flush_sends<'a>(
-        &mut self,
-        t: Round,
-        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
-        index: &SlotIndex,
-        in_flight: &mut InFlight<M>,
-    ) where
-        M: 'a,
-    {
-        let next = t.saturating_add(1);
-        let mut due = self.inbound.remove(&next).unwrap_or_default();
-        debug_assert!(self.inbound.keys().next().is_none_or(|&r| r > next));
-        in_flight.place(t, due.drain(..), outboxes, index);
-        if due.capacity() > 0 {
-            self.spare.push(due);
-        }
-    }
-
-    fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
-        self.peak_queue_depth = self.peak_queue_depth.max(self.in_flight as u64);
-        // Scheduler-specific (but still deterministic) counters: the network
-        // model's effects this round and the queue depth.
-        let before = std::mem::replace(&mut self.reported, self.stats);
-        if obs.is_on() {
-            let now = &self.stats;
-            obs.add("event.net_sent", now.sent - before.sent);
-            obs.add("event.net_lost", now.lost - before.lost);
-            obs.add(
-                "event.dropped_departed",
-                now.dropped_departed - before.dropped_departed,
-            );
-            obs.add("event.bridge_sent", now.bridge_sent - before.bridge_sent);
-            obs.add("event.bridge_lost", now.bridge_lost - before.bridge_lost);
-            obs.observe("event.queue_len", self.in_flight as u64);
-        }
-        self.faults.end_round(obs);
-    }
-
-    fn region_of(&self, id: NodeId) -> u32 {
-        self.topology.region_of(id).unwrap_or(0)
     }
 }
 
@@ -592,23 +670,32 @@ mod tests {
     }
 
     /// Every node shares `(id << 32) | round` with every node, every round,
-    /// and checks that what it is handed carries its sender's and send
-    /// round's payload, whichever entry of its round's record that is.
+    /// checks that what it is handed carries its sender's and send round's
+    /// payload, whichever entry of its round's record that is, and keeps
+    /// each copy it reads as `(round, sender, send round)`.
+    #[derive(Default)]
     struct Chorus {
-        n: u64,
-        heard: usize,
+        heard: Vec<(Round, u64, Round)>,
     }
 
     impl Process for Chorus {
         type Msg = u64;
         fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            let round = ctx.round();
             for env in inbox {
                 assert_eq!(env.to, ctx.id());
                 assert_eq!(env.payload, (env.from.raw() << 32) | env.sent_at);
+                self.heard.push((round, env.from.raw(), env.sent_at));
             }
-            self.heard += inbox.len();
-            let me = (ctx.id().raw() << 32) | ctx.round();
-            ctx.broadcast((0..self.n).map(NodeId), me);
+            let me = (ctx.id().raw() << 32) | round;
+            ctx.broadcast((0..CHORUS).map(NodeId), me);
+        }
+
+        fn state_digest(&self) -> u64 {
+            let heard = self.heard.iter();
+            heard.fold(0, |acc, &(t, from, sent_at)| {
+                tsa_sim::rng::mix(&[acc, t, from, sent_at])
+            })
         }
     }
 
@@ -619,10 +706,7 @@ mod tests {
         let mut sim = EventSimulator::new(
             EventConfig::new(sim_config, net),
             NullAdversary,
-            Box::new(|_, _| Chorus {
-                n: CHORUS,
-                heard: 0,
-            }),
+            Box::new(|_, _| Chorus::default()),
         );
         sim.set_faults(plan, PLUS_1000);
         sim.seed_nodes(CHORUS as usize);
@@ -678,7 +762,7 @@ mod tests {
         let mut sim = chorus(sub_round(), FaultPlan::new().with_rule(late));
         sim.run(300);
         let delayed = sim.fault_stats().delayed as usize;
-        let delivered: usize = sim.nodes().map(|(_, node)| node.heard).sum();
+        let delivered: usize = sim.nodes().map(|(_, node)| node.heard.len()).sum();
         let in_flight = sim.in_flight_count();
         assert_eq!(delivered + in_flight, 300 * (CHORUS * CHORUS) as usize);
         // Round 300's record, placed ahead of round 299's outboxes, holds
@@ -691,6 +775,62 @@ mod tests {
         let filed: usize = sim.inbound.values().map(Vec::len).sum();
         let late = filed + reading.len();
         assert!(late < delayed / 3, "{late} late payloads for {delayed}");
+    }
+
+    #[test]
+    fn one_pass_and_per_copy_sends_agree() {
+        let t = TICKS_PER_ROUND;
+        let event_jitter = NetModel {
+            latency: LatencyModel::uniform(100, 900),
+            jitter: 50,
+            loss: 0.005,
+        };
+        // Each model, and whether its plain run sends in one pass.
+        let models = [
+            (NetModel::new(LatencyModel::constant(0)), true),
+            (event_jitter, true),
+            (NetModel::new(LatencyModel::constant(t)), true),
+            (NetModel::new(LatencyModel::uniform(0, t + 1)), false),
+        ];
+        for (net, one_pass) in models {
+            let label = net.label();
+            let build = || {
+                let config = EventConfig::new(SimConfig::default().with_seed(7), net);
+                let mut sim =
+                    EventSimulator::new(config, DepartThree, Box::new(|_, _| Chorus::default()));
+                sim.seed_nodes(CHORUS as usize);
+                sim
+            };
+            // The per-copy path, twice: recording a trace, and under an
+            // installed plan with no rules.
+            let mut plain = build();
+            let mut traced = build();
+            traced.record_trace();
+            let mut planned = build();
+            planned.set_faults(FaultPlan::new(), PLUS_1000);
+            assert_eq!(plain.one_pass().is_some(), one_pass, "{label}");
+            assert!(traced.one_pass().is_none() && planned.one_pass().is_none());
+            let state = |sim: &mut EventSimulator<Chorus, DepartThree>| {
+                sim.run(40);
+                let in_flight = sim.in_flight();
+                let ahead = in_flight.ahead().to_vec();
+                let waiting = (in_flight.arena().to_vec(), in_flight.pending());
+                let late: Vec<NodeId> = in_flight.late().collect();
+                let nodes: Vec<_> = sim
+                    .nodes()
+                    .map(|(id, node)| (id, node.state_digest(), node.heard.clone()))
+                    .collect();
+                let counters = (sim.net_stats(), sim.peak_queue_depth(), sim.seq);
+                (counters, sim.in_flight_count(), ahead, waiting, late, nodes)
+            };
+            let reference = state(&mut plain);
+            let (stats, ..) = reference.0;
+            assert!(stats.sent > 9000 && stats.dropped_departed > 0, "{label}");
+            assert_eq!(stats.lost > 0, net.loss > 0.0, "{label}");
+            assert_eq!(stats.max_delay_ticks > t, !one_pass, "{label}: past t + 1");
+            assert_eq!(state(&mut traced), reference, "{label}: recording a trace");
+            assert_eq!(state(&mut planned), reference, "{label}: an empty plan");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use tsa_sim::rng::mix;
 use tsa_sim::{NodeId, Round};
 
-use crate::model::{fate_word, unit_f64, RegionAssign};
+use crate::model::{unit_f64, FateKey, RegionAssign};
 
 /// Domain-separation label of the mutation entropy.
 const FAULT_LABEL: u64 = 0x4641_554C_5450_4C4E; // "FAULTPLN"
@@ -325,9 +325,10 @@ impl FaultPlan {
     ///
     /// A pure function: the rules are scanned in order, each matching rule
     /// flips its private coin (word `idx` of `seq`'s coin hash — no shared
-    /// stream), and the first rule whose coin fires decides. Hostile plans
-    /// (empty, overlapping windows, all-match selectors) degrade to ordinary
-    /// rule priority and can never panic.
+    /// stream; the hash's key is computed once, by the first coin), and the
+    /// first rule whose coin fires decides. Hostile plans (empty,
+    /// overlapping windows, all-match selectors) degrade to ordinary rule
+    /// priority and can never panic.
     // The negated comparisons are deliberate: they send NaN probabilities
     // into the never-fires arm instead of the always-fires one.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -340,6 +341,8 @@ impl FaultPlan {
         to: NodeId,
         kind: u8,
     ) -> Option<FaultAction> {
+        // Hashed by the first coin flipped, shared by the later ones.
+        let mut key = None;
         for (idx, rule) in self.rules.iter().enumerate() {
             if !rule.matches(round, from, to, kind) {
                 continue;
@@ -350,7 +353,8 @@ impl FaultPlan {
                 if !(prob > 0.0) {
                     continue;
                 }
-                if unit_f64(fate_word(seed, COIN_LABEL, seq, idx as u64)) >= prob {
+                let key = *key.get_or_insert_with(|| FateKey::new(seed, COIN_LABEL, seq));
+                if unit_f64(key.word(idx as u64)) >= prob {
                     continue;
                 }
             }
@@ -471,6 +475,11 @@ impl<M> FaultInjector<M> {
     /// Installs a plan and the protocol's message adapter.
     pub fn install(&mut self, plan: FaultPlan, adapter: FaultAdapter<M>) {
         self.installed = Some((plan, adapter));
+    }
+
+    /// Whether a plan is installed (an empty one too).
+    pub(crate) fn is_installed(&self) -> bool {
+        self.installed.is_some()
     }
 
     /// Whole-run counters of injected faults.

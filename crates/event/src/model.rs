@@ -23,12 +23,24 @@ use tsa_sim::{NodeId, Round};
 /// Domain-separation label of the network fates.
 const NET_LABEL: u64 = 0x4E45_545F_4C41_5433; // "NET_LAT3"
 
-/// Word `k` of message `seq`'s entropy under the domain `label`: a counter
-/// hash, so every word is a pure function of its four inputs and no word
-/// depends on another having been drawn.
-#[inline]
-pub(crate) fn fate_word(seed: u64, label: u64, seq: u64, k: u64) -> u64 {
-    splitmix64(mix(&[seed, seq, label]) ^ k)
+/// Message `seq`'s entropy under the domain `label`, `mix(&[seed, seq,
+/// label])`, hashed once: word `k` of it is the counter hash
+/// [`word`](FateKey::word), so every word is a pure function of its four
+/// inputs and no word depends on another having been drawn.
+#[derive(Clone, Copy)]
+pub(crate) struct FateKey(u64);
+
+impl FateKey {
+    #[inline]
+    pub(crate) fn new(seed: u64, label: u64, seq: u64) -> Self {
+        FateKey(mix(&[seed, seq, label]))
+    }
+
+    /// Word `k`.
+    #[inline]
+    pub(crate) fn word(self, k: u64) -> u64 {
+        splitmix64(self.0 ^ k)
+    }
 }
 
 /// Maps one word onto the unit interval `[0, 1)` with a full 53-bit
@@ -200,22 +212,48 @@ impl NetModel {
     /// Each component reads its own word of `seq`'s fate (loss 0, latency
     /// 1, jitter 2), and only when it is on — so disabling a component never
     /// perturbs another's draw, and a constant, lossless, jitterless link
-    /// computes no word at all. All delay additions saturate: a hostile
-    /// model summing to beyond `u64::MAX` ticks parks the message in the far
-    /// future instead of wrapping it into the past.
+    /// computes no word at all. The words share one key,
+    /// `mix(&[seed, seq, NET_LABEL])`, hashed at most once per call. All
+    /// delay additions saturate: a hostile model summing to beyond
+    /// `u64::MAX` ticks parks the message in the far future instead of
+    /// wrapping it into the past.
     pub fn route(&self, seed: u64, seq: u64) -> Option<u64> {
-        let word = |k| fate_word(seed, NET_LABEL, seq, k);
-        if self.loss > 0.0 && unit_f64(word(0)) < self.loss {
+        if let Some(ticks) = self.fixed_delay() {
+            return Some(ticks);
+        }
+        let key = FateKey::new(seed, NET_LABEL, seq);
+        if self.loss > 0.0 && unit_f64(key.word(0)) < self.loss {
             return None;
         }
         let delay = match self.latency {
             LatencyModel::Constant { ticks } => ticks,
-            latency => latency.sample_word(word(1)),
+            latency => latency.sample_word(key.word(1)),
         };
         if self.jitter == 0 {
             return Some(delay);
         }
-        Some(delay.saturating_add(word_range(word(2), 0, self.jitter)))
+        Some(delay.saturating_add(word_range(key.word(2), 0, self.jitter)))
+    }
+
+    /// The delay of every message when the model draws no word for any: a
+    /// constant, lossless, jitterless one.
+    pub(crate) fn fixed_delay(&self) -> Option<u64> {
+        let lossy = self.loss > 0.0;
+        match self.latency {
+            LatencyModel::Constant { ticks } if self.jitter == 0 && !lossy => Some(ticks),
+            _ => None,
+        }
+    }
+
+    /// The largest delay [`route`](Self::route) can return, in ticks
+    /// (saturating): the latency's largest draw plus the whole jitter.
+    pub fn max_delay(&self) -> u64 {
+        let latency = match self.latency {
+            LatencyModel::Constant { ticks } => ticks,
+            LatencyModel::Uniform { min, max } => max.max(min),
+            LatencyModel::Pareto { base, cap, .. } => base.saturating_add(cap),
+        };
+        latency.saturating_add(self.jitter)
     }
 
     /// A compact label for tables, e.g. `u200-1800+j300-l0.01`.
@@ -690,6 +728,38 @@ mod tests {
     }
 
     #[test]
+    fn max_delay_bounds_every_route_and_saturates() {
+        let with = |latency, jitter| NetModel {
+            latency,
+            jitter,
+            loss: 0.0,
+        };
+        // Only deserialization builds a `Uniform` with `min > max`; it
+        // samples the constant `min`.
+        let inverted = |min, max| LatencyModel::Uniform { min, max };
+        let (pareto, max) = (LatencyModel::pareto, u64::MAX);
+        // (model, its largest delay, whether 2000 draws must reach it)
+        let cases = [
+            (with(LatencyModel::constant(7), 0), 7, true),
+            (with(inverted(900, 100), 0), 900, true),
+            (with(LatencyModel::uniform(100, 900), 50), 950, false),
+            // α = 1 hits its cap.
+            (with(pareto(100, 100, 0, 500), 0), 600, true),
+            (with(pareto(200, 800, 1, 8000), 10), 8210, false),
+            (with(LatencyModel::constant(1), max), max, false),
+            (with(inverted(max, 0), max), max, true),
+            (with(pareto(max, 1, 0, 5), 0), max, true),
+            (with(pareto(5, 1, 0, max), max), max, false),
+        ];
+        for (net, bound, reached) in cases {
+            assert_eq!(net.max_delay(), bound, "{}", net.label());
+            let delays: Vec<u64> = (0..2000).filter_map(|seq| net.route(3, seq)).collect();
+            assert!(delays.iter().all(|&d| d <= bound), "{}", net.label());
+            assert!(!reached || delays.contains(&bound), "{}", net.label());
+        }
+    }
+
+    #[test]
     fn routing_is_a_pure_function_of_seed_and_seq() {
         let net = NetModel {
             latency: LatencyModel::uniform(0, 1000),
@@ -729,7 +799,7 @@ mod tests {
     const SEQS: u64 = 1 << 16;
 
     fn word(seq: u64, k: u64) -> u64 {
-        fate_word(29, NET_LABEL, seq, k)
+        FateKey::new(29, NET_LABEL, seq).word(k)
     }
 
     /// Pearson's correlation of `(x, y)` pairs; NaN when either side is

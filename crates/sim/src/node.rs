@@ -131,6 +131,13 @@ impl<M> Outbox<M> {
         self.sends.drain(kept..sent);
     }
 
+    /// Keeps, in send order, the copies `keep` is true of, given their
+    /// receivers: one pass that calls `keep` once per copy, in send order.
+    /// The payloads stay as they are.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        self.sends.retain(|sent| keep(sent.to));
+    }
+
     /// Empties the outbox; both buffers keep their capacity.
     pub fn clear(&mut self) {
         self.payloads.clear();
