@@ -17,13 +17,12 @@
 //! fault plan (even an empty one), trace recording or replay is installed,
 //! every copy a node sends is due at `t + 1`. `send` then numbers the
 //! outbox's `k` copies `seq..seq + k` in send order and drops the lost ones
-//! in place with [`Outbox::retain`], one [`NetModel::route`] per copy; a
-//! constant, lossless, jitterless model draws no fate at all, so `send` only
-//! advances `seq` and the counters by `k`. No payload is cloned, no link is
-//! resolved. The counters, the numbering, and so every fate and recorded
-//! byte, are the per-copy path's, which serves everything else: faults,
-//! traces, [`Topology::Regions`] and models whose delay can reach past
-//! `t + 1`.
+//! in place with [`Outbox::retain`], one [`NetModel::route`] per copy (a
+//! constant, lossless, jitterless model's `route` hashes nothing). No
+//! payload is cloned, no link is resolved. The counters, the numbering, and
+//! so every fate and recorded byte, are the per-copy path's, which serves
+//! everything else: faults, traces, [`Topology::Regions`] and models whose
+//! delay can reach past `t + 1`.
 //!
 //! **Per copy.** `send` (once per node, id order) numbers the copies
 //! through the fault injector's one numbering rule (slots send in id order,
@@ -359,26 +358,16 @@ impl<M: Clone> VirtualTime<M> {
     fn send_in_one_pass(&mut self, net: NetModel, out: &mut Outbox<M>) -> usize {
         let copies = out.len();
         let (seed, stats, seq) = (self.seed, &mut self.stats, &mut self.seq);
-        if let Some(delay) = net.fixed_delay() {
-            // No fate to draw: every copy stays, with the same delay.
-            *seq += copies as u64;
-            if copies > 0 {
-                stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
-                let total = (copies as u64).saturating_mul(delay);
-                stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(total);
-            }
-        } else {
-            out.retain(|_| {
-                let fate = net.route(seed, *seq);
-                *seq += 1;
-                let Some(delay) = fate else {
-                    return false;
-                };
-                stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
-                stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
-                true
-            });
-        }
+        out.retain(|| {
+            let fate = net.route(seed, *seq);
+            *seq += 1;
+            let Some(delay) = fate else {
+                return false;
+            };
+            stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
+            stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
+            true
+        });
         let lost = copies - out.len();
         self.stats.sent += copies as u64;
         self.stats.lost += lost as u64;

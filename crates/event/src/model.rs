@@ -213,36 +213,27 @@ impl NetModel {
     /// 1, jitter 2), and only when it is on — so disabling a component never
     /// perturbs another's draw, and a constant, lossless, jitterless link
     /// computes no word at all. The words share one key,
-    /// `mix(&[seed, seq, NET_LABEL])`, hashed at most once per call. All
+    /// `mix(&[seed, seq, NET_LABEL])`, hashed by the first word drawn. All
     /// delay additions saturate: a hostile model summing to beyond
     /// `u64::MAX` ticks parks the message in the far future instead of
     /// wrapping it into the past.
     pub fn route(&self, seed: u64, seq: u64) -> Option<u64> {
-        if let Some(ticks) = self.fixed_delay() {
-            return Some(ticks);
-        }
-        let key = FateKey::new(seed, NET_LABEL, seq);
-        if self.loss > 0.0 && unit_f64(key.word(0)) < self.loss {
+        let mut key = None;
+        let mut word = |k| {
+            let key = key.get_or_insert_with(|| FateKey::new(seed, NET_LABEL, seq));
+            key.word(k)
+        };
+        if self.loss > 0.0 && unit_f64(word(0)) < self.loss {
             return None;
         }
         let delay = match self.latency {
             LatencyModel::Constant { ticks } => ticks,
-            latency => latency.sample_word(key.word(1)),
+            latency => latency.sample_word(word(1)),
         };
         if self.jitter == 0 {
             return Some(delay);
         }
-        Some(delay.saturating_add(word_range(key.word(2), 0, self.jitter)))
-    }
-
-    /// The delay of every message when the model draws no word for any: a
-    /// constant, lossless, jitterless one.
-    pub(crate) fn fixed_delay(&self) -> Option<u64> {
-        let lossy = self.loss > 0.0;
-        match self.latency {
-            LatencyModel::Constant { ticks } if self.jitter == 0 && !lossy => Some(ticks),
-            _ => None,
-        }
+        Some(delay.saturating_add(word_range(word(2), 0, self.jitter)))
     }
 
     /// The largest delay [`route`](Self::route) can return, in ticks

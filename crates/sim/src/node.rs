@@ -131,11 +131,10 @@ impl<M> Outbox<M> {
         self.sends.drain(kept..sent);
     }
 
-    /// Keeps, in send order, the copies `keep` is true of, given their
-    /// receivers: one pass that calls `keep` once per copy, in send order.
-    /// The payloads stay as they are.
-    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        self.sends.retain(|sent| keep(sent.to));
+    /// Keeps the copies for which `keep` answers true: one pass that asks
+    /// `keep` once per copy, in send order. The payloads stay as they are.
+    pub fn retain(&mut self, mut keep: impl FnMut() -> bool) {
+        self.sends.retain(|_| keep());
     }
 
     /// Empties the outbox; both buffers keep their capacity.
