@@ -9,7 +9,7 @@
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use tsa_bench::{finish, run_sweeps, ExpArgs};
+use tsa_bench::{finish, run_sweeps, ExpArgs, Extra};
 use tsa_scenario::{ScenarioKind, ScenarioSpec};
 use tsa_sweep::SweepSpec;
 
@@ -18,7 +18,7 @@ fn main() {
     let args = ExpArgs::parse(
         exp,
         "ablation: swarm-radius c and replication r sweeps",
-        &[],
+        &[Extra::Full, Extra::Threads, Extra::Trace],
     );
     let n = 256usize;
 

@@ -81,7 +81,12 @@ fn main() {
         exp,
         "maintained-overlay survival and congestion across asynchronous \
          latency/jitter/loss regimes vs the synchronous baseline",
-        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+        &[
+            Extra::Smoke("CI-sized grid (a few seconds end to end)"),
+            Extra::Full,
+            Extra::Threads,
+            Extra::Trace,
+        ],
     );
 
     let (ns, survival_rounds, congestion_rounds, seeds): (&[usize], RoundsSpec, u64, u64) =

@@ -431,5 +431,5 @@ fn main() {
     let verdict = all_match
         .then_some(())
         .ok_or_else(|| "an anchor or twin check failed".to_string());
-    publish(exp, &args, &doc, Compared::Whole, Vec::new(), verdict);
+    publish(exp, &args, &doc, Compared::Whole, verdict);
 }

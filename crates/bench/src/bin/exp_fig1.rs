@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use tsa_analysis::{fmt_f, Summary, Table};
-use tsa_bench::{publish, Compared, ExpArgs};
+use tsa_bench::{list_grid, publish, Compared, ExpArgs};
 use tsa_overlay::{Lds, OverlayParams, Position};
 use tsa_sim::NodeId;
 
@@ -29,15 +29,25 @@ struct Fig1Row {
 }
 
 fn main() {
-    // Structure-level measurement (no scenarios to sweep); the shared flags
-    // still apply for --out/--help uniformity across the exp_* binaries.
+    // Structure-level measurement: one grid of its own, no scenarios to
+    // sweep, so it declares none of the sweep flags.
     let exp = "exp_fig1";
     let args = ExpArgs::parse(
         exp,
         "Figure 1: LDS neighbourhood structure, measured (structure-level, \
-         no scenario sweep: --full and --threads are accepted but no-ops)",
+         no scenario sweep)",
         &[],
     );
+    let sizes = [256usize, 1024, 4096];
+    let seed = |n: usize| 42 + n as u64;
+    if args.list {
+        let cells: Vec<String> = sizes
+            .iter()
+            .map(|&n| format!("lds n={n} seed={}", seed(n)))
+            .collect();
+        println!("{}", list_grid(exp, &cells));
+        return;
+    }
     let mut rows: Vec<Fig1Row> = Vec::new();
     let mut table = Table::new(
         "Figure 1 (measured): LDS neighbourhood structure",
@@ -51,9 +61,9 @@ fn main() {
             "swarm property violations",
         ],
     );
-    for &n in &[256usize, 1024, 4096] {
+    for n in sizes {
         let params = OverlayParams::with_default_c(n);
-        let mut rng = ChaCha8Rng::seed_from_u64(42 + n as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed(n));
         let lds = Lds::random(params, (0..n as u64).map(NodeId), &mut rng);
 
         let swarm_sizes = Summary::of_counts(lds.index().swarm_size_distribution(&params));
@@ -112,5 +122,5 @@ fn main() {
     );
     // Fixed seeds, one grid, no timing section: the artifact is machine-
     // invariant in full.
-    publish(exp, &args, &rows, Compared::Whole, Vec::new(), Ok(()));
+    publish(exp, &args, &rows, Compared::Whole, Ok(()));
 }

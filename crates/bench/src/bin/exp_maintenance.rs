@@ -10,7 +10,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use tsa_analysis::{fmt_f, Summary, Table};
-use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs};
+use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs, Extra};
 use tsa_scenario::{AdversarySpec, ChurnSpec};
 use tsa_sweep::{RoundsSpec, SweepSpec};
 
@@ -19,7 +19,7 @@ fn main() {
     let args = ExpArgs::parse(
         exp,
         "Theorem 14: routability, connect load and congestion under churn",
-        &[],
+        &[Extra::Full, Extra::Threads, Extra::Trace],
     );
 
     let churn = SweepSpec::new("churn", experiment_spec(48))

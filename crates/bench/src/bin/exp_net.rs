@@ -291,7 +291,6 @@ fn main() {
         &args,
         &doc,
         Compared::Section("deterministic"),
-        Vec::new(),
         verdict,
     );
 }

@@ -223,7 +223,12 @@ fn main() {
         exp,
         "overlay survival and healing across a partial partition: two halves of \
          the id space joined by a slow, lossy, scheduled bridge",
-        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+        &[
+            Extra::Smoke("CI-sized grid (a few seconds end to end)"),
+            Extra::Full,
+            Extra::Threads,
+            Extra::Trace,
+        ],
     );
     let smoke = args.smoke;
 

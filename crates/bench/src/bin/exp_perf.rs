@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use serde::Serialize;
 use tsa_bench::{experiment_scenario, list_grid, publish, Compared, ExpArgs, Extra};
-use tsa_dash::MetricPoint;
 use tsa_scenario::{AdversarySpec, ChurnSpec};
 
 /// The one seed every cell of the grid shares.
@@ -127,13 +126,15 @@ fn measure(n: usize, rounds: u64) -> (DetRow, TimingRow) {
 }
 
 fn main() {
-    // --full is accepted but a no-op: the grid has no raw histories to keep.
     let exp = "exp_perf";
     let args = ExpArgs::parse(
         exp,
         "maintained-overlay round throughput across n × threads: exact message \
          counts (compared) plus rounds/s and peak memory (wall clock)",
-        &[Extra::Smoke("CI-sized grid (a few seconds end to end)")],
+        &[
+            Extra::Smoke("CI-sized grid (a few seconds end to end)"),
+            Extra::Threads,
+        ],
     );
     let (sizes, rounds): (&[usize], u64) = if args.smoke {
         (&[48, 64], 3)
@@ -185,13 +186,6 @@ fn main() {
         deterministic.extend(at_n);
     }
 
-    let metrics = timing
-        .iter()
-        .map(|r| MetricPoint {
-            name: format!("rounds_per_sec[maintained_lds n={} t={}]", r.n, r.threads),
-            value: r.rounds_per_sec,
-        })
-        .collect();
     let doc = PerfDoc {
         exp,
         smoke: args.smoke,
@@ -212,7 +206,6 @@ fn main() {
         &args,
         &doc,
         Compared::Section("deterministic"),
-        metrics,
         verdict,
     );
 }

@@ -521,7 +521,6 @@ fn main() {
         &args,
         &doc,
         Compared::Section("deterministic"),
-        Vec::new(),
         verdict,
     );
 }

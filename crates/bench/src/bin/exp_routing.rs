@@ -8,7 +8,7 @@
 use serde::Serialize;
 
 use tsa_analysis::{fmt_f, Table};
-use tsa_bench::{finish, run_sweeps, ExpArgs};
+use tsa_bench::{finish, run_sweeps, ExpArgs, Extra};
 use tsa_overlay::{Interval, OverlayParams, Position};
 use tsa_routing::{trajectory_crossings, uniform_workload, RoutableSeries};
 use tsa_scenario::{ScenarioKind, ScenarioSpec};
@@ -28,7 +28,7 @@ fn main() {
     let args = ExpArgs::parse(
         exp,
         "Lemmas 9-12: delivery, dilation, congestion, crossings",
-        &[],
+        &[Extra::Full, Extra::Threads, Extra::Trace],
     );
 
     // Lemma 9: delivery + dilation + congestion over the n × k grid, three

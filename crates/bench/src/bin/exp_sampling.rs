@@ -5,13 +5,17 @@
 // Binaries own their stdout/stderr: it IS their interface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use tsa_bench::{finish, run_sweeps, ExpArgs};
+use tsa_bench::{finish, run_sweeps, ExpArgs, Extra};
 use tsa_scenario::{ScenarioKind, ScenarioSpec};
 use tsa_sweep::SweepSpec;
 
 fn main() {
     let exp = "exp_sampling";
-    let args = ExpArgs::parse(exp, "Lemma 13: A_SAMPLING uniformity and discard rate", &[]);
+    let args = ExpArgs::parse(
+        exp,
+        "Lemma 13: A_SAMPLING uniformity and discard rate",
+        &[Extra::Full, Extra::Threads, Extra::Trace],
+    );
 
     let uniformity = SweepSpec::new("uniformity", ScenarioSpec::new(ScenarioKind::Sampling, 128))
         .over_n([128, 256, 512])

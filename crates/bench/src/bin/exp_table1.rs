@@ -11,13 +11,17 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use tsa_analysis::{fmt_bool, fmt_f, Table};
-use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs};
+use tsa_bench::{experiment_spec, finish, run_sweeps, ExpArgs, Extra};
 use tsa_scenario::{AdversarySpec, BaselineKind, ChurnSpec, ScenarioKind, ScenarioSpec};
 use tsa_sweep::{RoundsSpec, SweepSpec};
 
 fn main() {
     let exp = "exp_table1";
-    let args = ExpArgs::parse(exp, "Table 1: adversary-model comparison, re-measured", &[]);
+    let args = ExpArgs::parse(
+        exp,
+        "Table 1: adversary-model comparison, re-measured",
+        &[Extra::Full, Extra::Threads, Extra::Trace],
+    );
     let n = 256usize;
 
     let static_sweep = SweepSpec::new(

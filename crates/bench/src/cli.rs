@@ -1,9 +1,10 @@
 //! Minimal flag parsing shared by every `exp_*` binary.
 //!
-//! Every experiment binary accepts `--full`, `--list`, `--out <dir>`,
-//! `--threads <k>`, `--quiet`, `--compare`, `--trace <file>` and `--help`
-//! (what each does is stated once, in [`usage`] and on the [`ExpArgs`]
-//! fields). A binary may additionally declare [`Extra`] flags — `--smoke` for
+//! Every experiment binary accepts `--list`, `--out <dir>`, `--quiet`,
+//! `--compare` and `--help` (what each does is stated once, in [`usage`] and
+//! on the [`ExpArgs`] fields). A binary additionally declares the [`Extra`]
+//! flags it reads — `--full`, `--threads <k>` and `--trace <file>` for the
+//! sweep-driven binaries (`exp_perf` reads `--threads` too), `--smoke` for
 //! the six binaries with a CI-sized grid, `--journal <dir>` for
 //! `exp_profile`; a flag the binary did not declare is an unknown flag like
 //! any other.
@@ -19,6 +20,13 @@ pub enum Extra {
     /// `--smoke`: run the binary's CI-sized grid. Carries the binary's
     /// one-line help text (how long that grid takes).
     Smoke(&'static str),
+    /// `--full`: keep the raw per-round metrics histories in the artifact.
+    Full,
+    /// `--threads <k>`: worker threads for the binary's cells.
+    Threads,
+    /// `--trace <file>`: export the wall-clock worker/cell placement as
+    /// trace-event JSON.
+    Trace,
     /// `--journal <dir>`: write the deterministic journal streams and the
     /// Perfetto `trace.json` under `<dir>`.
     Journal,
@@ -29,6 +37,21 @@ impl Extra {
     fn usage(self) -> (&'static str, &'static str) {
         match self {
             Extra::Smoke(help) => ("--smoke", help),
+            Extra::Full => (
+                "--full",
+                "keep full-fidelity records (raw per-round metrics)\n\
+                 \x20                in the BENCH artifact instead of the compact aggregate",
+            ),
+            Extra::Threads => (
+                "--threads <k>",
+                "worker threads for the cells (default: TSA_THREADS\n\
+                 \x20                or the machine's available parallelism)",
+            ),
+            Extra::Trace => (
+                "--trace <file>",
+                "export worker/cell wall-clock placement as\n\
+                 \x20                Chrome-trace JSON (open in Perfetto)",
+            ),
             Extra::Journal => (
                 "--journal <dir>",
                 "write the deterministic journal streams and\n\
@@ -41,21 +64,21 @@ impl Extra {
 /// Parsed command-line arguments of an experiment binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExpArgs {
-    /// Keep full-fidelity results in the BENCH artifact.
+    /// Keep full-fidelity results in the BENCH artifact ([`Extra::Full`]).
     pub full: bool,
     /// Print the enumerated sweep cells and exit without running anything.
     pub list: bool,
     /// Output directory override for the BENCH artifact and shards.
     pub out: Option<PathBuf>,
-    /// Worker-thread override for sweep execution.
+    /// Worker-thread override for the cells ([`Extra::Threads`]).
     pub threads: Option<usize>,
     /// Silence the stderr progress stream (stdout results still print).
     pub quiet: bool,
-    /// Hold the fresh artifact against the committed one and append a
-    /// trajectory row; deterministic drift exits non-zero.
+    /// Hold the fresh artifact against the committed one; deterministic
+    /// drift exits non-zero.
     pub compare: bool,
     /// Export the run's wall-clock worker/cell placement as trace-event
-    /// JSON to this file.
+    /// JSON to this file ([`Extra::Trace`]).
     pub trace: Option<PathBuf>,
     /// Run the CI-sized grid ([`Extra::Smoke`]).
     pub smoke: bool,
@@ -77,13 +100,13 @@ impl ExpArgs {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--help" | "-h" => return Ok(None),
-                "--full" => parsed.full = true,
+                "--full" if extras.contains(&Extra::Full) => parsed.full = true,
                 "--list" => parsed.list = true,
                 "--out" => {
                     let dir = args.next().ok_or("--out requires a directory argument")?;
                     parsed.out = Some(PathBuf::from(dir));
                 }
-                "--threads" => {
+                "--threads" if extras.contains(&Extra::Threads) => {
                     let k = args.next().ok_or("--threads requires a count argument")?;
                     let k: usize = k
                         .parse()
@@ -95,7 +118,7 @@ impl ExpArgs {
                 }
                 "--quiet" => parsed.quiet = true,
                 "--compare" => parsed.compare = true,
-                "--trace" => {
+                "--trace" if extras.contains(&Extra::Trace) => {
                     let file = args.next().ok_or("--trace requires a file argument")?;
                     parsed.trace = Some(PathBuf::from(file));
                 }
@@ -148,25 +171,17 @@ pub fn usage(exp: &str, about: &str, extras: &[Extra]) -> String {
     let mut text = format!(
         "{exp} — {about}\n\
          \n\
-         USAGE: {exp} [--full] [--list] [--out <dir>] [--threads <k>] [--quiet]\n\
-         \x20       [--compare] [--trace <file>]\n\
+         USAGE: {exp} [--list] [--out <dir>] [--quiet] [--compare]\n\
          \n\
          OPTIONS:\n\
-         \x20 --full         keep full-fidelity records (raw per-round metrics)\n\
-         \x20                in BENCH_{exp}.json instead of the compact aggregate\n\
-         \x20 --list         print the enumerated sweep cells and exit without\n\
+         \x20 --list         print the enumerated cells and exit without\n\
          \x20                running anything\n\
          \x20 --out <dir>    write BENCH_{exp}.json and sweep shards under <dir>\n\
-         \x20 --threads <k>  worker threads for sweep cells (default: TSA_THREADS\n\
-         \x20                or the machine's available parallelism)\n\
          \x20 --quiet        silence the stderr progress stream (resume summary,\n\
          \x20                per-cell progress); stdout results still print\n\
          \x20 --compare      hold the fresh artifact against the committed\n\
          \x20                BENCH_{exp}.json (exit 1 + metric-level diff on\n\
-         \x20                deterministic drift) and append one machine-tagged\n\
-         \x20                row to TRAJECTORY.jsonl\n\
-         \x20 --trace <file> export worker/cell wall-clock placement as\n\
-         \x20                Chrome-trace JSON (open in Perfetto)\n\
+         \x20                deterministic drift)\n\
          \x20 --help         print this help"
     );
     if !extras.is_empty() {
@@ -184,6 +199,8 @@ mod tests {
     use super::*;
 
     const SMOKE: Extra = Extra::Smoke("CI-sized grid (a few seconds end to end)");
+    /// The extras a sweep-driven binary declares.
+    const SWEEP: [Extra; 3] = [Extra::Full, Extra::Threads, Extra::Trace];
 
     /// Parses a command line given as one whitespace-separated string.
     fn parse(line: &str, extras: &[Extra]) -> Result<Option<ExpArgs>, String> {
@@ -195,7 +212,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let args = parse(SHARED, &[]).unwrap().unwrap();
+        let args = parse(SHARED, &SWEEP).unwrap().unwrap();
         assert!(args.full);
         assert!(args.list);
         assert_eq!(args.out, Some(PathBuf::from("results")));
@@ -211,7 +228,7 @@ mod tests {
     #[test]
     fn help_short_circuits() {
         assert_eq!(parse("--help", &[]).unwrap(), None);
-        assert_eq!(parse("--full -h", &[]).unwrap(), None);
+        assert_eq!(parse("--list -h", &[]).unwrap(), None);
     }
 
     #[test]
@@ -224,7 +241,18 @@ mod tests {
             "--threads 0",
             "--trace",
         ] {
-            assert!(parse(line, &[]).is_err(), "{line}");
+            assert!(parse(line, &SWEEP).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_trace_file_is_refused_unless_declared() {
+        let args = parse("--trace f", &[Extra::Trace]).unwrap().unwrap();
+        assert_eq!(args.trace, Some(PathBuf::from("f")));
+        // The same for every flag only some binaries read.
+        for line in ["--trace f", "--full", "--threads 2"] {
+            let err = parse(line, &[SMOKE, Extra::Journal]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{line}: {err}");
         }
     }
 
@@ -253,12 +281,13 @@ mod tests {
 
     #[test]
     fn usage_names_every_flag() {
-        let text = usage("exp_x", "test experiment", &[]);
+        let text = usage("exp_x", "test experiment", &SWEEP);
         for flag in SHARED.split(' ').filter(|word| word.starts_with("--")) {
             assert!(text.contains(flag), "usage must document {flag}");
         }
         assert!(text.contains("--help"));
-        assert!(!text.contains("EXTRA:") && !text.contains("--smoke"));
+        let bare = usage("exp_x", "test experiment", &[]);
+        assert!(!bare.contains("EXTRA:") && !bare.contains("--smoke") && !bare.contains("--full"));
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! The perf-trajectory gate behind `--compare`.
+//! The deterministic gate behind `--compare`.
 //!
 //! A fresh experiment run is held against the committed `BENCH_<exp>.json`:
 //! the deterministic part must byte-match (the same claim the
 //! bench-regeneration CI job makes with `git diff`, but failing with a
 //! *metric-level* diff naming the exact JSON paths that drifted). Wall-clock
 //! fields are never gated here — claims about speed are `benchmark/`'s.
-//! Every compared run appends one machine-tagged [`TrajectoryRow`] to
-//! `TRAJECTORY.jsonl`, which the dashboard plots across PRs.
-
-use std::path::{Path, PathBuf};
 
 use serde_json::Value;
-use tsa_dash::{append_row, machine_tag, MetricPoint, TrajectoryRow, TRAJECTORY_FILE};
 
 /// Cap on reported diff lines: enough to localize drift, not enough to dump
 /// a whole artifact into CI logs.
@@ -132,43 +127,6 @@ fn push_diff(out: &mut Vec<String>, line: String) {
     }
 }
 
-/// Where the trajectory file lives for this invocation: under `--out` when
-/// set, else the current directory (the repo root in normal use).
-pub fn trajectory_path(out: Option<&Path>) -> PathBuf {
-    out.unwrap_or_else(|| Path::new(".")).join(TRAJECTORY_FILE)
-}
-
-/// Milliseconds since the Unix epoch (0 if the clock is before it).
-pub fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Appends the machine-tagged trajectory row for one compared run. Failures
-/// are reported, not fatal: the trajectory observes the gate, it is not the
-/// gate.
-pub fn append_trajectory(
-    out_dir: Option<&Path>,
-    exp: &str,
-    det_match: bool,
-    artifact_bytes: u64,
-    metrics: Vec<MetricPoint>,
-) -> std::io::Result<PathBuf> {
-    let path = trajectory_path(out_dir);
-    let row = TrajectoryRow {
-        exp: exp.to_string(),
-        unix_ms: unix_ms(),
-        host: machine_tag(),
-        det_match,
-        artifact_bytes,
-        metrics,
-    };
-    append_row(&path, &row)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,15 +181,5 @@ mod tests {
             &mut out,
         );
         assert_eq!(out.len(), DIFF_CAP);
-    }
-
-    #[test]
-    fn trajectory_paths_follow_out() {
-        assert_eq!(trajectory_path(None), PathBuf::from("./TRAJECTORY.jsonl"));
-        assert_eq!(
-            trajectory_path(Some(Path::new("results"))),
-            PathBuf::from("results/TRAJECTORY.jsonl")
-        );
-        assert!(unix_ms() > 0);
     }
 }

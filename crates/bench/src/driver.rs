@@ -10,11 +10,11 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 use serde_json::Value;
-use tsa_dash::{MetricPoint, TraceBuilder};
+use tsa_dash::TraceBuilder;
 use tsa_sweep::{aggregate, CellRecord, SweepAggregate, SweepRun, SweepRunner, SweepSpec};
 
 use crate::cli::ExpArgs;
-use crate::compare::{append_trajectory, compare_artifact};
+use crate::compare::compare_artifact;
 
 /// The machine-readable artifact an experiment writes as `BENCH_<exp>.json`:
 /// per-axis aggregates plus per-cell records — compacted to their
@@ -215,8 +215,7 @@ fn compared_part(text: &str, compared: Compared) -> Option<Cow<'_, str>> {
 /// The tail of every experiment binary, as a value: writes `doc` to
 /// `BENCH_<exp>.json` (creating `--out`) and, under `--compare`, holds its
 /// `compared` part against the committed artifact — read *before* the write,
-/// since both live at the same path — and appends one machine-tagged row
-/// with `metrics` to `TRAJECTORY.jsonl`. `verdict` is the binary's own
+/// since both live at the same path. `verdict` is the binary's own
 /// all-checks result. `Err` carries everything that must fail the run: an
 /// artifact that could not be written, deterministic drift (with the
 /// metric-level diff), a failed verdict.
@@ -225,7 +224,6 @@ pub fn try_publish<D: Serialize>(
     args: &ExpArgs,
     doc: &D,
     compared: Compared,
-    metrics: Vec<MetricPoint>,
     verdict: Result<(), String>,
 ) -> Result<(), String> {
     let reporter = args.reporter();
@@ -251,16 +249,6 @@ pub fn try_publish<D: Serialize>(
             .as_deref()
             .and_then(|text| compared_part(text, compared));
         let report = compare_artifact(exp, committed_part.as_deref(), &fresh_part);
-        match append_trajectory(
-            args.out.as_deref(),
-            exp,
-            report.det_match && verdict.is_ok(),
-            fresh_part.len() as u64,
-            metrics,
-        ) {
-            Ok(path) => reporter.note(&format!("{exp}: trajectory row -> {}", path.display())),
-            Err(err) => reporter.error(&format!("{exp}: could not append trajectory row: {err}")),
-        }
         if report.det_match {
             reporter.result(&report.render());
         } else {
@@ -282,10 +270,9 @@ pub fn publish<D: Serialize>(
     args: &ExpArgs,
     doc: &D,
     compared: Compared,
-    metrics: Vec<MetricPoint>,
     verdict: Result<(), String>,
 ) {
-    if let Err(failures) = try_publish(exp, args, doc, compared, metrics, verdict) {
+    if let Err(failures) = try_publish(exp, args, doc, compared, verdict) {
         tsa_obs::Reporter::default().error(&failures);
         std::process::exit(1);
     }
@@ -299,31 +286,7 @@ pub fn finish(exp: &str, args: &ExpArgs, runs: &[SweepRun], extra: Value) {
     if let Some(path) = &args.trace {
         write_sweep_trace(exp, path, runs);
     }
-    publish(exp, args, &doc, Compared::Whole, run_metrics(runs), Ok(()));
-}
-
-/// The plottable scalars a sweep run contributes to its trajectory row:
-/// per-sweep wall-clock seconds (timing — machine-dependent, plotted but
-/// never gated) and executed-cell counts.
-fn run_metrics(runs: &[SweepRun]) -> Vec<MetricPoint> {
-    let mut metrics = Vec::new();
-    for run in runs {
-        let wall_us: u64 = run
-            .cell_timings
-            .iter()
-            .map(|t| t.start_us + t.dur_us)
-            .max()
-            .unwrap_or(0);
-        metrics.push(MetricPoint {
-            name: format!("wall_secs[{}]", run.spec.name),
-            value: wall_us as f64 / 1e6,
-        });
-        metrics.push(MetricPoint {
-            name: format!("cells[{}]", run.spec.name),
-            value: run.records.len() as f64,
-        });
-    }
-    metrics
+    publish(exp, args, &doc, Compared::Whole, Ok(()));
 }
 
 /// Exports the sweeps' wall-clock placement as trace-event JSON: one
@@ -355,7 +318,6 @@ fn write_sweep_trace(exp: &str, path: &Path, runs: &[SweepRun]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsa_dash::{read_rows, TrajectoryRow};
     use tsa_scenario::{ScenarioKind, ScenarioSpec};
 
     /// A two-section artifact shaped like `exp_net`'s / `exp_profile`'s /
@@ -399,12 +361,19 @@ mod tests {
             deterministic: Det { messages_sent },
             timing,
         };
-        try_publish("exp_x", args, &doc, compared, vec![], verdict)
+        try_publish("exp_x", args, &doc, compared, verdict)
     }
 
-    fn last_row(args: &ExpArgs) -> (usize, TrajectoryRow) {
-        let rows = read_rows(&crate::compare::trajectory_path(args.out.as_deref()));
-        (rows.len(), rows.last().expect("a trajectory row").clone())
+    #[test]
+    fn a_compared_run_leaves_only_its_artifact_behind() {
+        let args = compare_args("only", true);
+        run(&args, (10, 1), SECTION, Ok(())).unwrap();
+        run(&args, (10, 2), SECTION, Ok(())).unwrap();
+        let names: Vec<String> = std::fs::read_dir(args.out.as_deref().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["BENCH_exp_x.json"]);
     }
 
     #[test]
@@ -419,9 +388,6 @@ mod tests {
         };
         assert_eq!(committed_baseline("exp_x", &smoke), None);
         run(&smoke, (99, 2), SECTION, Ok(())).unwrap();
-        let (rows, last) = last_row(&smoke);
-        assert_eq!(rows, 2, "the trajectory row is appended either way");
-        assert!(last.det_match);
         // The artifact now on disk is the smoke one, and is a baseline for
         // the next --smoke run.
         assert!(committed_baseline("exp_x", &smoke).is_some());
@@ -434,10 +400,8 @@ mod tests {
         let args = compare_args("drift", true);
         run(&args, (10, 1), SECTION, Ok(())).unwrap();
         run(&args, (10, 2), SECTION, Ok(())).unwrap();
-        assert!(last_row(&args).1.det_match);
         let err = run(&args, (11, 2), SECTION, Ok(())).unwrap_err();
         assert!(err.contains("$.messages_sent: 10 -> 11"), "{err}");
-        assert!(!last_row(&args).1.det_match);
     }
 
     #[test]
@@ -445,7 +409,6 @@ mod tests {
         let args = compare_args("timing", true);
         run(&args, (10, 1), SECTION, Ok(())).unwrap();
         run(&args, (10, 777), SECTION, Ok(())).unwrap();
-        assert!(last_row(&args).1.det_match);
         // The same change under a whole-file gate is drift.
         let err = run(&args, (10, 778), Compared::Whole, Ok(())).unwrap_err();
         assert!(err.contains("$.timing: 777 -> 778"), "{err}");
@@ -457,7 +420,6 @@ mod tests {
         run(&args, (10, 1), SECTION, Ok(())).unwrap();
         let err = run(&args, (10, 1), SECTION, Err("a twin diverged".into())).unwrap_err();
         assert_eq!(err, "exp_x: a twin diverged");
-        assert!(!last_row(&args).1.det_match);
     }
 
     #[test]

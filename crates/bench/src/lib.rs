@@ -8,7 +8,7 @@
 //! and gates it under `--compare`). `EXPERIMENTS.md` in the repository root
 //! records the outputs; the artifact of a sweep-driven binary is a
 //! [`BenchDoc`] (sweep aggregates plus compacted cell records), so the
-//! bench trajectory can be tracked across PRs. Claims about wall-clock cost
+//! results are diffable across PRs. Claims about wall-clock cost
 //! are the `benchmark/` package's; `exp_perf` adds the `n × threads` grid.
 //!
 //! | binary            | exhibit / claim |

@@ -23,7 +23,7 @@ const USAGE: &str = "usage:
 
   --serve          serve the live dashboard over plain HTTP
   --addr A         listen address (default 127.0.0.1:8787)
-  --dir D          artifact directory holding BENCH_*.json and TRAJECTORY.jsonl (default .)
+  --dir D          artifact directory holding BENCH_*.json (default .)
   --sweeps D       progress sidecar directory (default <dir>/target/sweeps)
   --max-requests N exit after serving N requests (smoke tests)
   --fold FILE      fold a JSONL journal and print its DetSnapshot as JSON";

@@ -14,10 +14,7 @@
 //!   process per engine, one track per worker, one slice per span.
 //! * [`serve()`](serve::serve) / [`DashConfig`] — the **live dashboard**: a `std::net`
 //!   HTTP server (no tokio, same discipline as `tsa-net`) that tails sweep
-//!   progress sidecars, plots the cross-PR [`TrajectoryRow`] history and
-//!   lists committed `BENCH_*.json` artifacts.
-//! * [`TrajectoryRow`] / [`append_row`] — the **perf trajectory**: one
-//!   machine-tagged JSONL row per `tsa-bench --compare` run.
+//!   progress sidecars and lists committed `BENCH_*.json` artifacts.
 //!
 //! The det/timing split of `tsa-obs` is preserved wholesale: journals hold
 //! only deterministic events and are byte-compared in CI; spans live in
@@ -29,11 +26,7 @@
 pub mod journal;
 pub mod serve;
 pub mod trace;
-pub mod trajectory;
 
 pub use journal::{JournalEvent, JournalRecorder, RunJournal, SpanSlice};
 pub use serve::{serve, DashConfig};
 pub use trace::TraceBuilder;
-pub use trajectory::{
-    append_row, machine_tag, read_rows, MetricPoint, TrajectoryRow, TRAJECTORY_FILE,
-};

@@ -9,7 +9,6 @@
 //!   directory, as an array of `{file, snapshot}` objects. Sidecars are
 //!   written atomically by the sweep executor after each cell, so a poll
 //!   always sees a complete JSON document.
-//! * `GET /api/trajectory` — every parseable row of `TRAJECTORY.jsonl`.
 //! * `GET /api/bench` — the names of committed `BENCH_*.json` artifacts.
 //! * `GET /api/bench/<name>` — one artifact's contents (name must match
 //!   `BENCH_*.json` exactly; path traversal is rejected by construction).
@@ -26,13 +25,10 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 
-use crate::trajectory::{read_rows, TRAJECTORY_FILE};
-
 /// What the dashboard watches.
 #[derive(Clone, Debug)]
 pub struct DashConfig {
-    /// The repo/artifact directory: `BENCH_*.json` and `TRAJECTORY.jsonl`
-    /// live here.
+    /// The repo/artifact directory: `BENCH_*.json` live here.
     pub dir: PathBuf,
     /// The sweep shard directory: `*.progress.json` sidecars live here.
     pub sweeps: PathBuf,
@@ -89,10 +85,6 @@ fn handle(mut stream: TcpStream, config: &DashConfig) -> std::io::Result<()> {
         ),
         "/api/progress" => {
             let body = progress_json(&config.sweeps);
-            respond(&mut stream, 200, "application/json", body.as_bytes())
-        }
-        "/api/trajectory" => {
-            let body = trajectory_json(&config.dir);
             respond(&mut stream, 200, "application/json", body.as_bytes())
         }
         "/api/bench" => {
@@ -197,11 +189,6 @@ fn progress_json(sweeps: &Path) -> String {
     .to_json_compact()
 }
 
-fn trajectory_json(dir: &Path) -> String {
-    let rows = read_rows(&dir.join(TRAJECTORY_FILE));
-    serde_json::to_string(&rows).unwrap_or_else(|_| "[]".to_string())
-}
-
 /// Committed artifact names (`BENCH_*.json`), sorted.
 fn bench_list_json(dir: &Path) -> String {
     let mut names: Vec<String> = Vec::new();
@@ -239,11 +226,10 @@ fn bench_artifact(dir: &Path, name: &str) -> Option<String> {
     Some(text)
 }
 
-/// The dashboard page. Palette and chart rules follow the repo's data-viz
-/// discipline: roles as CSS custom properties with a selected dark mode,
-/// categorical slot 1 (blue) for the single trajectory series per chart
-/// (one series per small multiple — no legend needed), text in ink tokens,
-/// hairline grid, thin marks, tabular figures in tables.
+/// The dashboard page. Palette rules follow the repo's data-viz discipline:
+/// roles as CSS custom properties with a selected dark mode, categorical
+/// slot 1 (blue) for the progress bars, text in ink tokens, hairline grid,
+/// tabular figures in tables.
 const DASH_HTML: &str = r#"<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -259,10 +245,7 @@ const DASH_HTML: &str = r#"<!DOCTYPE html>
     --text-secondary: #52514e;
     --muted: #898781;
     --grid: #e1e0d9;
-    --baseline: #c3c2b7;
     --series-1: #2a78d6;
-    --good: #0ca30c;
-    --critical: #d03b3b;
   }
   @media (prefers-color-scheme: dark) {
     :root:where(:not([data-theme="light"])) .viz-root {
@@ -273,10 +256,7 @@ const DASH_HTML: &str = r#"<!DOCTYPE html>
       --text-secondary: #c3c2b7;
       --muted: #898781;
       --grid: #2c2c2a;
-      --baseline: #383835;
       --series-1: #3987e5;
-      --good: #0ca30c;
-      --critical: #d03b3b;
     }
   }
   body.viz-root {
@@ -299,21 +279,14 @@ const DASH_HTML: &str = r#"<!DOCTYPE html>
   th, td { text-align: left; padding: 3px 10px 3px 0; border-bottom: 1px solid var(--grid); }
   th { color: var(--text-secondary); font-weight: 600; }
   td.num { text-align: right; }
-  .ok { color: var(--good); } .bad { color: var(--critical); }
-  .charts { display: flex; flex-wrap: wrap; gap: 12px; }
-  .chart { background: var(--surface-1); border: 1px solid var(--grid); border-radius: 8px; padding: 10px 12px; }
-  .chart .t { font-size: 12px; color: var(--text-secondary); margin-bottom: 4px; }
-  svg text { fill: var(--muted); font: 10px system-ui, sans-serif; }
   .empty { color: var(--muted); }
 </style>
 </head>
 <body class="viz-root">
 <h1>tsa experiment dashboard</h1>
-<p class="sub">Live sweep progress and the cross-PR perf trajectory. Polls every 2&#8201;s.</p>
+<p class="sub">Live sweep progress and the committed artifacts. Polls every 2&#8201;s.</p>
 <h2>Sweeps in flight</h2>
 <div id="progress"><p class="empty">No progress sidecars yet.</p></div>
-<h2>Perf trajectory (TRAJECTORY.jsonl)</h2>
-<div id="trajectory" class="charts"><p class="empty">No trajectory rows yet.</p></div>
 <h2>Committed artifacts</h2>
 <div id="bench" class="card"><p class="empty">None found.</p></div>
 <script>
@@ -342,48 +315,6 @@ function renderProgress(items) {
   }).join("");
 }
 
-// One small multiple per (exp, metric): a single blue series on its own
-// axis — never two scales on one chart.
-function chartSvg(points) {
-  const W = 260, H = 90, L = 8, R = 8, T = 8, B = 16;
-  const xs = points.map(p => p.x), ys = points.map(p => p.y);
-  const x0 = Math.min(...xs), x1 = Math.max(...xs);
-  const y0 = Math.min(0, Math.min(...ys)), y1 = Math.max(...ys) || 1;
-  const px = x => x1 === x0 ? W / 2 : L + (x - x0) / (x1 - x0) * (W - L - R);
-  const py = y => H - B - (y - y0) / (y1 - y0 || 1) * (H - T - B);
-  const d = points.map((p, i) => (i ? "L" : "M") + px(p.x).toFixed(1) + " " + py(p.y).toFixed(1)).join(" ");
-  const dots = points.length === 1
-    ? `<circle cx="${px(points[0].x)}" cy="${py(points[0].y)}" r="4" fill="var(--series-1)"/>` : "";
-  const last = points[points.length - 1];
-  return `<svg width="${W}" height="${H}" role="img">
-    <line x1="${L}" y1="${H-B}" x2="${W-R}" y2="${H-B}" stroke="var(--baseline)" stroke-width="1"/>
-    <path d="${d}" fill="none" stroke="var(--series-1)" stroke-width="2" stroke-linejoin="round"/>${dots}
-    <text x="${W-R}" y="${H-3}" text-anchor="end">${esc(last.y.toPrecision(4))}</text>
-  </svg>`;
-}
-
-function renderTrajectory(rows) {
-  const el = document.getElementById("trajectory");
-  if (!rows || !rows.length) { el.innerHTML = '<p class="empty">No trajectory rows yet.</p>'; return; }
-  const series = new Map();
-  for (const row of rows) {
-    for (const m of row.metrics || []) {
-      const key = row.exp + " &middot; " + esc(m.name);
-      if (!series.has(key)) series.set(key, []);
-      series.get(key).push({x: row.unix_ms, y: m.value, ok: row.det_match});
-    }
-  }
-  let html = "";
-  for (const [key, pts] of series) {
-    pts.sort((a, b) => a.x - b.x);
-    const ok = pts.every(p => p.ok);
-    html += `<div class="chart"><div class="t">${key}
-      <span class="${ok ? "ok" : "bad"}">${ok ? "&#10003; det" : "&#10007; drift"}</span></div>
-      ${chartSvg(pts)}</div>`;
-  }
-  el.innerHTML = html;
-}
-
 function renderBench(names) {
   const el = document.getElementById("bench");
   if (!names || !names.length) { el.innerHTML = '<p class="empty">None found.</p>'; return; }
@@ -394,7 +325,6 @@ function renderBench(names) {
 
 async function tick() {
   renderProgress(await poll("/api/progress"));
-  renderTrajectory(await poll("/api/trajectory"));
   renderBench(await poll("/api/bench"));
 }
 tick();
@@ -449,22 +379,17 @@ mod tests {
     }
 
     #[test]
-    fn serves_page_progress_trajectory_and_artifacts() {
+    fn serves_page_progress_and_artifacts() {
         let config = temp_config("full");
         std::fs::write(
             config.sweeps.join("exp.sweep.progress.json"),
             r#"{"label":"exp/sweep","total":4,"done":1,"elapsed_secs":1.0,"eta_secs":3.0,"recent":["cell"]}"#,
         )
         .unwrap();
-        std::fs::write(
-            config.dir.join(TRAJECTORY_FILE),
-            "{\"exp\":\"exp_perf\",\"unix_ms\":5,\"host\":\"h/l/x\",\"det_match\":true,\"artifact_bytes\":10,\"metrics\":[]}\n",
-        )
-        .unwrap();
         std::fs::write(config.dir.join("BENCH_exp_demo.json"), "{\"ok\":true}").unwrap();
         std::fs::write(config.dir.join("not_bench.json"), "{}").unwrap();
 
-        let (addr, handle) = serve_n(config, 6);
+        let (addr, handle) = serve_n(config, 5);
         let (status, page) = request(addr, "/");
         assert_eq!(status, 200);
         assert!(page.contains("tsa experiment dashboard"));
@@ -484,11 +409,6 @@ mod tests {
             Some("exp/sweep")
         );
 
-        let (status, traj) = request(addr, "/api/trajectory");
-        assert_eq!(status, 200);
-        let rows = serde_json::parse_value(&traj).unwrap();
-        assert_eq!(rows.as_array().unwrap().len(), 1);
-
         let (status, list) = request(addr, "/api/bench");
         assert_eq!(status, 200);
         let names = serde_json::parse_value(&list).unwrap();
@@ -503,7 +423,7 @@ mod tests {
 
         let (status, _) = request(addr, "/api/bench/../Cargo.toml");
         assert_eq!(status, 404);
-        assert_eq!(handle.join().unwrap(), 6);
+        assert_eq!(handle.join().unwrap(), 5);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`obs`] — observability: deterministic counters/histograms and
 //!   wall-clock phase spans, streaming metrics, progress reporting;
 //! * [`dash`] — the presentation layer over [`obs`]: the flight-recorder
-//!   journal, Chrome-trace/Perfetto export, the cross-PR perf trajectory
-//!   and the live experiment dashboard;
+//!   journal, Chrome-trace/Perfetto export and the live experiment
+//!   dashboard;
 //! * [`scenario`] — the fluent [`Scenario`](scenario::Scenario) builder that
 //!   composes all of the above into runnable, serializable experiments;
 //! * [`sweep`] — declarative parameter sweeps over `Scenario`: grid
@@ -59,7 +59,7 @@ pub mod prelude {
         AsyncMaintenanceHarness, ByzantineSpec, MaintenanceHarness, MaintenanceParams,
         MaintenanceReport, MisbehaviorKind, NetMaintenanceHarness,
     };
-    pub use tsa_dash::{DashConfig, JournalRecorder, RunJournal, TraceBuilder, TrajectoryRow};
+    pub use tsa_dash::{DashConfig, JournalRecorder, RunJournal, TraceBuilder};
     pub use tsa_event::{
         ExecutionModel, FaultAction, FaultPlan, FaultRule, LatencyModel, MessageTrace, NetModel,
         NodeSelector, PartitionSchedule, RegionAssign, RoundWindow, Topology,
