@@ -3,11 +3,10 @@
 //!
 //! # Who uses it
 //!
-//! * `tsa-net`'s `Loopback` holds fault-delayed frames in a queue of width 1
-//!   over rounds: each boundary drains the frames due by then and sorts
-//!   only those into send order;
-//! * the `event.queue_op_ns` micro-benchmark of the `benchmark/` package
-//!   times its push and pop at width 64.
+//! Nothing in the workspace. Its one remaining user is the
+//! `event.queue_op_ns` micro-benchmark of the `benchmark/` package, which
+//! times its push and pop at width 64; the module and its properties
+//! (`crates/event/tests/queue_props.rs`) go once that metric is retired.
 //!
 //! # Layout
 //!
@@ -44,8 +43,7 @@ const MAX_SPARE_BUCKETS: usize = 4;
 /// envelope. The queue orders by `(arrival, seq, receiver)`; `seq` is unique
 /// in a live engine, so the order is total and delivery is deterministic.
 pub struct Pending<M> {
-    /// When the message becomes deliverable, in the queue's unit of time
-    /// (the transport files the round whose boundary releases it).
+    /// When the message becomes deliverable, in the queue's unit of time.
     pub arrival: u64,
     /// The message's global send index.
     pub seq: u64,
@@ -165,7 +163,7 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Moves every event with `arrival <= now` into `out`, in **unspecified
-    /// order** (the transport sorts its due frames into send order anyway).
+    /// order**.
     /// Whole due buckets are appended with a bulk move and never key-sorted;
     /// use [`pop_at_or_before`](Self::pop_at_or_before) when the pop order
     /// itself matters.

@@ -1,22 +1,13 @@
-//! Byte-identity properties of the calendar queue and the engine's fates.
-//!
-//! * the calendar queue must pop the exact `(arrival, seq, receiver)` order
-//!   of a reference `BinaryHeap<Pending>`, and drain exactly the heap's due
-//!   set, under dense, sparse, far-future and duplicate-arrival
-//!   distributions, at thread caps 1/2/4;
-//! * an engine run's recorded trace must equal the fates predicted by
-//!   one-shot [`NetModel::route`] calls and the delivery-round rule,
-//!   message by message.
+//! Byte-identity properties of the calendar queue: it must pop the exact
+//! `(arrival, seq, receiver)` order of a reference `BinaryHeap<Pending>`, and
+//! drain exactly the heap's due set, under dense, sparse, far-future and
+//! duplicate-arrival distributions, at thread caps 1/2/4.
 
 use std::collections::BinaryHeap;
 
 use proptest::{prop_assert, proptest, ProptestConfig, Strategy, TestRng};
 use tsa_event::queue::{CalendarQueue, Pending};
-use tsa_event::{
-    EventConfig, EventSimulator, LatencyModel, MessageFate, NetModel, TICKS_PER_ROUND,
-};
-use tsa_sim::prelude::*;
-use tsa_sim::SimConfig;
+use tsa_sim::{Envelope, NodeId};
 
 /// Which arrival-tick distribution a generated workload draws from.
 #[derive(Clone, Copy, Debug)]
@@ -239,63 +230,5 @@ proptest! {
         if let Err(e) = check_dist(&w) {
             prop_assert!(false, "{} ({:?})", e, w);
         }
-    }
-}
-
-/// The flood protocol the engine tests pin traces with.
-#[derive(Default)]
-struct Ping;
-
-impl Process for Ping {
-    type Msg = u64;
-    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, _inbox: &[Envelope<u64>]) {
-        let me = ctx.id().raw();
-        ctx.send(NodeId(me.wrapping_add(1)), me);
-        if me > 0 {
-            ctx.send(NodeId(me - 1), me);
-        }
-    }
-}
-
-/// Every fate the engine records must equal the one `route` predicts for
-/// its sequence number, filed under the delivery-round rule.
-#[test]
-fn recorded_traces_match_one_shot_route_predictions() {
-    let seed = 42;
-    let net = NetModel {
-        latency: LatencyModel::uniform(100, 3500),
-        jitter: 400,
-        loss: 0.1,
-    };
-    let config = EventConfig::new(SimConfig::default().with_seed(seed), net);
-    let mut sim = EventSimulator::new(config, NullAdversary, Box::new(|_, _| Ping));
-    sim.record_trace();
-    sim.seed_nodes(12);
-    sim.run(8);
-    let sent = sim.net_stats().sent;
-    assert!(sent > 64, "the run sends enough copies to compare");
-    // Reconstruct each seq's send round from the per-round send counts
-    // (sequence numbers are assigned in send order).
-    let mut send_round = Vec::with_capacity(sent as usize);
-    for row in sim.metrics().rounds() {
-        send_round.extend(std::iter::repeat_n(row.round, row.messages_sent));
-    }
-    assert_eq!(send_round.len() as u64, sent);
-    let trace = sim.take_trace().unwrap();
-    for seq in 0..sent {
-        let t = send_round[seq as usize];
-        let expected = match net.route(seed, seq) {
-            None => MessageFate::Lost,
-            Some(delay) => MessageFate::Delivered {
-                at_round: (t * TICKS_PER_ROUND + delay)
-                    .div_ceil(TICKS_PER_ROUND)
-                    .max(t + 1),
-            },
-        };
-        assert_eq!(
-            trace.fate(seq),
-            Some(expected),
-            "engine fate for seq {seq} diverged from the one-shot route"
-        );
     }
 }

@@ -29,12 +29,17 @@
 //! decides their faults (the same pure `(seed, seq)` decisions the event
 //! engine takes) and encodes each survivor in its fixed [`Wire`] layout
 //! behind the frames queued for the same receiver; the outbox done, each
-//! receiver's frames leave in one write on the cached per-link stream: one
+//! receiver's frames leave in one write on the receiver's cached stream: one
 //! system call per sender and link it uses, not one per frame. A frame to a
 //! non-member is lost when it is queued; a link whose connect or write
-//! fails loses its whole batch and its cached stream. `end_round` sleeps out
-//! the rest of the budget: the window in which the poller turns this round's
-//! writes into the next boundary's deliveries.
+//! fails loses its whole batch and the receiver's cached stream. `end_round`
+//! sleeps out the rest of the budget: the window in which the poller turns
+//! this round's writes into the next boundary's deliveries.
+//!
+//! The transport keeps no membership of its own: `deliver` first follows
+//! the boundary's [`SlotIndex`], so a run holds one listener, one outgoing
+//! stream (shared by every sender: one thread writes every frame, and every
+//! frame names its sender) and one accepted connection per member.
 //!
 //! # Determinism boundary
 //!
@@ -48,7 +53,7 @@
 //! the deterministic model — the differential tests in `tsa-core` prove the
 //! replay reproduces the transport run's protocol state exactly.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -56,7 +61,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use tsa_event::queue::{CalendarQueue, Pending};
 use tsa_event::{
     FaultAction, FaultAdapter, FaultInjector, FaultPlan, FaultStats, MessageFate, MessageTrace,
     NetStats, TICKS_PER_ROUND,
@@ -123,6 +127,9 @@ struct Hub<M> {
     /// Passes the poller has made over its sockets.
     #[cfg(test)]
     passes: u64,
+    /// Connections the poller has accepted.
+    #[cfg(test)]
+    accepted: u64,
 }
 
 /// Coordinator → poller control messages.
@@ -197,79 +204,51 @@ fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
         }
         let mut active = false;
         for (owner, listener) in listeners.iter() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        conns.push(Conn {
-                            owner: *owner,
-                            stream,
-                            decoder: FrameDecoder::new(),
-                        });
-                        active = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            let mut drop_conn = false;
-            loop {
-                match conns[i].stream.read(&mut buf) {
-                    Ok(0) => {
-                        drop_conn = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        active = true;
-                        let conn = &mut conns[i];
-                        conn.decoder.push(&buf[..n]);
-                        loop {
-                            let frame = conn
-                                .decoder
-                                .next_frame()
-                                .and_then(|body| body.map(decode_wire_value::<M>).transpose());
-                            match frame {
-                                Ok(Some((seq, env))) => decoded.push((conn.owner, seq, env)),
-                                Ok(None) => break,
-                                // An oversized frame (the offset is
-                                // meaningless from here on), or a body that
-                                // does not decode (the peer is broken): cut
-                                // the stream, once the frames before it are
-                                // delivered.
-                                Err(_) => {
-                                    drop_conn = true;
-                                    break;
-                                }
-                            }
-                        }
-                        let mut hub = hub.lock().expect("hub lock poisoned");
-                        hub.bytes_received += n as u64;
-                        hub.frames_received += decoded.len() as u64;
-                        hub.batch.append(&mut decoded);
-                        drop(hub);
-                        if drop_conn {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        drop_conn = true;
-                        break;
+            while let Ok((stream, _)) = listener.accept() {
+                if stream.set_nonblocking(true).is_ok() {
+                    conns.push(Conn {
+                        owner: *owner,
+                        stream,
+                        decoder: FrameDecoder::new(),
+                    });
+                    active = true;
+                    #[cfg(test)]
+                    {
+                        hub.lock().expect("hub lock poisoned").accepted += 1;
                     }
                 }
             }
-            if drop_conn {
-                conns.swap_remove(i);
-            } else {
-                i += 1;
-            }
         }
+        // A connection is kept until it ends, fails, or carries a frame that
+        // does not decode.
+        conns.retain_mut(|conn| loop {
+            let n = match conn.stream.read(&mut buf) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return e.kind() == io::ErrorKind::WouldBlock,
+            };
+            active = true;
+            conn.decoder.push(&buf[..n]);
+            // An oversized frame (the offset is meaningless from here on),
+            // or a body that does not decode (the peer is broken): cut the
+            // stream, once the frames before it are delivered.
+            let broken = loop {
+                let frame = conn.decoder.next_frame();
+                match frame.and_then(|body| body.map(decode_wire_value::<M>).transpose()) {
+                    Ok(Some((seq, env))) => decoded.push((conn.owner, seq, env)),
+                    Ok(None) => break false,
+                    Err(_) => break true,
+                }
+            };
+            let mut hub = hub.lock().expect("hub lock poisoned");
+            hub.bytes_received += n as u64;
+            hub.frames_received += decoded.len() as u64;
+            hub.batch.append(&mut decoded);
+            if broken {
+                return false;
+            }
+        });
         idle = !active;
     }
 }
@@ -279,11 +258,14 @@ fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
 /// replay.
 pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 
-/// One node's side of the transport, in the world's slot order.
+/// One member's side of the transport, in the world's slot order.
 struct Port {
     id: NodeId,
     /// The node's listener address, for the sender side.
     addr: SocketAddr,
+    /// The one outgoing stream to this node, connected on first use and
+    /// shared by every sender.
+    stream: Option<TcpStream>,
     /// The frames the current sender has encoded for this node, back to
     /// back, and how many they are. One sender sends at a time, and its
     /// buffers are written out before the next one starts: n buffers serve
@@ -298,8 +280,8 @@ pub struct Loopback<M> {
     /// When the current round's wall-clock budget started.
     round_started: Instant,
     ports: Vec<Port>,
-    /// Cached outgoing streams, one per directed `(sender, receiver)` link.
-    conns: BTreeMap<(NodeId, NodeId), TcpStream>,
+    /// The lowest identifier that has never had a port.
+    next_unbound: u64,
     hub: Arc<Mutex<Hub<M>>>,
     ctl: mpsc::Sender<Ctl>,
     poller: Option<thread::JoinHandle<()>>,
@@ -317,9 +299,10 @@ pub struct Loopback<M> {
     /// it is written (the same pure `(seed, seq)` decisions the event engine
     /// takes at its delivery boundary).
     faults: FaultInjector<M>,
-    /// Fault-delayed frames, filed under their release round and written
-    /// to the wire at the boundary whose round reaches it.
-    held: CalendarQueue<M>,
+    /// Fault-delayed frames with their sequence numbers, in send order,
+    /// under their release round: written to the wire at the boundary whose
+    /// round reaches it.
+    held: BTreeMap<Round, Vec<(u64, Envelope<M>)>>,
     /// Socket writes made so far.
     #[cfg(test)]
     writes: u64,
@@ -382,40 +365,37 @@ impl<M: Wire> Loopback<M> {
         true
     }
 
-    /// Writes out what `from` has queued: one write per receiver with frames
-    /// pending, on the cached `(from, to)` stream, connecting (and
-    /// caching the stream) on first use; then tells the poller there is
-    /// something to read. A link whose connect or write fails drops its
+    /// Writes out what the current sender has queued: one write per
+    /// receiver with frames pending, on the receiver's stream, connecting
+    /// (and caching the stream) on first use; then tells the poller there
+    /// is something to read. A link whose connect or write fails drops the
     /// stream and loses its whole batch — a prefix the kernel took before
     /// the failure may still be read, and is then `Delivered` in the trace,
     /// which is what the twin replays. Returns how many frames never made it
     /// onto the wire.
-    fn flush_links(&mut self, from: NodeId) -> usize {
+    fn flush_links(&mut self) -> usize {
         let mut lost = 0usize;
         let mut wrote = false;
         for port in self.ports.iter_mut().filter(|p| p.pending_frames > 0) {
-            let key = (from, port.id);
-            let stream = match self.conns.entry(key) {
-                Entry::Occupied(entry) => Ok(entry.into_mut()),
-                Entry::Vacant(entry) => TcpStream::connect(port.addr).map(|stream| {
+            if port.stream.is_none() {
+                port.stream = TcpStream::connect(port.addr).ok();
+                if let Some(stream) = &port.stream {
                     let _ = stream.set_nodelay(true);
-                    entry.insert(stream)
-                }),
-            };
+                }
+            }
             #[cfg(test)]
             {
-                self.writes += u64::from(stream.is_ok());
+                self.writes += u64::from(port.stream.is_some());
             }
-            match stream.and_then(|stream| stream.write_all(&port.pending)) {
-                Ok(()) => {
-                    self.wire_sent_frames += port.pending_frames as u64;
-                    self.wire_sent_bytes += port.pending.len() as u64;
-                    wrote = true;
-                }
-                Err(_) => {
-                    self.conns.remove(&key);
-                    lost += port.pending_frames;
-                }
+            let stream = port.stream.as_mut();
+            let written = stream.is_some_and(|stream| stream.write_all(&port.pending).is_ok());
+            if written {
+                self.wire_sent_frames += port.pending_frames as u64;
+                self.wire_sent_bytes += port.pending.len() as u64;
+                wrote = true;
+            } else {
+                port.stream = None;
+                lost += port.pending_frames;
             }
             port.pending.clear();
             port.pending_frames = 0;
@@ -424,6 +404,44 @@ impl<M: Wire> Loopback<M> {
             self.ctl.send(Ctl::Wake).expect("poller alive");
         }
         lost
+    }
+
+    /// Follows the boundary's membership: every port whose node lost its
+    /// slot goes, its stream with it and its listener unregistered, and
+    /// every identifier assigned since the last boundary that owns a slot
+    /// binds its listener behind the rest. Identifiers are dense and assigned
+    /// in join order, so the ports stay in slot order; one that departed
+    /// before its first boundary (a seed node departing in round 0) is
+    /// skipped.
+    fn follow(&mut self, index: &SlotIndex) {
+        let ctl = &self.ctl;
+        self.ports.retain(|port| {
+            let member = index.slot(port.id).is_some();
+            if !member {
+                ctl.send(Ctl::Unregister(port.id)).expect("poller alive");
+            }
+            member
+        });
+        let assigned = index.assigned();
+        for id in (self.next_unbound..assigned).map(NodeId) {
+            if index.slot(id).is_none() {
+                continue;
+            }
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+            listener
+                .set_nonblocking(true)
+                .expect("nonblocking listener");
+            let addr = listener.local_addr().expect("listener address");
+            ctl.send(Ctl::Register(id, listener)).expect("poller alive");
+            self.ports.push(Port {
+                id,
+                addr,
+                stream: None,
+                pending: Vec::new(),
+                pending_frames: 0,
+            });
+        }
+        self.next_unbound = assigned;
     }
 }
 
@@ -447,6 +465,8 @@ where
             bytes_received: 0,
             #[cfg(test)]
             passes: 0,
+            #[cfg(test)]
+            accepted: 0,
         }));
         let (ctl, ctl_rx) = mpsc::channel();
         let poller_hub = Arc::clone(&hub);
@@ -458,7 +478,7 @@ where
             round_duration: config.round_duration,
             round_started: Instant::now(),
             ports: Vec::new(),
-            conns: BTreeMap::new(),
+            next_unbound: 0,
             hub,
             ctl,
             poller: Some(poller),
@@ -469,45 +489,16 @@ where
             wire_sent_bytes: 0,
             wire_reported: (0, 0),
             faults: FaultInjector::new(config.sim.seed),
-            held: CalendarQueue::new(1),
+            held: BTreeMap::new(),
             #[cfg(test)]
             writes: 0,
         };
         (config.sim, delivery)
     }
 
-    /// Binds the member's loopback listener.
-    fn on_join(&mut self, id: NodeId) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let addr = listener.local_addr().expect("listener address");
-        self.ctl
-            .send(Ctl::Register(id, listener))
-            .expect("poller alive");
-        debug_assert!(
-            self.ports.last().is_none_or(|last| last.id < id),
-            "slots join in id order"
-        );
-        self.ports.push(Port {
-            id,
-            addr,
-            pending: Vec::new(),
-            pending_frames: 0,
-        });
-    }
-
-    /// Tears down a departed member's listener and cached streams; frames
-    /// it never read are dropped when the next boundary reads them.
-    fn on_depart(&mut self, id: NodeId, slot: usize) {
-        self.ports.remove(slot);
-        self.conns.retain(|(from, to), _| *from != id && *to != id);
-        self.ctl.send(Ctl::Unregister(id)).expect("poller alive");
-    }
-
     fn deliver(&mut self, t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
         self.round_started = Instant::now();
+        self.follow(index);
         // Everything the poller decoded before this lock is taken is this
         // boundary's batch, drained under it, capacity kept: the poller only
         // waits to add the next boundary's frames.
@@ -550,14 +541,16 @@ where
         // due frames are sorted, sender by sender (in send order within
         // one), so each link they use sees one write.
         let mut due = Vec::new();
-        self.held.drain_at_or_before(t, &mut due);
-        due.sort_unstable_by_key(|p| (p.env.from, p.seq));
+        while let Some(record) = self.held.first_entry().filter(|r| *r.key() <= t) {
+            due.append(&mut record.remove());
+        }
+        due.sort_unstable_by_key(|(seq, env)| (env.from, *seq));
         let mut lost = 0usize;
-        for sender in due.chunk_by(|a, b| a.env.from == b.env.from) {
-            for p in sender {
-                lost += usize::from(!self.queue_frame(p.seq, &p.env, index.slot(p.env.to)));
+        for sender in due.chunk_by(|(_, a), (_, b)| a.from == b.from) {
+            for (seq, env) in sender {
+                lost += usize::from(!self.queue_frame(*seq, env, index.slot(env.to)));
             }
-            lost += self.flush_links(sender[0].env.from);
+            lost += self.flush_links();
         }
         self.stats.lost += lost as u64;
         departed + lost
@@ -589,11 +582,8 @@ where
                     // rounds, at least one.
                     Some(FaultAction::Delay { ticks }) => {
                         let rounds = ticks.div_ceil(TICKS_PER_ROUND).max(1);
-                        self.held.push(Pending {
-                            arrival: t.saturating_add(rounds),
-                            seq: copy.seq,
-                            env,
-                        });
+                        let release = t.saturating_add(rounds);
+                        self.held.entry(release).or_default().push((copy.seq, env));
                     }
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
@@ -603,7 +593,7 @@ where
             }
         }
         out.clear();
-        lost += self.flush_links(from);
+        lost += self.flush_links();
         self.stats.lost += lost as u64;
         lost
     }
@@ -713,6 +703,14 @@ mod tests {
         }
     }
 
+    /// The fault-delayed frames waiting in `held`, over all release rounds.
+    fn held_frames<P: Process, A>(net: &NetRunner<P, A>) -> usize
+    where
+        P::Msg: Wire,
+    {
+        net.held.values().map(Vec::len).sum()
+    }
+
     /// Blocks until the poller has decoded every frame written so far.
     fn wait_until_read<P: Process, A>(net: &NetRunner<P, A>)
     where
@@ -753,6 +751,78 @@ mod tests {
     }
 
     #[test]
+    fn a_full_mesh_holds_one_stream_and_one_connection_per_receiver() {
+        let (k, rounds) = (5u64, 4u64);
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, 2));
+        net.seed_nodes(k as usize);
+        net.run(rounds);
+        wait_until_read(&net);
+        // Every sender writes to a receiver on the same stream: k of them,
+        // and k accepted on the poller, not one per directed link.
+        let streams = net.ports.iter().filter(|port| port.stream.is_some());
+        assert_eq!(streams.count() as u64, k, "outgoing streams");
+        assert_eq!(net.hub.lock().unwrap().accepted, k, "accepted connections");
+        assert_eq!(net.writes, rounds * k * (k - 1), "one write per link");
+        assert_eq!(net.net_stats().lost, 0);
+    }
+
+    #[test]
+    fn ports_follow_a_membership_that_churns_every_round() {
+        /// Departs the oldest member every round and joins one through the
+        /// newest eligible bootstrap from the first round one is old enough.
+        struct Rotate;
+        impl Adversary for Rotate {
+            fn plan(&mut self, _round: Round, view: &KnowledgeView<'_>) -> ChurnPlan {
+                let oldest = view.members().next().map(|(id, _)| id);
+                let newest = view.eligible_bootstraps().last().copied();
+                let join = newest.map(|bootstrap| JoinPlan { bootstrap });
+                ChurnPlan {
+                    departures: oldest.into_iter().collect(),
+                    joins: join.into_iter().collect(),
+                }
+            }
+        }
+        // Every node sends one frame to each id below 16 but its own: to
+        // every member, to ids that departed and to ids not yet assigned.
+        // `Fan` refuses an envelope addressed to anybody but its reader.
+        let (k, rounds) = (5u64, 8u64);
+        let sim = sim_config().with_churn_rules(ChurnRules {
+            min_bootstrap_age: 1,
+            ..ChurnRules::default()
+        });
+        let mut net = runner(sim, 20, Rotate, full_mesh(16, 1));
+        net.seed_nodes(k as usize);
+        for t in 0..rounds {
+            // Whatever was written is read at this boundary.
+            wait_until_read(&net);
+            net.step();
+            // Node 0 departs in round 0, before its first boundary.
+            let ports: Vec<NodeId> = net.ports.iter().map(|port| port.id).collect();
+            assert_eq!(ports, net.member_ids(), "round {t}");
+            let outcome = net.last_churn_outcome();
+            assert_eq!(outcome.departed, [NodeId(t)], "round {t}");
+            assert_eq!(outcome.joined.len(), usize::from(t > 0), "round {t}");
+            // The joiner of round t - 1 has read what was sent to it then.
+            if t > 1 {
+                let joiner = NodeId(k + t - 2);
+                let heard = &net.node(joiner).unwrap().heard;
+                let read = heard.iter().any(|payload| payload >> 32 == t - 1);
+                assert!(read, "{joiner:?}");
+            }
+        }
+        // Four members from round 0 on: in every round but the first, the
+        // one departing was sent a frame by the three others the round
+        // before, read at the boundary by nobody.
+        let stats = net.net_stats();
+        assert_eq!(stats.dropped_departed, 3 * (rounds - 1));
+        assert_eq!(
+            net.wire_stats().frames_sent + stats.lost,
+            stats.sent,
+            "every frame is written or lost, once"
+        );
+    }
+
+    #[test]
     fn stray_frames_on_a_listener_reach_no_inbox_and_no_trace() {
         const STRAY: u64 = 0xDEAD_BEEF_DEAD_BEEF;
         let k = 3u64;
@@ -783,7 +853,7 @@ mod tests {
             net.trace().fate(0),
             Some(MessageFate::Delivered { .. })
         ));
-        assert_eq!(net.held.len(), 1);
+        assert_eq!(held_frames(&net), 1);
         assert_eq!(net.trace().fate(held_seq), Some(MessageFate::Lost));
         // A peer nobody numbered writes well-formed frames to node 0's
         // listener: one with the last seq there is, one with a seq the
@@ -1014,15 +1084,15 @@ mod tests {
         net.seed_nodes(k as usize);
         net.run(3);
         assert_eq!(net.writes, links, "round 0; rounds 1 and 2 are held");
-        assert_eq!(net.held.len() as u64, 2 * frames);
+        assert_eq!(held_frames(&net) as u64, 2 * frames);
         net.step();
-        assert_eq!(net.held.len() as u64, frames, "round 2's stay held");
+        assert_eq!(held_frames(&net) as u64, frames, "round 2's stay held");
         assert_eq!(net.writes, 3 * links, "round 1's held frames and round 3's");
         net.step();
-        assert_eq!(net.held.len() as u64, frames);
+        assert_eq!(held_frames(&net) as u64, frames);
         assert_eq!(net.writes, 4 * links, "round 4's alone");
         net.step();
-        assert!(net.held.is_empty());
+        assert_eq!(held_frames(&net), 0);
         assert_eq!(net.writes, 6 * links, "round 2's held frames and round 5's");
         net.step();
         assert_eq!(net.wire_stats().frames_sent, rounds * frames);

@@ -82,6 +82,12 @@ impl SlotIndex {
         }
     }
 
+    /// How many identifiers the table covers: every member is inserted and
+    /// identifiers are assigned densely from 0, so all assigned so far.
+    pub fn assigned(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
     /// The slot of `id`, or `None` if it is not a current member (departed,
     /// never assigned, or outside the table altogether).
     #[inline]

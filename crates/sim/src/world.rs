@@ -24,11 +24,12 @@
 //!
 //! 1. **churn** — the adversary plans against its lateness-filtered
 //!    [`KnowledgeView`], the shared arbiter validates and applies the plan,
-//!    slots and their inboxes are retired and spawned
-//!    ([`Delivery::on_depart`] / [`Delivery::on_join`]); what a departed
-//!    slot's inbox held unread is dropped;
-//! 2. **deliver** — [`Delivery::deliver`] settles every slot's inbox;
-//!    sponsored joiners are grouped per bootstrap node;
+//!    slots and their inboxes are retired and spawned; what a departed
+//!    slot's inbox held unread is dropped. No delivery method runs here:
+//!    the membership at the boundary is all a delivery needs;
+//! 2. **deliver** — [`Delivery::deliver`] settles every slot's inbox, given
+//!    the boundary's [`SlotIndex`]; sponsored joiners are grouped per
+//!    bootstrap node;
 //! 3. **compute** — every node activates once through [`activate`] on
 //!    [`rayon::for_each_index_mut`], whose worker count follows the
 //!    `TSA_THREADS` / [`rayon::with_thread_cap`] budget. Its worker first
@@ -95,10 +96,11 @@ pub struct PhaseSpans {
 /// three schedulers differ in.
 ///
 /// What reached a node is its inbox in the world's [`InFlight`], which the
-/// delivery fills. A delivery with per-slot state of its own (sockets) keeps
-/// it in the world's slot order: [`on_join`](Delivery::on_join) always
-/// appends a slot, [`on_depart`](Delivery::on_depart) names the slot that
-/// closes up.
+/// delivery fills. Membership changes only at the start of a round, so a
+/// delivery with per-node state of its own (sockets) follows the
+/// [`SlotIndex`] that [`deliver`](Delivery::deliver) is handed: identifiers
+/// are dense, joiners take the next ones in join order, and a departed one
+/// owns no slot.
 pub trait Delivery<M> {
     /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
     /// the policy adds (a topology, a round duration).
@@ -112,17 +114,11 @@ pub trait Delivery<M> {
     where
         Self: Sized;
 
-    /// A node joined: the next slot belongs to `id`.
-    fn on_join(&mut self, _id: NodeId) {}
-
-    /// The node `id` in slot `slot` departed; the slots behind it each move
-    /// down one. The world charges what its inbox still held as dropped.
-    fn on_depart(&mut self, _id: NodeId, _slot: usize) {}
-
     /// Settles every slot's inbox for round `t`, unless the sends were
-    /// placed already; `index` maps a receiver to its slot. Returns how many
-    /// copies were dropped undelivered, not counting what departed slots'
-    /// inboxes held, which the world charges itself.
+    /// placed already; `index` maps a receiver to its slot in the membership
+    /// after round `t`'s churn. Returns how many copies were dropped
+    /// undelivered, not counting what departed slots' inboxes held, which
+    /// the world charges itself.
     fn deliver(&mut self, t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize;
 
     /// Announces the sends `from` made in round `t`, in send order. Called in
@@ -308,8 +304,8 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         ids
     }
 
-    /// Materializes the slot (process + scratch, inbox, and the delivery's
-    /// side) for a node that is already a member.
+    /// Materializes the slot (process + scratch, inbox) for a node that is
+    /// already a member.
     fn spawn_slot(&mut self, id: NodeId, round: Round) {
         let process = (self.factory)(id, round);
         let out = self.spare_outboxes.pop().unwrap_or_default();
@@ -323,7 +319,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             sponsored: 0..0,
         });
         self.in_flight.push_slot();
-        self.delivery.on_join(id);
     }
 
     /// The current round (the next round to be executed).
@@ -620,7 +615,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             out.clear();
             self.spare_outboxes.push(out);
             self.in_flight.remove_slot(idx);
-            self.delivery.on_depart(id, idx);
         }
         for &(id, _bootstrap) in outcome.joined.iter() {
             self.spawn_slot(id, t);
