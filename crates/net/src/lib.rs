@@ -11,7 +11,7 @@
 //!   incremental partial-read decoding, and hostile-input rejection (size
 //!   bounds, bounds-checked reads, unknown tags and trailing bytes refused,
 //!   no panics);
-//! * [`NetRunner`] — the loopback-TCP runtime: one listener per node, a
+//! * [`NetRunner`] — the loopback-TCP runtime: one connection per member, a
 //!   single poller thread, wall-clock rounds of a configured duration, and
 //!   churn through the shared [`tsa_sim::apply_churn_plan`] arbiter;
 //! * every message's fate is recorded in a
@@ -230,9 +230,10 @@ mod tests {
         let outcome = net.last_churn_outcome();
         assert_eq!(outcome.departed, vec![NodeId(0)]);
         assert_eq!(net.joined_at(outcome.joined[0].0), Some(2));
-        // Node 1 keeps sending to the departed node 0: those messages die
-        // at the closed socket (or as receiver-departed drops if a stale
-        // stream buffered them), never in an inbox.
+        // Node 1 keeps sending to the departed node 0: those messages are
+        // lost when queued (node 0 has no port), and those written before it
+        // left are read by nobody (receiver-departed drops), never in an
+        // inbox.
         net.run(2);
         let stats = net.net_stats();
         assert!(stats.lost + stats.dropped_departed > 5);

@@ -3,43 +3,44 @@
 //! [`NetRunner`] is the same [`World`] round loop as the lockstep simulator
 //! and the event engine — same churn arbiter, same per-`(seed, node, round)`
 //! RNG streams, same compute phase — over a [`Loopback`] delivery in which
-//! every node owns a loopback TCP listener. The cadence is *wall-clock*: each
-//! round lasts [`NetConfig::round_duration`] of real time, and the network
-//! between the boundaries is the operating system.
+//! every member is reached through one loopback TCP connection. The cadence
+//! is *wall-clock*: each round lasts [`NetConfig::round_duration`] of real
+//! time, and the network between the boundaries is the operating system.
 //!
 //! Two threads run the show: the caller's thread runs the world (churn,
-//! activations, sends), and one *poller* thread owns every listener and
-//! accepted connection, decoding frames into one shared batch as they
-//! arrive. There is no tokio and no thread-per-node — `std::net` nonblocking
+//! activations, sends) and writes every frame, and one *poller* thread reads
+//! every connection, decoding frames into one shared batch as they arrive.
+//! There is no tokio and no thread-per-node — `std::net` nonblocking
 //! sockets and a `64 KiB` read buffer are enough for an in-process overlay.
 //! The poller has no readiness API to block in, so it blocks on the
-//! coordinator instead: it passes over its sockets until a pass finds
+//! coordinator instead: it passes over its connections until a pass finds
 //! nothing, then sleeps on its control channel until the coordinator says
 //! it has written (every sender's writes end in a wake) or a safety-net
 //! period passes. An idle barrier costs it a pass every few milliseconds.
+//!
+//! The transport keeps no membership of its own: `deliver` first follows
+//! the boundary's [`SlotIndex`]. A run holds one port per member and one
+//! connection per member written to, paired by its first write and shared
+//! by every sender (one thread writes every frame, and every frame names
+//! its sender).
 //!
 //! # What `deliver`, `send` and `end_round` do, and what they cost
 //!
 //! `deliver` places what the poller decoded so far, in send order, as the
 //! copies ahead in the world's [`InFlight`] layout; a frame whose receiver
 //! has departed is read there, by nobody. A stray — a `seq` never assigned
-//! or already read, or a receiver other than the listener's owner — reaches
-//! neither an inbox nor the trace. The round's wall-clock budget starts
-//! there. `send` numbers a node's messages exactly as the twin engines do,
-//! decides their faults (the same pure `(seed, seq)` decisions the event
-//! engine takes) and encodes each survivor in its fixed [`Wire`] layout
-//! behind the frames queued for the same receiver; the outbox done, each
-//! receiver's frames leave in one write on the receiver's cached stream: one
-//! system call per sender and link it uses, not one per frame. A frame to a
-//! non-member is lost when it is queued; a link whose connect or write
-//! fails loses its whole batch and the receiver's cached stream. `end_round`
-//! sleeps out the rest of the budget: the window in which the poller turns
-//! this round's writes into the next boundary's deliveries.
-//!
-//! The transport keeps no membership of its own: `deliver` first follows
-//! the boundary's [`SlotIndex`], so a run holds one listener, one outgoing
-//! stream (shared by every sender: one thread writes every frame, and every
-//! frame names its sender) and one accepted connection per member.
+//! or already read, or a receiver other than the connection's member —
+//! reaches neither an inbox nor the trace. The round's wall-clock budget
+//! starts there. `send` numbers a node's messages exactly as the twin
+//! engines do, decides their faults (the same pure `(seed, seq)` decisions
+//! the event engine takes) and encodes each survivor in its fixed [`Wire`]
+//! layout behind the frames queued for the same receiver; the outbox done,
+//! each receiver's frames leave in one write on its connection: one system
+//! call per sender and link it uses, not one per frame. A frame to a
+//! non-member is lost when it is queued; a link whose pairing or write fails
+//! loses its whole batch and the receiver's write end. `end_round` sleeps
+//! out the rest of the budget: the window in which the poller turns this
+//! round's writes into the next boundary's deliveries.
 //!
 //! # Determinism boundary
 //!
@@ -55,7 +56,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -115,8 +116,8 @@ pub struct WireStats {
     pub bytes_received: u64,
 }
 
-/// Decoded frames, in arrival order: `(listener owner, send seq, envelope)`.
-/// The socket a frame arrived on decides its receiver.
+/// Decoded frames, in arrival order: `(connection's member, send seq,
+/// envelope)`. The connection a frame arrived on decides its receiver.
 type Frames<M> = Vec<(NodeId, u64, Envelope<M>)>;
 
 /// What the poller has decoded since the last boundary.
@@ -127,15 +128,18 @@ struct Hub<M> {
     /// Passes the poller has made over its sockets.
     #[cfg(test)]
     passes: u64,
-    /// Connections the poller has accepted.
+    /// Connections handed to the poller.
     #[cfg(test)]
     accepted: u64,
+    /// Connections the poller holds as a pass starts.
+    #[cfg(test)]
+    open: usize,
 }
 
 /// Coordinator → poller control messages.
 enum Ctl {
-    Register(NodeId, TcpListener),
-    Unregister(NodeId),
+    /// The read end of a member's freshly paired connection, nonblocking.
+    Register(NodeId, TcpStream),
     /// Frames were written since the last pass.
     Wake,
     Shutdown,
@@ -166,20 +170,18 @@ fn next_ctl(ctl: &mpsc::Receiver<Ctl>, idle: bool) -> Option<Ctl> {
     }
 }
 
-/// One accepted connection on the poller: the listener owner it delivers
-/// to, the nonblocking stream, and its incremental frame decoder.
+/// One connection on the poller: the member it delivers to, the
+/// nonblocking read end, and its incremental frame decoder.
 struct Conn {
     owner: NodeId,
     stream: TcpStream,
     decoder: FrameDecoder,
 }
 
-/// The poller loop: accept on every registered listener, read every
-/// connection, decode frames into the hub's batch; after a pass that found
-/// nothing, sleep until the coordinator has written (or the safety net
-/// expires). Runs until shutdown.
+/// The poller loop: read every connection, decode frames into the hub's
+/// batch; after a pass that found nothing, sleep until the coordinator has
+/// written (or the safety net expires). Runs until shutdown.
 fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
-    let mut listeners: Vec<(NodeId, TcpListener)> = Vec::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
     // The frames of one read, decoded before the hub is locked for them.
@@ -189,10 +191,16 @@ fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
         while let Some(msg) = next_ctl(&ctl, idle) {
             idle = false;
             match msg {
-                Ctl::Register(id, listener) => listeners.push((id, listener)),
-                Ctl::Unregister(id) => {
-                    listeners.retain(|(owner, _)| *owner != id);
-                    conns.retain(|c| c.owner != id);
+                Ctl::Register(owner, stream) => {
+                    conns.push(Conn {
+                        owner,
+                        stream,
+                        decoder: FrameDecoder::new(),
+                    });
+                    #[cfg(test)]
+                    {
+                        hub.lock().expect("hub lock poisoned").accepted += 1;
+                    }
                 }
                 Ctl::Wake => {}
                 Ctl::Shutdown => return,
@@ -200,27 +208,13 @@ fn poll_loop<M: Wire>(ctl: mpsc::Receiver<Ctl>, hub: Arc<Mutex<Hub<M>>>) {
         }
         #[cfg(test)]
         {
-            hub.lock().expect("hub lock poisoned").passes += 1;
+            let mut hub = hub.lock().expect("hub lock poisoned");
+            hub.passes += 1;
+            hub.open = conns.len();
         }
         let mut active = false;
-        for (owner, listener) in listeners.iter() {
-            while let Ok((stream, _)) = listener.accept() {
-                if stream.set_nonblocking(true).is_ok() {
-                    conns.push(Conn {
-                        owner: *owner,
-                        stream,
-                        decoder: FrameDecoder::new(),
-                    });
-                    active = true;
-                    #[cfg(test)]
-                    {
-                        hub.lock().expect("hub lock poisoned").accepted += 1;
-                    }
-                }
-            }
-        }
-        // A connection is kept until it ends, fails, or carries a frame that
-        // does not decode.
+        // A connection is kept until it ends (its write end was dropped),
+        // fails, or carries a frame that does not decode.
         conns.retain_mut(|conn| loop {
             let n = match conn.stream.read(&mut buf) {
                 Ok(0) => return false,
@@ -261,10 +255,8 @@ pub type NetRunner<P, A> = World<P, A, Loopback<<P as Process>::Msg>>;
 /// One member's side of the transport, in the world's slot order.
 struct Port {
     id: NodeId,
-    /// The node's listener address, for the sender side.
-    addr: SocketAddr,
-    /// The one outgoing stream to this node, connected on first use and
-    /// shared by every sender.
+    /// The write end of the node's one connection, shared by every sender:
+    /// paired on the first write to it, and again after a write fails.
     stream: Option<TcpStream>,
     /// The frames the current sender has encoded for this node, back to
     /// back, and how many they are. One sender sends at a time, and its
@@ -311,8 +303,8 @@ pub struct Loopback<M> {
 impl<M: Wire> Loopback<M> {
     /// Network-effect counters, comparable with the event engine's: `sent`
     /// and `dropped_departed` mean the same thing; `lost` counts messages
-    /// that never made it onto the wire (no route, connect or write
-    /// failure); delay ticks are delivery-boundary quantized.
+    /// that never made it onto the wire (no route, or a failed pairing or
+    /// write); delay ticks are delivery-boundary quantized.
     pub fn net_stats(&self) -> NetStats {
         self.stats
     }
@@ -366,10 +358,10 @@ impl<M: Wire> Loopback<M> {
     }
 
     /// Writes out what the current sender has queued: one write per
-    /// receiver with frames pending, on the receiver's stream, connecting
-    /// (and caching the stream) on first use; then tells the poller there
-    /// is something to read. A link whose connect or write fails drops the
-    /// stream and loses its whole batch — a prefix the kernel took before
+    /// receiver with frames pending, on the receiver's connection, paired
+    /// first if it has none; then tells the poller there is something to
+    /// read. A link whose pairing or write fails drops the write end and
+    /// loses its whole batch — a prefix the kernel took before
     /// the failure may still be read, and is then `Delivered` in the trace,
     /// which is what the twin replays. Returns how many frames never made it
     /// onto the wire.
@@ -378,10 +370,11 @@ impl<M: Wire> Loopback<M> {
         let mut wrote = false;
         for port in self.ports.iter_mut().filter(|p| p.pending_frames > 0) {
             if port.stream.is_none() {
-                port.stream = TcpStream::connect(port.addr).ok();
-                if let Some(stream) = &port.stream {
-                    let _ = stream.set_nodelay(true);
-                }
+                port.stream = pair().ok().map(|(writer, reader)| {
+                    let reader = Ctl::Register(port.id, reader);
+                    self.ctl.send(reader).expect("poller alive");
+                    writer
+                });
             }
             #[cfg(test)]
             {
@@ -407,42 +400,38 @@ impl<M: Wire> Loopback<M> {
     }
 
     /// Follows the boundary's membership: every port whose node lost its
-    /// slot goes, its stream with it and its listener unregistered, and
-    /// every identifier assigned since the last boundary that owns a slot
-    /// binds its listener behind the rest. Identifiers are dense and assigned
-    /// in join order, so the ports stay in slot order; one that departed
-    /// before its first boundary (a seed node departing in round 0) is
-    /// skipped.
+    /// slot goes, and with it the write end of its connection (the poller
+    /// drops the read end at its end of stream); every identifier assigned
+    /// since the last boundary that owns a slot gets a port behind the rest.
+    /// Identifiers are dense and assigned in join order, so the ports stay
+    /// in slot order; one that departed before its first boundary (a seed
+    /// node departing in round 0) is skipped.
     fn follow(&mut self, index: &SlotIndex) {
-        let ctl = &self.ctl;
-        self.ports.retain(|port| {
-            let member = index.slot(port.id).is_some();
-            if !member {
-                ctl.send(Ctl::Unregister(port.id)).expect("poller alive");
-            }
-            member
-        });
-        let assigned = index.assigned();
-        for id in (self.next_unbound..assigned).map(NodeId) {
-            if index.slot(id).is_none() {
-                continue;
-            }
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            listener
-                .set_nonblocking(true)
-                .expect("nonblocking listener");
-            let addr = listener.local_addr().expect("listener address");
-            ctl.send(Ctl::Register(id, listener)).expect("poller alive");
-            self.ports.push(Port {
+        self.ports.retain(|port| index.slot(port.id).is_some());
+        let joined = (self.next_unbound..index.assigned()).map(NodeId);
+        let ports = joined
+            .filter(|&id| index.slot(id).is_some())
+            .map(|id| Port {
                 id,
-                addr,
                 stream: None,
                 pending: Vec::new(),
                 pending_frames: 0,
             });
-        }
-        self.next_unbound = assigned;
+        self.ports.extend(ports);
+        self.next_unbound = index.assigned();
     }
+}
+
+/// Pairs a fresh connection on loopback: binds a listener on an ephemeral
+/// port, connects to it, accepts, and drops the listener. Returns the write
+/// end (no Nagle delay) and the read end (nonblocking, for the poller).
+fn pair() -> io::Result<(TcpStream, TcpStream)> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+    let writer = TcpStream::connect(listener.local_addr()?)?;
+    let (reader, _) = listener.accept()?;
+    writer.set_nodelay(true)?;
+    reader.set_nonblocking(true)?;
+    Ok((writer, reader))
 }
 
 impl<M> Delivery<M> for Loopback<M>
@@ -467,6 +456,8 @@ where
             passes: 0,
             #[cfg(test)]
             accepted: 0,
+            #[cfg(test)]
+            open: 0,
         }));
         let (ctl, ctl_rx) = mpsc::channel();
         let poller_hub = Arc::clone(&hub);
@@ -719,6 +710,36 @@ mod tests {
         wait_until_received(net, net.wire_stats().frames_sent);
     }
 
+    /// Departs the oldest member every round and joins one through the
+    /// newest eligible bootstrap from the first round one is old enough.
+    struct Rotate;
+
+    impl Adversary for Rotate {
+        fn plan(&mut self, _round: Round, view: &KnowledgeView<'_>) -> ChurnPlan {
+            let oldest = view.members().next().map(|(id, _)| id);
+            let newest = view.eligible_bootstraps().last().copied();
+            let join = newest.map(|bootstrap| JoinPlan { bootstrap });
+            ChurnPlan {
+                departures: oldest.into_iter().collect(),
+                joins: join.into_iter().collect(),
+            }
+        }
+    }
+
+    /// `k` seed nodes under [`Rotate`]. Every node sends one frame to each id
+    /// below 16 but its own: to every member, to ids that departed and to
+    /// ids not yet assigned. `Fan` refuses an envelope addressed to anybody
+    /// but its reader.
+    fn rotating(k: u64) -> NetRunner<Fan, Rotate> {
+        let sim = sim_config().with_churn_rules(ChurnRules {
+            min_bootstrap_age: 1,
+            ..ChurnRules::default()
+        });
+        let mut net = runner(sim, 20, Rotate, full_mesh(16, 1));
+        net.seed_nodes(k as usize);
+        net
+    }
+
     #[test]
     fn a_round_makes_one_write_per_link_and_counts_every_frame() {
         let (k, copies, rounds) = (4u64, 3u64, 3u64);
@@ -758,7 +779,7 @@ mod tests {
         net.run(rounds);
         wait_until_read(&net);
         // Every sender writes to a receiver on the same stream: k of them,
-        // and k accepted on the poller, not one per directed link.
+        // and k read ends handed to the poller, not one per directed link.
         let streams = net.ports.iter().filter(|port| port.stream.is_some());
         assert_eq!(streams.count() as u64, k, "outgoing streams");
         assert_eq!(net.hub.lock().unwrap().accepted, k, "accepted connections");
@@ -768,30 +789,8 @@ mod tests {
 
     #[test]
     fn ports_follow_a_membership_that_churns_every_round() {
-        /// Departs the oldest member every round and joins one through the
-        /// newest eligible bootstrap from the first round one is old enough.
-        struct Rotate;
-        impl Adversary for Rotate {
-            fn plan(&mut self, _round: Round, view: &KnowledgeView<'_>) -> ChurnPlan {
-                let oldest = view.members().next().map(|(id, _)| id);
-                let newest = view.eligible_bootstraps().last().copied();
-                let join = newest.map(|bootstrap| JoinPlan { bootstrap });
-                ChurnPlan {
-                    departures: oldest.into_iter().collect(),
-                    joins: join.into_iter().collect(),
-                }
-            }
-        }
-        // Every node sends one frame to each id below 16 but its own: to
-        // every member, to ids that departed and to ids not yet assigned.
-        // `Fan` refuses an envelope addressed to anybody but its reader.
         let (k, rounds) = (5u64, 8u64);
-        let sim = sim_config().with_churn_rules(ChurnRules {
-            min_bootstrap_age: 1,
-            ..ChurnRules::default()
-        });
-        let mut net = runner(sim, 20, Rotate, full_mesh(16, 1));
-        net.seed_nodes(k as usize);
+        let mut net = rotating(k);
         for t in 0..rounds {
             // Whatever was written is read at this boundary.
             wait_until_read(&net);
@@ -823,7 +822,55 @@ mod tests {
     }
 
     #[test]
-    fn stray_frames_on_a_listener_reach_no_inbox_and_no_trace() {
+    fn a_departed_members_connection_leaves_the_poller_at_its_end_of_stream() {
+        let mut net = rotating(5);
+        net.run(8);
+        wait_until_read(&net);
+        let departed = net.last_churn_outcome().departed.len();
+        assert_eq!(departed, 1, "the last boundary dropped a port");
+        // A pass that starts after the boundary reads every dropped write
+        // end to its end; the one after it counts what is left.
+        let passes = |net: &NetRunner<Fan, Rotate>| net.hub.lock().unwrap().passes;
+        let (before, deadline) = (passes(&net), Instant::now() + Duration::from_secs(30));
+        while passes(&net) < before + 2 {
+            assert!(Instant::now() < deadline, "the poller stopped passing");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let streams = net.ports.iter().filter(|port| port.stream.is_some());
+        let hub = net.hub.lock().unwrap();
+        assert!(
+            hub.accepted > streams.clone().count() as u64,
+            "some departed"
+        );
+        assert_eq!(hub.open, streams.count(), "connections the poller holds");
+    }
+
+    #[test]
+    fn a_failed_write_loses_its_batch_and_the_next_sender_pairs_anew() {
+        let (k, copies) = (3u64, 2u64);
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
+        net.seed_nodes(k as usize);
+        net.run(2);
+        wait_until_read(&net);
+        let accepted = |net: &NetRunner<Fan, NullAdversary>| net.hub.lock().unwrap().accepted;
+        let before = accepted(&net);
+        let stream = net.ports[2].stream.as_ref().expect("node 2 is paired");
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        // Round 2: node 0's write to node 2 fails; node 1's pairs a fresh
+        // connection, which the poller reads.
+        net.step();
+        assert_eq!(net.net_stats().lost, copies, "node 0's batch to node 2");
+        wait_until_read(&net);
+        assert_eq!(accepted(&net), before + 1, "one fresh pair");
+        net.step();
+        let heard = &net.node(NodeId(2)).unwrap().heard;
+        let of_round_2 = heard.iter().filter(|&&payload| payload >> 32 == 2);
+        assert_eq!(of_round_2.count() as u64, copies, "node 1's frames alone");
+        assert_eq!(net.trace().len() as u64, net.net_stats().sent);
+    }
+
+    #[test]
+    fn stray_frames_on_a_connection_reach_no_inbox_and_no_trace() {
         const STRAY: u64 = 0xDEAD_BEEF_DEAD_BEEF;
         let k = 3u64;
         // Node 1's frame to node 2 of round 2 is held for three rounds: its
@@ -855,8 +902,8 @@ mod tests {
         ));
         assert_eq!(held_frames(&net), 1);
         assert_eq!(net.trace().fate(held_seq), Some(MessageFate::Lost));
-        // A peer nobody numbered writes well-formed frames to node 0's
-        // listener: one with the last seq there is, one with a seq the
+        // A peer nobody numbered writes well-formed frames onto node 0's
+        // connection: one with the last seq there is, one with a seq the
         // transport has not assigned yet, one replaying a seq that was
         // already read, and one forging the held frame, for node 2.
         let mut frames = Vec::new();
@@ -865,8 +912,8 @@ mod tests {
             encode_wire_frame(seq, &env, &mut frames);
         }
         let strays = 4;
-        let mut stray = TcpStream::connect(net.ports[0].addr).expect("connect to node 0");
-        stray.write_all(&frames).expect("write the stray frames");
+        let stream = net.ports[0].stream.as_mut().expect("node 0 is paired");
+        stream.write_all(&frames).expect("write the stray frames");
         wait_until_received(&net, net.wire_stats().frames_sent + strays);
         net.run(2);
         for (id, fan) in net.nodes() {
