@@ -80,6 +80,9 @@ struct TimingCell {
     label: String,
     n: usize,
     routable: bool,
+    /// Rounds whose deliver, compute and sends used up the whole round
+    /// duration, leaving the poller no barrier to read their frames in.
+    overrun_rounds: u64,
     elapsed_ms: u64,
     rounds_per_sec: f64,
     msgs_per_sec: f64,
@@ -185,6 +188,7 @@ fn run_cell<A: Adversary>(
             label: cell.label.to_string(),
             n: cell.n,
             routable: real.report().is_routable(),
+            overrun_rounds: real.overrun_rounds(),
             elapsed_ms: elapsed.as_millis() as u64,
             rounds_per_sec: total_rounds as f64 / secs,
             msgs_per_sec: wire.frames_sent as f64 / secs,
@@ -245,6 +249,7 @@ fn main() {
             "adversary",
             "twin match",
             "routable",
+            "overruns",
             "rounds/s",
             "msgs/s",
             "wire bytes",
@@ -257,6 +262,7 @@ fn main() {
             t.label.clone(),
             fmt_bool(d.outcome_match && d.trace_complete && d.sent_matches_twin),
             fmt_bool(t.routable),
+            t.overrun_rounds.to_string(),
             fmt_f(t.rounds_per_sec),
             fmt_f(t.msgs_per_sec),
             t.bytes_sent.to_string(),

@@ -33,19 +33,17 @@
 //! sending round's own (the round [`MessageTrace`] records). Through
 //! [`Outbox::keep`] exactly the copies due at `t + 1` stay in the outbox —
 //! a duplicate twice, a `Mutate` fault's corrupted copy with a payload of
-//! its own — and are counted as the lockstep delivery counts its sends. A
-//! copy due later is filed as a whole envelope in the **record** of the
-//! round that reads it, so a hostile `Delay { ticks: u64::MAX }` copy sits
-//! in the one record at the end of time and pins no other round's
-//! payloads. Round `t + 1`'s record was closed once round `t - 1` sent, so
-//! `flush_sends` places it ahead of the outboxes in the world's
-//! [`InFlight`] layout, and `deliver`
-//! settles the late list ("round-boundary delivery"; within one boundary the
-//! residual arrival jitter has no semantic meaning, since every message of
-//! the round is read by the same activation). A copy placed for a receiver
-//! that departed in the boundary's churn went with its slot's inbox, which
-//! the world charges; [`NetStats::dropped_departed`] counts those and the
-//! late list's drops.
+//! its own. A copy due later is filed as a whole envelope in the **record**
+//! of the round that reads it, so a hostile `Delay { ticks: u64::MAX }` copy
+//! sits in the one record at the end of time and pins no other round's
+//! payloads. Round `t + 1`'s record is `due_next(t)`, which the world places
+//! ahead of the outboxes (the placement rule: [`InFlight`]'s module docs),
+//! and `deliver` settles the late list ("round-boundary delivery"; within
+//! one boundary the residual arrival jitter has no semantic meaning, since
+//! every message of the round is read by the same activation). A copy
+//! placed for a receiver that departed in the boundary's churn went with its
+//! slot's inbox, which the world charges; [`NetStats::dropped_departed`]
+//! counts those and the late list's drops.
 //!
 //! The engine keeps no clock; time is the round. A copy sent at round `t`
 //! with a delay of `d` ticks is read at round `max(⌈(t·T + d)/T⌉, t + 1)`,
@@ -261,7 +259,7 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
         (config.sim, delivery)
     }
 
-    /// Resolves the late list; what the last flush placed for a slot that
+    /// Resolves the late list; what the last placement took for a slot that
     /// has since departed is the world's to charge, and counted here.
     fn deliver(&mut self, _t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
         let due = in_flight.due();
@@ -271,41 +269,29 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
         dropped
     }
 
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        in_flight: &mut InFlight<M>,
-        obs: &ObsHandle,
-    ) -> usize {
+    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, obs: &ObsHandle) -> usize {
         let span = obs.span_start();
         let lost = match self.one_pass() {
             Some(net) => self.send_in_one_pass(net, out),
             None => self.send_per_copy(from, t, out),
         };
-        in_flight.count(out);
         obs.span_end("event.fate", span);
         lost
     }
 
-    /// Places round `t + 1`'s record ahead of this round's outboxes.
-    fn flush_sends<'a>(
-        &mut self,
-        t: Round,
-        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
-        index: &SlotIndex,
-        in_flight: &mut InFlight<M>,
-    ) where
-        M: 'a,
-    {
+    /// Round `t + 1`'s record. It joins the spare records at once: the
+    /// placement empties it before the next round opens one.
+    fn due_next(&mut self, t: Round) -> impl Iterator<Item = Envelope<M>> {
         let next = t.saturating_add(1);
-        let mut due = self.inbound.remove(&next).unwrap_or_default();
+        let reading = match self.inbound.remove(&next) {
+            Some(record) => {
+                self.spare.push(record);
+                self.spare.last_mut()
+            }
+            None => None,
+        };
         debug_assert!(self.inbound.keys().next().is_none_or(|&r| r > next));
-        in_flight.place(t, due.drain(..), outboxes, index);
-        if due.capacity() > 0 {
-            self.spare.push(due);
-        }
+        reading.into_iter().flat_map(|record| record.drain(..))
     }
 
     fn end_round(&mut self, _t: Round, obs: &ObsHandle) {

@@ -11,8 +11,8 @@
 //! the protocol trace.
 //!
 //! Decoding is written for a hostile peer: [`FrameDecoder`] buffers partial
-//! reads until a full frame is available and rejects frames beyond a
-//! configured size bound before buffering their bodies, and every read of a
+//! reads until a full frame is available and rejects frames beyond
+//! [`DEFAULT_MAX_FRAME`] before buffering their bodies, and every read of a
 //! [`WireReader`] is bounds-checked, so a truncated, trailing-garbage or
 //! unknown-tag frame yields a [`CodecError`] instead of a panic.
 
@@ -216,21 +216,14 @@ pub fn decode_wire_value<M: Wire>(body: &[u8]) -> Result<(u64, Envelope<M>), Cod
 pub struct FrameDecoder {
     buf: Vec<u8>,
     start: usize,
-    max_frame: usize,
 }
 
 impl FrameDecoder {
     /// A decoder enforcing the [`DEFAULT_MAX_FRAME`] body bound.
     pub fn new() -> Self {
-        Self::with_max_frame(DEFAULT_MAX_FRAME)
-    }
-
-    /// A decoder enforcing a custom body bound.
-    pub fn with_max_frame(max_frame: usize) -> Self {
         FrameDecoder {
             buf: Vec::new(),
             start: 0,
-            max_frame,
         }
     }
 
@@ -255,10 +248,10 @@ impl FrameDecoder {
             return Ok(None);
         };
         let len = u32::from_le_bytes(*header) as usize;
-        if len > self.max_frame {
+        if len > DEFAULT_MAX_FRAME {
             return Err(CodecError::Oversized {
                 len,
-                max: self.max_frame,
+                max: DEFAULT_MAX_FRAME,
             });
         }
         let Some(body) = pending.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
@@ -348,17 +341,31 @@ mod tests {
         dec.push(&frame(9, 90u64));
         let body = dec.next_frame().unwrap().expect("one whole frame");
         assert_eq!(decode_wire_value::<u64>(body).unwrap().0, 9);
-        assert_eq!(dec.max_frame, DEFAULT_MAX_FRAME);
+        let past = DEFAULT_MAX_FRAME as u32 + 1;
+        dec.push(&past.to_le_bytes());
+        assert!(matches!(
+            dec.next_frame(),
+            Err(CodecError::Oversized { .. })
+        ));
     }
 
     #[test]
     fn oversized_frames_are_rejected_before_buffering() {
-        let mut dec = FrameDecoder::with_max_frame(16);
-        dec.push(&1024u32.to_le_bytes());
+        // A body of exactly the bound is waited for; one byte more is
+        // refused on its four header bytes alone.
+        let mut dec = FrameDecoder::new();
+        dec.push(&(DEFAULT_MAX_FRAME as u32).to_le_bytes());
+        assert_eq!(dec.next_frame(), Ok(None));
+        let mut dec = FrameDecoder::new();
+        dec.push(&(DEFAULT_MAX_FRAME as u32 + 1).to_le_bytes());
         assert_eq!(
             dec.next_frame(),
-            Err(CodecError::Oversized { len: 1024, max: 16 })
+            Err(CodecError::Oversized {
+                len: DEFAULT_MAX_FRAME + 1,
+                max: DEFAULT_MAX_FRAME
+            })
         );
+        assert_eq!(dec.pending_len(), FRAME_HEADER_LEN);
     }
 
     #[test]

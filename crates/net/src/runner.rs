@@ -271,6 +271,8 @@ pub struct Loopback<M> {
     round_duration: Duration,
     /// When the current round's wall-clock budget started.
     round_started: Instant,
+    /// Rounds whose deliver, compute and sends left no time to sleep.
+    overrun_rounds: u64,
     ports: Vec<Port>,
     /// The lowest identifier that has never had a port.
     next_unbound: u64,
@@ -307,6 +309,13 @@ impl<M: Wire> Loopback<M> {
     /// write); delay ticks are delivery-boundary quantized.
     pub fn net_stats(&self) -> NetStats {
         self.stats
+    }
+
+    /// Rounds whose deliver, compute and sends took the whole
+    /// [`NetConfig::round_duration`]: the poller had no barrier in which to
+    /// read their frames before the next boundary.
+    pub fn overrun_rounds(&self) -> u64 {
+        self.overrun_rounds
     }
 
     /// Actual wire traffic counters.
@@ -468,6 +477,7 @@ where
         let delivery = Loopback {
             round_duration: config.round_duration,
             round_started: Instant::now(),
+            overrun_rounds: 0,
             ports: Vec::new(),
             next_unbound: 0,
             hub,
@@ -547,14 +557,7 @@ where
         departed + lost
     }
 
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        _in_flight: &mut InFlight<M>,
-        _obs: &ObsHandle,
-    ) -> usize {
+    fn send(&mut self, from: NodeId, t: Round, out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
         let mut lost = 0usize;
         for (to, index, slot) in out.sends() {
             let payload = &out.payloads()[index];
@@ -602,8 +605,9 @@ where
 
         let span = obs.span_start();
         let spent = self.round_started.elapsed();
-        if let Some(rest) = self.round_duration.checked_sub(spent) {
-            thread::sleep(rest);
+        match self.round_duration.checked_sub(spent) {
+            Some(rest) => thread::sleep(rest),
+            None => self.overrun_rounds += 1,
         }
         obs.span_end("net.barrier", span);
     }
@@ -769,6 +773,18 @@ mod tests {
         assert_eq!(stats.frames_sent, seq);
         assert_eq!(stats.bytes_sent, wire.len() as u64);
         assert_eq!(net.net_stats().lost, 0);
+    }
+
+    #[test]
+    fn a_round_with_no_time_left_to_sleep_is_an_overrun() {
+        // A zero budget is used up by the time any round ends; a generous
+        // one by none of a two-node mesh's rounds.
+        for (round_ms, overruns) in [(0, 3), (250, 0)] {
+            let mut net = runner(sim_config(), round_ms, NullAdversary, full_mesh(2, 1));
+            net.seed_nodes(2);
+            net.run(3);
+            assert_eq!(net.overrun_rounds(), overruns, "{round_ms} ms rounds");
+        }
     }
 
     #[test]

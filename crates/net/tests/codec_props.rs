@@ -5,7 +5,10 @@
 //! error, and no corruption of a valid stream may ever panic the decoder.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestRng};
-use tsa_net::{decode_wire_value, encode_wire_frame, CodecError, FrameDecoder, FRAME_HEADER_LEN};
+use tsa_net::{
+    decode_wire_value, encode_wire_frame, CodecError, FrameDecoder, DEFAULT_MAX_FRAME,
+    FRAME_HEADER_LEN,
+};
 use tsa_sim::{Envelope, NodeId};
 
 /// A frame's payload: either of the two types, so one stream interleaves
@@ -159,13 +162,15 @@ proptest! {
     }
 
     #[test]
-    fn an_oversized_header_is_refused_before_its_body(max in 0usize..4096, over in 1u32..1 << 20) {
-        let len = max as u32 + over;
-        let mut decoder = FrameDecoder::with_max_frame(max);
+    fn an_oversized_header_is_refused_before_its_body(
+        over in 1..=u32::MAX - DEFAULT_MAX_FRAME as u32,
+    ) {
+        let len = DEFAULT_MAX_FRAME as u32 + over;
+        let mut decoder = FrameDecoder::new();
         decoder.push(&len.to_le_bytes());
         prop_assert_eq!(
             decoder.next_frame(),
-            Err(CodecError::Oversized { len: len as usize, max })
+            Err(CodecError::Oversized { len: len as usize, max: DEFAULT_MAX_FRAME })
         );
     }
 
@@ -185,7 +190,7 @@ proptest! {
             let at = at % stream.len();
             stream[at] ^= 1 << bit;
         }
-        let mut decoder = FrameDecoder::with_max_frame(stream.len());
+        let mut decoder = FrameDecoder::new();
         decoder.push(&stream);
         while let Ok(Some(body)) = decoder.next_frame() {
             let _ = decode(body, &Payload::Word(0));

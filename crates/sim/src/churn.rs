@@ -164,10 +164,10 @@ pub struct PlanScratch {
 }
 
 /// Validates and applies a churn plan against the shared membership state —
-/// the single churn arbiter used by every execution engine (the
-/// round-synchronous [`Simulator`](crate::Simulator) and the virtual-time
-/// event engine of `tsa-event`), so the budget, bootstrap-age and fan-in
-/// rules can never drift between scheduler policies.
+/// the single churn arbiter: [`World`](crate::World) applies every plan
+/// through it, whatever its delivery, and the naive reference scheduler of
+/// `tests/scheduler_reference.rs` calls it too, so the budget, bootstrap-age
+/// and fan-in rules can never drift between schedulers.
 ///
 /// Departures are processed first (the paper's `O_t`): deduplicated, checked
 /// against the remaining budget, and removed from `members`. Joins (`J_t`)

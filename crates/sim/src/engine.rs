@@ -5,22 +5,16 @@
 //! otherwise. [`Lockstep`] is the [`Delivery`] that does exactly that for a
 //! [`World`], and [`Simulator`] is the world it drives.
 //!
-//! Round `t`'s inboxes are consumed by round `t`'s compute phase, so round
-//! `t + 1`'s are placed while round `t`'s sends are collected: `send` counts
-//! each copy into the slot its receiver owns (which the world wrote into the
-//! outbox while the entry was in cache), `flush_sends` places every outbox
-//! with nothing ahead, and `deliver` settles the late list — the world's
-//! [`InFlight`] layout (see its module docs), which keeps each distinct
-//! payload once and a message beyond its sender. Delivered and dropped
-//! counts, the round they are charged to and every inbox's order are the
-//! naive model's (`tests/scheduler_reference.rs`).
-
-use tsa_obs::ObsHandle;
+//! That is the world's own placement rule with nothing injected: `send`
+//! keeps every copy in its outbox, nothing is due ahead of them, and
+//! `deliver` only settles the late list of the world's [`InFlight`] layout
+//! (its module docs have the rule). Delivered and dropped counts, the round
+//! they are charged to and every inbox's order are the naive model's
+//! (`tests/scheduler_reference.rs`).
 
 use crate::config::SimConfig;
-use crate::ids::{NodeId, Round};
+use crate::ids::Round;
 use crate::in_flight::InFlight;
-use crate::node::Outbox;
 use crate::slot_index::SlotIndex;
 use crate::world::{Delivery, PhaseSpans, World};
 
@@ -29,18 +23,7 @@ use crate::world::{Delivery, PhaseSpans, World};
 pub type Simulator<P, A> = World<P, A, Lockstep>;
 
 /// The lockstep delivery policy. See the module docs.
-pub struct Lockstep {
-    /// Copies sent last round.
-    in_flight: usize,
-}
-
-impl Lockstep {
-    /// Number of messages currently in flight (sent last round, not yet
-    /// delivered): copies, not distinct payloads.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight
-    }
-}
+pub struct Lockstep;
 
 impl<M> Delivery<M> for Lockstep {
     type Config = SimConfig;
@@ -52,41 +35,12 @@ impl<M> Delivery<M> for Lockstep {
     };
 
     fn new(config: SimConfig) -> (SimConfig, Self) {
-        (config, Lockstep { in_flight: 0 })
+        (config, Lockstep)
     }
 
     fn deliver(&mut self, _t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize {
         in_flight.settle(index)
     }
-
-    /// Counts the sends per receiver slot; the messages stay in `out` until
-    /// [`flush_sends`](Delivery::flush_sends).
-    fn send(
-        &mut self,
-        _from: NodeId,
-        _t: Round,
-        out: &mut Outbox<M>,
-        in_flight: &mut InFlight<M>,
-        _obs: &ObsHandle,
-    ) -> usize {
-        in_flight.count(out);
-        0
-    }
-
-    fn flush_sends<'a>(
-        &mut self,
-        t: Round,
-        outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
-        index: &SlotIndex,
-        in_flight: &mut InFlight<M>,
-    ) where
-        M: 'a,
-    {
-        in_flight.place(t, None, outboxes, index);
-        self.in_flight = in_flight.due();
-    }
-
-    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
 }
 
 #[cfg(test)]
@@ -94,6 +48,7 @@ mod tests {
     use super::*;
     use crate::adversary::{Adversary, NullAdversary};
     use crate::churn::{ChurnPlan, ChurnRules, JoinPlan};
+    use crate::ids::NodeId;
     use crate::knowledge::{KnowledgeView, Lateness};
     use crate::message::Envelope;
     use crate::node::{Ctx, Process};
@@ -138,7 +93,7 @@ mod tests {
         s.step();
         // Round 0: everyone sent, nobody received yet.
         assert_eq!(s.metrics().rounds()[0].messages_delivered, 0);
-        assert!(s.in_flight_count() > 0);
+        assert!(s.in_flight().due() > 0);
         s.step();
         assert!(s.metrics().rounds()[1].messages_delivered > 0);
         // Node 1 heard from node 0 and node 2.
@@ -167,7 +122,7 @@ mod tests {
         // A payload per distinct payload and a handle per copy hold the
         // round's traffic; the side list holds the one handle a round that
         // the last node addresses past the end.
-        assert_eq!(s.in_flight_count(), 2 * 32 - 1);
+        assert_eq!(s.in_flight().due(), 2 * 32 - 1);
         let in_flight = s.in_flight();
         assert_eq!(in_flight.pending(), 2 * 32 - 2);
         assert_eq!(in_flight.arena().len(), 2 * 32 - 1);
@@ -192,7 +147,7 @@ mod tests {
         let mut s = Simulator::new(SimConfig::default(), NullAdversary, Box::new(|_, _| Town));
         s.seed_nodes(8);
         s.run(2);
-        assert_eq!(s.in_flight_count(), 8 * 8, "copies are what is counted");
+        assert_eq!(s.in_flight().due(), 8 * 8, "copies are what is counted");
         let in_flight = s.in_flight();
         assert_eq!((in_flight.arena().len(), in_flight.pending()), (8, 8 * 8));
         assert_eq!(s.metrics().rounds()[1].messages_delivered, 8 * 8);

@@ -17,14 +17,19 @@
 //! * the **late** list of copies whose receiver had no slot when they were
 //!   placed.
 //!
-//! **Placing.** [`count`](InFlight::count) tallies an outbox's copies per
-//! receiver slot as it is sent (the world has written each receiver's slot
-//! into it). [`place`](InFlight::place) tallies the ahead copies through the
-//! membership, lays the tallies out as consecutive ranges (a prefix sum) and
-//! writes each copy's position through its slot's cursor: the ahead copies,
-//! all sent before round `t`, then every outbox in id order, its payloads
-//! moving to the arena. Every inbox so lists its copies in global send order
-//! — what a stable sort by receiver gives, without a sort's merge scratch.
+//! **Placing.** The world places each round's sends itself: whatever
+//! [`Delivery::send`](crate::Delivery::send) leaves in an outbox is due at
+//! `t + 1`, and the copies sent earlier that
+//! [`Delivery::due_next`](crate::Delivery::due_next)`(t)` returns go ahead
+//! of them. As each `send` returns, `count` tallies what stays in the
+//! outbox per receiver slot (the world has written each receiver's slot into
+//! it). Once every node has sent, [`place`](InFlight::place) tallies the
+//! ahead copies through the membership, lays the tallies out as consecutive
+//! ranges (a prefix sum) and writes each copy's position through its slot's
+//! cursor: the ahead copies, all sent before round `t`, then every outbox in
+//! id order, its payloads moving to the arena. Every inbox so lists its
+//! copies in global send order — what a stable sort by receiver gives,
+//! without a sort's merge scratch.
 //!
 //! **Not a member.** A copy whose receiver has no slot when it is placed —
 //! never assigned, departed, or an identifier the adversary hands out only
@@ -38,12 +43,13 @@
 //! cloned, an arena entry becomes `Envelope::new(sender, receiver, t,
 //! payload.clone())`.
 //!
-//! [`Lockstep`](crate::Lockstep) counts at `send`, places at `flush_sends`
-//! with nothing ahead and settles at `deliver`. `tsa-event`'s `VirtualTime`
-//! leaves only its copies due at `t + 1` in the outboxes and places the
-//! copies sent earlier and due then ahead of them. `tsa-net`'s `Loopback`
-//! places the frames that arrived as ahead copies at `deliver`. DESIGN.md,
-//! "The in-flight layout", has the costs.
+//! [`Lockstep`](crate::Lockstep) injects nothing: every send stays, nothing
+//! is due ahead, and its `deliver` settles. `tsa-event`'s `VirtualTime`
+//! leaves only its copies due at `t + 1` in the outboxes and returns round
+//! `t + 1`'s record from `due_next`. `tsa-net`'s `Loopback` empties every
+//! outbox onto the wire, so the world places nothing, and places the frames
+//! that arrived as ahead copies at `deliver`. DESIGN.md, "The in-flight
+//! layout", has the costs.
 
 use std::ops::Range;
 
@@ -168,7 +174,7 @@ impl<M> InFlight<M> {
 
     /// Tallies `out`'s copies into the slots the world wrote into it, for
     /// the next [`place`](Self::place).
-    pub fn count(&mut self, out: &Outbox<M>) {
+    pub(crate) fn count(&mut self, out: &Outbox<M>) {
         for sent in &out.sends {
             if sent.slot != NO_SLOT {
                 self.inboxes[sent.slot as usize].cursor += 1;
@@ -178,8 +184,8 @@ impl<M> InFlight<M> {
 
     /// Places round `t`'s copies, overwriting every earlier inbox: the
     /// `ahead` ones first, each resolved through `index`, then the
-    /// `outboxes`' in the order given, each of their copies
-    /// [`count`](Self::count)ed before; the outboxes are left empty.
+    /// `outboxes`' in the order given, each of their copies counted as it
+    /// was sent; the outboxes are left empty.
     pub fn place<'a>(
         &mut self,
         t: Round,
@@ -221,7 +227,8 @@ impl<M> InFlight<M> {
         }
         // Checked in release builds too: a position left at its zero fill
         // would hand a receiver somebody else's message, the count and the
-        // placement span two trait calls, and the check costs O(slots).
+        // placement are a whole send phase apart, and the check costs
+        // O(slots).
         assert!(
             self.inboxes
                 .iter()

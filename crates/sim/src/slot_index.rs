@@ -1,7 +1,8 @@
 //! `id → slot` lookup and distinct-receiver counting in O(1) per message.
 //!
-//! All three schedulers keep their node slots in a `Vec` sorted by
-//! identifier and ask two questions once per message: *which slot owns this
+//! The [`World`](crate::World) keeps its node slots in a `Vec` sorted by
+//! identifier, whatever its delivery, and asks two questions once per
+//! message: *which slot owns this
 //! receiver* (delivery) and *has this sender already messaged this receiver
 //! this round* (the communication graph and the distinct-receiver metric).
 //! Identifiers are handed out densely from 0 and never reused, so both are

@@ -38,23 +38,24 @@
 //!    stream that depends only on `(seed, node, round)`, so where and in
 //!    which order activations run cannot change an output bit;
 //! 4. **collect and send** — in id order: the node's inbox is consumed,
-//!    metrics, the communication graph, digests, then [`Delivery::send`] for
-//!    the node's [`Outbox`] (each distinct payload once, 16 bytes per copy);
-//!    once every node has sent, [`Delivery::flush_sends`] takes whatever the
-//!    sends left in the outboxes. Everything order-sensitive (sequence
-//!    numbers, fates, the edge list, every deterministic observation)
-//!    happens here and in the other sequential phases;
+//!    metrics, the communication graph, digests, then [`Delivery::send`]
+//!    routes the node's [`Outbox`] (each distinct payload once, 16 bytes per
+//!    copy) and the world counts what it left there; once every node has
+//!    sent, the world places the outboxes behind
+//!    [`Delivery::due_next`]'s copies (the rule: [`InFlight`]'s module
+//!    docs). Everything order-sensitive (sequence numbers, fates, the edge
+//!    list, every deterministic observation) happens here and in the other
+//!    sequential phases;
 //! 5. **finish** — trim the record window, fold the metrics row, emit the
 //!    `proto.*` observations, [`Delivery::end_round`].
 //!
 //! Every inbox lists its messages in global send order — sender-id order and,
 //! per sender, the order of its [`Ctx::send`](crate::Ctx::send) calls — on
-//! every delivery: all of them fill the world's one [`InFlight`] layout (its
-//! module docs say what each places when), which the compute phase alone
-//! reads. That makes the order in which a protocol sends part of its
-//! observable behaviour (which duplicate a receiver sees first, which RNG
-//! draw serves which copy): send order is the determinism contract between
-//! protocol and scheduler.
+//! every delivery: all of them fill the world's one [`InFlight`] layout,
+//! which the compute phase alone reads. That makes the order in which a
+//! protocol sends part of its observable behaviour (which duplicate a
+//! receiver sees first, which RNG draw serves which copy): send order is the
+//! determinism contract between protocol and scheduler.
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut, Range};
@@ -88,19 +89,22 @@ pub struct PhaseSpans {
     pub churn: &'static str,
     /// Phase 2, [`Delivery::deliver`] plus the sponsor grouping.
     pub deliver: &'static str,
-    /// Phase 4, the id-order collect loop around [`Delivery::send`].
+    /// Phase 4, the id-order collect loop around [`Delivery::send`], and the
+    /// placement after it.
     pub send: &'static str,
 }
 
 /// How messages travel between two rounds of a [`World`] — the one thing the
 /// three schedulers differ in.
 ///
-/// What reached a node is its inbox in the world's [`InFlight`], which the
-/// delivery fills. Membership changes only at the start of a round, so a
-/// delivery with per-node state of its own (sockets) follows the
-/// [`SlotIndex`] that [`deliver`](Delivery::deliver) is handed: identifiers
-/// are dense, joiners take the next ones in join order, and a departed one
-/// owns no slot.
+/// What reached a node is its inbox in the world's [`InFlight`]. The world
+/// places each round's sends there itself: whatever [`send`](Delivery::send)
+/// leaves in an outbox is due next round, behind the copies
+/// [`due_next`](Delivery::due_next) returns ([`InFlight`]'s module docs have
+/// the rule). Membership changes only at the start of a round, so a delivery
+/// with per-node state of its own (sockets) follows the [`SlotIndex`] that
+/// [`deliver`](Delivery::deliver) is handed: identifiers are dense, joiners
+/// take the next ones in join order, and a departed one owns no slot.
 pub trait Delivery<M> {
     /// The scheduler's configuration: the shared [`SimConfig`] plus whatever
     /// the policy adds (a topology, a round duration).
@@ -114,55 +118,36 @@ pub trait Delivery<M> {
     where
         Self: Sized;
 
-    /// Settles every slot's inbox for round `t`, unless the sends were
-    /// placed already; `index` maps a receiver to its slot in the membership
-    /// after round `t`'s churn. Returns how many copies were dropped
-    /// undelivered, not counting what departed slots' inboxes held, which
-    /// the world charges itself.
+    /// Settles every slot's inbox for round `t`; `index` maps a receiver to
+    /// its slot in the membership after round `t`'s churn. Returns how many
+    /// copies were dropped undelivered, not counting what departed slots'
+    /// inboxes held, which the world charges itself.
     fn deliver(&mut self, t: Round, index: &SlotIndex, in_flight: &mut InFlight<M>) -> usize;
 
-    /// Announces the sends `from` made in round `t`, in send order. Called in
+    /// Routes the sends `from` made in round `t`, in send order. Called in
     /// id order, once per node, after the world has written into every send
     /// the slot its receiver owns right now (`NO_SLOT` if it is not a member
     /// at send time — it may still join before delivery).
     ///
-    /// A delivery that routes message by message copies what it keeps out
-    /// of the outbox here — each send's payload, or each distinct payload
-    /// once ([`Outbox::payloads`], [`Outbox::sends`]) — and leaves `out`
-    /// empty. One that places the round's sends in `in_flight` leaves what
-    /// it places in `out`, counts it here and places it in
-    /// [`flush_sends`](Delivery::flush_sends). Returns how many of the sends
-    /// are already known to be lost.
-    fn send(
-        &mut self,
-        from: NodeId,
-        t: Round,
-        out: &mut Outbox<M>,
-        in_flight: &mut InFlight<M>,
-        obs: &ObsHandle,
-    ) -> usize;
+    /// What stays in `out` is due at `t + 1`; a delivery that routes message
+    /// by message takes each send's payload, or each distinct payload once
+    /// ([`Outbox::payloads`], [`Outbox::sends`]), and leaves `out` empty.
+    /// Returns how many of the sends are already known to be lost. By
+    /// default every send stays and none is lost.
+    fn send(&mut self, _from: NodeId, _t: Round, _out: &mut Outbox<M>, _obs: &ObsHandle) -> usize {
+        0
+    }
 
-    /// Every node of round `t` has sent: `outboxes` is each slot's sender
-    /// and outbox, in slot (= id) order, exactly as [`send`](Delivery::send)
-    /// left it. Whoever left messages there takes them now — every outbox
-    /// must be empty on return, its capacity kept for the next round. A
-    /// delivery that places next round's copies at send time places them
-    /// here, resolving receivers through `index` (the membership the sends
-    /// saw). Still inside the send phase's span.
-    fn flush_sends<'a>(
-        &mut self,
-        _t: Round,
-        _outboxes: impl Iterator<Item = (NodeId, &'a mut Outbox<M>)>,
-        _index: &SlotIndex,
-        _in_flight: &mut InFlight<M>,
-    ) where
-        M: 'a,
-    {
+    /// The copies sent before round `t` that are due at `t + 1`, in send
+    /// order: the world places them ahead of round `t`'s outboxes once every
+    /// node has sent. None by default.
+    fn due_next(&mut self, _t: Round) -> impl Iterator<Item = Envelope<M>> {
+        std::iter::empty()
     }
 
     /// Closes round `t`: the delivery's own per-round observations, and
-    /// whatever must happen before the next boundary.
-    fn end_round(&mut self, t: Round, obs: &ObsHandle);
+    /// whatever must happen before the next boundary. Nothing by default.
+    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
 
     /// The network region `id` lives in, for per-region probes (0 unless
     /// the delivery has a regional topology).
@@ -545,18 +530,13 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             if record_digests {
                 rec.digests.push((slot.id, slot.digest));
             }
-            lost += self
-                .delivery
-                .send(slot.id, t, &mut slot.out, &mut self.in_flight, &self.obs);
+            lost += self.delivery.send(slot.id, t, &mut slot.out, &self.obs);
+            self.in_flight.count(&slot.out);
             rec.graph.members.push(slot.id);
         }
+        let due_next = self.delivery.due_next(t);
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
-        self.delivery
-            .flush_sends(t, outboxes, &self.index, &mut self.in_flight);
-        debug_assert!(
-            self.slots.iter().all(|slot| slot.out.is_empty()),
-            "the delivery left sends in an outbox"
-        );
+        self.in_flight.place(t, due_next, outboxes, &self.index);
         // Receiver-departed drops are charged to the delivery round, losses
         // to the sending round (the network never carried them).
         row.messages_dropped = dropped + lost;
@@ -650,6 +630,133 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
                 self.slots[s].sponsored = start..start + run.len();
             }
             start += run.len();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::NullAdversary;
+    use crate::node::Ctx;
+
+    const NODES: u64 = 3;
+    /// Passes a node makes over every node (itself included) each round.
+    const PASSES: u64 = 3;
+    /// The payload of the copy [`EveryOther::due_next`] returns at `t`.
+    const EARLY: u64 = 1_000;
+
+    /// The payload of `pass`'s send to `to` in round `t`.
+    fn payload(t: Round, pass: u64, to: u64) -> u64 {
+        100 * t + 10 * pass + to
+    }
+
+    /// Sends [`PASSES`] passes over every node each round and keeps each
+    /// inbox it is handed as `(sender, payload, send round)`.
+    #[derive(Default)]
+    struct Passes {
+        inboxes: Vec<Vec<(NodeId, u64, Round)>>,
+    }
+
+    impl Process for Passes {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[Envelope<u64>]) {
+            let heard = inbox.iter().map(|env| (env.from, env.payload, env.sent_at));
+            self.inboxes.push(heard.collect());
+            let t = ctx.round();
+            for pass in 0..PASSES {
+                for to in 0..NODES {
+                    ctx.send(NodeId(to), payload(t, pass, to));
+                }
+            }
+        }
+    }
+
+    /// Keeps every other send of an outbox, losing the rest, and has one
+    /// copy sent the round before due to node 0 next round.
+    struct EveryOther;
+
+    impl Delivery<u64> for EveryOther {
+        type Config = SimConfig;
+
+        const SPANS: PhaseSpans = PhaseSpans {
+            churn: "test.churn",
+            deliver: "test.deliver",
+            send: "test.send",
+        };
+
+        fn new(config: SimConfig) -> (SimConfig, Self) {
+            (config, EveryOther)
+        }
+
+        fn deliver(
+            &mut self,
+            _t: Round,
+            index: &SlotIndex,
+            in_flight: &mut InFlight<u64>,
+        ) -> usize {
+            in_flight.settle(index)
+        }
+
+        fn send(
+            &mut self,
+            _from: NodeId,
+            _t: Round,
+            out: &mut Outbox<u64>,
+            _obs: &ObsHandle,
+        ) -> usize {
+            let (copies, mut keep) = (out.len(), false);
+            out.retain(|| {
+                keep = !keep;
+                keep
+            });
+            copies - out.len()
+        }
+
+        fn due_next(&mut self, t: Round) -> impl Iterator<Item = Envelope<u64>> {
+            let early = |t: Round| Envelope::new(NodeId(2), NodeId(0), t - 1, EARLY + t);
+            (t > 0).then(|| early(t)).into_iter()
+        }
+    }
+
+    #[test]
+    fn inboxes_list_the_due_next_copies_then_the_kept_sends_in_send_order() {
+        const ROUNDS: Round = 5;
+        let mut world: World<_, _, EveryOther> = World::new(
+            SimConfig::default(),
+            NullAdversary,
+            Box::new(|_, _| Passes::default()),
+        );
+        world.seed_nodes(NODES as usize);
+        world.run(ROUNDS);
+        let kept = (PASSES * NODES).div_ceil(2);
+        for row in world.metrics().rounds() {
+            let lost = NODES * (PASSES * NODES - kept);
+            assert_eq!(row.messages_dropped as u64, lost, "round {}", row.round);
+        }
+        for (id, node) in world.nodes() {
+            let to = id.raw();
+            assert!(node.inboxes[0].is_empty());
+            for t in 0..ROUNDS - 1 {
+                let mut expected = Vec::new();
+                if to == 0 && t > 0 {
+                    expected.push((NodeId(2), EARLY + t, t - 1));
+                }
+                for from in 0..NODES {
+                    // Send `k` of `from`'s outbox goes to `k % NODES`; the
+                    // even ones are kept.
+                    let sends = (0..PASSES * NODES).step_by(2);
+                    let kept = sends.filter(|k| k % NODES == to);
+                    let sent = kept.map(|k| (NodeId(from), payload(t, k / NODES, to), t));
+                    expected.extend(sent);
+                }
+                assert_eq!(
+                    node.inboxes[t as usize + 1],
+                    expected,
+                    "#{to}, round {}",
+                    t + 1
+                );
+            }
         }
     }
 }

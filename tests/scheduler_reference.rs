@@ -521,7 +521,7 @@ fn sends_to_non_members_match_the_reference<P: Process + Default>() {
                 lockstep.step();
                 assert_eq!(&last_row(&lockstep), expected, "cap {cap}, round {t}");
                 assert_eq!(
-                    lockstep.in_flight_count(),
+                    lockstep.in_flight().due(),
                     queued[t],
                     "in flight after round {t}, cap {cap}"
                 );
