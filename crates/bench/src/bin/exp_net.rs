@@ -83,6 +83,9 @@ struct TimingCell {
     /// Rounds whose deliver, compute and sends used up the whole round
     /// duration, leaving the poller no barrier to read their frames in.
     overrun_rounds: u64,
+    /// Frames read two or more boundaries after their send round: a whole
+    /// barrier or more too late for the synchronous model.
+    late_frames: u64,
     elapsed_ms: u64,
     rounds_per_sec: f64,
     msgs_per_sec: f64,
@@ -189,6 +192,7 @@ fn run_cell<A: Adversary>(
             n: cell.n,
             routable: real.report().is_routable(),
             overrun_rounds: real.overrun_rounds(),
+            late_frames: real.late_frames(),
             elapsed_ms: elapsed.as_millis() as u64,
             rounds_per_sec: total_rounds as f64 / secs,
             msgs_per_sec: wire.frames_sent as f64 / secs,
@@ -250,6 +254,7 @@ fn main() {
             "twin match",
             "routable",
             "overruns",
+            "late frames",
             "rounds/s",
             "msgs/s",
             "wire bytes",
@@ -263,6 +268,7 @@ fn main() {
             fmt_bool(d.outcome_match && d.trace_complete && d.sent_matches_twin),
             fmt_bool(t.routable),
             t.overrun_rounds.to_string(),
+            t.late_frames.to_string(),
             fmt_f(t.rounds_per_sec),
             fmt_f(t.msgs_per_sec),
             t.bytes_sent.to_string(),

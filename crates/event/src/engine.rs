@@ -294,7 +294,7 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
         reading.into_iter().flat_map(|record| record.drain(..))
     }
 
-    fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
+    fn end_round(&mut self, _t: Round, obs: &ObsHandle) -> usize {
         self.peak_queue_depth = self.peak_queue_depth.max(self.in_flight as u64);
         // Scheduler-specific (but still deterministic) counters: the network
         // model's effects this round and the queue depth.
@@ -312,6 +312,7 @@ impl<M: Clone> Delivery<M> for VirtualTime<M> {
             obs.observe("event.queue_len", self.in_flight as u64);
         }
         self.faults.end_round(obs);
+        0
     }
 
     fn region_of(&self, id: NodeId) -> u32 {

@@ -17,7 +17,7 @@
 //! unknown-tag frame yields a [`CodecError`] instead of a panic.
 
 use std::fmt;
-use tsa_sim::{Envelope, NodeId};
+use tsa_sim::{Envelope, NodeId, Round};
 
 /// Default bound on a single frame's body size (1 MiB) — vastly above any
 /// real protocol message, but small enough that a corrupt length prefix
@@ -172,13 +172,26 @@ impl Wire for String {
 /// *identity* in a [`MessageTrace`](tsa_event::MessageTrace) — the receiver
 /// records fates against it.
 pub fn encode_wire_frame<M: Wire>(seq: u64, env: &Envelope<M>, out: &mut Vec<u8>) -> usize {
+    encode_frame_parts(seq, env.from, env.to, env.sent_at, &env.payload, out)
+}
+
+/// [`encode_wire_frame`] from the envelope's parts: the transport encodes a
+/// send straight from its outbox, with no envelope and no payload clone.
+pub(crate) fn encode_frame_parts<M: Wire>(
+    seq: u64,
+    from: NodeId,
+    to: NodeId,
+    sent_at: Round,
+    payload: &M,
+    out: &mut Vec<u8>,
+) -> usize {
     let header_at = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     seq.encode(out);
-    env.from.encode(out);
-    env.to.encode(out);
-    env.sent_at.encode(out);
-    env.payload.encode(out);
+    from.encode(out);
+    to.encode(out);
+    sent_at.encode(out);
+    payload.encode(out);
     let frame_len = out.len() - header_at;
     let body_len = u32::try_from(frame_len - FRAME_HEADER_LEN).expect("a frame body fits a u32");
     out[header_at..header_at + FRAME_HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());

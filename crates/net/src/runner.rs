@@ -15,8 +15,8 @@
 //! The poller has no readiness API to block in, so it blocks on the
 //! coordinator instead: it passes over its connections until a pass finds
 //! nothing, then sleeps on its control channel until the coordinator says
-//! it has written (every sender's writes end in a wake) or a safety-net
-//! period passes. An idle barrier costs it a pass every few milliseconds.
+//! it has written (one wake after a round's writes) or a safety-net period
+//! passes. An idle barrier costs it a pass every few milliseconds.
 //!
 //! The transport keeps no membership of its own: `deliver` first follows
 //! the boundary's [`SlotIndex`]. A run holds one port per member and one
@@ -26,21 +26,26 @@
 //!
 //! # What `deliver`, `send` and `end_round` do, and what they cost
 //!
-//! `deliver` places what the poller decoded so far, in send order, as the
-//! copies ahead in the world's [`InFlight`] layout; a frame whose receiver
-//! has departed is read there, by nobody. A stray — a `seq` never assigned
-//! or already read, or a receiver other than the connection's member —
-//! reaches neither an inbox nor the trace. The round's wall-clock budget
-//! starts there. `send` numbers a node's messages exactly as the twin
-//! engines do, decides their faults (the same pure `(seed, seq)` decisions
-//! the event engine takes) and encodes each survivor in its fixed [`Wire`]
-//! layout behind the frames queued for the same receiver; the outbox done,
-//! each receiver's frames leave in one write on its connection: one system
-//! call per sender and link it uses, not one per frame. A frame to a
-//! non-member is lost when it is queued; a link whose pairing or write fails
-//! loses its whole batch and the receiver's write end. `end_round` sleeps
-//! out the rest of the budget: the window in which the poller turns this
-//! round's writes into the next boundary's deliveries.
+//! `deliver` places what the poller decoded so far as the copies ahead in
+//! the world's [`InFlight`] layout, in arrival order: one connection carries
+//! its member's frames in send order, so that is each inbox's send order,
+//! and the batch is sorted by `seq` only when some receiver's frames did
+//! arrive out of it (a fault hold's release read behind frames a boundary
+//! read late, or a member's two connections after a failed write). A frame
+//! whose receiver has departed is read there, by nobody. A stray — a `seq`
+//! never assigned or already read, or a receiver other than the
+//! connection's member — reaches neither an inbox nor the trace. The
+//! round's wall-clock budget starts there. `send` numbers a node's messages
+//! exactly as the twin engines do, decides their faults (the same pure
+//! `(seed, seq)` decisions the event engine takes) and encodes each survivor
+//! in its fixed [`Wire`] layout behind everything queued for the same
+//! receiver this round; it writes nothing. A frame to a non-member is lost
+//! when it is queued. `end_round` writes each member's round in one write on
+//! its connection — one system call per member, not one per sender and link
+//! — then wakes the poller once; a member whose pairing or write fails loses
+//! that round's batch and its write end. Then it sleeps out the rest of the
+//! budget: the window in which the poller turns this round's writes into
+//! the next boundary's deliveries.
 //!
 //! # Determinism boundary
 //!
@@ -72,7 +77,7 @@ use tsa_sim::{
     World, NO_SLOT,
 };
 
-use crate::codec::{decode_wire_value, encode_wire_frame, FrameDecoder, Wire};
+use crate::codec::{decode_wire_value, encode_frame_parts, FrameDecoder, Wire};
 
 /// Configuration of a loopback transport run.
 #[derive(Clone, Debug)]
@@ -146,9 +151,10 @@ enum Ctl {
 }
 
 /// How long the poller sleeps after a pass that found nothing, unless the
-/// coordinator speaks first. Every write is followed by a [`Ctl::Wake`], so
-/// this only bounds how long a write that blocks on a full socket buffer —
-/// its wake still to come — waits for its reader.
+/// coordinator speaks first. A round's writes are followed by one
+/// [`Ctl::Wake`], so this only bounds how long a write that blocks on a
+/// full socket buffer — the wake still to come behind it — waits for its
+/// reader.
 const POLL_SAFETY_NET: Duration = Duration::from_millis(5);
 
 /// The next control message: after an idle pass the poller blocks for it, up
@@ -258,10 +264,10 @@ struct Port {
     /// The write end of the node's one connection, shared by every sender:
     /// paired on the first write to it, and again after a write fails.
     stream: Option<TcpStream>,
-    /// The frames the current sender has encoded for this node, back to
-    /// back, and how many they are. One sender sends at a time, and its
-    /// buffers are written out before the next one starts: n buffers serve
-    /// all n² links, and all are empty between two senders.
+    /// The frames queued for this node this round, back to back, and how
+    /// many they are: the held frames the boundary released, then every
+    /// sender's behind the one before it. Empty between a round's writes
+    /// and the next boundary, its capacity kept.
     pending: Vec<u8>,
     pending_frames: usize,
 }
@@ -273,6 +279,8 @@ pub struct Loopback<M> {
     round_started: Instant,
     /// Rounds whose deliver, compute and sends left no time to sleep.
     overrun_rounds: u64,
+    /// Frames read two or more boundaries after their send round.
+    late_frames: u64,
     ports: Vec<Port>,
     /// The lowest identifier that has never had a port.
     next_unbound: u64,
@@ -294,12 +302,18 @@ pub struct Loopback<M> {
     /// takes at its delivery boundary).
     faults: FaultInjector<M>,
     /// Fault-delayed frames with their sequence numbers, in send order,
-    /// under their release round: written to the wire at the boundary whose
-    /// round reaches it.
+    /// under their release round: queued at the boundary whose round reaches
+    /// it, ahead of that round's sends.
     held: BTreeMap<Round, Vec<(u64, Envelope<M>)>>,
+    /// Scratch of `deliver`, per slot: one past the highest `seq` the
+    /// boundary has read for the slot's member so far.
+    next_read: Vec<u64>,
     /// Socket writes made so far.
     #[cfg(test)]
     writes: u64,
+    /// Wakes sent to the poller so far.
+    #[cfg(test)]
+    wakes: u64,
 }
 
 impl<M: Wire> Loopback<M> {
@@ -316,6 +330,13 @@ impl<M: Wire> Loopback<M> {
     /// read their frames before the next boundary.
     pub fn overrun_rounds(&self) -> u64 {
         self.overrun_rounds
+    }
+
+    /// Frames read two or more boundaries after the round that sent them —
+    /// one whole barrier or more too late for the synchronous model, or
+    /// held that long by a delay fault.
+    pub fn late_frames(&self) -> u64 {
+        self.late_frames
     }
 
     /// Actual wire traffic counters.
@@ -353,28 +374,33 @@ impl<M: Wire> Loopback<M> {
         self.faults.stats()
     }
 
-    /// Encodes one frame behind the others the current sender has queued for
-    /// the same receiver, the member in `slot`. Returns false if there is
-    /// none (departed, or an id that never existed): there is nothing to
-    /// connect to, and the frame is lost here.
-    fn queue_frame(&mut self, seq: u64, env: &Envelope<M>, slot: Option<usize>) -> bool {
+    /// Encodes one frame from `from` to `to`, sent at `sent_at`, behind
+    /// everything queued for its receiver, the member in `slot`. Returns
+    /// false if there is none (departed, or an id that never existed): there
+    /// is nothing to connect to, and the frame is lost here.
+    fn queue_frame(
+        &mut self,
+        slot: Option<usize>,
+        seq: u64,
+        (from, to, sent_at): (NodeId, NodeId, Round),
+        payload: &M,
+    ) -> bool {
         let Some(port) = slot.map(|slot| &mut self.ports[slot]) else {
             return false;
         };
-        encode_wire_frame(seq, env, &mut port.pending);
+        encode_frame_parts(seq, from, to, sent_at, payload, &mut port.pending);
         port.pending_frames += 1;
         true
     }
 
-    /// Writes out what the current sender has queued: one write per
-    /// receiver with frames pending, on the receiver's connection, paired
-    /// first if it has none; then tells the poller there is something to
-    /// read. A link whose pairing or write fails drops the write end and
-    /// loses its whole batch — a prefix the kernel took before
-    /// the failure may still be read, and is then `Delivered` in the trace,
-    /// which is what the twin replays. Returns how many frames never made it
-    /// onto the wire.
-    fn flush_links(&mut self) -> usize {
+    /// Writes out what is queued: one write per member with frames pending,
+    /// on its connection, paired first if it has none; then one wake tells
+    /// the poller there is something to read. A member whose pairing or
+    /// write fails drops its write end and loses its whole batch — a prefix
+    /// the kernel took before the failure may still be read, and is then
+    /// `Delivered` in the trace, which is what the twin replays. Returns how
+    /// many frames never made it onto the wire.
+    fn flush(&mut self) -> usize {
         let mut lost = 0usize;
         let mut wrote = false;
         for port in self.ports.iter_mut().filter(|p| p.pending_frames > 0) {
@@ -404,7 +430,12 @@ impl<M: Wire> Loopback<M> {
         }
         if wrote {
             self.ctl.send(Ctl::Wake).expect("poller alive");
+            #[cfg(test)]
+            {
+                self.wakes += 1;
+            }
         }
+        self.stats.lost += lost as u64;
         lost
     }
 
@@ -478,6 +509,7 @@ where
             round_duration: config.round_duration,
             round_started: Instant::now(),
             overrun_rounds: 0,
+            late_frames: 0,
             ports: Vec::new(),
             next_unbound: 0,
             hub,
@@ -491,8 +523,11 @@ where
             wire_reported: (0, 0),
             faults: FaultInjector::new(config.sim.seed),
             held: BTreeMap::new(),
+            next_read: Vec::new(),
             #[cfg(test)]
             writes: 0,
+            #[cfg(test)]
+            wakes: 0,
         };
         (config.sim, delivery)
     }
@@ -504,29 +539,37 @@ where
         // boundary's batch, drained under it, capacity kept: the poller only
         // waits to add the next boundary's frames.
         let mut hub = self.hub.lock().expect("hub lock poisoned");
-        hub.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
         // A stray (the poller queues any well-formed frame) goes before it
         // reaches an inbox or the trace. Every other frame is read now — by
         // nobody if its receiver has departed, which the settle drops.
         let read_now = MessageFate::Delivered { at_round: t };
         let (fates, stats, sent) = (&mut self.fates, &mut self.stats, self.seq);
+        let (next_read, late_frames) = (&mut self.next_read, &mut self.late_frames);
+        next_read.clear();
+        next_read.resize(self.ports.len(), 0);
+        let mut in_order = true;
         hub.batch.retain(|&(owner, seq, ref env)| {
             if seq >= sent || env.to != owner || fates.fate(seq) != Some(MessageFate::Lost) {
                 return false;
             }
             fates.record(seq, read_now);
-            if index.slot(owner).is_some() {
-                // Saturating, like every tick product of the event engine: a
-                // wire-supplied `sent_at` from the future reads as no delay,
-                // and no product or sum wraps.
-                let delay = t
-                    .saturating_sub(env.sent_at)
-                    .saturating_mul(TICKS_PER_ROUND);
+            // Saturating, like every tick product of the event engine: a
+            // wire-supplied `sent_at` from the future reads as no delay, and
+            // no product or sum wraps.
+            let waited = t.saturating_sub(env.sent_at);
+            *late_frames += u64::from(waited >= 2);
+            if let Some(slot) = index.slot(owner) {
+                in_order &= seq >= next_read[slot];
+                next_read[slot] = seq + 1;
+                let delay = waited.saturating_mul(TICKS_PER_ROUND);
                 stats.max_delay_ticks = stats.max_delay_ticks.max(delay);
                 stats.total_delay_ticks = stats.total_delay_ticks.saturating_add(delay);
             }
             true
         });
+        if !in_order {
+            hub.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
+        }
         // Filtered in place first, so that the placement takes the frames in
         // one move of known length.
         let frames = hub.batch.drain(..).map(|(_, _, env)| env);
@@ -538,20 +581,19 @@ where
         // this boundary, to be read one round later — their delay in whole
         // rounds past their original delivery boundary. Frames whose hold
         // outlives the run stay recorded as `Lost`, which is how the
-        // replaying twin must treat them (they influenced nobody). Only the
-        // due frames are sorted, sender by sender (in send order within
-        // one), so each link they use sees one write.
+        // replaying twin must treat them (they influenced nobody). Every
+        // boundary releases its own round's holds, pushed in send order, so
+        // they leave in `seq` order, ahead of the round's sends, in its
+        // writes.
         let mut due = Vec::new();
         while let Some(record) = self.held.first_entry().filter(|r| *r.key() <= t) {
             due.append(&mut record.remove());
         }
-        due.sort_unstable_by_key(|(seq, env)| (env.from, *seq));
         let mut lost = 0usize;
-        for sender in due.chunk_by(|(_, a), (_, b)| a.from == b.from) {
-            for (seq, env) in sender {
-                lost += usize::from(!self.queue_frame(*seq, env, index.slot(env.to)));
-            }
-            lost += self.flush_links();
+        for (seq, env) in &due {
+            let parts = (env.from, env.to, env.sent_at);
+            let slot = index.slot(env.to);
+            lost += usize::from(!self.queue_frame(slot, *seq, parts, &env.payload));
         }
         self.stats.lost += lost as u64;
         departed + lost
@@ -567,32 +609,40 @@ where
                 // Lost until proven delivered: overwritten when a later
                 // boundary (or none) reads the frame.
                 self.fates.record(copy.seq, MessageFate::Lost);
-                // Every copy is its own frame from here on.
-                let payload = copy.mutated.unwrap_or_else(|| payload.clone());
-                let env = Envelope::new(from, to, t, payload);
                 match copy.fault {
                     // The transport's clock is the round cadence: a
                     // hold-back is the tick delay rounded up to whole
-                    // rounds, at least one.
+                    // rounds, at least one. A held copy is its own frame
+                    // from here on.
                     Some(FaultAction::Delay { ticks }) => {
                         let rounds = ticks.div_ceil(TICKS_PER_ROUND).max(1);
                         let release = t.saturating_add(rounds);
+                        let payload = copy.mutated.unwrap_or_else(|| payload.clone());
+                        let env = Envelope::new(from, to, t, payload);
                         self.held.entry(release).or_default().push((copy.seq, env));
                     }
                     // A fault drop never reaches the wire; it is counted
                     // exactly like the event engine counts one.
                     Some(FaultAction::Drop) => lost += 1,
-                    _ => lost += usize::from(!self.queue_frame(copy.seq, &env, slot)),
+                    _ => {
+                        let payload = copy.mutated.as_ref().unwrap_or(payload);
+                        let queued = self.queue_frame(slot, copy.seq, (from, to, t), payload);
+                        lost += usize::from(!queued);
+                    }
                 }
             }
         }
         out.clear();
-        lost += self.flush_links();
         self.stats.lost += lost as u64;
         lost
     }
 
-    fn end_round(&mut self, _t: Round, obs: &ObsHandle) {
+    fn end_round(&mut self, _t: Round, obs: &ObsHandle) -> usize {
+        // Every node has sent: each member's round leaves in one write,
+        // timed with the sends that encoded it.
+        let span = obs.span_start();
+        let lost = self.flush();
+        obs.span_end(Self::SPANS.send, span);
         // Wire-level counters: deterministic functions of the protocol
         // traffic (frame counts and encoded bytes), not of scheduling.
         let (frames, bytes) = std::mem::replace(
@@ -610,6 +660,7 @@ where
             None => self.overrun_rounds += 1,
         }
         obs.span_end("net.barrier", span);
+        lost
     }
 }
 
@@ -625,6 +676,7 @@ impl<M> Drop for Loopback<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_wire_frame;
     use tsa_event::{
         EventConfig, EventSimulator, FaultAction, FaultRule, LatencyModel, NetModel, NodeSelector,
         RoundWindow,
@@ -745,12 +797,13 @@ mod tests {
     }
 
     #[test]
-    fn a_round_makes_one_write_per_link_and_counts_every_frame() {
+    fn a_round_makes_one_write_per_member_and_one_wake_and_counts_every_frame() {
         let (k, copies, rounds) = (4u64, 3u64, 3u64);
         let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
         net.seed_nodes(k as usize);
         net.run(rounds);
-        assert_eq!(net.writes, rounds * k * (k - 1));
+        assert_eq!(net.writes, rounds * k, "one write per member and round");
+        assert_eq!(net.wakes, rounds, "one wake per round");
         // What the same frames, numbered as `send` numbers them, encode to
         // one by one.
         let mut wire = Vec::new();
@@ -799,7 +852,7 @@ mod tests {
         let streams = net.ports.iter().filter(|port| port.stream.is_some());
         assert_eq!(streams.count() as u64, k, "outgoing streams");
         assert_eq!(net.hub.lock().unwrap().accepted, k, "accepted connections");
-        assert_eq!(net.writes, rounds * k * (k - 1), "one write per link");
+        assert_eq!(net.writes, rounds * k, "one write per member and round");
         assert_eq!(net.net_stats().lost, 0);
     }
 
@@ -862,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_write_loses_its_batch_and_the_next_sender_pairs_anew() {
+    fn a_failed_write_loses_its_round_batch_and_the_next_round_pairs_anew() {
         let (k, copies) = (3u64, 2u64);
         let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
         net.seed_nodes(k as usize);
@@ -872,16 +925,26 @@ mod tests {
         let before = accepted(&net);
         let stream = net.ports[2].stream.as_ref().expect("node 2 is paired");
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        // Round 2: node 0's write to node 2 fails; node 1's pairs a fresh
-        // connection, which the poller reads.
+        // Round 2: the write to node 2 fails, and with it every frame of the
+        // round to node 2, every sender's copies; nothing pairs anew yet.
         net.step();
-        assert_eq!(net.net_stats().lost, copies, "node 0's batch to node 2");
+        let batch = (k - 1) * copies;
+        assert_eq!(net.net_stats().lost, batch, "round 2's batch to node 2");
+        let row = net.last_metrics().expect("round 2 ran");
+        assert_eq!(row.messages_dropped as u64, batch, "charged to round 2");
+        assert_eq!(net.writes, 3 * k, "the failed write is a write");
+        assert_eq!(accepted(&net), before, "no fresh pair in round 2");
+        // Round 3 pairs a fresh connection, which the poller reads.
+        wait_until_read(&net);
+        net.step();
         wait_until_read(&net);
         assert_eq!(accepted(&net), before + 1, "one fresh pair");
         net.step();
         let heard = &net.node(NodeId(2)).unwrap().heard;
-        let of_round_2 = heard.iter().filter(|&&payload| payload >> 32 == 2);
-        assert_eq!(of_round_2.count() as u64, copies, "node 1's frames alone");
+        let of_round = |t: u64| heard.iter().filter(|&&payload| payload >> 32 == t).count();
+        assert_eq!(of_round(2), 0, "round 2's frames to node 2 were lost");
+        assert_eq!(of_round(3) as u64, batch, "round 3's arrived whole");
+        assert_eq!(net.net_stats().lost, batch);
         assert_eq!(net.trace().len() as u64, net.net_stats().sent);
     }
 
@@ -935,8 +998,8 @@ mod tests {
         for (id, fan) in net.nodes() {
             assert!(!fan.heard.contains(&STRAY), "{id:?} read a stray frame");
         }
-        // The genuine frame leaves at round 5's boundary and is read at
-        // round 6's, by its own receiver.
+        // The genuine frame is released at round 5's boundary, leaves with
+        // round 5's sends and is read at round 6's, by its own receiver.
         net.step();
         wait_until_received(&net, net.wire_stats().frames_sent + strays);
         net.step();
@@ -1117,14 +1180,43 @@ mod tests {
         assert!(on_time >= trials / 2, "{on_time} of {trials} rounds");
     }
 
+    /// Replays `net`'s trace of `rounds` rounds of a `full_mesh(k, copies)`
+    /// under `plan` through the event engine, and checks that every node
+    /// heard there what it heard on the sockets, in the same order.
+    fn assert_twins(net: &NetRunner<Fan, NullAdversary>, plan: FaultPlan, rounds: u64) {
+        let (k, copies) = (net.node_count() as u64, net.node(NodeId(0)).unwrap().copies);
+        let adapter = FaultAdapter {
+            kind_of: |_| 0,
+            mutate: |_, _| false,
+        };
+        let model = NetModel::new(LatencyModel::constant(0));
+        let mut twin = EventSimulator::new(
+            EventConfig::new(sim_config(), model),
+            NullAdversary,
+            full_mesh(k, copies),
+        );
+        twin.set_replay(net.trace());
+        twin.set_faults(plan, adapter);
+        twin.seed_nodes(k as usize);
+        twin.run(rounds);
+        assert_eq!(twin.net_stats().sent, net.net_stats().sent);
+        for id in (0..k).map(NodeId) {
+            assert_eq!(
+                twin.node(id).unwrap().heard,
+                net.node(id).unwrap().heard,
+                "{id:?}"
+            );
+        }
+    }
+
     #[test]
-    fn delayed_frames_leave_in_one_write_per_link_and_the_run_still_twins() {
+    fn delayed_frames_leave_in_one_write_per_member_and_the_run_still_twins() {
         let (k, copies, rounds) = (4u64, 2u64, 7u64);
-        let links = k * (k - 1);
-        let frames = links * copies;
-        // Everything sent in round 1 is held for two rounds and leaves at
-        // the boundary of round 3, beside that round's own sends; everything
-        // sent in round 2 is held for three and leaves at round 5's.
+        let frames = k * (k - 1) * copies;
+        // Everything sent in round 1 is held for two rounds and released at
+        // the boundary of round 3, ahead of that round's own sends in its
+        // writes; everything sent in round 2 is held for three and released
+        // at round 5's.
         let plan = FaultPlan::new()
             .with_rule(
                 FaultRule::every(FaultAction::Delay {
@@ -1145,39 +1237,74 @@ mod tests {
         let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, copies));
         net.set_faults(plan.clone(), adapter);
         net.seed_nodes(k as usize);
+        // Each round that wrote made one write per member and one wake.
         net.run(3);
-        assert_eq!(net.writes, links, "round 0; rounds 1 and 2 are held");
+        assert_eq!((net.writes, net.wakes), (k, 1), "round 0; 1 and 2 are held");
         assert_eq!(held_frames(&net) as u64, 2 * frames);
         net.step();
         assert_eq!(held_frames(&net) as u64, frames, "round 2's stay held");
-        assert_eq!(net.writes, 3 * links, "round 1's held frames and round 3's");
+        let released = "round 1's held frames ahead of round 3's";
+        assert_eq!((net.writes, net.wakes), (2 * k, 2), "{released}");
         net.step();
         assert_eq!(held_frames(&net) as u64, frames);
-        assert_eq!(net.writes, 4 * links, "round 4's alone");
+        assert_eq!((net.writes, net.wakes), (3 * k, 3), "round 4's alone");
         net.step();
         assert_eq!(held_frames(&net), 0);
-        assert_eq!(net.writes, 6 * links, "round 2's held frames and round 5's");
+        let released = "round 2's held frames ahead of round 5's";
+        assert_eq!((net.writes, net.wakes), (4 * k, 4), "{released}");
         net.step();
         assert_eq!(net.wire_stats().frames_sent, rounds * frames);
         assert_eq!(net.net_stats().lost, 0);
+        assert_twins(&net, plan, rounds);
+    }
 
-        let model = NetModel::new(LatencyModel::constant(0));
-        let mut twin = EventSimulator::new(
-            EventConfig::new(sim_config(), model),
-            NullAdversary,
-            full_mesh(k, copies),
+    #[test]
+    fn frames_a_boundary_reads_out_of_seq_order_reach_the_inbox_in_it() {
+        let (k, rounds) = (3u64, 6u64);
+        // Node 0's frame to node 2 of round 1 (seq 7) is held two rounds:
+        // released at round 3's boundary, it leaves in round 3's write to
+        // node 2, ahead of that round's sends (seqs 19 and 21).
+        let plan = FaultPlan::new().with_rule(
+            FaultRule::every(FaultAction::Delay {
+                ticks: 2 * TICKS_PER_ROUND,
+            })
+            .from(NodeSelector::Id { id: 0 })
+            .to(NodeSelector::Id { id: 2 })
+            .in_window(RoundWindow::between(1, 2)),
         );
-        twin.set_replay(net.trace());
-        twin.set_faults(plan, adapter);
-        twin.seed_nodes(k as usize);
-        twin.run(rounds);
-        assert_eq!(twin.net_stats().sent, net.net_stats().sent);
-        for id in (0..k).map(NodeId) {
-            assert_eq!(
-                twin.node(id).unwrap().heard,
-                net.node(id).unwrap().heard,
-                "{id:?}"
-            );
+        let adapter = FaultAdapter {
+            kind_of: |_| 0,
+            mutate: |_, _| false,
+        };
+        let mut net = runner(sim_config(), 20, NullAdversary, full_mesh(k, 1));
+        net.set_faults(plan.clone(), adapter);
+        net.seed_nodes(k as usize);
+        for _ in 0..3 {
+            wait_until_read(&net);
+            net.step();
         }
+        // Round 2's frames miss round 3's boundary and are read at round
+        // 4's, in front of round 3's writes, as a poller that fell a
+        // boundary behind reads them: node 2's connection then carries seqs
+        // 13 and 15 ahead of 7.
+        wait_until_read(&net);
+        let late = std::mem::take(&mut net.hub.lock().unwrap().batch);
+        net.step();
+        wait_until_read(&net);
+        {
+            let mut hub = net.hub.lock().unwrap();
+            let on_time = std::mem::replace(&mut hub.batch, late);
+            hub.batch.extend(on_time);
+        }
+        net.step();
+        // Each of these is its sender's second send of its round.
+        let second_of = |t: u64| (t << 32) | 1;
+        let expected = [1, 2, 2, 3, 3].map(second_of);
+        let heard = &net.node(NodeId(2)).unwrap().heard;
+        assert_eq!(heard[heard.len() - 5..], expected);
+        assert_eq!(net.late_frames(), 7, "round 2's six and the held one");
+        wait_until_read(&net);
+        net.step();
+        assert_twins(&net, plan, rounds);
     }
 }

@@ -46,8 +46,9 @@
 //!    docs). Everything order-sensitive (sequence numbers, fates, the edge
 //!    list, every deterministic observation) happens here and in the other
 //!    sequential phases;
-//! 5. **finish** — trim the record window, fold the metrics row, emit the
-//!    `proto.*` observations, [`Delivery::end_round`].
+//! 5. **finish** — trim the record window, [`Delivery::end_round`] (its
+//!    losses are the round's too), fold the metrics row, emit the `proto.*`
+//!    observations.
 //!
 //! Every inbox lists its messages in global send order — sender-id order and,
 //! per sender, the order of its [`Ctx::send`](crate::Ctx::send) calls — on
@@ -146,8 +147,14 @@ pub trait Delivery<M> {
     }
 
     /// Closes round `t`: the delivery's own per-round observations, and
-    /// whatever must happen before the next boundary. Nothing by default.
-    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) {}
+    /// whatever must happen before the next boundary. Returns how many of
+    /// round `t`'s sends it lost doing so, charged to round `t` like
+    /// [`send`](Delivery::send)'s. Called before the row is folded, so its
+    /// observations precede round `t`'s `round_mark` in the ordered stream:
+    /// flight recorders attribute them to round `t`. Nothing by default.
+    fn end_round(&mut self, _t: Round, _obs: &ObsHandle) -> usize {
+        0
+    }
 
     /// The network region `id` lives in, for per-region probes (0 unless
     /// the delivery has a regional topology).
@@ -537,12 +544,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         let due_next = self.delivery.due_next(t);
         let outboxes = self.slots.iter_mut().map(|slot| (slot.id, &mut slot.out));
         self.in_flight.place(t, due_next, outboxes, &self.index);
-        // Receiver-departed drops are charged to the delivery round, losses
-        // to the sending round (the network never carried them).
-        row.messages_dropped = dropped + lost;
 
-        // Phase 5: archive the round, recycle what leaves the window, fold
-        // the metrics row.
+        // Phase 5: archive the round, recycle what leaves the window, close
+        // the round on the delivery, fold the metrics row.
         self.records.push(rec);
         if let Some(window) = self.config.history_window {
             while self.records.len() > window {
@@ -554,6 +558,9 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
             }
         }
         self.obs.span_end(D::SPANS.send, span);
+        // Receiver-departed drops are charged to the delivery round, losses
+        // to the sending round (the network never carried them).
+        row.messages_dropped = dropped + lost + self.delivery.end_round(t, &self.obs);
 
         let row = row.finish();
         if obs_on {
@@ -565,7 +572,6 @@ impl<P: Process, A: Adversary, D: Delivery<P::Msg>> World<P, A, D> {
         self.streaming.push(row);
         self.last_outcome = outcome;
         self.round += 1;
-        self.delivery.end_round(t, &self.obs);
     }
 
     /// Applies a churn plan through the shared arbiter
